@@ -228,7 +228,8 @@ inline double WallSeconds() {
 inline void StartWallClock() { (void)WallSeconds(); }
 
 // The common metadata block every bench JSON leads with: which benchmark,
-// which thread/kernel/sanitizer configuration, whether observability was
+// which thread/sanitizer configuration, the highest kernel tier the CPU
+// supports (not necessarily the tier that ran), whether observability was
 // live while it ran (obs skews timings, so artifacts must say so), and how
 // much wall time / simulation-event throughput the process accumulated.
 inline void WriteMetadata(JsonWriter& w, std::string_view bench_name) {
@@ -238,7 +239,7 @@ inline void WriteMetadata(JsonWriter& w, std::string_view bench_name) {
   w.BeginObject("metadata")
       .Field("bench", bench_name)
       .Field("medes_threads", threads_env != nullptr ? threads_env : "default")
-      .Field("kernel_tier", kernels::TierName(kernels::MaxSupportedTier()))
+      .Field("max_supported_tier", kernels::TierName(kernels::MaxSupportedTier()))
       .Field("sanitizer", SanitizerName())
       .Field("trace_enabled", obs::TraceEnabled())
       .Field("metrics_enabled", obs::MetricsEnabled())

@@ -6,32 +6,17 @@
 // seconds, cold-start rate, P99 latency, memory saved, and cross-node
 // transport bytes per configuration.
 //
-// The top configuration (100 nodes, ~1.4M requests over a simulated hour) is
-// measured two more ways:
-//   - op-stream replay: its schedule/cancel/fire log (sim/replay.h) is
-//     re-driven through both event engines with payloads reduced to their
-//     recorded size class, isolating pure scheduler cost (speedup_vs_heap);
-//   - pre-refactor baseline: the same campaign against the full pre-refactor
-//     event core — binary-heap scheduler, whole trace bulk-scheduled up
-//     front, one idle-expiry timer per sandbox (each re-running the
-//     controller decision), scan-based state counts. Reported both
-//     end-to-end (campaign_speedup_vs_pre_refactor, callback cost included)
-//     and scheduler-isolated (scheduler_speedup_vs_pre_refactor: each
-//     stack's own op stream replayed on its own engine with no-op payloads).
-//
 // Usage: cluster_scale [output.json]        (default: BENCH_cluster_scale.json)
-// Env:   MEDES_CLUSTER_SCALE_MODE=smoke     CI perf-smoke config (one small
-//                                           sweep point; same JSON schema)
+// Env:   MEDES_CLUSTER_SCALE_MODE=smoke     CI perf-smoke config (small sweep
+//                                           points; same JSON schema)
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "sim/replay.h"
 
 using namespace medes;
 
@@ -105,32 +90,13 @@ uint64_t TotalTransportBytes(const RunMetrics& m) {
   return total;
 }
 
-// One end-to-end platform run. `engine` selects the event core; `log`, when
-// non-null, records the run's op stream for the replay comparison.
-// `pre_refactor` re-enables the full pre-refactor event core: the binary-heap
-// scheduler, the whole trace bulk-scheduled up front (instead of the chained
-// streaming feed), one idle-expiry timer per sandbox (each re-running the
-// controller's decision), and scan-based sandbox state counting. Workload
-// results are identical (pinned by tests); only the cost model changes.
-SweepResult RunSweepPoint(const SweepConfig& c, SimEngine engine, SimOpLog* log,
-                          bool pre_refactor = false, RunMetrics* metrics_out = nullptr) {
-  PlatformOptions options = OptionsFor(c);
-  options.sim.engine = engine;
-  if (pre_refactor) {
-    options.coalesce_idle_expiry = false;
-    options.cluster.incremental_state_counts = false;
-    options.stream_trace_arrivals = false;  // bulk-feed the whole trace up front
-  }
+// One end-to-end platform run.
+SweepResult RunSweepPoint(const SweepConfig& c) {
   const std::vector<TraceEvent> trace = TraceFor(c);
-
-  ServerlessPlatform platform(options);
-  if (log != nullptr) {
-    platform.sim().SetOpLog(log);
-  }
+  ServerlessPlatform platform(OptionsFor(c));
   const auto t0 = std::chrono::steady_clock::now();
-  RunMetrics metrics = platform.Run(trace);
+  const RunMetrics metrics = platform.Run(trace);
   const double wall = SecondsSince(t0);
-  platform.sim().SetOpLog(nullptr);
 
   SweepResult r;
   r.config = c;
@@ -144,37 +110,7 @@ SweepResult RunSweepPoint(const SweepConfig& c, SimEngine engine, SimOpLog* log,
   r.p99_e2e_ms = OverallP99Ms(metrics);
   r.memory_saved_mb = TotalSavedMb(metrics);
   r.transport_bytes = TotalTransportBytes(metrics);
-  if (metrics_out != nullptr) {
-    *metrics_out = std::move(metrics);
-  }
   return r;
-}
-
-struct ReplayTiming {
-  double wall_seconds = 0;
-  double events_per_sec = 0;
-  ReplayResult result;
-};
-
-// Re-drives `log` through a fresh engine; best-of-`iters` wall time.
-ReplayTiming TimeReplay(const SimOpLog& log, SimEngine engine, int iters) {
-  ReplayTiming best;
-  best.wall_seconds = 1e300;
-  for (int i = 0; i < iters; ++i) {
-    SimulationOptions sopts;
-    sopts.engine = engine;
-    const auto t0 = std::chrono::steady_clock::now();
-    ReplayResult res = ReplaySimOps(log, sopts);
-    const double wall = SecondsSince(t0);
-    if (wall < best.wall_seconds) {
-      best.wall_seconds = wall;
-      best.result = res;
-    }
-  }
-  best.events_per_sec = best.wall_seconds > 0
-                            ? static_cast<double>(best.result.events_processed) / best.wall_seconds
-                            : 0;
-  return best;
 }
 
 void WriteSweepResult(bench::JsonWriter& w, const SweepResult& r) {
@@ -202,8 +138,7 @@ int main(int argc, char** argv) {
   const char* mode_env = std::getenv("MEDES_CLUSTER_SCALE_MODE");
   const bool smoke = mode_env != nullptr && std::string(mode_env) == "smoke";
 
-  bench::Header("cluster_scale: event-core capacity campaign",
-                "node sweep under P1/P2 + calendar-vs-heap engine comparison");
+  bench::Header("cluster_scale: event-core capacity campaign", "node sweep under P1/P2");
 
   // Rate scales with cluster size so per-node load matches the paper's
   // 19-worker evaluation setup at its 5x magnification.
@@ -228,113 +163,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  // End-to-end sweep (calendar engine, the default). The last config is the
-  // top one; its op stream feeds the engine comparison.
   std::vector<SweepResult> results;
-  SimOpLog top_log;
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const bool is_top = i + 1 == sweep.size();
-    SweepResult r = RunSweepPoint(sweep[i], SimEngine::kCalendar, is_top ? &top_log : nullptr);
+  for (const SweepConfig& c : sweep) {
+    const SweepResult r = RunSweepPoint(c);
     std::printf("nodes=%-3d %-11s requests=%-8" PRIu64 " events=%-9" PRIu64
                 " wall=%.2fs events/s=%.0f cold=%.3f p99=%.1fms\n",
                 r.config.nodes, r.config.objective_name, r.requests, r.sim_events, r.wall_seconds,
                 r.events_per_sec, r.cold_start_rate, r.p99_e2e_ms);
     results.push_back(r);
   }
-  const SweepResult& top = results.back();
-
-  // Engine core comparison: the top config's op stream through both engines
-  // with no-op payloads. Fire hashes must match (bit-identical fire order).
-  bench::Section("engine comparison (op-stream replay, no-op payloads)");
-  const int iters = smoke ? 1 : 3;
-  const ReplayTiming cal = TimeReplay(top_log, SimEngine::kCalendar, iters);
-  const ReplayTiming heap = TimeReplay(top_log, SimEngine::kHeap, iters);
-  const bool hash_match = cal.result.fire_hash == heap.result.fire_hash &&
-                          cal.result.events_processed == heap.result.events_processed;
-  const double speedup = heap.wall_seconds > 0 && cal.wall_seconds > 0
-                             ? heap.wall_seconds / cal.wall_seconds
-                             : 0;
-  std::printf("replayed %" PRIu64 " events: calendar %.3fs (%.0f ev/s), heap %.3fs (%.0f ev/s)\n",
-              cal.result.events_processed, cal.wall_seconds, cal.events_per_sec,
-              heap.wall_seconds, heap.events_per_sec);
-  std::printf("speedup_vs_heap=%.2fx fire_hash_match=%s\n", speedup,
-              hash_match ? "true" : "false");
-
-  // The before/after campaign: the same top config against the full
-  // pre-refactor event core (binary-heap scheduler, per-sandbox idle-expiry
-  // timers each re-running the controller decision, scan-based state counts).
-  // Workload-visible metrics must be unchanged — sim_events differs by design
-  // (coalescing replaced thousands of per-sandbox timers with bucket sweeps),
-  // so the honest throughput comparison is each run's own events/sec.
-  bench::Section("pre-refactor baseline (heap + bulk feed + per-sandbox timers + scan counts)");
-  SimOpLog pre_log;
-  SweepResult pre = RunSweepPoint(top.config, SimEngine::kHeap, &pre_log, /*pre_refactor=*/true);
-  const bool metrics_match =
-      pre.requests == top.requests && pre.cold_start_rate == top.cold_start_rate &&
-      pre.p99_e2e_ms == top.p99_e2e_ms && pre.memory_saved_mb == top.memory_saved_mb &&
-      pre.transport_bytes == top.transport_bytes;
-  const double campaign_speedup =
-      pre.events_per_sec > 0 ? top.events_per_sec / pre.events_per_sec : 0;
-  std::printf("pre-refactor: wall=%.2fs events=%" PRIu64
-              " events/s=%.0f  campaign_speedup=%.2fx metrics_match=%s\n",
-              pre.wall_seconds, pre.sim_events, pre.events_per_sec, campaign_speedup,
-              metrics_match ? "true" : "false");
-
-  // Scheduler-isolated before/after: each stack's own op stream re-driven
-  // through its own engine with no-op payloads. "Before" replays the
-  // pre-refactor stack's stream (1.35M bulk-fed arrivals camped in the heap,
-  // per-sandbox timer churn) on the heap engine; "after" replays the
-  // refactored stack's stream on the calendar engine. This is the headline
-  // events/sec number with callback (platform) cost excluded.
-  const ReplayTiming sched_before = TimeReplay(pre_log, SimEngine::kHeap, iters);
-  const double scheduler_speedup = sched_before.events_per_sec > 0
-                                       ? cal.events_per_sec / sched_before.events_per_sec
-                                       : 0;
-  std::printf("scheduler only: before %.3fs (%.0f ev/s, %" PRIu64
-              " events) after %.3fs (%.0f ev/s, %" PRIu64 " events)  speedup=%.2fx\n",
-              sched_before.wall_seconds, sched_before.events_per_sec,
-              sched_before.result.events_processed, cal.wall_seconds, cal.events_per_sec,
-              cal.result.events_processed, scheduler_speedup);
 
   bench::JsonWriter w;
   w.BeginObject();
   bench::WriteMetadata(w, "cluster_scale");
-  w.Field("mode", smoke ? "smoke" : "full").Field("engine", ToString(SimEngine::kCalendar));
+  w.Field("mode", smoke ? "smoke" : "full");
   w.BeginArray("sweep");
   for (const SweepResult& r : results) {
     WriteSweepResult(w, r);
   }
   w.EndArray();
-  w.BeginObject("engine_comparison")
-      .Field("nodes", top.config.nodes)
-      .Field("objective", top.config.objective_name)
-      .Field("requests", top.requests)
-      .Field("replayed_events", cal.result.events_processed)
-      .Field("replay_iters", iters)
-      .Field("calendar_wall_seconds", cal.wall_seconds, 4)
-      .Field("calendar_events_per_sec", cal.events_per_sec, 0)
-      .Field("heap_wall_seconds", heap.wall_seconds, 4)
-      .Field("heap_events_per_sec", heap.events_per_sec, 0)
-      .Field("speedup_vs_heap", speedup)
-      .Field("fire_hash_match", hash_match)
-      .EndObject();
-  w.BeginObject("pre_refactor_baseline")
-      .Field("nodes", top.config.nodes)
-      .Field("objective", top.config.objective_name)
-      .Field("requests", pre.requests)
-      .Field("sim_events", pre.sim_events)
-      .Field("wall_seconds", pre.wall_seconds, 3)
-      .Field("events_per_sec", pre.events_per_sec, 0)
-      .Field("refactored_events_per_sec", top.events_per_sec, 0)
-      .Field("campaign_speedup_vs_pre_refactor", campaign_speedup)
-      .Field("scheduler_events_per_sec_before", sched_before.events_per_sec, 0)
-      .Field("scheduler_events_per_sec_after", cal.events_per_sec, 0)
-      .Field("scheduler_speedup_vs_pre_refactor", scheduler_speedup)
-      .Field("metrics_match", metrics_match)
-      .EndObject();
   w.EndObject();
 
   bench::WriteTextFile(out_path, w.str() + "\n");
   bench::ExportObservability("cluster_scale");
-  return hash_match && metrics_match ? 0 : 1;
+  return 0;
 }

@@ -182,36 +182,6 @@ int main() {
     }));
   }
 
-  // 5b. Reference: the pre-kernels decoder (validate-while-growing via
-  // vector::insert) so the JSON shows the structural win of the pre-sized
-  // single-pass decode, which no tier column can (CopyBytes is not tiered).
-  results.push_back(RunKernel("delta_decode_page_legacy", kPage, [&](size_t iters) {
-    for (size_t i = 0; i < iters; ++i) {
-      size_t pos = 4;
-      size_t p2 = pos;
-      delta_internal::ReadVarint(delta, p2);
-      uint64_t target_len = delta_internal::ReadVarint(delta, p2);
-      pos = p2;
-      std::vector<uint8_t> out;
-      out.reserve(target_len);
-      while (pos < delta.size()) {
-        uint8_t op = delta[pos++];
-        if (op == 0x00) {
-          uint64_t len = delta_internal::ReadVarint(delta, pos);
-          out.insert(out.end(), delta.begin() + static_cast<ptrdiff_t>(pos),
-                     delta.begin() + static_cast<ptrdiff_t>(pos + len));
-          pos += len;
-        } else {
-          uint64_t off = delta_internal::ReadVarint(delta, pos);
-          uint64_t len = delta_internal::ReadVarint(delta, pos);
-          out.insert(out.end(), base.begin() + static_cast<ptrdiff_t>(off),
-                     base.begin() + static_cast<ptrdiff_t>(off + len));
-        }
-      }
-      g_sink = g_sink + out[0];
-    }
-  }));
-
   // 6. Whole-page fingerprint through the public API (ties 1-3 together).
   {
     PageFingerprinter fp({});

@@ -166,7 +166,6 @@ MacroResults RunMacro() {
 }  // namespace
 
 int main() {
-  obs::SetWallClockProfiling(false);
   const MicroResults micro = RunMicro();
   const MacroResults macro = RunMacro();
   const double overhead_ratio = macro.trace_pages_per_sec > 0

@@ -3,11 +3,9 @@
 
 Checks, without external dependencies:
   - the file parses as a single JSON object with the shared metadata block
-    (bench name, kernel tier, wall_seconds, sim event counters);
+    (bench name, max supported kernel tier, wall_seconds, sim event counters);
   - for cluster_scale reports: every sweep entry carries the full set of
-    capacity-campaign fields with sane values, the engine comparison proved
-    bit-identical fire order (fire_hash_match), and the pre-refactor baseline
-    produced identical workload-visible metrics (metrics_match);
+    capacity-campaign fields with sane values;
   - for registry_persistence reports: every sweep entry carries the
     unbounded/bounded pair with sane values, the bounded run's dedup savings
     drifted no more than --max-saved-drift from unbounded, and the recovery
@@ -22,16 +20,11 @@ Checks, without external dependencies:
     latency for both the request and restore views, the restore P99 clears
     --min-restore-p99-us, and the top-slowest exemplar trees are sorted with
     every parent id resolving inside its tree;
-  - optional floor gates on scheduler throughput (--min-replay-events-per-sec,
-    from the op-stream replay, which is machine-dependent but far above any
-    plausible regression) and on the scheduler-isolated before/after ratio
-    (--min-speedup, against scheduler_speedup_vs_pre_refactor);
   - --compare-ignoring-metadata OTHER checks two reports for payload equality
     after dropping the metadata block (which carries wall clock and thread
     count) — the determinism contract across MEDES_THREADS settings.
 
-Usage: check_bench_json.py FILE [--bench NAME] [--min-replay-events-per-sec N]
-                                [--min-speedup X] [--min-lazy-p99-speedup X]
+Usage: check_bench_json.py FILE [--bench NAME] [--min-lazy-p99-speedup X]
                                 [--compare-ignoring-metadata OTHER]
 Exits non-zero with a message on the first violation.
 """
@@ -57,7 +50,7 @@ SWEEP_FIELDS = {
 
 METADATA_FIELDS = {
     "bench": (str,),
-    "kernel_tier": (str,),
+    "max_supported_tier": (str,),
     "wall_seconds": (int, float),
     "sim_events_fired": (int,),
     "sim_events_per_sec": (int, float),
@@ -76,7 +69,7 @@ def require(obj: dict, block: str, fields: dict) -> None:
             fail(f"{block}.{name}: expected {types}, got {type(obj[name]).__name__}")
 
 
-def check_cluster_scale(doc: dict, args: argparse.Namespace) -> str:
+def check_cluster_scale(doc: dict) -> str:
     sweep = doc.get("sweep")
     if not isinstance(sweep, list) or not sweep:
         fail("sweep: expected a non-empty array")
@@ -89,38 +82,7 @@ def check_cluster_scale(doc: dict, args: argparse.Namespace) -> str:
             fail(f"{block}: non-positive timing")
         if not 0 <= entry["cold_start_rate"] <= 1:
             fail(f"{block}: cold_start_rate out of [0,1]")
-
-    comparison = doc.get("engine_comparison")
-    if not isinstance(comparison, dict):
-        fail("missing engine_comparison block")
-    for name in ("replayed_events", "calendar_events_per_sec", "heap_events_per_sec",
-                 "speedup_vs_heap", "fire_hash_match"):
-        if name not in comparison:
-            fail(f"engine_comparison: missing field {name!r}")
-    if comparison["fire_hash_match"] is not True:
-        fail("engine_comparison: fire order diverged between engines")
-
-    baseline = doc.get("pre_refactor_baseline")
-    if not isinstance(baseline, dict):
-        fail("missing pre_refactor_baseline block")
-    for name in ("events_per_sec", "refactored_events_per_sec",
-                 "campaign_speedup_vs_pre_refactor",
-                 "scheduler_events_per_sec_before", "scheduler_events_per_sec_after",
-                 "scheduler_speedup_vs_pre_refactor", "metrics_match"):
-        if name not in baseline:
-            fail(f"pre_refactor_baseline: missing field {name!r}")
-    if baseline["metrics_match"] is not True:
-        fail("pre_refactor_baseline: workload-visible metrics diverged")
-
-    if comparison["calendar_events_per_sec"] < args.min_replay_events_per_sec:
-        fail(f"replay throughput {comparison['calendar_events_per_sec']:.0f} ev/s "
-             f"below floor {args.min_replay_events_per_sec:.0f}")
-    if baseline["scheduler_speedup_vs_pre_refactor"] < args.min_speedup:
-        fail(f"scheduler speedup {baseline['scheduler_speedup_vs_pre_refactor']:.2f}x "
-             f"below floor {args.min_speedup:.2f}x")
-    return (f"{len(sweep)} sweep points, replay {comparison['speedup_vs_heap']:.2f}x, "
-            f"campaign {baseline['campaign_speedup_vs_pre_refactor']:.2f}x, "
-            f"scheduler {baseline['scheduler_speedup_vs_pre_refactor']:.2f}x")
+    return f"{len(sweep)} sweep points"
 
 
 PERSISTENCE_SWEEP_FIELDS = {
@@ -445,7 +407,7 @@ def check(path: str, args: argparse.Namespace) -> int:
 
     detail = "generic bench report"
     if metadata["bench"] == "cluster_scale":
-        detail = check_cluster_scale(doc, args)
+        detail = check_cluster_scale(doc)
     elif metadata["bench"] == "registry_persistence":
         detail = check_registry_persistence(doc, args)
     elif metadata["bench"] == "restore_latency":
@@ -460,8 +422,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("file")
     parser.add_argument("--bench", default="", help="required metadata.bench name")
-    parser.add_argument("--min-replay-events-per-sec", type=float, default=0.0)
-    parser.add_argument("--min-speedup", type=float, default=0.0)
     parser.add_argument("--min-lazy-p99-speedup", type=float, default=0.0)
     parser.add_argument("--max-saved-drift", type=float, default=0.05,
                         help="cap on bounded-vs-unbounded dedup-savings drift "

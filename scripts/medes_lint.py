@@ -12,8 +12,8 @@ at any MEDES_THREADS setting) and the documented locking discipline:
                        bypass the lock-rank checker and the capability
                        annotations.
   wall-clock           steady_clock / system_clock / time() / gettimeofday
-                       outside the allowlist (obs/trace.h wall-span mode;
-                       bench/* measures real elapsed time by design).
+                       outside bench/* (which measures real elapsed time by
+                       design).
                        Wall-clock reads in modelled code break determinism.
   raw-random           rand() / srand() / std::random_device outside bench/*.
                        All modelled randomness must flow through the seeded
@@ -153,14 +153,12 @@ WALL_CLOCK_RE = re.compile(
     r"(steady_clock|system_clock|high_resolution_clock|gettimeofday\s*\(|"
     r"clock_gettime\s*\(|(?<![:\w])time\s*\(\s*(?:NULL|nullptr|0)\s*\))"
 )
-# obs/trace.h measures an optional wall-clock span alongside sim time by
-# design; bench programs time real executions.
-WALL_CLOCK_ALLOWED_FILES = ("src/obs/trace.h",)
+# Bench programs time real executions; nothing else reads a wall clock.
 WALL_CLOCK_ALLOWED_DIRS = ("bench/",)
 
 
 def check_wall_clock(rel: str, lines: list[str], findings: list[Finding]) -> None:
-    if rel in WALL_CLOCK_ALLOWED_FILES or rel.startswith(WALL_CLOCK_ALLOWED_DIRS):
+    if rel.startswith(WALL_CLOCK_ALLOWED_DIRS):
         return
     for i, raw in enumerate(lines):
         code = _strip_strings_and_comments(raw)

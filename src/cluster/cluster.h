@@ -113,11 +113,6 @@ struct ClusterOptions {
   double dedup_metadata_fraction = 0.02;
   bool aslr = false;
   uint64_t seed = 0xc105;
-  // When false, CountIn recounts by materialized scan instead of reading the
-  // incrementally maintained counters — the pre-refactor cost model, kept so
-  // bench/cluster_scale can measure the before/after honestly. (Results are
-  // identical either way; only the cost changes.)
-  bool incremental_state_counts = true;
 };
 
 class Cluster {
@@ -151,9 +146,6 @@ class Cluster {
   // every lifecycle transition — O(1), no vector build. The test oracle is
   // SandboxesIn(...).size().
   int CountIn(FunctionId function, SandboxState state) const {
-    if (!options_.incremental_state_counts) {
-      return static_cast<int>(SandboxesIn(function, state).size());
-    }
     auto it = counts_.find(function);
     return it == counts_.end() ? 0 : it->second[static_cast<size_t>(state)];
   }

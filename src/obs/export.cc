@@ -101,7 +101,7 @@ std::string ChromeTraceJson(const std::vector<Span>& spans) {
     if (instant) {
       out += ",\"s\":\"t\"";  // thread-scoped instant marker
     }
-    if (span.num_args > 0 || span.wall_ns >= 0 || span.trace_id != 0) {
+    if (span.num_args > 0 || span.trace_id != 0) {
       out += ",\"args\":{";
       bool first_arg = true;
       for (uint32_t i = 0; i < span.num_args; ++i) {
@@ -118,7 +118,6 @@ std::string ChromeTraceJson(const std::vector<Span>& spans) {
         if (!first_arg) {
           out += ',';
         }
-        first_arg = false;
         out += "\"trace_id\":";
         AppendUint(out, span.trace_id);
         out += ",\"span_id\":";
@@ -127,13 +126,6 @@ std::string ChromeTraceJson(const std::vector<Span>& spans) {
           out += ",\"parent_span_id\":";
           AppendUint(out, span.parent_span_id);
         }
-      }
-      if (span.wall_ns >= 0) {
-        if (!first_arg) {
-          out += ',';
-        }
-        out += "\"wall_ns\":";
-        AppendInt(out, span.wall_ns);
       }
       out += '}';
     }

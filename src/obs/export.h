@@ -24,8 +24,7 @@ namespace medes::obs {
 
 // Chrome trace-event JSON for `spans` (as returned by Tracer::Drain()).
 // Complete spans become "X" events with ts/dur; kInstantDuration spans become
-// "i" instant events. Span args are attached; a measured wall_ns (>= 0) is
-// exported as an extra "wall_ns" arg.
+// "i" instant events. Span args are attached.
 std::string ChromeTraceJson(const std::vector<Span>& spans);
 
 // Prometheus text exposition format for `snapshots` (as returned by

@@ -10,7 +10,6 @@ namespace internal {
 
 std::atomic<int> g_trace_enabled{-1};
 std::atomic<int> g_metrics_enabled{-1};
-std::atomic<int> g_wall_profiling{-1};
 std::atomic<int64_t> g_trace_sample_every{-1};
 
 bool SlowInit(std::atomic<int>& flag, const char* env_var) {
@@ -51,10 +50,6 @@ void SetTraceEnabled(bool enabled) {
 
 void SetMetricsEnabled(bool enabled) {
   internal::g_metrics_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void SetWallClockProfiling(bool enabled) {
-  internal::g_wall_profiling.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
 void SetTraceSampleEvery(unsigned every) {

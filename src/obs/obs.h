@@ -6,9 +6,6 @@
 //
 //   - MEDES_TRACE=1    enables span recording (Chrome-trace export).
 //   - MEDES_METRICS=1  enables counter/gauge/histogram recording.
-//   - MEDES_TRACE_WALL=1 additionally stamps spans with measured wall-clock
-//     durations. Wall times are inherently nondeterministic, so this knob is
-//     excluded from the bit-identical-across-thread-counts contract.
 //   - MEDES_TRACE_SAMPLE=1/N (or plain N) keeps one request trace in N,
 //     decided deterministically from the trace id at mint time
 //     (obs/trace_context.h), so sampling IS part of the bit-identical
@@ -31,11 +28,9 @@ namespace medes::obs {
 
 inline constexpr bool TraceEnabled() { return false; }
 inline constexpr bool MetricsEnabled() { return false; }
-inline constexpr bool WallClockProfilingEnabled() { return false; }
 inline constexpr unsigned TraceSampleEvery() { return 1; }
 inline void SetTraceEnabled(bool /*enabled*/) {}
 inline void SetMetricsEnabled(bool /*enabled*/) {}
-inline void SetWallClockProfiling(bool /*enabled*/) {}
 inline void SetTraceSampleEvery(unsigned /*every*/) {}
 
 #else
@@ -45,7 +40,6 @@ namespace internal {
 // lazy read avoids static-initialisation-order dependencies between TUs.
 extern std::atomic<int> g_trace_enabled;
 extern std::atomic<int> g_metrics_enabled;
-extern std::atomic<int> g_wall_profiling;
 // Sampling period: -1 = not yet initialised from MEDES_TRACE_SAMPLE, else
 // the clamped keep-1-in-N period (>= 1).
 extern std::atomic<int64_t> g_trace_sample_every;
@@ -67,9 +61,6 @@ inline bool TraceEnabled() {
 inline bool MetricsEnabled() {
   return internal::Enabled(internal::g_metrics_enabled, "MEDES_METRICS");
 }
-inline bool WallClockProfilingEnabled() {
-  return internal::Enabled(internal::g_wall_profiling, "MEDES_TRACE_WALL");
-}
 
 // Keep-1-in-N trace sampling period (>= 1; 1 = keep every trace). Seeded
 // from MEDES_TRACE_SAMPLE ("1/N" or plain "N") on first read.
@@ -83,7 +74,6 @@ inline unsigned TraceSampleEvery() {
 
 void SetTraceEnabled(bool enabled);
 void SetMetricsEnabled(bool enabled);
-void SetWallClockProfiling(bool enabled);
 void SetTraceSampleEvery(unsigned every);  // 0 is clamped to 1
 
 #endif  // MEDES_OBS_DISABLED

@@ -10,8 +10,7 @@ namespace medes::obs {
 namespace {
 
 // Canonical content order: erases buffer/flush interleaving so Drain() is
-// deterministic whenever the recorded set is. wall_ns is deliberately
-// excluded — it is nondeterministic by nature and never compared.
+// deterministic whenever the recorded set is.
 bool SpanLess(const Span& a, const Span& b) {
   if (a.ts != b.ts) {
     return a.ts < b.ts;

@@ -15,9 +15,7 @@
 //   span.SetSimDuration(read_cost);   // else duration stays 0
 //
 // The span is recorded on scope exit iff TraceEnabled() was true at
-// construction. With MEDES_TRACE_WALL=1 the destructor additionally stamps
-// the measured wall-clock duration of the scope (wall_ns); wall times are
-// nondeterministic and excluded from the bit-identical contract.
+// construction.
 //
 // Recording appends to a per-thread buffer under a leaf-ranked mutex; full
 // buffers are flushed wholesale onto a lock-free chunk stack, so the hot path
@@ -30,7 +28,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -61,7 +58,6 @@ struct Span {
   int32_t lane = 0;                  // Chrome-trace tid row (node id / pipeline lane)
   uint32_t num_args = 0;
   std::array<SpanArg, kMaxSpanArgs> args = {};
-  int64_t wall_ns = -1;  // measured wall duration; -1 unless MEDES_TRACE_WALL
   // Causal identity (obs/trace_context.h); all zero for untraced spans.
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
@@ -81,8 +77,8 @@ class Tracer {
   void Record(const Span& span);
 
   // Removes and returns every recorded span, sorted canonically by content
-  // (ts, lane, name, category, dur, args, trace/span/parent ids; wall_ns
-  // excluded) so the result is independent of buffer and flush interleaving.
+  // (ts, lane, name, category, dur, args, trace/span/parent ids) so the
+  // result is independent of buffer and flush interleaving.
   std::vector<Span> Drain();
 
   // Discards all recorded spans.
@@ -155,11 +151,6 @@ class ScopedSpan {
     if (!enabled_) {
       return;
     }
-    if (wall_) {
-      span_.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - wall_start_)
-                          .count();
-    }
     Tracer::Default().Record(span_);
   }
 
@@ -193,16 +184,10 @@ class ScopedSpan {
     span_.category = category;
     span_.ts = sim_start;
     span_.lane = lane;
-    if (WallClockProfilingEnabled()) {
-      wall_ = true;
-      wall_start_ = std::chrono::steady_clock::now();
-    }
   }
 
   Span span_;
   bool enabled_ = false;
-  bool wall_ = false;
-  std::chrono::steady_clock::time_point wall_start_;
 };
 
 // Records a standalone instant event (no RAII scope needed).

@@ -87,7 +87,6 @@ class ServerlessPlatform::Impl {
  public:
   explicit Impl(PlatformOptions options)
       : options_(std::move(options)),
-        sim_(options_.sim),
         cluster_(options_.cluster),
         transport_(MakeTransport(options_)),
         store_(store::MakeStateStore(options_.store)),
@@ -158,20 +157,11 @@ class ServerlessPlatform::Impl {
                                               options_.memory_sample_interval.value()) +
                               2);
     }
-    if (options_.stream_trace_arrivals) {
-      // Reserve the whole trace's tie-break seqs up front: streamed feeding
-      // then fires in exactly the order bulk feeding would have, so the two
-      // modes are bit-identical in everything but scheduler cost.
-      arrival_seq_base_ = sim_.ReserveSeqBlock(trace.size());
-      ScheduleArrivalChain(trace, 0);
-    } else {
-      // Pre-refactor bulk feed: the whole trace enters the scheduler at once
-      // and far-future arrivals camp in its long-range tier for the entire
-      // run. Kept for bench/cluster_scale's before/after comparison.
-      for (const TraceEvent& ev : trace) {
-        sim_.Schedule(ev.time, [this, ev] { HandleRequest(ev); });
-      }
-    }
+    // Reserve the whole trace's tie-break seqs up front: the chained feed then
+    // fires in exactly the order scheduling the whole trace at once would,
+    // while only one arrival is ever pending.
+    arrival_seq_base_ = sim_.ReserveSeqBlock(trace.size());
+    ScheduleArrivalChain(trace, 0);
     // Memory sampling covers the trace plus a drain tail.
     const SimTime end = trace.empty() ? SimTime{} : trace.back().time;
     for (SimTime t; t <= end + 10 * kMinute; t += options_.memory_sample_interval) {
@@ -570,22 +560,15 @@ class ServerlessPlatform::Impl {
   }
 
   // Enrolls a warm sandbox for an idle-expiry decision one idle period from
-  // now. Coalesced mode batches every sandbox sharing a deadline behind one
-  // timer event; the fallback arms one timer per sandbox.
+  // now. Every sandbox sharing a deadline waits behind one timer event.
   void ArmIdle(Sandbox& sb) {
-    const SandboxId id = sb.id;
-    if (!options_.coalesce_idle_expiry) {
-      sb.pending_timer =
-          sim_.ScheduleAfter(options_.medes.idle_period, [this, id] { OnIdleTimer(id); });
-      return;
-    }
     const SimTime deadline = sim_.Now() + options_.medes.idle_period;
     sb.idle_deadline = deadline;
     std::vector<SandboxId>& bucket = idle_buckets_[deadline];
     if (bucket.empty()) {
       sim_.Schedule(deadline, [this, deadline] { OnIdleBucket(deadline); });
     }
-    bucket.push_back(id);
+    bucket.push_back(sb.id);
   }
 
   void OnPurgeTimer(SandboxId id) {
@@ -595,15 +578,6 @@ class ServerlessPlatform::Impl {
     }
     sb->pending_timer = 0;
     PurgeSandbox(*sb);
-  }
-
-  void OnIdleTimer(SandboxId id) {
-    Sandbox* sb = cluster_.Find(id);
-    if (sb == nullptr || sb->state != SandboxState::kWarm) {
-      return;
-    }
-    sb->pending_timer = 0;
-    IdleExpiry(*sb);
   }
 
   // One deadline's worth of coalesced idle expiries. Entries whose sandbox

@@ -58,21 +58,6 @@ struct PlatformOptions {
   PolicyKind policy = PolicyKind::kMedes;
   SimDuration fixed_keep_alive = 10 * kMinute;
 
-  // Event-engine selection (sim/simulation.h). The calendar default and the
-  // legacy heap produce bit-identical fire order, hence identical RunMetrics;
-  // the heap stays available as the perf baseline for bench/cluster_scale.
-  SimulationOptions sim;
-  // Batch same-deadline Medes idle-expiry decisions through one timer event
-  // per deadline instead of one per sandbox (decision-for-decision output is
-  // pinned by tests; set false to fall back to per-sandbox timers).
-  bool coalesce_idle_expiry = true;
-  // Feed trace arrivals as a chain — each arrival's callback schedules the
-  // next — instead of scheduling the whole trace up front. Keeps the pending
-  // event set proportional to cluster activity rather than trace length
-  // (a million up-front arrivals otherwise sit in the scheduler for the whole
-  // run). Set false to fall back to the pre-refactor bulk feed.
-  bool stream_trace_arrivals = true;
-
   // Emulated Catalyzer (Section 7.6): cold starts become snapshot restores.
   bool emulate_catalyzer = false;
   SimDuration catalyzer_restore = 150 * kMillisecond;

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/replay.h"
 
 namespace medes {
 
@@ -17,35 +16,23 @@ std::atomic<uint64_t> g_total_fired{0};
 
 }  // namespace
 
-const char* ToString(SimEngine engine) {
-  switch (engine) {
-    case SimEngine::kCalendar:
-      return "calendar";
-    case SimEngine::kHeap:
-      return "heap";
-  }
-  return "unknown";
-}
-
 uint64_t TotalSimEventsFired() { return g_total_fired.load(std::memory_order_relaxed); }
 
 Simulation::Simulation(SimulationOptions options) : options_(options) {
-  if (options_.engine == SimEngine::kCalendar) {
-    if (options_.bucket_width_log2 < 0 || options_.bucket_width_log2 > 30 ||
-        options_.num_buckets_log2 < 1 || options_.num_buckets_log2 > 20) {
-      throw std::invalid_argument("Simulation: bad calendar geometry");
-    }
-    bucket_width_ = SimDuration{int64_t{1} << options_.bucket_width_log2};
-    const uint32_t num_buckets = 1u << options_.num_buckets_log2;
-    bucket_mask_ = num_buckets - 1;
-    buckets_.resize(num_buckets);
-    window_end_ = SimTime{static_cast<int64_t>(num_buckets) << options_.bucket_width_log2};
+  if (options_.bucket_width_log2 < 0 || options_.bucket_width_log2 > 30 ||
+      options_.num_buckets_log2 < 1 || options_.num_buckets_log2 > 20) {
+    throw std::invalid_argument("Simulation: bad calendar geometry");
   }
+  bucket_width_ = SimDuration{int64_t{1} << options_.bucket_width_log2};
+  const uint32_t num_buckets = 1u << options_.num_buckets_log2;
+  bucket_mask_ = num_buckets - 1;
+  buckets_.resize(num_buckets);
+  window_end_ = SimTime{static_cast<int64_t>(num_buckets) << options_.bucket_width_log2};
 }
 
 Simulation::~Simulation() {
-  // Live calendar callbacks own resources (captured state, possible heap
-  // fallback) and the arena has no per-slot destructor — release explicitly.
+  // Live callbacks own resources (captured state, possible heap fallback) and
+  // the arena has no per-slot destructor — release explicitly.
   for (auto& chunk : chunks_) {
     for (uint32_t i = 0; i < kChunkSize; ++i) {
       if (chunk[i].live) {
@@ -64,38 +51,9 @@ void Simulation::RefillSlots() {
   }
 }
 
-void Simulation::LogSchedule(EventId id, SimTime t, uint64_t seq, uint32_t cb_bytes) {
-  op_log_->OnSchedule(id, t, seq, cb_bytes);
-}
-
-EventId Simulation::ScheduleHeap(SimTime t, Callback cb, uint64_t seq, uint32_t cb_bytes) {
-  // The seq doubles as the handle: seqs are never reused, and (time, id)
-  // ordering in the heap is exactly (time, seq) fire order.
-  const EventId id = seq;
-  heap_queue_.push({t, id});
-  heap_callbacks_.emplace(id, std::move(cb));
-  ++live_count_;
-  ++stat_scheduled_;
-  stat_max_live_ = std::max(stat_max_live_, live_count_);
-  if (op_log_ != nullptr) {
-    op_log_->OnSchedule(id, t, seq, cb_bytes);
-  }
-  return id;
-}
-
 void Simulation::InsertOverflow(const CalEntry& e) { overflow_.push(e); }
 
 void Simulation::Cancel(EventId id) {
-  if (options_.engine == SimEngine::kHeap) {
-    if (heap_callbacks_.erase(id) != 0) {
-      --live_count_;
-      ++stat_cancelled_;
-      if (op_log_ != nullptr) {
-        op_log_->OnCancel(id);
-      }
-    }
-    return;
-  }
   const uint32_t slot = static_cast<uint32_t>(id >> 32);
   const uint32_t gen = static_cast<uint32_t>(id);
   if (gen == 0 || slot >= chunks_.size() * kChunkSize) {
@@ -114,9 +72,6 @@ void Simulation::Cancel(EventId id) {
   --live_count_;
   ++stale_pending_;
   ++stat_cancelled_;
-  if (op_log_ != nullptr) {
-    op_log_->OnCancel(id);
-  }
 }
 
 bool Simulation::PeekNext(CalEntry& out) {
@@ -191,8 +146,7 @@ void Simulation::ConsumeNext() {
   --in_wheel_;
 }
 
-void Simulation::FireCalendar(const CalEntry& e) {
-  const EventId id = MakeId(e.slot, e.gen);  // handle as returned by Schedule
+void Simulation::Fire(const CalEntry& e) {
   Slot& s = SlotRef(e.slot);
   s.live = false;
   if (++s.gen == 0) {
@@ -200,9 +154,6 @@ void Simulation::FireCalendar(const CalEntry& e) {
   }
   --live_count_;
   ++events_processed_;
-  if (op_log_ != nullptr) {
-    op_log_->OnFireBegin(id);
-  }
   // The callback runs in place in the arena. The slot is already marked dead
   // (not reusable mid-execution) and is recycled only after the callback
   // returns — including via exception.
@@ -216,22 +167,11 @@ void Simulation::FireCalendar(const CalEntry& e) {
     }
   } reclaim{this, &s, e.slot};
   s.cb.Invoke();
-  if (op_log_ != nullptr) {
-    op_log_->OnFireEnd();
-  }
 }
 
 void Simulation::Run() { RunUntil(kSimTimeMax); }
 
 void Simulation::RunUntil(SimTime until) {
-  if (options_.engine == SimEngine::kHeap) {
-    RunUntilHeap(until);
-  } else {
-    RunUntilCalendar(until);
-  }
-}
-
-void Simulation::RunUntilCalendar(SimTime until) {
   obs::ScopedSpan span("sim_run", "sim", now_);
   const SimTime start_time = now_;
   const uint64_t fired_before = events_processed_;
@@ -248,49 +188,13 @@ void Simulation::RunUntilCalendar(SimTime until) {
     }
     ConsumeNext();
     now_ = e.time;
-    FireCalendar(e);
+    Fire(e);
   }
   if (until != kSimTimeMax && now_ < until) {
     now_ = until;
   }
   span.SetSimDuration(now_ - start_time);
   span.AddArg("fired", static_cast<int64_t>(events_processed_ - fired_before));
-  FlushObs(events_processed_ - fired_before);
-}
-
-void Simulation::RunUntilHeap(SimTime until) {
-  const uint64_t fired_before = events_processed_;
-  while (!heap_queue_.empty()) {
-    const HeapEvent ev = heap_queue_.top();
-    auto it = heap_callbacks_.find(ev.id);
-    if (it == heap_callbacks_.end()) {
-      heap_queue_.pop();  // cancelled
-      continue;
-    }
-    if (ev.time > until) {
-      if (until != kSimTimeMax) {
-        now_ = until;
-      }
-      FlushObs(events_processed_ - fired_before);
-      return;
-    }
-    heap_queue_.pop();
-    Callback cb = std::move(it->second);
-    heap_callbacks_.erase(it);
-    now_ = ev.time;
-    ++events_processed_;
-    --live_count_;
-    if (op_log_ != nullptr) {
-      op_log_->OnFireBegin(ev.id);
-    }
-    cb();
-    if (op_log_ != nullptr) {
-      op_log_->OnFireEnd();
-    }
-  }
-  if (until != kSimTimeMax && now_ < until) {
-    now_ = until;
-  }
   FlushObs(events_processed_ - fired_before);
 }
 

@@ -5,37 +5,29 @@
 // ties). Cancellation is by handle and O(1); cancelling a fired event is a
 // no-op.
 //
-// Two engines share one API and one determinism contract:
+// The engine is a two-tier calendar queue. Events due within the wheel
+// window land in one of 2^num_buckets_log2 unsorted buckets of
+// 2^bucket_width_log2 microseconds each; buckets are sorted lazily when the
+// cursor reaches them. Events beyond the window wait in an overflow min-heap
+// of 24-byte POD entries and migrate into the wheel as it slides. Callbacks
+// live in a slab-allocated event arena with inline small-buffer storage (no
+// per-event std::function heap allocation), and handles carry a generation
+// tag so Cancel is one array probe — no side table, and a stale handle can
+// never cancel a recycled slot.
 //
-//   - kCalendar (default): a two-tier calendar queue. Events due within the
-//     wheel window land in one of 2^num_buckets_log2 unsorted buckets of
-//     2^bucket_width_log2 microseconds each; buckets are sorted lazily when
-//     the cursor reaches them. Events beyond the window wait in an overflow
-//     min-heap of 24-byte POD entries and migrate into the wheel as it
-//     slides. Callbacks live in a slab-allocated event arena with inline
-//     small-buffer storage (no per-event std::function heap allocation), and
-//     handles carry a generation tag so Cancel is one array probe — no side
-//     table, and a stale handle can never cancel a recycled slot.
-//
-//   - kHeap: the pre-refactor engine (binary heap + unordered_map side table
-//     of std::function callbacks), kept as the differential-testing reference
-//     and the baseline for bench/cluster_scale's before/after comparison.
-//
-// Both engines fire events in bit-identical order (pinned by
-// tests/simulation_diff_test.cc), so a platform run produces byte-identical
-// RunMetrics under either.
+// Fire order is exactly (time, seq) under any wheel geometry;
+// tests/simulation_diff_test.cc pins it element-for-element against a plain
+// priority-queue reference model.
 #ifndef MEDES_SIM_SIMULATION_H_
 #define MEDES_SIM_SIMULATION_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <queue>
 #include <stdexcept>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,20 +37,12 @@ namespace medes {
 
 using EventId = uint64_t;  // 0 is never a valid handle
 
-enum class SimEngine {
-  kCalendar,  // two-tier calendar queue + slab event arena
-  kHeap,      // legacy binary heap + callback side table (reference)
-};
-
-const char* ToString(SimEngine engine);
-
 struct SimulationOptions {
-  SimEngine engine = SimEngine::kCalendar;
-  // Calendar-queue geometry (ignored by kHeap). Defaults: 32.8 ms buckets,
-  // 32768-bucket wheel => a ~17.9 min window that covers every recurring
-  // platform timer (completions, 30 s idle-expiry, 10 min keep-alive, 15 min
-  // keep-dedup), so in steady state the entire live set sits in O(1) wheel
-  // buckets and the overflow heap stays empty.
+  // Calendar-queue geometry. Defaults: 32.8 ms buckets, 32768-bucket wheel
+  // => a ~17.9 min window that covers every recurring platform timer
+  // (completions, 30 s idle-expiry, 10 min keep-alive, 15 min keep-dedup), so
+  // in steady state the entire live set sits in O(1) wheel buckets and the
+  // overflow heap stays empty.
   int bucket_width_log2 = 15;
   int num_buckets_log2 = 15;
 };
@@ -73,15 +57,9 @@ struct SimStats {
   uint64_t max_live = 0;             // high-water mark of pending events
 };
 
-// Optional schedule/cancel/fire recorder; see sim/replay.h. Not owned.
-class SimOpLog;
-
 class Simulation {
  public:
-  using Callback = std::function<void()>;
-
   Simulation() : Simulation(SimulationOptions{}) {}
-  explicit Simulation(SimEngine engine) : Simulation(SimulationOptions{.engine = engine}) {}
   explicit Simulation(SimulationOptions options);
   ~Simulation();
 
@@ -89,11 +67,10 @@ class Simulation {
   Simulation& operator=(const Simulation&) = delete;
 
   SimTime Now() const { return now_; }
-  SimEngine engine() const { return options_.engine; }
 
   // Schedules `cb` at absolute time `t` (>= Now()). Returns a handle usable
   // with Cancel(). Accepts any callable; small callables (<= 32 bytes) are
-  // stored inline in the event arena under the calendar engine.
+  // stored inline in the event arena.
   template <typename F>
   EventId Schedule(SimTime t, F&& cb) {
     return ScheduleWithSeq(t, next_seq_++, std::forward<F>(cb));
@@ -114,21 +91,17 @@ class Simulation {
     return first;
   }
 
-  // Schedule with an explicit tie-break seq (from ReserveSeqBlock, or a
-  // recorded op stream — see sim/replay.h). Seqs must never be reused.
+  // Schedule with an explicit tie-break seq from ReserveSeqBlock. Seqs must
+  // never be reused.
   template <typename F>
   EventId ScheduleWithSeq(SimTime t, uint64_t seq, F&& cb) {
     if (t < now_) {
       throw std::invalid_argument("Simulation::Schedule: time in the past");
     }
-    const uint32_t cb_bytes = static_cast<uint32_t>(sizeof(std::decay_t<F>));
-    if (options_.engine == SimEngine::kHeap) {
-      return ScheduleHeap(t, Callback(std::forward<F>(cb)), seq, cb_bytes);
-    }
     const uint32_t slot = AllocSlot();
     Slot& s = SlotRef(slot);
     s.cb.Emplace(std::forward<F>(cb));
-    return CommitSlot(t, s, slot, seq, cb_bytes);
+    return CommitSlot(t, s, slot, seq);
   }
 
   // Cancels a pending event. Idempotent; cancelling a fired event is a no-op,
@@ -147,11 +120,6 @@ class Simulation {
   bool Empty() const { return live_count_ == 0; }
 
   SimStats stats() const;
-
-  // Installs (or clears, with nullptr) an op recorder. Recording adds one
-  // predictable branch per schedule/cancel/fire. The log must outlive the
-  // simulation or be detached first.
-  void SetOpLog(SimOpLog* log) { op_log_ = log; }
 
  private:
   // Type-erased callable with inline small-buffer storage. Lifecycle is
@@ -254,20 +222,14 @@ class Simulation {
     return slot;
   }
   void RefillSlots();
-  EventId CommitSlot(SimTime t, Slot& s, uint32_t slot, uint64_t seq, uint32_t cb_bytes) {
+  EventId CommitSlot(SimTime t, Slot& s, uint32_t slot, uint64_t seq) {
     s.live = true;
     InsertEntry(CalEntry{t, seq, slot, s.gen});
     ++live_count_;
     ++stat_scheduled_;
     stat_max_live_ = std::max(stat_max_live_, live_count_);
-    const EventId id = MakeId(slot, s.gen);
-    if (op_log_ != nullptr) {
-      LogSchedule(id, t, seq, cb_bytes);
-    }
-    return id;
+    return MakeId(slot, s.gen);
   }
-  void LogSchedule(EventId id, SimTime t, uint64_t seq, uint32_t cb_bytes);
-  EventId ScheduleHeap(SimTime t, Callback cb, uint64_t seq, uint32_t cb_bytes);
 
   bool EntryLive(const CalEntry& e) const {
     const Slot& s = SlotRef(e.slot);
@@ -331,10 +293,7 @@ class Simulation {
   // live events remain. The entry stays queued until ConsumeNext().
   bool PeekNext(CalEntry& out);
   void ConsumeNext();
-  void FireCalendar(const CalEntry& e);
-
-  void RunUntilCalendar(SimTime until);
-  void RunUntilHeap(SimTime until);
+  void Fire(const CalEntry& e);
   void FlushObs(uint64_t fired_delta);
 
   SimulationOptions options_;
@@ -342,9 +301,8 @@ class Simulation {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   uint64_t live_count_ = 0;
-  SimOpLog* op_log_ = nullptr;
 
-  // --- calendar engine state ---
+  // --- calendar queue state ---
   SimDuration bucket_width_;
   uint32_t bucket_mask_ = 0;
   int64_t cursor_bucket_ = 0;  // absolute bucket number (time / width)
@@ -360,17 +318,6 @@ class Simulation {
   std::priority_queue<CalEntry, std::vector<CalEntry>, EntryAfter> overflow_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<uint32_t> free_slots_;
-
-  // --- legacy heap engine state (reference) ---
-  struct HeapEvent {
-    SimTime time;
-    EventId id;
-    bool operator>(const HeapEvent& other) const {
-      return time != other.time ? time > other.time : id > other.id;
-    }
-  };
-  std::priority_queue<HeapEvent, std::vector<HeapEvent>, std::greater<>> heap_queue_;
-  std::unordered_map<EventId, Callback> heap_callbacks_;
 
   // --- stats ---
   uint64_t stat_scheduled_ = 0;

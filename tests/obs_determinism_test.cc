@@ -69,7 +69,6 @@ Artifacts RunAndExport(size_t agent_threads, const std::vector<TraceEvent>& trac
   obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
-  obs::SetWallClockProfiling(false);  // wall clock is outside the contract
 
   ServerlessPlatform platform(FastOptions(agent_threads));
   platform.Run(trace);
@@ -127,7 +126,6 @@ SampledArtifacts RunSampled(size_t agent_threads, unsigned sample_every,
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
   obs::SetTraceSampleEvery(sample_every);
-  obs::SetWallClockProfiling(false);
 
   ServerlessPlatform platform(FastOptions(agent_threads));
   platform.Run(trace);
@@ -243,7 +241,6 @@ TEST(ObsDeterminismTest, EagerModeEmitsBaseReadSpans) {
   obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
-  obs::SetWallClockProfiling(false);
   PlatformOptions opts = FastOptions(2);
   opts.agent.restore_mode = RestoreMode::kEager;
   ServerlessPlatform platform(opts);

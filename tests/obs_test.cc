@@ -23,7 +23,6 @@ namespace {
 TEST(ObsTest, DisabledBuildPinsFlagsOff) {
   static_assert(!TraceEnabled());
   static_assert(!MetricsEnabled());
-  static_assert(!WallClockProfilingEnabled());
   SetTraceEnabled(true);  // compiles, does nothing
   EXPECT_FALSE(TraceEnabled());
 }
@@ -36,7 +35,6 @@ class ObsTest : public ::testing::Test {
   void SetUp() override {
     SetMetricsEnabled(true);
     SetTraceEnabled(true);
-    SetWallClockProfiling(false);
     MetricsRegistry::Default().ResetValues();
     Tracer::Default().Clear();
     SnapshotSeries::Default().Clear();
@@ -131,7 +129,6 @@ TEST_F(ObsTest, ScopedSpanRecordsOnDestruction) {
   ASSERT_EQ(spans[0].num_args, 1u);
   EXPECT_STREQ(spans[0].args[0].key, "pages");
   EXPECT_EQ(spans[0].args[0].value, 42);
-  EXPECT_EQ(spans[0].wall_ns, -1);  // wall profiling off
 }
 
 TEST_F(ObsTest, SpanNotRecordedWhenTracingDisabled) {
@@ -165,17 +162,6 @@ TEST_F(ObsTest, DrainSortsByTimestampAcrossThreads) {
     EXPECT_LE(spans[i - 1].ts, spans[i].ts);
   }
   EXPECT_TRUE(Tracer::Default().Drain().empty());  // drain consumed everything
-}
-
-TEST_F(ObsTest, WallClockProfilingStampsSpans) {
-  SetWallClockProfiling(true);
-  {
-    ScopedSpan span("unit/wall", "test", SimTime{});
-  }
-  SetWallClockProfiling(false);
-  auto spans = Tracer::Default().Drain();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_GE(spans[0].wall_ns, 0);
 }
 
 TEST_F(ObsTest, ChromeTraceJsonShape) {

@@ -1,24 +1,84 @@
-// Differential and fuzz coverage for the two event engines.
+// Fire-order proof for the event engine.
 //
 // The calendar queue's correctness claim is behavioural equivalence with the
-// legacy heap: bit-identical fire order for any schedule/cancel workload.
-// These tests drive both engines with identical randomized workloads —
-// including nested scheduling, cancels from inside callbacks, chunked
-// RunUntil, and adversarial wheel geometries — and require the observed fire
-// sequences to match element-for-element. A second group proves the op-log
-// record/replay path (sim/replay.h) reproduces a recorded run on either
-// engine, which is what bench/cluster_scale's engine comparison rests on.
+// textbook discrete-event queue: a binary heap of (time, seq) entries. These
+// tests drive the engine and an in-test reference model of that queue with
+// identical randomized workloads — including nested scheduling, cancels from
+// inside callbacks, chunked RunUntil, and adversarial wheel geometries — and
+// require the observed fire sequences to match element-for-element.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <queue>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "sim/replay.h"
 #include "sim/simulation.h"
 
 namespace medes {
 namespace {
+
+// The reference model: a std::priority_queue ordered by (time, seq), with
+// std::function callbacks in a side table keyed by handle. A handle is its
+// event's seq; seqs are never reused, so Cancel erases the callback and a
+// stale handle matches nothing. Cancelled entries stay queued and are
+// dropped when they reach the top.
+class ReferenceSim {
+ public:
+  SimTime Now() const { return now_; }
+  uint64_t events_processed() const { return events_processed_; }
+
+  EventId Schedule(SimTime t, std::function<void()> cb) {
+    const EventId id = next_seq_++;
+    queue_.push(Entry{t, id});
+    callbacks_.emplace(id, std::move(cb));
+    return id;
+  }
+  EventId ScheduleAfter(SimDuration delay, std::function<void()> cb) {
+    return Schedule(now_ + delay, std::move(cb));
+  }
+  void Cancel(EventId id) { callbacks_.erase(id); }
+
+  void Run() { RunUntil(kSimTimeMax); }
+  void RunUntil(SimTime until) {
+    while (!queue_.empty()) {
+      const Entry next = queue_.top();
+      const auto it = callbacks_.find(next.seq);
+      if (it == callbacks_.end()) {
+        queue_.pop();  // cancelled
+        continue;
+      }
+      if (next.time > until) {
+        break;
+      }
+      queue_.pop();
+      const std::function<void()> cb = std::move(it->second);
+      callbacks_.erase(it);
+      now_ = next.time;
+      ++events_processed_;
+      cb();
+    }
+    if (until != kSimTimeMax && now_ < until) {
+      now_ = until;
+    }
+  }
+
+ private:
+  struct Entry {
+    SimTime time;
+    uint64_t seq;
+    bool operator>(const Entry& other) const {
+      return time != other.time ? time > other.time : seq > other.seq;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  std::unordered_map<EventId, std::function<void()>> callbacks_;
+  SimTime now_;
+  uint64_t next_seq_ = 1;
+  uint64_t events_processed_ = 0;
+};
 
 struct WorkloadResult {
   std::vector<uint64_t> fire_sequence;  // event labels in fire order
@@ -27,16 +87,13 @@ struct WorkloadResult {
 };
 
 // A deterministic randomized workload driven purely through the public API.
-// Given the same seed it issues the same operation sequence against any
-// engine: bursts of schedules (short, medium, and beyond-window delays),
+// Given the same seed it issues the same operation sequence against either
+// simulator: bursts of schedules (short, medium, and beyond-window delays),
 // cancels of random live handles (sometimes twice, sometimes stale), nested
 // scheduling and cancelling from inside callbacks, and chunked RunUntil
 // progress with fresh schedules between chunks.
-WorkloadResult RunWorkload(SimulationOptions opts, uint64_t seed, SimOpLog* log = nullptr) {
-  Simulation sim(opts);
-  if (log != nullptr) {
-    sim.SetOpLog(log);
-  }
+template <typename Sim>
+WorkloadResult RunWorkload(Sim& sim, uint64_t seed) {
   Rng rng(seed);
   WorkloadResult out;
   std::vector<EventId> handles;
@@ -45,7 +102,7 @@ WorkloadResult RunWorkload(SimulationOptions opts, uint64_t seed, SimOpLog* log 
   std::function<void(uint64_t, int)> fire = [&](uint64_t label, int depth) {
     out.fire_sequence.push_back(label);
     // Nested behaviour is derived from the label, not a shared RNG, so it is
-    // identical across engines regardless of memory layout.
+    // identical across simulators regardless of memory layout.
     Rng local(seed ^ (label * 0x9e3779b97f4a7c15ull));
     if (depth < 3 && local.Bernoulli(0.4)) {
       const int children = static_cast<int>(local.Range(1, 3));
@@ -90,33 +147,27 @@ WorkloadResult RunWorkload(SimulationOptions opts, uint64_t seed, SimOpLog* log 
   sim.Run();
   out.events_processed = sim.events_processed();
   out.end_time = sim.Now();
-  if (log != nullptr) {
-    sim.SetOpLog(nullptr);
-  }
   return out;
 }
 
-SimulationOptions CalendarOpts(int width_log2 = 14, int buckets_log2 = 10) {
-  SimulationOptions o;
-  o.engine = SimEngine::kCalendar;
-  o.bucket_width_log2 = width_log2;
-  o.num_buckets_log2 = buckets_log2;
-  return o;
+WorkloadResult RunCalendar(uint64_t seed, int width_log2 = 14, int buckets_log2 = 10) {
+  Simulation sim(
+      SimulationOptions{.bucket_width_log2 = width_log2, .num_buckets_log2 = buckets_log2});
+  return RunWorkload(sim, seed);
 }
 
-SimulationOptions HeapOpts() {
-  SimulationOptions o;
-  o.engine = SimEngine::kHeap;
-  return o;
+WorkloadResult RunReference(uint64_t seed) {
+  ReferenceSim sim;
+  return RunWorkload(sim, seed);
 }
 
 TEST(SimulationDiffTest, RandomizedWorkloadsMatchHeap) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    const WorkloadResult cal = RunWorkload(CalendarOpts(), seed);
-    const WorkloadResult heap = RunWorkload(HeapOpts(), seed);
-    ASSERT_EQ(cal.fire_sequence, heap.fire_sequence) << "seed " << seed;
-    EXPECT_EQ(cal.events_processed, heap.events_processed) << "seed " << seed;
-    EXPECT_EQ(cal.end_time, heap.end_time) << "seed " << seed;
+    const WorkloadResult cal = RunCalendar(seed);
+    const WorkloadResult ref = RunReference(seed);
+    ASSERT_EQ(cal.fire_sequence, ref.fire_sequence) << "seed " << seed;
+    EXPECT_EQ(cal.events_processed, ref.events_processed) << "seed " << seed;
+    EXPECT_EQ(cal.end_time, ref.end_time) << "seed " << seed;
   }
 }
 
@@ -124,52 +175,15 @@ TEST(SimulationDiffTest, RandomizedWorkloadsMatchHeap) {
 // overflows and migrates), and wide buckets that pile everything into one
 // lazily-sorted bucket must all preserve the contract.
 TEST(SimulationDiffTest, AdversarialGeometriesMatchHeap) {
+  const WorkloadResult ref = RunReference(0xfeed);
   const int geometries[][2] = {{0, 1}, {1, 2}, {4, 1}, {20, 2}, {2, 12}};
   for (const auto& g : geometries) {
-    const WorkloadResult cal = RunWorkload(CalendarOpts(g[0], g[1]), 0xfeed);
-    const WorkloadResult heap = RunWorkload(HeapOpts(), 0xfeed);
-    ASSERT_EQ(cal.fire_sequence, heap.fire_sequence)
+    const WorkloadResult cal = RunCalendar(0xfeed, g[0], g[1]);
+    ASSERT_EQ(cal.fire_sequence, ref.fire_sequence)
         << "geometry width_log2=" << g[0] << " buckets_log2=" << g[1];
-    EXPECT_EQ(cal.events_processed, heap.events_processed);
+    EXPECT_EQ(cal.events_processed, ref.events_processed);
+    EXPECT_EQ(cal.end_time, ref.end_time);
   }
-}
-
-// Replay of a recorded op stream must fire the same schedule ordinals in the
-// same order on both engines, and match the recorded order exactly.
-TEST(SimulationDiffTest, OpLogReplayMatchesRecordedRunOnBothEngines) {
-  SimOpLog log;
-  const WorkloadResult original = RunWorkload(CalendarOpts(), 0xabc, &log);
-  ASSERT_EQ(log.fire_order().size(), original.fire_sequence.size());
-
-  uint64_t recorded_hash = 0;
-  for (uint64_t ordinal : log.fire_order()) {
-    recorded_hash = FireHashStep(recorded_hash, ordinal);
-  }
-
-  const ReplayResult cal = ReplaySimOps(log, CalendarOpts());
-  const ReplayResult heap = ReplaySimOps(log, HeapOpts());
-  EXPECT_EQ(cal.events_processed, original.events_processed);
-  EXPECT_EQ(heap.events_processed, original.events_processed);
-  EXPECT_EQ(cal.fire_hash, recorded_hash);
-  EXPECT_EQ(heap.fire_hash, recorded_hash);
-  EXPECT_EQ(cal.end_time, original.end_time);
-  EXPECT_EQ(heap.end_time, original.end_time);
-}
-
-// Replaying a heap-recorded log must agree with replaying a calendar-recorded
-// log of the same workload (the logs themselves are identical op streams).
-TEST(SimulationDiffTest, RecordingEngineDoesNotMatter) {
-  SimOpLog cal_log;
-  SimOpLog heap_log;
-  RunWorkload(CalendarOpts(), 0x5eed, &cal_log);
-  RunWorkload(HeapOpts(), 0x5eed, &heap_log);
-  ASSERT_EQ(cal_log.ops().size(), heap_log.ops().size());
-  ASSERT_EQ(cal_log.fire_order(), heap_log.fire_order());
-
-  const ReplayResult a = ReplaySimOps(cal_log, HeapOpts());
-  const ReplayResult b = ReplaySimOps(heap_log, CalendarOpts());
-  EXPECT_EQ(a.fire_hash, b.fire_hash);
-  EXPECT_EQ(a.events_processed, b.events_processed);
 }
 
 }  // namespace

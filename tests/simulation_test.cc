@@ -8,18 +8,12 @@
 namespace medes {
 namespace {
 
-// Every contract test runs against both engines: the calendar queue must be
-// indistinguishable from the legacy heap through the public API.
-class SimulationTest : public ::testing::TestWithParam<SimEngine> {
+class SimulationTest : public ::testing::Test {
  protected:
-  Simulation sim{GetParam()};
+  Simulation sim;
 };
 
-INSTANTIATE_TEST_SUITE_P(Engines, SimulationTest,
-                         ::testing::Values(SimEngine::kCalendar, SimEngine::kHeap),
-                         [](const auto& info) { return ToString(info.param); });
-
-TEST_P(SimulationTest, EventsFireInTimeOrder) {
+TEST_F(SimulationTest, EventsFireInTimeOrder) {
   std::vector<int> order;
   sim.Schedule(SimTime{30}, [&] { order.push_back(3); });
   sim.Schedule(SimTime{10}, [&] { order.push_back(1); });
@@ -29,7 +23,7 @@ TEST_P(SimulationTest, EventsFireInTimeOrder) {
   EXPECT_EQ(sim.events_processed(), 3u);
 }
 
-TEST_P(SimulationTest, EqualTimesFifoByScheduleOrder) {
+TEST_F(SimulationTest, EqualTimesFifoByScheduleOrder) {
   std::vector<int> order;
   sim.Schedule(SimTime{5}, [&] { order.push_back(1); });
   sim.Schedule(SimTime{5}, [&] { order.push_back(2); });
@@ -38,7 +32,7 @@ TEST_P(SimulationTest, EqualTimesFifoByScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(SimulationTest, NowAdvancesWithEvents) {
+TEST_F(SimulationTest, NowAdvancesWithEvents) {
   SimTime seen{-1};
   sim.Schedule(SimTime{42}, [&] { seen = sim.Now(); });
   sim.Run();
@@ -46,7 +40,7 @@ TEST_P(SimulationTest, NowAdvancesWithEvents) {
   EXPECT_EQ(sim.Now(), SimTime{42});
 }
 
-TEST_P(SimulationTest, ScheduleAfterUsesCurrentTime) {
+TEST_F(SimulationTest, ScheduleAfterUsesCurrentTime) {
   SimTime seen{-1};
   sim.Schedule(SimTime{10}, [&] {
     sim.ScheduleAfter(SimDuration{5}, [&] { seen = sim.Now(); });
@@ -55,7 +49,7 @@ TEST_P(SimulationTest, ScheduleAfterUsesCurrentTime) {
   EXPECT_EQ(seen, SimTime{15});
 }
 
-TEST_P(SimulationTest, CancelPreventsExecution) {
+TEST_F(SimulationTest, CancelPreventsExecution) {
   bool fired = false;
   EventId id = sim.Schedule(SimTime{10}, [&] { fired = true; });
   sim.Cancel(id);
@@ -64,14 +58,14 @@ TEST_P(SimulationTest, CancelPreventsExecution) {
   EXPECT_EQ(sim.events_processed(), 0u);
 }
 
-TEST_P(SimulationTest, CancelIsIdempotent) {
+TEST_F(SimulationTest, CancelIsIdempotent) {
   EventId id = sim.Schedule(SimTime{10}, [] {});
   sim.Cancel(id);
   sim.Cancel(id);
   sim.Run();
 }
 
-TEST_P(SimulationTest, CancelFromWithinEvent) {
+TEST_F(SimulationTest, CancelFromWithinEvent) {
   bool fired = false;
   EventId later = sim.Schedule(SimTime{20}, [&] { fired = true; });
   sim.Schedule(SimTime{10}, [&] { sim.Cancel(later); });
@@ -80,10 +74,10 @@ TEST_P(SimulationTest, CancelFromWithinEvent) {
 }
 
 // Edge pin: an event may cancel a *same-timestamp* event scheduled after it.
-// Under the calendar engine the victim sits in the already-sorted cursor
-// bucket right behind the firing index — the laziest possible moment to
-// cancel — and must still be suppressed.
-TEST_P(SimulationTest, CancelSameTimePendingEvent) {
+// The victim sits in the already-sorted cursor bucket right behind the
+// firing index — the laziest possible moment to cancel — and must still be
+// suppressed.
+TEST_F(SimulationTest, CancelSameTimePendingEvent) {
   std::vector<int> order;
   EventId victim = 0;
   sim.Schedule(SimTime{10}, [&] {
@@ -97,7 +91,7 @@ TEST_P(SimulationTest, CancelSameTimePendingEvent) {
   EXPECT_EQ(sim.events_processed(), 2u);
 }
 
-TEST_P(SimulationTest, RunUntilStopsEarly) {
+TEST_F(SimulationTest, RunUntilStopsEarly) {
   std::vector<int> order;
   sim.Schedule(SimTime{10}, [&] { order.push_back(1); });
   sim.Schedule(SimTime{100}, [&] { order.push_back(2); });
@@ -110,7 +104,7 @@ TEST_P(SimulationTest, RunUntilStopsEarly) {
 
 // Edge pin: RunUntil's bound is inclusive — an event at exactly `until`
 // fires; one microsecond later stays queued.
-TEST_P(SimulationTest, RunUntilBoundaryIsInclusive) {
+TEST_F(SimulationTest, RunUntilBoundaryIsInclusive) {
   std::vector<int> order;
   sim.Schedule(SimTime{50}, [&] { order.push_back(1); });
   sim.Schedule(SimTime{51}, [&] { order.push_back(2); });
@@ -123,9 +117,9 @@ TEST_P(SimulationTest, RunUntilBoundaryIsInclusive) {
 }
 
 // Edge pin: scheduling after an early-stopped RunUntil works even at times
-// the engine's cursor has already swept past in wall position (the calendar
-// engine folds such entries into the cursor bucket).
-TEST_P(SimulationTest, ScheduleAfterEarlyStop) {
+// the engine's cursor has already swept past in wall position (the engine
+// folds such entries into the cursor bucket).
+TEST_F(SimulationTest, ScheduleAfterEarlyStop) {
   std::vector<int> order;
   sim.Schedule(SimTime{10}, [&] { order.push_back(1); });
   sim.RunUntil(SimTime{1000});
@@ -138,7 +132,7 @@ TEST_P(SimulationTest, ScheduleAfterEarlyStop) {
 
 // Edge pin: events_processed counts fired events only — cancellations are
 // invisible to it no matter when they happen.
-TEST_P(SimulationTest, EventsProcessedExcludesCancelled) {
+TEST_F(SimulationTest, EventsProcessedExcludesCancelled) {
   EventId a = sim.Schedule(SimTime{10}, [] {});
   sim.Schedule(SimTime{20}, [] {});
   EventId c = sim.Schedule(SimTime{30}, [] {});
@@ -150,13 +144,13 @@ TEST_P(SimulationTest, EventsProcessedExcludesCancelled) {
   EXPECT_EQ(sim.stats().fired, 2u);
 }
 
-TEST_P(SimulationTest, PastSchedulingRejected) {
+TEST_F(SimulationTest, PastSchedulingRejected) {
   sim.Schedule(SimTime{10}, [] {});
   sim.Run();
   EXPECT_THROW(sim.Schedule(SimTime{5}, [] {}), std::invalid_argument);
 }
 
-TEST_P(SimulationTest, RecursiveSchedulingChain) {
+TEST_F(SimulationTest, RecursiveSchedulingChain) {
   int count = 0;
   std::function<void()> tick = [&] {
     if (++count < 100) {
@@ -169,7 +163,7 @@ TEST_P(SimulationTest, RecursiveSchedulingChain) {
   EXPECT_EQ(sim.Now(), SimTime{99});
 }
 
-TEST_P(SimulationTest, EmptyReflectsPendingWork) {
+TEST_F(SimulationTest, EmptyReflectsPendingWork) {
   EXPECT_TRUE(sim.Empty());
   EventId id = sim.Schedule(SimTime{10}, [] {});
   EXPECT_FALSE(sim.Empty());
@@ -178,12 +172,12 @@ TEST_P(SimulationTest, EmptyReflectsPendingWork) {
 }
 
 // A stale handle must never cancel an unrelated event that recycled the same
-// arena slot (generation tags) or a recycled heap id.
-TEST_P(SimulationTest, StaleHandleCannotCancelRecycledSlot) {
+// arena slot (generation tags).
+TEST_F(SimulationTest, StaleHandleCannotCancelRecycledSlot) {
   EventId old_id = sim.Schedule(SimTime{10}, [] {});
   sim.Cancel(old_id);
-  // Recycle aggressively: the calendar engine reuses the freed slot for the
-  // very next schedule.
+  // Recycle aggressively: the engine reuses the freed slot for the very next
+  // schedule.
   bool fired = false;
   std::vector<EventId> ids;
   for (int i = 0; i < 8; ++i) {
@@ -197,7 +191,7 @@ TEST_P(SimulationTest, StaleHandleCannotCancelRecycledSlot) {
 
 // Callbacks larger than the inline small-buffer budget must still work (heap
 // fallback path in the arena).
-TEST_P(SimulationTest, LargeCallbacksSupported) {
+TEST_F(SimulationTest, LargeCallbacksSupported) {
   struct Big {
     uint64_t payload[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   };
@@ -215,7 +209,7 @@ TEST_P(SimulationTest, LargeCallbacksSupported) {
 // Timers far beyond the calendar window (the 15-minute keep-dedup regime)
 // must fire correctly after queue-empty stretches: the wheel jumps instead of
 // stepping through millions of empty buckets.
-TEST_P(SimulationTest, LongRangeTimersFire) {
+TEST_F(SimulationTest, LongRangeTimersFire) {
   std::vector<SimTime> fired;
   sim.Schedule(SimTime{1}, [&] { fired.push_back(sim.Now()); });
   sim.Schedule(SimTime{} + 15 * kMinute, [&] { fired.push_back(sim.Now()); });
@@ -230,7 +224,7 @@ TEST_P(SimulationTest, LongRangeTimersFire) {
 // enter the queue: scheduling a same-timestamp batch lazily (each event
 // scheduling its successor, as the streamed trace feed does) must fire in
 // reserved order, interleaved correctly with later plain Schedule calls.
-TEST_P(SimulationTest, ReservedSeqsPinEqualTimeOrder) {
+TEST_F(SimulationTest, ReservedSeqsPinEqualTimeOrder) {
   std::vector<int> order;
   const uint64_t base = sim.ReserveSeqBlock(3);
   // Plain schedules issued *after* the reservation get later seqs, so at an
