@@ -1,6 +1,6 @@
 // Per-kernel microbenchmark: MB/s of each hot-path kernel at every tier the
 // machine can bind — 64-byte chunk hashing (single and batched), the bulk
-// rolling-hash scan, match extension, and delta decode. Emits JSON with a
+// rolling-hash scan, match extension, delta decode and encode. Emits JSON with a
 // speedup-vs-scalar column so CI can smoke-check the dispatch layer and
 // archive per-tier throughput.
 //
@@ -182,7 +182,22 @@ int main() {
     }));
   }
 
-  // 6. Whole-page fingerprint through the public API (ties 1-3 together).
+  // 6. Delta encode of the same mutated page against its base at level 1
+  //    (seed index, prefilter, match extension) — the dedup write path.
+  {
+    static std::vector<uint8_t> out;
+    static DeltaScratch scratch;
+    DeltaOptions level1;
+    level1.level = 1;
+    results.push_back(RunKernel("delta_encode_page", kPage, [&](size_t iters) {
+      for (size_t i = 0; i < iters; ++i) {
+        DeltaEncodeInto(base, target, level1, out, &scratch);
+        g_sink = g_sink + out.size();
+      }
+    }));
+  }
+
+  // 7. Whole-page fingerprint through the public API (ties 1-3 together).
   {
     PageFingerprinter fp({});
     results.push_back(RunKernel("fingerprint_page", kPage, [&](size_t iters) {
@@ -202,8 +217,6 @@ int main() {
       .Field("sha_ni", feats.sha_ni)
       .Field("bmi2", feats.bmi2)
       .EndObject();
-  w.Field("max_tier", kernels::TierName(kernels::MaxSupportedTier()))
-      .Field("sha_ni_active_at_max", kernels::ShaNiActive());
   w.BeginArray("kernels");
   for (const KernelResult& r : results) {
     const double scalar = r.mbps.front().second;

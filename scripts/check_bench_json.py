@@ -3,7 +3,8 @@
 
 Checks, without external dependencies:
   - the file parses as a single JSON object with the shared metadata block
-    (bench name, max supported kernel tier, wall_seconds, sim event counters);
+    (bench name, the kernel tier that ran — no higher than the max supported
+    tier — and whether SHA-NI was on, wall_seconds, sim event counters);
   - for cluster_scale reports: every sweep entry carries the full set of
     capacity-campaign fields with sane values;
   - for registry_persistence reports: every sweep entry carries the
@@ -48,8 +49,12 @@ SWEEP_FIELDS = {
     "transport_bytes": (int,),
 }
 
+KERNEL_TIERS = ("scalar", "swar", "sse42", "avx2")  # lowest to highest
+
 METADATA_FIELDS = {
     "bench": (str,),
+    "active_tier": (str,),
+    "sha_ni_active": (bool,),
     "max_supported_tier": (str,),
     "wall_seconds": (int, float),
     "sim_events_fired": (int,),
@@ -65,7 +70,8 @@ def require(obj: dict, block: str, fields: dict) -> None:
     for name, types in fields.items():
         if name not in obj:
             fail(f"{block}: missing field {name!r}")
-        if not isinstance(obj[name], types) or isinstance(obj[name], bool):
+        if not isinstance(obj[name], types) or (isinstance(obj[name], bool)
+                                                and bool not in types):
             fail(f"{block}.{name}: expected {types}, got {type(obj[name]).__name__}")
 
 
@@ -402,6 +408,12 @@ def check(path: str, args: argparse.Namespace) -> int:
     if not isinstance(metadata, dict):
         fail("missing metadata block")
     require(metadata, "metadata", METADATA_FIELDS)
+    for key in ("active_tier", "max_supported_tier"):
+        if metadata[key] not in KERNEL_TIERS:
+            fail(f"metadata.{key}: unknown kernel tier {metadata[key]!r}")
+    if KERNEL_TIERS.index(metadata["active_tier"]) > \
+            KERNEL_TIERS.index(metadata["max_supported_tier"]):
+        fail("metadata.active_tier is above metadata.max_supported_tier")
     if args.bench and metadata["bench"] != args.bench:
         fail(f"metadata.bench is {metadata['bench']!r}, expected {args.bench!r}")
 

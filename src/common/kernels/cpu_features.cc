@@ -17,8 +17,10 @@ namespace medes::kernels {
 namespace {
 
 // Tier is a process-wide mode switch flipped only by tests/benchmarks (and
-// once lazily at startup); relaxed ordering is enough because every variant
-// is bit-identical — a racing reader at worst runs one call at the old tier.
+// once by the first dispatched call); relaxed slot loads are enough because
+// every variant is bit-identical — a racing reader at worst runs one call at
+// the old tier. g_tier_bound is published with release after every slot is
+// stored, so a resolver that observes it reloads a bound slot, never itself.
 std::atomic<Tier> g_tier{Tier::kScalar};
 std::atomic<bool> g_tier_bound{false};
 
@@ -34,11 +36,11 @@ Tier Bind(Tier tier) {
   if (tier > MaxSupportedTier()) {
     tier = MaxSupportedTier();
   }
-  g_tier.store(tier, std::memory_order_relaxed);
-  g_tier_bound.store(true, std::memory_order_relaxed);
   BindSha1Kernels(tier);
   BindRollingKernels(tier);
   BindMemopsKernels(tier);
+  g_tier.store(tier, std::memory_order_relaxed);
+  g_tier_bound.store(true, std::memory_order_release);
   return tier;
 }
 
@@ -93,8 +95,15 @@ Tier MaxSupportedTier() {
 }
 
 Tier ActiveTier() {
-  if (!g_tier_bound.load(std::memory_order_relaxed)) {
+  if (!g_tier_bound.load(std::memory_order_acquire)) {
     return ResetTierFromEnvironment();
+  }
+  return g_tier.load(std::memory_order_relaxed);
+}
+
+std::optional<Tier> BoundTier() {
+  if (!g_tier_bound.load(std::memory_order_acquire)) {
+    return std::nullopt;
   }
   return g_tier.load(std::memory_order_relaxed);
 }

@@ -2,9 +2,11 @@
 //
 // The per-page hot path (chunk SHA-1, rolling-hash scan, delta match
 // extension, patch decode) is implemented several times at increasing
-// ISA levels. At startup — or whenever a test forces a tier — every
-// dispatched kernel entry point is bound to the best variant the CPU
-// supports:
+// ISA levels. Every dispatch slot starts at a resolver: the first call to
+// any dispatched kernel binds all of them to the best variant the CPU
+// supports (as ResetTierFromEnvironment would) and then forwards the call,
+// so a fresh process runs at MaxSupportedTier() without anyone asking.
+// Tests and benchmarks may rebind at any time with ForceTier.
 //
 //   kScalar  pure byte-at-a-time reference code. The other tiers are
 //            verified bit-identical against it (tests/kernel_equivalence).
@@ -27,6 +29,7 @@
 #define MEDES_COMMON_KERNELS_CPU_FEATURES_H_
 
 #include <cstdint>
+#include <optional>
 
 namespace medes::kernels {
 
@@ -52,9 +55,13 @@ const char* TierName(Tier tier);
 // Highest tier this binary + CPU can run (ignores MEDES_FORCE_SCALAR).
 Tier MaxSupportedTier();
 
-// Currently bound tier. Lazily initialised from cpuid and the
-// MEDES_FORCE_SCALAR environment/build knob on first use.
+// Currently bound tier. Binds from cpuid and the MEDES_FORCE_SCALAR
+// environment/build knob if no kernel has been bound yet.
 Tier ActiveTier();
+
+// The bound tier, or nullopt while every dispatch slot still points at its
+// resolver. Never binds (lets a test observe first-use binding).
+std::optional<Tier> BoundTier();
 
 // True when the SHA-NI chunk-hash variant is compiled in, supported by the
 // CPU and not disabled by the active tier (SHA-NI engages at >= kSse42).

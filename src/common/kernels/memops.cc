@@ -189,9 +189,30 @@ namespace {
 using MatchFn = size_t (*)(const uint8_t*, const uint8_t*, size_t);
 using EqualFn = bool (*)(const uint8_t*, const uint8_t*, size_t);
 
-std::atomic<MatchFn> g_match_forward{&MatchForwardScalar};
-std::atomic<MatchFn> g_match_backward{&MatchBackwardScalar};
-std::atomic<EqualFn> g_mem_equal{&MemEqualScalar};
+// Each slot starts at its resolver; the first call binds every kernel and
+// forwards (cpu_features.h).
+size_t MatchForwardResolve(const uint8_t* a, const uint8_t* b, size_t max);
+size_t MatchBackwardResolve(const uint8_t* a_end, const uint8_t* b_end, size_t max);
+bool MemEqualResolve(const uint8_t* a, const uint8_t* b, size_t len);
+
+std::atomic<MatchFn> g_match_forward{&MatchForwardResolve};
+std::atomic<MatchFn> g_match_backward{&MatchBackwardResolve};
+std::atomic<EqualFn> g_mem_equal{&MemEqualResolve};
+
+size_t MatchForwardResolve(const uint8_t* a, const uint8_t* b, size_t max) {
+  (void)ActiveTier();
+  return MatchForward(a, b, max);
+}
+
+size_t MatchBackwardResolve(const uint8_t* a_end, const uint8_t* b_end, size_t max) {
+  (void)ActiveTier();
+  return MatchBackward(a_end, b_end, max);
+}
+
+bool MemEqualResolve(const uint8_t* a, const uint8_t* b, size_t len) {
+  (void)ActiveTier();
+  return MemEqual(a, b, len);
+}
 
 }  // namespace
 

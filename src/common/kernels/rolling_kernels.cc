@@ -79,7 +79,18 @@ namespace {
 
 using BulkFn = void (*)(const uint8_t*, size_t, size_t, uint64_t, uint64_t*);
 
-std::atomic<BulkFn> g_bulk{&RollingBulkScalar};
+// The slot starts at its resolver; the first call binds every kernel and
+// forwards (cpu_features.h).
+void RollingBulkResolve(const uint8_t* data, size_t n, size_t window, uint64_t pow_w1,
+                        uint64_t* out);
+
+std::atomic<BulkFn> g_bulk{&RollingBulkResolve};
+
+void RollingBulkResolve(const uint8_t* data, size_t n, size_t window, uint64_t pow_w1,
+                        uint64_t* out) {
+  (void)ActiveTier();
+  RollingBulk(data, n, window, pow_w1, out);
+}
 
 }  // namespace
 

@@ -371,9 +371,30 @@ using CompressFn = void (*)(uint32_t[5], const uint8_t*);
 using Chunk64Fn = void (*)(const uint8_t*, uint32_t[5]);
 using BatchFn = void (*)(const uint8_t* const*, size_t, uint32_t (*)[5]);
 
-std::atomic<CompressFn> g_compress{&Sha1CompressScalar};
-std::atomic<Chunk64Fn> g_chunk64{&Sha1Chunk64Scalar};
-std::atomic<BatchFn> g_batch{&Sha1Chunk64BatchScalar};
+// Each slot starts at its resolver; the first call binds every kernel and
+// forwards (cpu_features.h).
+void Sha1CompressResolve(uint32_t state[5], const uint8_t* block);
+void Sha1Chunk64Resolve(const uint8_t* chunk, uint32_t out_state[5]);
+void Sha1Chunk64BatchResolve(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]);
+
+std::atomic<CompressFn> g_compress{&Sha1CompressResolve};
+std::atomic<Chunk64Fn> g_chunk64{&Sha1Chunk64Resolve};
+std::atomic<BatchFn> g_batch{&Sha1Chunk64BatchResolve};
+
+void Sha1CompressResolve(uint32_t state[5], const uint8_t* block) {
+  (void)ActiveTier();
+  Sha1Compress(state, block);
+}
+
+void Sha1Chunk64Resolve(const uint8_t* chunk, uint32_t out_state[5]) {
+  (void)ActiveTier();
+  Sha1Chunk64(chunk, out_state);
+}
+
+void Sha1Chunk64BatchResolve(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
+  (void)ActiveTier();
+  Sha1Chunk64Batch(chunks, n, out_state);
+}
 
 }  // namespace
 

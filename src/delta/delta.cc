@@ -1,6 +1,8 @@
 #include "delta/delta.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstring>
 
 #include "common/hash.h"
@@ -44,16 +46,28 @@ constexpr uint8_t kMagic[4] = {'M', 'D', 'T', '1'};
 constexpr uint8_t kOpAdd = 0x00;
 constexpr uint8_t kOpCopy = 0x01;
 
-// Seed-index over the base buffer: maps hashed seeds to base offsets.
-// Open-addressed, power-of-two sized, each slot holding up to `depth` offsets
-// chained via per-slot arrays would complicate things; instead we use a
-// bucketed table with a small fixed depth (newest offsets win). The backing
-// store is borrowed from the caller (DeltaScratch) so repeated encodes reuse
-// its capacity.
+// Seed-index over the base buffer: maps hashed seeds to base offsets in a
+// power-of-two bucketed table with a small fixed depth (newest offsets win).
+// The backing store is borrowed from the caller (DeltaScratch) so repeated
+// encodes reuse its capacity; offsets are 32-bit, which is why DeltaEncode
+// rejects bases of 4 GiB or more.
+//
+// Beside the table the index keeps an exact prefilter: one bit per inserted
+// offset in a small bitmap, keyed by a multiplicative hash of the seed's
+// first bytes (FilterBit). Offsets later pushed out of a full bucket keep
+// their bit. A target position whose prefix bit is clear therefore has no indexed
+// base seed with equal bytes, FindBest would return npos there, and the
+// encoder may skip it without probing the table: patch bytes are unchanged.
 class SeedIndex {
  public:
+  struct Match {
+    size_t base_off;
+    size_t forward_len;  // ExtendForward(target, t_off, base_off)
+  };
+  static constexpr size_t npos = static_cast<size_t>(-1);
+
   SeedIndex(std::span<const uint8_t> base, size_t seed_len, size_t stride, size_t depth,
-            std::vector<size_t>& slots)
+            std::vector<uint32_t>& slots)
       : base_(base), seed_len_(seed_len), depth_(depth), slots_(slots) {
     if (base.size() < seed_len) {
       slots_.clear();
@@ -68,24 +82,30 @@ class SeedIndex {
     mask_ = cap - 1;
     slots_.assign(cap * depth_, kEmpty);
     for (size_t i = 0; i + seed_len <= base.size(); i += stride) {
-      Insert(HashSeed(base.data() + i), i);
+      Insert(HashSeed(base.data() + i), static_cast<uint32_t>(i));
+      const size_t bit = FilterBit(base.data() + i);
+      filter_[bit / 64] |= uint64_t{1} << (bit % 64);
     }
   }
 
-  // Finds the base offset whose seed matches the one at `p`, preferring the
-  // longest forward extension. Returns npos when no candidate matches.
-  static constexpr size_t npos = static_cast<size_t>(-1);
+  // False only when no indexed base seed can equal the seed at `p`.
+  bool MayMatch(const uint8_t* p) const {
+    const size_t bit = FilterBit(p);
+    return ((filter_[bit / 64] >> (bit % 64)) & 1) != 0;
+  }
 
-  size_t FindBest(std::span<const uint8_t> target, size_t t_off) const {
+  // Finds the base offset whose seed matches the one at `t_off`, preferring
+  // the longest forward extension (first candidate on ties). base_off is
+  // npos when no candidate matches.
+  Match FindBest(std::span<const uint8_t> target, size_t t_off) const {
+    Match best{npos, 0};
     if (slots_.empty() || t_off + seed_len_ > target.size()) {
-      return npos;
+      return best;
     }
     uint64_t h = HashSeed(target.data() + t_off);
     size_t bucket = (h & mask_) * depth_;
-    size_t best = npos;
-    size_t best_len = 0;
     for (size_t d = 0; d < depth_; ++d) {
-      size_t cand = slots_[bucket + d];
+      uint32_t cand = slots_[bucket + d];
       if (cand == kEmpty) {
         break;
       }
@@ -93,27 +113,43 @@ class SeedIndex {
         continue;
       }
       size_t len = ExtendForward(target, t_off, cand);
-      if (len > best_len) {
-        best_len = len;
-        best = cand;
+      if (len > best.forward_len) {
+        best = {cand, len};
       }
     }
     return best;
   }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  static constexpr size_t kFilterBits = 8192;
+  static constexpr int kFilterShift = 64 - 13;  // log2(kFilterBits)
 
   size_t ExtendForward(std::span<const uint8_t> target, size_t t_off, size_t b_off) const {
     size_t max = std::min(base_.size() - b_off, target.size() - t_off);
     return kernels::MatchForward(base_.data() + b_off, target.data() + t_off, max);
   }
 
- private:
-  static constexpr size_t kEmpty = static_cast<size_t>(-1);
-
   uint64_t HashSeed(const uint8_t* p) const {
     return MixBits(Fnv1a64({p, seed_len_}));
   }
 
-  void Insert(uint64_t h, size_t offset) {
+  // Filter key: the seed's first 8 bytes, or its first 4 when the seed is
+  // shorter than 8 (seed_length >= 4 is enforced) — one load that never
+  // reads past the seed, so equal seeds always share a bit.
+  size_t FilterBit(const uint8_t* p) const {
+    uint64_t key;
+    if (seed_len_ >= 8) {
+      std::memcpy(&key, p, 8);
+    } else {
+      uint32_t k32;
+      std::memcpy(&k32, p, 4);
+      key = k32;
+    }
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> kFilterShift);
+  }
+
+  void Insert(uint64_t h, uint32_t offset) {
     size_t bucket = (h & mask_) * depth_;
     // Shift older entries down; newest first.
     for (size_t d = depth_ - 1; d > 0; --d) {
@@ -126,7 +162,8 @@ class SeedIndex {
   size_t seed_len_;
   size_t depth_;
   size_t mask_ = 0;
-  std::vector<size_t>& slots_;
+  std::vector<uint32_t>& slots_;
+  std::array<uint64_t, kFilterBits / 64> filter_{};
 };
 
 void EmitAdd(std::vector<uint8_t>& out, std::span<const uint8_t> literal) {
@@ -170,9 +207,11 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
   if (options.seed_length < 4) {
     throw DeltaError("seed_length must be >= 4");
   }
-  out.clear();
+  if (base.size() > UINT32_MAX) {
+    throw DeltaError("base must be smaller than 4 GiB");
+  }
+  out.assign(std::begin(kMagic), std::end(kMagic));
   out.reserve(target.size() / 4 + 32);
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
   AppendVarint(out, base.size());
   AppendVarint(out, target.size());
 
@@ -193,12 +232,15 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
   size_t pending = 0;  // start of unmatched literal run
   size_t pos = 0;
   while (pos + options.seed_length <= target.size()) {
-    size_t cand = index.FindBest(target, pos);
+    if (!index.MayMatch(target.data() + pos)) {
+      ++pos;
+      continue;
+    }
+    const auto [cand, fwd] = index.FindBest(target, pos);
     if (cand == SeedIndex::npos) {
       ++pos;
       continue;
     }
-    size_t fwd = index.ExtendForward(target, pos, cand);
     // Extend backwards into the pending literal run.
     size_t back = kernels::MatchBackward(base.data() + cand, target.data() + pos,
                                          std::min(pos - pending, cand));

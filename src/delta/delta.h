@@ -59,14 +59,15 @@ struct DeltaStats {
   size_t copy_ops = 0;
 };
 
-// Reusable encoder working storage (the seed-index table). Keep one per
-// worker thread and pass it to DeltaEncodeInto to avoid reallocating the
-// index for every page.
+// Reusable encoder working storage (the seed-index table of 32-bit base
+// offsets). Keep one per worker thread and pass it to DeltaEncodeInto to
+// avoid reallocating the index for every page.
 struct DeltaScratch {
-  std::vector<size_t> seed_slots;
+  std::vector<uint32_t> seed_slots;
 };
 
-// Encodes `target` as a delta against `base`.
+// Encodes `target` as a delta against `base`. Throws DeltaError when
+// seed_length < 4 or the base is 4 GiB or larger.
 [[nodiscard]] std::vector<uint8_t> DeltaEncode(std::span<const uint8_t> base, std::span<const uint8_t> target,
                                  const DeltaOptions& options = {});
 
