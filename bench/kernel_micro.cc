@@ -1,8 +1,8 @@
 // Per-kernel microbenchmark: MB/s of each hot-path kernel at every tier the
-// machine can bind — 64-byte chunk hashing (single and batched), the bulk
-// rolling-hash scan, match extension, delta decode and encode. Emits JSON with a
-// speedup-vs-scalar column so CI can smoke-check the dispatch layer and
-// archive per-tier throughput.
+// machine can bind — 64-byte chunk hashing (single and batched), sample
+// selection over a page, match extension, delta decode and encode. Emits
+// JSON with a speedup-vs-scalar column so CI can smoke-check the dispatch
+// layer and archive per-tier throughput.
 //
 // Workload sizes mirror the real pipeline: 4 KiB pages, 64 B chunks, ~8
 // sampled chunks per page. MEDES_BENCH_KERNEL_MS overrides the per-kernel
@@ -149,17 +149,14 @@ int main() {
         }
       }));
 
-  // 3. Rolling-hash scan of a full page (every 64 B window).
+  // 3. Sample selection over a full page (every 64 B window's rolling hash
+  //    tested against the default 9-bit mask).
   {
-    uint64_t pow_w1 = 1;
-    for (size_t i = 1; i < kChunk; ++i) {
-      pow_w1 *= kernels::kRollingBase;
-    }
-    static std::vector<uint64_t> hashes(kPage - kChunk + 1);
-    results.push_back(RunKernel("rolling_bulk_page", kPage, [&, pow_w1](size_t iters) {
+    const kernels::SampleRule rule = kernels::MakeSampleRule(kChunk, 0x1ff, 0);
+    static std::vector<uint16_t> hits(kPage - kChunk + 1);
+    results.push_back(RunKernel("select_windows_page", kPage, [&](size_t iters) {
       for (size_t i = 0; i < iters; ++i) {
-        kernels::RollingBulk(page.data(), kPage, kChunk, pow_w1, hashes.data());
-        g_sink = g_sink + hashes.back();
+        g_sink = g_sink + kernels::SelectWindows(rule, page.data(), kPage, hits.data());
       }
     }));
   }

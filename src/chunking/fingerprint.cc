@@ -19,13 +19,25 @@ const FingerprintOptions& Validate(const FingerprintOptions& options) {
   if (options.key_bits < 1 || options.key_bits > 64) {
     throw std::invalid_argument("key_bits must be in [1, 64]");
   }
+  if (options.sample_mask > 0xffff) {
+    throw std::invalid_argument("sample_mask must fit in 16 bits");
+  }
+  if ((options.sample_pattern & ~options.sample_mask) != 0) {
+    throw std::invalid_argument("sample_pattern must not set bits outside sample_mask");
+  }
   return options;
+}
+
+kernels::SampleRule SampleRuleOf(const FingerprintOptions& options) {
+  const auto mask = static_cast<uint16_t>(options.sample_mask);
+  const auto pattern = static_cast<uint16_t>(options.sample_pattern);
+  return kernels::MakeSampleRule(options.chunk_size, mask, pattern);
 }
 
 }  // namespace
 
 PageFingerprinter::PageFingerprinter(FingerprintOptions options)
-    : options_(Validate(options)), rolling_(options.chunk_size) {}
+    : options_(Validate(options)), rule_(SampleRuleOf(options_)) {}
 
 PageFingerprint PageFingerprinter::FingerprintPage(std::span<const uint8_t> page) const {
   PageFingerprint fp;
@@ -51,19 +63,22 @@ PageFingerprint PageFingerprinter::FingerprintPage(std::span<const uint8_t> page
       offsets.push_back(static_cast<uint32_t>(rng.Below(page.size() - w + 1)));
     }
   } else {
+    // The kernel returns every matching window in ascending order, one
+    // segment of at most kSelectMaxPositions positions at a time (its
+    // scratch lives on the stack); the greedy pass keeps the first of any
+    // overlapping run.
     const size_t positions = page.size() - w + 1;
-    thread_local std::vector<uint64_t> hash_scratch;
-    hash_scratch.resize(positions);
-    rolling_.BulkHash(page, hash_scratch.data());
-
+    uint16_t hits[kernels::kSelectMaxPositions];
     size_t last_selected_end = 0;  // avoid overlapping selected chunks
-    for (size_t offset = 0; offset < positions; ++offset) {
-      if (offset < last_selected_end) {
-        continue;
-      }
-      if ((hash_scratch[offset] & options_.sample_mask) == options_.sample_pattern) {
-        offsets.push_back(static_cast<uint32_t>(offset));
-        last_selected_end = offset + w;
+    for (size_t seg = 0; seg < positions; seg += kernels::kSelectMaxPositions) {
+      const size_t n = std::min(kernels::kSelectMaxPositions, positions - seg) + w - 1;
+      const size_t found = kernels::SelectWindows(rule_, page.data() + seg, n, hits);
+      for (size_t i = 0; i < found; ++i) {
+        const size_t offset = seg + hits[i];
+        if (offset >= last_selected_end) {
+          offsets.push_back(static_cast<uint32_t>(offset));
+          last_selected_end = offset + w;
+        }
       }
     }
     if (offsets.size() < options_.cardinality) {

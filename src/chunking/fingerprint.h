@@ -20,7 +20,7 @@
 #include <span>
 #include <vector>
 
-#include "chunking/rabin.h"
+#include "common/kernels/rolling_kernels.h"
 
 namespace medes {
 
@@ -51,7 +51,10 @@ struct FingerprintOptions {
   size_t cardinality = 5;     // chunk hashes per page fingerprint
   // A window is selected when (rolling_hash & sample_mask) == sample_pattern.
   // The default 9-bit mask selects ~1/512 of window positions, i.e. roughly
-  // 8 candidates per 4 KiB page, from which the K smallest survive.
+  // 8 candidates per 4 KiB page, from which the K smallest survive. The
+  // mask may use only the hash's low 16 bits (a 17-bit mask would select
+  // under 0.04 windows per 4 KiB page, leaving the stride fallback), and
+  // the pattern may set no bit outside the mask (it could never match).
   uint64_t sample_mask = 0x1ff;
   uint64_t sample_pattern = 0x0;
   // Truncation width of chunk-hash keys stored in / matched against the
@@ -85,9 +88,9 @@ class PageFingerprinter {
 
  private:
   FingerprintOptions options_;
-  // Shared rolling-hash tables — built once here so the per-page scan never
-  // reconstructs them. Stateless at scan time, so safe across pool workers.
-  RollingHash rolling_;
+  // The selection test in the kernels' 16-bit form, built once here.
+  // Stateless at scan time, so safe across pool workers.
+  kernels::SampleRule rule_;
 };
 
 }  // namespace medes

@@ -7,7 +7,7 @@
 namespace medes {
 
 static_assert(kernels::kRollingBase == 0x100000001b3ull,
-              "RollingHash and the bulk kernel must agree on the polynomial base");
+              "RollingHash and the selection kernels must agree on the polynomial base");
 
 RollingHash::RollingHash(size_t window) : window_(window), pow_(1) {
   if (window == 0) {
@@ -53,7 +53,12 @@ void RollingHash::BulkHash(std::span<const uint8_t> data, uint64_t* out) const {
   if (data.size() < window_) {
     throw std::invalid_argument("RollingHash::BulkHash: data shorter than the window");
   }
-  kernels::RollingBulk(data.data(), data.size(), window_, pow_, out);
+  uint64_t h = Init(data);
+  out[0] = h;
+  for (size_t i = 1; i + window_ <= data.size(); ++i) {
+    h = Roll(h, data[i - 1], data[i - 1 + window_]);
+    out[i] = h;
+  }
 }
 
 std::vector<uint64_t> AllWindowHashes(std::span<const uint8_t> data, size_t window) {

@@ -4,14 +4,14 @@
 // Section 4.1.2, "a single linear scan"): the hash of window [i+1, i+1+W) is
 // derived from the hash of [i, i+W) in O(1).
 //
-// Hot-path layout: construction precomputes a 256-entry table of
-// outgoing-byte contributions (byte * base^(W-1)), so Roll() is a table
-// lookup instead of a multiply, and a per-position power table that lets
-// Init() run four independent multiply-accumulate chains. Whole-buffer
-// scans go through the dispatched bulk kernel
-// (common/kernels/rolling_kernels.h), which is bit-identical to rolling
-// Roll() by hand. Construct once and reuse — a RollingHash carries ~2.5 KiB
-// of tables.
+// Construction precomputes a 256-entry table of outgoing-byte
+// contributions (byte * base^(W-1)), so Roll() is a table lookup instead of
+// a multiply, and a per-position power table that lets Init() run four
+// independent multiply-accumulate chains. This class is the reference
+// definition of the window hash; the fingerprint scan only ever tests its
+// low 16 bits and runs the dispatched selection kernels
+// (common/kernels/rolling_kernels.h) instead. Construct once and reuse — a
+// RollingHash carries ~2.5 KiB of tables.
 #ifndef MEDES_CHUNKING_RABIN_H_
 #define MEDES_CHUNKING_RABIN_H_
 
@@ -40,8 +40,9 @@ class RollingHash {
   }
 
   // Hashes of every window of `data`, written to out[0 .. data.size() -
-  // window()]. `out` must hold data.size() - window() + 1 values. Throws
-  // std::invalid_argument if data is shorter than the window.
+  // window()]: Init() and then Roll() one byte at a time. `out` must hold
+  // data.size() - window() + 1 values. Throws std::invalid_argument if data
+  // is shorter than the window.
   void BulkHash(std::span<const uint8_t> data, uint64_t* out) const;
 
  private:

@@ -8,13 +8,16 @@
 
 namespace medes {
 
+inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
 // 64-bit FNV-1a. Fast, decent distribution; used for table keys where a
 // cryptographic hash would be overkill.
-inline uint64_t Fnv1a64(std::span<const uint8_t> data, uint64_t seed = 0xcbf29ce484222325ull) {
+inline uint64_t Fnv1a64(std::span<const uint8_t> data, uint64_t seed = kFnvOffsetBasis) {
   uint64_t h = seed;
   for (uint8_t b : data) {
     h ^= b;
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
 }

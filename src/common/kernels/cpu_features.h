@@ -1,6 +1,6 @@
 // Runtime CPU-feature detection and kernel-tier dispatch.
 //
-// The per-page hot path (chunk SHA-1, rolling-hash scan, delta match
+// The per-page hot path (chunk SHA-1, sample selection, delta match
 // extension, patch decode) is implemented several times at increasing
 // ISA levels. Every dispatch slot starts at a resolver: the first call to
 // any dispatched kernel binds all of them to the best variant the CPU
@@ -23,7 +23,7 @@
 //   - build knob: cmake -DMEDES_FORCE_SCALAR=ON bakes the scalar tier in.
 //
 // Every variant of every kernel is required to produce bit-identical
-// output (same digests, same rolling-hash words, same match lengths, same
+// output (same digests, same selected windows, same match lengths, same
 // delta bytes) — tier selection may never change observable behaviour.
 #ifndef MEDES_COMMON_KERNELS_CPU_FEATURES_H_
 #define MEDES_COMMON_KERNELS_CPU_FEATURES_H_

@@ -1,12 +1,19 @@
-// Bulk rolling-hash kernels feeding the fingerprint scan.
+// Sample-selection kernels feeding the fingerprint scan.
 //
-// The fingerprint pass needs the Rabin-style hash of *every* W-byte window
-// of a page. The scalar recurrence h' = (h - out*B^(W-1))*B + in is a
-// serial dependency chain; the unrolled variant splits the positions into
-// four independent lanes (lane j covers positions j, j+4, j+8, ...) and
-// steps each lane four positions at a time with precomputed powers of the
-// base, which is exact in mod-2^64 arithmetic and therefore bit-identical
-// to the scalar walk. See cpu_features.h for the dispatch contract.
+// The fingerprint pass selects every W-byte window of a page whose rolling
+// hash h (the mod-2^64 recurrence h' = (h - out*B^(W-1))*B + in, see
+// chunking/rabin.h) satisfies (h & mask) == pattern. Only that test is ever
+// asked of h, and for mask <= 0xffff it reads nothing above bit 15.
+// Reduction mod 2^16 is a ring homomorphism, so the low 16 bits of the
+// 64-bit recurrence equal the same recurrence run in uint16_t arithmetic —
+// the kernels step 16-bit hashes and decide the test exactly.
+//
+// Two variants, bit-identical in output (see cpu_features.h for the
+// dispatch contract):
+//   - portable: four contiguous position blocks stepped as independent
+//     scalar dependency chains; bound at every tier below AVX2;
+//   - AVX2: sixteen contiguous blocks, one per 16-bit lane, stepped with
+//     vpmullw over a lane-major copy of the data.
 #ifndef MEDES_COMMON_KERNELS_ROLLING_KERNELS_H_
 #define MEDES_COMMON_KERNELS_ROLLING_KERNELS_H_
 
@@ -21,14 +28,34 @@ namespace medes::kernels {
 // constant; rabin_test locks the two together).
 inline constexpr uint64_t kRollingBase = 0x100000001b3ull;
 
-// Writes the hash of every window of `data` (n bytes, n >= window) into
-// out[0 .. n - window]. `pow_w1` must equal kRollingBase^(window-1) mod
-// 2^64 (the caller — RollingHash — already maintains it).
-void RollingBulk(const uint8_t* data, size_t n, size_t window, uint64_t pow_w1, uint64_t* out);
-void RollingBulkScalar(const uint8_t* data, size_t n, size_t window, uint64_t pow_w1,
-                       uint64_t* out);
-void RollingBulkUnrolled(const uint8_t* data, size_t n, size_t window, uint64_t pow_w1,
-                         uint64_t* out);
+// Most window positions one SelectWindows call may scan, so positions fit
+// in uint16_t and every scratch buffer fits on the stack. Longer inputs are
+// scanned in segments by the caller.
+inline constexpr size_t kSelectMaxPositions = 4096;
+
+// What a selected window looks like: `window` bytes whose 16-bit rolling
+// hash h has (h & mask) == pattern. Build with MakeSampleRule.
+struct SampleRule {
+  size_t window = 0;
+  uint16_t pow_w1 = 0;  // kRollingBase^(window-1) mod 2^16
+  uint16_t mask = 0;
+  uint16_t pattern = 0;
+};
+
+SampleRule MakeSampleRule(size_t window, uint16_t mask, uint16_t pattern);
+
+// Writes, in ascending order, every position p in [0, n - window] whose
+// window data[p, p + window) matches `rule`, and returns how many it wrote.
+// Requires n >= rule.window and n - rule.window + 1 <= kSelectMaxPositions;
+// `out` must hold n - rule.window + 1 entries (its tail is scratch).
+size_t SelectWindows(const SampleRule& rule, const uint8_t* data, size_t n, uint16_t* out);
+size_t SelectWindowsPortable(const SampleRule& rule, const uint8_t* data, size_t n,
+                             uint16_t* out);
+
+// The AVX2 variant exists only when the compiler can target x86 (else it
+// forwards to the portable one); call it only when DetectCpuFeatures().avx2
+// is true.
+size_t SelectWindowsAvx2(const SampleRule& rule, const uint8_t* data, size_t n, uint16_t* out);
 
 // Rebinds the dispatched entry point (called by cpu_features).
 void BindRollingKernels(Tier tier);

@@ -81,10 +81,20 @@ class SeedIndex {
     }
     mask_ = cap - 1;
     slots_.assign(cap * depth_, kEmpty);
-    for (size_t i = 0; i + seed_len <= base.size(); i += stride) {
-      Insert(HashSeed(base.data() + i), static_cast<uint32_t>(i));
-      const size_t bit = FilterBit(base.data() + i);
-      filter_[bit / 64] |= uint64_t{1} << (bit % 64);
+    // One FNV-1a chain is a serial xor-multiply per seed byte. Hashing
+    // kBatch seeds as interleaved chains lets their multiplies overlap;
+    // each value is still MixBits(Fnv1a64(seed)), and the offsets go in in
+    // ascending order, so slots and filter bits match one-at-a-time inserts.
+    size_t i = 0;
+    for (; i + (kBatch - 1) * stride + seed_len <= base.size(); i += kBatch * stride) {
+      uint64_t h[kBatch];
+      HashSeedBatch(base.data() + i, stride, h);
+      for (size_t j = 0; j < kBatch; ++j) {
+        Add(h[j], i + j * stride);
+      }
+    }
+    for (; i + seed_len <= base.size(); i += stride) {
+      Add(HashSeed(base.data() + i), i);
     }
   }
 
@@ -122,6 +132,7 @@ class SeedIndex {
 
  private:
   static constexpr uint32_t kEmpty = UINT32_MAX;
+  static constexpr size_t kBatch = 8;
   static constexpr size_t kFilterBits = 8192;
   static constexpr int kFilterShift = 64 - 13;  // log2(kFilterBits)
 
@@ -132,6 +143,29 @@ class SeedIndex {
 
   uint64_t HashSeed(const uint8_t* p) const {
     return MixBits(Fnv1a64({p, seed_len_}));
+  }
+
+  // HashSeed of the kBatch seeds at p, p + stride, p + 2*stride, ...
+  void HashSeedBatch(const uint8_t* p, size_t stride, uint64_t* out) const {
+    uint64_t h[kBatch];
+    for (size_t j = 0; j < kBatch; ++j) {
+      h[j] = kFnvOffsetBasis;
+    }
+    for (size_t k = 0; k < seed_len_; ++k) {
+      for (size_t j = 0; j < kBatch; ++j) {
+        h[j] = (h[j] ^ p[j * stride + k]) * kFnvPrime;
+      }
+    }
+    for (size_t j = 0; j < kBatch; ++j) {
+      out[j] = MixBits(h[j]);
+    }
+  }
+
+  // Indexes the base seed at `offset` under hash `h`.
+  void Add(uint64_t h, size_t offset) {
+    Insert(h, static_cast<uint32_t>(offset));
+    const size_t bit = FilterBit(base_.data() + offset);
+    filter_[bit / 64] |= uint64_t{1} << (bit % 64);
   }
 
   // Filter key: the seed's first 8 bytes, or its first 4 when the seed is

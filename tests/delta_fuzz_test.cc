@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/hash.h"
@@ -191,6 +192,35 @@ TEST(DeltaFuzzTest, EncoderMatchesReferenceModel) {
         ASSERT_EQ(got, ReferenceEncode(base, target, options))
             << "seed_length " << seed_length << " level " << level << " case " << c;
         ASSERT_EQ(DeltaDecode(base, got), target);
+      }
+    }
+  }
+  // Base lengths from one seed to nine strides past it: the seed index
+  // hashes base seeds in batches of 8, so these fill a batch, leave a tail,
+  // or have no full batch at all. Low-entropy and period-3 bytes give many
+  // equal seeds, so the order offsets enter a bucket decides which
+  // candidate survives and wins.
+  std::vector<uint8_t> periodic(1024);
+  for (size_t i = 0; i < periodic.size(); ++i) {
+    periodic[i] = static_cast<uint8_t>(i % 3);
+  }
+  for (const auto& source : {LowEntropy(1024, 73), periodic}) {
+    const std::vector<uint8_t> edited = DenselyEdited(source, 74);
+    const std::span<const uint8_t> whole(source);
+    const std::span<const uint8_t> edits(edited);
+    const std::span<const uint8_t> targets[] = {whole.first(512), edits.subspan(100, 300)};
+    for (size_t seed_length : {4, 5, 7, 8, 9, 16, 32}) {
+      for (size_t level = 1; level <= 9; ++level) {
+        const DeltaOptions options{.level = static_cast<int>(level), .seed_length = seed_length};
+        const size_t stride = std::max<size_t>(1, seed_length / (1 + level));
+        for (size_t len = seed_length; len <= seed_length + 9 * stride; ++len) {
+          const std::span<const uint8_t> base(source.data(), len);
+          for (const auto& target : targets) {
+            DeltaEncodeInto(base, target, options, got, &scratch);
+            ASSERT_EQ(got, ReferenceEncode(base, target, options))
+                << "seed_length " << seed_length << " level " << level << " base " << len;
+          }
+        }
       }
     }
   }

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "common/kernels/cpu_features.h"
 #include "common/rng.h"
+#include "common/sha1.h"
 
 namespace medes {
 namespace {
@@ -144,6 +147,147 @@ TEST(FingerprintTest, InvalidOptionsRejected) {
   bad = {};
   bad.key_bits = 65;
   EXPECT_THROW(PageFingerprinter{bad}, std::invalid_argument);
+  // The selection test reads only the rolling hash's low 16 bits.
+  bad = {};
+  bad.sample_mask = 0x1ffff;
+  EXPECT_THROW(PageFingerprinter{bad}, std::invalid_argument);
+  bad = {};
+  bad.sample_mask = 0xffff;
+  EXPECT_NO_THROW(PageFingerprinter{bad});
+  // A pattern bit outside the mask could never match.
+  bad = {};
+  bad.sample_mask = 0x7f;
+  bad.sample_pattern = 0x80;
+  EXPECT_THROW(PageFingerprinter{bad}, std::invalid_argument);
+  bad = {};
+  bad.sample_mask = 0xffff;
+  bad.sample_pattern = uint64_t{1} << 40;
+  EXPECT_THROW(PageFingerprinter{bad}, std::invalid_argument);
+}
+
+// The fingerprint pass as it read before the 16-bit selection kernels: the
+// mod-2^64 rolling walk over every window, the greedy non-overlap pass,
+// the stride fallback, one SHA-1 per chunk and the K smallest keys.
+std::vector<SampledChunk> ReferenceFingerprint(std::span<const uint8_t> page,
+                                               const FingerprintOptions& o) {
+  const size_t w = o.chunk_size;
+  if (page.size() < w) {
+    return {};
+  }
+  constexpr uint64_t kBase = 0x100000001b3ull;
+  uint64_t pow = 1;
+  for (size_t i = 1; i < w; ++i) {
+    pow *= kBase;
+  }
+  uint64_t h = 0;
+  for (size_t i = 0; i < w; ++i) {
+    h = h * kBase + page[i];
+  }
+  std::vector<uint32_t> offsets;
+  size_t last_selected_end = 0;
+  for (size_t offset = 0; offset + w <= page.size(); ++offset) {
+    if (offset > 0) {
+      h = (h - page[offset - 1] * pow) * kBase + page[offset - 1 + w];
+    }
+    if (offset >= last_selected_end && (h & o.sample_mask) == o.sample_pattern) {
+      offsets.push_back(static_cast<uint32_t>(offset));
+      last_selected_end = offset + w;
+    }
+  }
+  const size_t selected = offsets.size();
+  const size_t stride = std::max<size_t>(w, page.size() / (o.cardinality + 1));
+  for (size_t offset = 0; offset + w <= page.size() && offsets.size() < o.cardinality;
+       offset += stride) {
+    bool covered = false;
+    for (size_t i = 0; i < selected; ++i) {
+      covered = covered || (offset < offsets[i] + w && offsets[i] < offset + w);
+    }
+    if (!covered) {
+      offsets.push_back(static_cast<uint32_t>(offset));
+    }
+  }
+  std::vector<SampledChunk> chunks;
+  for (uint32_t offset : offsets) {
+    const uint64_t full = Sha1::Hash(page.subspan(offset, w)).Prefix64();
+    chunks.push_back({full >> (64 - o.key_bits), offset});
+  }
+  std::sort(chunks.begin(), chunks.end(), [](const SampledChunk& a, const SampledChunk& b) {
+    return a.key < b.key || (a.key == b.key && a.offset < b.offset);
+  });
+  chunks.erase(std::unique(chunks.begin(), chunks.end(),
+                           [](const SampledChunk& a, const SampledChunk& b) {
+                             return a.key == b.key;
+                           }),
+               chunks.end());
+  if (chunks.size() > o.cardinality) {
+    chunks.resize(o.cardinality);
+  }
+  return chunks;
+}
+
+// The 16-bit selection kernels, at every tier, pick exactly the windows the
+// 64-bit walk picks: page sizes on both sides of one window and of one
+// 4096-position kernel segment, masks from 1 to 16 bits, and contents that
+// make wide masks match (two-bit alphabet, mostly zero). Cardinality 64
+// keeps every selected chunk of most pages, so a wrong pick shows.
+TEST(FingerprintTest, SelectionMatchesReferenceModel) {
+  struct Content {
+    const char* name;
+    std::vector<uint8_t> bytes;
+  };
+  std::vector<Content> contents = {{"random", RandomBytes(8192, 20)},
+                                   {"two-bit", RandomBytes(8192, 21)},
+                                   {"mostly-zero", std::vector<uint8_t>(8192, 0)}};
+  for (auto& b : contents[1].bytes) {
+    b &= 3;
+  }
+  Rng rng(22);
+  for (int i = 0; i < 40; ++i) {
+    contents[2].bytes[rng.Below(8192)] = static_cast<uint8_t>(rng.Next());
+  }
+  using kernels::Tier;
+  const Tier tiers[] = {Tier::kScalar, Tier::kSwar, Tier::kSse42, Tier::kAvx2};
+  const size_t windows[] = {1, 16, 32, 64, 128, 256};
+  const uint64_t masks[] = {0x1, 0x7f, 0x1ff, 0xffff};
+  const size_t cardinalities[] = {5, 64};
+  for (Tier tier : tiers) {
+    if (tier > kernels::MaxSupportedTier()) {
+      continue;
+    }
+    kernels::ForceTier(tier);
+    for (size_t w : windows) {
+      const size_t sizes[] = {w, w + 1, 100, 1000, 4096, 4097, 8192};
+      for (size_t size : sizes) {
+        for (uint64_t mask : masks) {
+          for (uint64_t pattern : {uint64_t{0}, mask & 0xa5a5}) {
+            for (size_t cardinality : cardinalities) {
+              FingerprintOptions o;
+              o.chunk_size = w;
+              o.cardinality = cardinality;
+              o.sample_mask = mask;
+              o.sample_pattern = pattern;
+              PageFingerprinter fp(o);
+              for (const Content& c : contents) {
+                SCOPED_TRACE(::testing::Message() << kernels::TierName(tier) << " w " << w
+                                                  << " size " << size << " " << c.name);
+                SCOPED_TRACE(::testing::Message() << "mask " << mask << " pattern " << pattern
+                                                  << " cardinality " << cardinality);
+                const std::span<const uint8_t> page(c.bytes.data(), size);
+                const PageFingerprint got = fp.FingerprintPage(page);
+                const std::vector<SampledChunk> want = ReferenceFingerprint(page, o);
+                ASSERT_EQ(got.chunks.size(), want.size());
+                for (size_t i = 0; i < want.size(); ++i) {
+                  ASSERT_EQ(got.chunks[i].offset, want[i].offset) << "chunk " << i;
+                  ASSERT_EQ(got.chunks[i].key, want[i].key) << "chunk " << i;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  kernels::ResetTierFromEnvironment();
 }
 
 TEST(FingerprintTest, FingerprintImageCoversAllPages) {

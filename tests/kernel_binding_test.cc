@@ -62,10 +62,11 @@ std::vector<Slot> Slots() {
          uint32_t states[2][5];
          kernels::Sha1Chunk64Batch(chunks, 2, states);
        }},
-      {"RollingBulk",
+      {"SelectWindows",
        [] {
-         std::vector<uint64_t> out(data.size() - 16 + 1);
-         kernels::RollingBulk(data.data(), data.size(), 16, 1, out.data());
+         std::vector<uint16_t> out(data.size() - 16 + 1);
+         (void)kernels::SelectWindows(kernels::MakeSampleRule(16, 0x1ff, 0), data.data(),
+                                      data.size(), out.data());
        }},
       {"MatchForward", [] { (void)kernels::MatchForward(data.data(), data.data(), 64); }},
       {"MatchBackward",

@@ -1,13 +1,15 @@
 // Bit-identical equivalence of every dispatched kernel variant against the
 // scalar reference (the contract in common/kernels/cpu_features.h): same
-// digests, same rolling-hash words, same match lengths, same delta bytes at
+// digests, same selected windows, same match lengths, same delta bytes at
 // every tier the machine can bind. Also exercises the MEDES_FORCE_SCALAR
 // environment knob via ResetTierFromEnvironment.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
+#include "chunking/rabin.h"
 #include "common/kernels/cpu_features.h"
 #include "common/kernels/memops.h"
 #include "common/kernels/rolling_kernels.h"
@@ -189,28 +191,50 @@ TEST_F(KernelEquivalenceTest, Sha1PublicApiAcrossTiers) {
   }
 }
 
-TEST_F(KernelEquivalenceTest, RollingBulkAllTiers) {
-  for (size_t window : {size_t{1}, size_t{3}, size_t{8}, size_t{16}, size_t{63}, size_t{64}}) {
-    for (size_t n : {window, window + 1, window + 7, window + 100, size_t{4096}}) {
-      if (n < window) {
-        continue;
+// Every selection variant against the 64-bit reference walk
+// (RollingHash::BulkHash plus the mask test), at window sizes on both sides
+// of the AVX2 variant's window and length cut-offs and masks from one bit
+// to all sixteen.
+TEST_F(KernelEquivalenceTest, SelectWindowsAllTiers) {
+  const size_t windows[] = {1, 3, 16, 63, 64, 256, 257};
+  const size_t counts[] = {1, 2, 7, 255, 256, 257, 4033, kernels::kSelectMaxPositions};
+  const std::pair<uint16_t, uint16_t> rules[] = {
+      {0x0, 0x0}, {0x1, 0x1}, {0x7f, 0x5a}, {0x1ff, 0x0}, {0x1ff, 0x1ff}, {0xffff, 0x1234}};
+  for (size_t window : windows) {
+    for (size_t count : counts) {
+      const size_t n = count + window - 1;
+      // Two-symbol bytes make a 16-bit mask match now and then.
+      auto data = RandomBytes(n, 200 + window + count);
+      if (count % 2 == 1) {
+        for (auto& b : data) {
+          b &= 1;
+        }
       }
-      auto data = RandomBytes(n, 200 + window + n);
-      uint64_t pow_w1 = 1;
-      for (size_t i = 1; i < window; ++i) {
-        pow_w1 *= kernels::kRollingBase;
-      }
-      const size_t count = n - window + 1;
-      std::vector<uint64_t> ref(count);
-      kernels::RollingBulkScalar(data.data(), n, window, pow_w1, ref.data());
-      std::vector<uint64_t> unrolled(count);
-      kernels::RollingBulkUnrolled(data.data(), n, window, pow_w1, unrolled.data());
-      ASSERT_EQ(unrolled, ref) << "window " << window << " n " << n;
-      for (Tier tier : BindableTiers()) {
-        kernels::ForceTier(tier);
-        std::vector<uint64_t> got(count);
-        kernels::RollingBulk(data.data(), n, window, pow_w1, got.data());
-        ASSERT_EQ(got, ref) << kernels::TierName(tier) << " window " << window << " n " << n;
+      std::vector<uint64_t> hashes(count);
+      RollingHash(window).BulkHash(data, hashes.data());
+      for (const auto& [mask, pattern] : rules) {
+        SCOPED_TRACE(::testing::Message() << "window " << window << " count " << count);
+        SCOPED_TRACE(::testing::Message() << "mask " << mask << " pattern " << pattern);
+        const kernels::SampleRule rule = kernels::MakeSampleRule(window, mask, pattern);
+        std::vector<uint16_t> ref;
+        for (size_t p = 0; p < count; ++p) {
+          if ((hashes[p] & mask) == pattern) {
+            ref.push_back(static_cast<uint16_t>(p));
+          }
+        }
+        const auto select = [&](auto fn) {
+          std::vector<uint16_t> out(count);
+          out.resize(fn(rule, data.data(), n, out.data()));
+          return out;
+        };
+        ASSERT_EQ(select(kernels::SelectWindowsPortable), ref) << "portable";
+        if (kernels::DetectCpuFeatures().avx2) {
+          ASSERT_EQ(select(kernels::SelectWindowsAvx2), ref) << "avx2";
+        }
+        for (Tier tier : BindableTiers()) {
+          kernels::ForceTier(tier);
+          ASSERT_EQ(select(kernels::SelectWindows), ref) << kernels::TierName(tier);
+        }
       }
     }
   }
