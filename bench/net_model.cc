@@ -99,8 +99,8 @@ void WriteRunJson(bench::JsonWriter& w, const char* name, const RunSummary& run)
         .Field("mean_latency_us", ms.MeanLatency())
         .Field("max_latency_us", ms.max_latency.value());
     w.BeginArray("latency_histogram");
-    for (size_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
-      w.Value(ms.latency.Count(b));
+    for (uint64_t count : ms.latency.buckets) {
+      w.Value(count);
     }
     w.EndArray().EndObject();
   }

@@ -70,7 +70,7 @@ MicroResults RunMicro() {
     for (size_t i = 0; i < iters; ++i) {
       hist.Record(static_cast<int64_t>(i & 0xfff));
     }
-    g_sink = g_sink + hist.TotalCount();
+    g_sink = g_sink + hist.Value().count;
   });
   obs::SetMetricsEnabled(false);
 

@@ -36,6 +36,11 @@ at any MEDES_THREADS setting) and the documented locking discipline:
                        through the store::StateStore seam so determinism,
                        crash recovery, and tier accounting stay centralized;
                        scattered file I/O would bypass all three.
+  metrics-guard        MetricsEnabled() in src/ outside src/obs/. Instruments
+                       gate themselves, and a stats counter records its
+                       series in the same call (obs::StatCounter), so a
+                       call-site guard only reintroduces the mirrored
+                       double bookkeeping.
 
 Any finding can be suppressed with an inline escape hatch on the same or the
 preceding line, naming the rule:
@@ -221,6 +226,26 @@ def check_direct_filesystem(rel: str, lines: list[str],
                         f"direct filesystem access ({m.group(1).strip()}) outside "
                         "src/store/ and bench/; durable state must flow through "
                         "the store::StateStore seam")
+            )
+
+
+# ---------------------------------------------------------------------------
+# Rule: metrics-guard
+
+METRICS_GUARD_RE = re.compile(r"\bMetricsEnabled\s*\(\s*\)")
+
+
+def check_metrics_guard(rel: str, lines: list[str], findings: list[Finding]) -> None:
+    if not rel.startswith("src/") or rel.startswith("src/obs/"):
+        return
+    for i, raw in enumerate(lines):
+        code = _strip_strings_and_comments(raw)
+        if METRICS_GUARD_RE.search(code) and "metrics-guard" not in _allowed_rules(lines, i):
+            findings.append(
+                Finding(rel, i + 1, "metrics-guard",
+                        "MetricsEnabled() guard outside src/obs/: instruments gate "
+                        "themselves; record a stats() field through an "
+                        "obs::StatCounter member instead of mirroring it")
             )
 
 
@@ -485,6 +510,7 @@ PER_FILE_CHECKS = (
     check_wall_clock,
     check_raw_random,
     check_direct_filesystem,
+    check_metrics_guard,
     check_unordered_iteration,
     check_include_guard,
     check_self_contained,
@@ -531,6 +557,8 @@ FIXTURE_EXPECTATIONS = {
     "src/bad_wall_clock.cc": "wall-clock",
     "src/bad_raw_random.cc": "raw-random",
     "src/bad_filesystem.cc": "direct-filesystem",
+    "src/bad_metrics_guard.cc": "metrics-guard",
+    "src/obs/metrics_guard_ok.cc": None,  # src/obs/ may read the switch
     "src/obs/export.cc": "unordered-iteration",
     "src/bad_guard.h": "include-guard",
     "src/bad_self_contained.h": "self-contained",

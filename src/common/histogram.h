@@ -1,7 +1,9 @@
 // Simple value recorders used for experiment metrics: exact percentiles over
 // recorded samples, a fixed-bucket histogram for streaming summaries, and the
-// shared power-of-two bucketing convention used by every order-independent
-// histogram in the tree (net::LatencyHistogram, obs::Histogram).
+// power-of-two bucketing of the tree's one order-independent histogram
+// (obs/metrics.h). Registry series (obs::Histogram) and per-instance stats
+// (obs::StatHistogram) both bucket this way and read back as an
+// obs::HistogramValue, the type transport latency stats carry.
 #ifndef MEDES_COMMON_HISTOGRAM_H_
 #define MEDES_COMMON_HISTOGRAM_H_
 
@@ -17,8 +19,7 @@ namespace medes {
 // Bucket i counts values whose bit width is i, i.e. [2^(i-1), 2^i - 1];
 // bucket 0 counts values <= 0. Bucket *counts* are order-independent sums, so
 // concurrent recording in any interleaving yields identical contents — the
-// property the transport stats and the obs metrics determinism contracts are
-// built on.
+// property the stats and obs metrics determinism contracts are built on.
 
 inline constexpr size_t kPow2HistogramBuckets = 22;
 

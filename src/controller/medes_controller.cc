@@ -3,10 +3,17 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/obs.h"
-
 namespace medes {
+
+namespace {
+
+obs::Counter& DecisionsSeries(IdleDecision decision) {
+  return obs::MetricsRegistry::Default().GetCounter(
+      "medes_controller_decisions_total", "Idle-expiry decisions issued by the controller",
+      "decision", ToString(decision));
+}
+
+}  // namespace
 
 const char* ToString(IdleDecision decision) {
   switch (decision) {
@@ -27,7 +34,9 @@ MedesController::MedesController(Cluster& cluster, MedesControllerOptions option
       transport_(std::move(transport)),
       controller_node_(controller_node),
       tracking_(FunctionBenchProfiles().size()),
-      scale_to_mb_(1.0 / static_cast<double>(cluster.options().bytes_per_mb)) {}
+      scale_to_mb_(1.0 / static_cast<double>(cluster.options().bytes_per_mb)),
+      decisions_{&DecisionsSeries(IdleDecision::kKeepWarm), &DecisionsSeries(IdleDecision::kDedup),
+                 &DecisionsSeries(IdleDecision::kDesignateBase)} {}
 
 void MedesController::RecordArrival(FunctionId function, SimTime now) {
   tracking_.at(static_cast<size_t>(function)).rate.RecordArrival(now);
@@ -102,33 +111,7 @@ double MedesController::AlphaFor(FunctionId function) const {
 IdleDecision MedesController::OnIdleExpiry(const Sandbox& sb, SimTime now,
                                            const obs::MessageTrace& trace) {
   const IdleDecision decision = DecideIdleExpiry(sb, now, trace);
-  if (obs::MetricsEnabled()) {
-    struct DecisionCounters {
-      obs::Counter* keep_warm;
-      obs::Counter* dedup;
-      obs::Counter* designate_base;
-    };
-    static const DecisionCounters counters = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-      auto get = [&](const char* value) {
-        return &registry.GetCounter("medes_controller_decisions_total",
-                                    "Idle-expiry decisions issued by the controller", "decision",
-                                    value);
-      };
-      return DecisionCounters{get("keep_warm"), get("dedup"), get("designate_base")};
-    }();
-    switch (decision) {
-      case IdleDecision::kKeepWarm:
-        counters.keep_warm->Add(1);
-        break;
-      case IdleDecision::kDedup:
-        counters.dedup->Add(1);
-        break;
-      case IdleDecision::kDesignateBase:
-        counters.designate_base->Add(1);
-        break;
-    }
-  }
+  decisions_[static_cast<size_t>(decision)]->Add();
   return decision;
 }
 

@@ -10,6 +10,7 @@
 #ifndef MEDES_CONTROLLER_MEDES_CONTROLLER_H_
 #define MEDES_CONTROLLER_MEDES_CONTROLLER_H_
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "common/time.h"
 #include "dedupagent/dedup_agent.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "policy/keep_alive.h"
 #include "policy/medes_policy.h"
 
@@ -128,6 +130,8 @@ class MedesController {
   NodeId controller_node_ = kInvalidNode;
   std::vector<FunctionTracking> tracking_;
   double scale_to_mb_;  // 1 / bytes_per_mb
+  // Decisions issued, one series per IdleDecision (indexed by its value).
+  std::array<obs::Counter*, 3> decisions_;
 };
 
 }  // namespace medes

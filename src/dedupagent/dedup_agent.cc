@@ -8,96 +8,12 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "store/state_store.h"
 #include "workload/access_model.h"
 
 namespace medes {
-
-namespace {
-
-struct AgentInstruments {
-  obs::Counter* dedup_ops;
-  obs::Counter* restore_ops;
-  obs::Counter* bases_designated;
-  obs::Counter* pages_deduped;
-  obs::Counter* pages_unique;
-  obs::Counter* patch_bytes;
-  obs::Counter* saved_bytes;
-  obs::Counter* base_pages_read;
-  obs::Histogram* dedup_op_us;
-  obs::Histogram* dedup_checkpoint_us;
-  obs::Histogram* dedup_lookup_us;
-  obs::Histogram* dedup_patch_us;
-  obs::Histogram* restore_op_us;
-  obs::Histogram* restore_base_read_us;
-  obs::Histogram* restore_compute_us;
-  obs::Histogram* restore_criu_us;
-  obs::Counter* ws_hit_pages;
-  obs::Counter* ws_fault_pages;
-  obs::Counter* background_pages;
-  obs::Histogram* restore_critical_us;
-  obs::Histogram* restore_fault_us;
-  obs::Histogram* restore_background_us;
-};
-
-const AgentInstruments& Instruments() {
-  static const AgentInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return AgentInstruments{
-        .dedup_ops = &registry.GetCounter("medes_dedup_ops_total", "Completed dedup operations"),
-        .restore_ops =
-            &registry.GetCounter("medes_restore_ops_total", "Completed restore operations"),
-        .bases_designated =
-            &registry.GetCounter("medes_bases_designated_total", "Sandboxes designated as bases"),
-        .pages_deduped =
-            &registry.GetCounter("medes_dedup_pages_deduped_total", "Pages replaced by patches"),
-        .pages_unique = &registry.GetCounter("medes_dedup_pages_unique_total",
-                                             "Pages kept whole (no acceptable base)"),
-        .patch_bytes =
-            &registry.GetCounter("medes_dedup_patch_bytes_total", "Bytes of accepted patches"),
-        .saved_bytes = &registry.GetCounter("medes_dedup_saved_bytes_total",
-                                            "Bytes saved versus the warm footprint"),
-        .base_pages_read = &registry.GetCounter("medes_restore_base_pages_read_total",
-                                                "Base pages fetched during restores"),
-        .dedup_op_us =
-            &registry.GetHistogram("medes_dedup_op_us", "Modelled end-to-end dedup time (us)"),
-        .dedup_checkpoint_us = &registry.GetHistogram("medes_dedup_checkpoint_us",
-                                                      "Dedup stage: checkpoint capture (us)"),
-        .dedup_lookup_us = &registry.GetHistogram("medes_dedup_lookup_us",
-                                                  "Dedup stage: registry lookups (us)"),
-        .dedup_patch_us = &registry.GetHistogram(
-            "medes_dedup_patch_us", "Dedup stage: base reads plus delta encoding (us)"),
-        .restore_op_us =
-            &registry.GetHistogram("medes_restore_op_us", "Modelled end-to-end restore time (us)"),
-        .restore_base_read_us = &registry.GetHistogram(
-            "medes_restore_base_read_us", "Restore stage: base page reading (us)"),
-        .restore_compute_us = &registry.GetHistogram(
-            "medes_restore_compute_us", "Restore stage: original page computing (us)"),
-        .restore_criu_us = &registry.GetHistogram(
-            "medes_restore_criu_us", "Restore stage: sandbox restoration via CRIU (us)"),
-        .ws_hit_pages = &registry.GetCounter("medes_restore_ws_hit_pages_total",
-                                             "Touched pages the predicted working set covered"),
-        .ws_fault_pages = &registry.GetCounter(
-            "medes_restore_ws_fault_pages_total",
-            "Touched pages outside the predicted working set (demand faults)"),
-        .background_pages = &registry.GetCounter(
-            "medes_restore_background_pages_total",
-            "Patched pages deferred to the background restore phase"),
-        .restore_critical_us = &registry.GetHistogram(
-            "medes_restore_critical_us", "Critical-path restore latency before resume (us)"),
-        .restore_fault_us = &registry.GetHistogram(
-            "medes_restore_fault_us", "Post-resume demand-fault penalty (us)"),
-        .restore_background_us = &registry.GetHistogram(
-            "medes_restore_background_us", "Background restore phase duration (us)"),
-    };
-  }();
-  return instruments;
-}
-
-}  // namespace
 
 const char* ToString(RestoreMode mode) {
   switch (mode) {
@@ -329,25 +245,15 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   }
   sb.checkpoint = std::move(cp);
   cluster_.MarkDedup(sb, now);
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.dedup_ops;
-    stats_.pages_deduped += result.pages_deduped;
-    stats_.patch_bytes += result.patch_bytes;
-    stats_.saved_bytes += result.saved_bytes;
-  }
-  if (obs::MetricsEnabled()) {
-    const AgentInstruments& ins = Instruments();
-    ins.dedup_ops->Add(1);
-    ins.pages_deduped->Add(result.pages_deduped);
-    ins.pages_unique->Add(result.pages_unique);
-    ins.patch_bytes->Add(result.patch_bytes);
-    ins.saved_bytes->Add(result.saved_bytes);
-    ins.dedup_op_us->Record(result.total_time.value());
-    ins.dedup_checkpoint_us->Record(result.checkpoint_time.value());
-    ins.dedup_lookup_us->Record(result.lookup_time.value());
-    ins.dedup_patch_us->Record(result.patch_time.value());
-  }
+  dedup_ops_.Add();
+  pages_deduped_.Add(result.pages_deduped);
+  pages_unique_.Add(result.pages_unique);
+  patch_bytes_.Add(result.patch_bytes);
+  saved_bytes_.Add(result.saved_bytes);
+  dedup_op_us_.Record(result.total_time.value());
+  dedup_checkpoint_us_.Record(result.checkpoint_time.value());
+  dedup_lookup_us_.Record(result.lookup_time.value());
+  dedup_patch_us_.Record(result.patch_time.value());
   if (obs::TraceEnabled()) {
     // One span per pipeline stage, laid out sequentially from `now` in the
     // op's modelled timeline. Base reads and delta encoding split patch_time
@@ -468,21 +374,14 @@ RestoreOpResult DedupAgent::RestoreEager(Sandbox& sb, SimTime now, bool verify,
 
   sb.patches.clear();
   cluster_.MarkRestored(sb, now);
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.restore_ops;
-    stats_.pages_restored += n;
-    stats_.base_bytes_read += result.base_bytes_read;
-  }
-  if (obs::MetricsEnabled()) {
-    const AgentInstruments& ins = Instruments();
-    ins.restore_ops->Add(1);
-    ins.base_pages_read->Add(result.base_pages_read);
-    ins.restore_op_us->Record(result.total_time.value());
-    ins.restore_base_read_us->Record(result.read_base_time.value());
-    ins.restore_compute_us->Record(result.compute_time.value());
-    ins.restore_criu_us->Record(result.sandbox_restore_time.value());
-  }
+  restore_ops_.Add();
+  pages_restored_.fetch_add(n, std::memory_order_relaxed);
+  base_bytes_read_.fetch_add(result.base_bytes_read, std::memory_order_relaxed);
+  base_pages_read_.Add(result.base_pages_read);
+  restore_op_us_.Record(result.total_time.value());
+  restore_base_read_us_.Record(result.read_base_time.value());
+  restore_compute_us_.Record(result.compute_time.value());
+  restore_criu_us_.Record(result.sandbox_restore_time.value());
   if (obs::TraceEnabled()) {
     // The three restore components of the paper's Fig. 8, sequential in the
     // modelled timeline: base page reading, original page computing, and
@@ -728,28 +627,21 @@ RestoreOpResult DedupAgent::RestoreLazy(Sandbox& sb, SimTime now, bool verify,
     cluster_.MarkRestored(sb, now, /*release_checkpoint=*/false);
   }
 
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.restore_ops;
-    ++stats_.lazy_restores;
-    stats_.pages_restored += critical_records.size() + fault_records.size();
-    stats_.base_bytes_read += result.base_bytes_read;
-    stats_.ws_fault_pages += result.ws_fault_pages;
-  }
-  if (obs::MetricsEnabled()) {
-    const AgentInstruments& ins = Instruments();
-    ins.restore_ops->Add(1);
-    ins.base_pages_read->Add(result.base_pages_read);
-    ins.ws_hit_pages->Add(result.ws_hit_pages);
-    ins.ws_fault_pages->Add(result.ws_fault_pages);
-    ins.background_pages->Add(result.background_pages);
-    ins.restore_op_us->Record(result.total_time.value());
-    ins.restore_base_read_us->Record(result.read_base_time.value());
-    ins.restore_compute_us->Record(result.compute_time.value());
-    ins.restore_criu_us->Record(result.sandbox_restore_time.value());
-    ins.restore_critical_us->Record(result.critical_path_time.value());
-    ins.restore_fault_us->Record(result.fault_time.value());
-  }
+  restore_ops_.Add();
+  lazy_restores_.fetch_add(1, std::memory_order_relaxed);
+  pages_restored_.fetch_add(critical_records.size() + fault_records.size(),
+                            std::memory_order_relaxed);
+  base_bytes_read_.fetch_add(result.base_bytes_read, std::memory_order_relaxed);
+  ws_fault_pages_.Add(result.ws_fault_pages);
+  base_pages_read_.Add(result.base_pages_read);
+  ws_hit_pages_.Add(result.ws_hit_pages);
+  deferred_pages_.Add(result.background_pages);
+  restore_op_us_.Record(result.total_time.value());
+  restore_base_read_us_.Record(result.read_base_time.value());
+  restore_compute_us_.Record(result.compute_time.value());
+  restore_criu_us_.Record(result.sandbox_restore_time.value());
+  restore_critical_us_.Record(result.critical_path_time.value());
+  restore_fault_us_.Record(result.fault_time.value());
   if (obs::TraceEnabled()) {
     // Critical phase laid out sequentially; the fault penalty is an arg on
     // the op span (it has no fixed position in the modelled timeline).
@@ -834,18 +726,12 @@ BackgroundRestoreResult DedupAgent::CompleteBackgroundRestore(Sandbox& sb, SimTi
   sb.patches.clear();
   sb.checkpoint.reset();
 
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.background_completions;
-    stats_.background_pages += result.pages;
-    stats_.pages_restored += result.pages;
-    stats_.base_bytes_read += result.base_bytes_read;
-  }
-  if (obs::MetricsEnabled()) {
-    const AgentInstruments& ins = Instruments();
-    ins.base_pages_read->Add(result.base_pages_read);
-    ins.restore_background_us->Record(result.total_time.value());
-  }
+  background_completions_.fetch_add(1, std::memory_order_relaxed);
+  background_pages_.fetch_add(result.pages, std::memory_order_relaxed);
+  pages_restored_.fetch_add(result.pages, std::memory_order_relaxed);
+  base_bytes_read_.fetch_add(result.base_bytes_read, std::memory_order_relaxed);
+  base_pages_read_.Add(result.base_pages_read);
+  restore_background_us_.Record(result.total_time.value());
   if (obs::TraceEnabled()) {
     obs::ScopedSpan span("restore/bg_fault", "restore", now, sb.node.value(), bg_ctx);
     span.SetSimDuration(result.total_time);
@@ -903,19 +789,25 @@ BaseSnapshot& DedupAgent::DesignateBase(Sandbox& sb, SimTime now, const obs::Tra
     }
     span.AddArg("pages", static_cast<int64_t>(resident.size()));
   }
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.bases_designated;
-  }
-  if (obs::MetricsEnabled()) {
-    Instruments().bases_designated->Add(1);
-  }
+  bases_designated_.Add();
   return cluster_.AddBaseSnapshot(sb, std::move(cp));
 }
 
 DedupAgentStats DedupAgent::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  return DedupAgentStats{
+      .dedup_ops = dedup_ops_.Value(),
+      .restore_ops = restore_ops_.Value(),
+      .bases_designated = bases_designated_.Value(),
+      .pages_deduped = pages_deduped_.Value(),
+      .pages_restored = pages_restored_.load(std::memory_order_relaxed),
+      .patch_bytes = patch_bytes_.Value(),
+      .saved_bytes = saved_bytes_.Value(),
+      .base_bytes_read = base_bytes_read_.load(std::memory_order_relaxed),
+      .lazy_restores = lazy_restores_.load(std::memory_order_relaxed),
+      .ws_fault_pages = ws_fault_pages_.Value(),
+      .background_completions = background_completions_.load(std::memory_order_relaxed),
+      .background_pages = background_pages_.load(std::memory_order_relaxed),
+  };
 }
 
 }  // namespace medes

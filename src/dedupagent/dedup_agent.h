@@ -37,6 +37,7 @@
 #ifndef MEDES_DEDUPAGENT_DEDUP_AGENT_H_
 #define MEDES_DEDUPAGENT_DEDUP_AGENT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -51,6 +52,7 @@
 #include "common/thread_pool.h"
 #include "delta/delta.h"
 #include "memstate/working_set.h"
+#include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "rdma/rdma.h"
 #include "registry/fingerprint_registry.h"
@@ -136,7 +138,7 @@ struct DedupOpResult {
 
 // Cumulative per-agent counters, aggregated across every op the agent has
 // run. Ops on different sandboxes may execute concurrently (the controller
-// schedules one op per sandbox), so the counters sit behind a lock.
+// schedules one op per sandbox), so the agent keeps them as atomics.
 struct DedupAgentStats {
   uint64_t dedup_ops = 0;
   uint64_t restore_ops = 0;
@@ -250,8 +252,8 @@ class DedupAgent {
   // Resolved pipeline width (>= 1).
   size_t NumThreads() const { return pool_->NumThreads(); }
 
-  // Consistent snapshot of the cumulative counters.
-  DedupAgentStats stats() const EXCLUDES(stats_mu_);
+  // The cumulative counters. Read at a quiescent point for exact totals.
+  DedupAgentStats stats() const;
 
  private:
   // Deferred-verification state for a lazy restore with a pending background
@@ -302,10 +304,58 @@ class DedupAgent {
   mutable Mutex pending_mu_{"dedup agent pending restores", LockRank::kMetrics};
   std::unordered_map<SandboxId, PendingRestore> pending_ GUARDED_BY(pending_mu_);
 
-  // Cumulative counters; updated once per completed op, with no other lock
-  // held (kMetrics is the leaf-most rank in the hierarchy).
-  mutable Mutex stats_mu_{"dedup agent stats", LockRank::kMetrics};
-  DedupAgentStats stats_ GUARDED_BY(stats_mu_);
+  // Cumulative counters, recorded once per completed op. Those that feed a
+  // series are bound to it here; the rest are stats-only.
+  obs::StatCounter dedup_ops_{"medes_dedup_ops_total", "Completed dedup operations"};
+  obs::StatCounter restore_ops_{"medes_restore_ops_total", "Completed restore operations"};
+  obs::StatCounter bases_designated_{"medes_bases_designated_total",
+                                     "Sandboxes designated as bases"};
+  obs::StatCounter pages_deduped_{"medes_dedup_pages_deduped_total", "Pages replaced by patches"};
+  obs::StatCounter patch_bytes_{"medes_dedup_patch_bytes_total", "Bytes of accepted patches"};
+  obs::StatCounter saved_bytes_{"medes_dedup_saved_bytes_total",
+                                "Bytes saved versus the warm footprint"};
+  obs::StatCounter ws_fault_pages_{
+      "medes_restore_ws_fault_pages_total",
+      "Touched pages outside the predicted working set (demand faults)"};
+  std::atomic<uint64_t> pages_restored_{0};
+  std::atomic<uint64_t> base_bytes_read_{0};
+  std::atomic<uint64_t> lazy_restores_{0};
+  std::atomic<uint64_t> background_completions_{0};
+  std::atomic<uint64_t> background_pages_{0};
+
+  // Series with no stats() field.
+  obs::MetricsRegistry& series_ = obs::MetricsRegistry::Default();
+  obs::Counter& pages_unique_ = series_.GetCounter("medes_dedup_pages_unique_total",
+                                                    "Pages kept whole (no acceptable base)");
+  obs::Counter& base_pages_read_ = series_.GetCounter("medes_restore_base_pages_read_total",
+                                                       "Base pages fetched during restores");
+  obs::Counter& ws_hit_pages_ = series_.GetCounter(
+      "medes_restore_ws_hit_pages_total", "Touched pages the predicted working set covered");
+  obs::Counter& deferred_pages_ = series_.GetCounter(
+      "medes_restore_background_pages_total",
+      "Patched pages deferred to the background restore phase");
+  obs::Histogram& dedup_op_us_ =
+      series_.GetHistogram("medes_dedup_op_us", "Modelled end-to-end dedup time (us)");
+  obs::Histogram& dedup_checkpoint_us_ = series_.GetHistogram(
+      "medes_dedup_checkpoint_us", "Dedup stage: checkpoint capture (us)");
+  obs::Histogram& dedup_lookup_us_ =
+      series_.GetHistogram("medes_dedup_lookup_us", "Dedup stage: registry lookups (us)");
+  obs::Histogram& dedup_patch_us_ = series_.GetHistogram(
+      "medes_dedup_patch_us", "Dedup stage: base reads plus delta encoding (us)");
+  obs::Histogram& restore_op_us_ =
+      series_.GetHistogram("medes_restore_op_us", "Modelled end-to-end restore time (us)");
+  obs::Histogram& restore_base_read_us_ = series_.GetHistogram(
+      "medes_restore_base_read_us", "Restore stage: base page reading (us)");
+  obs::Histogram& restore_compute_us_ = series_.GetHistogram(
+      "medes_restore_compute_us", "Restore stage: original page computing (us)");
+  obs::Histogram& restore_criu_us_ = series_.GetHistogram(
+      "medes_restore_criu_us", "Restore stage: sandbox restoration via CRIU (us)");
+  obs::Histogram& restore_critical_us_ = series_.GetHistogram(
+      "medes_restore_critical_us", "Critical-path restore latency before resume (us)");
+  obs::Histogram& restore_fault_us_ = series_.GetHistogram(
+      "medes_restore_fault_us", "Post-resume demand-fault penalty (us)");
+  obs::Histogram& restore_background_us_ = series_.GetHistogram(
+      "medes_restore_background_us", "Background restore phase duration (us)");
 };
 
 }  // namespace medes

@@ -1,51 +1,11 @@
 #include "net/transport.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 
 namespace medes {
-
-namespace {
-
-// Per-MessageType observability instruments, resolved once. Only touched
-// behind an obs::MetricsEnabled() guard so disabled builds/runs skip even the
-// lazy-init check.
-struct TransportInstruments {
-  std::array<obs::Counter*, kNumMessageTypes> messages;
-  std::array<obs::Counter*, kNumMessageTypes> bytes;
-  std::array<obs::Counter*, kNumMessageTypes> dropped;
-  std::array<obs::Histogram*, kNumMessageTypes> latency;
-};
-
-const TransportInstruments& Instruments() {
-  static const TransportInstruments instruments = [] {
-    TransportInstruments out;
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    for (size_t i = 0; i < kNumMessageTypes; ++i) {
-      const char* type = ToString(static_cast<MessageType>(i));
-      out.messages[i] = &registry.GetCounter("medes_transport_messages_total",
-                                             "Messages sent over the modelled transport", "type",
-                                             type);
-      out.bytes[i] = &registry.GetCounter("medes_transport_bytes_total",
-                                          "Payload bytes attempted over the modelled transport",
-                                          "type", type);
-      out.dropped[i] = &registry.GetCounter("medes_transport_dropped_total",
-                                            "Messages lost to the installed fault policy", "type",
-                                            type);
-      out.latency[i] = &registry.GetHistogram("medes_transport_latency_us",
-                                              "Modelled cost of delivered messages (us)", "type",
-                                              type);
-    }
-    return out;
-  }();
-  return instruments;
-}
-
-}  // namespace
 
 const char* ToString(MessageType type) {
   switch (type) {
@@ -168,14 +128,28 @@ uint64_t TransportStats::TotalDropped() const {
 SimDuration TransportStats::TotalLatency() const {
   SimDuration total{};
   for (const MessageStats& ms : by_type) {
-    total += ms.total_latency;
+    total += SimDuration{ms.latency.sum};
   }
   return total;
 }
 
 // ---- Transport -----------------------------------------------------------
 
-Transport::Transport(Topology topology) : topology_(std::move(topology)) {}
+Transport::TypeCounters::TypeCounters(MessageType type)
+    : messages("medes_transport_messages_total", "Messages sent over the modelled transport",
+               "type", ToString(type)),
+      bytes("medes_transport_bytes_total", "Payload bytes attempted over the modelled transport",
+            "type", ToString(type)),
+      dropped("medes_transport_dropped_total", "Messages lost to the installed fault policy",
+              "type", ToString(type)),
+      latency("medes_transport_latency_us", "Modelled cost of delivered messages (us)", "type",
+              ToString(type)) {}
+
+Transport::Transport(Topology topology) : topology_(std::move(topology)) {
+  for (size_t i = 0; i < kNumMessageTypes; ++i) {
+    counters_[i] = std::make_unique<TypeCounters>(static_cast<MessageType>(i));
+  }
+}
 
 std::shared_ptr<FaultPolicy> Transport::CurrentPolicy() const {
   ReaderLock lock(policy_mu_);
@@ -205,30 +179,20 @@ Transport::SendResult Transport::Send(MessageType type, NodeId src, NodeId dst, 
   SendResult result;
   result.delivered = !fault.drop;
   result.cost = MessageCost(src, dst, bytes) + fault.added_delay;
-  {
-    MutexLock lock(stats_mu_);
-    MessageStats& ms = stats_.by_type[static_cast<size_t>(type)];
-    ++ms.messages;
-    ms.requests += requests;
-    ms.bytes += bytes.value();
-    if (result.delivered) {
-      ms.total_latency += result.cost;
-      ms.max_latency = std::max(ms.max_latency, result.cost);
-      ms.latency.Record(result.cost);
-    } else {
-      ++ms.dropped;
+  TypeCounters& c = *counters_[static_cast<size_t>(type)];
+  c.messages.Add();
+  c.requests.fetch_add(requests, std::memory_order_relaxed);
+  c.bytes.Add(bytes.value());
+  if (result.delivered) {
+    c.latency.Record(result.cost.value());
+    int64_t max = c.max_latency.load(std::memory_order_relaxed);
+    while (result.cost.value() > max &&
+           !c.max_latency.compare_exchange_weak(max, result.cost.value(),
+                                                std::memory_order_relaxed)) {
+      // A failed exchange reloaded `max`; retry while this cost still exceeds it.
     }
-  }
-  if (obs::MetricsEnabled()) {
-    const auto idx = static_cast<size_t>(type);
-    const TransportInstruments& ins = Instruments();
-    ins.messages[idx]->Add(1);
-    ins.bytes[idx]->Add(bytes.value());
-    if (result.delivered) {
-      ins.latency[idx]->Record(result.cost.value());
-    } else {
-      ins.dropped[idx]->Add(1);
-    }
+  } else {
+    c.dropped.Add();
   }
   if (obs::TraceEnabled() && trace.ctx.sampled()) {
     const obs::TraceContext msg_ctx = MessageSpanContext(type, trace);
@@ -251,13 +215,29 @@ Transport::SendResult Transport::Send(MessageType type, NodeId src, NodeId dst, 
 }
 
 TransportStats Transport::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  TransportStats out;
+  for (size_t i = 0; i < kNumMessageTypes; ++i) {
+    const TypeCounters& c = *counters_[i];
+    MessageStats& ms = out.by_type[i];
+    ms.messages = c.messages.Value();
+    ms.requests = c.requests.load(std::memory_order_relaxed);
+    ms.bytes = c.bytes.Value();
+    ms.dropped = c.dropped.Value();
+    ms.max_latency = SimDuration{c.max_latency.load(std::memory_order_relaxed)};
+    ms.latency = c.latency.Value();
+  }
+  return out;
 }
 
 void Transport::ResetStats() {
-  MutexLock lock(stats_mu_);
-  stats_ = {};
+  for (const auto& c : counters_) {
+    c->messages.Reset();
+    c->requests.store(0, std::memory_order_relaxed);
+    c->bytes.Reset();
+    c->dropped.Reset();
+    c->max_latency.store(0, std::memory_order_relaxed);
+    c->latency.Reset();
+  }
 }
 
 }  // namespace medes

@@ -31,6 +31,7 @@
 #define MEDES_NET_TRANSPORT_H_
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -38,10 +39,10 @@
 #include <unordered_set>
 
 #include "common/annotations.h"
-#include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/time.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 #include "obs/trace_context.h"
 
 namespace medes {
@@ -174,49 +175,20 @@ class StaticFaultPolicy : public FaultPolicy {
 
 // ---- Stats ---------------------------------------------------------------
 
-// Order-independent latency histogram using the shared power-of-two bucket
-// convention (common/histogram.h). Unlike SampleRecorder it stores no
-// per-sample state, so concurrent recording in any order yields identical
-// contents.
-class LatencyHistogram {
- public:
-  static constexpr size_t kNumBuckets = kPow2HistogramBuckets;
-
-  void Record(SimDuration value) { ++buckets_[BucketIndex(value)]; }
-  uint64_t Count(size_t bucket) const { return buckets_.at(bucket); }
-  uint64_t TotalCount() const {
-    uint64_t total = 0;
-    for (uint64_t b : buckets_) {
-      total += b;
-    }
-    return total;
-  }
-  // Inclusive upper bound of a bucket (us); bucket 0 holds <= 0.
-  static SimDuration BucketUpperBound(size_t bucket) {
-    return SimDuration{Pow2BucketUpperBound(bucket)};
-  }
-  static size_t BucketIndex(SimDuration value) { return Pow2BucketIndex(value.value()); }
-
-  bool operator==(const LatencyHistogram&) const = default;
-
- private:
-  std::array<uint64_t, kNumBuckets> buckets_ = {};
-};
-
 struct MessageStats {
   uint64_t messages = 0;       // sends (delivered or dropped)
   uint64_t requests = 0;       // logical requests batched into those messages
   uint64_t bytes = 0;          // payload bytes attempted
   uint64_t dropped = 0;        // sends lost to the fault policy
-  SimDuration total_latency{};  // summed cost of *delivered* messages
   SimDuration max_latency{};    // worst delivered message
-  LatencyHistogram latency;     // delivered-message cost distribution
+  // Cost distribution of *delivered* messages (us); `latency.sum` is their
+  // summed cost.
+  obs::HistogramValue latency;
 
   double MeanLatency() const {
     const uint64_t delivered = messages - dropped;
     return delivered == 0 ? 0.0
-                          : static_cast<double>(total_latency.value()) /
-                                static_cast<double>(delivered);
+                          : static_cast<double>(latency.sum) / static_cast<double>(delivered);
   }
   bool operator==(const MessageStats&) const = default;
 };
@@ -269,7 +241,7 @@ class Transport {
   // duration, parented to trace.ctx (see obs/trace_context.h).
   [[nodiscard]] SendResult Send(MessageType type, NodeId src, NodeId dst, Bytes bytes,
                                 uint64_t requests = 1, const obs::MessageTrace& trace = {})
-      EXCLUDES(policy_mu_, stats_mu_);
+      EXCLUDES(policy_mu_);
 
   // Installs (or clears, with nullptr) the fault seam. The policy is shared:
   // tests keep their handle to flip partitions mid-run.
@@ -278,8 +250,10 @@ class Transport {
   // False when the installed policy partitions `node` from the cluster.
   bool NodeUp(NodeId node) const EXCLUDES(policy_mu_);
 
-  TransportStats stats() const EXCLUDES(stats_mu_);
-  void ResetStats() EXCLUDES(stats_mu_);
+  // The per-type counters. Read at a quiescent point for exact totals.
+  TransportStats stats() const;
+  // Zeroes this transport's counters; the process-wide series keep theirs.
+  void ResetStats();
 
  private:
   std::shared_ptr<FaultPolicy> CurrentPolicy() const EXCLUDES(policy_mu_);
@@ -292,8 +266,17 @@ class Transport {
   mutable SharedMutex policy_mu_{"transport fault policy", LockRank::kTransport};
   std::shared_ptr<FaultPolicy> policy_ GUARDED_BY(policy_mu_);
 
-  mutable Mutex stats_mu_{"transport stats", LockRank::kMetrics};
-  TransportStats stats_ GUARDED_BY(stats_mu_);
+  // One message type's counters, each bound to its type-labelled series.
+  struct TypeCounters {
+    explicit TypeCounters(MessageType type);
+    obs::StatCounter messages;
+    obs::StatCounter bytes;
+    obs::StatCounter dropped;
+    obs::StatHistogram latency;
+    std::atomic<uint64_t> requests{0};
+    std::atomic<int64_t> max_latency{0};
+  };
+  std::array<std::unique_ptr<TypeCounters>, kNumMessageTypes> counters_;
 };
 
 }  // namespace medes

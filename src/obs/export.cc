@@ -162,14 +162,14 @@ std::string PrometheusText(const std::vector<MetricSnapshot>& snapshots) {
         break;
       case InstrumentKind::kHistogram: {
         uint64_t cumulative = 0;
-        for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-          cumulative += snap.buckets[b];
+        for (size_t b = 0; b < HistogramValue::kNumBuckets; ++b) {
+          cumulative += snap.histogram.buckets[b];
           std::string le = "le=\"";
-          if (b + 1 == Histogram::kNumBuckets) {
+          if (b + 1 == HistogramValue::kNumBuckets) {
             le += "+Inf";
           } else {
             char buf[32];
-            std::snprintf(buf, sizeof(buf), "%" PRId64, Histogram::BucketUpperBound(b));
+            std::snprintf(buf, sizeof(buf), "%" PRId64, HistogramValue::BucketUpperBound(b));
             le += buf;
           }
           le += '"';
@@ -178,10 +178,10 @@ std::string PrometheusText(const std::vector<MetricSnapshot>& snapshots) {
           out += '\n';
         }
         AppendPromSeries(out, snap, "_sum");
-        AppendInt(out, snap.sum);
+        AppendInt(out, snap.histogram.sum);
         out += '\n';
         AppendPromSeries(out, snap, "_count");
-        AppendUint(out, snap.count);
+        AppendUint(out, snap.histogram.count);
         out += '\n';
         break;
       }
@@ -212,15 +212,15 @@ std::string MetricsJson(const std::vector<MetricSnapshot>& snapshots) {
     }
     if (snap.kind == InstrumentKind::kHistogram) {
       out += ",\"count\":";
-      AppendUint(out, snap.count);
+      AppendUint(out, snap.histogram.count);
       out += ",\"sum\":";
-      AppendInt(out, snap.sum);
+      AppendInt(out, snap.histogram.sum);
       out += ",\"buckets\":[";
-      for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
+      for (size_t b = 0; b < HistogramValue::kNumBuckets; ++b) {
         if (b > 0) {
           out += ',';
         }
-        AppendUint(out, snap.buckets[b]);
+        AppendUint(out, snap.histogram.buckets[b]);
       }
       out += ']';
     } else {

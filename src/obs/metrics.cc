@@ -20,6 +20,27 @@ const char* ToString(InstrumentKind kind) {
   return "unknown";
 }
 
+namespace internal {
+
+HistogramValue HistogramCells::Load() const {
+  HistogramValue out;
+  for (size_t b = 0; b < out.buckets.size(); ++b) {
+    out.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
+    out.count += out.buckets[b];
+  }
+  out.sum = sum_.load(std::memory_order_relaxed);
+  return out;
+}
+
+void HistogramCells::Reset() {
+  for (auto& b : buckets_) {
+    b.store(0, std::memory_order_relaxed);
+  }
+  sum_.store(0, std::memory_order_relaxed);
+}
+
+}  // namespace internal
+
 MetricsRegistry& MetricsRegistry::Default() {
   static MetricsRegistry* registry = new MetricsRegistry();  // intentionally leaked
   return *registry;
@@ -132,15 +153,9 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
         case InstrumentKind::kGauge:
           snap.value = instrument->gauge->Value();
           break;
-        case InstrumentKind::kHistogram: {
-          const Histogram& h = *instrument->histogram;
-          for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-            snap.buckets[b] = h.BucketCount(b);
-            snap.count += snap.buckets[b];
-          }
-          snap.sum = h.Sum();
+        case InstrumentKind::kHistogram:
+          snap.histogram = instrument->histogram->Value();
           break;
-        }
       }
       out.push_back(std::move(snap));
     }
@@ -188,7 +203,7 @@ void MetricsRegistry::ResetValues() {
   dropped_series_ = 0;
 }
 
-size_t MetricsRegistry::NumInstruments() const {
+size_t MetricsRegistry::NumSeries() const {
   MutexLock lock(mu_);
   return instruments_.size();
 }
@@ -208,6 +223,14 @@ uint64_t MetricsRegistry::DroppedSeries() const {
   MutexLock lock(mu_);
   return dropped_series_;
 }
+
+StatCounter::StatCounter(std::string_view name, std::string_view help,
+                         std::string_view label_key, std::string_view label_value)
+    : series_(MetricsRegistry::Default().GetCounter(name, help, label_key, label_value)) {}
+
+StatHistogram::StatHistogram(std::string_view name, std::string_view help,
+                             std::string_view label_key, std::string_view label_value)
+    : series_(MetricsRegistry::Default().GetHistogram(name, help, label_key, label_value)) {}
 
 SnapshotSeries& SnapshotSeries::Default() {
   static SnapshotSeries* series = new SnapshotSeries();  // intentionally leaked

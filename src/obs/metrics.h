@@ -1,18 +1,21 @@
 // Metrics registry: named Counter / Gauge / Histogram instruments.
 //
-// Instruments are cheap atomics with an allocation-free hot path. The
-// intended call-site pattern resolves an instrument once into a function-local
-// static reference, so steady-state recording is one relaxed atomic flag load
-// plus one (or for histograms, two) relaxed atomic RMWs:
+// Instruments are cheap atomics with an allocation-free hot path. A component
+// resolves every instrument it records when it is constructed, so a process's
+// first run registers exactly the series later runs see:
 //
-//   static obs::Counter& hits =
-//       obs::MetricsRegistry::Default().GetCounter("medes_rdma_cache_hits_total",
-//                                                  "Base-page cache hits");
-//   hits.Add(1);
+//   - a fact the component also reports through its stats() is a StatCounter
+//     (or StatHistogram) member, recorded with one call that advances both
+//     the instance value and the series;
+//   - a fact with no stats() field is a plain reference into the registry:
 //
-// Recording is gated on MetricsEnabled() (obs/obs.h) inside the instrument,
-// so call sites never need their own guard. Registered instruments live for
-// the process lifetime at stable addresses.
+//       obs::Counter& unique_pages_ = obs::MetricsRegistry::Default().GetCounter(
+//           "medes_dedup_pages_unique_total", "Pages kept whole (no acceptable base)");
+//       unique_pages_.Add(n);
+//
+// Recording into a series is gated on MetricsEnabled() (obs/obs.h) inside the
+// instrument, so call sites never need their own guard. Registered
+// instruments live for the process lifetime at stable addresses.
 //
 // Determinism contract: counters and gauges are plain sums, and histograms
 // use the shared power-of-two bucket convention (common/histogram.h), so all
@@ -74,41 +77,64 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
+// A histogram's state as a plain, copyable value: counts over the shared
+// power-of-two buckets (common/histogram.h), plus the sum and number of
+// recorded values. Snapshots export it and stats structs carry it
+// (MessageStats::latency).
+struct HistogramValue {
+  static constexpr size_t kNumBuckets = kPow2HistogramBuckets;
+
+  std::array<uint64_t, kNumBuckets> buckets = {};
+  int64_t sum = 0;
+  uint64_t count = 0;
+
+  static size_t BucketIndex(int64_t value) { return Pow2BucketIndex(value); }
+  // Inclusive upper bound of a bucket; bucket 0 holds <= 0.
+  static int64_t BucketUpperBound(size_t bucket) { return Pow2BucketUpperBound(bucket); }
+
+  void Record(int64_t value) {
+    ++buckets[BucketIndex(value)];
+    sum += value;
+    ++count;
+  }
+  bool operator==(const HistogramValue&) const = default;
+};
+
+namespace internal {
+
+// Ungated atomic histogram state shared by Histogram and StatHistogram.
+class HistogramCells {
+ public:
+  void Record(int64_t value) {
+    buckets_[Pow2BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+  }
+  HistogramValue Load() const;
+  void Reset();
+
+ private:
+  std::array<std::atomic<uint64_t>, kPow2HistogramBuckets> buckets_ = {};
+  std::atomic<int64_t> sum_{0};
+};
+
+}  // namespace internal
+
 // Order-independent distribution over the shared power-of-two buckets.
 // Records integer values (simulation microseconds, bytes, counts).
 class Histogram {
  public:
-  static constexpr size_t kNumBuckets = kPow2HistogramBuckets;
+  static constexpr size_t kNumBuckets = HistogramValue::kNumBuckets;
 
   void Record(int64_t value) {
     if (MetricsEnabled()) {
-      buckets_[Pow2BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-      sum_.fetch_add(value, std::memory_order_relaxed);
+      cells_.Record(value);
     }
   }
-  uint64_t BucketCount(size_t bucket) const {
-    return buckets_.at(bucket).load(std::memory_order_relaxed);
-  }
-  // Inclusive upper bound of a bucket; bucket 0 holds <= 0.
-  static int64_t BucketUpperBound(size_t bucket) { return Pow2BucketUpperBound(bucket); }
-  int64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t TotalCount() const {
-    uint64_t total = 0;
-    for (const auto& b : buckets_) {
-      total += b.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  void Reset() {
-    for (auto& b : buckets_) {
-      b.store(0, std::memory_order_relaxed);
-    }
-    sum_.store(0, std::memory_order_relaxed);
-  }
+  HistogramValue Value() const { return cells_.Load(); }
+  void Reset() { cells_.Reset(); }
 
  private:
-  std::array<std::atomic<uint64_t>, kNumBuckets> buckets_ = {};
-  std::atomic<int64_t> sum_{0};
+  internal::HistogramCells cells_;
 };
 
 // ---- Registry ------------------------------------------------------------
@@ -124,10 +150,8 @@ struct MetricSnapshot {
   std::string help;
   std::string label_key;    // empty = unlabelled
   std::string label_value;
-  int64_t value = 0;  // counter (non-negative) or gauge reading
-  std::array<uint64_t, Histogram::kNumBuckets> buckets = {};  // histogram only
-  int64_t sum = 0;                                            // histogram only
-  uint64_t count = 0;                                         // histogram only
+  int64_t value = 0;         // counter (non-negative) or gauge reading
+  HistogramValue histogram;  // histogram only
 };
 
 // Process-wide instrument registry. GetCounter/GetGauge/GetHistogram return a
@@ -166,7 +190,7 @@ class MetricsRegistry {
   // references call sites cached). Tests and benches call this between runs.
   void ResetValues() EXCLUDES(mu_);
 
-  size_t NumInstruments() const EXCLUDES(mu_);
+  size_t NumSeries() const EXCLUDES(mu_);
 
   // Cardinality guard controls. Lowering the cap below the current series
   // count only affects future registrations; existing series stay live.
@@ -197,8 +221,54 @@ class MetricsRegistry {
   uint64_t dropped_series_ GUARDED_BY(mu_) = 0;
   bool overflow_warned_ GUARDED_BY(mu_) = false;
   // Per-kind overflow sinks (indexed by InstrumentKind); excluded from
-  // Snapshot() and NumInstruments() — only the drop count is exported.
+  // Snapshot() and NumSeries() — only the drop count is exported.
   std::array<std::unique_ptr<Instrument>, 3> overflow_ GUARDED_BY(mu_);
+};
+
+// ---- Per-instance stats ----------------------------------------------------
+
+// The counter behind one field of a component's stats(). Constructing it
+// registers (or finds) the process-wide series it feeds, so an owner that
+// holds these as members has registered every series it records by the end
+// of its constructor. Add() always advances the instance value, which is
+// what stats() reads; the series advances only while metrics are enabled.
+// Instance values are per owner (a DistributedRegistry holds many
+// FingerprintRegistry replicas), series are process-wide and outlive them.
+class StatCounter {
+ public:
+  StatCounter(std::string_view name, std::string_view help, std::string_view label_key = {},
+              std::string_view label_value = {});
+
+  void Add(uint64_t delta = 1) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+    series_.Add(delta);
+  }
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  // Zeroes the instance value only; the series keeps its total.
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+  Counter& series_;
+};
+
+// StatCounter's histogram counterpart: an always-recorded per-instance
+// distribution bound to one process-wide Histogram series.
+class StatHistogram {
+ public:
+  StatHistogram(std::string_view name, std::string_view help, std::string_view label_key = {},
+                std::string_view label_value = {});
+
+  void Record(int64_t value) {
+    cells_.Record(value);
+    series_.Record(value);
+  }
+  HistogramValue Value() const { return cells_.Load(); }
+  void Reset() { cells_.Reset(); }
+
+ private:
+  internal::HistogramCells cells_;
+  Histogram& series_;
 };
 
 // ---- Sim-time snapshot poller --------------------------------------------

@@ -1,6 +1,7 @@
 #include "platform/platform.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <stdexcept>
 
@@ -15,58 +16,10 @@ namespace medes {
 
 namespace {
 
-struct PlatformInstruments {
-  obs::Counter* warm_starts;
-  obs::Counter* dedup_starts;
-  obs::Counter* cold_starts;
-  obs::Counter* spawns;
-  obs::Counter* evictions;
-  obs::Counter* overcommits;
-  obs::Counter* base_designations;
-  obs::Gauge* live_sandboxes;
-  obs::Gauge* warm_sandboxes;
-  obs::Gauge* dedup_sandboxes;
-  obs::Gauge* base_snapshots;
-  obs::Gauge* used_mb;
-  obs::Histogram* e2e_us;
-  obs::Histogram* startup_us;
-};
-
-const PlatformInstruments& Instruments() {
-  static const PlatformInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    auto starts = [&](const char* value) {
-      return &registry.GetCounter("medes_platform_requests_total",
-                                  "Requests served, by start type", "start_type", value);
-    };
-    return PlatformInstruments{
-        .warm_starts = starts(ToString(StartType::kWarm)),
-        .dedup_starts = starts(ToString(StartType::kDedup)),
-        .cold_starts = starts(ToString(StartType::kCold)),
-        .spawns = &registry.GetCounter("medes_platform_spawns_total", "Cold sandbox spawns"),
-        .evictions =
-            &registry.GetCounter("medes_platform_evictions_total", "Sandboxes/bases evicted"),
-        .overcommits = &registry.GetCounter("medes_platform_overcommit_events_total",
-                                            "Requests admitted despite not fitting in memory"),
-        .base_designations = &registry.GetCounter("medes_platform_base_designations_total",
-                                                  "Base snapshots created"),
-        .live_sandboxes =
-            &registry.GetGauge("medes_platform_live_sandboxes", "Sandboxes currently alive"),
-        .warm_sandboxes =
-            &registry.GetGauge("medes_platform_warm_sandboxes", "Sandboxes currently warm"),
-        .dedup_sandboxes = &registry.GetGauge("medes_platform_dedup_sandboxes",
-                                              "Sandboxes currently in dedup state"),
-        .base_snapshots =
-            &registry.GetGauge("medes_platform_base_snapshots", "Live base snapshots"),
-        .used_mb =
-            &registry.GetGauge("medes_platform_used_mb", "Cluster memory in use (modelled MB)"),
-        .e2e_us = &registry.GetHistogram("medes_platform_e2e_us",
-                                         "End-to-end request latency (us)"),
-        .startup_us =
-            &registry.GetHistogram("medes_platform_startup_us", "Request startup latency (us)"),
-    };
-  }();
-  return instruments;
+obs::Counter& RequestsSeries(StartType type) {
+  return obs::MetricsRegistry::Default().GetCounter(
+      "medes_platform_requests_total", "Requests served, by start type", "start_type",
+      ToString(type));
 }
 
 }  // namespace
@@ -175,6 +128,10 @@ class ServerlessPlatform::Impl {
     const TransportStats transport_stats = transport_->stats();
     const store::StoreStats store_stats = store_->stats();
     MutexLock lock(metrics_mu_);
+    metrics_.sandboxes_spawned = spawns_.Value();
+    metrics_.evictions = evictions_.Value();
+    metrics_.base_designations = base_designations_.Value();
+    metrics_.overcommit_events = overcommits_.Value();
     metrics_.registry = registry_stats;
     metrics_.rdma = rdma_stats;
     metrics_.transport = transport_stats;
@@ -346,14 +303,8 @@ class ServerlessPlatform::Impl {
         sim_.ScheduleAfter(options_.medes.keep_dedup, [this, id] { OnKeepDedupTimer(id); });
   }
 
-  void RecordEviction(NodeId node) EXCLUDES(metrics_mu_) {
-    {
-      MutexLock lock(metrics_mu_);
-      ++metrics_.evictions;
-    }
-    if (obs::MetricsEnabled()) {
-      Instruments().evictions->Add(1);
-    }
+  void RecordEviction(NodeId node) {
+    evictions_.Add();
     obs::RecordInstant("evict", "platform", sim_.Now(), node.value());
   }
 
@@ -443,23 +394,11 @@ class ServerlessPlatform::Impl {
     } else {
       NodeId node = cluster_.LeastUsedNode();
       if (!EnsureFits(node, profile.memory_mb, kNoSandbox, /*spare_warm=*/false, ctx)) {
-        {
-          MutexLock lock(metrics_mu_);
-          ++metrics_.overcommit_events;
-        }
-        if (obs::MetricsEnabled()) {
-          Instruments().overcommits->Add(1);
-        }
+        overcommits_.Add();
         obs::RecordInstant("overcommit", "platform", now, node.value());
       }
       sb = &cluster_.Spawn(profile, node, now);
-      {
-        MutexLock lock(metrics_mu_);
-        ++metrics_.sandboxes_spawned;
-      }
-      if (obs::MetricsEnabled()) {
-        Instruments().spawns->Add(1);
-      }
+      spawns_.Add();
       obs::RecordInstant("spawn", "platform", now, node.value());
       type = StartType::kCold;
       startup = options_.emulate_catalyzer ? options_.catalyzer_restore : profile.cold_start;
@@ -485,22 +424,9 @@ class ServerlessPlatform::Impl {
       fm.e2e_ms.Record(ToMillis(e2e));
       fm.startup_ms.Record(ToMillis(startup));
     }
-    if (obs::MetricsEnabled()) {
-      const PlatformInstruments& ins = Instruments();
-      switch (type) {
-        case StartType::kWarm:
-          ins.warm_starts->Add(1);
-          break;
-        case StartType::kDedup:
-          ins.dedup_starts->Add(1);
-          break;
-        case StartType::kCold:
-          ins.cold_starts->Add(1);
-          break;
-      }
-      ins.e2e_us->Record(e2e.value());
-      ins.startup_us->Record(startup.value());
-    }
+    requests_by_start_[static_cast<size_t>(type)]->Add();
+    e2e_us_.Record(e2e.value());
+    startup_us_.Record(startup.value());
     if (obs::TraceEnabled()) {
       obs::ScopedSpan span("request", "platform", now, sb->node.value(), ctx);
       span.SetSimDuration(e2e);
@@ -634,13 +560,7 @@ class ServerlessPlatform::Impl {
         if (EnsureFits(sb->node, cluster_.ProfileOf(*sb).memory_mb, sb->id,
                        /*spare_warm=*/true, ctx)) {
           agent_.DesignateBase(*sb, now, ctx);
-          {
-            MutexLock lock(metrics_mu_);
-            ++metrics_.base_designations;
-          }
-          if (obs::MetricsEnabled()) {
-            Instruments().base_designations->Add(1);
-          }
+          base_designations_.Add();
           obs::RecordInstant("base_designation", "platform", now, sb->node.value());
         } else if (keep_alive_expired) {
           // No room for a base; the sandbox follows the normal warm
@@ -688,17 +608,14 @@ class ServerlessPlatform::Impl {
       }
     }
     s.bases = cluster_.base_snapshots().size();
-    if (obs::MetricsEnabled()) {
-      // Refresh the level gauges, then append one point to the sim-time
-      // snapshot series (the poller the exporters read back).
-      const PlatformInstruments& ins = Instruments();
-      ins.live_sandboxes->Set(static_cast<int64_t>(s.sandboxes));
-      ins.warm_sandboxes->Set(static_cast<int64_t>(s.warm));
-      ins.dedup_sandboxes->Set(static_cast<int64_t>(s.dedup));
-      ins.base_snapshots->Set(static_cast<int64_t>(s.bases));
-      ins.used_mb->Set(static_cast<int64_t>(s.used_mb));
-      obs::SnapshotSeries::Default().Sample(s.time);
-    }
+    // Refresh the level gauges, then append one point to the sim-time
+    // snapshot series (the poller the exporters read back).
+    live_sandboxes_.Set(static_cast<int64_t>(s.sandboxes));
+    warm_sandboxes_.Set(static_cast<int64_t>(s.warm));
+    dedup_sandboxes_.Set(static_cast<int64_t>(s.dedup));
+    base_snapshots_.Set(static_cast<int64_t>(s.bases));
+    used_mb_.Set(static_cast<int64_t>(s.used_mb));
+    obs::SnapshotSeries::Default().Sample(s.time);
     MutexLock lock(metrics_mu_);
     metrics_.memory_timeline.push_back(std::move(s));
   }
@@ -725,6 +642,32 @@ class ServerlessPlatform::Impl {
   // agent, registry, or fabric.
   Mutex metrics_mu_{"platform metrics", LockRank::kMetrics};
   RunMetrics metrics_ GUARDED_BY(metrics_mu_);
+  // RunMetrics' lifecycle counts, each bound to its series.
+  obs::StatCounter spawns_{"medes_platform_spawns_total", "Cold sandbox spawns"};
+  obs::StatCounter evictions_{"medes_platform_evictions_total", "Sandboxes/bases evicted"};
+  obs::StatCounter overcommits_{"medes_platform_overcommit_events_total",
+                                "Requests admitted despite not fitting in memory"};
+  obs::StatCounter base_designations_{"medes_platform_base_designations_total",
+                                      "Base snapshots created"};
+  // Series with no RunMetrics field.
+  std::array<obs::Counter*, 3> requests_by_start_ = {&RequestsSeries(StartType::kWarm),
+                                                     &RequestsSeries(StartType::kDedup),
+                                                     &RequestsSeries(StartType::kCold)};
+  obs::MetricsRegistry& series_ = obs::MetricsRegistry::Default();
+  obs::Gauge& live_sandboxes_ =
+      series_.GetGauge("medes_platform_live_sandboxes", "Sandboxes currently alive");
+  obs::Gauge& warm_sandboxes_ =
+      series_.GetGauge("medes_platform_warm_sandboxes", "Sandboxes currently warm");
+  obs::Gauge& dedup_sandboxes_ =
+      series_.GetGauge("medes_platform_dedup_sandboxes", "Sandboxes currently in dedup state");
+  obs::Gauge& base_snapshots_ =
+      series_.GetGauge("medes_platform_base_snapshots", "Live base snapshots");
+  obs::Gauge& used_mb_ =
+      series_.GetGauge("medes_platform_used_mb", "Cluster memory in use (modelled MB)");
+  obs::Histogram& e2e_us_ =
+      series_.GetHistogram("medes_platform_e2e_us", "End-to-end request latency (us)");
+  obs::Histogram& startup_us_ =
+      series_.GetHistogram("medes_platform_startup_us", "Request startup latency (us)");
   bool ran_ = false;
   // First reserved tie-break seq of the streamed arrival chain.
   uint64_t arrival_seq_base_ = 0;

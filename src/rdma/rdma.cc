@@ -2,55 +2,9 @@
 
 #include <map>
 
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "store/state_store.h"
 
 namespace medes {
-
-namespace {
-
-struct RdmaInstruments {
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
-  obs::Counter* cache_evictions;
-  obs::Counter* remote_reads;
-  obs::Counter* remote_bytes;
-  obs::Counter* local_reads;
-  obs::Counter* local_bytes;
-  obs::Counter* batch_messages;
-  obs::Counter* batch_pages;
-};
-
-const RdmaInstruments& Instruments() {
-  static const RdmaInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return RdmaInstruments{
-        .cache_hits = &registry.GetCounter("medes_rdma_cache_hits_total",
-                                           "Base-page reads served from the local page cache"),
-        .cache_misses = &registry.GetCounter("medes_rdma_cache_misses_total",
-                                             "Base-page reads that missed the page cache"),
-        .cache_evictions = &registry.GetCounter("medes_rdma_cache_evictions_total",
-                                                "Pages evicted from the base-page cache"),
-        .remote_reads = &registry.GetCounter("medes_rdma_remote_reads_total",
-                                             "One-sided base-page reads from a remote node"),
-        .remote_bytes = &registry.GetCounter("medes_rdma_remote_bytes_total",
-                                             "Bytes read one-sided from remote nodes"),
-        .local_reads = &registry.GetCounter("medes_rdma_local_reads_total",
-                                            "Base-page reads served by the local node"),
-        .local_bytes = &registry.GetCounter("medes_rdma_local_bytes_total",
-                                            "Bytes read from the local node"),
-        .batch_messages = &registry.GetCounter(
-            "medes_rdma_batch_messages_total",
-            "Coalesced base-read messages sent (one per owner node per batch)"),
-        .batch_pages = &registry.GetCounter("medes_rdma_batch_pages_total",
-                                            "Base pages fetched through batched reads"),
-    };
-  }();
-  return instruments;
-}
-
-}  // namespace
 
 RdmaFabric::RdmaFabric(RdmaOptions options, PageProvider provider,
                        std::shared_ptr<Transport> transport)
@@ -94,7 +48,7 @@ void RdmaFabric::CacheInsert(const PageLocation& location, const std::vector<uin
   while (lru_.size() >= options_.page_cache_capacity && !lru_.empty()) {
     cache_index_.erase(lru_.back().location);
     lru_.pop_back();
-    ++stats_.cache_evictions;
+    cache_evictions_.Add();
   }
   lru_.push_front(CacheEntry{location, bytes});
   cache_index_[location] = lru_.begin();
@@ -105,10 +59,7 @@ std::vector<uint8_t> RdmaFabric::ReadPage(const PageLocation& location, NodeId r
   if (options_.page_cache_capacity > 0) {
     MutexLock lock(cache_mu_);
     if (const std::vector<uint8_t>* cached = CacheLookup(location)) {
-      ++stats_.cache_hits;
-      if (obs::MetricsEnabled()) {
-        Instruments().cache_hits->Add(1);
-      }
+      cache_hits_.Add();
       if (cost != nullptr) {
         *cost += options_.cache_hit_latency;
       }
@@ -137,36 +88,17 @@ std::vector<uint8_t> RdmaFabric::ReadPage(const PageLocation& location, NodeId r
   if (store_ != nullptr) {
     store_->TouchBasePage(location.sandbox, location.page_index, cost);
   }
-  size_t evictions = 0;
-  {
-    MutexLock lock(cache_mu_);
-    if (remote) {
-      ++stats_.remote_reads;
-      stats_.remote_bytes += bytes.size();
-    } else {
-      ++stats_.local_reads;
-      stats_.local_bytes += bytes.size();
-    }
-    if (options_.page_cache_capacity > 0) {
-      ++stats_.cache_misses;
-      const uint64_t before = stats_.cache_evictions;
-      CacheInsert(location, bytes);
-      evictions = stats_.cache_evictions - before;
-    }
+  if (remote) {
+    remote_reads_.Add();
+    remote_bytes_.Add(bytes.size());
+  } else {
+    local_reads_.Add();
+    local_bytes_.Add(bytes.size());
   }
-  if (obs::MetricsEnabled()) {
-    const RdmaInstruments& ins = Instruments();
-    if (remote) {
-      ins.remote_reads->Add(1);
-      ins.remote_bytes->Add(bytes.size());
-    } else {
-      ins.local_reads->Add(1);
-      ins.local_bytes->Add(bytes.size());
-    }
-    if (options_.page_cache_capacity > 0) {
-      ins.cache_misses->Add(1);
-      ins.cache_evictions->Add(evictions);
-    }
+  if (options_.page_cache_capacity > 0) {
+    cache_misses_.Add();
+    MutexLock lock(cache_mu_);
+    CacheInsert(location, bytes);
   }
   if (cost != nullptr) {
     *cost += sent.cost;
@@ -213,11 +145,8 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
       }
       misses.push_back(i);
     }
-    stats_.cache_hits += hits;
   }
-  if (hits > 0 && obs::MetricsEnabled()) {
-    Instruments().cache_hits->Add(static_cast<uint64_t>(hits));
-  }
+  cache_hits_.Add(hits);
 
   // 2. Fetch the misses, one coalesced wire message per owner node (the
   // iteration order is NodeId order — deterministic regardless of the
@@ -258,42 +187,20 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
         store_->TouchBasePage(locations[i].sandbox, locations[i].page_index, cost);
       }
     }
-    const bool remote = node != reader_node;
-    uint64_t evictions = 0;
-    {
-      MutexLock lock(cache_mu_);
-      ++stats_.batch_messages;
-      stats_.batch_pages += idxs.size();
-      for (size_t i : idxs) {
-        if (remote) {
-          ++stats_.remote_reads;
-          stats_.remote_bytes += results[i].size();
-        } else {
-          ++stats_.local_reads;
-          stats_.local_bytes += results[i].size();
-        }
-        if (options_.page_cache_capacity > 0) {
-          ++stats_.cache_misses;
-          const uint64_t before = stats_.cache_evictions;
-          CacheInsert(locations[i], results[i]);
-          evictions += stats_.cache_evictions - before;
-        }
-      }
+    batch_messages_.Add();
+    batch_pages_.Add(idxs.size());
+    if (node != reader_node) {
+      remote_reads_.Add(idxs.size());
+      remote_bytes_.Add(group_bytes);
+    } else {
+      local_reads_.Add(idxs.size());
+      local_bytes_.Add(group_bytes);
     }
-    if (obs::MetricsEnabled()) {
-      const RdmaInstruments& ins = Instruments();
-      ins.batch_messages->Add(1);
-      ins.batch_pages->Add(static_cast<uint64_t>(idxs.size()));
-      if (remote) {
-        ins.remote_reads->Add(static_cast<uint64_t>(idxs.size()));
-        ins.remote_bytes->Add(static_cast<uint64_t>(group_bytes));
-      } else {
-        ins.local_reads->Add(static_cast<uint64_t>(idxs.size()));
-        ins.local_bytes->Add(static_cast<uint64_t>(group_bytes));
-      }
-      if (options_.page_cache_capacity > 0) {
-        ins.cache_misses->Add(static_cast<uint64_t>(idxs.size()));
-        ins.cache_evictions->Add(static_cast<uint64_t>(evictions));
+    if (options_.page_cache_capacity > 0) {
+      cache_misses_.Add(idxs.size());
+      MutexLock lock(cache_mu_);
+      for (size_t i : idxs) {
+        CacheInsert(locations[i], results[i]);
       }
     }
   }
@@ -314,15 +221,7 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
       ++alias_hits;
     }
   }
-  if (alias_hits > 0) {
-    {
-      MutexLock lock(cache_mu_);
-      stats_.cache_hits += alias_hits;
-    }
-    if (obs::MetricsEnabled()) {
-      Instruments().cache_hits->Add(static_cast<uint64_t>(alias_hits));
-    }
-  }
+  cache_hits_.Add(alias_hits);
   return results;
 }
 
@@ -344,13 +243,23 @@ size_t RdmaFabric::CachedPages() const {
 }
 
 RdmaStats RdmaFabric::stats() const {
-  MutexLock lock(cache_mu_);
-  return stats_;
+  return RdmaStats{.remote_reads = remote_reads_.Value(),
+                   .remote_bytes = remote_bytes_.Value(),
+                   .local_reads = local_reads_.Value(),
+                   .local_bytes = local_bytes_.Value(),
+                   .batch_messages = batch_messages_.Value(),
+                   .batch_pages = batch_pages_.Value(),
+                   .cache_hits = cache_hits_.Value(),
+                   .cache_misses = cache_misses_.Value(),
+                   .cache_evictions = cache_evictions_.Value()};
 }
 
 void RdmaFabric::ResetStats() {
-  MutexLock lock(cache_mu_);
-  stats_ = {};
+  for (obs::StatCounter* c : {&remote_reads_, &remote_bytes_, &local_reads_, &local_bytes_,
+                              &batch_messages_, &batch_pages_, &cache_hits_, &cache_misses_,
+                              &cache_evictions_}) {
+    c->Reset();
+  }
 }
 
 }  // namespace medes

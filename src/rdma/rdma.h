@@ -32,6 +32,7 @@
 #include "common/mutex.h"
 #include "common/time.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "registry/fingerprint_registry.h"
 
 namespace medes {
@@ -153,9 +154,10 @@ class RdmaFabric {
 
   size_t CachedPages() const EXCLUDES(cache_mu_);
 
-  // Consistent snapshot of the counters (they advance under cache_mu_).
-  RdmaStats stats() const EXCLUDES(cache_mu_);
-  void ResetStats() EXCLUDES(cache_mu_);
+  // The read and cache counters. Read at a quiescent point for exact totals.
+  RdmaStats stats() const;
+  // Zeroes this fabric's counters; the process-wide series keep theirs.
+  void ResetStats();
 
  private:
   struct CacheEntry {
@@ -175,11 +177,29 @@ class RdmaFabric {
   // sites, outside cache_mu_.
   std::shared_ptr<store::StateStore> store_;
 
+  // One counter per RdmaStats field, each bound to its medes_rdma_* series.
+  obs::StatCounter remote_reads_{"medes_rdma_remote_reads_total",
+                                 "One-sided base-page reads from a remote node"};
+  obs::StatCounter remote_bytes_{"medes_rdma_remote_bytes_total",
+                                 "Bytes read one-sided from remote nodes"};
+  obs::StatCounter local_reads_{"medes_rdma_local_reads_total",
+                                "Base-page reads served by the local node"};
+  obs::StatCounter local_bytes_{"medes_rdma_local_bytes_total", "Bytes read from the local node"};
+  obs::StatCounter batch_messages_{
+      "medes_rdma_batch_messages_total",
+      "Coalesced base-read messages sent (one per owner node per batch)"};
+  obs::StatCounter batch_pages_{"medes_rdma_batch_pages_total",
+                                "Base pages fetched through batched reads"};
+  obs::StatCounter cache_hits_{"medes_rdma_cache_hits_total",
+                               "Base-page reads served from the local page cache"};
+  obs::StatCounter cache_misses_{"medes_rdma_cache_misses_total",
+                                 "Base-page reads that missed the page cache"};
+  obs::StatCounter cache_evictions_{"medes_rdma_cache_evictions_total",
+                                    "Pages evicted from the base-page cache"};
+
   // LRU cache: list front = most recently used. Guarded by cache_mu_ so
-  // pipeline workers may share a fabric. Stats advance under the same lock
-  // (they are updated on every read, cached or not).
+  // pipeline workers may share a fabric.
   mutable Mutex cache_mu_{"rdma page cache", LockRank::kRdmaCache};
-  RdmaStats stats_ GUARDED_BY(cache_mu_);
   std::list<CacheEntry> lru_ GUARDED_BY(cache_mu_);
   std::unordered_map<PageLocation, std::list<CacheEntry>::iterator, PageLocationHash>
       cache_index_ GUARDED_BY(cache_mu_);

@@ -5,47 +5,18 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "store/state_store.h"
 
 namespace medes {
 
-namespace {
-
-struct DistRegistryInstruments {
-  obs::Counter* failovers;
-  obs::Counter* unavailable_lookups;
-  obs::Counter* dropped_writes;
-  obs::Counter* replica_syncs;
-};
-
-const DistRegistryInstruments& Instruments() {
-  static const DistRegistryInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return DistRegistryInstruments{
-        .failovers = &registry.GetCounter(
-            "medes_distregistry_failovers_total",
-            "Page lookups served by a non-tail replica after a failover"),
-        .unavailable_lookups = &registry.GetCounter(
-            "medes_distregistry_unavailable_lookups_total",
-            "Page lookups degraded to empty because a shard had no serving replica"),
-        .dropped_writes =
-            &registry.GetCounter("medes_distregistry_dropped_writes_total",
-                                 "Per-shard insert writes lost to partitions or drops"),
-        .replica_syncs = &registry.GetCounter("medes_distregistry_replica_syncs_total",
-                                              "Completed replica recovery state transfers"),
-    };
-  }();
-  return instruments;
-}
-
-}  // namespace
-
 DistributedRegistry::DistributedRegistry(DistributedRegistryOptions options,
                                          std::shared_ptr<Transport> transport)
-    : options_(options), transport_(std::move(transport)) {
+    : options_(options),
+      transport_(std::move(transport)),
+      lookups_per_shard_(static_cast<size_t>(std::max(options_.num_shards, 0))),
+      writes_per_shard_(static_cast<size_t>(std::max(options_.num_shards, 0))) {
   if (options_.num_shards <= 0 || options_.replication_factor <= 0) {
     throw std::invalid_argument("DistributedRegistry: shards and replicas must be positive");
   }
@@ -61,9 +32,6 @@ DistributedRegistry::DistributedRegistry(DistributedRegistryOptions options,
       shard.chain.emplace_back(Replica{FingerprintRegistry(options_.per_shard), true});
     }
   }
-  MutexLock stats(stats_mu_);
-  dist_stats_.lookups_per_shard.assign(static_cast<size_t>(options_.num_shards), 0);
-  dist_stats_.writes_per_shard.assign(static_cast<size_t>(options_.num_shards), 0);
 }
 
 int DistributedRegistry::ShardOf(uint64_t key) const {
@@ -131,11 +99,7 @@ void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
       }
     }
     if (entry < 0) {
-      if (obs::MetricsEnabled()) {
-        Instruments().dropped_writes->Add(1);
-      }
-      MutexLock stats(stats_mu_);
-      ++dist_stats_.dropped_writes;
+      dropped_writes_.Add();
       continue;
     }
     const auto sent =
@@ -144,17 +108,10 @@ void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
                              kRegistryWireBytesPerKey,
                          fingerprints.size(), ShardTrace(trace, static_cast<size_t>(s)));
     if (!sent.delivered) {
-      if (obs::MetricsEnabled()) {
-        Instruments().dropped_writes->Add(1);
-      }
-      MutexLock stats(stats_mu_);
-      ++dist_stats_.dropped_writes;
+      dropped_writes_.Add();
       continue;
     }
-    {
-      MutexLock stats(stats_mu_);
-      ++dist_stats_.writes_per_shard[static_cast<size_t>(s)];
-    }
+    writes_per_shard_[static_cast<size_t>(s)].fetch_add(1, std::memory_order_relaxed);
     // Chain replication: the write flows through every serving replica.
     // Partitioned replicas miss it and must re-sync on recovery.
     for (int r = 0; r < static_cast<int>(shard.chain.size()); ++r) {
@@ -248,6 +205,10 @@ std::vector<std::vector<BasePageCandidate>> DistributedRegistry::FindBasePagesBa
   // The modelled cost of the batch: shards are queried in parallel, so the
   // critical path is the slowest shard's message plus its per-key work.
   SimDuration slowest_shard;
+  // Counted once here, as a centralized registry counts them: every page
+  // asked about is a lookup, whichever shards serve (or drop) its keys.
+  lookups_.Add(fingerprints.size());
+  uint64_t hits = 0;
   ReaderLock topology(topology_mu_);
   for (size_t s = 0; s < num_shards; ++s) {
     if (per_shard[s].empty()) {
@@ -257,11 +218,7 @@ std::vector<std::vector<BasePageCandidate>> DistributedRegistry::FindBasePagesBa
     Shard& shard = shards_[s];
     int tail = EffectiveTail(shard, static_cast<int>(s));
     if (tail < 0) {
-      if (obs::MetricsEnabled()) {
-        Instruments().unavailable_lookups->Add(page_lookups);
-      }
-      MutexLock stats(stats_mu_);
-      dist_stats_.unavailable_lookups += page_lookups;
+      unavailable_lookups_.Add(page_lookups);
       continue;
     }
     const obs::MessageTrace shard_trace = ShardTrace(trace, s);
@@ -288,29 +245,19 @@ std::vector<std::vector<BasePageCandidate>> DistributedRegistry::FindBasePagesBa
     if (!sent.delivered) {
       // Lost on the wire (link fault): same client-visible outcome as an
       // all-down shard — the batch degrades to fewer candidates.
-      if (obs::MetricsEnabled()) {
-        Instruments().unavailable_lookups->Add(page_lookups);
-      }
-      MutexLock stats(stats_mu_);
-      dist_stats_.unavailable_lookups += page_lookups;
+      unavailable_lookups_.Add(page_lookups);
       continue;
     }
-    const bool failover = tail != static_cast<int>(shard.chain.size()) - 1;
-    if (failover && obs::MetricsEnabled()) {
-      Instruments().failovers->Add(page_lookups);
+    if (tail != static_cast<int>(shard.chain.size()) - 1) {
+      failovers_.Add(page_lookups);
     }
-    {
-      MutexLock stats(stats_mu_);
-      if (failover) {
-        dist_stats_.failovers += page_lookups;
-      }
-      dist_stats_.lookups_per_shard[s] += page_lookups;
-    }
+    lookups_per_shard_[s].fetch_add(page_lookups, std::memory_order_relaxed);
     FingerprintRegistry& serving = shard.chain[static_cast<size_t>(tail)].registry;
     for (const FingerprintSlice& slice : per_shard[s]) {
-      serving.AccumulateTally(slice.chunks, exclude_sandbox, tallies[slice.fp_index]);
+      hits += serving.AccumulateTally(slice.chunks, exclude_sandbox, tallies[slice.fp_index]);
     }
   }
+  key_hits_.fetch_add(hits, std::memory_order_relaxed);
   if (lookup_cost != nullptr) {
     *lookup_cost += slowest_shard;
   }
@@ -369,9 +316,9 @@ RegistryStats DistributedRegistry::stats() const {
     total.num_keys += st.num_keys;
     total.num_entries += st.num_entries;
     total.num_base_sandboxes = std::max(total.num_base_sandboxes, st.num_base_sandboxes);
-    total.lookups += st.lookups;
-    total.key_hits += st.key_hits;
   }
+  total.lookups = lookups_.Value();
+  total.key_hits = key_hits_.load(std::memory_order_relaxed);
   return total;
 }
 
@@ -391,8 +338,15 @@ SimDuration DistributedRegistry::PageLookupLatency(size_t keys, NodeId from) con
 }
 
 DistributedRegistryStats DistributedRegistry::distributed_stats() const {
-  MutexLock stats(stats_mu_);
-  return dist_stats_;
+  DistributedRegistryStats out;
+  for (size_t s = 0; s < lookups_per_shard_.size(); ++s) {
+    out.lookups_per_shard.push_back(lookups_per_shard_[s].load(std::memory_order_relaxed));
+    out.writes_per_shard.push_back(writes_per_shard_[s].load(std::memory_order_relaxed));
+  }
+  out.unavailable_lookups = unavailable_lookups_.Value();
+  out.dropped_writes = dropped_writes_.Value();
+  out.failovers = failovers_.Value();
+  return out;
 }
 
 void DistributedRegistry::FailReplica(int shard, int replica) {
@@ -429,9 +383,7 @@ void DistributedRegistry::RecoverReplica(int shard, int replica) {
   }
   r.registry = source;  // state transfer
   r.alive = true;
-  if (obs::MetricsEnabled()) {
-    Instruments().replica_syncs->Add(1);
-  }
+  replica_syncs_.Add();
 }
 
 }  // namespace medes

@@ -31,6 +31,8 @@
 #ifndef MEDES_REGISTRY_DISTRIBUTED_REGISTRY_H_
 #define MEDES_REGISTRY_DISTRIBUTED_REGISTRY_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -39,6 +41,7 @@
 #include "common/mutex.h"
 #include "common/time.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "registry/fingerprint_registry.h"
 #include "registry/registry_backend.h"
 
@@ -103,10 +106,14 @@ class DistributedRegistry : public RegistryBackend {
   // replicated write is still one durable record).
   void BindStateStore(std::shared_ptr<store::StateStore> store) override;
 
-  // Aggregated table stats across shard tails.
+  // Table sizes aggregated across shard tails; lookups and key hits as
+  // counted here, once per logical lookup (equal to a centralized
+  // registry's for the same fault-free calls, and kept across replica
+  // failure and recovery).
   [[nodiscard]] RegistryStats stats() const override;
-  // Consistent snapshot (counters advance under their own lock).
-  DistributedRegistryStats distributed_stats() const EXCLUDES(stats_mu_);
+  // The sharding and fault counters. Read at a quiescent point for exact
+  // totals.
+  DistributedRegistryStats distributed_stats() const;
 
   // Modelled latency of one page lookup of `keys` sampled chunks from node
   // `from`, assuming the per-shard lookups proceed in parallel: the critical
@@ -173,8 +180,17 @@ class DistributedRegistry : public RegistryBackend {
   // Sandbox-level state (refcounts, membership) is sharded by sandbox id.
   int SandboxShard(SandboxId sandbox) const;
 
-  mutable Mutex stats_mu_{"distributed registry stats", LockRank::kMetrics};
-  mutable DistributedRegistryStats dist_stats_ GUARDED_BY(stats_mu_);
+  std::vector<std::atomic<uint64_t>> lookups_per_shard_;
+  std::vector<std::atomic<uint64_t>> writes_per_shard_;
+  obs::StatCounter unavailable_lookups_{
+      "medes_distregistry_unavailable_lookups_total",
+      "Page lookups degraded to empty because a shard had no serving replica"};
+  obs::StatCounter dropped_writes_{"medes_distregistry_dropped_writes_total",
+                                   "Per-shard insert writes lost to partitions or drops"};
+  obs::StatCounter failovers_{"medes_distregistry_failovers_total",
+                              "Page lookups served by a non-tail replica after a failover"};
+  obs::Counter& replica_syncs_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_distregistry_replica_syncs_total", "Completed replica recovery state transfers");
 };
 
 }  // namespace medes

@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "common/mutex.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "store/state_store.h"
@@ -20,36 +19,6 @@ size_t RoundUpPow2(size_t v) {
     p <<= 1;
   }
   return p;
-}
-
-struct RegistryInstruments {
-  obs::Counter* lookups;
-  obs::Counter* batches;
-  obs::Counter* inserts;
-  obs::Counter* insert_keys;
-  obs::Counter* removes;
-  obs::Histogram* batch_cost_us;
-};
-
-const RegistryInstruments& Instruments() {
-  static const RegistryInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return RegistryInstruments{
-        .lookups = &registry.GetCounter("medes_registry_lookups_total",
-                                        "Per-page fingerprint lookups against the registry"),
-        .batches = &registry.GetCounter("medes_registry_lookup_batches_total",
-                                        "Batched lookup round trips to the registry"),
-        .inserts = &registry.GetCounter("medes_registry_inserts_total",
-                                        "Base-sandbox fingerprint inserts"),
-        .insert_keys = &registry.GetCounter("medes_registry_insert_keys_total",
-                                            "Chunk keys carried by base-sandbox inserts"),
-        .removes = &registry.GetCounter("medes_registry_removes_total",
-                                        "Base sandboxes removed from the registry"),
-        .batch_cost_us = &registry.GetHistogram(
-            "medes_registry_batch_cost_us", "Modelled cost of one batched lookup (us)"),
-    };
-  }();
-  return instruments;
 }
 
 }  // namespace
@@ -90,19 +59,16 @@ void FingerprintRegistry::CopyFrom(const FingerprintRegistry& other) {
     // a lock rank, so they must never be held together.
     std::unordered_map<uint64_t, std::vector<PageLocation>> table;
     std::unordered_map<SandboxId, std::vector<uint64_t>> keys_by_sandbox;
-    uint64_t key_hits = 0;
     {
       ReaderLock lock(src.mu);
       table = src.table;
       keys_by_sandbox = src.keys_by_sandbox;
-      key_hits = src.key_hits.load(std::memory_order_relaxed);
     }
     {
       WriterLock lock(dst.mu);
       dst.table = std::move(table);
       dst.keys_by_sandbox = std::move(keys_by_sandbox);
     }
-    dst.key_hits.store(key_hits, std::memory_order_relaxed);
   }
   std::unordered_map<SandboxId, int> refcounts;
   {
@@ -113,7 +79,6 @@ void FingerprintRegistry::CopyFrom(const FingerprintRegistry& other) {
     WriterLock lock(sandbox_mu_);
     base_refcounts_ = std::move(refcounts);
   }
-  lookups_.store(other.lookups_.load(std::memory_order_relaxed), std::memory_order_relaxed);
 }
 
 size_t FingerprintRegistry::ShardIndex(uint64_t key) const {
@@ -134,11 +99,11 @@ void FingerprintRegistry::BindStateStore(std::shared_ptr<store::StateStore> stor
 void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
                                             const std::vector<PageFingerprint>& fingerprints,
                                             const obs::MessageTrace& trace) {
+  size_t keys = 0;
+  for (const PageFingerprint& fp : fingerprints) {
+    keys += fp.chunks.size();
+  }
   if (transport_ != nullptr) {
-    size_t keys = 0;
-    for (const PageFingerprint& fp : fingerprints) {
-      keys += fp.chunks.size();
-    }
     const auto sent = transport_->Send(MessageType::kRegistryInsert, node, registry_node_,
                                        static_cast<uint64_t>(keys) * kRegistryWireBytesPerKey,
                            fingerprints.size(), trace);
@@ -146,14 +111,8 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
       return;  // insert lost: the sandbox is simply never registered
     }
   }
-  if (obs::MetricsEnabled()) {
-    size_t keys = 0;
-    for (const PageFingerprint& fp : fingerprints) {
-      keys += fp.chunks.size();
-    }
-    Instruments().inserts->Add(1);
-    Instruments().insert_keys->Add(keys);
-  }
+  inserts_.Add();
+  insert_keys_.Add(keys);
   {
     WriterLock lock(sandbox_mu_);
     base_refcounts_.try_emplace(sandbox, 0);
@@ -177,9 +136,7 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
 }
 
 void FingerprintRegistry::RemoveBaseSandbox(SandboxId sandbox) {
-  if (obs::MetricsEnabled()) {
-    Instruments().removes->Add(1);
-  }
+  removes_.Add();
   {
     WriterLock lock(sandbox_mu_);
     base_refcounts_.erase(sandbox);
@@ -214,9 +171,10 @@ bool FingerprintRegistry::IsBaseSandbox(SandboxId sandbox) const {
   return base_refcounts_.contains(sandbox);
 }
 
-void FingerprintRegistry::AccumulateTally(
+uint64_t FingerprintRegistry::AccumulateTally(
     const PageFingerprint& fingerprint, SandboxId exclude_sandbox,
     std::unordered_map<PageLocation, int, PageLocationHash>& tally) {
+  uint64_t hits = 0;
   for (const SampledChunk& chunk : fingerprint.chunks) {
     Shard& shard = ShardFor(chunk.key);
     ReaderLock lock(shard.mu);
@@ -224,7 +182,7 @@ void FingerprintRegistry::AccumulateTally(
     if (it == shard.table.end()) {
       continue;
     }
-    shard.key_hits.fetch_add(1, std::memory_order_relaxed);
+    ++hits;
     for (const PageLocation& loc : it->second) {
       if (loc.sandbox == exclude_sandbox) {
         continue;
@@ -232,17 +190,16 @@ void FingerprintRegistry::AccumulateTally(
       ++tally[loc];
     }
   }
+  return hits;
 }
 
 std::vector<BasePageCandidate> FingerprintRegistry::FindBasePages(
     const PageFingerprint& fingerprint, NodeId local_node, SandboxId exclude_sandbox,
     size_t max_results) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::MetricsEnabled()) {
-    Instruments().lookups->Add(1);
-  }
+  lookups_.Add();
   std::unordered_map<PageLocation, int, PageLocationHash> tally;
-  AccumulateTally(fingerprint, exclude_sandbox, tally);
+  key_hits_.fetch_add(AccumulateTally(fingerprint, exclude_sandbox, tally),
+                      std::memory_order_relaxed);
   return RankCandidates(tally, local_node, max_results);
 }
 
@@ -250,11 +207,8 @@ std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBa
     std::span<const PageFingerprint> fingerprints, NodeId local_node,
     SandboxId exclude_sandbox, size_t max_results, SimDuration* lookup_cost,
     const obs::MessageTrace& trace) {
-  lookups_.fetch_add(fingerprints.size(), std::memory_order_relaxed);
-  if (obs::MetricsEnabled()) {
-    Instruments().lookups->Add(fingerprints.size());
-    Instruments().batches->Add(1);
-  }
+  lookups_.Add(fingerprints.size());
+  lookup_batches_.Add();
 
   // Modelled cost: one round trip carrying the whole batch's keys (wire),
   // plus the controller's per-page lookup work (CPU). A dropped lookup
@@ -291,9 +245,7 @@ std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBa
     if (lookup_cost != nullptr) {
       *lookup_cost += cost;
     }
-    if (obs::MetricsEnabled()) {
-      Instruments().batch_cost_us->Record(cost.value());
-    }
+    batch_cost_us_.Record(cost.value());
     if (!delivered) {
       return std::vector<std::vector<BasePageCandidate>>(fingerprints.size());
     }
@@ -314,6 +266,7 @@ std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBa
 
   std::vector<std::unordered_map<PageLocation, int, PageLocationHash>> tallies(
       fingerprints.size());
+  uint64_t hits = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (per_shard[s].empty()) {
       continue;
@@ -325,7 +278,7 @@ std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBa
       if (it == shard.table.end()) {
         continue;
       }
-      shard.key_hits.fetch_add(1, std::memory_order_relaxed);
+      ++hits;
       auto& tally = tallies[ref.fp_index];
       for (const PageLocation& loc : it->second) {
         if (loc.sandbox == exclude_sandbox) {
@@ -335,6 +288,8 @@ std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBa
       }
     }
   }
+
+  key_hits_.fetch_add(hits, std::memory_order_relaxed);
 
   std::vector<std::vector<BasePageCandidate>> results;
   results.reserve(fingerprints.size());
@@ -380,13 +335,13 @@ RegistryStats FingerprintRegistry::stats() const {
     for (const auto& [key, locations] : shard.table) {
       s.num_entries += locations.size();
     }
-    s.key_hits += shard.key_hits.load(std::memory_order_relaxed);
   }
   {
     ReaderLock lock(sandbox_mu_);
     s.num_base_sandboxes = base_refcounts_.size();
   }
-  s.lookups = lookups_.load(std::memory_order_relaxed);
+  s.lookups = lookups_.Value();
+  s.key_hits = key_hits_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -19,7 +19,6 @@
 #ifndef MEDES_REGISTRY_FINGERPRINT_REGISTRY_H_
 #define MEDES_REGISTRY_FINGERPRINT_REGISTRY_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -30,6 +29,7 @@
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "registry/registry_backend.h"
 
 namespace medes {
@@ -51,8 +51,9 @@ class FingerprintRegistry : public RegistryBackend {
  public:
   explicit FingerprintRegistry(RegistryOptions options = {});
 
-  // Deep copies (fresh locks). Used by chain-replication re-sync; the source
-  // may be serving concurrent readers, the destination must be quiescent.
+  // Deep copies of the table state (fresh locks; the destination keeps its
+  // own lookup counters). Used by chain-replication re-sync; the source may
+  // be serving concurrent readers, the destination must be quiescent.
   FingerprintRegistry(const FingerprintRegistry& other);
   FingerprintRegistry& operator=(const FingerprintRegistry& other);
 
@@ -90,8 +91,10 @@ class FingerprintRegistry : public RegistryBackend {
 
   // Adds this registry's (location -> matched-chunk count) contributions for
   // `fingerprint` into `tally` — the building block distributed shards merge.
-  void AccumulateTally(const PageFingerprint& fingerprint, SandboxId exclude_sandbox,
-                       std::unordered_map<PageLocation, int, PageLocationHash>& tally);
+  // Returns the number of the fingerprint's chunk keys found; counting them
+  // (and the lookup) is the caller's job.
+  uint64_t AccumulateTally(const PageFingerprint& fingerprint, SandboxId exclude_sandbox,
+                           std::unordered_map<PageLocation, int, PageLocationHash>& tally);
 
   // Binds the durability/tiering seam: inserts append a fingerprint record
   // (after the transport delivery check — a lost insert is not durable
@@ -113,8 +116,6 @@ class FingerprintRegistry : public RegistryBackend {
     // Reverse index: keys under which each base sandbox holds locations in
     // this shard (a key appears once per location inserted).
     std::unordered_map<SandboxId, std::vector<uint64_t>> keys_by_sandbox GUARDED_BY(mu);
-    // Atomic: bumped by readers holding only the shared lock.
-    std::atomic<uint64_t> key_hits{0};
   };
 
   Shard& ShardFor(uint64_t key) { return *shards_[ShardIndex(key)]; }
@@ -141,7 +142,16 @@ class FingerprintRegistry : public RegistryBackend {
   mutable SharedMutex sandbox_mu_{"registry sandbox index", LockRank::kRegistrySandbox};
   std::unordered_map<SandboxId, int> base_refcounts_ GUARDED_BY(sandbox_mu_);
 
-  mutable std::atomic<uint64_t> lookups_{0};
+  obs::Counter& lookup_batches_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_lookup_batches_total", "Batched lookup round trips to the registry");
+  obs::Histogram& batch_cost_us_ = obs::MetricsRegistry::Default().GetHistogram(
+      "medes_registry_batch_cost_us", "Modelled cost of one batched lookup (us)");
+  obs::Counter& inserts_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_inserts_total", "Base-sandbox fingerprint inserts");
+  obs::Counter& insert_keys_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_insert_keys_total", "Chunk keys carried by base-sandbox inserts");
+  obs::Counter& removes_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_removes_total", "Base sandboxes removed from the registry");
 };
 
 }  // namespace medes

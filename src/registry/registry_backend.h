@@ -10,6 +10,8 @@
 #define MEDES_REGISTRY_REGISTRY_BACKEND_H_
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -19,6 +21,7 @@
 #include "chunking/fingerprint.h"
 #include "common/time.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 #include "obs/trace_context.h"
 
 namespace medes {
@@ -176,6 +179,14 @@ class RegistryBackend {
   virtual void BindStateStore(std::shared_ptr<store::StateStore> store) { (void)store; }
 
   [[nodiscard]] virtual RegistryStats stats() const = 0;
+
+ protected:
+  // Page lookups and chunk-key hits, counted once by the backend that
+  // answers the lookup (a DistributedRegistry counts them itself; its
+  // replica registries never do), and read back by stats().
+  obs::StatCounter lookups_{"medes_registry_lookups_total",
+                            "Per-page fingerprint lookups against the registry"};
+  std::atomic<uint64_t> key_hits_{0};
 };
 
 }  // namespace medes

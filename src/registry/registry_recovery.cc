@@ -1,46 +1,9 @@
 #include "registry/registry_recovery.h"
 
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 
 namespace medes {
-
-namespace {
-
-struct RecoveryInstruments {
-  obs::Counter* recoveries;
-  obs::Counter* recovered;
-  obs::Counter* rejected;
-  obs::Counter* recovered_pages;
-  obs::Counter* torn_bytes;
-  obs::Counter* corrupt_records;
-};
-
-const RecoveryInstruments& Instruments() {
-  static const RecoveryInstruments instruments = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-    return RecoveryInstruments{
-        .recoveries = &registry.GetCounter("medes_store_recoveries_total",
-                                           "Registry recoveries driven from the state store"),
-        .recovered = &registry.GetCounter("medes_store_recovered_sandboxes_total",
-                                          "Base sandboxes restored and validated from the store"),
-        .rejected = &registry.GetCounter(
-            "medes_store_rejected_sandboxes_total",
-            "Recovered base sandboxes rejected by live-sandbox re-validation"),
-        .recovered_pages = &registry.GetCounter("medes_store_recovered_pages_total",
-                                                "Base pages carried by restored sandboxes"),
-        .torn_bytes = &registry.GetCounter("medes_store_recovery_torn_bytes_total",
-                                           "Log bytes truncated as torn tails during recovery"),
-        .corrupt_records = &registry.GetCounter(
-            "medes_store_recovery_corrupt_records_total",
-            "Log records rejected by magic/CRC/sequence checks during recovery"),
-    };
-  }();
-  return instruments;
-}
-
-}  // namespace
 
 RecoveryReport RecoverInto(store::StateStore& store, RegistryBackend& registry,
                            const RecoveryValidator& validate) {
@@ -62,14 +25,30 @@ RecoveryReport RecoverInto(store::StateStore& store, RegistryBackend& registry,
   }
   store.SetReplaying(false);
 
-  if (obs::MetricsEnabled()) {
-    Instruments().recoveries->Add(1);
-    Instruments().recovered->Add(report.recovered_sandboxes);
-    Instruments().rejected->Add(report.rejected_sandboxes);
-    Instruments().recovered_pages->Add(report.recovered_pages);
-    Instruments().torn_bytes->Add(report.store_state.torn_bytes);
-    Instruments().corrupt_records->Add(report.store_state.corrupt_records);
-  }
+  // A free function has no owner to register these at construction; every
+  // one of them is recorded on each call.
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  static obs::Counter& recoveries = metrics.GetCounter(
+      "medes_store_recoveries_total", "Registry recoveries driven from the state store");
+  static obs::Counter& recovered = metrics.GetCounter(
+      "medes_store_recovered_sandboxes_total",
+      "Base sandboxes restored and validated from the store");
+  static obs::Counter& rejected =
+      metrics.GetCounter("medes_store_rejected_sandboxes_total",
+                          "Recovered base sandboxes rejected by live-sandbox re-validation");
+  static obs::Counter& recovered_pages = metrics.GetCounter(
+      "medes_store_recovered_pages_total", "Base pages carried by restored sandboxes");
+  static obs::Counter& torn_bytes = metrics.GetCounter(
+      "medes_store_recovery_torn_bytes_total", "Log bytes truncated as torn tails during recovery");
+  static obs::Counter& corrupt_records = metrics.GetCounter(
+      "medes_store_recovery_corrupt_records_total",
+      "Log records rejected by magic/CRC/sequence checks during recovery");
+  recoveries.Add();
+  recovered.Add(report.recovered_sandboxes);
+  rejected.Add(report.rejected_sandboxes);
+  recovered_pages.Add(report.recovered_pages);
+  torn_bytes.Add(report.store_state.torn_bytes);
+  corrupt_records.Add(report.store_state.corrupt_records);
   return report;
 }
 

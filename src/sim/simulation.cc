@@ -18,7 +18,10 @@ std::atomic<uint64_t> g_total_fired{0};
 
 uint64_t TotalSimEventsFired() { return g_total_fired.load(std::memory_order_relaxed); }
 
-Simulation::Simulation(SimulationOptions options) : options_(options) {
+Simulation::Simulation(SimulationOptions options)
+    : options_(options),
+      fired_series_(obs::MetricsRegistry::Default().GetCounter(
+          "medes_sim_events_fired_total", "Simulation events fired across all engines")) {
   if (options_.bucket_width_log2 < 0 || options_.bucket_width_log2 > 30 ||
       options_.num_buckets_log2 < 1 || options_.num_buckets_log2 > 20) {
     throw std::invalid_argument("Simulation: bad calendar geometry");
@@ -203,9 +206,7 @@ void Simulation::FlushObs(uint64_t fired_delta) {
     return;
   }
   g_total_fired.fetch_add(fired_delta, std::memory_order_relaxed);
-  static obs::Counter& fired = obs::MetricsRegistry::Default().GetCounter(
-      "medes_sim_events_fired_total", "Simulation events fired across all engines");
-  fired.Add(fired_delta);
+  fired_series_.Add(fired_delta);
 }
 
 SimStats Simulation::stats() const {

@@ -35,6 +35,10 @@
 
 namespace medes {
 
+namespace obs {
+class Counter;
+}  // namespace obs
+
 using EventId = uint64_t;  // 0 is never a valid handle
 
 struct SimulationOptions {
@@ -297,6 +301,8 @@ class Simulation {
   void FlushObs(uint64_t fired_delta);
 
   SimulationOptions options_;
+  // medes_sim_events_fired_total, fed in batches by FlushObs.
+  obs::Counter& fired_series_;
   SimTime now_;
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;

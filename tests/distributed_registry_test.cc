@@ -135,6 +135,47 @@ TEST(DistributedRegistryTest, RecoveryResyncsState) {
   }
 }
 
+// Lookups and key hits are counted once per logical lookup, by the
+// distributed registry itself: fault-free they equal a centralized
+// registry's for the same calls, and a replica failure plus recovery loses
+// none of them (a re-sync copies table state, not the peer's counters).
+TEST(DistributedRegistryTest, LookupStatsMatchCentralizedAndSurviveRecovery) {
+  const auto stored = RandomFingerprints(40, 1);
+  auto probes = stored;  // 40 pages, 5 stored keys each
+  const auto unrelated = RandomFingerprints(40, 99);
+  probes.insert(probes.end(), unrelated.begin(), unrelated.end());
+
+  DistributedRegistry dist(Opts(4, 3));
+  FingerprintRegistry central;
+  dist.InsertBaseSandbox(NodeId{0}, SandboxId{100}, stored);
+  central.InsertBaseSandbox(NodeId{0}, SandboxId{100}, stored);
+  EXPECT_EQ(dist.FindBasePagesBatch(probes, NodeId{1}, SandboxId{}, 4).size(), 80u);
+  EXPECT_EQ(central.FindBasePagesBatch(probes, NodeId{1}, SandboxId{}, 4).size(), 80u);
+  EXPECT_EQ(central.stats().lookups, 80u);
+  EXPECT_EQ(central.stats().key_hits, 200u);
+  EXPECT_EQ(dist.stats().lookups, central.stats().lookups);
+  EXPECT_EQ(dist.stats().key_hits, central.stats().key_hits);
+
+  // A 1 x 2 chain serves 10 lookups at the tail, 20 from the head while the
+  // tail is down, and 10 more after the tail re-syncs: 40 lookups, 5 key
+  // hits each.
+  DistributedRegistry chain(Opts(1, 2));
+  const auto pages = RandomFingerprints(10, 2);
+  chain.InsertBaseSandbox(NodeId{0}, SandboxId{7}, pages);
+  auto lookup_all = [&] {
+    EXPECT_EQ(chain.FindBasePagesBatch(pages, NodeId{0}, SandboxId{}, 1).size(), 10u);
+  };
+  lookup_all();
+  chain.FailReplica(0, 1);
+  lookup_all();
+  lookup_all();
+  chain.RecoverReplica(0, 1);
+  lookup_all();
+  EXPECT_EQ(chain.stats().lookups, 40u);
+  EXPECT_EQ(chain.stats().key_hits, 200u);
+  EXPECT_EQ(chain.distributed_stats().failovers, 20u);
+}
+
 TEST(DistributedRegistryTest, RefcountsSurviveFailover) {
   DistributedRegistry dist(Opts(4));
   dist.InsertBaseSandbox(NodeId{0}, SandboxId{100}, RandomFingerprints(5, 10));

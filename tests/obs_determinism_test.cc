@@ -39,31 +39,7 @@ PlatformOptions FastOptions(size_t agent_threads) {
   return opts;
 }
 
-// Instrument registration is process-lifetime (function-local statics at the
-// call sites), so the first run in a process registers instruments mid-run as
-// code paths first execute, while every later run sees the full set from its
-// first sample onwards.  Warm the registry once so all compared runs start
-// from identical registration state; separate processes — the real
-// MEDES_THREADS scenario — each warm up the same way and need no such step.
-void WarmUpInstruments() {
-  static const bool warmed = [] {
-    obs::SetMetricsEnabled(true);
-    obs::SetTraceEnabled(true);
-    TraceOptions topts;
-    topts.duration = 8 * kMinute;
-    topts.rate_scale = 2.0;
-    ServerlessPlatform platform(FastOptions(1));
-    platform.Run(GenerateTrace(DefaultAzurePatterns(), topts));
-    obs::SetMetricsEnabled(false);
-    obs::SetTraceEnabled(false);
-    obs::Tracer::Default().Clear();
-    return true;
-  }();
-  (void)warmed;
-}
-
 Artifacts RunAndExport(size_t agent_threads, const std::vector<TraceEvent>& trace) {
-  WarmUpInstruments();
   obs::MetricsRegistry::Default().ResetValues();
   obs::Tracer::Default().Clear();
   obs::SnapshotSeries::Default().Clear();
@@ -119,7 +95,6 @@ struct SampledArtifacts {
 
 SampledArtifacts RunSampled(size_t agent_threads, unsigned sample_every,
                             const std::vector<TraceEvent>& trace) {
-  WarmUpInstruments();
   obs::MetricsRegistry::Default().ResetValues();
   obs::Tracer::Default().Clear();
   obs::SnapshotSeries::Default().Clear();
@@ -193,6 +168,9 @@ TEST(ObsDeterminismTest, SampledTracesBitIdenticalAcrossRuns) {
   EXPECT_EQ(a.linkage, b.linkage);
 }
 
+// Every component registers the series it records when it is constructed,
+// so the first run in a process (each test runs in a fresh one) exports
+// exactly what a later run of the same trace does.
 TEST(ObsDeterminismTest, RepeatedRunsAreBitIdentical) {
   TraceOptions topts;
   topts.duration = 3 * kMinute;
@@ -235,7 +213,6 @@ TEST(ObsDeterminismTest, EagerModeEmitsBaseReadSpans) {
   topts.duration = 8 * kMinute;
   topts.rate_scale = 2.0;
   const auto trace = GenerateTrace(DefaultAzurePatterns(), topts);
-  WarmUpInstruments();
   obs::MetricsRegistry::Default().ResetValues();
   obs::Tracer::Default().Clear();
   obs::SnapshotSeries::Default().Clear();

@@ -75,11 +75,12 @@ TEST_F(ObsTest, HistogramBucketsAndSum) {
   h.Record(1);   // bucket 1
   h.Record(3);   // bucket 2
   h.Record(3);   // bucket 2
-  EXPECT_EQ(h.BucketCount(0), 1u);
-  EXPECT_EQ(h.BucketCount(1), 1u);
-  EXPECT_EQ(h.BucketCount(2), 2u);
-  EXPECT_EQ(h.TotalCount(), 4u);
-  EXPECT_EQ(h.Sum(), 7);
+  const HistogramValue v = h.Value();
+  EXPECT_EQ(v.buckets[0], 1u);
+  EXPECT_EQ(v.buckets[1], 1u);
+  EXPECT_EQ(v.buckets[2], 2u);
+  EXPECT_EQ(v.count, 4u);
+  EXPECT_EQ(v.sum, 7);
 }
 
 TEST_F(ObsTest, SnapshotIsSortedByNameAndLabel) {
@@ -105,10 +106,10 @@ TEST_F(ObsTest, ResetValuesKeepsRegistrations) {
   MetricsRegistry& registry = MetricsRegistry::Default();
   Counter& c = registry.GetCounter("obs_test_reset_total", "test");
   c.Add(9);
-  const size_t instruments = registry.NumInstruments();
+  const size_t instruments = registry.NumSeries();
   registry.ResetValues();
   EXPECT_EQ(c.Value(), 0u);
-  EXPECT_EQ(registry.NumInstruments(), instruments);
+  EXPECT_EQ(registry.NumSeries(), instruments);
   // Same address after reset: cached references stay valid.
   EXPECT_EQ(&registry.GetCounter("obs_test_reset_total", "test"), &c);
 }
@@ -272,7 +273,7 @@ TEST_F(ObsTest, CardinalityGuardAbsorbsNewSeriesPastTheCap) {
   MetricsRegistry& registry = MetricsRegistry::Default();
   const size_t old_max = registry.MaxSeries();
   registry.GetCounter("obs_test_guard_seed_total", "test").Add(1);
-  registry.SetMaxSeries(registry.NumInstruments());  // cap at current size
+  registry.SetMaxSeries(registry.NumSeries());  // cap at current size
 
   Counter& a = registry.GetCounter("obs_test_guard_over_a_total", "test");
   Counter& b = registry.GetCounter("obs_test_guard_over_b_total", "test");
@@ -302,7 +303,7 @@ TEST_F(ObsTest, CardinalityGuardAbsorbsNewSeriesPastTheCap) {
 TEST_F(ObsTest, CardinalityGuardSinksPerKind) {
   MetricsRegistry& registry = MetricsRegistry::Default();
   const size_t old_max = registry.MaxSeries();
-  registry.SetMaxSeries(registry.NumInstruments());
+  registry.SetMaxSeries(registry.NumSeries());
   Counter& c = registry.GetCounter("obs_test_guard_kind_total", "test");
   Gauge& g = registry.GetGauge("obs_test_guard_kind_level", "test");
   Histogram& h = registry.GetHistogram("obs_test_guard_kind_us", "test");

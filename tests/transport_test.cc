@@ -72,33 +72,33 @@ TEST(TopologyTest, ResolvesLocalRemoteAndOverrides) {
   EXPECT_EQ(topo.LinkFor(NodeId{1}, NodeId{1}), slow);
 }
 
-// ---- LatencyHistogram ----------------------------------------------------
+// ---- HistogramValue (MessageStats::latency) ------------------------------
 
-TEST(LatencyHistogramTest, PowerOfTwoBuckets) {
-  EXPECT_EQ(LatencyHistogram::BucketIndex(SimDuration{0}), 0u);
-  EXPECT_EQ(LatencyHistogram::BucketIndex(SimDuration{-5}), 0u);
-  EXPECT_EQ(LatencyHistogram::BucketIndex(SimDuration{1}), 1u);
-  EXPECT_EQ(LatencyHistogram::BucketIndex(SimDuration{2}), 2u);
-  EXPECT_EQ(LatencyHistogram::BucketIndex(SimDuration{3}), 2u);
-  EXPECT_EQ(LatencyHistogram::BucketIndex(SimDuration{4}), 3u);
+TEST(HistogramValueTest, PowerOfTwoBuckets) {
+  using obs::HistogramValue;
+  EXPECT_EQ(HistogramValue::BucketIndex(0), 0u);
+  EXPECT_EQ(HistogramValue::BucketIndex(-5), 0u);
+  EXPECT_EQ(HistogramValue::BucketIndex(1), 1u);
+  EXPECT_EQ(HistogramValue::BucketIndex(2), 2u);
+  EXPECT_EQ(HistogramValue::BucketIndex(3), 2u);
+  EXPECT_EQ(HistogramValue::BucketIndex(4), 3u);
   // Values past the last bucket's range clamp into it.
-  EXPECT_EQ(LatencyHistogram::BucketIndex(SimDuration{int64_t{1} << 40}),
-            LatencyHistogram::kNumBuckets - 1);
+  EXPECT_EQ(HistogramValue::BucketIndex(int64_t{1} << 40), HistogramValue::kNumBuckets - 1);
 
-  EXPECT_EQ(LatencyHistogram::BucketUpperBound(0), SimDuration{0});
-  EXPECT_EQ(LatencyHistogram::BucketUpperBound(1), SimDuration{1});
-  EXPECT_EQ(LatencyHistogram::BucketUpperBound(2), SimDuration{3});
-  EXPECT_EQ(LatencyHistogram::BucketUpperBound(3), SimDuration{7});
+  EXPECT_EQ(HistogramValue::BucketUpperBound(0), 0);
+  EXPECT_EQ(HistogramValue::BucketUpperBound(1), 1);
+  EXPECT_EQ(HistogramValue::BucketUpperBound(2), 3);
+  EXPECT_EQ(HistogramValue::BucketUpperBound(3), 7);
 
-  LatencyHistogram h;
-  h.Record(SimDuration{0});
-  h.Record(SimDuration{1});
-  h.Record(SimDuration{3});
-  h.Record(SimDuration{3});
-  EXPECT_EQ(h.Count(0), 1u);
-  EXPECT_EQ(h.Count(1), 1u);
-  EXPECT_EQ(h.Count(2), 2u);
-  EXPECT_EQ(h.TotalCount(), 4u);
+  HistogramValue h;
+  h.Record(0);
+  h.Record(1);
+  h.Record(3);
+  h.Record(3);
+  EXPECT_EQ(h.buckets[0], 1u);
+  EXPECT_EQ(h.buckets[1], 1u);
+  EXPECT_EQ(h.buckets[2], 2u);
+  EXPECT_EQ(h.count, 4u);
 }
 
 // ---- Transport sends and stats -------------------------------------------
@@ -132,7 +132,7 @@ TEST(TransportTest, BatchedRequestAccounting) {
   EXPECT_EQ(ms.requests, 72u);
   EXPECT_EQ(ms.bytes, 72u * kRegistryWireBytesPerKey.value());
   EXPECT_EQ(ms.dropped, 0u);
-  EXPECT_EQ(ms.latency.TotalCount(), 2u);
+  EXPECT_EQ(ms.latency.count, 2u);
   // Other message types are untouched.
   EXPECT_EQ(net.stats().For(MessageType::kBaseRead).messages, 0u);
 }
@@ -212,9 +212,9 @@ TEST(TransportFaultTest, NodePartitionDropsBothDirections) {
   EXPECT_EQ(ms.messages, 4u);
   EXPECT_EQ(ms.dropped, 2u);
   // Latency totals and the histogram cover delivered messages only.
-  EXPECT_EQ(ms.total_latency, SimDuration{2 * 6});
+  EXPECT_EQ(ms.latency.sum, 2 * 6);
   EXPECT_EQ(ms.max_latency, SimDuration{6});
-  EXPECT_EQ(ms.latency.TotalCount(), 2u);
+  EXPECT_EQ(ms.latency.count, 2u);
   EXPECT_DOUBLE_EQ(ms.MeanLatency(), 6.0);
 }
 
