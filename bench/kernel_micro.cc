@@ -1,6 +1,6 @@
 // Per-kernel microbenchmark: MB/s of each hot-path kernel at every tier the
 // machine can bind — 64-byte chunk hashing (single and batched), sample
-// selection over a page, match extension, delta decode and encode. Emits
+// selection over a page, match extension and delta encode. Emits
 // JSON with a speedup-vs-scalar column so CI can smoke-check the dispatch
 // layer and archive per-tier throughput.
 //
@@ -86,8 +86,7 @@ struct KernelResult {
 
 std::vector<kernels::Tier> BindableTiers() {
   std::vector<kernels::Tier> tiers;
-  for (kernels::Tier t : {kernels::Tier::kScalar, kernels::Tier::kSwar, kernels::Tier::kSse42,
-                          kernels::Tier::kAvx2}) {
+  for (kernels::Tier t : {kernels::Tier::kScalar, kernels::Tier::kPortable, kernels::Tier::kAvx2}) {
     if (t <= kernels::MaxSupportedTier()) {
       tiers.push_back(t);
     }
@@ -121,7 +120,6 @@ int main() {
       target[rng.Below(target.size())] = static_cast<uint8_t>(rng.Next());
     }
   }
-  const std::vector<uint8_t> delta = DeltaEncode(base, target);
 
   std::vector<const uint8_t*> chunk_ptrs(kChunksPerBatch);
   for (size_t i = 0; i < kChunksPerBatch; ++i) {
@@ -168,18 +166,7 @@ int main() {
     }
   }));
 
-  // 5. Delta decode of a realistic sparse-edit page patch.
-  {
-    static std::vector<uint8_t> out;
-    results.push_back(RunKernel("delta_decode_page", kPage, [&](size_t iters) {
-      for (size_t i = 0; i < iters; ++i) {
-        DeltaDecodeInto(base, delta, out);
-        g_sink = g_sink + out[0];
-      }
-    }));
-  }
-
-  // 6. Delta encode of the same mutated page against its base at level 1
+  // 5. Delta encode of the same mutated page against its base at level 1
   //    (seed index, prefilter, match extension) — the dedup write path.
   {
     static std::vector<uint8_t> out;
@@ -194,7 +181,7 @@ int main() {
     }));
   }
 
-  // 7. Whole-page fingerprint through the public API (ties 1-3 together).
+  // 6. Whole-page fingerprint through the public API (ties 1-3 together).
   {
     PageFingerprinter fp({});
     results.push_back(RunKernel("fingerprint_page", kPage, [&](size_t iters) {
@@ -209,10 +196,8 @@ int main() {
   w.BeginObject();
   bench::WriteMetadata(w, "kernel_micro");
   w.BeginObject("cpu")
-      .Field("sse42", feats.sse42)
       .Field("avx2", feats.avx2)
       .Field("sha_ni", feats.sha_ni)
-      .Field("bmi2", feats.bmi2)
       .EndObject();
   w.BeginArray("kernels");
   for (const KernelResult& r : results) {

@@ -3,8 +3,9 @@
 
 Checks, without external dependencies:
   - the file parses as a single JSON object with the shared metadata block
-    (bench name, the kernel tier that ran — no higher than the max supported
-    tier — and whether SHA-NI was on, wall_seconds, sim event counters);
+    (bench name, the kernel tier that ran — one of scalar, portable, avx2 and
+    no higher than the max supported tier — and whether SHA-NI was on,
+    wall_seconds, sim event counters);
   - for cluster_scale reports: every sweep entry carries the full set of
     capacity-campaign fields with sane values;
   - for registry_persistence reports: every sweep entry carries the
@@ -49,7 +50,7 @@ SWEEP_FIELDS = {
     "transport_bytes": (int,),
 }
 
-KERNEL_TIERS = ("scalar", "swar", "sse42", "avx2")  # lowest to highest
+KERNEL_TIERS = ("scalar", "portable", "avx2")  # lowest to highest
 
 METADATA_FIELDS = {
     "bench": (str,),

@@ -50,13 +50,9 @@ CpuFeatures DetectCpuFeatures() {
   CpuFeatures f;
 #if defined(MEDES_KERNELS_X86)
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0) {
-    f.sse42 = (ecx & bit_SSE4_2) != 0;
-  }
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0) {
     f.avx2 = (ebx & bit_AVX2) != 0;
     f.sha_ni = (ebx & bit_SHA) != 0;
-    f.bmi2 = (ebx & bit_BMI2) != 0;
   }
 #endif
   return f;
@@ -66,10 +62,8 @@ const char* TierName(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSwar:
-      return "swar";
-    case Tier::kSse42:
-      return "sse42";
+    case Tier::kPortable:
+      return "portable";
     case Tier::kAvx2:
       return "avx2";
   }
@@ -78,19 +72,10 @@ const char* TierName(Tier tier) {
 
 Tier MaxSupportedTier() {
 #if defined(MEDES_KERNELS_X86)
-  static const Tier max = [] {
-    CpuFeatures f = DetectCpuFeatures();
-    if (f.avx2) {
-      return Tier::kAvx2;
-    }
-    if (f.sse42) {
-      return Tier::kSse42;
-    }
-    return Tier::kSwar;
-  }();
+  static const Tier max = DetectCpuFeatures().avx2 ? Tier::kAvx2 : Tier::kPortable;
   return max;
 #else
-  return Tier::kSwar;
+  return Tier::kPortable;
 #endif
 }
 
@@ -109,17 +94,13 @@ std::optional<Tier> BoundTier() {
 }
 
 bool ShaNiActive() {
-  return Sha1ShaNiCompiled() && DetectCpuFeatures().sha_ni && ActiveTier() >= Tier::kSse42;
+  return Sha1ShaNiCompiled() && DetectCpuFeatures().sha_ni && ActiveTier() != Tier::kScalar;
 }
 
 Tier ForceTier(Tier tier) { return Bind(tier); }
 
 Tier ResetTierFromEnvironment() {
-#if defined(MEDES_FORCE_SCALAR)
-  return Bind(Tier::kScalar);
-#else
   return Bind(EnvForcesScalar() ? Tier::kScalar : MaxSupportedTier());
-#endif
 }
 
 }  // namespace medes::kernels

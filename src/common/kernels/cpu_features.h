@@ -1,26 +1,26 @@
 // Runtime CPU-feature detection and kernel-tier dispatch.
 //
 // The per-page hot path (chunk SHA-1, sample selection, delta match
-// extension, patch decode) is implemented several times at increasing
-// ISA levels. Every dispatch slot starts at a resolver: the first call to
-// any dispatched kernel binds all of them to the best variant the CPU
-// supports (as ResetTierFromEnvironment would) and then forwards the call,
-// so a fresh process runs at MaxSupportedTier() without anyone asking.
-// Tests and benchmarks may rebind at any time with ForceTier.
+// extension) is implemented at more than one ISA level. Every dispatch slot
+// starts at a resolver: the first call to any dispatched kernel binds all of
+// them to the best variant the CPU supports (as ResetTierFromEnvironment
+// would) and then forwards the call, so a fresh process runs at
+// MaxSupportedTier() without anyone asking. Tests and benchmarks may rebind
+// at any time with ForceTier.
 //
-//   kScalar  pure byte-at-a-time reference code. The other tiers are
-//            verified bit-identical against it (tests/kernel_equivalence).
-//   kSwar    portable word-at-a-time C (8-byte XOR + count-zeros tricks,
-//            interleaved multi-buffer hashing). Works on any 64-bit target.
-//   kSse42   x86-64 with SSE4.2: 16-byte vector compares; SHA-NI chunk
-//            hashing when the `sha` cpuid bit is also set.
-//   kAvx2    x86-64 with AVX2: 32-byte compares, 8-way vertical
-//            multi-buffer SHA-1.
+//   kScalar    pure byte-at-a-time reference code. The other tiers are
+//              verified bit-identical against it (tests/kernel_equivalence).
+//   kPortable  word-at-a-time C (8-byte XOR + count-zeros match extension,
+//              the four-chain selection walk). Works on any 64-bit target.
+//   kAvx2      x86-64 with AVX2: 16-lane sample selection and, when SHA-NI
+//              is absent, the 8-lane vertical chunk SHA-1 batch.
 //
-// Forcing scalar for equivalence testing / debugging:
-//   - environment: MEDES_FORCE_SCALAR=1 (read once at first use; tests can
-//     re-read via ResetTierFromEnvironment);
-//   - build knob: cmake -DMEDES_FORCE_SCALAR=ON bakes the scalar tier in.
+// SHA-NI is a capability, not a tier: the SHA-1 compression uses it at every
+// tier above kScalar when cpuid reports `sha`.
+//
+// Forcing scalar for equivalence testing / debugging: MEDES_FORCE_SCALAR=1
+// in the environment (read once at first use; tests can re-read it via
+// ResetTierFromEnvironment).
 //
 // Every variant of every kernel is required to produce bit-identical
 // output (same digests, same selected windows, same match lengths, same
@@ -35,19 +35,16 @@ namespace medes::kernels {
 
 // Raw cpuid probe results (all false on non-x86 targets).
 struct CpuFeatures {
-  bool sse42 = false;
   bool avx2 = false;
   bool sha_ni = false;
-  bool bmi2 = false;
 };
 
 CpuFeatures DetectCpuFeatures();
 
 enum class Tier : uint8_t {
   kScalar = 0,
-  kSwar = 1,
-  kSse42 = 2,
-  kAvx2 = 3,
+  kPortable = 1,
+  kAvx2 = 2,
 };
 
 const char* TierName(Tier tier);
@@ -56,15 +53,15 @@ const char* TierName(Tier tier);
 Tier MaxSupportedTier();
 
 // Currently bound tier. Binds from cpuid and the MEDES_FORCE_SCALAR
-// environment/build knob if no kernel has been bound yet.
+// environment variable if no kernel has been bound yet.
 Tier ActiveTier();
 
 // The bound tier, or nullopt while every dispatch slot still points at its
 // resolver. Never binds (lets a test observe first-use binding).
 std::optional<Tier> BoundTier();
 
-// True when the SHA-NI chunk-hash variant is compiled in, supported by the
-// CPU and not disabled by the active tier (SHA-NI engages at >= kSse42).
+// True when the SHA-NI compression is compiled in, supported by the CPU and
+// not disabled by the active tier (SHA-NI engages above kScalar).
 bool ShaNiActive();
 
 // Rebinds every dispatched kernel to `tier`, clamped to MaxSupportedTier().

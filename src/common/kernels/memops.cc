@@ -3,11 +3,6 @@
 #include <atomic>
 #include <bit>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define MEDES_KERNELS_X86 1
-#endif
-
 namespace medes::kernels {
 namespace {
 
@@ -112,78 +107,6 @@ bool MemEqualSwar(const uint8_t* a, const uint8_t* b, size_t len) {
   return acc == 0;
 }
 
-#if defined(MEDES_KERNELS_X86)
-
-bool Avx2Compiled() { return true; }
-
-__attribute__((target("avx2"))) size_t MatchForwardAvx2(const uint8_t* a, const uint8_t* b,
-                                                        size_t max) {
-  size_t len = 0;
-  while (len + 32 <= max) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + len));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + len));
-    uint32_t eq = static_cast<uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-    if (eq != 0xffffffffu) {
-      return len + static_cast<size_t>(std::countr_zero(~eq));
-    }
-    len += 32;
-  }
-  return len + MatchForwardSwar(a + len, b + len, max - len);
-}
-
-__attribute__((target("avx2"))) size_t MatchBackwardAvx2(const uint8_t* a_end,
-                                                         const uint8_t* b_end, size_t max) {
-  size_t len = 0;
-  while (len + 32 <= max) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a_end - len - 32));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b_end - len - 32));
-    uint32_t eq = static_cast<uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-    if (eq != 0xffffffffu) {
-      return len + static_cast<size_t>(std::countl_zero(~eq));
-    }
-    len += 32;
-  }
-  return len + MatchBackwardSwar(a_end - len, b_end - len, max - len);
-}
-
-__attribute__((target("avx2"))) bool MemEqualAvx2(const uint8_t* a, const uint8_t* b,
-                                                  size_t len) {
-  if (len < 32) {
-    return MemEqualSwar(a, b, len);
-  }
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 32 <= len; i += 32) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_or_si256(acc, _mm256_xor_si256(va, vb));
-  }
-  if (i < len) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + len - 32));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + len - 32));
-    acc = _mm256_or_si256(acc, _mm256_xor_si256(va, vb));
-  }
-  return _mm256_testz_si256(acc, acc) != 0;
-}
-
-#else  // !MEDES_KERNELS_X86
-
-bool Avx2Compiled() { return false; }
-
-size_t MatchForwardAvx2(const uint8_t* a, const uint8_t* b, size_t max) {
-  return MatchForwardSwar(a, b, max);
-}
-
-size_t MatchBackwardAvx2(const uint8_t* a_end, const uint8_t* b_end, size_t max) {
-  return MatchBackwardSwar(a_end, b_end, max);
-}
-
-bool MemEqualAvx2(const uint8_t* a, const uint8_t* b, size_t len) {
-  return MemEqualSwar(a, b, len);
-}
-
-#endif  // MEDES_KERNELS_X86
-
 namespace {
 
 using MatchFn = size_t (*)(const uint8_t*, const uint8_t*, size_t);
@@ -229,13 +152,7 @@ bool MemEqual(const uint8_t* a, const uint8_t* b, size_t len) {
 }
 
 void BindMemopsKernels(Tier tier) {
-  // SSE4.2 brings nothing beyond SWAR for these primitives (the win is the
-  // 32-byte AVX2 stride), so kSse42 maps to the SWAR variants.
-  if (tier >= Tier::kAvx2 && Avx2Compiled()) {
-    g_match_forward.store(&MatchForwardAvx2, std::memory_order_relaxed);
-    g_match_backward.store(&MatchBackwardAvx2, std::memory_order_relaxed);
-    g_mem_equal.store(&MemEqualAvx2, std::memory_order_relaxed);
-  } else if (tier >= Tier::kSwar) {
+  if (tier != Tier::kScalar) {
     g_match_forward.store(&MatchForwardSwar, std::memory_order_relaxed);
     g_match_backward.store(&MatchBackwardSwar, std::memory_order_relaxed);
     g_mem_equal.store(&MemEqualSwar, std::memory_order_relaxed);

@@ -3,10 +3,12 @@
 // Match extension (how far two buffers agree) and seed equality are the
 // inner loops of DeltaEncode: every candidate match runs one MemEqual over
 // the seed and one MatchForward/MatchBackward over the surrounding bytes.
-// Each primitive has a scalar reference, a portable SWAR variant (8-byte
-// XOR + count-zeros) and x86 vector variants; the unqualified names
-// dispatch through the tier bound by cpu_features. All variants return
-// bit-identical results (see the contract in cpu_features.h).
+// Each primitive has a scalar reference and a portable SWAR variant (8-byte
+// XOR + count-zeros), bound at every tier above kScalar; the unqualified
+// names dispatch through the tier bound by cpu_features. Both variants
+// return bit-identical results (see the contract in cpu_features.h). There
+// is no AVX2 variant: a 32-byte stride did not beat SWAR at the encoder,
+// the only caller.
 #ifndef MEDES_COMMON_KERNELS_MEMOPS_H_
 #define MEDES_COMMON_KERNELS_MEMOPS_H_
 
@@ -33,13 +35,6 @@ size_t MatchBackwardSwar(const uint8_t* a_end, const uint8_t* b_end, size_t max)
 bool MemEqual(const uint8_t* a, const uint8_t* b, size_t len);
 bool MemEqualScalar(const uint8_t* a, const uint8_t* b, size_t len);
 bool MemEqualSwar(const uint8_t* a, const uint8_t* b, size_t len);
-
-// AVX2 variants exist only when the compiler can target x86; call them
-// only when DetectCpuFeatures().avx2 is true.
-bool Avx2Compiled();
-size_t MatchForwardAvx2(const uint8_t* a, const uint8_t* b, size_t max);
-size_t MatchBackwardAvx2(const uint8_t* a_end, const uint8_t* b_end, size_t max);
-bool MemEqualAvx2(const uint8_t* a, const uint8_t* b, size_t len);
 
 // Copies len bytes between non-overlapping buffers, tuned for the short
 // (8–64 byte) runs delta op streams are made of. Plain memcpy semantics.

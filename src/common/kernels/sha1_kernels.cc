@@ -24,130 +24,67 @@ constexpr uint8_t kPad64[64] = {0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 
                                 0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                                 0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x02, 0x00};
 
-// 80-round core over an L-lane structure-of-arrays state. With L = 1 this
-// is the scalar reference; with L = 4 the compiler gets four independent
-// dependency chains to interleave (and may auto-vectorise the lane loops).
-// `w` is a 16-entry-per-lane ring holding the first 16 message words.
-template <int L>
-void Sha1RoundsSoa(uint32_t state[L][5], uint32_t w[L][16]) {
-  uint32_t a[L], b[L], c[L], d[L], e[L];
-  for (int l = 0; l < L; ++l) {
-    a[l] = state[l][0];
-    b[l] = state[l][1];
-    c[l] = state[l][2];
-    d[l] = state[l][3];
-    e[l] = state[l][4];
+}  // namespace
+
+// The reference: 80 rounds over a 16-entry message-word ring.
+void Sha1CompressScalar(uint32_t state[5], const uint8_t* block) {
+  uint32_t w[16];
+  for (int t = 0; t < 16; ++t) {
+    w[t] = LoadBe32(block + 4 * t);
   }
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3], e = state[4];
   for (int t = 0; t < 80; ++t) {
-    uint32_t wt[L];
+    uint32_t wt;
     if (t < 16) {
-      for (int l = 0; l < L; ++l) {
-        wt[l] = w[l][t];
-      }
+      wt = w[t];
     } else {
-      for (int l = 0; l < L; ++l) {
-        wt[l] = RotL(w[l][(t - 3) & 15] ^ w[l][(t - 8) & 15] ^ w[l][(t - 14) & 15] ^
-                         w[l][(t - 16) & 15],
-                     1);
-        w[l][t & 15] = wt[l];
-      }
+      wt = RotL(w[(t - 3) & 15] ^ w[(t - 8) & 15] ^ w[(t - 14) & 15] ^ w[(t - 16) & 15], 1);
+      w[t & 15] = wt;
     }
-    uint32_t k;
-    uint32_t f[L];
+    uint32_t f, k;
     if (t < 20) {
+      f = (b & c) | (~b & d);
       k = 0x5A827999u;
-      for (int l = 0; l < L; ++l) {
-        f[l] = (b[l] & c[l]) | (~b[l] & d[l]);
-      }
     } else if (t < 40) {
+      f = b ^ c ^ d;
       k = 0x6ED9EBA1u;
-      for (int l = 0; l < L; ++l) {
-        f[l] = b[l] ^ c[l] ^ d[l];
-      }
     } else if (t < 60) {
+      f = (b & c) | (b & d) | (c & d);
       k = 0x8F1BBCDCu;
-      for (int l = 0; l < L; ++l) {
-        f[l] = (b[l] & c[l]) | (b[l] & d[l]) | (c[l] & d[l]);
-      }
     } else {
+      f = b ^ c ^ d;
       k = 0xCA62C1D6u;
-      for (int l = 0; l < L; ++l) {
-        f[l] = b[l] ^ c[l] ^ d[l];
-      }
     }
-    for (int l = 0; l < L; ++l) {
-      uint32_t tmp = RotL(a[l], 5) + f[l] + e[l] + k + wt[l];
-      e[l] = d[l];
-      d[l] = c[l];
-      c[l] = RotL(b[l], 30);
-      b[l] = a[l];
-      a[l] = tmp;
-    }
+    uint32_t tmp = RotL(a, 5) + f + e + k + wt;
+    e = d;
+    d = c;
+    c = RotL(b, 30);
+    b = a;
+    a = tmp;
   }
-  for (int l = 0; l < L; ++l) {
-    state[l][0] += a[l];
-    state[l][1] += b[l];
-    state[l][2] += c[l];
-    state[l][3] += d[l];
-    state[l][4] += e[l];
-  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
 }
 
-// L-lane Chunk64: data block then the constant padding block.
-template <int L>
-void Sha1Chunk64Soa(const uint8_t* const* chunks, uint32_t (*out_state)[5]) {
-  uint32_t state[L][5];
-  uint32_t w[L][16];
-  for (int l = 0; l < L; ++l) {
-    std::memcpy(state[l], kSha1Init, sizeof(kSha1Init));
-    for (int t = 0; t < 16; ++t) {
-      w[l][t] = LoadBe32(chunks[l] + 4 * t);
-    }
-  }
-  Sha1RoundsSoa<L>(state, w);
-  for (int l = 0; l < L; ++l) {
-    for (int t = 0; t < 16; ++t) {
-      w[l][t] = LoadBe32(kPad64 + 4 * t);
-    }
-  }
-  Sha1RoundsSoa<L>(state, w);
-  for (int l = 0; l < L; ++l) {
-    std::memcpy(out_state[l], state[l], sizeof(state[l]));
+void Sha1Chunk64(const uint8_t* chunk, uint32_t out_state[5]) {
+  std::memcpy(out_state, kSha1Init, sizeof(kSha1Init));
+  Sha1Compress(out_state, chunk);
+  Sha1Compress(out_state, kPad64);
+}
+
+namespace {
+
+// The one-chunk-at-a-time batch: each chunk takes the bound compression.
+void Sha1Chunk64Each(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
+  for (size_t i = 0; i < n; ++i) {
+    Sha1Chunk64(chunks[i], out_state[i]);
   }
 }
 
 }  // namespace
-
-void Sha1CompressScalar(uint32_t state[5], const uint8_t* block) {
-  uint32_t soa_state[1][5];
-  uint32_t w[1][16];
-  std::memcpy(soa_state[0], state, 5 * sizeof(uint32_t));
-  for (int t = 0; t < 16; ++t) {
-    w[0][t] = LoadBe32(block + 4 * t);
-  }
-  Sha1RoundsSoa<1>(soa_state, w);
-  std::memcpy(state, soa_state[0], 5 * sizeof(uint32_t));
-}
-
-void Sha1Chunk64Scalar(const uint8_t* chunk, uint32_t out_state[5]) {
-  Sha1Chunk64Soa<1>(&chunk, reinterpret_cast<uint32_t(*)[5]>(out_state));
-}
-
-void Sha1Chunk64BatchScalar(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
-  for (size_t i = 0; i < n; ++i) {
-    Sha1Chunk64Scalar(chunks[i], out_state[i]);
-  }
-}
-
-void Sha1Chunk64BatchSwar(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    Sha1Chunk64Soa<4>(chunks + i, out_state + i);
-  }
-  for (; i < n; ++i) {
-    Sha1Chunk64Scalar(chunks[i], out_state[i]);
-  }
-}
 
 #if defined(MEDES_KERNELS_X86)
 
@@ -232,19 +169,6 @@ __attribute__((target("sha,sse4.1"))) void Sha1CompressShaNi(uint32_t state[5],
   abcd = _mm_shuffle_epi32(abcd, 0x1B);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abcd);
   state[4] = static_cast<uint32_t>(_mm_extract_epi32(e[0], 3));
-}
-
-__attribute__((target("sha,sse4.1"))) void Sha1Chunk64ShaNi(const uint8_t* chunk,
-                                                            uint32_t out_state[5]) {
-  std::memcpy(out_state, kSha1Init, sizeof(kSha1Init));
-  Sha1CompressShaNi(out_state, chunk);
-  Sha1CompressShaNi(out_state, kPad64);
-}
-
-void Sha1Chunk64BatchShaNi(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
-  for (size_t i = 0; i < n; ++i) {
-    Sha1Chunk64ShaNi(chunks[i], out_state[i]);
-  }
 }
 
 namespace {
@@ -338,9 +262,7 @@ void Sha1Chunk64BatchAvx2(const uint8_t* const* chunks, size_t n, uint32_t (*out
   for (; i + 8 <= n; i += 8) {
     Sha1Chunk64x8Avx2(chunks + i, out_state + i);
   }
-  if (i < n) {
-    Sha1Chunk64BatchSwar(chunks + i, n - i, out_state + i);
-  }
+  Sha1Chunk64Each(chunks + i, n - i, out_state + i);
 }
 
 #else  // !MEDES_KERNELS_X86
@@ -351,16 +273,8 @@ void Sha1CompressShaNi(uint32_t state[5], const uint8_t* block) {
   Sha1CompressScalar(state, block);
 }
 
-void Sha1Chunk64ShaNi(const uint8_t* chunk, uint32_t out_state[5]) {
-  Sha1Chunk64Scalar(chunk, out_state);
-}
-
-void Sha1Chunk64BatchShaNi(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
-  Sha1Chunk64BatchScalar(chunks, n, out_state);
-}
-
 void Sha1Chunk64BatchAvx2(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
-  Sha1Chunk64BatchSwar(chunks, n, out_state);
+  Sha1Chunk64Each(chunks, n, out_state);
 }
 
 #endif  // MEDES_KERNELS_X86
@@ -368,27 +282,19 @@ void Sha1Chunk64BatchAvx2(const uint8_t* const* chunks, size_t n, uint32_t (*out
 namespace {
 
 using CompressFn = void (*)(uint32_t[5], const uint8_t*);
-using Chunk64Fn = void (*)(const uint8_t*, uint32_t[5]);
 using BatchFn = void (*)(const uint8_t* const*, size_t, uint32_t (*)[5]);
 
 // Each slot starts at its resolver; the first call binds every kernel and
 // forwards (cpu_features.h).
 void Sha1CompressResolve(uint32_t state[5], const uint8_t* block);
-void Sha1Chunk64Resolve(const uint8_t* chunk, uint32_t out_state[5]);
 void Sha1Chunk64BatchResolve(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]);
 
 std::atomic<CompressFn> g_compress{&Sha1CompressResolve};
-std::atomic<Chunk64Fn> g_chunk64{&Sha1Chunk64Resolve};
 std::atomic<BatchFn> g_batch{&Sha1Chunk64BatchResolve};
 
 void Sha1CompressResolve(uint32_t state[5], const uint8_t* block) {
   (void)ActiveTier();
   Sha1Compress(state, block);
-}
-
-void Sha1Chunk64Resolve(const uint8_t* chunk, uint32_t out_state[5]) {
-  (void)ActiveTier();
-  Sha1Chunk64(chunk, out_state);
 }
 
 void Sha1Chunk64BatchResolve(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
@@ -402,32 +308,17 @@ void Sha1Compress(uint32_t state[5], const uint8_t* block) {
   g_compress.load(std::memory_order_relaxed)(state, block);
 }
 
-void Sha1Chunk64(const uint8_t* chunk, uint32_t out_state[5]) {
-  g_chunk64.load(std::memory_order_relaxed)(chunk, out_state);
-}
-
 void Sha1Chunk64Batch(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
   g_batch.load(std::memory_order_relaxed)(chunks, n, out_state);
 }
 
 void BindSha1Kernels(Tier tier) {
-  const bool sha_ni =
-      Sha1ShaNiCompiled() && DetectCpuFeatures().sha_ni && tier >= Tier::kSse42;
-  if (sha_ni) {
-    g_compress.store(&Sha1CompressShaNi, std::memory_order_relaxed);
-    g_chunk64.store(&Sha1Chunk64ShaNi, std::memory_order_relaxed);
-    g_batch.store(&Sha1Chunk64BatchShaNi, std::memory_order_relaxed);
-    return;
-  }
-  g_compress.store(&Sha1CompressScalar, std::memory_order_relaxed);
-  g_chunk64.store(&Sha1Chunk64Scalar, std::memory_order_relaxed);
-  if (tier >= Tier::kAvx2) {
-    g_batch.store(&Sha1Chunk64BatchAvx2, std::memory_order_relaxed);
-  } else if (tier >= Tier::kSwar) {
-    g_batch.store(&Sha1Chunk64BatchSwar, std::memory_order_relaxed);
-  } else {
-    g_batch.store(&Sha1Chunk64BatchScalar, std::memory_order_relaxed);
-  }
+  const bool sha_ni = Sha1ShaNiCompiled() && DetectCpuFeatures().sha_ni && tier != Tier::kScalar;
+  g_compress.store(sha_ni ? &Sha1CompressShaNi : &Sha1CompressScalar, std::memory_order_relaxed);
+  // The 8-lane batch is bound only where SHA-NI is absent: on a SHA-NI host
+  // each chunk goes through the SHA-NI compression instead.
+  const bool lanes8 = tier == Tier::kAvx2 && !sha_ni;
+  g_batch.store(lanes8 ? &Sha1Chunk64BatchAvx2 : &Sha1Chunk64Each, std::memory_order_relaxed);
 }
 
 }  // namespace medes::kernels

@@ -1,13 +1,13 @@
-// SHA-1 compression kernels: scalar reference, SHA-NI, and multi-buffer
-// (4-way interleaved SWAR, 8-way vertical AVX2) variants.
+// SHA-1 compression kernels: the scalar reference, SHA-NI, and an 8-lane
+// vertical AVX2 chunk batch.
 //
 // Medes hashes 64-byte chunks — exactly one compression block — so besides
 // the generic single-block compress used by the streaming hasher there is a
 // fixed-length fast path: a 64-byte message's padding block is a compile
 // time constant, so Chunk64 is two back-to-back compressions with no
 // buffering or length bookkeeping. The batch entry point hashes all sampled
-// chunks of a page in one call so the multi-buffer variants can fill their
-// lanes. All variants produce bit-identical digests (cpu_features.h).
+// chunks of a page in one call so the AVX2 variant can fill its lanes. All
+// variants produce bit-identical digests (cpu_features.h).
 #ifndef MEDES_COMMON_KERNELS_SHA1_KERNELS_H_
 #define MEDES_COMMON_KERNELS_SHA1_KERNELS_H_
 
@@ -23,6 +23,8 @@ inline constexpr uint32_t kSha1Init[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
                                           0xC3D2E1F0u};
 
 // Generic single 64-byte block compression: state <- compress(state, block).
+// Dispatched: SHA-NI above kScalar when the CPU has it, else the scalar
+// reference.
 void Sha1Compress(uint32_t state[5], const uint8_t* block);
 void Sha1CompressScalar(uint32_t state[5], const uint8_t* block);
 
@@ -32,23 +34,18 @@ bool Sha1ShaNiCompiled();
 void Sha1CompressShaNi(uint32_t state[5], const uint8_t* block);
 
 // Fixed-length fast path: digest *state* of exactly 64 message bytes
-// (init vector, compress data block, compress the constant padding block).
-// Callers serialise the state big-endian to get digest bytes.
+// (init vector, then the dispatched compress over the data block and the
+// constant padding block). Callers serialise the state big-endian to get
+// digest bytes.
 void Sha1Chunk64(const uint8_t* chunk, uint32_t out_state[5]);
-void Sha1Chunk64Scalar(const uint8_t* chunk, uint32_t out_state[5]);
-void Sha1Chunk64ShaNi(const uint8_t* chunk, uint32_t out_state[5]);
 
-// Multi-buffer batch: out_state[i] = Chunk64(chunks[i]) for i in [0, n).
+// Batch: out_state[i] = Chunk64(chunks[i]) for i in [0, n). Dispatched: the
+// AVX2 variant at kAvx2 when SHA-NI is not engaged, else one Chunk64 per
+// chunk.
 void Sha1Chunk64Batch(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]);
-void Sha1Chunk64BatchScalar(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]);
-// 4 chunks interleaved in scalar registers — breaks the per-hash dependency
-// chain for ILP; portable C.
-void Sha1Chunk64BatchSwar(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]);
-// 8 chunks vertically in AVX2 lanes; requires cpuid avx2 (portable
-// fallback body on non-x86 builds).
+// 8 chunks vertically in AVX2 lanes, the tail one Chunk64 at a time;
+// requires cpuid avx2 (one Chunk64 per chunk on non-x86 builds).
 void Sha1Chunk64BatchAvx2(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]);
-// SHA-NI loop; same availability rule as Sha1CompressShaNi.
-void Sha1Chunk64BatchShaNi(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]);
 
 // Rebinds the dispatched entry points (called by cpu_features).
 void BindSha1Kernels(Tier tier);

@@ -56,8 +56,8 @@ class Sha1 {
   static Sha1Digest HashChunk64(const uint8_t* chunk);
 
   // Multi-buffer batch of the above: out[i] = HashChunk64(chunks[i]).
-  // Lets the interleaved/vector kernel variants hash all sampled chunks of
-  // a page in one call.
+  // Lets the 8-lane AVX2 kernel hash all sampled chunks of a page in one
+  // call.
   static void HashChunk64Batch(const uint8_t* const* chunks, size_t n, Sha1Digest* out);
 
  private:

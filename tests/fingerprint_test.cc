@@ -246,7 +246,7 @@ TEST(FingerprintTest, SelectionMatchesReferenceModel) {
     contents[2].bytes[rng.Below(8192)] = static_cast<uint8_t>(rng.Next());
   }
   using kernels::Tier;
-  const Tier tiers[] = {Tier::kScalar, Tier::kSwar, Tier::kSse42, Tier::kAvx2};
+  const Tier tiers[] = {Tier::kScalar, Tier::kPortable, Tier::kAvx2};
   const size_t windows[] = {1, 16, 32, 64, 128, 256};
   const uint64_t masks[] = {0x1, 0x7f, 0x1ff, 0xffff};
   const size_t cardinalities[] = {5, 64};

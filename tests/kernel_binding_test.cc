@@ -1,8 +1,7 @@
 // Fresh-process kernel binding: a process that never calls ForceTier or
 // ActiveTier must run its dispatched kernels at the tier it ships with —
-// MaxSupportedTier(), or scalar under MEDES_FORCE_SCALAR=1 or the
-// -DMEDES_FORCE_SCALAR=ON build knob. The bound tier is read through
-// BoundTier(), which never binds.
+// MaxSupportedTier(), or scalar under MEDES_FORCE_SCALAR=1. The bound tier
+// is read through BoundTier(), which never binds.
 //
 // Every dispatch slot is checked from an unbound start in its own child
 // process (a death test in the re-executing "threadsafe" style), so a slot
@@ -28,14 +27,10 @@ namespace {
 using kernels::Tier;
 
 Tier ExpectedTier() {
-#if defined(MEDES_FORCE_SCALAR)
-  return Tier::kScalar;
-#else
   const char* v = std::getenv("MEDES_FORCE_SCALAR");
   const bool forced = v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0 &&
                       std::strcmp(v, "off") != 0 && std::strcmp(v, "false") != 0;
   return forced ? Tier::kScalar : kernels::MaxSupportedTier();
-#endif
 }
 
 struct Slot {
@@ -50,11 +45,6 @@ std::vector<Slot> Slots() {
        [] {
          uint32_t state[5] = {1, 2, 3, 4, 5};
          kernels::Sha1Compress(state, data.data());
-       }},
-      {"Sha1Chunk64",
-       [] {
-         uint32_t state[5];
-         kernels::Sha1Chunk64(data.data(), state);
        }},
       {"Sha1Chunk64Batch",
        [] {
