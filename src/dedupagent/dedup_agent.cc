@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -14,6 +16,29 @@
 #include "workload/access_model.h"
 
 namespace medes {
+
+namespace {
+
+// Indexes of the checkpoint's resident (non-zero) pages, in page order.
+std::vector<size_t> ResidentPages(const MemoryCheckpoint& cp) {
+  std::vector<size_t> resident;
+  resident.reserve(cp.NumPages());
+  for (size_t page = 0; page < cp.NumPages(); ++page) {
+    if (cp.SlotState(page) == PageSlotState::kResident) {
+      resident.push_back(page);
+    }
+  }
+  return resident;
+}
+
+// Indexes of every patch record of `sb`, in record order.
+std::vector<size_t> AllRecords(const Sandbox& sb) {
+  std::vector<size_t> records(sb.patches.size());
+  std::iota(records.begin(), records.end(), size_t{0});
+  return records;
+}
+
+}  // namespace
 
 const char* ToString(RestoreMode mode) {
   switch (mode) {
@@ -86,13 +111,7 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
       static_cast<double>(options_.criu.capture_per_page.value()) *
       static_cast<double>(cp.NumPages()) * scale)};
 
-  std::vector<size_t> resident;
-  resident.reserve(cp.NumPages());
-  for (size_t page = 0; page < cp.NumPages(); ++page) {
-    if (cp.SlotState(page) == PageSlotState::kResident) {
-      resident.push_back(page);
-    }
-  }
+  const std::vector<size_t> resident = ResidentPages(cp);
   const size_t n = resident.size();
 
   // 2. Fingerprint every resident page (parallel).
@@ -303,49 +322,20 @@ RestoreOpResult DedupAgent::RestoreEager(Sandbox& sb, SimTime now, bool verify,
   result.mode = RestoreMode::kEager;
   const double scale = ScaleFactor();
   MemoryCheckpoint& cp = *sb.checkpoint;
-  const bool payloads = !cp.payloads_dropped();
   const size_t n = sb.patches.size();
+  const std::vector<size_t> records = AllRecords(sb);
 
-  // 1. Base-page reads, serial in patch-record order (deterministic cache
-  // behaviour — see DedupOp), plus refcount release.
+  // 1. Base-page reads, one per base in patch-record order (deterministic
+  // cache behaviour — see DedupOp), plus refcount release.
   SimDuration rdma_cost;
-  size_t patch_bytes_applied = 0;
-  uint64_t read_ordinal = 0;
-  std::vector<std::vector<uint8_t>> base_bytes(n);
-  for (size_t i = 0; i < n; ++i) {
-    const PatchRecord& record = sb.patches[i];
-    base_bytes[i].reserve(record.bases.size() * kPageSize);
-    for (const PageLocation& base : record.bases) {
-      std::vector<uint8_t> one = fabric_.ReadPage(
-          base, sb.node, &rdma_cost, obs::MessageTrace{read_ctx, now, read_ordinal++});
-      ++result.base_pages_read;
-      result.base_bytes_read += one.size();
-      if (base.node != sb.node) {
-        ++result.remote_reads;
-      }
-      base_bytes[i].insert(base_bytes[i].end(), one.begin(), one.end());
-      registry_.Unref(base.sandbox);
-    }
-    patch_bytes_applied += cp.PatchSize(record.page.value());
-  }
+  std::vector<std::vector<uint8_t>> base_bytes =
+      FetchBases(sb, records, /*batched=*/false, &rdma_cost, &result.base_pages_read,
+                 &result.base_bytes_read, &result.remote_reads,
+                 obs::MessageTrace{read_ctx, now, 0});
 
-  // 2. Reconstruct original pages from patches (parallel). DeltaDecodeInto
-  // writes straight into the output slot: the reconstructed page is required
-  // storage anyway, and the pre-sized single-pass decode avoids the growth
-  // reallocations DeltaDecode's incremental append would incur.
-  std::vector<std::vector<uint8_t>> originals(n);
-  pool_->ParallelFor(0, n, [&](size_t i) {
-    if (payloads) {
-      DeltaDecodeInto(base_bytes[i], cp.PatchData(sb.patches[i].page.value()), originals[i]);
-    } else {
-      originals[i] = std::vector<uint8_t>(kPageSize, 0);
-    }
-  });
-
-  // 3. Merge: put the reconstructed bytes back, in record order.
-  for (size_t i = 0; i < n; ++i) {
-    cp.RestorePage(sb.patches[i].page.value(), std::move(originals[i]));
-  }
+  // 2. Reconstruct original pages from patches (parallel) and put them back
+  // in record order.
+  const size_t patch_bytes_applied = DecodeAndRestore(sb, records, base_bytes);
 
   result.read_base_time =
       SimDuration{static_cast<int64_t>(static_cast<double>(rdma_cost.value()) * scale)};
@@ -362,13 +352,8 @@ RestoreOpResult DedupAgent::RestoreEager(Sandbox& sb, SimTime now, bool verify,
   result.total_time = result.read_base_time + result.compute_time + result.sandbox_restore_time;
   result.critical_path_time = result.total_time;
 
-  if (verify && payloads) {
-    std::vector<uint8_t> reconstructed = cp.ToBytes();
-    MemoryImage original = cluster_.BuildImage(sb);
-    if (reconstructed.size() != original.SizeBytes() ||
-        std::memcmp(reconstructed.data(), original.bytes().data(), reconstructed.size()) != 0) {
-      throw std::logic_error("RestoreOp: reconstruction does not match the original image");
-    }
+  if (verify && !cp.payloads_dropped()) {
+    VerifyReconstruction(sb, "RestoreOp");
     result.verified = true;
   }
 
@@ -404,22 +389,25 @@ RestoreOpResult DedupAgent::RestoreEager(Sandbox& sb, SimTime now, bool verify,
   return result;
 }
 
-std::vector<std::vector<uint8_t>> DedupAgent::FetchBasesBatched(
-    Sandbox& sb, const std::vector<size_t>& records, SimDuration* cost, size_t* pages_read,
-    size_t* bytes_read, size_t* remote_reads, const obs::MessageTrace& trace) {
+std::vector<std::vector<uint8_t>> DedupAgent::FetchBases(
+    Sandbox& sb, const std::vector<size_t>& records, bool batched, SimDuration* cost,
+    size_t* pages_read, size_t* bytes_read, size_t* remote_reads,
+    const obs::MessageTrace& trace) {
   std::vector<PageLocation> locations;
-  size_t total_bases = 0;
   for (size_t idx : records) {
-    total_bases += sb.patches[idx].bases.size();
+    locations.insert(locations.end(), sb.patches[idx].bases.begin(),
+                     sb.patches[idx].bases.end());
   }
-  locations.reserve(total_bases);
-  for (size_t idx : records) {
-    for (const PageLocation& base : sb.patches[idx].bases) {
-      locations.push_back(base);
+  std::vector<std::vector<uint8_t>> pages;
+  if (batched) {
+    pages = fabric_.ReadPageBatch(locations, sb.node, cost, trace);
+  } else {
+    pages.reserve(locations.size());
+    for (size_t k = 0; k < locations.size(); ++k) {
+      pages.push_back(fabric_.ReadPage(locations[k], sb.node, cost,
+                                       obs::MessageTrace{trace.ctx, trace.at, trace.ordinal + k}));
     }
   }
-  std::vector<std::vector<uint8_t>> pages =
-      fabric_.ReadPageBatch(locations, sb.node, cost, trace);
   std::vector<std::vector<uint8_t>> base_bytes(records.size());
   size_t k = 0;
   for (size_t j = 0; j < records.size(); ++j) {
@@ -439,6 +427,16 @@ std::vector<std::vector<uint8_t>> DedupAgent::FetchBasesBatched(
   return base_bytes;
 }
 
+void DedupAgent::VerifyReconstruction(const Sandbox& sb, const char* op) const {
+  const std::vector<uint8_t> reconstructed = sb.checkpoint->ToBytes();
+  const MemoryImage original = cluster_.BuildImage(sb);
+  if (reconstructed.size() != original.SizeBytes() ||
+      std::memcmp(reconstructed.data(), original.bytes().data(), reconstructed.size()) != 0) {
+    throw std::logic_error(std::string(op) +
+                           ": reconstruction does not match the original image");
+  }
+}
+
 size_t DedupAgent::DecodeAndRestore(Sandbox& sb, const std::vector<size_t>& records,
                                     std::vector<std::vector<uint8_t>>& base_bytes) {
   MemoryCheckpoint& cp = *sb.checkpoint;
@@ -447,6 +445,9 @@ size_t DedupAgent::DecodeAndRestore(Sandbox& sb, const std::vector<size_t>& reco
   for (size_t idx : records) {
     patch_bytes_applied += cp.PatchSize(sb.patches[idx].page.value());
   }
+  // DeltaDecodeInto writes straight into the output slot: the reconstructed
+  // page is required storage anyway, and the pre-sized single-pass decode
+  // avoids the growth reallocations DeltaDecode's incremental append incurs.
   std::vector<std::vector<uint8_t>> originals(records.size());
   pool_->ParallelFor(0, records.size(), [&](size_t j) {
     if (payloads) {
@@ -524,9 +525,10 @@ RestoreOpResult DedupAgent::RestoreLazy(Sandbox& sb, SimTime now, bool verify,
   // coalesced message per owner node), parallel decode, and a CRIU rebuild
   // that maps only the predicted pages.
   SimDuration ws_fetch_cost;
-  std::vector<std::vector<uint8_t>> critical_bases = FetchBasesBatched(
-      sb, critical_records, &ws_fetch_cost, &result.base_pages_read, &result.base_bytes_read,
-      &result.remote_reads, obs::MessageTrace{op_ctx.Child("restore/ws_fetch"), now, 0});
+  std::vector<std::vector<uint8_t>> critical_bases = FetchBases(
+      sb, critical_records, /*batched=*/true, &ws_fetch_cost, &result.base_pages_read,
+      &result.base_bytes_read, &result.remote_reads,
+      obs::MessageTrace{op_ctx.Child("restore/ws_fetch"), now, 0});
   const size_t critical_base_bytes = result.base_bytes_read;
   const size_t critical_patch_bytes = DecodeAndRestore(sb, critical_records, critical_bases);
 
@@ -551,27 +553,12 @@ RestoreOpResult DedupAgent::RestoreLazy(Sandbox& sb, SimTime now, bool verify,
   // touch pays the minor-fault trap cost. This is the penalty that keeps a
   // bad working set from being free.
   SimDuration fault_fetch_cost;
-  size_t fault_base_bytes = 0;
-  const obs::TraceContext fault_ctx = op_ctx.Child("restore/fault_fetch");
-  const SimTime fault_at = now + result.critical_path_time;
-  uint64_t fault_ordinal = 0;
-  std::vector<std::vector<uint8_t>> fault_bases(fault_records.size());
-  for (size_t j = 0; j < fault_records.size(); ++j) {
-    const PatchRecord& record = sb.patches[fault_records[j]];
-    fault_bases[j].reserve(record.bases.size() * kPageSize);
-    for (const PageLocation& base : record.bases) {
-      std::vector<uint8_t> one = fabric_.ReadPage(
-          base, sb.node, &fault_fetch_cost, obs::MessageTrace{fault_ctx, fault_at, fault_ordinal++});
-      ++result.base_pages_read;
-      result.base_bytes_read += one.size();
-      fault_base_bytes += one.size();
-      if (base.node != sb.node) {
-        ++result.remote_reads;
-      }
-      fault_bases[j].insert(fault_bases[j].end(), one.begin(), one.end());
-      registry_.Unref(base.sandbox);
-    }
-  }
+  const size_t bytes_before_faults = result.base_bytes_read;
+  std::vector<std::vector<uint8_t>> fault_bases = FetchBases(
+      sb, fault_records, /*batched=*/false, &fault_fetch_cost, &result.base_pages_read,
+      &result.base_bytes_read, &result.remote_reads,
+      obs::MessageTrace{op_ctx.Child("restore/fault_fetch"), now + result.critical_path_time, 0});
+  const size_t fault_base_bytes = result.base_bytes_read - bytes_before_faults;
   const size_t fault_patch_bytes = DecodeAndRestore(sb, fault_records, fault_bases);
 
   // 5. Post-resume fault penalty (the platform still charges it to the
@@ -596,12 +583,7 @@ RestoreOpResult DedupAgent::RestoreLazy(Sandbox& sb, SimTime now, bool verify,
   result.background_pending = !background_records.empty();
   if (!result.background_pending) {
     if (verify && payloads) {
-      std::vector<uint8_t> reconstructed = cp.ToBytes();
-      MemoryImage original = cluster_.BuildImage(sb);
-      if (reconstructed.size() != original.SizeBytes() ||
-          std::memcmp(reconstructed.data(), original.bytes().data(), reconstructed.size()) != 0) {
-        throw std::logic_error("RestoreLazy: reconstruction does not match the original image");
-      }
+      VerifyReconstruction(sb, "RestoreLazy");
       result.verified = true;
     }
     sb.patches.clear();
@@ -696,15 +678,11 @@ BackgroundRestoreResult DedupAgent::CompleteBackgroundRestore(Sandbox& sb, SimTi
   // Same trace as the restore op that deferred this work: the background
   // span is a child of the op span captured in the pending record.
   const obs::TraceContext bg_ctx = pending.ctx.Child("restore/bg_fault");
-  std::vector<size_t> records(sb.patches.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    records[i] = i;
-  }
+  const std::vector<size_t> records = AllRecords(sb);
   SimDuration fetch_cost;
   std::vector<std::vector<uint8_t>> bases =
-      FetchBasesBatched(sb, records, &fetch_cost, &result.base_pages_read,
-                        &result.base_bytes_read, &result.remote_reads,
-                        obs::MessageTrace{bg_ctx, now, 0});
+      FetchBases(sb, records, /*batched=*/true, &fetch_cost, &result.base_pages_read,
+                 &result.base_bytes_read, &result.remote_reads, obs::MessageTrace{bg_ctx, now, 0});
   const size_t patch_bytes = DecodeAndRestore(sb, records, bases);
   result.pages = records.size();
   result.total_time =
@@ -763,13 +741,7 @@ BaseSnapshot& DedupAgent::DesignateBase(Sandbox& sb, SimTime now, const obs::Tra
   obs::ScopedSpan designate("designate_base", "dedup", now, sb.node.value(), designate_ctx);
   MemoryImage image = cluster_.BuildImage(sb);
   MemoryCheckpoint cp = MemoryCheckpoint::Capture(image);
-  std::vector<size_t> resident;
-  resident.reserve(cp.NumPages());
-  for (size_t page = 0; page < cp.NumPages(); ++page) {
-    if (cp.SlotState(page) == PageSlotState::kResident) {
-      resident.push_back(page);
-    }
-  }
+  const std::vector<size_t> resident = ResidentPages(cp);
   std::vector<PageFingerprint> resident_fps = FingerprintPages(cp, resident);
   // Zero pages keep empty fingerprints (not inserted into the registry).
   std::vector<PageFingerprint> fingerprints(cp.NumPages());

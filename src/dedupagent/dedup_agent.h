@@ -277,15 +277,21 @@ class DedupAgent {
   RestoreOpResult RestoreLazy(Sandbox& sb, SimTime now, bool verify,
                               const obs::TraceContext& ctx);
 
-  // Batched base fetch for the patch records selected by `records` (indexes
-  // into sb.patches). Returns per-record concatenated base bytes; updates
-  // the read counters and releases the records' base refs. `trace` parents
-  // the batch's wire spans (forwarded to RdmaFabric::ReadPageBatch).
-  std::vector<std::vector<uint8_t>> FetchBasesBatched(Sandbox& sb,
-                                                      const std::vector<size_t>& records,
-                                                      SimDuration* cost, size_t* pages_read,
-                                                      size_t* bytes_read, size_t* remote_reads,
-                                                      const obs::MessageTrace& trace = {});
+  // Base fetch for the patch records selected by `records` (indexes into
+  // sb.patches). Returns per-record concatenated base bytes; updates the
+  // read counters and releases the records' base refs. `batched` reads all
+  // bases with one RdmaFabric::ReadPageBatch (one coalesced message per
+  // owner node), parented to `trace`; otherwise each base is one ReadPage,
+  // the k-th taking trace ordinal `trace.ordinal + k`.
+  std::vector<std::vector<uint8_t>> FetchBases(Sandbox& sb, const std::vector<size_t>& records,
+                                               bool batched, SimDuration* cost,
+                                               size_t* pages_read, size_t* bytes_read,
+                                               size_t* remote_reads,
+                                               const obs::MessageTrace& trace);
+
+  // Throws std::logic_error (prefixed with `op`) unless sb's checkpoint
+  // reconstructs the sandbox's memory image byte for byte.
+  void VerifyReconstruction(const Sandbox& sb, const char* op) const;
 
   // Decode + merge `records` back into the checkpoint (parallel decode,
   // serial merge in record order). Returns decoded patch bytes applied.

@@ -1,6 +1,7 @@
 #include "registry/distributed_registry.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -71,21 +72,29 @@ obs::MessageTrace ShardTrace(const obs::MessageTrace& trace, size_t shard) {
 
 }  // namespace
 
-void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
-                                            const std::vector<PageFingerprint>& fingerprints,
-                                            const obs::MessageTrace& trace) {
-  // Partition each page's sampled chunks by owning shard.
-  std::vector<std::vector<PageFingerprint>> per_shard(
-      static_cast<size_t>(options_.num_shards),
-      std::vector<PageFingerprint>(fingerprints.size()));
-  std::vector<size_t> keys_per_shard(static_cast<size_t>(options_.num_shards), 0);
+DistributedRegistry::ShardPartition DistributedRegistry::PartitionByShard(
+    std::span<const PageFingerprint> fingerprints) const {
+  const auto num_shards = static_cast<size_t>(options_.num_shards);
+  ShardPartition partition{
+      std::vector<std::vector<PageFingerprint>>(
+          num_shards, std::vector<PageFingerprint>(fingerprints.size())),
+      std::vector<size_t>(num_shards, 0)};
   for (size_t page = 0; page < fingerprints.size(); ++page) {
     for (const SampledChunk& chunk : fingerprints[page].chunks) {
       const auto s = static_cast<size_t>(ShardOf(chunk.key));
-      per_shard[s][page].chunks.push_back(chunk);
-      ++keys_per_shard[s];
+      partition.pages[s][page].chunks.push_back(chunk);
+      ++partition.keys[s];
     }
   }
+  return partition;
+}
+
+void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
+                                            const std::vector<PageFingerprint>& fingerprints,
+                                            const obs::MessageTrace& trace) {
+  const ShardPartition partition = PartitionByShard(fingerprints);
+  inserts_.Add();
+  insert_keys_.Add(std::accumulate(partition.keys.begin(), partition.keys.end(), size_t{0}));
   ReaderLock topology(topology_mu_);
   for (int s = 0; s < options_.num_shards; ++s) {
     Shard& shard = shards_[static_cast<size_t>(s)];
@@ -104,7 +113,7 @@ void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
     }
     const auto sent =
         transport_->Send(MessageType::kRegistryInsert, node, ReplicaNode(s, entry),
-                         static_cast<uint64_t>(keys_per_shard[static_cast<size_t>(s)]) *
+                         static_cast<uint64_t>(partition.keys[static_cast<size_t>(s)]) *
                              kRegistryWireBytesPerKey,
                          fingerprints.size(), ShardTrace(trace, static_cast<size_t>(s)));
     if (!sent.delivered) {
@@ -116,19 +125,20 @@ void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
     // Partitioned replicas miss it and must re-sync on recovery.
     for (int r = 0; r < static_cast<int>(shard.chain.size()); ++r) {
       if (ReplicaServing(shard, s, r)) {
-        shard.chain[static_cast<size_t>(r)].registry.InsertBaseSandbox(
-            node, sandbox, per_shard[static_cast<size_t>(s)]);
+        shard.chain[static_cast<size_t>(r)].registry.AddEntries(
+            node, sandbox, partition.pages[static_cast<size_t>(s)]);
       }
     }
   }
-  // Sandbox-level membership/refcount state lives on the sandbox's shard
-  // (the insert above already created it there; this covers the case where
-  // none of the sandbox's chunk keys mapped to that shard).
+  // Sandbox-level membership/refcount state is read from the sandbox's home
+  // shard. Every shard's write above (keys or not) already registered the
+  // sandbox on each serving replica; this covers a home-shard write that
+  // was dropped.
   const int home_index = SandboxShard(sandbox);
   Shard& home = shards_[static_cast<size_t>(home_index)];
   for (int r = 0; r < static_cast<int>(home.chain.size()); ++r) {
     if (ReplicaServing(home, home_index, r)) {
-      home.chain[static_cast<size_t>(r)].registry.InsertBaseSandbox(node, sandbox, {});
+      home.chain[static_cast<size_t>(r)].registry.AddEntries(node, sandbox, {});
     }
   }
   // One durable record per logical insert, independent of shard/replica
@@ -139,12 +149,13 @@ void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
 }
 
 void DistributedRegistry::RemoveBaseSandbox(SandboxId sandbox) {
+  removes_.Add();
   ReaderLock topology(topology_mu_);
   for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
     Shard& shard = shards_[static_cast<size_t>(s)];
     for (int r = 0; r < static_cast<int>(shard.chain.size()); ++r) {
       if (ReplicaServing(shard, s, r)) {
-        shard.chain[static_cast<size_t>(r)].registry.RemoveBaseSandbox(sandbox);
+        shard.chain[static_cast<size_t>(r)].registry.RemoveEntries(sandbox);
       }
     }
   }
@@ -168,106 +179,64 @@ bool DistributedRegistry::IsBaseSandbox(SandboxId sandbox) const {
   return home.chain[static_cast<size_t>(tail)].registry.IsBaseSandbox(sandbox);
 }
 
-std::vector<BasePageCandidate> DistributedRegistry::FindBasePages(
-    const PageFingerprint& fingerprint, NodeId local_node, SandboxId exclude_sandbox,
-    size_t max_results) {
-  auto results = FindBasePagesBatch(std::span<const PageFingerprint>(&fingerprint, 1),
-                                    local_node, exclude_sandbox, max_results, nullptr);
-  return std::move(results.front());
-}
-
-std::vector<std::vector<BasePageCandidate>> DistributedRegistry::FindBasePagesBatch(
-    std::span<const PageFingerprint> fingerprints, NodeId local_node,
-    SandboxId exclude_sandbox, size_t max_results, SimDuration* lookup_cost,
-    const obs::MessageTrace& trace) {
-  // Partition the batch's sampled chunks by owning shard, keeping the chunks
-  // grouped per fingerprint so per-shard tallies land in the right slot.
-  const auto num_shards = static_cast<size_t>(options_.num_shards);
-  struct FingerprintSlice {
-    uint32_t fp_index;
-    PageFingerprint chunks;  // only this shard's chunks of that fingerprint
-  };
-  std::vector<std::vector<FingerprintSlice>> per_shard(num_shards);
-  std::vector<size_t> keys_per_shard(num_shards, 0);
-  for (size_t i = 0; i < fingerprints.size(); ++i) {
-    for (const SampledChunk& chunk : fingerprints[i].chunks) {
-      const auto s = static_cast<size_t>(ShardOf(chunk.key));
-      if (per_shard[s].empty() || per_shard[s].back().fp_index != i) {
-        per_shard[s].push_back({static_cast<uint32_t>(i), {}});
-      }
-      per_shard[s].back().chunks.chunks.push_back(chunk);
-      ++keys_per_shard[s];
-    }
-  }
-
-  std::vector<std::unordered_map<PageLocation, int, PageLocationHash>> tallies(
-      fingerprints.size());
-  // The modelled cost of the batch: shards are queried in parallel, so the
-  // critical path is the slowest shard's message plus its per-key work.
+uint64_t DistributedRegistry::TallyBatch(std::span<const PageFingerprint> fingerprints,
+                                         NodeId local_node, SandboxId exclude_sandbox,
+                                         std::span<CandidateTally> tallies, SimDuration& cost,
+                                         const obs::MessageTrace& trace) {
+  const ShardPartition partition = PartitionByShard(fingerprints);
+  // Shards are queried in parallel, so the critical path is the slowest
+  // shard's message plus its per-key work.
   SimDuration slowest_shard;
-  // Counted once here, as a centralized registry counts them: every page
-  // asked about is a lookup, whichever shards serve (or drop) its keys.
-  lookups_.Add(fingerprints.size());
   uint64_t hits = 0;
   ReaderLock topology(topology_mu_);
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (per_shard[s].empty()) {
+  for (size_t s = 0; s < partition.keys.size(); ++s) {
+    const size_t keys = partition.keys[s];
+    if (keys == 0) {
       continue;
     }
-    const auto page_lookups = static_cast<uint64_t>(per_shard[s].size());
+    const auto page_lookups = static_cast<uint64_t>(
+        std::count_if(partition.pages[s].begin(), partition.pages[s].end(),
+                      [](const PageFingerprint& fp) { return !fp.Empty(); }));
     Shard& shard = shards_[s];
     int tail = EffectiveTail(shard, static_cast<int>(s));
     if (tail < 0) {
       unavailable_lookups_.Add(page_lookups);
       continue;
     }
+    const NodeId tail_node = ReplicaNode(static_cast<int>(s), tail);
     const obs::MessageTrace shard_trace = ShardTrace(trace, s);
-    const auto sent = transport_->Send(MessageType::kRegistryLookup, local_node,
-                                       ReplicaNode(static_cast<int>(s), tail),
-                                       static_cast<uint64_t>(keys_per_shard[s]) *
-                                           kRegistryWireBytesPerKey,
+    const auto sent = transport_->Send(MessageType::kRegistryLookup, local_node, tail_node,
+                                       static_cast<uint64_t>(keys) * kRegistryWireBytesPerKey,
                                        page_lookups, shard_trace);
-    slowest_shard = std::max(
-        slowest_shard,
-        sent.cost + static_cast<int64_t>(keys_per_shard[s]) * options_.per_key_lookup);
-    if (sent.delivered && obs::TraceEnabled() && shard_trace.ctx.sampled()) {
-      // Shard-side work span, parented to the wire-message span (re-derived
-      // on the "receiving" shard — same pure function as the transport).
-      const obs::TraceContext msg_ctx =
-          MessageSpanContext(MessageType::kRegistryLookup, shard_trace);
-      obs::ScopedSpan work("registry/lookup_work", "registry", trace.at + sent.cost,
-                           static_cast<int32_t>(ReplicaNode(static_cast<int>(s), tail).value()),
-                           msg_ctx.Child("registry/lookup_work"));
-      work.SetSimDuration(static_cast<int64_t>(keys_per_shard[s]) * options_.per_key_lookup);
-      work.AddArg("pages", static_cast<int64_t>(page_lookups));
-      work.AddArg("keys", static_cast<int64_t>(keys_per_shard[s]));
-    }
+    const SimDuration work = static_cast<int64_t>(keys) * options_.per_key_lookup;
+    slowest_shard = std::max(slowest_shard, sent.cost + work);
     if (!sent.delivered) {
       // Lost on the wire (link fault): same client-visible outcome as an
       // all-down shard — the batch degrades to fewer candidates.
       unavailable_lookups_.Add(page_lookups);
       continue;
     }
+    if (obs::TraceEnabled() && shard_trace.ctx.sampled()) {
+      // Shard-side work span, parented to the wire-message span (re-derived
+      // on the "receiving" shard — same pure function as the transport).
+      const obs::TraceContext msg_ctx =
+          MessageSpanContext(MessageType::kRegistryLookup, shard_trace);
+      obs::ScopedSpan span("registry/lookup_work", "registry", trace.at + sent.cost,
+                           static_cast<int32_t>(tail_node.value()),
+                           msg_ctx.Child("registry/lookup_work"));
+      span.SetSimDuration(work);
+      span.AddArg("pages", static_cast<int64_t>(page_lookups));
+      span.AddArg("keys", static_cast<int64_t>(keys));
+    }
     if (tail != static_cast<int>(shard.chain.size()) - 1) {
       failovers_.Add(page_lookups);
     }
     lookups_per_shard_[s].fetch_add(page_lookups, std::memory_order_relaxed);
-    FingerprintRegistry& serving = shard.chain[static_cast<size_t>(tail)].registry;
-    for (const FingerprintSlice& slice : per_shard[s]) {
-      hits += serving.AccumulateTally(slice.chunks, exclude_sandbox, tallies[slice.fp_index]);
-    }
+    hits += shard.chain[static_cast<size_t>(tail)].registry.TallyShards(partition.pages[s],
+                                                                        exclude_sandbox, tallies);
   }
-  key_hits_.fetch_add(hits, std::memory_order_relaxed);
-  if (lookup_cost != nullptr) {
-    *lookup_cost += slowest_shard;
-  }
-
-  std::vector<std::vector<BasePageCandidate>> results;
-  results.reserve(fingerprints.size());
-  for (auto& tally : tallies) {
-    results.push_back(RankCandidates(tally, local_node, max_results));
-  }
-  return results;
+  cost += slowest_shard;
+  return hits;
 }
 
 void DistributedRegistry::Ref(SandboxId base_sandbox) {

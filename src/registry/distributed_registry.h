@@ -81,21 +81,6 @@ class DistributedRegistry : public RegistryBackend {
   void RemoveBaseSandbox(SandboxId sandbox) override;
   [[nodiscard]] bool IsBaseSandbox(SandboxId sandbox) const override;
 
-  [[nodiscard]] std::vector<BasePageCandidate> FindBasePages(const PageFingerprint& fingerprint,
-                                                             NodeId local_node,
-                                                             SandboxId exclude_sandbox,
-                                                             size_t max_results) override;
-
-  // Batched lookup: one kRegistryLookup message per touched shard carrying
-  // the batch's keys for that shard. The modelled cost is the slowest shard
-  // (message + per-key work) — shards are queried in parallel (Section 7.7:
-  // lookups "can be parallelized given they are independent").
-  using RegistryBackend::FindBasePagesBatch;
-  [[nodiscard]] std::vector<std::vector<BasePageCandidate>> FindBasePagesBatch(
-      std::span<const PageFingerprint> fingerprints, NodeId local_node,
-      SandboxId exclude_sandbox, size_t max_results, SimDuration* lookup_cost,
-      const obs::MessageTrace& trace = {}) override;
-
   void Ref(SandboxId base_sandbox) override;
   void Unref(SandboxId base_sandbox) override;
   [[nodiscard]] int RefCount(SandboxId base_sandbox) const override;
@@ -107,9 +92,9 @@ class DistributedRegistry : public RegistryBackend {
   void BindStateStore(std::shared_ptr<store::StateStore> store) override;
 
   // Table sizes aggregated across shard tails; lookups and key hits as
-  // counted here, once per logical lookup (equal to a centralized
-  // registry's for the same fault-free calls, and kept across replica
-  // failure and recovery).
+  // FindBasePagesBatch counted them, once per logical lookup (equal to a
+  // centralized registry's for the same fault-free calls, and kept across
+  // replica failure and recovery).
   [[nodiscard]] RegistryStats stats() const override;
   // The sharding and fault counters. Read at a quiescent point for exact
   // totals.
@@ -146,6 +131,25 @@ class DistributedRegistry : public RegistryBackend {
   int ShardOf(uint64_t key) const;
 
  private:
+  // Batched lookup: one kRegistryLookup message per touched shard carrying
+  // the batch's keys for that shard, tallied by the shard's serving tail.
+  // The modelled cost is the slowest shard (message + per-key work) — shards
+  // are queried in parallel (Section 7.7: lookups "can be parallelized given
+  // they are independent").
+  uint64_t TallyBatch(std::span<const PageFingerprint> fingerprints, NodeId local_node,
+                      SandboxId exclude_sandbox, std::span<CandidateTally> tallies,
+                      SimDuration& cost, const obs::MessageTrace& trace) override;
+
+  // Each page's sampled chunks split by owning shard: `pages[s][i]` holds
+  // the chunks of page i that shard s owns (positions kept, so page indexes
+  // and tally slots line up across shards); `keys[s]` counts them. Inserts
+  // and lookups route through the same partition.
+  struct ShardPartition {
+    std::vector<std::vector<PageFingerprint>> pages;
+    std::vector<size_t> keys;
+  };
+  ShardPartition PartitionByShard(std::span<const PageFingerprint> fingerprints) const;
+
   struct Replica {
     FingerprintRegistry registry;
     bool alive = true;

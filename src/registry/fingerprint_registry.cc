@@ -24,11 +24,7 @@ size_t RoundUpPow2(size_t v) {
 }  // namespace
 
 FingerprintRegistry::FingerprintRegistry(RegistryOptions options) : options_(options) {
-  const size_t shards = RoundUpPow2(std::max<size_t>(options_.num_shards, 1));
-  shards_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+  ResetShards();
 }
 
 FingerprintRegistry::FingerprintRegistry(const FingerprintRegistry& other)
@@ -41,13 +37,18 @@ FingerprintRegistry& FingerprintRegistry::operator=(const FingerprintRegistry& o
     return *this;
   }
   options_ = other.options_;
-  shards_.clear();
+  ResetShards();
+  CopyFrom(other);
+  return *this;
+}
+
+void FingerprintRegistry::ResetShards() {
   const size_t shards = RoundUpPow2(std::max<size_t>(options_.num_shards, 1));
+  shards_.clear();
+  shards_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  CopyFrom(other);
-  return *this;
 }
 
 void FingerprintRegistry::CopyFrom(const FingerprintRegistry& other) {
@@ -106,13 +107,23 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
   if (transport_ != nullptr) {
     const auto sent = transport_->Send(MessageType::kRegistryInsert, node, registry_node_,
                                        static_cast<uint64_t>(keys) * kRegistryWireBytesPerKey,
-                           fingerprints.size(), trace);
+                                       fingerprints.size(), trace);
     if (!sent.delivered) {
       return;  // insert lost: the sandbox is simply never registered
     }
   }
   inserts_.Add();
   insert_keys_.Add(keys);
+  AddEntries(node, sandbox, fingerprints);
+  // Only inserts that actually landed (past the transport delivery check)
+  // become durable registry state. No shard locks are held here.
+  if (store_ != nullptr) {
+    store_->AppendInsertSandbox(node, sandbox, fingerprints);
+  }
+}
+
+void FingerprintRegistry::AddEntries(NodeId node, SandboxId sandbox,
+                                     std::span<const PageFingerprint> fingerprints) {
   {
     WriterLock lock(sandbox_mu_);
     base_refcounts_.try_emplace(sandbox, 0);
@@ -128,15 +139,17 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
       }
     }
   }
-  // Only inserts that actually landed (past the transport delivery check)
-  // become durable registry state. No shard locks are held here.
-  if (store_ != nullptr) {
-    store_->AppendInsertSandbox(node, sandbox, fingerprints);
-  }
 }
 
 void FingerprintRegistry::RemoveBaseSandbox(SandboxId sandbox) {
   removes_.Add();
+  RemoveEntries(sandbox);
+  if (store_ != nullptr) {
+    store_->AppendRemoveSandbox(sandbox);
+  }
+}
+
+void FingerprintRegistry::RemoveEntries(SandboxId sandbox) {
   {
     WriterLock lock(sandbox_mu_);
     base_refcounts_.erase(sandbox);
@@ -161,9 +174,6 @@ void FingerprintRegistry::RemoveBaseSandbox(SandboxId sandbox) {
     }
     shard.keys_by_sandbox.erase(owned);
   }
-  if (store_ != nullptr) {
-    store_->AppendRemoveSandbox(sandbox);
-  }
 }
 
 bool FingerprintRegistry::IsBaseSandbox(SandboxId sandbox) const {
@@ -171,88 +181,47 @@ bool FingerprintRegistry::IsBaseSandbox(SandboxId sandbox) const {
   return base_refcounts_.contains(sandbox);
 }
 
-uint64_t FingerprintRegistry::AccumulateTally(
-    const PageFingerprint& fingerprint, SandboxId exclude_sandbox,
-    std::unordered_map<PageLocation, int, PageLocationHash>& tally) {
-  uint64_t hits = 0;
-  for (const SampledChunk& chunk : fingerprint.chunks) {
-    Shard& shard = ShardFor(chunk.key);
-    ReaderLock lock(shard.mu);
-    auto it = shard.table.find(chunk.key);
-    if (it == shard.table.end()) {
-      continue;
-    }
-    ++hits;
-    for (const PageLocation& loc : it->second) {
-      if (loc.sandbox == exclude_sandbox) {
-        continue;
-      }
-      ++tally[loc];
-    }
-  }
-  return hits;
-}
-
-std::vector<BasePageCandidate> FingerprintRegistry::FindBasePages(
-    const PageFingerprint& fingerprint, NodeId local_node, SandboxId exclude_sandbox,
-    size_t max_results) {
-  lookups_.Add();
-  std::unordered_map<PageLocation, int, PageLocationHash> tally;
-  key_hits_.fetch_add(AccumulateTally(fingerprint, exclude_sandbox, tally),
-                      std::memory_order_relaxed);
-  return RankCandidates(tally, local_node, max_results);
-}
-
-std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBatch(
-    std::span<const PageFingerprint> fingerprints, NodeId local_node,
-    SandboxId exclude_sandbox, size_t max_results, SimDuration* lookup_cost,
-    const obs::MessageTrace& trace) {
-  lookups_.Add(fingerprints.size());
-  lookup_batches_.Add();
-
+uint64_t FingerprintRegistry::TallyBatch(std::span<const PageFingerprint> fingerprints,
+                                         NodeId local_node, SandboxId exclude_sandbox,
+                                         std::span<CandidateTally> tallies, SimDuration& cost,
+                                         const obs::MessageTrace& trace) {
   // Modelled cost: one round trip carrying the whole batch's keys (wire),
   // plus the controller's per-page lookup work (CPU). A dropped lookup
   // message degrades to an empty answer — every page in the batch is
   // treated as unique (paper: missing a candidate is always safe).
-  if (lookup_cost != nullptr || transport_ != nullptr) {
+  const SimDuration work = static_cast<int64_t>(fingerprints.size()) * options_.lookup_per_page;
+  cost += work;
+  if (transport_ != nullptr && !fingerprints.empty()) {
     size_t keys = 0;
     for (const PageFingerprint& fp : fingerprints) {
       keys += fp.chunks.size();
     }
-    SimDuration cost = static_cast<int64_t>(fingerprints.size()) * options_.lookup_per_page;
-    bool delivered = true;
-    if (transport_ != nullptr && !fingerprints.empty()) {
-      const auto sent =
-          transport_->Send(MessageType::kRegistryLookup, local_node, registry_node_,
-                           static_cast<uint64_t>(keys) * kRegistryWireBytesPerKey,
-                           fingerprints.size(), trace);
-      cost += sent.cost;
-      delivered = sent.delivered;
-      if (delivered && obs::TraceEnabled() && trace.ctx.sampled()) {
-        // Registry-side work span, parented to the wire-message span the
-        // transport just recorded (re-derived — same pure function).
-        const obs::TraceContext msg_ctx =
-            MessageSpanContext(MessageType::kRegistryLookup, trace);
-        obs::ScopedSpan work("registry/lookup_work", "registry", trace.at + sent.cost,
-                             static_cast<int32_t>(registry_node_.value()),
-                             msg_ctx.Child("registry/lookup_work"));
-        work.SetSimDuration(static_cast<int64_t>(fingerprints.size()) *
-                            options_.lookup_per_page);
-        work.AddArg("pages", static_cast<int64_t>(fingerprints.size()));
-        work.AddArg("keys", static_cast<int64_t>(keys));
-      }
+    const auto sent =
+        transport_->Send(MessageType::kRegistryLookup, local_node, registry_node_,
+                         static_cast<uint64_t>(keys) * kRegistryWireBytesPerKey,
+                         fingerprints.size(), trace);
+    cost += sent.cost;
+    if (!sent.delivered) {
+      return 0;
     }
-    if (lookup_cost != nullptr) {
-      *lookup_cost += cost;
-    }
-    batch_cost_us_.Record(cost.value());
-    if (!delivered) {
-      return std::vector<std::vector<BasePageCandidate>>(fingerprints.size());
+    if (obs::TraceEnabled() && trace.ctx.sampled()) {
+      // Registry-side work span, parented to the wire-message span the
+      // transport just recorded (re-derived — same pure function).
+      const obs::TraceContext msg_ctx = MessageSpanContext(MessageType::kRegistryLookup, trace);
+      obs::ScopedSpan span("registry/lookup_work", "registry", trace.at + sent.cost,
+                           static_cast<int32_t>(registry_node_.value()),
+                           msg_ctx.Child("registry/lookup_work"));
+      span.SetSimDuration(work);
+      span.AddArg("pages", static_cast<int64_t>(fingerprints.size()));
+      span.AddArg("keys", static_cast<int64_t>(keys));
     }
   }
+  return TallyShards(fingerprints, exclude_sandbox, tallies);
+}
 
-  // Group (fingerprint, chunk) references by owning shard so each shard's
-  // lock is taken once per batch rather than once per key.
+uint64_t FingerprintRegistry::TallyShards(std::span<const PageFingerprint> fingerprints,
+                                          SandboxId exclude_sandbox,
+                                          std::span<CandidateTally> tallies) const {
   struct KeyRef {
     uint64_t key;
     uint32_t fp_index;
@@ -263,15 +232,12 @@ std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBa
       per_shard[ShardIndex(chunk.key)].push_back({chunk.key, static_cast<uint32_t>(i)});
     }
   }
-
-  std::vector<std::unordered_map<PageLocation, int, PageLocationHash>> tallies(
-      fingerprints.size());
   uint64_t hits = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (per_shard[s].empty()) {
       continue;
     }
-    Shard& shard = *shards_[s];
+    const Shard& shard = *shards_[s];
     ReaderLock lock(shard.mu);
     for (const KeyRef& ref : per_shard[s]) {
       auto it = shard.table.find(ref.key);
@@ -279,24 +245,14 @@ std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBa
         continue;
       }
       ++hits;
-      auto& tally = tallies[ref.fp_index];
       for (const PageLocation& loc : it->second) {
-        if (loc.sandbox == exclude_sandbox) {
-          continue;
+        if (loc.sandbox != exclude_sandbox) {
+          tallies[ref.fp_index].Add(loc);
         }
-        ++tally[loc];
       }
     }
   }
-
-  key_hits_.fetch_add(hits, std::memory_order_relaxed);
-
-  std::vector<std::vector<BasePageCandidate>> results;
-  results.reserve(fingerprints.size());
-  for (auto& tally : tallies) {
-    results.push_back(RankCandidates(tally, local_node, max_results));
-  }
-  return results;
+  return hits;
 }
 
 void FingerprintRegistry::Ref(SandboxId base_sandbox) {

@@ -29,7 +29,6 @@
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "net/transport.h"
-#include "obs/metrics.h"
 #include "registry/registry_backend.h"
 
 namespace medes {
@@ -67,34 +66,11 @@ class FingerprintRegistry : public RegistryBackend {
 
   [[nodiscard]] bool IsBaseSandbox(SandboxId sandbox) const override;
 
-  [[nodiscard]] std::vector<BasePageCandidate> FindBasePages(const PageFingerprint& fingerprint,
-                                                             NodeId local_node,
-                                                             SandboxId exclude_sandbox,
-                                                             size_t max_results) override;
-
-  // Batched lookup: one shard-grouped pass over all fingerprints, locking
-  // each shard once per batch instead of once per key. Results are
-  // positionally aligned with `fingerprints` and identical to looping
-  // FindBasePages. The modelled cost is one kRegistryLookup message for the
-  // batch (when a transport is bound) plus `lookup_per_page` per page.
-  using RegistryBackend::FindBasePagesBatch;
-  [[nodiscard]] std::vector<std::vector<BasePageCandidate>> FindBasePagesBatch(
-      std::span<const PageFingerprint> fingerprints, NodeId local_node,
-      SandboxId exclude_sandbox, size_t max_results, SimDuration* lookup_cost,
-      const obs::MessageTrace& trace = {}) override;
-
   // Binds the shared cluster transport: lookups/inserts from node N are
   // charged as messages N -> `registry_node`. Configuration-time only (not
   // thread-safe against concurrent operations); unbound registries charge
   // pure controller CPU cost with no wire component.
   void BindTransport(std::shared_ptr<Transport> transport, NodeId registry_node);
-
-  // Adds this registry's (location -> matched-chunk count) contributions for
-  // `fingerprint` into `tally` — the building block distributed shards merge.
-  // Returns the number of the fingerprint's chunk keys found; counting them
-  // (and the lookup) is the caller's job.
-  uint64_t AccumulateTally(const PageFingerprint& fingerprint, SandboxId exclude_sandbox,
-                           std::unordered_map<PageLocation, int, PageLocationHash>& tally);
 
   // Binds the durability/tiering seam: inserts append a fingerprint record
   // (after the transport delivery check — a lost insert is not durable
@@ -110,6 +86,11 @@ class FingerprintRegistry : public RegistryBackend {
   size_t NumShards() const { return shards_.size(); }
 
  private:
+  // A DistributedRegistry drives its replicas through the table-only
+  // operations below, so a replicated write or a shard lookup is counted
+  // once, by the distributed registry, and never by a replica.
+  friend class DistributedRegistry;
+
   struct Shard {
     mutable SharedMutex mu{"registry shard", LockRank::kRegistryShard};
     std::unordered_map<uint64_t, std::vector<PageLocation>> table GUARDED_BY(mu);
@@ -118,8 +99,26 @@ class FingerprintRegistry : public RegistryBackend {
     std::unordered_map<SandboxId, std::vector<uint64_t>> keys_by_sandbox GUARDED_BY(mu);
   };
 
+  // The centralized lookup: one kRegistryLookup message for the batch (when
+  // a transport is bound) plus `lookup_per_page` per page, then TallyShards.
+  uint64_t TallyBatch(std::span<const PageFingerprint> fingerprints, NodeId local_node,
+                      SandboxId exclude_sandbox, std::span<CandidateTally> tallies,
+                      SimDuration& cost, const obs::MessageTrace& trace) override;
+
+  // The one loop that reads shard tables for lookups: groups the batch's
+  // chunk keys by owning shard so each shard's lock is taken once per batch,
+  // adds fingerprint i's matches into `tallies[i]`, and returns the number
+  // of keys found. Counts nothing.
+  uint64_t TallyShards(std::span<const PageFingerprint> fingerprints, SandboxId exclude_sandbox,
+                       std::span<CandidateTally> tallies) const;
+  // Table-only insert and removal: no transport, counting or durable record.
+  void AddEntries(NodeId node, SandboxId sandbox, std::span<const PageFingerprint> fingerprints);
+  void RemoveEntries(SandboxId sandbox);
+
   Shard& ShardFor(uint64_t key) { return *shards_[ShardIndex(key)]; }
   size_t ShardIndex(uint64_t key) const;
+  // (Re)creates the empty stripes `options_.num_shards` asks for.
+  void ResetShards();
   // Destination shards/refcounts must be quiescent; the source may be serving
   // concurrent readers. Never holds a source and a destination lock at once
   // (both carry the same rank).
@@ -141,17 +140,6 @@ class FingerprintRegistry : public RegistryBackend {
   // index). Ordered after the shard locks in the global hierarchy.
   mutable SharedMutex sandbox_mu_{"registry sandbox index", LockRank::kRegistrySandbox};
   std::unordered_map<SandboxId, int> base_refcounts_ GUARDED_BY(sandbox_mu_);
-
-  obs::Counter& lookup_batches_ = obs::MetricsRegistry::Default().GetCounter(
-      "medes_registry_lookup_batches_total", "Batched lookup round trips to the registry");
-  obs::Histogram& batch_cost_us_ = obs::MetricsRegistry::Default().GetHistogram(
-      "medes_registry_batch_cost_us", "Modelled cost of one batched lookup (us)");
-  obs::Counter& inserts_ = obs::MetricsRegistry::Default().GetCounter(
-      "medes_registry_inserts_total", "Base-sandbox fingerprint inserts");
-  obs::Counter& insert_keys_ = obs::MetricsRegistry::Default().GetCounter(
-      "medes_registry_insert_keys_total", "Chunk keys carried by base-sandbox inserts");
-  obs::Counter& removes_ = obs::MetricsRegistry::Default().GetCounter(
-      "medes_registry_removes_total", "Base sandboxes removed from the registry");
 };
 
 }  // namespace medes

@@ -9,13 +9,11 @@
 #ifndef MEDES_REGISTRY_REGISTRY_BACKEND_H_
 #define MEDES_REGISTRY_REGISTRY_BACKEND_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "chunking/fingerprint.h"
@@ -68,37 +66,23 @@ struct RegistryStats {
   }
 };
 
-// Ranks a (location -> overlap) tally: max overlap first, local-node pages
-// preferred on ties, then lowest (sandbox, page) for determinism. Shared by
-// the centralized registry and the distributed shard-merge path.
-[[nodiscard]] inline std::vector<BasePageCandidate> RankCandidates(
-    const std::unordered_map<PageLocation, int, PageLocationHash>& tally, NodeId local_node,
-    size_t max_results) {
-  std::vector<BasePageCandidate> ranked;
-  ranked.reserve(tally.size());
-  for (const auto& [loc, overlap] : tally) {
-    ranked.push_back({loc, overlap});
+// One page's (location -> matched-chunk count) tally: a flat vector with a
+// linear find. A page has a handful of sampled chunks and each chunk key
+// holds at most `max_locations_per_key` locations, so the vector stays small
+// and a scan beats hashing.
+struct CandidateTally {
+  std::vector<BasePageCandidate> entries;
+
+  void Add(const PageLocation& location) {
+    for (BasePageCandidate& entry : entries) {
+      if (entry.location == location) {
+        ++entry.overlap;
+        return;
+      }
+    }
+    entries.push_back({location, 1});
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [&](const BasePageCandidate& a, const BasePageCandidate& b) {
-              if (a.overlap != b.overlap) {
-                return a.overlap > b.overlap;
-              }
-              const bool a_local = a.location.node == local_node;
-              const bool b_local = b.location.node == local_node;
-              if (a_local != b_local) {
-                return a_local;
-              }
-              if (a.location.sandbox != b.location.sandbox) {
-                return a.location.sandbox < b.location.sandbox;
-              }
-              return a.location.page_index < b.location.page_index;
-            });
-  if (ranked.size() > max_results) {
-    ranked.resize(max_results);
-  }
-  return ranked;
-}
+};
 
 class RegistryBackend {
  public:
@@ -116,56 +100,27 @@ class RegistryBackend {
 
   [[nodiscard]] virtual bool IsBaseSandbox(SandboxId sandbox) const = 0;
 
-  // Ranked base-page candidates for the queried fingerprint (max
-  // sampled-chunk overlap first, local-node tie-break), at most
-  // `max_results`. `exclude_sandbox` skips the querying sandbox's own pages.
-  [[nodiscard]] virtual std::vector<BasePageCandidate> FindBasePages(const PageFingerprint& fingerprint,
-                                                       NodeId local_node,
-                                                       SandboxId exclude_sandbox,
-                                                       size_t max_results) = 0;
-
-  // Batched lookup for the pipelined dedup path: one result vector per
-  // fingerprint, positionally aligned with the input and identical to
-  // calling FindBasePages per element. Backends override this to amortise
-  // locking/routing across the batch. When `lookup_cost` is non-null the
-  // backend adds the modelled latency of serving the whole batch — its
-  // transport messages plus per-key registry work — so callers charge the
-  // registry's real topology-dependent cost rather than a flat constant.
-  // The added cost is a pure function of the batch's contents (never of
-  // thread interleaving), preserving the pipeline determinism contract.
-  // `trace`, when sampled, parents the lookup's wire-message spans and the
-  // registry-side work span.
-  [[nodiscard]] virtual std::vector<std::vector<BasePageCandidate>> FindBasePagesBatch(
-      std::span<const PageFingerprint> fingerprints, NodeId local_node,
-      SandboxId exclude_sandbox, size_t max_results, SimDuration* lookup_cost,
-      const obs::MessageTrace& trace = {}) {
-    (void)lookup_cost;  // backends without a wire model charge nothing
-    (void)trace;
-    std::vector<std::vector<BasePageCandidate>> results;
-    results.reserve(fingerprints.size());
-    for (const PageFingerprint& fp : fingerprints) {
-      results.push_back(FindBasePages(fp, local_node, exclude_sandbox, max_results));
-    }
-    return results;
-  }
-
-  // Convenience overload for callers that do not consume the cost.
+  // The one lookup path. Returns ranked base-page candidates for each
+  // fingerprint, positionally aligned with the input: max sampled-chunk
+  // overlap first, then pages local to `local_node`, then lowest (sandbox,
+  // page); at most `max_results` each. `exclude_sandbox` skips the querying
+  // sandbox's own pages. When `lookup_cost` is non-null the modelled latency
+  // of serving the whole batch (its transport messages plus per-key registry
+  // work) is added to it, so callers charge the registry's real
+  // topology-dependent cost rather than a flat constant. The cost is a pure
+  // function of the batch's contents (never of thread interleaving),
+  // preserving the pipeline determinism contract. `trace`, when sampled,
+  // parents the lookup's wire-message spans and the registry-side work span.
+  // Lookups, key hits, batches and batch cost are counted here, once.
   [[nodiscard]] std::vector<std::vector<BasePageCandidate>> FindBasePagesBatch(
       std::span<const PageFingerprint> fingerprints, NodeId local_node,
-      SandboxId exclude_sandbox, size_t max_results) {
-    return FindBasePagesBatch(fingerprints, local_node, exclude_sandbox, max_results, nullptr);
-  }
+      SandboxId exclude_sandbox, size_t max_results, SimDuration* lookup_cost = nullptr,
+      const obs::MessageTrace& trace = {});
 
-  // Convenience: the single best candidate.
+  // Convenience: the single best candidate (a batch of one).
   [[nodiscard]] std::optional<BasePageCandidate> FindBasePage(const PageFingerprint& fingerprint,
                                                               NodeId local_node,
-                                                              SandboxId exclude_sandbox = {}) {
-    auto candidates = FindBasePages(fingerprint, local_node, exclude_sandbox, 1);
-    if (candidates.empty()) {
-      return std::nullopt;
-    }
-    return candidates.front();
-  }
+                                                              SandboxId exclude_sandbox = {});
 
   // Base-sandbox refcounts (a base's memory is pinned while > 0).
   virtual void Ref(SandboxId base_sandbox) = 0;
@@ -181,12 +136,36 @@ class RegistryBackend {
   [[nodiscard]] virtual RegistryStats stats() const = 0;
 
  protected:
-  // Page lookups and chunk-key hits, counted once by the backend that
-  // answers the lookup (a DistributedRegistry counts them itself; its
-  // replica registries never do), and read back by stats().
+  // Insert and removal series, counted once per logical operation by the
+  // backend that serves it (a DistributedRegistry counts them itself; its
+  // replica registries never do).
+  obs::Counter& inserts_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_inserts_total", "Base-sandbox fingerprint inserts");
+  obs::Counter& insert_keys_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_insert_keys_total", "Chunk keys carried by base-sandbox inserts");
+  obs::Counter& removes_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_removes_total", "Base sandboxes removed from the registry");
+
+  // Page lookups and chunk-key hits, read back by stats().
   obs::StatCounter lookups_{"medes_registry_lookups_total",
                             "Per-page fingerprint lookups against the registry"};
   std::atomic<uint64_t> key_hits_{0};
+
+ private:
+  // The backend's half of FindBasePagesBatch: adds each fingerprint's
+  // (location -> overlap) counts into `tallies[i]`, adds the batch's
+  // modelled cost into `cost`, and returns the number of chunk keys found.
+  // A lookup the backend cannot serve (a dropped message, a shard with no
+  // serving replica) leaves its tallies empty: missing a candidate is
+  // always safe.
+  virtual uint64_t TallyBatch(std::span<const PageFingerprint> fingerprints, NodeId local_node,
+                              SandboxId exclude_sandbox, std::span<CandidateTally> tallies,
+                              SimDuration& cost, const obs::MessageTrace& trace) = 0;
+
+  obs::Counter& lookup_batches_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_lookup_batches_total", "Batched lookup round trips to the registry");
+  obs::Histogram& batch_cost_us_ = obs::MetricsRegistry::Default().GetHistogram(
+      "medes_registry_batch_cost_us", "Modelled cost of one batched lookup (us)");
 };
 
 }  // namespace medes

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
 
 #include "common/rng.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace medes {
 namespace {
@@ -175,6 +179,48 @@ TEST(DistributedRegistryTest, LookupStatsMatchCentralizedAndSurviveRecovery) {
   EXPECT_EQ(chain.stats().key_hits, 200u);
   EXPECT_EQ(chain.distributed_stats().failovers, 20u);
 }
+
+#ifndef MEDES_OBS_DISABLED
+
+// The six registry series after one insert, one 4-page batch, one single
+// lookup and one removal (counter values; the batch-cost histogram's sample
+// count, since its modelled costs differ by topology).
+std::map<std::string, uint64_t> RegistrySeriesAfterOneOfEach(RegistryBackend& registry) {
+  obs::MetricsRegistry::Default().ResetValues();
+  obs::SetMetricsEnabled(true);
+  const auto fps = RandomFingerprints(4, 1);  // 4 pages, 20 keys
+  registry.InsertBaseSandbox(NodeId{0}, SandboxId{100}, fps);
+  (void)registry.FindBasePagesBatch(fps, NodeId{1}, SandboxId{}, 4);
+  (void)registry.FindBasePage(fps[0], NodeId{1});
+  registry.RemoveBaseSandbox(SandboxId{100});
+  obs::SetMetricsEnabled(false);
+  std::map<std::string, uint64_t> out;
+  for (const obs::MetricSnapshot& snap : obs::MetricsRegistry::Default().Snapshot()) {
+    if (snap.name.starts_with("medes_registry_")) {
+      out[snap.name] = snap.kind == obs::InstrumentKind::kHistogram
+                           ? snap.histogram.count
+                           : static_cast<uint64_t>(snap.value);
+    }
+  }
+  return out;
+}
+
+// Each registry series is counted once per logical operation by the backend
+// that serves it: sharding and chain replication fan a write out to many
+// replica registries, which record nothing themselves.
+TEST(DistributedRegistryTest, RegistrySeriesMatchCentralized) {
+  FingerprintRegistry central;
+  DistributedRegistry dist(Opts(4, 3));
+  const std::map<std::string, uint64_t> want = {
+      {"medes_registry_inserts_total", 1},        {"medes_registry_insert_keys_total", 20},
+      {"medes_registry_removes_total", 1},        {"medes_registry_lookups_total", 5},
+      {"medes_registry_lookup_batches_total", 2}, {"medes_registry_batch_cost_us", 2},
+  };
+  EXPECT_EQ(RegistrySeriesAfterOneOfEach(central), want);
+  EXPECT_EQ(RegistrySeriesAfterOneOfEach(dist), want);
+}
+
+#endif  // MEDES_OBS_DISABLED
 
 TEST(DistributedRegistryTest, RefcountsSurviveFailover) {
   DistributedRegistry dist(Opts(4));

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -70,7 +71,8 @@ TEST(RegistryConcurrencyTest, ConcurrentInsertLookupRemove) {
       // set `stop`) before a reader is first scheduled; every reader still
       // contributes at least one iteration so results_seen stays meaningful.
       do {
-        auto single = registry.FindBasePages(batch[0], NodeId{0}, kNoSandbox, 4);
+        auto single =
+            registry.FindBasePagesBatch(std::span(&batch[0], 1), NodeId{0}, kNoSandbox, 4).front();
         auto many = registry.FindBasePagesBatch(batch, NodeId{0}, kNoSandbox, 4);
         results_seen.fetch_add(single.size() + many.size(), std::memory_order_relaxed);
         (void)registry.stats();
@@ -95,7 +97,8 @@ TEST(RegistryConcurrencyTest, ConcurrentInsertLookupRemove) {
     const uint64_t base = 1 + static_cast<uint64_t>(w) * 1000;
     for (uint64_t s = base; s < base + kSandboxesPerWriter; ++s) {
       EXPECT_EQ(registry.IsBaseSandbox(SandboxId{s}), s % 2 == 0) << "sandbox " << s;
-      auto hits = registry.FindBasePages(Fp({s * 16 + 0}), NodeId{0}, kNoSandbox, 4);
+      const PageFingerprint probe = Fp({s * 16 + 0});
+      auto hits = registry.FindBasePagesBatch(std::span(&probe, 1), NodeId{0}, kNoSandbox, 4).front();
       if (s % 2 == 0) {
         ASSERT_EQ(hits.size(), 1u) << "sandbox " << s;
         EXPECT_EQ(hits[0].location.sandbox, SandboxId{s});
@@ -120,7 +123,8 @@ TEST(RegistryConcurrencyTest, BatchLookupMatchesSingleLookups) {
                                              /*exclude_sandbox=*/SandboxId{5}, /*max_results=*/6);
   ASSERT_EQ(batched.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto single = registry.FindBasePages(queries[i], NodeId{1}, SandboxId{5}, 6);
+    auto single =
+        registry.FindBasePagesBatch(std::span(&queries[i], 1), NodeId{1}, SandboxId{5}, 6).front();
     ASSERT_EQ(batched[i].size(), single.size()) << "query " << i;
     for (size_t j = 0; j < single.size(); ++j) {
       EXPECT_EQ(batched[i][j].location, single[j].location) << "query " << i << " rank " << j;
@@ -137,7 +141,8 @@ TEST(RegistryConcurrencyTest, RemoveIsScopedToOneSandbox) {
     registry.InsertBaseSandbox(NodeId{0}, SandboxId{s}, {Fp({42, 43}), Fp({42, 44})});
   }
   registry.RemoveBaseSandbox(SandboxId{4});
-  auto hits = registry.FindBasePages(Fp({42}), NodeId{0}, kNoSandbox, 64);
+  const PageFingerprint probe = Fp({42});
+  auto hits = registry.FindBasePagesBatch(std::span(&probe, 1), NodeId{0}, kNoSandbox, 64).front();
   EXPECT_EQ(hits.size(), 18u) << "9 sandboxes x 2 pages holding key 42";
   for (const auto& hit : hits) {
     EXPECT_NE(hit.location.sandbox, SandboxId{4});

@@ -9,6 +9,7 @@
 // identical dedup decisions and RunMetrics when the RAM budget is unbounded.
 #include <algorithm>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -93,8 +94,9 @@ TEST(RegistryPersistenceTest, CrashRestartRecoversRegistryAndRevalidates) {
   size_t fingerprints_checked = 0;
   for (const store::RecoveredSandbox& sb : report.store_state.sandboxes) {
     for (const PageFingerprint& fp : sb.fingerprints) {
-      auto want = live_registry.FindBasePages(fp, NodeId{0}, kNoSandbox, 4);
-      auto got = recovered.FindBasePages(fp, NodeId{0}, kNoSandbox, 4);
+      auto want = live_registry.FindBasePagesBatch(std::span(&fp, 1), NodeId{0}, kNoSandbox, 4)
+                      .front();
+      auto got = recovered.FindBasePagesBatch(std::span(&fp, 1), NodeId{0}, kNoSandbox, 4).front();
       Canonicalize(want);
       Canonicalize(got);
       ASSERT_EQ(want.size(), got.size());

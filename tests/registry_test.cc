@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
+#include "registry/distributed_registry.h"
 
 namespace medes {
 namespace {
@@ -132,6 +141,168 @@ TEST(RegistryTest, EmptyFingerprintPagesNotInserted) {
   registry.InsertBaseSandbox(NodeId{0}, SandboxId{100}, {PageFingerprint{}, Fp({5})});
   RegistryStats stats = registry.stats();
   EXPECT_EQ(stats.num_entries, 1u);
+}
+
+// Reference model of the registry's lookup: per-key location lists capped at
+// insert time, a std::map tally, and a full std::sort under the ranking
+// order, truncated to k.
+class ReferenceRegistry {
+ public:
+  explicit ReferenceRegistry(size_t cap) : cap_(cap) {}
+
+  void Insert(NodeId node, SandboxId sandbox, const std::vector<PageFingerprint>& fps) {
+    for (size_t page = 0; page < fps.size(); ++page) {
+      for (const SampledChunk& chunk : fps[page].chunks) {
+        auto& locations = table_[chunk.key];
+        if (locations.size() < cap_) {
+          locations.push_back({node, sandbox, PageIndex{static_cast<uint32_t>(page)}});
+        } else {
+          ++capped_;
+        }
+      }
+    }
+  }
+
+  std::vector<BasePageCandidate> Find(const PageFingerprint& fp, NodeId local_node,
+                                      SandboxId exclude, size_t k) const {
+    std::map<std::tuple<int32_t, uint64_t, uint32_t>, int> tally;
+    for (const SampledChunk& chunk : fp.chunks) {
+      auto it = table_.find(chunk.key);
+      if (it == table_.end()) {
+        continue;
+      }
+      for (const PageLocation& loc : it->second) {
+        if (loc.sandbox != exclude) {
+          ++tally[{loc.node.value(), loc.sandbox.value(), loc.page_index.value()}];
+        }
+      }
+    }
+    std::vector<BasePageCandidate> ranked;
+    for (const auto& [key, overlap] : tally) {
+      const auto& [node, sandbox, page] = key;
+      ranked.push_back({{NodeId{node}, SandboxId{sandbox}, PageIndex{page}}, overlap});
+    }
+    std::sort(ranked.begin(), ranked.end(),
+              [&](const BasePageCandidate& a, const BasePageCandidate& b) {
+                if (a.overlap != b.overlap) {
+                  return a.overlap > b.overlap;
+                }
+                const bool a_local = a.location.node == local_node;
+                const bool b_local = b.location.node == local_node;
+                if (a_local != b_local) {
+                  return a_local;
+                }
+                if (a.location.sandbox != b.location.sandbox) {
+                  return a.location.sandbox < b.location.sandbox;
+                }
+                return a.location.page_index < b.location.page_index;
+              });
+    if (ranked.size() > k) {
+      ranked.resize(k);
+    }
+    return ranked;
+  }
+
+  size_t capped() const { return capped_; }
+
+ private:
+  size_t cap_;
+  std::map<uint64_t, std::vector<PageLocation>> table_;
+  size_t capped_ = 0;
+};
+
+TEST(RegistryTest, RankingMatchesReferenceModel) {
+  constexpr size_t kCap = 6;
+  // 12 base sandboxes over 4 nodes, 6 pages of 5 keys each, drawn from 64
+  // keys: plenty of overlap ties, and popular keys reach the location cap.
+  // Page 0 of every sandbox holds its first key twice.
+  Rng rng(17);
+  auto random_fp = [&rng] {
+    PageFingerprint fp;
+    for (uint32_t c = 0; c < 5; ++c) {
+      fp.chunks.push_back({rng.Below(64), c * 64});
+    }
+    return fp;
+  };
+  std::vector<std::tuple<NodeId, SandboxId, std::vector<PageFingerprint>>> bases;
+  for (uint64_t s = 0; s < 12; ++s) {
+    std::vector<PageFingerprint> fps;
+    for (int p = 0; p < 6; ++p) {
+      fps.push_back(random_fp());
+    }
+    fps[0].chunks[1].key = fps[0].chunks[0].key;
+    bases.emplace_back(NodeId{static_cast<int32_t>(s % 4)}, SandboxId{100 + s}, fps);
+  }
+  // Queries: fresh random pages, stored pages, and pages repeating a key.
+  std::vector<PageFingerprint> queries;
+  for (int q = 0; q < 40; ++q) {
+    queries.push_back(random_fp());
+  }
+  for (const auto& [node, sandbox, fps] : bases) {
+    queries.push_back(fps[0]);
+    queries.push_back(fps[3]);
+  }
+  for (int q = 0; q < 10; ++q) {
+    PageFingerprint fp = random_fp();
+    fp.chunks[2].key = fp.chunks[4].key;
+    queries.push_back(fp);
+  }
+
+  ReferenceRegistry reference(kCap);
+  for (const auto& [node, sandbox, fps] : bases) {
+    reference.Insert(node, sandbox, fps);
+  }
+  ASSERT_GT(reference.capped(), 0u) << "no key reached the location cap";
+
+  std::vector<std::pair<std::string, std::unique_ptr<RegistryBackend>>> backends;
+  for (size_t stripes : {size_t{1}, size_t{4}, size_t{16}}) {
+    backends.emplace_back(
+        "central/" + std::to_string(stripes),
+        std::make_unique<FingerprintRegistry>(
+            RegistryOptions{.max_locations_per_key = kCap, .num_shards = stripes}));
+  }
+  for (int shards : {1, 4}) {
+    DistributedRegistryOptions opts;
+    opts.num_shards = shards;
+    opts.replication_factor = 2;
+    opts.per_shard.max_locations_per_key = kCap;
+    backends.emplace_back("distributed/" + std::to_string(shards),
+                          std::make_unique<DistributedRegistry>(opts));
+  }
+
+  size_t local_tie_breaks = 0;
+  for (auto& [name, registry] : backends) {
+    for (const auto& [node, sandbox, fps] : bases) {
+      registry->InsertBaseSandbox(node, sandbox, fps);
+    }
+    for (size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{64}}) {
+      for (SandboxId exclude : {kNoSandbox, SandboxId{100}, SandboxId{105}}) {
+        for (int local = 0; local < 4; ++local) {
+          const auto got = registry->FindBasePagesBatch(queries, NodeId{local}, exclude, k);
+          ASSERT_EQ(got.size(), queries.size()) << name;
+          for (size_t q = 0; q < queries.size(); ++q) {
+            const auto want = reference.Find(queries[q], NodeId{local}, exclude, k);
+            const auto full = reference.Find(queries[q], NodeId{local}, exclude, 64);
+            if (full.size() >= 2 && full[0].overlap == full[1].overlap &&
+                (full[0].location.node == NodeId{local}) !=
+                    (full[1].location.node == NodeId{local})) {
+              ++local_tie_breaks;
+            }
+            ASSERT_EQ(got[q].size(), want.size())
+                << name << " k=" << k << " exclude=" << exclude << " local=" << local
+                << " query " << q;
+            for (size_t r = 0; r < want.size(); ++r) {
+              EXPECT_EQ(got[q][r].location, want[r].location)
+                  << name << " k=" << k << " query " << q << " rank " << r;
+              EXPECT_EQ(got[q][r].overlap, want[r].overlap)
+                  << name << " k=" << k << " query " << q << " rank " << r;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(local_tie_breaks, 0u) << "no top-rank tie was decided by the local node";
 }
 
 }  // namespace
