@@ -1,6 +1,7 @@
 // Per-kernel microbenchmark: MB/s of each hot-path kernel at every tier the
 // machine can bind — 64-byte chunk hashing (single and batched), sample
-// selection over a page, match extension and delta encode. Emits
+// selection over a page, match extension and delta encode (seed-table
+// cache cold and warm). Emits
 // JSON with a speedup-vs-scalar column so CI can smoke-check the dispatch
 // layer and archive per-tier throughput.
 //
@@ -77,6 +78,16 @@ double MeasureMBps(size_t bytes_per_iter, Body&& body) {
   return bytes / (elapsed_ms / 1000.0) / (1024.0 * 1024.0);
 }
 
+// `base` with 40 random single-byte edits.
+std::vector<uint8_t> Edited(const std::vector<uint8_t>& base, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> target = base;
+  for (int i = 0; i < 40; ++i) {
+    target[rng.Below(target.size())] = static_cast<uint8_t>(rng.Next());
+  }
+  return target;
+}
+
 volatile uint64_t g_sink = 0;  // defeats dead-code elimination
 
 struct KernelResult {
@@ -113,13 +124,7 @@ KernelResult RunKernel(const char* name, size_t bytes_per_iter, Body&& body) {
 int main() {
   const auto page = RandomBytes(kPage, 1);
   const auto base = RandomBytes(kPage, 2);
-  std::vector<uint8_t> target = base;
-  {
-    Rng rng(3);
-    for (int i = 0; i < 40; ++i) {
-      target[rng.Below(target.size())] = static_cast<uint8_t>(rng.Next());
-    }
-  }
+  const auto target = Edited(base, 3);
 
   std::vector<const uint8_t*> chunk_ptrs(kChunksPerBatch);
   for (size_t i = 0; i < kChunksPerBatch; ++i) {
@@ -166,16 +171,34 @@ int main() {
     }
   }));
 
-  // 5. Delta encode of the same mutated page against its base at level 1
-  //    (seed index, prefilter, match extension) — the dedup write path.
+  // 5. Level-1 delta encode of a 40-edit page against its base (seed
+  //    table, prefilter, match extension) — the dedup write path, both
+  //    halves of it. Cold: one more base/target pair than the scratch's
+  //    seed-table cache holds, visited in turn, so every call misses and
+  //    builds its table. Warm: one pair, so every call finds its table.
   {
     static std::vector<uint8_t> out;
-    static DeltaScratch scratch;
     DeltaOptions level1;
     level1.level = 1;
+    std::vector<std::vector<uint8_t>> bases;
+    std::vector<std::vector<uint8_t>> targets;
+    for (uint64_t i = 0; i <= DeltaScratch::kCapacity; ++i) {
+      bases.push_back(RandomBytes(kPage, 100 + i));
+      targets.push_back(Edited(bases.back(), 400 + i));
+    }
+    static DeltaScratch cold;
+    size_t next = 0;
     results.push_back(RunKernel("delta_encode_page", kPage, [&](size_t iters) {
       for (size_t i = 0; i < iters; ++i) {
-        DeltaEncodeInto(base, target, level1, out, &scratch);
+        DeltaEncodeInto(bases[next], targets[next], level1, out, &cold);
+        next = next + 1 < bases.size() ? next + 1 : 0;
+        g_sink = g_sink + out.size();
+      }
+    }));
+    static DeltaScratch warm;
+    results.push_back(RunKernel("delta_encode_page_warm", kPage, [&](size_t iters) {
+      for (size_t i = 0; i < iters; ++i) {
+        DeltaEncodeInto(base, target, level1, out, &warm);
         g_sink = g_sink + out.size();
       }
     }));

@@ -31,6 +31,17 @@ std::vector<size_t> ResidentPages(const MemoryCheckpoint& cp) {
   return resident;
 }
 
+// A patch's base is its base pages laid end to end, and the encoder takes
+// bases shorter than kDeltaBaseLimit only. A larger cardinality would make
+// every encode throw and every page quietly count as unique, so refuse it.
+const DedupAgentOptions& CheckedOptions(const DedupAgentOptions& options) {
+  if (options.max_base_pages_per_page >= kDeltaBaseLimit / kPageSize) {
+    throw std::invalid_argument("DedupAgent: max_base_pages_per_page * page size must be below " +
+                                std::to_string(kDeltaBaseLimit) + " bytes");
+  }
+  return options;
+}
+
 // Indexes of every patch record of `sb`, in record order.
 std::vector<size_t> AllRecords(const Sandbox& sb) {
   std::vector<size_t> records(sb.patches.size());
@@ -55,7 +66,7 @@ DedupAgent::DedupAgent(Cluster& cluster, RegistryBackend& registry, RdmaFabric& 
     : cluster_(cluster),
       registry_(registry),
       fabric_(fabric),
-      options_(options),
+      options_(CheckedOptions(options)),
       fingerprinter_(options.fingerprint),
       pool_(std::make_unique<ThreadPool>(options.num_threads)),
       working_sets_(options.working_sets != nullptr
@@ -197,8 +208,8 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
 
   // 5. Delta-encode against the chosen bases (parallel; the accept decision
   // is per-page and deterministic). Each worker encodes into thread-local
-  // scratch — seed-index slots and patch bytes — so the steady state
-  // allocates only the exact-size copy of each accepted patch.
+  // scratch — its cache of seed tables and a patch buffer — so the steady
+  // state allocates only the exact-size copy of each accepted patch.
   std::vector<std::vector<uint8_t>> patches(n);
   std::vector<uint8_t> accepted(n, 0);
   pool_->ParallelFor(0, n, [&](size_t i) {

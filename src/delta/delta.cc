@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 
 #include "common/hash.h"
 #include "common/kernels/memops.h"
@@ -46,11 +47,33 @@ constexpr uint8_t kMagic[4] = {'M', 'D', 'T', '1'};
 constexpr uint8_t kOpAdd = 0x00;
 constexpr uint8_t kOpCopy = 0x01;
 
-// Seed-index over the base buffer: maps hashed seeds to base offsets in a
+// 64-bit hash of a base, the seed-table cache key: four xor-multiply chains
+// over 8-byte words, so it runs several bytes per cycle. A hit is confirmed
+// by a full compare, so the hash only has to be fast and spread well.
+uint64_t HashBase(std::span<const uint8_t> base) {
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  uint64_t h[4] = {1, 2, 3, 4};
+  const uint8_t* p = base.data();
+  size_t i = 0;
+  for (; i + 32 <= base.size(); i += 32) {
+    for (size_t lane = 0; lane < 4; ++lane) {
+      uint64_t word;
+      std::memcpy(&word, p + i + 8 * lane, 8);
+      h[lane] = (h[lane] ^ word) * kMul;
+    }
+  }
+  const uint64_t tail = Fnv1a64(base.subspan(i), base.size());
+  return MixBits(h[0] ^ MixBits(h[1] ^ MixBits(h[2] ^ MixBits(h[3] ^ tail))));
+}
+
+}  // namespace
+
+// Seed index over one base: maps hashed seeds to base offsets in a
 // power-of-two bucketed table with a small fixed depth (newest offsets win).
-// The backing store is borrowed from the caller (DeltaScratch) so repeated
-// encodes reuse its capacity; offsets are 32-bit, which is why DeltaEncode
-// rejects bases of 4 GiB or more.
+// Offsets are 16-bit, which is why DeltaEncode rejects bases of
+// kDeltaBaseLimit bytes or more. The table keeps its own copy of the base:
+// DeltaScratch::Find compares it to confirm a hit, and FindBest matches
+// against it.
 //
 // Beside the table the index keeps an exact prefilter: one bit per inserted
 // offset in a small bitmap, keyed by a multiplicative hash of the seed's
@@ -58,21 +81,27 @@ constexpr uint8_t kOpCopy = 0x01;
 // their bit. A target position whose prefix bit is clear therefore has no indexed
 // base seed with equal bytes, FindBest would return npos there, and the
 // encoder may skip it without probing the table: patch bytes are unchanged.
-class SeedIndex {
- public:
+struct DeltaScratch::SeedTable {
   struct Match {
     size_t base_off;
     size_t forward_len;  // ExtendForward(target, t_off, base_off)
   };
   static constexpr size_t npos = static_cast<size_t>(-1);
 
-  SeedIndex(std::span<const uint8_t> base, size_t seed_len, size_t stride, size_t depth,
-            std::vector<uint32_t>& slots)
-      : base_(base), seed_len_(seed_len), depth_(depth), slots_(slots) {
-    if (base.size() < seed_len) {
-      slots_.clear();
-      return;
-    }
+  // True when the table was built over bytes equal to `base` with this
+  // geometry.
+  bool Holds(std::span<const uint8_t> base, size_t seed_len, size_t stride, size_t depth) const {
+    return stride_ == stride && seed_len_ == seed_len && depth_ == depth &&
+           base_.size() == base.size() &&
+           std::memcmp(base_.data(), base.data(), base.size()) == 0;
+  }
+
+  // Indexes `base`, which holds at least one seed.
+  void Build(std::span<const uint8_t> base, size_t seed_len, size_t stride, size_t depth) {
+    stride_ = 0;  // holds nothing until the build completes
+    seed_len_ = seed_len;
+    depth_ = depth;
+    base_.assign(base.begin(), base.end());
     size_t positions = (base.size() - seed_len) / stride + 1;
     size_t want = positions * depth * 2;
     size_t cap = 64;
@@ -81,6 +110,7 @@ class SeedIndex {
     }
     mask_ = cap - 1;
     slots_.assign(cap * depth_, kEmpty);
+    filter_.fill(0);
     // One FNV-1a chain is a serial xor-multiply per seed byte. Hashing
     // kBatch seeds as interleaved chains lets their multiplies overlap;
     // each value is still MixBits(Fnv1a64(seed)), and the offsets go in in
@@ -88,14 +118,15 @@ class SeedIndex {
     size_t i = 0;
     for (; i + (kBatch - 1) * stride + seed_len <= base.size(); i += kBatch * stride) {
       uint64_t h[kBatch];
-      HashSeedBatch(base.data() + i, stride, h);
+      HashSeedBatch(base_.data() + i, stride, h);
       for (size_t j = 0; j < kBatch; ++j) {
         Add(h[j], i + j * stride);
       }
     }
     for (; i + seed_len <= base.size(); i += stride) {
-      Add(HashSeed(base.data() + i), i);
+      Add(HashSeed(base_.data() + i), i);
     }
+    stride_ = stride;
   }
 
   // False only when no indexed base seed can equal the seed at `p`.
@@ -104,18 +135,15 @@ class SeedIndex {
     return ((filter_[bit / 64] >> (bit % 64)) & 1) != 0;
   }
 
-  // Finds the base offset whose seed matches the one at `t_off`, preferring
-  // the longest forward extension (first candidate on ties). base_off is
-  // npos when no candidate matches.
+  // Finds the base offset whose seed matches the one at `t_off` (a whole
+  // seed inside `target`), preferring the longest forward extension (first
+  // candidate on ties). base_off is npos when no candidate matches.
   Match FindBest(std::span<const uint8_t> target, size_t t_off) const {
     Match best{npos, 0};
-    if (slots_.empty() || t_off + seed_len_ > target.size()) {
-      return best;
-    }
     uint64_t h = HashSeed(target.data() + t_off);
     size_t bucket = (h & mask_) * depth_;
     for (size_t d = 0; d < depth_; ++d) {
-      uint32_t cand = slots_[bucket + d];
+      uint16_t cand = slots_[bucket + d];
       if (cand == kEmpty) {
         break;
       }
@@ -131,7 +159,7 @@ class SeedIndex {
   }
 
  private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
+  static constexpr uint16_t kEmpty = UINT16_MAX;
   static constexpr size_t kBatch = 8;
   static constexpr size_t kFilterBits = 8192;
   static constexpr int kFilterShift = 64 - 13;  // log2(kFilterBits)
@@ -163,7 +191,7 @@ class SeedIndex {
 
   // Indexes the base seed at `offset` under hash `h`.
   void Add(uint64_t h, size_t offset) {
-    Insert(h, static_cast<uint32_t>(offset));
+    Insert(h, static_cast<uint16_t>(offset));
     const size_t bit = FilterBit(base_.data() + offset);
     filter_[bit / 64] |= uint64_t{1} << (bit % 64);
   }
@@ -183,7 +211,7 @@ class SeedIndex {
     return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> kFilterShift);
   }
 
-  void Insert(uint64_t h, uint32_t offset) {
+  void Insert(uint64_t h, uint16_t offset) {
     size_t bucket = (h & mask_) * depth_;
     // Shift older entries down; newest first.
     for (size_t d = depth_ - 1; d > 0; --d) {
@@ -192,13 +220,42 @@ class SeedIndex {
     slots_[bucket] = offset;
   }
 
-  std::span<const uint8_t> base_;
-  size_t seed_len_;
-  size_t depth_;
+  std::vector<uint8_t> base_;
+  size_t seed_len_ = 0;
+  size_t stride_ = 0;
+  size_t depth_ = 0;
   size_t mask_ = 0;
-  std::vector<uint32_t>& slots_;
+  std::vector<uint16_t> slots_;
   std::array<uint64_t, kFilterBits / 64> filter_{};
 };
+
+DeltaScratch::DeltaScratch() = default;
+DeltaScratch::~DeltaScratch() = default;
+
+const DeltaScratch::SeedTable& DeltaScratch::Find(std::span<const uint8_t> base, size_t seed_len,
+                                                  size_t stride, size_t depth) {
+  const uint64_t key = HashCombine(HashBase(base), (seed_len << 32) ^ (stride << 16) ^ depth);
+  ++clock_;
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    if (keys_[i] == key && tables_[i].Holds(base, seed_len, stride, depth)) {
+      last_use_[i] = clock_;
+      return tables_[i];
+    }
+  }
+  size_t victim = tables_.size();
+  if (victim < kCapacity) {
+    tables_.emplace_back();
+  } else {
+    victim = static_cast<size_t>(std::min_element(last_use_.begin(), last_use_.end()) -
+                                 last_use_.begin());
+  }
+  tables_[victim].Build(base, seed_len, stride, depth);
+  keys_[victim] = key;
+  last_use_[victim] = clock_;
+  return tables_[victim];
+}
+
+namespace {
 
 void EmitAdd(std::vector<uint8_t>& out, std::span<const uint8_t> literal) {
   if (literal.empty()) {
@@ -241,8 +298,8 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
   if (options.seed_length < 4) {
     throw DeltaError("seed_length must be >= 4");
   }
-  if (base.size() > UINT32_MAX) {
-    throw DeltaError("base must be smaller than 4 GiB");
+  if (base.size() >= kDeltaBaseLimit) {
+    throw DeltaError("base must be shorter than 64 KiB");
   }
   out.assign(std::begin(kMagic), std::end(kMagic));
   out.reserve(target.size() / 4 + 32);
@@ -259,9 +316,9 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
   // Level 1: stride = seed/2, depth 2 (fast). Level 9: stride 1, depth 8.
   size_t stride = std::max<size_t>(1, options.seed_length / (1 + static_cast<size_t>(level)));
   size_t depth = 1 + static_cast<size_t>(level) / 2 + 1;
-  DeltaScratch local_scratch;
-  DeltaScratch& sc = scratch != nullptr ? *scratch : local_scratch;
-  SeedIndex index(base, options.seed_length, stride, depth, sc.seed_slots);
+  std::optional<DeltaScratch> local;  // without a scratch every table is built
+  DeltaScratch& sc = scratch != nullptr ? *scratch : local.emplace();
+  const DeltaScratch::SeedTable& index = sc.Find(base, options.seed_length, stride, depth);
 
   size_t pending = 0;  // start of unmatched literal run
   size_t pos = 0;
@@ -271,7 +328,7 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
       continue;
     }
     const auto [cand, fwd] = index.FindBest(target, pos);
-    if (cand == SeedIndex::npos) {
+    if (cand == DeltaScratch::SeedTable::npos) {
       ++pos;
       continue;
     }

@@ -19,11 +19,12 @@
 // dispatched word/vector kernels (common/kernels/memops.h); DeltaDecode
 // validates the instruction stream in one pass and then memcpys into a
 // buffer pre-sized from the header instead of growing it op by op. The
-// *Into overloads write into caller-owned buffers and accept an optional
-// DeltaScratch so steady-state encode/decode performs no allocation.
+// *Into overloads write into caller-owned buffers; DeltaEncodeInto accepts
+// an optional DeltaScratch that caches the seed table built for each base.
 #ifndef MEDES_DELTA_DELTA_H_
 #define MEDES_DELTA_DELTA_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -59,23 +60,58 @@ struct DeltaStats {
   size_t copy_ops = 0;
 };
 
-// Reusable encoder working storage (the seed-index table of 32-bit base
-// offsets). Keep one per worker thread and pass it to DeltaEncodeInto to
-// avoid reallocating the index for every page.
-struct DeltaScratch {
-  std::vector<uint32_t> seed_slots;
-};
+// Bases must be shorter than this (64 KiB): the encoder's seed table stores
+// 16-bit base offsets. DeltaEncode throws DeltaError for a longer base.
+inline constexpr size_t kDeltaBaseLimit = size_t{1} << 16;
+
+class DeltaScratch;
 
 // Encodes `target` as a delta against `base`. Throws DeltaError when
-// seed_length < 4 or the base is 4 GiB or larger.
+// seed_length < 4 or the base is kDeltaBaseLimit bytes or longer.
 [[nodiscard]] std::vector<uint8_t> DeltaEncode(std::span<const uint8_t> base, std::span<const uint8_t> target,
                                  const DeltaOptions& options = {});
 
 // As DeltaEncode, but replaces the contents of `out` (capacity is reused)
-// and optionally uses `scratch` for the seed index.
+// and optionally looks the base's seed table up in `scratch`.
 void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> target,
                      const DeltaOptions& options, std::vector<uint8_t>& out,
                      DeltaScratch* scratch = nullptr);
+
+// Reusable encoder working storage: an LRU cache of the last kCapacity seed
+// tables built. One base page serves many targets, so most encodes find
+// their base's table here and skip the index build. A table is found by a
+// hash of the base bytes and the table geometry, then confirmed by a full
+// compare against the table's own copy of the base, so a hit never depends
+// on where the base lives and is the table a fresh build would make. Full,
+// it holds about 3.3 MB (4 KiB bases at level 1). Keep one per worker
+// thread; DeltaEncodeInto without one builds every table afresh.
+class DeltaScratch {
+ public:
+  static constexpr size_t kCapacity = 256;
+
+  DeltaScratch();
+  ~DeltaScratch();
+  DeltaScratch(const DeltaScratch&) = delete;
+  DeltaScratch& operator=(const DeltaScratch&) = delete;
+
+ private:
+  friend void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> target,
+                              const DeltaOptions& options, std::vector<uint8_t>& out,
+                              DeltaScratch* scratch);
+  struct SeedTable;  // defined in delta.cc
+
+  // The table over `base` with this geometry, built into the least
+  // recently used slot on a miss.
+  const SeedTable& Find(std::span<const uint8_t> base, size_t seed_len, size_t stride,
+                        size_t depth);
+
+  std::vector<SeedTable> tables_;  // grows to kCapacity
+  // keys_[i] hashes tables_[i]'s base bytes and geometry; last_use_[i] is
+  // the clock_ value of its latest lookup.
+  std::array<uint64_t, kCapacity> keys_{};
+  std::array<uint64_t, kCapacity> last_use_{};
+  uint64_t clock_ = 0;
+};
 
 // Reconstructs the target from `base` and `delta`. Throws DeltaError if the
 // delta is corrupt or references out-of-range base bytes.

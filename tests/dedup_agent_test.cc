@@ -178,6 +178,20 @@ TEST_F(DedupAgentTest, SizeOnlyModeStillAccounts) {
   EXPECT_EQ(victim.state, SandboxState::kWarm);
 }
 
+// A patch's base is its base pages laid end to end and must stay shorter
+// than the encoder's 64 KiB limit; past it every page would count as unique.
+TEST_F(DedupAgentTest, RejectsBaseCardinalityPastTheEncoderLimit) {
+  DedupAgentOptions opts;
+  opts.max_base_pages_per_page = kDeltaBaseLimit / kPageSize;
+  EXPECT_THROW(DedupAgent(cluster_, registry_, fabric_, opts), std::invalid_argument);
+  opts.max_base_pages_per_page = kDeltaBaseLimit / kPageSize - 1;
+  DedupAgent agent(cluster_, registry_, fabric_, opts);
+  Sandbox& base = WarmSandbox("Vanilla", NodeId{0});
+  agent.DesignateBase(base);
+  Sandbox& victim = WarmSandbox("Vanilla", NodeId{0});
+  EXPECT_GT(agent.DedupOp(victim, SimTime{0}).pages_deduped, 0u);
+}
+
 TEST_F(DedupAgentTest, ScaleFactorReflectsImageScale) {
   EXPECT_DOUBLE_EQ(agent_.ScaleFactor(), static_cast<double>(1 << 20) / 16384.0);
 }

@@ -7,7 +7,6 @@
 #include "delta/delta.h"
 
 #include <gtest/gtest.h>
-#include <sys/mman.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -179,19 +178,26 @@ TEST(DeltaFuzzTest, EncoderMatchesReferenceModel) {
       {low, DenselyEdited(low, 71)},                 // overflowing buckets
       {RandomBytes(37, 72), RandomBytes(4096, 72)},  // base barely above a seed
   };
-  DeltaScratch scratch;  // shared across calls, so stale table contents are exercised
+  // Every input runs twice: through one shared scratch, whose seed-table
+  // cache is warm because the same bases recur across levels and seed
+  // lengths (so the table geometry must be part of the key), and with a
+  // fresh scratch per call (nullptr), which always builds the table.
+  DeltaScratch shared;
   std::vector<uint8_t> got;
-  for (size_t seed_length : {4, 5, 7, 8, 9, 16, 32}) {
-    for (int level = 0; level <= 9; ++level) {
-      DeltaOptions options;
-      options.level = level;
-      options.seed_length = seed_length;
-      for (size_t c = 0; c < cases.size(); ++c) {
-        const auto& [base, target] = cases[c];
-        DeltaEncodeInto(base, target, options, got, &scratch);
-        ASSERT_EQ(got, ReferenceEncode(base, target, options))
-            << "seed_length " << seed_length << " level " << level << " case " << c;
-        ASSERT_EQ(DeltaDecode(base, got), target);
+  for (DeltaScratch* scratch : {&shared, static_cast<DeltaScratch*>(nullptr)}) {
+    SCOPED_TRACE(scratch != nullptr ? "shared scratch" : "fresh scratch");
+    for (size_t seed_length : {4, 5, 7, 8, 9, 16, 32}) {
+      for (int level = 0; level <= 9; ++level) {
+        DeltaOptions options;
+        options.level = level;
+        options.seed_length = seed_length;
+        for (size_t c = 0; c < cases.size(); ++c) {
+          const auto& [base, target] = cases[c];
+          DeltaEncodeInto(base, target, options, got, scratch);
+          ASSERT_EQ(got, ReferenceEncode(base, target, options))
+              << "seed_length " << seed_length << " level " << level << " case " << c;
+          ASSERT_EQ(DeltaDecode(base, got), target);
+        }
       }
     }
   }
@@ -216,7 +222,7 @@ TEST(DeltaFuzzTest, EncoderMatchesReferenceModel) {
         for (size_t len = seed_length; len <= seed_length + 9 * stride; ++len) {
           const std::span<const uint8_t> base(source.data(), len);
           for (const auto& target : targets) {
-            DeltaEncodeInto(base, target, options, got, &scratch);
+            DeltaEncodeInto(base, target, options, got, &shared);
             ASSERT_EQ(got, ReferenceEncode(base, target, options))
                 << "seed_length " << seed_length << " level " << level << " base " << len;
           }
@@ -226,19 +232,69 @@ TEST(DeltaFuzzTest, EncoderMatchesReferenceModel) {
   }
 }
 
-// Seed-table offsets are 32-bit. The mapping is reserved, never touched.
-TEST(DeltaFuzzTest, EncodeRejectsBaseOf4GiB) {
-  const size_t size = size_t{1} << 32;
-  void* mem = mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (mem == MAP_FAILED) {
-    GTEST_SKIP() << "cannot reserve 4 GiB of address space";
+// Seed-table offsets are 16-bit, so the longest base is 65535 bytes. The
+// target comes from the base's tail, so matches sit at the highest offsets.
+TEST(DeltaFuzzTest, EncodeRejectsBaseOf64KiB) {
+  const auto bytes = RandomBytes(kDeltaBaseLimit, 90);
+  const std::span<const uint8_t> longest = std::span<const uint8_t>(bytes).first(kDeltaBaseLimit - 1);
+  const auto target =
+      MutatedCopy(std::vector<uint8_t>(longest.end() - 4096, longest.end()), 91);
+  for (const DeltaOptions options : {DeltaOptions{}, DeltaOptions{.seed_length = 4}}) {
+    const std::vector<uint8_t> delta = DeltaEncode(longest, target, options);
+    EXPECT_EQ(delta, ReferenceEncode(longest, target, options));
+    EXPECT_GT(InspectDelta(delta).copy_bytes, target.size() / 2);
   }
-  const std::span<const uint8_t> base(static_cast<const uint8_t*>(mem), size);
-  const std::vector<uint8_t> target(64, 1);
-  EXPECT_THROW((void)DeltaEncode(base, target), DeltaError);
-  EXPECT_NO_THROW(
-      (void)DeltaEncode(base.first(size - 1), std::span<const uint8_t>{}, {.level = 0}));
-  munmap(mem, size);
+  EXPECT_THROW((void)DeltaEncode(bytes, target), DeltaError);
+  EXPECT_THROW((void)DeltaEncode(bytes, target, {.level = 0}), DeltaError);
+}
+
+// A cached seed table belongs to the base's bytes, not to where they live:
+// rewriting a base in place (same buffer, same length) must not reuse the
+// table built over its old contents.
+TEST(DeltaFuzzTest, SeedTableCacheSeesBaseRewrite) {
+  DeltaScratch scratch;
+  std::vector<uint8_t> base = RandomBytes(4096, 92);
+  const uint8_t* const where = base.data();
+  const auto old_target = MutatedCopy(base, 93);
+  std::vector<uint8_t> got;
+  DeltaEncodeInto(base, old_target, {}, got, &scratch);
+  ASSERT_EQ(got, ReferenceEncode(base, old_target, {}));
+
+  const auto rewrite = RandomBytes(4096, 94);
+  std::copy(rewrite.begin(), rewrite.end(), base.begin());
+  ASSERT_EQ(base.data(), where);
+  const auto new_target = MutatedCopy(base, 95);
+  for (const auto& target : {new_target, old_target}) {
+    DeltaEncodeInto(base, target, {}, got, &scratch);
+    EXPECT_EQ(got, ReferenceEncode(base, target, {}));
+    EXPECT_EQ(DeltaDecode(base, got), target);
+  }
+  // One changed byte is a different base too.
+  base[2048] ^= 0x5A;
+  DeltaEncodeInto(base, new_target, {}, got, &scratch);
+  EXPECT_EQ(got, ReferenceEncode(base, new_target, {}));
+}
+
+// More distinct bases than the cache holds, of varying lengths, so victims
+// are rebuilt over bases of another size; then the first base again, long
+// since evicted. Every encode must still equal the reference.
+TEST(DeltaFuzzTest, SeedTableCacheEvictionStaysExact) {
+  const DeltaOptions options{.seed_length = 4};
+  DeltaScratch scratch;
+  std::vector<std::vector<uint8_t>> bases;
+  for (size_t i = 0; i < DeltaScratch::kCapacity + 16; ++i) {
+    bases.push_back(LowEntropy(512 + 96 * (i % 5), 100 + i));
+  }
+  std::vector<uint8_t> got;
+  for (size_t i = 0; i < bases.size(); ++i) {
+    const auto target = DenselyEdited(bases[i], 400 + i);
+    DeltaEncodeInto(bases[i], target, options, got, &scratch);
+    ASSERT_EQ(got, ReferenceEncode(bases[i], target, options)) << "base " << i;
+  }
+  const auto target = DenselyEdited(bases.front(), 99);
+  DeltaEncodeInto(bases.front(), target, options, got, &scratch);
+  EXPECT_EQ(got, ReferenceEncode(bases.front(), target, options));
+  EXPECT_EQ(DeltaDecode(bases.front(), got), target);
 }
 
 TEST(DeltaFuzzTest, RoundTripEveryLevel) {
