@@ -4,9 +4,9 @@
 //   micro  ns/op of the instrument hot paths — Counter::Add, Histogram::Record
 //          and a ScopedSpan record — with the runtime knobs off and on. Off
 //          must be a relaxed atomic load plus a predictable branch.
-//   macro  pages/sec of the full dedup + restore pipeline (the
-//          pipeline_throughput workload, one thread) under three settings:
-//          obs fully disabled, metrics only, metrics + tracing.
+//   macro  pages/sec of the full dedup + restore pipeline (one base and
+//          victims of every function profile, one thread) under three
+//          settings: obs fully disabled, metrics only, metrics + tracing.
 //
 // Emits one JSON document on stdout. MEDES_OBS_GATE_RATIO, when set to a
 // positive number, turns the benchmark into a regression gate: the run fails

@@ -17,9 +17,8 @@
 //     directory, recovery replayed into a fresh registry, and every
 //     recovered sandbox re-validated against the live cluster.
 //
-// Output: BENCH_registry_persistence.json (or argv[1]); validate with
-//   python3 scripts/check_bench_json.py BENCH_registry_persistence.json \
-//       --bench registry_persistence
+// Output: BENCH_registry_persistence.json (or argv[1]); validate it with
+//   python3 -m scripts check-bench-json <file> --bench registry_persistence
 // Env:   MEDES_REGISTRY_PERSISTENCE_MODE=smoke   CI-sized config
 #include <algorithm>
 #include <cinttypes>

@@ -35,7 +35,6 @@
 
 using namespace medes;
 
-#ifndef MEDES_OBS_DISABLED
 namespace {
 
 struct TraceArtifacts {
@@ -119,7 +118,6 @@ void WriteSpanTree(bench::JsonWriter& w, const TraceArtifacts& a, const obs::Tra
 }
 
 }  // namespace
-#endif  // MEDES_OBS_DISABLED
 
 int main(int argc, char** argv) {
   bench::StartWallClock();
@@ -130,13 +128,6 @@ int main(int argc, char** argv) {
   bench::Header("trace_analysis: critical-path attribution of sampled causal traces",
                 smoke ? "smoke: 4-node Medes P2, 10 sim-minutes"
                       : "50-node Medes P2, 30 sim-minutes, rate scaled to match per-node load");
-
-#ifdef MEDES_OBS_DISABLED
-  // Nothing to attribute without spans; a skip, not a failure.
-  std::printf("observability compiled out (-DMEDES_OBS=OFF): skipping\n");
-  (void)out_path;
-  return 0;
-#else
 
   // Tracing on, deterministic head sampling. MEDES_TRACE_SAMPLE (parsed by
   // the obs layer at first use) wins if set; default to 1-in-4 here.
@@ -233,5 +224,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: attribution gates not met\n");
   }
   return pass ? 0 : 1;
-#endif  // MEDES_OBS_DISABLED
 }

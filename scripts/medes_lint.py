@@ -410,8 +410,7 @@ RANK_LITERAL_RE = re.compile(r"LockRank::(k\w+)")
 ENUM_TO_DESIGN_NAME = {
     "kPoolQueue": "pool queue",
     "kRegistryTopology": "registry topology",
-    "kRegistryShard": "registry shard",
-    "kRegistrySandbox": "registry sandbox index",
+    "kRegistryTable": "registry table",
     "kRdmaCache": "rdma cache",
     "kTransport": "transport",
     "kStateStore": "state store",

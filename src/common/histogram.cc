@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 namespace medes {
 
@@ -47,27 +46,6 @@ double SampleRecorder::Percentile(double p) const {
     --rank;
   }
   return sorted_[std::min(rank, sorted_.size() - 1)];
-}
-
-BucketHistogram::BucketHistogram(double lo, double hi, size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  if (buckets == 0 || hi <= lo) {
-    throw std::invalid_argument("BucketHistogram: bad range");
-  }
-}
-
-void BucketHistogram::Record(double v) {
-  double idx = (v - lo_) / width_;
-  size_t i = 0;
-  if (idx > 0) {
-    i = std::min(static_cast<size_t>(idx), counts_.size() - 1);
-  }
-  ++counts_[i];
-  ++total_;
-}
-
-double BucketHistogram::BucketLow(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
 }
 
 }  // namespace medes

@@ -1,9 +1,9 @@
-// Simple value recorders used for experiment metrics: exact percentiles over
-// recorded samples, a fixed-bucket histogram for streaming summaries, and the
-// power-of-two bucketing of the tree's one order-independent histogram
-// (obs/metrics.h). Registry series (obs::Histogram) and per-instance stats
-// (obs::StatHistogram) both bucket this way and read back as an
-// obs::HistogramValue, the type transport latency stats carry.
+// Value recorders used for experiment metrics: exact percentiles over
+// recorded samples, and the power-of-two bucketing of the tree's one
+// order-independent histogram (obs/metrics.h). Registry series
+// (obs::Histogram) and per-instance stats (obs::StatHistogram) both bucket
+// this way and read back as an obs::HistogramValue, the type transport
+// latency stats carry.
 #ifndef MEDES_COMMON_HISTOGRAM_H_
 #define MEDES_COMMON_HISTOGRAM_H_
 
@@ -64,25 +64,6 @@ class SampleRecorder {
   // Percentile sorts lazily into this cache.
   mutable std::vector<double> sorted_;
   std::vector<double> samples_;
-};
-
-// Fixed-width bucket counter over [lo, hi); out-of-range values clamp to the
-// edge buckets. Used for time-series summaries (e.g. memory usage snapshots).
-class BucketHistogram {
- public:
-  BucketHistogram(double lo, double hi, size_t buckets);
-
-  void Record(double v);
-  uint64_t BucketCount(size_t i) const { return counts_.at(i); }
-  size_t NumBuckets() const { return counts_.size(); }
-  double BucketLow(size_t i) const;
-  uint64_t TotalCount() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace medes

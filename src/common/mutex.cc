@@ -25,12 +25,8 @@ std::vector<HeldLock>& HeldStack() {
 }
 
 bool DefaultEnabled() {
-#ifdef MEDES_DEBUG_LOCKS
-  return true;
-#else
   const char* env = std::getenv("MEDES_DEBUG_LOCKS");
   return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-#endif
 }
 
 std::atomic<bool>& EnabledFlag() {
@@ -119,22 +115,20 @@ const char* ToString(LockRank rank) {
       return "rank 1: pool queue";
     case LockRank::kRegistryTopology:
       return "rank 2: registry topology";
-    case LockRank::kRegistryShard:
-      return "rank 3: registry shard";
-    case LockRank::kRegistrySandbox:
-      return "rank 4: registry sandbox index";
+    case LockRank::kRegistryTable:
+      return "rank 3: registry table";
     case LockRank::kRdmaCache:
-      return "rank 5: rdma cache";
+      return "rank 4: rdma cache";
     case LockRank::kTransport:
-      return "rank 6: transport";
+      return "rank 5: transport";
     case LockRank::kStateStore:
-      return "rank 7: state store";
+      return "rank 6: state store";
     case LockRank::kMetrics:
-      return "rank 8: metrics";
+      return "rank 7: metrics";
     case LockRank::kObsRegistry:
-      return "rank 9: obs registry";
+      return "rank 8: obs registry";
     case LockRank::kObsBuffer:
-      return "rank 10: obs span buffer";
+      return "rank 9: obs span buffer";
   }
   return "unknown";
 }

@@ -17,10 +17,10 @@
 //     lower ranks must be acquired first — so any two threads that respect
 //     it can never deadlock on these mutexes.
 //
-// Lock debugging is enabled by building with -DMEDES_DEBUG_LOCKS=ON, by
-// setting the MEDES_DEBUG_LOCKS environment variable to a nonzero value, or
-// programmatically via SetLockDebugging(true) (used by tests). When
-// disabled, the per-acquisition overhead is one relaxed atomic load.
+// Lock debugging is enabled by setting the MEDES_DEBUG_LOCKS environment
+// variable to a nonzero value, or programmatically via
+// SetLockDebugging(true) (used by tests). When disabled, the per-acquisition
+// overhead is one relaxed atomic load.
 #ifndef MEDES_COMMON_MUTEX_H_
 #define MEDES_COMMON_MUTEX_H_
 
@@ -41,14 +41,13 @@ enum class LockRank : int {
   kUnranked = 0,
   kPoolQueue = 1,         // ThreadPool queue/state lock
   kRegistryTopology = 2,  // DistributedRegistry chain/replica liveness
-  kRegistryShard = 3,     // FingerprintRegistry striped shard locks
-  kRegistrySandbox = 4,   // FingerprintRegistry sandbox refcounts / reverse index
-  kRdmaCache = 5,         // RdmaFabric base-page LRU cache
-  kTransport = 6,         // Transport fault-policy slot / StaticFaultPolicy state
-  kStateStore = 7,        // StateStore tier/residency + durable log state
-  kMetrics = 8,           // stats/metrics sinks (platform, agents, registries)
-  kObsRegistry = 9,       // obs instrument map / tracer thread-buffer registry
-  kObsBuffer = 10,        // obs per-thread span buffers (after kObsRegistry in drains)
+  kRegistryTable = 3,     // FingerprintRegistry table, reverse index and refcounts
+  kRdmaCache = 4,         // RdmaFabric base-page LRU cache
+  kTransport = 5,         // Transport fault-policy slot / StaticFaultPolicy state
+  kStateStore = 6,        // StateStore tier/residency + durable log state
+  kMetrics = 7,           // stats/metrics sinks (platform, agents, registries)
+  kObsRegistry = 8,       // obs instrument map / tracer thread-buffer registry
+  kObsBuffer = 9,         // obs per-thread span buffers (after kObsRegistry in drains)
 };
 
 const char* ToString(LockRank rank);
@@ -58,7 +57,7 @@ const char* ToString(LockRank rank);
 // True when out-of-order acquisitions are being checked on this process.
 bool LockDebuggingEnabled();
 // Turns checking on/off at runtime (tests flip this; production binaries
-// normally rely on the build option / environment variable).
+// normally rely on the environment variable).
 void SetLockDebugging(bool enabled);
 
 // Replaces the violation handler, returning the previous one. The default

@@ -128,9 +128,9 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   // 2. Fingerprint every resident page (parallel).
   std::vector<PageFingerprint> fingerprints = FingerprintPages(cp, resident);
 
-  // 3. Registry lookups, batched and fanned out (parallel; the registry's
-  // striped locks let lookups proceed concurrently, and each task's
-  // FindBasePagesBatch call amortises shard locking across a batch). Each
+  // 3. Registry lookups, batched and fanned out (parallel; lookups share the
+  // registry's reader lock, and each task's FindBasePagesBatch call takes it
+  // once per batch). Each
   // batch also reports its modelled cost — a pure function of the batch's
   // contents — into its own slot, so the serial sum below is identical at
   // every thread count.

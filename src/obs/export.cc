@@ -233,34 +233,6 @@ std::string MetricsJson(const std::vector<MetricSnapshot>& snapshots) {
   return out;
 }
 
-std::string SeriesJson(const std::vector<SnapshotSeries::Point>& points) {
-  std::string out = "[";
-  bool first_point = true;
-  for (const SnapshotSeries::Point& point : points) {
-    if (!first_point) {
-      out += ',';
-    }
-    first_point = false;
-    out += "\n{\"t\":";
-    AppendInt(out, point.t.value());
-    out += ",\"values\":{";
-    bool first_value = true;
-    for (const auto& [key, value] : point.values) {
-      if (!first_value) {
-        out += ',';
-      }
-      first_value = false;
-      out += '"';
-      AppendJsonEscaped(out, key);
-      out += "\":";
-      AppendInt(out, value);
-    }
-    out += "}}";
-  }
-  out += "\n]\n";
-  return out;
-}
-
 namespace {
 
 std::atomic<FileSink> g_file_sink{nullptr};

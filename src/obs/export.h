@@ -6,7 +6,6 @@
 //   - PrometheusText: metric snapshots -> Prometheus text exposition format
 //     (# HELP / # TYPE, cumulative le-bucket histograms, _sum/_count).
 //   - MetricsJson: the same snapshots as a JSON document (bench artifacts).
-//   - SeriesJson: a SnapshotSeries time series as JSON.
 //
 // All exporters are pure functions of their (already canonically sorted)
 // inputs, so their output inherits the determinism of the recorded data.
@@ -34,9 +33,6 @@ std::string PrometheusText(const std::vector<MetricSnapshot>& snapshots);
 
 // The same snapshots as a JSON array of instrument objects.
 std::string MetricsJson(const std::vector<MetricSnapshot>& snapshots);
-
-// A SnapshotSeries as JSON: [{"t": ..., "values": {name: value, ...}}, ...].
-std::string SeriesJson(const std::vector<SnapshotSeries::Point>& points);
 
 // Writes `content` to `path`, replacing any existing file. Returns false on
 // I/O failure. The actual filesystem access happens through the installed

@@ -232,47 +232,4 @@ StatHistogram::StatHistogram(std::string_view name, std::string_view help,
                              std::string_view label_key, std::string_view label_value)
     : series_(MetricsRegistry::Default().GetHistogram(name, help, label_key, label_value)) {}
 
-SnapshotSeries& SnapshotSeries::Default() {
-  static SnapshotSeries* series = new SnapshotSeries();  // intentionally leaked
-  return *series;
-}
-
-void SnapshotSeries::Sample(SimTime now) {
-  if (!MetricsEnabled()) {
-    return;
-  }
-  // Snapshot before taking our own lock: the registry lock (kObsRegistry)
-  // ranks below this one and may not be acquired while it is held.
-  const std::vector<MetricSnapshot> snaps = MetricsRegistry::Default().Snapshot();
-  Point point;
-  point.t = now;
-  point.values.reserve(snaps.size());
-  for (const MetricSnapshot& snap : snaps) {
-    if (snap.kind == InstrumentKind::kHistogram) {
-      continue;
-    }
-    std::string key = snap.name;
-    if (!snap.label_key.empty()) {
-      key += '{';
-      key += snap.label_key;
-      key += "=\"";
-      key += snap.label_value;
-      key += "\"}";
-    }
-    point.values.emplace_back(std::move(key), snap.value);
-  }
-  MutexLock lock(mu_);
-  points_.push_back(std::move(point));
-}
-
-std::vector<SnapshotSeries::Point> SnapshotSeries::Points() const {
-  MutexLock lock(mu_);
-  return points_;
-}
-
-void SnapshotSeries::Clear() {
-  MutexLock lock(mu_);
-  points_.clear();
-}
-
 }  // namespace medes::obs

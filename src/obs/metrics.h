@@ -37,7 +37,6 @@
 #include "common/annotations.h"
 #include "common/histogram.h"
 #include "common/mutex.h"
-#include "common/time.h"
 #include "obs/obs.h"
 
 namespace medes::obs {
@@ -269,33 +268,6 @@ class StatHistogram {
  private:
   internal::HistogramCells cells_;
   Histogram& series_;
-};
-
-// ---- Sim-time snapshot poller --------------------------------------------
-
-// A time series of registry snapshots taken at simulation timestamps (the
-// platform samples alongside its periodic memory sampling). Counter and gauge
-// values only — histograms are exported once at end of run.
-class SnapshotSeries {
- public:
-  struct Point {
-    SimTime t;
-    // (name or name{label}, value) pairs, sorted by the rendered key.
-    std::vector<std::pair<std::string, int64_t>> values;
-  };
-
-  static SnapshotSeries& Default();
-
-  // Appends one sample of every counter/gauge in MetricsRegistry::Default().
-  // No-op when metrics are disabled.
-  void Sample(SimTime now) EXCLUDES(mu_);
-
-  std::vector<Point> Points() const EXCLUDES(mu_);
-  void Clear() EXCLUDES(mu_);
-
- private:
-  mutable Mutex mu_{"obs snapshot series", LockRank::kObsBuffer};
-  std::vector<Point> points_ GUARDED_BY(mu_);
 };
 
 }  // namespace medes::obs

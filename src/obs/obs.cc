@@ -1,7 +1,5 @@
 #include "obs/obs.h"
 
-#ifndef MEDES_OBS_DISABLED
-
 #include <cstdlib>
 #include <cstring>
 
@@ -58,5 +56,3 @@ void SetTraceSampleEvery(unsigned every) {
 }
 
 }  // namespace medes::obs
-
-#endif  // MEDES_OBS_DISABLED

@@ -12,28 +12,14 @@
 //     contract: the sampled span set never depends on thread count.
 //
 // Tests and tools can flip the flags programmatically (SetTraceEnabled etc.);
-// the environment variables only seed the initial state. Building with
-// -DMEDES_OBS=OFF defines MEDES_OBS_DISABLED, which pins every flag to a
-// constexpr false so the optimizer deletes instrumentation sites entirely.
+// the environment variables only seed the initial state.
 #ifndef MEDES_OBS_OBS_H_
 #define MEDES_OBS_OBS_H_
 
-#ifndef MEDES_OBS_DISABLED
 #include <atomic>
-#endif
+#include <cstdint>
 
 namespace medes::obs {
-
-#ifdef MEDES_OBS_DISABLED
-
-inline constexpr bool TraceEnabled() { return false; }
-inline constexpr bool MetricsEnabled() { return false; }
-inline constexpr unsigned TraceSampleEvery() { return 1; }
-inline void SetTraceEnabled(bool /*enabled*/) {}
-inline void SetMetricsEnabled(bool /*enabled*/) {}
-inline void SetTraceSampleEvery(unsigned /*every*/) {}
-
-#else
 
 namespace internal {
 // Tri-state: -1 = not yet initialised from the environment, else 0/1. The
@@ -75,8 +61,6 @@ inline unsigned TraceSampleEvery() {
 void SetTraceEnabled(bool enabled);
 void SetMetricsEnabled(bool enabled);
 void SetTraceSampleEvery(unsigned every);  // 0 is clamped to 1
-
-#endif  // MEDES_OBS_DISABLED
 
 }  // namespace medes::obs
 

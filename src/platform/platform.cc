@@ -122,7 +122,7 @@ class ServerlessPlatform::Impl {
     }
     sim_.Run();
     // Component stats are pulled before taking the metrics lock: their
-    // accessors acquire lower-ranked locks (registry shards, rdma cache).
+    // accessors acquire lower-ranked locks (registry table, rdma cache).
     const RegistryStats registry_stats = registry_->stats();
     const RdmaStats rdma_stats = fabric_.stats();
     const TransportStats transport_stats = transport_->stats();
@@ -608,14 +608,12 @@ class ServerlessPlatform::Impl {
       }
     }
     s.bases = cluster_.base_snapshots().size();
-    // Refresh the level gauges, then append one point to the sim-time
-    // snapshot series (the poller the exporters read back).
+    // Refresh the level gauges.
     live_sandboxes_.Set(static_cast<int64_t>(s.sandboxes));
     warm_sandboxes_.Set(static_cast<int64_t>(s.warm));
     dedup_sandboxes_.Set(static_cast<int64_t>(s.dedup));
     base_snapshots_.Set(static_cast<int64_t>(s.bases));
     used_mb_.Set(static_cast<int64_t>(s.used_mb));
-    obs::SnapshotSeries::Default().Sample(s.time);
     MutexLock lock(metrics_mu_);
     metrics_.memory_timeline.push_back(std::move(s));
   }

@@ -10,14 +10,9 @@ RdmaFabric::RdmaFabric(RdmaOptions options, PageProvider provider,
                        std::shared_ptr<Transport> transport)
     : options_(options), provider_(std::move(provider)), transport_(std::move(transport)) {
   if (transport_ == nullptr) {
-    // Standalone use: a private transport built from the options' wire
-    // fields, so kBaseRead charges and stats exist without a platform.
-    Topology topology;
-    topology.remote = {.latency = options_.per_read_latency,
-                       .bandwidth_gbps = options_.bandwidth_gbps};
-    topology.local = {.latency = options_.local_per_read_latency,
-                      .bandwidth_gbps = options_.local_bandwidth_gbps};
-    transport_ = std::make_shared<Transport>(std::move(topology));
+    // Standalone use: a private transport over the default topology, so
+    // kBaseRead charges and stats exist without a platform.
+    transport_ = std::make_shared<Transport>();
   }
 }
 

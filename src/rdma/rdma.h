@@ -2,8 +2,8 @@
 //
 // Medes fetches base pages from remote machines with one-sided RDMA reads
 // (no remote CPU involvement, paper Section 4.2). The testbed had 10 Gbps
-// NICs. We model each read's cost as
-//     latency = per_read_latency + bytes / bandwidth
+// NICs. We model each read's cost over the transport topology's link as
+//     latency = link latency + bytes / link bandwidth
 // with a cheaper path for node-local reads (plain memory copies). The fabric
 // also routes the *actual bytes*: a PageProvider callback resolves a
 // PageLocation to the bytes held by the target node's base-sandbox
@@ -42,14 +42,6 @@ class StateStore;
 }  // namespace store
 
 struct RdmaOptions {
-  // Wire model used when no shared Transport is passed to the constructor:
-  // the fabric then builds a private Transport whose remote/local links come
-  // from these four fields. With a shared Transport, its Topology is
-  // authoritative and these are ignored.
-  SimDuration per_read_latency{3};            // us, one-sided read setup
-  double bandwidth_gbps = 10.0;                // NIC line rate
-  SimDuration local_per_read_latency;      // node-local copies
-  double local_bandwidth_gbps = 80.0;          // DRAM-ish copy rate
   // Base-page read cache capacity in pages; 0 disables the cache.
   size_t page_cache_capacity = 0;
   // Modelled cost of serving a read from the cache (DRAM copy + bookkeeping).
@@ -99,9 +91,10 @@ class RdmaFabric {
   // Resolves a page location to its bytes (empty result = page unavailable).
   using PageProvider = std::function<std::vector<uint8_t>(const PageLocation&)>;
 
-  // With a null `transport` the fabric builds a private Transport from the
-  // options' wire fields, so base reads are charged as kBaseRead messages
-  // either way; the platform passes its shared cluster transport.
+  // With a null `transport` the fabric builds a private Transport over a
+  // default Topology (3 us / 10 Gbps remote, 0 / 80 Gbps local), so base
+  // reads are charged as kBaseRead messages either way; the platform passes
+  // its shared cluster transport.
   explicit RdmaFabric(RdmaOptions options = {}, PageProvider provider = nullptr,
                       std::shared_ptr<Transport> transport = nullptr);
 

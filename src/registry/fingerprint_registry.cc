@@ -1,9 +1,7 @@
 #include "registry/fingerprint_registry.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "common/hash.h"
 #include "common/mutex.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -11,21 +9,7 @@
 
 namespace medes {
 
-namespace {
-
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
-
-FingerprintRegistry::FingerprintRegistry(RegistryOptions options) : options_(options) {
-  ResetShards();
-}
+FingerprintRegistry::FingerprintRegistry(RegistryOptions options) : options_(options) {}
 
 FingerprintRegistry::FingerprintRegistry(const FingerprintRegistry& other)
     : FingerprintRegistry(other.options_) {
@@ -37,54 +21,27 @@ FingerprintRegistry& FingerprintRegistry::operator=(const FingerprintRegistry& o
     return *this;
   }
   options_ = other.options_;
-  ResetShards();
   CopyFrom(other);
   return *this;
 }
 
-void FingerprintRegistry::ResetShards() {
-  const size_t shards = RoundUpPow2(std::max<size_t>(options_.num_shards, 1));
-  shards_.clear();
-  shards_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
 void FingerprintRegistry::CopyFrom(const FingerprintRegistry& other) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& src = *other.shards_[s];
-    Shard& dst = *shards_[s];
-    // Snapshot the source shard, then install into the destination shard.
-    // Two sequential critical sections: source and destination shards share
-    // a lock rank, so they must never be held together.
-    std::unordered_map<uint64_t, std::vector<PageLocation>> table;
-    std::unordered_map<SandboxId, std::vector<uint64_t>> keys_by_sandbox;
-    {
-      ReaderLock lock(src.mu);
-      table = src.table;
-      keys_by_sandbox = src.keys_by_sandbox;
-    }
-    {
-      WriterLock lock(dst.mu);
-      dst.table = std::move(table);
-      dst.keys_by_sandbox = std::move(keys_by_sandbox);
-    }
-  }
+  // Snapshot the source, then install into the destination: two sequential
+  // critical sections, because both locks carry the same rank and must never
+  // be held together.
+  std::unordered_map<uint64_t, std::vector<PageLocation>> table;
+  std::unordered_map<SandboxId, std::vector<uint64_t>> keys_by_sandbox;
   std::unordered_map<SandboxId, int> refcounts;
   {
-    ReaderLock lock(other.sandbox_mu_);
+    ReaderLock lock(other.mu_);
+    table = other.table_;
+    keys_by_sandbox = other.keys_by_sandbox_;
     refcounts = other.base_refcounts_;
   }
-  {
-    WriterLock lock(sandbox_mu_);
-    base_refcounts_ = std::move(refcounts);
-  }
-}
-
-size_t FingerprintRegistry::ShardIndex(uint64_t key) const {
-  // MixBits spreads truncated keys (which may share low bits) across stripes.
-  return static_cast<size_t>(MixBits(key)) & (shards_.size() - 1);
+  WriterLock lock(mu_);
+  table_ = std::move(table);
+  keys_by_sandbox_ = std::move(keys_by_sandbox);
+  base_refcounts_ = std::move(refcounts);
 }
 
 void FingerprintRegistry::BindTransport(std::shared_ptr<Transport> transport,
@@ -116,7 +73,7 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
   insert_keys_.Add(keys);
   AddEntries(node, sandbox, fingerprints);
   // Only inserts that actually landed (past the transport delivery check)
-  // become durable registry state. No shard locks are held here.
+  // become durable registry state. The table lock is not held here.
   if (store_ != nullptr) {
     store_->AppendInsertSandbox(node, sandbox, fingerprints);
   }
@@ -124,18 +81,14 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
 
 void FingerprintRegistry::AddEntries(NodeId node, SandboxId sandbox,
                                      std::span<const PageFingerprint> fingerprints) {
-  {
-    WriterLock lock(sandbox_mu_);
-    base_refcounts_.try_emplace(sandbox, 0);
-  }
+  WriterLock lock(mu_);
+  base_refcounts_.try_emplace(sandbox, 0);
   for (size_t page = 0; page < fingerprints.size(); ++page) {
     for (const SampledChunk& chunk : fingerprints[page].chunks) {
-      Shard& shard = ShardFor(chunk.key);
-      WriterLock lock(shard.mu);
-      auto& locations = shard.table[chunk.key];
+      auto& locations = table_[chunk.key];
       if (locations.size() < options_.max_locations_per_key) {
         locations.push_back({node, sandbox, PageIndex{static_cast<uint32_t>(page)}});
-        shard.keys_by_sandbox[sandbox].push_back(chunk.key);
+        keys_by_sandbox_[sandbox].push_back(chunk.key);
       }
     }
   }
@@ -150,34 +103,27 @@ void FingerprintRegistry::RemoveBaseSandbox(SandboxId sandbox) {
 }
 
 void FingerprintRegistry::RemoveEntries(SandboxId sandbox) {
-  {
-    WriterLock lock(sandbox_mu_);
-    base_refcounts_.erase(sandbox);
+  WriterLock lock(mu_);
+  base_refcounts_.erase(sandbox);
+  auto owned = keys_by_sandbox_.find(sandbox);
+  if (owned == keys_by_sandbox_.end()) {
+    return;
   }
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    WriterLock lock(shard.mu);
-    auto owned = shard.keys_by_sandbox.find(sandbox);
-    if (owned == shard.keys_by_sandbox.end()) {
-      continue;
+  for (uint64_t key : owned->second) {
+    auto it = table_.find(key);
+    if (it == table_.end()) {
+      continue;  // earlier duplicate of this key already emptied it
     }
-    for (uint64_t key : owned->second) {
-      auto it = shard.table.find(key);
-      if (it == shard.table.end()) {
-        continue;  // earlier duplicate of this key already emptied it
-      }
-      std::erase_if(it->second,
-                    [&](const PageLocation& loc) { return loc.sandbox == sandbox; });
-      if (it->second.empty()) {
-        shard.table.erase(it);
-      }
+    std::erase_if(it->second, [&](const PageLocation& loc) { return loc.sandbox == sandbox; });
+    if (it->second.empty()) {
+      table_.erase(it);
     }
-    shard.keys_by_sandbox.erase(owned);
   }
+  keys_by_sandbox_.erase(owned);
 }
 
 bool FingerprintRegistry::IsBaseSandbox(SandboxId sandbox) const {
-  ReaderLock lock(sandbox_mu_);
+  ReaderLock lock(mu_);
   return base_refcounts_.contains(sandbox);
 }
 
@@ -222,32 +168,18 @@ uint64_t FingerprintRegistry::TallyBatch(std::span<const PageFingerprint> finger
 uint64_t FingerprintRegistry::TallyShards(std::span<const PageFingerprint> fingerprints,
                                           SandboxId exclude_sandbox,
                                           std::span<CandidateTally> tallies) const {
-  struct KeyRef {
-    uint64_t key;
-    uint32_t fp_index;
-  };
-  std::vector<std::vector<KeyRef>> per_shard(shards_.size());
+  uint64_t hits = 0;
+  ReaderLock lock(mu_);
   for (size_t i = 0; i < fingerprints.size(); ++i) {
     for (const SampledChunk& chunk : fingerprints[i].chunks) {
-      per_shard[ShardIndex(chunk.key)].push_back({chunk.key, static_cast<uint32_t>(i)});
-    }
-  }
-  uint64_t hits = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard[s].empty()) {
-      continue;
-    }
-    const Shard& shard = *shards_[s];
-    ReaderLock lock(shard.mu);
-    for (const KeyRef& ref : per_shard[s]) {
-      auto it = shard.table.find(ref.key);
-      if (it == shard.table.end()) {
+      auto it = table_.find(chunk.key);
+      if (it == table_.end()) {
         continue;
       }
       ++hits;
       for (const PageLocation& loc : it->second) {
         if (loc.sandbox != exclude_sandbox) {
-          tallies[ref.fp_index].Add(loc);
+          tallies[i].Add(loc);
         }
       }
     }
@@ -256,7 +188,7 @@ uint64_t FingerprintRegistry::TallyShards(std::span<const PageFingerprint> finge
 }
 
 void FingerprintRegistry::Ref(SandboxId base_sandbox) {
-  WriterLock lock(sandbox_mu_);
+  WriterLock lock(mu_);
   auto it = base_refcounts_.find(base_sandbox);
   if (it != base_refcounts_.end()) {
     ++it->second;
@@ -264,7 +196,7 @@ void FingerprintRegistry::Ref(SandboxId base_sandbox) {
 }
 
 void FingerprintRegistry::Unref(SandboxId base_sandbox) {
-  WriterLock lock(sandbox_mu_);
+  WriterLock lock(mu_);
   auto it = base_refcounts_.find(base_sandbox);
   if (it != base_refcounts_.end() && it->second > 0) {
     --it->second;
@@ -272,28 +204,24 @@ void FingerprintRegistry::Unref(SandboxId base_sandbox) {
 }
 
 int FingerprintRegistry::RefCount(SandboxId base_sandbox) const {
-  ReaderLock lock(sandbox_mu_);
+  ReaderLock lock(mu_);
   auto it = base_refcounts_.find(base_sandbox);
   return it == base_refcounts_.end() ? 0 : it->second;
 }
 
 size_t FingerprintRegistry::NumBaseSandboxes() const {
-  ReaderLock lock(sandbox_mu_);
+  ReaderLock lock(mu_);
   return base_refcounts_.size();
 }
 
 RegistryStats FingerprintRegistry::stats() const {
   RegistryStats s;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    ReaderLock lock(shard.mu);
-    s.num_keys += shard.table.size();
-    for (const auto& [key, locations] : shard.table) {
+  {
+    ReaderLock lock(mu_);
+    s.num_keys = table_.size();
+    for (const auto& [key, locations] : table_) {
       s.num_entries += locations.size();
     }
-  }
-  {
-    ReaderLock lock(sandbox_mu_);
     s.num_base_sandboxes = base_refcounts_.size();
   }
   s.lookups = lookups_.Value();

@@ -8,12 +8,12 @@
 // sampled chunks first, ties broken in favour of pages local to the
 // requesting node (saves an RDMA read at restore).
 //
-// Concurrency: the table is split into `num_shards` shards keyed by chunk
-// key, each guarded by its own reader/writer lock, so the parallel dedup
-// pipeline's per-page lookups proceed without contending on one global lock
-// (paper Section 7.7 notes lookups "can be parallelized given they are
-// independent"). Sandbox-level state (refcounts, membership) sits behind a
-// separate lock. A per-sandbox reverse index records which keys a base
+// Concurrency: one table, one per-sandbox reverse index and one refcount map,
+// all behind a single reader/writer lock. The only concurrent access is the
+// parallel dedup pipeline's read-only lookup stage (paper Section 7.7: the
+// lookups "can be parallelized given they are independent"), and readers
+// share the lock; every write (insert, removal, Ref/Unref) runs on the
+// platform's single event loop. The reverse index records which keys a base
 // sandbox owns entries under, making RemoveBaseSandbox O(keys owned) instead
 // of a full-table scan.
 #ifndef MEDES_REGISTRY_FINGERPRINT_REGISTRY_H_
@@ -37,9 +37,6 @@ struct RegistryOptions {
   // Cap on locations tracked per chunk key — popular chunks (e.g. common
   // interpreter structures) would otherwise accumulate unbounded lists.
   size_t max_locations_per_key = 8;
-  // Lock stripes. Rounded up to a power of two; 1 = a single-lock table
-  // (useful inside DistributedRegistry replicas, which shard externally).
-  size_t num_shards = 16;
   // Controller-side lookup cost per page (paper Section 7.7 reports ~80 us
   // per page in their single-threaded implementation). Charged by the
   // cost-aware FindBasePagesBatch on top of any transport message cost.
@@ -50,7 +47,7 @@ class FingerprintRegistry : public RegistryBackend {
  public:
   explicit FingerprintRegistry(RegistryOptions options = {});
 
-  // Deep copies of the table state (fresh locks; the destination keeps its
+  // Deep copies of the table state (a fresh lock; the destination keeps its
   // own lookup counters). Used by chain-replication re-sync; the source may
   // be serving concurrent readers, the destination must be quiescent.
   FingerprintRegistry(const FingerprintRegistry& other);
@@ -83,7 +80,6 @@ class FingerprintRegistry : public RegistryBackend {
 
   [[nodiscard]] RegistryStats stats() const override;
   size_t NumBaseSandboxes() const;
-  size_t NumShards() const { return shards_.size(); }
 
  private:
   // A DistributedRegistry drives its replicas through the table-only
@@ -91,41 +87,36 @@ class FingerprintRegistry : public RegistryBackend {
   // once, by the distributed registry, and never by a replica.
   friend class DistributedRegistry;
 
-  struct Shard {
-    mutable SharedMutex mu{"registry shard", LockRank::kRegistryShard};
-    std::unordered_map<uint64_t, std::vector<PageLocation>> table GUARDED_BY(mu);
-    // Reverse index: keys under which each base sandbox holds locations in
-    // this shard (a key appears once per location inserted).
-    std::unordered_map<SandboxId, std::vector<uint64_t>> keys_by_sandbox GUARDED_BY(mu);
-  };
-
   // The centralized lookup: one kRegistryLookup message for the batch (when
   // a transport is bound) plus `lookup_per_page` per page, then TallyShards.
   uint64_t TallyBatch(std::span<const PageFingerprint> fingerprints, NodeId local_node,
                       SandboxId exclude_sandbox, std::span<CandidateTally> tallies,
                       SimDuration& cost, const obs::MessageTrace& trace) override;
 
-  // The one loop that reads shard tables for lookups: groups the batch's
-  // chunk keys by owning shard so each shard's lock is taken once per batch,
-  // adds fingerprint i's matches into `tallies[i]`, and returns the number
-  // of keys found. Counts nothing.
+  // The one loop that reads the table for lookups: takes the lock once,
+  // probes the batch's chunk keys in fingerprint order, adds fingerprint i's
+  // matches into `tallies[i]`, and returns the number of keys found. Counts
+  // nothing.
   uint64_t TallyShards(std::span<const PageFingerprint> fingerprints, SandboxId exclude_sandbox,
                        std::span<CandidateTally> tallies) const;
   // Table-only insert and removal: no transport, counting or durable record.
   void AddEntries(NodeId node, SandboxId sandbox, std::span<const PageFingerprint> fingerprints);
   void RemoveEntries(SandboxId sandbox);
 
-  Shard& ShardFor(uint64_t key) { return *shards_[ShardIndex(key)]; }
-  size_t ShardIndex(uint64_t key) const;
-  // (Re)creates the empty stripes `options_.num_shards` asks for.
-  void ResetShards();
-  // Destination shards/refcounts must be quiescent; the source may be serving
-  // concurrent readers. Never holds a source and a destination lock at once
-  // (both carry the same rank).
+  // The destination must be quiescent; the source may be serving concurrent
+  // readers. Never holds a source and a destination lock at once (both carry
+  // the same rank).
   void CopyFrom(const FingerprintRegistry& other);
 
   RegistryOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;  // size is a power of two
+
+  mutable SharedMutex mu_{"registry table", LockRank::kRegistryTable};
+  std::unordered_map<uint64_t, std::vector<PageLocation>> table_ GUARDED_BY(mu_);
+  // Reverse index: keys under which each base sandbox holds locations (a key
+  // appears once per location inserted).
+  std::unordered_map<SandboxId, std::vector<uint64_t>> keys_by_sandbox_ GUARDED_BY(mu_);
+  // Membership and refcounts of the registered base sandboxes.
+  std::unordered_map<SandboxId, int> base_refcounts_ GUARDED_BY(mu_);
 
   // Optional shared transport (see BindTransport). Not copied: a replica
   // clone is table state, not a network endpoint.
@@ -135,11 +126,6 @@ class FingerprintRegistry : public RegistryBackend {
   // Optional durability seam (see BindStateStore). Not copied either: only
   // the authoritative top-level registry logs records, never replica clones.
   std::shared_ptr<store::StateStore> store_;
-
-  // Sandbox-level state: membership + refcounts (the sandbox-level reverse
-  // index). Ordered after the shard locks in the global hierarchy.
-  mutable SharedMutex sandbox_mu_{"registry sandbox index", LockRank::kRegistrySandbox};
-  std::unordered_map<SandboxId, int> base_refcounts_ GUARDED_BY(sandbox_mu_);
 };
 
 }  // namespace medes

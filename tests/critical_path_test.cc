@@ -78,8 +78,6 @@ TEST(TraceContextTest, UntracedAndDroppedPropagate) {
   EXPECT_TRUE(dropped.Child("x").dropped());
 }
 
-#ifndef MEDES_OBS_DISABLED
-
 TEST(TraceContextTest, MintingIsDeterministicAndSampled) {
   SetTraceEnabled(true);
   SetTraceSampleEvery(1);
@@ -127,8 +125,6 @@ TEST(TraceContextTest, DroppedContextSuppressesSpans) {
   EXPECT_EQ(spans[1].trace_id, 0u);
   SetTraceEnabled(false);
 }
-
-#endif  // MEDES_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
 // Tree reconstruction

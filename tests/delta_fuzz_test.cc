@@ -353,7 +353,7 @@ TEST(DeltaFuzzTest, ByteCorruptionNeverCrashes) {
         // Expected for structural corruption.
       }
       try {
-        InspectDelta(corrupt);
+        static_cast<void>(InspectDelta(corrupt));
       } catch (const DeltaError&) {
       }
     }
@@ -368,7 +368,7 @@ TEST(DeltaFuzzTest, BitFlipRoundTripSweep) {
     std::vector<uint8_t> corrupt = delta;
     corrupt[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     try {
-      DeltaDecode(base, corrupt);
+      static_cast<void>(DeltaDecode(base, corrupt));
     } catch (const DeltaError&) {
     }
   }
@@ -392,7 +392,7 @@ TEST(DeltaFuzzTest, AddLengthOverflowRejected) {
   AppendVarint(d, std::numeric_limits<uint64_t>::max());
   d.push_back(0xAA);  // one byte of "payload"
   EXPECT_THROW(DeltaDecode(base, d), DeltaError);
-  EXPECT_THROW(InspectDelta(d), DeltaError);
+  EXPECT_THROW(static_cast<void>(InspectDelta(d)), DeltaError);
 }
 
 TEST(DeltaFuzzTest, AddLengthWrapToZeroRejected) {
@@ -404,7 +404,7 @@ TEST(DeltaFuzzTest, AddLengthWrapToZeroRejected) {
   size_t pos_after_len = d.size() + 10;  // 10-byte varint follows
   AppendVarint(d, 0 - static_cast<uint64_t>(pos_after_len));
   EXPECT_THROW(DeltaDecode(base, d), DeltaError);
-  EXPECT_THROW(InspectDelta(d), DeltaError);
+  EXPECT_THROW(static_cast<void>(InspectDelta(d)), DeltaError);
 }
 
 // Regression: COPY with off + len wrapping past 2^64 used to slip through

@@ -58,36 +58,5 @@ TEST(SampleRecorderTest, PercentileClampsP) {
   EXPECT_DOUBLE_EQ(r.Percentile(2.0), 7.0);
 }
 
-TEST(BucketHistogramTest, CountsLandInRightBuckets) {
-  BucketHistogram h(0, 10, 5);  // buckets of width 2
-  h.Record(0.5);
-  h.Record(1.9);
-  h.Record(2.0);
-  h.Record(9.9);
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(1), 1u);
-  EXPECT_EQ(h.BucketCount(4), 1u);
-  EXPECT_EQ(h.TotalCount(), 4u);
-}
-
-TEST(BucketHistogramTest, OutOfRangeClampsToEdges) {
-  BucketHistogram h(0, 10, 5);
-  h.Record(-5);
-  h.Record(100);
-  EXPECT_EQ(h.BucketCount(0), 1u);
-  EXPECT_EQ(h.BucketCount(4), 1u);
-}
-
-TEST(BucketHistogramTest, BucketLow) {
-  BucketHistogram h(10, 20, 5);
-  EXPECT_DOUBLE_EQ(h.BucketLow(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.BucketLow(4), 18.0);
-}
-
-TEST(BucketHistogramTest, RejectsBadRange) {
-  EXPECT_THROW(BucketHistogram(0, 0, 5), std::invalid_argument);
-  EXPECT_THROW(BucketHistogram(0, 10, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace medes

@@ -155,7 +155,7 @@ TEST_F(MutexTest, CondVarWaitReacquiresMutex) {
 
 TEST_F(MutexTest, AscendingRankOrderIsClean) {
   Mutex pool("pool", LockRank::kPoolQueue);
-  SharedMutex shard("shard", LockRank::kRegistryShard);
+  SharedMutex shard("shard", LockRank::kRegistryTable);
   Mutex cache("cache", LockRank::kRdmaCache);
   Mutex metrics("metrics", LockRank::kMetrics);
   {
@@ -170,11 +170,11 @@ TEST_F(MutexTest, AscendingRankOrderIsClean) {
 }
 
 TEST_F(MutexTest, InvertedAcquisitionReportsBothLocks) {
-  Mutex low("registry shard lock", LockRank::kRegistryShard);
+  Mutex low("registry shard lock", LockRank::kRegistryTable);
   Mutex high("metrics sink lock", LockRank::kMetrics);
   {
     MutexLock a(high);
-    MutexLock b(low);  // rank 3 after rank 6: inversion
+    MutexLock b(low);  // rank 3 after rank 7: inversion
   }
   ASSERT_EQ(violations_.size(), 1u);
   EXPECT_NE(violations_[0].find("lock-order violation"), std::string::npos);
@@ -183,8 +183,8 @@ TEST_F(MutexTest, InvertedAcquisitionReportsBothLocks) {
 }
 
 TEST_F(MutexTest, EqualRankNestingIsAViolation) {
-  SharedMutex a("shard a", LockRank::kRegistryShard);
-  SharedMutex b("shard b", LockRank::kRegistryShard);
+  SharedMutex a("shard a", LockRank::kRegistryTable);
+  SharedMutex b("shard b", LockRank::kRegistryTable);
   {
     ReaderLock first(a);
     ReaderLock second(b);  // same rank while the first is held

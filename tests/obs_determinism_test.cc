@@ -1,9 +1,8 @@
 // The observability determinism contract: for a fixed trace and platform
-// configuration, the exported artifacts (Prometheus text, Chrome trace JSON,
-// snapshot-series JSON) are byte-identical regardless of how many worker
-// threads the dedup agent uses.  Spans carry sim-time timestamps and metrics
-// are order-independent accumulations, so MEDES_THREADS must not leak into
-// any export.
+// configuration, the exported artifacts (Prometheus text, Chrome trace JSON)
+// are byte-identical regardless of how many worker threads the dedup agent
+// uses.  Spans carry sim-time timestamps and metrics are order-independent
+// accumulations, so MEDES_THREADS must not leak into any export.
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,12 +19,9 @@
 namespace medes {
 namespace {
 
-#ifndef MEDES_OBS_DISABLED
-
 struct Artifacts {
   std::string prometheus;
   std::string chrome_trace;
-  std::string series;
 };
 
 PlatformOptions FastOptions(size_t agent_threads) {
@@ -42,7 +38,6 @@ PlatformOptions FastOptions(size_t agent_threads) {
 Artifacts RunAndExport(size_t agent_threads, const std::vector<TraceEvent>& trace) {
   obs::MetricsRegistry::Default().ResetValues();
   obs::Tracer::Default().Clear();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
 
@@ -52,10 +47,8 @@ Artifacts RunAndExport(size_t agent_threads, const std::vector<TraceEvent>& trac
   Artifacts out;
   out.prometheus = obs::PrometheusText(obs::MetricsRegistry::Default().Snapshot());
   out.chrome_trace = obs::ChromeTraceJson(obs::Tracer::Default().Drain());
-  out.series = obs::SeriesJson(obs::SnapshotSeries::Default().Points());
 
   obs::MetricsRegistry::Default().ResetValues();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(false);
   obs::SetTraceEnabled(false);
   return out;
@@ -73,13 +66,11 @@ TEST(ObsDeterminismTest, ExportsBitIdenticalAcrossThreadCounts) {
   // A run produces real data, not empty exports.
   EXPECT_NE(serial.prometheus.find("medes_dedup_ops_total"), std::string::npos);
   EXPECT_NE(serial.chrome_trace.find("restore/criu_rebuild"), std::string::npos);
-  EXPECT_NE(serial.series.find("\"t\":"), std::string::npos);
 
   for (size_t threads : {size_t{4}, hw}) {
     const Artifacts parallel = RunAndExport(threads, trace);
     EXPECT_EQ(serial.prometheus, parallel.prometheus) << "threads=" << threads;
     EXPECT_EQ(serial.chrome_trace, parallel.chrome_trace) << "threads=" << threads;
-    EXPECT_EQ(serial.series, parallel.series) << "threads=" << threads;
   }
 }
 
@@ -97,7 +88,6 @@ SampledArtifacts RunSampled(size_t agent_threads, unsigned sample_every,
                             const std::vector<TraceEvent>& trace) {
   obs::MetricsRegistry::Default().ResetValues();
   obs::Tracer::Default().Clear();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
   obs::SetTraceSampleEvery(sample_every);
@@ -124,7 +114,6 @@ SampledArtifacts RunSampled(size_t agent_threads, unsigned sample_every,
   }
 
   obs::MetricsRegistry::Default().ResetValues();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetTraceSampleEvery(1);
   obs::SetMetricsEnabled(false);
   obs::SetTraceEnabled(false);
@@ -180,7 +169,6 @@ TEST(ObsDeterminismTest, RepeatedRunsAreBitIdentical) {
   const Artifacts b = RunAndExport(2, trace);
   EXPECT_EQ(a.prometheus, b.prometheus);
   EXPECT_EQ(a.chrome_trace, b.chrome_trace);
-  EXPECT_EQ(a.series, b.series);
 }
 
 TEST(ObsDeterminismTest, SpanCoverageIncludesAllPipelineStages) {
@@ -215,7 +203,6 @@ TEST(ObsDeterminismTest, EagerModeEmitsBaseReadSpans) {
   const auto trace = GenerateTrace(DefaultAzurePatterns(), topts);
   obs::MetricsRegistry::Default().ResetValues();
   obs::Tracer::Default().Clear();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
   PlatformOptions opts = FastOptions(2);
@@ -224,7 +211,6 @@ TEST(ObsDeterminismTest, EagerModeEmitsBaseReadSpans) {
   platform.Run(trace);
   const std::string chrome_trace = obs::ChromeTraceJson(obs::Tracer::Default().Drain());
   obs::MetricsRegistry::Default().ResetValues();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(false);
   obs::SetTraceEnabled(false);
   for (const char* stage :
@@ -234,12 +220,6 @@ TEST(ObsDeterminismTest, EagerModeEmitsBaseReadSpans) {
   EXPECT_EQ(chrome_trace.find("restore/ws_fetch"), std::string::npos);
   EXPECT_EQ(chrome_trace.find("restore/bg_fault"), std::string::npos);
 }
-
-#else
-
-TEST(ObsDeterminismTest, SkippedWhenObsCompiledOut) { GTEST_SKIP(); }
-
-#endif  // MEDES_OBS_DISABLED
 
 }  // namespace
 }  // namespace medes

@@ -17,18 +17,6 @@
 namespace medes::obs {
 namespace {
 
-#ifdef MEDES_OBS_DISABLED
-
-// -DMEDES_OBS=OFF builds: the API surface must still exist, pinned off.
-TEST(ObsTest, DisabledBuildPinsFlagsOff) {
-  static_assert(!TraceEnabled());
-  static_assert(!MetricsEnabled());
-  SetTraceEnabled(true);  // compiles, does nothing
-  EXPECT_FALSE(TraceEnabled());
-}
-
-#else
-
 // Every test runs with both knobs on and leaves global state empty.
 class ObsTest : public ::testing::Test {
  protected:
@@ -37,12 +25,10 @@ class ObsTest : public ::testing::Test {
     SetTraceEnabled(true);
     MetricsRegistry::Default().ResetValues();
     Tracer::Default().Clear();
-    SnapshotSeries::Default().Clear();
   }
   void TearDown() override {
     MetricsRegistry::Default().ResetValues();
     Tracer::Default().Clear();
-    SnapshotSeries::Default().Clear();
     SetMetricsEnabled(false);
     SetTraceEnabled(false);
   }
@@ -211,30 +197,6 @@ TEST_F(ObsTest, MetricsJsonShape) {
             std::string::npos);
 }
 
-TEST_F(ObsTest, SnapshotSeriesSamplesCountersAndGauges) {
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  registry.GetCounter("obs_test_series_total", "help").Add(1);
-  SnapshotSeries::Default().Sample(SimTime{1000});
-  registry.GetCounter("obs_test_series_total", "help").Add(2);
-  SnapshotSeries::Default().Sample(SimTime{2000});
-  const auto points = SnapshotSeries::Default().Points();
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0].t, SimTime{1000});
-  EXPECT_EQ(points[1].t, SimTime{2000});
-  auto value_of = [](const SnapshotSeries::Point& p, const std::string& key) -> int64_t {
-    for (const auto& [k, v] : p.values) {
-      if (k == key) {
-        return v;
-      }
-    }
-    return -1;
-  };
-  EXPECT_EQ(value_of(points[0], "obs_test_series_total"), 1);
-  EXPECT_EQ(value_of(points[1], "obs_test_series_total"), 3);
-  const std::string json = SeriesJson(points);
-  EXPECT_NE(json.find("{\"t\":1000,\"values\":{"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // File-sink seam: exporters never touch the filesystem directly; every write
 // goes through the installed FileSink (default: the store layer).
@@ -388,8 +350,6 @@ TEST_F(PromEdgeCaseTest, InfOnlyObservations) {
   EXPECT_EQ(text.find("obs_test_edge_inf_us_bucket{le=\"+Inf\"} 0"), std::string::npos);
   EXPECT_TRUE(PrometheusCheckerAgrees(text, "inf_only", 1));
 }
-
-#endif  // MEDES_OBS_DISABLED
 
 }  // namespace
 }  // namespace medes::obs

@@ -10,7 +10,7 @@ namespace {
 std::vector<uint8_t> FakePage(uint8_t fill) { return std::vector<uint8_t>(4096, fill); }
 
 TEST(RdmaTest, ReadCostScalesWithSize) {
-  RdmaFabric fabric({.per_read_latency = SimDuration{3}, .bandwidth_gbps = 10.0});
+  RdmaFabric fabric;  // default topology: 3 us + 10 Gbps remote
   // 4 KiB at 10 Gbps = 4096*8/10000 us ~= 3.27 us transfer + 3 us latency.
   SimDuration cost = fabric.ReadCost(Bytes{4096}, /*remote=*/true);
   EXPECT_GE(cost, SimDuration{6});

@@ -1,6 +1,6 @@
-// Multi-threaded stress for the sharded FingerprintRegistry: concurrent
-// inserts, batched lookups, refcount churn, and removals. Run under
-// -fsanitize=thread (cmake -DMEDES_SANITIZE=thread) to verify the striped
+// Multi-threaded stress for the FingerprintRegistry's one reader/writer
+// lock: concurrent inserts, batched lookups, refcount churn, and removals.
+// Run under -fsanitize=thread (cmake -DMEDES_SANITIZE=thread) to verify the
 // locking — the CI matrix does.
 #include <gtest/gtest.h>
 
@@ -36,7 +36,7 @@ std::vector<PageFingerprint> SandboxFingerprints(SandboxId s) {
 }
 
 TEST(RegistryConcurrencyTest, ConcurrentInsertLookupRemove) {
-  FingerprintRegistry registry({.max_locations_per_key = 64, .num_shards = 8});
+  FingerprintRegistry registry({.max_locations_per_key = 64});
   constexpr int kWriters = 4;
   constexpr int kReaders = 4;
   constexpr int kSandboxesPerWriter = 24;
@@ -110,7 +110,7 @@ TEST(RegistryConcurrencyTest, ConcurrentInsertLookupRemove) {
 }
 
 TEST(RegistryConcurrencyTest, BatchLookupMatchesSingleLookups) {
-  FingerprintRegistry registry({.num_shards = 4});
+  FingerprintRegistry registry;
   for (uint64_t s = 1; s <= 20; ++s) {
     registry.InsertBaseSandbox(NodeId{static_cast<int32_t>(s % 3)}, SandboxId{s},
                                SandboxFingerprints(SandboxId{s}));
@@ -136,7 +136,7 @@ TEST(RegistryConcurrencyTest, BatchLookupMatchesSingleLookups) {
 TEST(RegistryConcurrencyTest, RemoveIsScopedToOneSandbox) {
   // The reverse index must only strip the removed sandbox's locations, even
   // when many sandboxes share every key.
-  FingerprintRegistry registry({.max_locations_per_key = 64, .num_shards = 2});
+  FingerprintRegistry registry({.max_locations_per_key = 64});
   for (uint64_t s = 1; s <= 10; ++s) {
     registry.InsertBaseSandbox(NodeId{0}, SandboxId{s}, {Fp({42, 43}), Fp({42, 44})});
   }
@@ -154,7 +154,7 @@ TEST(RegistryConcurrencyTest, RemoveIsScopedToOneSandbox) {
 TEST(RegistryConcurrencyTest, CopyPreservesStateWithFreshLocks) {
   // Chain-replication re-sync copy-assigns registries; the copy must be a
   // deep, independent clone.
-  FingerprintRegistry original({.num_shards = 4});
+  FingerprintRegistry original;
   original.InsertBaseSandbox(NodeId{0}, SandboxId{7}, SandboxFingerprints(SandboxId{7}));
   original.Ref(SandboxId{7});
   FingerprintRegistry copy(original);

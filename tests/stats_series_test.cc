@@ -82,15 +82,12 @@ std::map<std::string, uint64_t> StatsBySeries(const RunMetrics& m) {
 
 RunMetrics RunWithMetrics(bool enabled) {
   obs::MetricsRegistry::Default().ResetValues();
-  obs::SnapshotSeries::Default().Clear();
   obs::SetMetricsEnabled(enabled);
   ServerlessPlatform platform(FourNodeOptions());
   RunMetrics m = platform.Run(TenMinuteTrace());
   obs::SetMetricsEnabled(false);
   return m;
 }
-
-#ifndef MEDES_OBS_DISABLED
 
 TEST(StatsSeriesTest, SeriesEqualTheirPerInstanceStats) {
   const RunMetrics m = RunWithMetrics(true);
@@ -108,8 +105,6 @@ TEST(StatsSeriesTest, SeriesEqualTheirPerInstanceStats) {
   }
 }
 
-#endif  // MEDES_OBS_DISABLED
-
 TEST(StatsSeriesTest, StatsCountWithMetricsOffAndSeriesStayZero) {
   const std::map<std::string, uint64_t> stats = StatsBySeries(RunWithMetrics(false));
   for (const char* name :
@@ -121,10 +116,8 @@ TEST(StatsSeriesTest, StatsCountWithMetricsOffAndSeriesStayZero) {
   for (const auto& [name, value] : SeriesValues()) {
     EXPECT_EQ(value, 0u) << name;
   }
-#ifndef MEDES_OBS_DISABLED
   // Recording into the series changes no per-instance count.
   EXPECT_EQ(StatsBySeries(RunWithMetrics(true)), stats);
-#endif
 }
 
 }  // namespace

@@ -29,7 +29,7 @@
 namespace medes {
 namespace {
 
-// A miniature of the pattern used across the tree (registry shards, the rdma
+// A miniature of the pattern used across the tree (the registry table, the rdma
 // cache, stats sinks): public methods EXCLUDES the lock, private helpers
 // REQUIRES it, data is GUARDED_BY it.
 class GuardedCounter {

@@ -124,8 +124,10 @@ TEST(TransportTest, ChargesTheLinkCostModel) {
 TEST(TransportTest, BatchedRequestAccounting) {
   Transport net(SmallTopology());
   // One lookup message carrying 64 logical page lookups.
-  net.Send(MessageType::kRegistryLookup, NodeId{0}, NodeId{1}, Bytes{64} * kRegistryWireBytesPerKey.value(), 64);
-  net.Send(MessageType::kRegistryLookup, NodeId{0}, NodeId{1}, Bytes{8} * kRegistryWireBytesPerKey.value(), 8);
+  static_cast<void>(net.Send(MessageType::kRegistryLookup, NodeId{0}, NodeId{1},
+                             Bytes{64} * kRegistryWireBytesPerKey.value(), 64));
+  static_cast<void>(net.Send(MessageType::kRegistryLookup, NodeId{0}, NodeId{1},
+                             Bytes{8} * kRegistryWireBytesPerKey.value(), 8));
   const TransportStats stats = net.stats();
   const MessageStats& ms = stats.For(MessageType::kRegistryLookup);
   EXPECT_EQ(ms.messages, 2u);
@@ -139,9 +141,9 @@ TEST(TransportTest, BatchedRequestAccounting) {
 
 TEST(TransportTest, StatsSeparatePerMessageType) {
   Transport net(SmallTopology());
-  net.Send(MessageType::kRegistryLookup, NodeId{0}, NodeId{1}, Bytes{100});
-  net.Send(MessageType::kBaseRead, NodeId{1}, NodeId{2}, Bytes{4096});
-  net.Send(MessageType::kControlDecision, NodeId{3}, NodeId{0}, Bytes{64});
+  static_cast<void>(net.Send(MessageType::kRegistryLookup, NodeId{0}, NodeId{1}, Bytes{100}));
+  static_cast<void>(net.Send(MessageType::kBaseRead, NodeId{1}, NodeId{2}, Bytes{4096}));
+  static_cast<void>(net.Send(MessageType::kControlDecision, NodeId{3}, NodeId{0}, Bytes{64}));
   TransportStats stats = net.stats();
   EXPECT_EQ(stats.TotalMessages(), 3u);
   EXPECT_EQ(stats.TotalBytes(), 100u + 4096u + 64u);
