@@ -8,6 +8,8 @@
 #ifndef MEDES_BENCH_BENCH_UTIL_H_
 #define MEDES_BENCH_BENCH_UTIL_H_
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cinttypes>
 #include <cstdarg>
@@ -232,11 +234,13 @@ inline void StartWallClock() { (void)WallSeconds(); }
 // whether SHA-NI chunk hashing was on) beside the highest tier the CPU
 // supports, whether observability was live while it ran (obs skews timings,
 // so artifacts must say so), and how much wall time / simulation-event
-// throughput the process accumulated.
+// throughput the process accumulated, and its peak RSS.
 inline void WriteMetadata(JsonWriter& w, std::string_view bench_name) {
   const char* threads_env = std::getenv("MEDES_THREADS");
   const double wall_s = WallSeconds();
   const uint64_t fired = TotalSimEventsFired();
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
   w.BeginObject("metadata")
       .Field("bench", bench_name)
       .Field("medes_threads", threads_env != nullptr ? threads_env : "default")
@@ -249,6 +253,7 @@ inline void WriteMetadata(JsonWriter& w, std::string_view bench_name) {
       .Field("wall_seconds", wall_s, 3)
       .Field("sim_events_fired", fired)
       .Field("sim_events_per_sec", wall_s > 0 ? static_cast<double>(fired) / wall_s : 0.0, 1)
+      .Field("peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0, 1)  // ru_maxrss: KiB
       .EndObject();
 }
 
@@ -286,6 +291,14 @@ inline uint64_t TotalDedupStarts(const RunMetrics& m) {
   uint64_t total = 0;
   for (const auto& f : m.per_function) {
     total += f.dedup_starts;
+  }
+  return total;
+}
+
+inline double TotalSavedMb(const RunMetrics& m) {
+  double total = 0;
+  for (const auto& f : m.per_function) {
+    total += f.total_saved_mb;
   }
   return total;
 }

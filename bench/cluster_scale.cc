@@ -74,22 +74,6 @@ double OverallP99Ms(const RunMetrics& m) {
   return e2e_ms[k];
 }
 
-double TotalSavedMb(const RunMetrics& m) {
-  double total = 0;
-  for (const FunctionMetrics& f : m.per_function) {
-    total += f.total_saved_mb;
-  }
-  return total;
-}
-
-uint64_t TotalTransportBytes(const RunMetrics& m) {
-  uint64_t total = 0;
-  for (const MessageStats& s : m.transport.by_type) {
-    total += s.bytes;
-  }
-  return total;
-}
-
 // One end-to-end platform run.
 SweepResult RunSweepPoint(const SweepConfig& c) {
   const std::vector<TraceEvent> trace = TraceFor(c);
@@ -108,8 +92,8 @@ SweepResult RunSweepPoint(const SweepConfig& c) {
                                            static_cast<double>(r.requests)
                                      : 0;
   r.p99_e2e_ms = OverallP99Ms(metrics);
-  r.memory_saved_mb = TotalSavedMb(metrics);
-  r.transport_bytes = TotalTransportBytes(metrics);
+  r.memory_saved_mb = bench::TotalSavedMb(metrics);
+  r.transport_bytes = metrics.transport.TotalBytes();
   return r;
 }
 

@@ -37,12 +37,12 @@ int main() {
                                         static_cast<double>(fm.TotalRequests())
                                   : 0.0;
       };
-      double p99f = fixed.per_function[f].e2e_ms.Percentile(0.99);
-      double p99a = adaptive.per_function[f].e2e_ms.Percentile(0.99);
-      double p99m = medes.per_function[f].e2e_ms.Percentile(0.99);
-      double pf = fixed.per_function[f].e2e_ms.Percentile(0.999);
-      double pa = adaptive.per_function[f].e2e_ms.Percentile(0.999);
-      double pm = medes.per_function[f].e2e_ms.Percentile(0.999);
+      double p99f = fixed.FunctionE2ePercentileMs(p.id, 0.99);
+      double p99a = adaptive.FunctionE2ePercentileMs(p.id, 0.99);
+      double p99m = medes.FunctionE2ePercentileMs(p.id, 0.99);
+      double pf = fixed.FunctionE2ePercentileMs(p.id, 0.999);
+      double pa = adaptive.FunctionE2ePercentileMs(p.id, 0.999);
+      double pm = medes.FunctionE2ePercentileMs(p.id, 0.999);
       best_fix = std::max({best_fix, pm > 0 ? pf / pm : 0, p99m > 0 ? p99f / p99m : 0});
       best_ada = std::max({best_ada, pm > 0 ? pa / pm : 0, p99m > 0 ? p99a / p99m : 0});
       std::printf("%-12s | %6.2f%% %6.2f%% %6.2f%% | %8.0f %8.0f %8.0f | %8.0f %8.0f %8.0f\n",

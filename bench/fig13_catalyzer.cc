@@ -28,10 +28,10 @@ int main() {
               "p999 ms (ModelTrain)");
   std::printf("%-26s %14lu %12lu %12.0f\n", "Emulated Catalyzer", m_cat.TotalColdStarts(),
               bench::TotalDedupStarts(m_cat),
-              m_cat.per_function[9].e2e_ms.Percentile(0.999));
+              m_cat.FunctionE2ePercentileMs(9, 0.999));
   std::printf("%-26s %14lu %12lu %12.0f\n", "Emulated Catalyzer + Medes",
               m_both.TotalColdStarts(), bench::TotalDedupStarts(m_both),
-              m_both.per_function[9].e2e_ms.Percentile(0.999));
+              m_both.FunctionE2ePercentileMs(9, 0.999));
   std::printf("\ncold-start (restore) reduction: %.1f%%\n",
               m_cat.TotalColdStarts()
                   ? 100.0 * (static_cast<double>(m_cat.TotalColdStarts()) -

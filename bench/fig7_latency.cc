@@ -58,9 +58,9 @@ int main() {
               "cs:med", "p999:fix", "p999:ada", "p999:med", "x fix", "x ada");
   for (const auto& p : FunctionBenchProfiles()) {
     auto f = static_cast<size_t>(p.id);
-    double pf = fixed.per_function[f].e2e_ms.Percentile(0.999);
-    double pa = adaptive.per_function[f].e2e_ms.Percentile(0.999);
-    double pm = medes.per_function[f].e2e_ms.Percentile(0.999);
+    double pf = fixed.FunctionE2ePercentileMs(p.id, 0.999);
+    double pa = adaptive.FunctionE2ePercentileMs(p.id, 0.999);
+    double pm = medes.FunctionE2ePercentileMs(p.id, 0.999);
     std::printf("%-12s | %7lu %7lu %7lu | %9.0f %9.0f %9.0f | %6.2f %6.2f\n", p.name.c_str(),
                 fixed.per_function[f].cold_starts, adaptive.per_function[f].cold_starts,
                 medes.per_function[f].cold_starts, pf, pa, pm, pm > 0 ? pf / pm : 0,

@@ -71,14 +71,6 @@ double RestoreP99Ms(const RunMetrics& m) {
   return ms[k];
 }
 
-double TotalSavedMb(const RunMetrics& m) {
-  double total = 0;
-  for (const FunctionMetrics& f : m.per_function) {
-    total += f.total_saved_mb;
-  }
-  return total;
-}
-
 RunResult RunPoint(const SweepPoint& p, const std::vector<TraceEvent>& trace,
                    uint64_t ram_budget_bytes) {
   PlatformOptions options = bench::EvalOptions(PolicyKind::kMedes);
@@ -90,7 +82,7 @@ RunResult RunPoint(const SweepPoint& p, const std::vector<TraceEvent>& trace,
   RunResult r;
   r.requests = metrics.TotalRequests();
   r.dedup_starts = bench::TotalDedupStarts(metrics);
-  r.saved_mb = TotalSavedMb(metrics);
+  r.saved_mb = bench::TotalSavedMb(metrics);
   r.restore_p99_ms = RestoreP99Ms(metrics);
   r.wall_seconds = bench::WallSeconds() - t0;
   r.store = metrics.store;

@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
     }
     std::printf("%-12s %8lu %8lu %8lu %8lu | %9.0f %9.0f %9.0f\n", p.name.c_str(),
                 f.TotalRequests(), f.warm_starts, f.dedup_starts, f.cold_starts,
-                f.e2e_ms.Percentile(0.5), f.e2e_ms.Percentile(0.99), f.e2e_ms.Percentile(0.999));
+                m.FunctionE2ePercentileMs(p.id, 0.5), m.FunctionE2ePercentileMs(p.id, 0.99),
+                m.FunctionE2ePercentileMs(p.id, 0.999));
   }
   std::printf("\ncluster: mean memory %.1f GB (median %.1f), mean %.1f sandboxes resident\n",
               m.MeanMemoryMb() / 1024.0, m.MedianMemoryMb() / 1024.0, m.MeanSandboxesInMemory());

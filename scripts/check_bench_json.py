@@ -60,6 +60,7 @@ METADATA_FIELDS = {
     "wall_seconds": (int, float),
     "sim_events_fired": (int,),
     "sim_events_per_sec": (int, float),
+    "peak_rss_mb": (int, float),
 }
 
 

@@ -39,8 +39,8 @@ inline constexpr int64_t Pow2BucketUpperBound(size_t bucket) {
   return static_cast<int64_t>((1ull << bucket) - 1);
 }
 
-// Records every sample; answers exact order statistics. Fine for the scale of
-// our experiments (at most a few million samples per run).
+// Records every sample; answers exact order statistics. Serves per-restore
+// series; per-request latencies live only in RunMetrics::requests.
 class SampleRecorder {
  public:
   void Record(double v) { samples_.push_back(v); }

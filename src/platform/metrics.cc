@@ -76,7 +76,14 @@ double RunMetrics::MeanSandboxesInMemory() const {
 }
 
 double RunMetrics::FunctionE2ePercentileMs(FunctionId function, double p) const {
-  return per_function.at(static_cast<size_t>(function)).e2e_ms.Percentile(p);
+  (void)per_function.at(static_cast<size_t>(function));  // throws std::out_of_range
+  SampleRecorder e2e_ms;
+  for (const RequestRecord& r : requests) {
+    if (r.function == function) {
+      e2e_ms.Record(ToMillis(r.e2e));
+    }
+  }
+  return e2e_ms.Percentile(p);
 }
 
 std::vector<double> ImprovementFactors(const RunMetrics& medes, const RunMetrics& baseline) {

@@ -19,7 +19,7 @@
 
 namespace medes {
 
-enum class StartType {
+enum class StartType : uint8_t {
   kWarm,
   kDedup,
   kCold,
@@ -30,20 +30,20 @@ const char* ToString(StartType type);
 // Inverse of ToString (exact match); nullopt for anything unrecognised.
 std::optional<StartType> StartTypeFromString(std::string_view name);
 
+// The run's one per-request store; fields ordered widest first (32 bytes).
 struct RequestRecord {
-  FunctionId function = -1;
   SimTime arrival;
-  StartType start = StartType::kCold;
   SimDuration startup;  // latency before execution begins
   SimDuration e2e;      // startup + execution
+  FunctionId function = -1;
+  StartType start = StartType::kCold;
 };
+static_assert(sizeof(RequestRecord) == 32);
 
 struct FunctionMetrics {
   uint64_t warm_starts = 0;
   uint64_t dedup_starts = 0;
   uint64_t cold_starts = 0;
-  SampleRecorder e2e_ms;
-  SampleRecorder startup_ms;
   // Restore (dedup start) breakdown, Fig. 8's three components.
   SampleRecorder restore_read_ms;
   SampleRecorder restore_compute_ms;
@@ -51,7 +51,6 @@ struct FunctionMetrics {
   // Dedup op results.
   uint64_t dedup_ops = 0;
   double total_saved_mb = 0;
-  double total_dedup_op_ms = 0;
   uint64_t total_patch_bytes = 0;   // at image scale
   uint64_t total_pages_deduped = 0;
 
@@ -60,8 +59,8 @@ struct FunctionMetrics {
 
 // Working-set-aware lazy restore accounting (aggregated over the run).
 // `critical_path_ms` is the pre-resume latency of each dedup start — the
-// quantity Fig. 8 compares across restore modes; fault/background time is
-// what lazy mode moved off that path.
+// quantity Fig. 8 compares across restore modes; fault time and background
+// pages are what lazy mode moved off that path.
 struct LazyRestoreStats {
   uint64_t lazy_restores = 0;
   uint64_t eager_restores = 0;
@@ -71,8 +70,7 @@ struct LazyRestoreStats {
   uint64_t ws_fault_pages = 0;
   uint64_t background_completions = 0;
   uint64_t background_pages = 0;
-  double fault_ms = 0;       // post-resume demand-fault penalty
-  double background_ms = 0;  // off-critical-path background fetch time
+  double fault_ms = 0;  // post-resume demand-fault penalty
   SampleRecorder critical_path_ms;
 
   // Fraction of touched pages the prediction prefetched (1.0 when nothing
@@ -132,7 +130,8 @@ struct RunMetrics {
   double MedianMemoryMb() const;
   double MeanSandboxesInMemory() const;
 
-  // Per-function p-quantile of end-to-end latency in ms.
+  // Per-function p-quantile of end-to-end latency in ms, derived from
+  // `requests` (SampleRecorder::Percentile's rule; 0 with no requests).
   double FunctionE2ePercentileMs(FunctionId function, double p) const;
 };
 

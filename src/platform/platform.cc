@@ -320,7 +320,6 @@ class ServerlessPlatform::Impl {
     ++fm.dedup_ops;
     fm.total_saved_mb += static_cast<double>(result.saved_bytes) /
                          static_cast<double>(cluster_.options().bytes_per_mb);
-    fm.total_dedup_op_ms += ToMillis(result.total_time);
     fm.total_patch_bytes += result.patch_bytes;
     fm.total_pages_deduped += result.pages_deduped;
   }
@@ -405,7 +404,7 @@ class ServerlessPlatform::Impl {
     }
 
     const SimDuration e2e = startup + profile.exec_time;
-    RequestRecord record{ev.function, now, type, startup, e2e};
+    RequestRecord record{now, startup, e2e, ev.function, type};
     {
       MutexLock lock(metrics_mu_);
       metrics_.requests.push_back(record);
@@ -421,8 +420,6 @@ class ServerlessPlatform::Impl {
           ++fm.cold_starts;
           break;
       }
-      fm.e2e_ms.Record(ToMillis(e2e));
-      fm.startup_ms.Record(ToMillis(startup));
     }
     requests_by_start_[static_cast<size_t>(type)]->Add();
     e2e_us_.Record(e2e.value());
@@ -455,7 +452,6 @@ class ServerlessPlatform::Impl {
     LazyRestoreStats& lz = metrics_.lazy_restore;
     ++lz.background_completions;
     lz.background_pages += result.pages;
-    lz.background_ms += ToMillis(result.total_time);
   }
 
   void OnComplete(SandboxId id) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+
+#include "platform/platform.h"
+
 namespace medes {
 namespace {
 
@@ -9,6 +15,14 @@ RunMetrics MakeMetrics() {
   RunMetrics m;
   m.per_function.resize(10);
   return m;
+}
+
+// One request of `function` whose end-to-end latency is `ms` milliseconds.
+RequestRecord E2eRecord(FunctionId function, int ms) {
+  RequestRecord r;
+  r.function = function;
+  r.e2e = ms * kMillisecond;
+  return r;
 }
 
 TEST(MetricsTest, EmptyRunIsSafe) {
@@ -43,7 +57,7 @@ TEST(MetricsTest, MemoryTimelineStatistics) {
 TEST(MetricsTest, FunctionPercentile) {
   RunMetrics m = MakeMetrics();
   for (int i = 1; i <= 100; ++i) {
-    m.per_function[2].e2e_ms.Record(i);
+    m.requests.push_back(E2eRecord(2, i));
   }
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(2, 0.5), 50.0);
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(2, 0.999), 100.0);
@@ -74,11 +88,51 @@ TEST(MetricsTest, FunctionPercentileExtremesAndEmpty) {
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(3, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(3, 1.0), 0.0);
   for (int i = 1; i <= 100; ++i) {
-    m.per_function[3].e2e_ms.Record(i);
+    m.requests.push_back(E2eRecord(3, i));
   }
   // p=0 pins to the minimum sample, p=1 to the maximum.
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(3, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(m.FunctionE2ePercentileMs(3, 1.0), 100.0);
+}
+
+// The per-function percentile is derived from `requests`; on real runs it
+// must equal a plain sort-and-pick nearest-rank reference.
+TEST(MetricsTest, FunctionPercentileMatchesSortedReference) {
+  TraceOptions topts;
+  topts.duration = 5 * kMinute;
+  topts.rate_scale = 2.0;
+  const auto trace = GenerateTrace(DefaultAzurePatterns(), topts);
+  for (PolicyKind policy : {PolicyKind::kMedes, PolicyKind::kFixedKeepAlive}) {
+    PlatformOptions opts = MakePlatformOptions(policy);
+    opts.cluster.num_nodes = 4;
+    opts.cluster.node_memory_mb = 1024;
+    opts.cluster.bytes_per_mb = 4096;
+    opts.medes.idle_period = 30 * kSecond;
+    opts.medes.alpha = 8.0;
+    const RunMetrics m = ServerlessPlatform(opts).Run(trace);
+    ASSERT_FALSE(m.requests.empty());
+    for (size_t f = 0; f < m.per_function.size(); ++f) {
+      const auto id = static_cast<FunctionId>(f);
+      std::vector<double> sorted;
+      for (const RequestRecord& r : m.requests) {
+        if (r.function == id) {
+          sorted.push_back(ToMillis(r.e2e));
+        }
+      }
+      std::sort(sorted.begin(), sorted.end());
+      for (double p : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+        double expected = 0.0;
+        if (!sorted.empty()) {
+          const auto rank = static_cast<size_t>(std::ceil(p * static_cast<double>(sorted.size())));
+          expected = sorted[rank > 0 ? rank - 1 : 0];
+        }
+        EXPECT_EQ(m.FunctionE2ePercentileMs(id, p), expected)
+            << ToString(policy) << " function " << f << " p " << p;
+      }
+    }
+    EXPECT_THROW(m.FunctionE2ePercentileMs(static_cast<FunctionId>(m.per_function.size()), 0.5),
+                 std::out_of_range);
+  }
 }
 
 TEST(MetricsTest, ImprovementFactorsRejectLengthMismatch) {

@@ -160,8 +160,8 @@ TEST(PlatformTest, CatalyzerEmulationShortensColdStarts) {
   // Cheaper starts free sandboxes sooner, so the catalyzer run never needs
   // more spawns than the baseline (modulo timing-shift noise).
   EXPECT_LE(m_cat.TotalColdStarts(), m_base.TotalColdStarts() + m_base.TotalColdStarts() / 10);
-  double p_base = m_base.per_function[9].e2e_ms.Percentile(0.999);
-  double p_cat = m_cat.per_function[9].e2e_ms.Percentile(0.999);
+  double p_base = m_base.FunctionE2ePercentileMs(9, 0.999);
+  double p_cat = m_cat.FunctionE2ePercentileMs(9, 0.999);
   EXPECT_LE(p_cat, p_base);
 }
 
