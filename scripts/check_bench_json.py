@@ -8,10 +8,6 @@ Checks, without external dependencies:
     wall_seconds, sim event counters);
   - for cluster_scale reports: every sweep entry carries the full set of
     capacity-campaign fields with sane values;
-  - for registry_persistence reports: every sweep entry carries the
-    unbounded/bounded pair with sane values, the bounded run's dedup savings
-    drifted no more than --max-saved-drift from unbounded, and the recovery
-    drill was clean, rejected nothing, and matched the live cluster;
   - for restore_latency reports (bench/fig8_breakdown): every sweep entry
     carries the eager-vs-lazy critical-path percentiles with sane values and
     a working-set hit rate in [0,1]; --min-lazy-p99-speedup gates the
@@ -91,97 +87,6 @@ def check_cluster_scale(doc: dict) -> str:
         if not 0 <= entry["cold_start_rate"] <= 1:
             fail(f"{block}: cold_start_rate out of [0,1]")
     return f"{len(sweep)} sweep points"
-
-
-PERSISTENCE_SWEEP_FIELDS = {
-    "nodes": (int,),
-    "requests": (int,),
-    "ram_budget_mb": (int, float),
-    "saved_drift": (int, float),
-}
-
-PERSISTENCE_RUN_FIELDS = {
-    "memory_saved_mb": (int, float),
-    "restore_p99_ms": (int, float),
-    "dedup_starts": (int,),
-    "hot_hits": (int,),
-    "cold_fetches": (int,),
-    "wall_seconds": (int, float),
-}
-
-PERSISTENCE_RECOVERY_FIELDS = {
-    "nodes": (int,),
-    "live_base_sandboxes": (int,),
-    "recovered_sandboxes": (int,),
-    "rejected_sandboxes": (int,),
-    "recovered_pages": (int,),
-    "checkpoint_records": (int,),
-    "log_records": (int,),
-    "stale_records": (int,),
-    "torn_bytes": (int,),
-    "corrupt_records": (int,),
-    "checkpoints": (int,),
-    "log_bytes": (int,),
-    "checkpoint_bytes": (int,),
-}
-
-
-def check_registry_persistence(doc: dict, args: argparse.Namespace) -> str:
-    sweep = doc.get("sweep")
-    if not isinstance(sweep, list) or not sweep:
-        fail("sweep: expected a non-empty array")
-    for i, entry in enumerate(sweep):
-        block = f"sweep[{i}]"
-        require(entry, block, PERSISTENCE_SWEEP_FIELDS)
-        if entry["requests"] <= 0:
-            fail(f"{block}: empty run")
-        if entry["ram_budget_mb"] <= 0:
-            fail(f"{block}: non-positive RAM budget")
-        for run in ("unbounded", "bounded"):
-            if not isinstance(entry.get(run), dict):
-                fail(f"{block}: missing {run} block")
-            require(entry[run], f"{block}.{run}", PERSISTENCE_RUN_FIELDS)
-            if entry[run]["dedup_starts"] <= 0:
-                fail(f"{block}.{run}: no dedup starts measured")
-        if entry["unbounded"]["cold_fetches"] != 0:
-            fail(f"{block}: unbounded run charged cold fetches "
-                 f"({entry['unbounded']['cold_fetches']}); the store must be "
-                 "behaviourally invisible at budget 0")
-        require(entry["unbounded"], f"{block}.unbounded",
-                {"peak_state_mb": (int, float)})
-        if entry["unbounded"]["peak_state_mb"] <= 0:
-            fail(f"{block}: non-positive peak state footprint")
-        if entry["saved_drift"] > args.max_saved_drift:
-            fail(f"{block}: dedup savings drifted {entry['saved_drift']:.4f} "
-                 f"under the RAM budget, above the {args.max_saved_drift:.2f} cap")
-
-    recovery = doc.get("recovery")
-    if not isinstance(recovery, dict):
-        fail("missing recovery block")
-    require(recovery, "recovery", PERSISTENCE_RECOVERY_FIELDS)
-    if recovery["clean"] is not True:
-        fail("recovery: log/checkpoint replay was not clean")
-    if recovery["matches_live"] is not True:
-        fail("recovery: recovered registry does not match the live cluster")
-    if recovery["rejected_sandboxes"] != 0:
-        fail(f"recovery: {recovery['rejected_sandboxes']} recovered sandboxes "
-             "failed live re-validation")
-    if recovery["recovered_sandboxes"] != recovery["live_base_sandboxes"]:
-        fail(f"recovery: recovered {recovery['recovered_sandboxes']} sandboxes "
-             f"but the cluster holds {recovery['live_base_sandboxes']}")
-    if recovery["checkpoints"] > 0 and recovery["checkpoint_records"] <= 0:
-        fail("recovery: checkpoints were written but none replayed")
-
-    checks = doc.get("checks")
-    if not isinstance(checks, dict) or checks.get("all_passed") is not True:
-        fail("checks.all_passed is not true")
-    top = max(sweep, key=lambda e: e["nodes"])
-    return (f"{len(sweep)} sweep points, max drift "
-            f"{max(e['saved_drift'] for e in sweep):.4f}, "
-            f"{top['bounded']['cold_fetches']} cold fetches at {top['nodes']} nodes, "
-            f"recovered {recovery['recovered_sandboxes']}/"
-            f"{recovery['live_base_sandboxes']} sandboxes "
-            f"({recovery['recovered_pages']} pages)")
 
 
 RESTORE_SWEEP_FIELDS = {
@@ -422,8 +327,6 @@ def check(path: str, args: argparse.Namespace) -> int:
     detail = "generic bench report"
     if metadata["bench"] == "cluster_scale":
         detail = check_cluster_scale(doc)
-    elif metadata["bench"] == "registry_persistence":
-        detail = check_registry_persistence(doc, args)
     elif metadata["bench"] == "restore_latency":
         detail = check_restore_latency(doc, args)
     elif metadata["bench"] == "trace_analysis":
@@ -437,9 +340,6 @@ def main() -> int:
     parser.add_argument("file")
     parser.add_argument("--bench", default="", help="required metadata.bench name")
     parser.add_argument("--min-lazy-p99-speedup", type=float, default=0.0)
-    parser.add_argument("--max-saved-drift", type=float, default=0.05,
-                        help="cap on bounded-vs-unbounded dedup-savings drift "
-                             "(registry_persistence)")
     parser.add_argument("--max-attribution-error", type=float, default=0.01,
                         help="cap on |attribution fraction sum - 1| "
                              "(trace_analysis)")

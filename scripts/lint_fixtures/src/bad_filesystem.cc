@@ -1,4 +1,4 @@
-// Fixture: direct file I/O outside src/store/ and bench/ must fire
+// Fixture: direct file I/O outside src/obs/artifact_sink.cc and bench/ must fire
 // [direct-filesystem] — once per offending line, each form of access.
 #include <cstdio>
 #include <fcntl.h>

@@ -32,10 +32,10 @@ at any MEDES_THREADS setting) and the documented locking discipline:
                        table in DESIGN.md, and every LockRank:: literal in
                        src/ must agree (same names, same numbers).
   direct-filesystem    fopen / std::ofstream / open(2) / std::filesystem
-                       outside src/store/ and bench/. Durable state must flow
-                       through the store::StateStore seam so determinism,
-                       crash recovery, and tier accounting stay centralized;
-                       scattered file I/O would bypass all three.
+                       outside src/obs/artifact_sink.cc and bench/. The
+                       library keeps no files of its own: every artifact it
+                       writes goes through obs::WriteArtifactFile, the one
+                       audited write, so exporters stay pure functions.
   metrics-guard        MetricsEnabled() in src/ outside src/obs/. Instruments
                        gate themselves, and a stats counter records its
                        series in the same call (obs::StatCounter), so a
@@ -208,14 +208,15 @@ DIRECT_FILESYSTEM_RE = re.compile(
     r"(\bf(?:re)?open\s*\(|std::[io]?fstream\b|std::filesystem\b|"
     r"(?<![\w.:>])open\s*\()"
 )
-# src/store/ is the designated durability layer; bench programs write their
-# JSON artifacts directly by design.
-DIRECT_FILESYSTEM_ALLOWED_DIRS = ("src/store/", "bench/")
+# Path prefixes allowed direct file access: the library's one artifact write
+# (obs::WriteArtifactFile), and bench programs, which write their JSON
+# artifacts directly by design.
+DIRECT_FILESYSTEM_ALLOWED_PATHS = ("src/obs/artifact_sink.cc", "bench/")
 
 
 def check_direct_filesystem(rel: str, lines: list[str],
                             findings: list[Finding]) -> None:
-    if rel.startswith(DIRECT_FILESYSTEM_ALLOWED_DIRS):
+    if rel.startswith(DIRECT_FILESYSTEM_ALLOWED_PATHS):
         return
     for i, raw in enumerate(lines):
         code = _strip_strings_and_comments(raw)
@@ -224,8 +225,8 @@ def check_direct_filesystem(rel: str, lines: list[str],
             findings.append(
                 Finding(rel, i + 1, "direct-filesystem",
                         f"direct filesystem access ({m.group(1).strip()}) outside "
-                        "src/store/ and bench/; durable state must flow through "
-                        "the store::StateStore seam")
+                        "src/obs/artifact_sink.cc and bench/; write artifacts "
+                        "through obs::WriteArtifactFile")
             )
 
 
@@ -413,7 +414,6 @@ ENUM_TO_DESIGN_NAME = {
     "kRegistryTable": "registry table",
     "kRdmaCache": "rdma cache",
     "kTransport": "transport",
-    "kStateStore": "state store",
     "kMetrics": "metrics",
     "kObsRegistry": "obs registry",
     "kObsBuffer": "obs span buffer",

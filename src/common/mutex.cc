@@ -121,14 +121,12 @@ const char* ToString(LockRank rank) {
       return "rank 4: rdma cache";
     case LockRank::kTransport:
       return "rank 5: transport";
-    case LockRank::kStateStore:
-      return "rank 6: state store";
     case LockRank::kMetrics:
-      return "rank 7: metrics";
+      return "rank 6: metrics";
     case LockRank::kObsRegistry:
-      return "rank 8: obs registry";
+      return "rank 7: obs registry";
     case LockRank::kObsBuffer:
-      return "rank 9: obs span buffer";
+      return "rank 8: obs span buffer";
   }
   return "unknown";
 }

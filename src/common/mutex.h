@@ -44,10 +44,9 @@ enum class LockRank : int {
   kRegistryTable = 3,     // FingerprintRegistry table, reverse index and refcounts
   kRdmaCache = 4,         // RdmaFabric base-page LRU cache
   kTransport = 5,         // Transport fault-policy slot / StaticFaultPolicy state
-  kStateStore = 6,        // StateStore tier/residency + durable log state
-  kMetrics = 7,           // stats/metrics sinks (platform, agents, registries)
-  kObsRegistry = 8,       // obs instrument map / tracer thread-buffer registry
-  kObsBuffer = 9,         // obs per-thread span buffers (after kObsRegistry in drains)
+  kMetrics = 6,           // stats/metrics sinks (platform, agents, registries)
+  kObsRegistry = 7,       // obs instrument map / tracer thread-buffer registry
+  kObsBuffer = 8,         // obs per-thread span buffers (after kObsRegistry in drains)
 };
 
 const char* ToString(LockRank rank);

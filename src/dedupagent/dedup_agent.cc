@@ -6,13 +6,11 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "store/state_store.h"
 #include "workload/access_model.h"
 
 namespace medes {
@@ -156,24 +154,8 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
     lookup_cost += c;
   }
 
-  // Tiered-store residency: touch each candidate base sandbox's registry
-  // entry once, at this serial join (first appearance in canonical page
-  // order — never inside the parallel lookup above, where worker
-  // interleaving would reorder CLOCK updates). An entry evicted to the cold
-  // tier charges its demand-page fetch into the op's lookup cost.
-  if (options_.state_store != nullptr) {
-    std::unordered_set<SandboxId> touched;
-    for (size_t i = 0; i < n; ++i) {
-      for (const BasePageCandidate& candidate : candidates[i]) {
-        if (touched.insert(candidate.location.sandbox).second) {
-          options_.state_store->TouchRegistryEntry(candidate.location.sandbox, &lookup_cost);
-        }
-      }
-    }
-  }
-
-  // Lookup time is now final (state-store touches included); scale it here
-  // so the base-read stage below knows its position in the op's timeline.
+  // Scale the lookup time here so the base-read stage below knows its
+  // position in the op's timeline.
   result.lookup_time =
       SimDuration{static_cast<int64_t>(static_cast<double>(lookup_cost.value()) * scale)};
 
@@ -761,17 +743,6 @@ BaseSnapshot& DedupAgent::DesignateBase(Sandbox& sb, SimTime now, const obs::Tra
   }
   registry_.InsertBaseSandbox(sb.node, sb.id, fingerprints,
                               obs::MessageTrace{designate_ctx, now, 0});
-  // Append the base's resident pages to the tiered store — but only when
-  // the insert actually registered (a transport drop leaves the sandbox
-  // unregistered, and an unregistered base must not be durable either).
-  if (options_.state_store != nullptr && registry_.IsBaseSandbox(sb.id)) {
-    obs::ScopedSpan span("store/base_append", "store", SimTime{});
-    for (size_t page : resident) {
-      options_.state_store->AppendBasePage(sb.node, sb.id, PageIndex{static_cast<uint32_t>(page)},
-                                           cp.PageData(page));
-    }
-    span.AddArg("pages", static_cast<int64_t>(resident.size()));
-  }
   bases_designated_.Add();
   return cluster_.AddBaseSnapshot(sb, std::move(cp));
 }

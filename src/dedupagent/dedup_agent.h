@@ -59,10 +59,6 @@
 
 namespace medes {
 
-namespace store {
-class StateStore;
-}  // namespace store
-
 // How RestoreOp schedules the memory-state work (see file comment).
 enum class RestoreMode {
   kLazy,   // working-set prefetch on the critical path, background the rest
@@ -110,12 +106,6 @@ struct DedupAgentOptions {
   // Shared working-set table so profiles warm across platforms/runs of a
   // campaign; null = the agent creates a private table from `working_set`.
   std::shared_ptr<WorkingSetTable> working_sets;
-  // Tiered state store (src/store): when set, base designations append the
-  // base's resident pages, and dedup lookups touch candidate registry
-  // entries at the serial post-lookup join — demand-paging SSD-evicted
-  // entries into the op's modelled lookup cost. Null = no tiering (the
-  // historical behaviour, bit-identical results).
-  std::shared_ptr<store::StateStore> state_store;
 };
 
 struct DedupOpResult {

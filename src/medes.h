@@ -14,7 +14,6 @@
 #include "chunking/rabin.h"                 // IWYU pragma: export
 #include "chunking/redundancy.h"            // IWYU pragma: export
 #include "cluster/cluster.h"                // IWYU pragma: export
-#include "cluster/recovery_validator.h"     // IWYU pragma: export
 #include "common/histogram.h"               // IWYU pragma: export
 #include "common/logging.h"                 // IWYU pragma: export
 #include "common/rng.h"                     // IWYU pragma: export
@@ -37,9 +36,7 @@
 #include "policy/medes_policy.h"            // IWYU pragma: export
 #include "rdma/rdma.h"                      // IWYU pragma: export
 #include "registry/fingerprint_registry.h"  // IWYU pragma: export
-#include "registry/registry_recovery.h"     // IWYU pragma: export
 #include "sim/simulation.h"                 // IWYU pragma: export
-#include "store/state_store.h"              // IWYU pragma: export
 #include "workload/trace.h"                 // IWYU pragma: export
 
 #endif  // MEDES_MEDES_H_

@@ -1,8 +1,8 @@
-#include "store/artifact_sink.h"
+#include "obs/artifact_sink.h"
 
 #include <cstdio>
 
-namespace medes::store {
+namespace medes::obs {
 
 bool WriteArtifactFile(const std::string& path, std::string_view content) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -14,4 +14,4 @@ bool WriteArtifactFile(const std::string& path, std::string_view content) {
   return written == content.size() && close_rc == 0;
 }
 
-}  // namespace medes::store
+}  // namespace medes::obs

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 
-#include "store/artifact_sink.h"
+#include "obs/artifact_sink.h"
 
 namespace medes::obs {
 
@@ -246,7 +246,7 @@ bool WriteFile(const std::string& path, std::string_view content) {
   if (sink != nullptr) {
     return sink(path, content);
   }
-  return store::WriteArtifactFile(path, content);
+  return WriteArtifactFile(path, content);
 }
 
 }  // namespace medes::obs

@@ -36,12 +36,13 @@ std::string MetricsJson(const std::vector<MetricSnapshot>& snapshots);
 
 // Writes `content` to `path`, replacing any existing file. Returns false on
 // I/O failure. The actual filesystem access happens through the installed
-// FileSink (default: store::WriteArtifactFile) — exporters themselves never
-// touch the filesystem, keeping direct I/O confined to src/store.
+// FileSink (default: WriteArtifactFile in obs/artifact_sink.h) — exporters
+// themselves never touch the filesystem, keeping direct I/O in that one
+// function.
 bool WriteFile(const std::string& path, std::string_view content);
 
 // Replaceable artifact sink. Passing nullptr restores the default
-// (store::WriteArtifactFile). Tests install capture sinks to observe writes
+// (WriteArtifactFile). Tests install capture sinks to observe writes
 // without touching the filesystem.
 using FileSink = bool (*)(const std::string& path, std::string_view content);
 void SetFileSink(FileSink sink);

@@ -15,7 +15,6 @@
 #include "net/transport.h"
 #include "rdma/rdma.h"
 #include "registry/fingerprint_registry.h"
-#include "store/state_store.h"
 
 namespace medes {
 
@@ -117,12 +116,6 @@ struct RunMetrics {
   // Per-message-type counters and latency histograms from the shared
   // cluster transport (lookups, inserts, base reads, control decisions).
   TransportStats transport;
-  // State-store tier accounting (hot/cold residency, SSD fetch costs).
-  // Backend-independent by design: the memory and persistent backends report
-  // identical StoreStats for the same run, so the determinism pin covers this
-  // field too. Durability-only counters live in store::DurabilityStats and
-  // are deliberately excluded.
-  store::StoreStats store;
 
   uint64_t TotalColdStarts() const;
   uint64_t TotalRequests() const;

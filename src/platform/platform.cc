@@ -42,19 +42,13 @@ class ServerlessPlatform::Impl {
       : options_(std::move(options)),
         cluster_(options_.cluster),
         transport_(MakeTransport(options_)),
-        store_(store::MakeStateStore(options_.store)),
         registry_(MakeRegistry(options_, transport_)),
         fabric_(options_.rdma,
                 [this](const PageLocation& loc) { return cluster_.ReadBasePage(loc); },
                 transport_),
-        agent_(cluster_, *registry_, fabric_, WithPayloadPolicy(options_, store_)),
+        agent_(cluster_, *registry_, fabric_, WithPayloadPolicy(options_)),
         controller_(cluster_, options_.medes, transport_, ControllerNode(options_)),
         adaptive_(FunctionBenchProfiles().size(), AdaptiveKeepAlive(options_.adaptive)) {
-    // The store observes every registry insert/removal and every fabric
-    // base-page read; binding happens here so MakeRegistry stays usable
-    // standalone (distributed replicas remain unbound by design).
-    registry_->BindStateStore(store_);
-    fabric_.BindStateStore(store_);
     MutexLock lock(metrics_mu_);
     metrics_.per_function.resize(FunctionBenchProfiles().size());
   }
@@ -126,7 +120,6 @@ class ServerlessPlatform::Impl {
     const RegistryStats registry_stats = registry_->stats();
     const RdmaStats rdma_stats = fabric_.stats();
     const TransportStats transport_stats = transport_->stats();
-    const store::StoreStats store_stats = store_->stats();
     MutexLock lock(metrics_mu_);
     metrics_.sandboxes_spawned = spawns_.Value();
     metrics_.evictions = evictions_.Value();
@@ -135,7 +128,6 @@ class ServerlessPlatform::Impl {
     metrics_.registry = registry_stats;
     metrics_.rdma = rdma_stats;
     metrics_.transport = transport_stats;
-    metrics_.store = store_stats;
     return std::move(metrics_);
   }
 
@@ -144,7 +136,6 @@ class ServerlessPlatform::Impl {
   MedesController& controller() { return controller_; }
   Transport& transport() { return *transport_; }
   Simulation& sim() { return sim_; }
-  store::StateStore& state_store() { return *store_; }
 
  private:
   // Streams the sorted trace through the scheduler: each arrival's callback
@@ -161,11 +152,9 @@ class ServerlessPlatform::Impl {
     });
   }
 
-  static DedupAgentOptions WithPayloadPolicy(const PlatformOptions& options,
-                                             std::shared_ptr<store::StateStore> store) {
+  static DedupAgentOptions WithPayloadPolicy(const PlatformOptions& options) {
     DedupAgentOptions agent = options.agent;
     agent.keep_payloads = options.verify_restores;
-    agent.state_store = std::move(store);
     return agent;
   }
 
@@ -618,7 +607,6 @@ class ServerlessPlatform::Impl {
   Simulation sim_;
   Cluster cluster_;
   std::shared_ptr<Transport> transport_;
-  std::shared_ptr<store::StateStore> store_;
   std::unique_ptr<RegistryBackend> registry_;
   RdmaFabric fabric_;
   DedupAgent agent_;
@@ -685,7 +673,6 @@ RegistryBackend& ServerlessPlatform::registry() { return impl_->registry(); }
 MedesController& ServerlessPlatform::controller() { return impl_->controller(); }
 Transport& ServerlessPlatform::transport() { return impl_->transport(); }
 Simulation& ServerlessPlatform::sim() { return impl_->sim(); }
-store::StateStore& ServerlessPlatform::state_store() { return impl_->state_store(); }
 
 PlatformOptions MakePlatformOptions(PolicyKind policy) {
   PlatformOptions options;

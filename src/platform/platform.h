@@ -22,7 +22,6 @@
 #include "registry/distributed_registry.h"
 #include "registry/fingerprint_registry.h"
 #include "sim/simulation.h"
-#include "store/state_store.h"
 #include "workload/trace.h"
 
 namespace medes {
@@ -42,12 +41,6 @@ struct PlatformOptions {
   DedupAgentOptions agent;
   MedesControllerOptions medes;
   AdaptiveKeepAliveOptions adaptive;
-  // State-store tier behind the registry and base-page store (src/store).
-  // The memory backend with an unbounded RAM budget (the default) charges
-  // nothing and changes nothing — runs are byte-identical to a platform with
-  // no store at all. A bounded budget or the persistent backend adds modelled
-  // SSD costs and durable append records.
-  store::StoreOptions store;
   // Link parameters for the shared cluster transport. Node numbering:
   // workers are 0..num_nodes-1, the controller sits on node num_nodes, and
   // registry shard replicas (distributed mode) occupy num_nodes+1 onward.
@@ -91,7 +84,6 @@ class ServerlessPlatform {
   MedesController& controller();
   Transport& transport();
   Simulation& sim();
-  store::StateStore& state_store();
 
  private:
   class Impl;

@@ -2,8 +2,6 @@
 
 #include <map>
 
-#include "store/state_store.h"
-
 namespace medes {
 
 RdmaFabric::RdmaFabric(RdmaOptions options, PageProvider provider,
@@ -14,10 +12,6 @@ RdmaFabric::RdmaFabric(RdmaOptions options, PageProvider provider,
     // kBaseRead charges and stats exist without a platform.
     transport_ = std::make_shared<Transport>();
   }
-}
-
-void RdmaFabric::BindStateStore(std::shared_ptr<store::StateStore> store) {
-  store_ = std::move(store);
 }
 
 SimDuration RdmaFabric::ReadCost(Bytes bytes, bool remote) const {
@@ -76,12 +70,6 @@ std::vector<uint8_t> RdmaFabric::ReadPage(const PageLocation& location, NodeId r
                                      Bytes{bytes.size()}, /*requests=*/1, trace);
   if (!sent.delivered) {
     throw RdmaUnavailable("RdmaFabric: base-page read dropped by fault policy");
-  }
-  // Page-cache miss reached the owner node: if its copy was evicted to the
-  // cold tier, the demand-page fetch joins the read's modelled cost. Outside
-  // cache_mu_, at a serial call site (determinism contract, store header).
-  if (store_ != nullptr) {
-    store_->TouchBasePage(location.sandbox, location.page_index, cost);
   }
   if (remote) {
     remote_reads_.Add();
@@ -174,13 +162,6 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
     }
     if (cost != nullptr) {
       *cost += sent.cost;
-    }
-    // Cold-tier touches in NodeId-then-batch order — deterministic for a
-    // given batch layout regardless of thread count.
-    if (store_ != nullptr) {
-      for (size_t i : idxs) {
-        store_->TouchBasePage(locations[i].sandbox, locations[i].page_index, cost);
-      }
     }
     batch_messages_.Add();
     batch_pages_.Add(idxs.size());

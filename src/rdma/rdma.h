@@ -37,10 +37,6 @@
 
 namespace medes {
 
-namespace store {
-class StateStore;
-}  // namespace store
-
 struct RdmaOptions {
   // Base-page read cache capacity in pages; 0 disables the cache.
   size_t page_cache_capacity = 0;
@@ -135,12 +131,6 @@ class RdmaFabric {
   // The transport base reads are charged through.
   const std::shared_ptr<Transport>& transport() const { return transport_; }
 
-  // Binds the tiered state store: fabric reads that miss the page cache
-  // additionally touch the page's residency entry, so demand-paging an
-  // SSD-evicted base page charges the modelled cold-tier fetch into the
-  // read's cost. Configuration-time only; unbound fabrics charge nothing.
-  void BindStateStore(std::shared_ptr<store::StateStore> store);
-
   // Drops every cached page belonging to `sandbox` (called when a base
   // sandbox is purged). Pure capacity hygiene — ids are never reused.
   void InvalidateSandbox(SandboxId sandbox) EXCLUDES(cache_mu_);
@@ -166,9 +156,6 @@ class RdmaFabric {
   RdmaOptions options_;
   PageProvider provider_;
   std::shared_ptr<Transport> transport_;
-  // Optional tiering seam (see BindStateStore). Touched only at serial call
-  // sites, outside cache_mu_.
-  std::shared_ptr<store::StateStore> store_;
 
   // One counter per RdmaStats field, each bound to its medes_rdma_* series.
   obs::StatCounter remote_reads_{"medes_rdma_remote_reads_total",

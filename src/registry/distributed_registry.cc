@@ -8,7 +8,6 @@
 #include "common/hash.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "store/state_store.h"
 
 namespace medes {
 
@@ -141,11 +140,6 @@ void DistributedRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
       home.chain[static_cast<size_t>(r)].registry.AddEntries(node, sandbox, {});
     }
   }
-  // One durable record per logical insert, independent of shard/replica
-  // fan-out (replica registries are never store-bound).
-  if (store_ != nullptr) {
-    store_->AppendInsertSandbox(node, sandbox, fingerprints);
-  }
 }
 
 void DistributedRegistry::RemoveBaseSandbox(SandboxId sandbox) {
@@ -159,13 +153,6 @@ void DistributedRegistry::RemoveBaseSandbox(SandboxId sandbox) {
       }
     }
   }
-  if (store_ != nullptr) {
-    store_->AppendRemoveSandbox(sandbox);
-  }
-}
-
-void DistributedRegistry::BindStateStore(std::shared_ptr<store::StateStore> store) {
-  store_ = std::move(store);
 }
 
 bool DistributedRegistry::IsBaseSandbox(SandboxId sandbox) const {

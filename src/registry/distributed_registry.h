@@ -85,12 +85,6 @@ class DistributedRegistry : public RegistryBackend {
   void Unref(SandboxId base_sandbox) override;
   [[nodiscard]] int RefCount(SandboxId base_sandbox) const override;
 
-  // Binds the durability seam at the *distributed* level: one append per
-  // logical insert/removal, regardless of sharding or replication fan-out
-  // (replica FingerprintRegistry instances stay unbound so a 3-way
-  // replicated write is still one durable record).
-  void BindStateStore(std::shared_ptr<store::StateStore> store) override;
-
   // Table sizes aggregated across shard tails; lookups and key hits as
   // FindBasePagesBatch counted them, once per logical lookup (equal to a
   // centralized registry's for the same fault-free calls, and kept across
@@ -168,8 +162,6 @@ class DistributedRegistry : public RegistryBackend {
 
   DistributedRegistryOptions options_;
   std::shared_ptr<Transport> transport_;
-  // Optional durability seam (see BindStateStore).
-  std::shared_ptr<store::StateStore> store_;
 
   // Chain topology: the shard vector's structure and every replica's `alive`
   // flag. Reads (routing a request, walking a chain) hold the shared lock;

@@ -5,7 +5,6 @@
 #include "common/mutex.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "store/state_store.h"
 
 namespace medes {
 
@@ -50,10 +49,6 @@ void FingerprintRegistry::BindTransport(std::shared_ptr<Transport> transport,
   registry_node_ = registry_node;
 }
 
-void FingerprintRegistry::BindStateStore(std::shared_ptr<store::StateStore> store) {
-  store_ = std::move(store);
-}
-
 void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
                                             const std::vector<PageFingerprint>& fingerprints,
                                             const obs::MessageTrace& trace) {
@@ -72,11 +67,6 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
   inserts_.Add();
   insert_keys_.Add(keys);
   AddEntries(node, sandbox, fingerprints);
-  // Only inserts that actually landed (past the transport delivery check)
-  // become durable registry state. The table lock is not held here.
-  if (store_ != nullptr) {
-    store_->AppendInsertSandbox(node, sandbox, fingerprints);
-  }
 }
 
 void FingerprintRegistry::AddEntries(NodeId node, SandboxId sandbox,
@@ -97,9 +87,6 @@ void FingerprintRegistry::AddEntries(NodeId node, SandboxId sandbox,
 void FingerprintRegistry::RemoveBaseSandbox(SandboxId sandbox) {
   removes_.Add();
   RemoveEntries(sandbox);
-  if (store_ != nullptr) {
-    store_->AppendRemoveSandbox(sandbox);
-  }
 }
 
 void FingerprintRegistry::RemoveEntries(SandboxId sandbox) {

@@ -69,11 +69,6 @@ class FingerprintRegistry : public RegistryBackend {
   // pure controller CPU cost with no wire component.
   void BindTransport(std::shared_ptr<Transport> transport, NodeId registry_node);
 
-  // Binds the durability/tiering seam: inserts append a fingerprint record
-  // (after the transport delivery check — a lost insert is not durable
-  // state), removals append an invalidation. Configuration-time only.
-  void BindStateStore(std::shared_ptr<store::StateStore> store) override;
-
   void Ref(SandboxId base_sandbox) override;
   void Unref(SandboxId base_sandbox) override;
   [[nodiscard]] int RefCount(SandboxId base_sandbox) const override;
@@ -99,7 +94,7 @@ class FingerprintRegistry : public RegistryBackend {
   // nothing.
   uint64_t TallyShards(std::span<const PageFingerprint> fingerprints, SandboxId exclude_sandbox,
                        std::span<CandidateTally> tallies) const;
-  // Table-only insert and removal: no transport, counting or durable record.
+  // Table-only insert and removal: no transport or counting.
   void AddEntries(NodeId node, SandboxId sandbox, std::span<const PageFingerprint> fingerprints);
   void RemoveEntries(SandboxId sandbox);
 
@@ -122,10 +117,6 @@ class FingerprintRegistry : public RegistryBackend {
   // clone is table state, not a network endpoint.
   std::shared_ptr<Transport> transport_;
   NodeId registry_node_ = kInvalidNode;
-
-  // Optional durability seam (see BindStateStore). Not copied either: only
-  // the authoritative top-level registry logs records, never replica clones.
-  std::shared_ptr<store::StateStore> store_;
 };
 
 }  // namespace medes

@@ -24,10 +24,6 @@
 
 namespace medes {
 
-namespace store {
-class StateStore;
-}  // namespace store
-
 // Modelled wire size of one sampled-chunk key in a registry message
 // (truncated key + page-location answer, round trip).
 inline constexpr Bytes kRegistryWireBytesPerKey{24};
@@ -126,12 +122,6 @@ class RegistryBackend {
   virtual void Ref(SandboxId base_sandbox) = 0;
   virtual void Unref(SandboxId base_sandbox) = 0;
   [[nodiscard]] virtual int RefCount(SandboxId base_sandbox) const = 0;
-
-  // Binds the durability/tiering seam (src/store). Bound backends mirror
-  // every insert/removal into the store as an append record; unbound
-  // backends (the default) behave exactly as before the seam existed.
-  // Configuration-time only, like BindTransport.
-  virtual void BindStateStore(std::shared_ptr<store::StateStore> store) { (void)store; }
 
   [[nodiscard]] virtual RegistryStats stats() const = 0;
 

@@ -174,7 +174,7 @@ TEST_F(MutexTest, InvertedAcquisitionReportsBothLocks) {
   Mutex high("metrics sink lock", LockRank::kMetrics);
   {
     MutexLock a(high);
-    MutexLock b(low);  // rank 3 after rank 7: inversion
+    MutexLock b(low);  // rank 3 after rank 6: inversion
   }
   ASSERT_EQ(violations_.size(), 1u);
   EXPECT_NE(violations_[0].find("lock-order violation"), std::string::npos);
@@ -212,7 +212,7 @@ TEST_F(MutexTest, ViolationListsHeldStackOldestFirst) {
   {
     MutexLock a(pool);
     MutexLock b(metrics);
-    MutexLock c(cache);  // rank 5 after rank 6
+    MutexLock c(cache);  // rank 4 after rank 6
   }
   ASSERT_EQ(violations_.size(), 1u);
   const std::string& message = violations_[0];

@@ -199,7 +199,7 @@ TEST_F(ObsTest, MetricsJsonShape) {
 
 // ---------------------------------------------------------------------------
 // File-sink seam: exporters never touch the filesystem directly; every write
-// goes through the installed FileSink (default: the store layer).
+// goes through the installed FileSink (default: obs::WriteArtifactFile).
 // ---------------------------------------------------------------------------
 
 std::string* g_sink_path = nullptr;
@@ -222,7 +222,7 @@ TEST_F(ObsTest, FileSinkSeamCapturesWrites) {
   EXPECT_TRUE(WriteFile("capture/me.json", "payload"));
   SetFileSink(&RejectSink);
   EXPECT_FALSE(WriteFile("reject/me.json", "x"));
-  SetFileSink(nullptr);  // restore the store-backed default
+  SetFileSink(nullptr);  // restore the default artifact sink
   EXPECT_EQ(path, "capture/me.json");
   EXPECT_EQ(content, "payload");
 }

@@ -87,17 +87,32 @@ TEST(PlatformTest, WarmStartsDominateHotFunctions) {
   EXPECT_GT(vanilla.warm_starts, vanilla.cold_starts);
 }
 
+// A repeat run and a run at four pipeline threads both reproduce a serial
+// reference run: same start decisions, same dedup work, same latencies.
 TEST(PlatformTest, DeterministicAcrossRuns) {
   auto trace = ShortTrace();
-  RunMetrics a = ServerlessPlatform(FastOptions(PolicyKind::kMedes)).Run(trace);
-  RunMetrics b = ServerlessPlatform(FastOptions(PolicyKind::kMedes)).Run(trace);
-  ASSERT_EQ(a.requests.size(), b.requests.size());
-  for (size_t i = 0; i < a.requests.size(); ++i) {
-    EXPECT_EQ(a.requests[i].e2e, b.requests[i].e2e) << "request " << i;
-    EXPECT_EQ(a.requests[i].start, b.requests[i].start);
+  auto run = [&trace](size_t threads) {
+    PlatformOptions options = FastOptions(PolicyKind::kMedes);
+    options.agent.num_threads = threads;
+    return ServerlessPlatform(options).Run(trace);
+  };
+  const RunMetrics a = run(1);
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const RunMetrics b = run(threads);
+    EXPECT_EQ(a.TotalColdStarts(), b.TotalColdStarts());
+    EXPECT_EQ(a.dedup_ops, b.dedup_ops);
+    EXPECT_EQ(a.restores, b.restores);
+    EXPECT_EQ(a.sandboxes_spawned, b.sandboxes_spawned);
+    EXPECT_EQ(a.sandboxes_deduped, b.sandboxes_deduped);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.base_designations, b.base_designations);
+    ASSERT_EQ(a.requests.size(), b.requests.size());
+    for (size_t i = 0; i < a.requests.size(); ++i) {
+      ASSERT_EQ(a.requests[i].e2e, b.requests[i].e2e) << "request " << i;
+      ASSERT_EQ(a.requests[i].start, b.requests[i].start) << "request " << i;
+    }
   }
-  EXPECT_EQ(a.dedup_ops, b.dedup_ops);
-  EXPECT_EQ(a.TotalColdStarts(), b.TotalColdStarts());
 }
 
 // Golden values for a fixed Medes run. Fire order, the streamed arrival feed
