@@ -1,14 +1,14 @@
 // Network-model benchmark: per-message-type traffic and latency through the
 // unified cluster transport, healthy and under fault injection.
 //
-// Drives a full dedup + restore workload (a base per function, then three
-// rounds of victims across the worker nodes) against a distributed registry
-// and an RDMA fabric sharing one Transport, twice: once healthy, once with
-// registry replicas partitioned off the network (shard 0 loses its tail —
-// reads fail over down the chain; shard 1 loses every replica — its lookups
-// go unavailable and its writes are dropped). The pipeline must keep running
-// either way: dedup degrades to fewer candidates, restores keep reading base
-// pages over the data plane.
+// Drives a full dedup + restore workload (a base per function on worker 0,
+// then three rounds of victims across workers 1-3) against the controller's
+// fingerprint registry and an RDMA fabric sharing one Transport, twice: once
+// healthy, once with the link between worker 3 and the controller cut. The
+// pipeline must keep running either way: worker 3's lookups are dropped, so
+// dedup degrades to fewer candidates, while restores keep reading base pages
+// over the data plane. Every restore, lazy background phase included, must
+// pass its byte-exact check.
 //
 // Output: a human-readable summary on stdout plus a JSON document (stdout,
 // and to a file when a path is given as argv[1]) with per-message-type
@@ -26,13 +26,15 @@ namespace {
 
 struct RunSummary {
   TransportStats transport;
-  DistributedRegistryStats registry;
   uint64_t dedup_ops = 0;
   uint64_t restores = 0;
+  uint64_t verified_restores = 0;
   uint64_t pages_deduped = 0;
   SimDuration total_lookup_time;
   SimDuration total_restore_time;
 };
+
+constexpr NodeId kControllerNode{4};  // after the four workers
 
 RunSummary RunOnce(bool partitioned) {
   ClusterOptions copts;
@@ -42,22 +44,15 @@ RunSummary RunOnce(bool partitioned) {
   Cluster cluster(copts);
 
   auto transport = std::make_shared<Transport>();
-  DistributedRegistryOptions dopts;
-  dopts.num_shards = 4;
-  dopts.replication_factor = 3;
-  DistributedRegistry registry(dopts, transport);
+  FingerprintRegistry registry;
+  registry.BindTransport(transport, kControllerNode);
   RdmaFabric fabric({.page_cache_capacity = 512},
                     [&](const PageLocation& loc) { return cluster.ReadBasePage(loc); }, transport);
   DedupAgent agent(cluster, registry, fabric, {});
 
   if (partitioned) {
     auto policy = std::make_shared<StaticFaultPolicy>();
-    // Shard 0: tail partitioned -> reads fail over to the middle replica.
-    policy->PartitionNode(registry.ReplicaNode(0, dopts.replication_factor - 1));
-    // Shard 1: every replica partitioned -> lookups unavailable, writes drop.
-    for (int r = 0; r < dopts.replication_factor; ++r) {
-      policy->PartitionNode(registry.ReplicaNode(1, r));
-    }
+    policy->PartitionLink(NodeId{3}, kControllerNode);
     transport->InstallFaultPolicy(policy);
   }
 
@@ -78,11 +73,14 @@ RunSummary RunOnce(bool partitioned) {
       RestoreOpResult r = agent.RestoreOp(sb, SimTime{2}, /*verify=*/true);
       ++summary.restores;
       summary.total_restore_time += r.total_time;
+      const bool verified = r.background_pending
+                                ? agent.CompleteBackgroundRestore(sb, SimTime{3}).verified
+                                : r.verified;
+      summary.verified_restores += verified ? 1 : 0;
       cluster.Purge(sb.id);
     }
   }
   summary.transport = transport->stats();
-  summary.registry = registry.distributed_stats();
   return summary;
 }
 
@@ -108,13 +106,9 @@ void WriteRunJson(bench::JsonWriter& w, const char* name, const RunSummary& run)
   w.Field("total_messages", run.transport.TotalMessages())
       .Field("total_bytes", run.transport.TotalBytes())
       .Field("total_dropped", run.transport.TotalDropped());
-  w.BeginObject("registry")
-      .Field("unavailable_lookups", run.registry.unavailable_lookups)
-      .Field("dropped_writes", run.registry.dropped_writes)
-      .Field("failovers", run.registry.failovers)
-      .EndObject();
   w.Field("dedup_ops", run.dedup_ops)
       .Field("restores", run.restores)
+      .Field("verified_restores", run.verified_restores)
       .Field("pages_deduped", run.pages_deduped)
       .Field("total_lookup_ms", ToMillis(run.total_lookup_time), 1)
       .Field("total_restore_ms", ToMillis(run.total_restore_time), 1)
@@ -145,28 +139,26 @@ void PrintSummary(const char* name, const RunSummary& run) {
                 static_cast<unsigned long long>(ms.dropped), ms.MeanLatency(),
                 static_cast<long long>(ms.max_latency.value()));
   }
-  std::printf("registry: unavailable_lookups=%llu dropped_writes=%llu failovers=%llu\n",
-              static_cast<unsigned long long>(run.registry.unavailable_lookups),
-              static_cast<unsigned long long>(run.registry.dropped_writes),
-              static_cast<unsigned long long>(run.registry.failovers));
-  std::printf("ops: dedup=%llu restore=%llu pages_deduped=%llu lookup=%.1fms restore=%.1fms\n",
-              static_cast<unsigned long long>(run.dedup_ops),
-              static_cast<unsigned long long>(run.restores),
-              static_cast<unsigned long long>(run.pages_deduped),
-              ToMillis(run.total_lookup_time), ToMillis(run.total_restore_time));
+  std::printf(
+      "ops: dedup=%llu restore=%llu verified=%llu pages_deduped=%llu lookup=%.1fms "
+      "restore=%.1fms\n",
+      static_cast<unsigned long long>(run.dedup_ops), static_cast<unsigned long long>(run.restores),
+      static_cast<unsigned long long>(run.verified_restores),
+      static_cast<unsigned long long>(run.pages_deduped), ToMillis(run.total_lookup_time),
+      ToMillis(run.total_restore_time));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Header("Network model: per-message-type transport traffic",
-                "Dedup + restore workload, distributed registry (4 shards x 3 replicas)");
+                "Dedup + restore workload, fingerprint registry at the controller");
 
   RunSummary healthy = RunOnce(/*partitioned=*/false);
   RunSummary faulty = RunOnce(/*partitioned=*/true);
 
   PrintSummary("Healthy cluster", healthy);
-  PrintSummary("Partitioned: shard 0 tail + all of shard 1", faulty);
+  PrintSummary("Partitioned: worker 3 <-> controller link cut", faulty);
 
   bench::Section("JSON");
   const std::string json = BuildJson(healthy, faulty);
@@ -176,10 +168,16 @@ int main(int argc, char** argv) {
   }
   bench::ExportObservability("net_model");
 
-  // The fault run must *degrade*, not fail: lookups lost to the dead shard,
+  // The fault run must *degrade*, not fail: lookups lost to the cut link,
   // reads still flowing and every restore still byte-exact.
-  if (faulty.registry.unavailable_lookups == 0 || faulty.registry.failovers == 0) {
-    std::fprintf(stderr, "expected the partition to degrade lookups\n");
+  for (const RunSummary* run : {&healthy, &faulty}) {
+    if (run->verified_restores != run->restores) {
+      std::fprintf(stderr, "expected every restore to verify byte-exact\n");
+      return 1;
+    }
+  }
+  if (faulty.transport.For(MessageType::kRegistryLookup).dropped == 0) {
+    std::fprintf(stderr, "expected the partition to drop registry lookups\n");
     return 1;
   }
   if (faulty.restores != healthy.restores ||

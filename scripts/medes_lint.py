@@ -410,7 +410,6 @@ RANK_LITERAL_RE = re.compile(r"LockRank::(k\w+)")
 # Enum entry -> the human name DESIGN.md's table uses for that rank.
 ENUM_TO_DESIGN_NAME = {
     "kPoolQueue": "pool queue",
-    "kRegistryTopology": "registry topology",
     "kRegistryTable": "registry table",
     "kRdmaCache": "rdma cache",
     "kTransport": "transport",

@@ -113,20 +113,18 @@ const char* ToString(LockRank rank) {
       return "unranked";
     case LockRank::kPoolQueue:
       return "rank 1: pool queue";
-    case LockRank::kRegistryTopology:
-      return "rank 2: registry topology";
     case LockRank::kRegistryTable:
-      return "rank 3: registry table";
+      return "rank 2: registry table";
     case LockRank::kRdmaCache:
-      return "rank 4: rdma cache";
+      return "rank 3: rdma cache";
     case LockRank::kTransport:
-      return "rank 5: transport";
+      return "rank 4: transport";
     case LockRank::kMetrics:
-      return "rank 6: metrics";
+      return "rank 5: metrics";
     case LockRank::kObsRegistry:
-      return "rank 7: obs registry";
+      return "rank 6: obs registry";
     case LockRank::kObsBuffer:
-      return "rank 8: obs span buffer";
+      return "rank 7: obs span buffer";
   }
   return "unknown";
 }

@@ -39,14 +39,13 @@ namespace medes {
 // ranked lock it already holds; kUnranked locks opt out of order checking.
 enum class LockRank : int {
   kUnranked = 0,
-  kPoolQueue = 1,         // ThreadPool queue/state lock
-  kRegistryTopology = 2,  // DistributedRegistry chain/replica liveness
-  kRegistryTable = 3,     // FingerprintRegistry table, reverse index and refcounts
-  kRdmaCache = 4,         // RdmaFabric base-page LRU cache
-  kTransport = 5,         // Transport fault-policy slot / StaticFaultPolicy state
-  kMetrics = 6,           // stats/metrics sinks (platform, agents, registries)
-  kObsRegistry = 7,       // obs instrument map / tracer thread-buffer registry
-  kObsBuffer = 8,         // obs per-thread span buffers (after kObsRegistry in drains)
+  kPoolQueue = 1,      // ThreadPool queue/state lock
+  kRegistryTable = 2,  // FingerprintRegistry table, reverse index and refcounts
+  kRdmaCache = 3,      // RdmaFabric base-page LRU cache
+  kTransport = 4,      // Transport fault-policy slot / StaticFaultPolicy state
+  kMetrics = 5,        // stats/metrics sinks (platform, agents, registries)
+  kObsRegistry = 6,    // obs instrument map / tracer thread-buffer registry
+  kObsBuffer = 7,      // obs per-thread span buffers (after kObsRegistry in drains)
 };
 
 const char* ToString(LockRank rank);

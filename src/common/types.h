@@ -120,7 +120,7 @@ struct SandboxIdTag {};
 struct PageIndexTag {};
 struct BytesTag {};
 
-// A worker/controller/replica node. Was `int`; keep a 32-bit signed rep so
+// A worker or controller node. Was `int`; keep a 32-bit signed rep so
 // Topology::PairKey and every modelled cost stay bit-identical.
 using NodeId = StrongOrdinal<int32_t, NodeIdTag>;
 // A sandbox instance. Ids start at 1 and are never reused; 0 means "none".
@@ -136,8 +136,8 @@ inline constexpr SandboxId kNoSandbox{0};
 
 }  // namespace medes
 
-// Strong ids hash like their underlying integers (shard selection and cache
-// indexing depend on that staying true).
+// Strong ids hash like their underlying integers (hash-table bucketing and
+// cache indexing depend on that staying true).
 template <typename Rep, typename Tag>
 struct std::hash<medes::StrongOrdinal<Rep, Tag>> {
   size_t operator()(medes::StrongOrdinal<Rep, Tag> v) const noexcept {

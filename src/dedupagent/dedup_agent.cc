@@ -59,7 +59,7 @@ const char* ToString(RestoreMode mode) {
   return "?";
 }
 
-DedupAgent::DedupAgent(Cluster& cluster, RegistryBackend& registry, RdmaFabric& fabric,
+DedupAgent::DedupAgent(Cluster& cluster, FingerprintRegistry& registry, RdmaFabric& fabric,
                        DedupAgentOptions options)
     : cluster_(cluster),
       registry_(registry),

@@ -74,11 +74,8 @@ struct DedupAgentOptions {
   // A patch is only kept if it is smaller than this fraction of the page
   // (otherwise deduplication of that page isn't worth the metadata).
   double patch_accept_max_ratio = 0.85;
-  // NOTE: the flat `controller_lookup_per_page` constant that used to live
-  // here is gone — DedupOpResult::lookup_time now comes from the registry's
-  // own cost model (RegistryOptions::lookup_per_page plus transport message
-  // costs; DistributedRegistry models its shard fan-out), so centralized and
-  // distributed configurations no longer disagree about the same operation.
+  // DedupOpResult::lookup_time comes from the registry's cost model
+  // (RegistryOptions::lookup_per_page plus transport message costs).
   // How many ranked base pages a patch may be computed against (Section
   // 4.1.2 says "base page(s)"; 1 keeps restore reads minimal — the Fig. 16
   // cardinality sensitivity raises it).
@@ -193,7 +190,7 @@ class DedupAgent {
   // The agent mutates cluster sandboxes and reads pages through the fabric;
   // the registry belongs to the controller. All referenced objects must
   // outlive the agent.
-  DedupAgent(Cluster& cluster, RegistryBackend& registry, RdmaFabric& fabric,
+  DedupAgent(Cluster& cluster, FingerprintRegistry& registry, RdmaFabric& fabric,
              DedupAgentOptions options = {});
 
   const DedupAgentOptions& options() const { return options_; }
@@ -289,7 +286,7 @@ class DedupAgent {
                           std::vector<std::vector<uint8_t>>& base_bytes);
 
   Cluster& cluster_;
-  RegistryBackend& registry_;
+  FingerprintRegistry& registry_;
   RdmaFabric& fabric_;
   DedupAgentOptions options_;
   PageFingerprinter fingerprinter_;

@@ -17,8 +17,6 @@ const char* ToString(MessageType type) {
       return "base_read";
     case MessageType::kControlDecision:
       return "control_decision";
-    case MessageType::kReplicaSync:
-      return "replica_sync";
     case MessageType::kBaseReadBatch:
       return "base_read_batch";
   }
@@ -35,8 +33,6 @@ const char* MessageSpanName(MessageType type) {
       return "net/base_read";
     case MessageType::kControlDecision:
       return "net/control_decision";
-    case MessageType::kReplicaSync:
-      return "net/replica_sync";
     case MessageType::kBaseReadBatch:
       return "net/base_read_batch";
   }
@@ -159,11 +155,6 @@ std::shared_ptr<FaultPolicy> Transport::CurrentPolicy() const {
 void Transport::InstallFaultPolicy(std::shared_ptr<FaultPolicy> policy) {
   WriterLock lock(policy_mu_);
   policy_ = std::move(policy);
-}
-
-bool Transport::NodeUp(NodeId node) const {
-  std::shared_ptr<FaultPolicy> policy = CurrentPolicy();
-  return policy == nullptr || !policy->NodePartitioned(node);
 }
 
 Transport::SendResult Transport::Send(MessageType type, NodeId src, NodeId dst, Bytes bytes,

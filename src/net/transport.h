@@ -54,10 +54,9 @@ enum class MessageType : int {
   kRegistryInsert = 1,   // agent -> registry: base-sandbox fingerprint insert
   kBaseRead = 2,         // one-sided RDMA base-page read (data plane)
   kControlDecision = 3,  // controller -> node: idle-policy decision
-  kReplicaSync = 4,      // registry replica -> replica: chain re-sync
-  kBaseReadBatch = 5,    // coalesced per-owner-node base-page reads (restore prefetch)
+  kBaseReadBatch = 4,    // coalesced per-owner-node base-page reads (restore prefetch)
 };
-inline constexpr size_t kNumMessageTypes = 6;
+inline constexpr size_t kNumMessageTypes = 5;
 
 const char* ToString(MessageType type);
 
@@ -147,7 +146,7 @@ class FaultPolicy {
 
   // True when `node` is partitioned from the cluster entirely. Transport
   // drops every message to or from a partitioned node without consulting
-  // OnMessage; components also use this to route around dead peers.
+  // OnMessage.
   virtual bool NodePartitioned(NodeId /*node*/) const { return false; }
 };
 
@@ -246,9 +245,6 @@ class Transport {
   // Installs (or clears, with nullptr) the fault seam. The policy is shared:
   // tests keep their handle to flip partitions mid-run.
   void InstallFaultPolicy(std::shared_ptr<FaultPolicy> policy) EXCLUDES(policy_mu_);
-
-  // False when the installed policy partitions `node` from the cluster.
-  bool NodeUp(NodeId node) const EXCLUDES(policy_mu_);
 
   // The per-type counters. Read at a quiescent point for exact totals.
   TransportStats stats() const;

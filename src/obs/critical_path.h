@@ -7,7 +7,7 @@
 //   - children are visited in (ts, span_id) order and clipped to the portion
 //     of the parent's window not already covered by an earlier sibling (a
 //     left-to-right sweep), so sibling overlap — parallel fan-out like
-//     per-shard registry messages — is never double-counted;
+//     per-owner-node RDMA batches — is never double-counted;
 //   - time not covered by any child is the parent's *self* time;
 //   - the per-stage self times of one trace therefore sum exactly to the
 //     root span's duration, which is what lets the bench gate assert that

@@ -231,8 +231,8 @@ class MetricsRegistry {
 // holds these as members has registered every series it records by the end
 // of its constructor. Add() always advances the instance value, which is
 // what stats() reads; the series advances only while metrics are enabled.
-// Instance values are per owner (a DistributedRegistry holds many
-// FingerprintRegistry replicas), series are process-wide and outlive them.
+// Instance values are per owner (a copied FingerprintRegistry counts from
+// zero), series are process-wide and outlive them.
 class StatCounter {
  public:
   StatCounter(std::string_view name, std::string_view help, std::string_view label_key = {},

@@ -71,7 +71,7 @@ struct TraceContext {
   static TraceContext Dropped() { return TraceContext{0, 1, 0}; }
 
   // Derives the context for a child span. `ordinal` disambiguates siblings
-  // that share a name (batch index, read index, shard index); it must be a
+  // that share a name (batch index, read index); it must be a
   // deterministic function of the work item, never of scheduling order.
   TraceContext Child(const char* name, uint64_t ordinal = 0) const {
     if (trace_id == 0) {
@@ -92,8 +92,8 @@ struct TraceContext {
 // span (the callee derives the per-message child), the modelled send time in
 // the caller's timeline, and a caller-chosen ordinal disambiguating multiple
 // messages under the same parent. Layers that fan one logical request into
-// several wire messages (registry shards, per-owner-node RDMA batches) fold
-// their own index into `ordinal` before forwarding.
+// several wire messages (per-owner-node RDMA batches) fold their own index
+// into `ordinal` before forwarding.
 struct MessageTrace {
   TraceContext ctx;
   SimTime at{};

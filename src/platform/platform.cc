@@ -42,50 +42,31 @@ class ServerlessPlatform::Impl {
       : options_(std::move(options)),
         cluster_(options_.cluster),
         transport_(MakeTransport(options_)),
-        registry_(MakeRegistry(options_, transport_)),
+        registry_(options_.registry),
         fabric_(options_.rdma,
                 [this](const PageLocation& loc) { return cluster_.ReadBasePage(loc); },
                 transport_),
-        agent_(cluster_, *registry_, fabric_, WithPayloadPolicy(options_)),
+        agent_(cluster_, registry_, fabric_, WithPayloadPolicy(options_)),
         controller_(cluster_, options_.medes, transport_, ControllerNode(options_)),
         adaptive_(FunctionBenchProfiles().size(), AdaptiveKeepAlive(options_.adaptive)) {
+    // The registry lives with the controller, so lookups and inserts are
+    // charged as messages to the controller's node.
+    registry_.BindTransport(transport_, ControllerNode(options_));
     MutexLock lock(metrics_mu_);
     metrics_.per_function.resize(FunctionBenchProfiles().size());
   }
 
-  // The controller occupies the node right after the workers; registry shard
-  // replicas (distributed mode) come after the controller.
+  // The controller occupies the node right after the workers.
   static NodeId ControllerNode(const PlatformOptions& options) {
     return NodeId{options.cluster.num_nodes};
   }
 
   static std::shared_ptr<Transport> MakeTransport(const PlatformOptions& options) {
     Topology topology;
-    int nodes = options.cluster.num_nodes + 1;  // workers + controller
-    if (options.registry_shards > 0) {
-      nodes += options.registry_shards * options.registry_replication;
-    }
-    topology.num_nodes = nodes;
+    topology.num_nodes = options.cluster.num_nodes + 1;  // workers + controller
     topology.remote = options.network.remote;
     topology.local = options.network.local;
     return std::make_shared<Transport>(topology);
-  }
-
-  static std::unique_ptr<RegistryBackend> MakeRegistry(const PlatformOptions& options,
-                                                       std::shared_ptr<Transport> transport) {
-    if (options.registry_shards > 0) {
-      DistributedRegistryOptions dopts;
-      dopts.num_shards = options.registry_shards;
-      dopts.replication_factor = options.registry_replication;
-      dopts.per_shard = options.registry;
-      dopts.first_registry_node = NodeId{ControllerNode(options).value() + 1};
-      return std::make_unique<DistributedRegistry>(dopts, std::move(transport));
-    }
-    auto registry = std::make_unique<FingerprintRegistry>(options.registry);
-    // Centralized mode: the registry lives with the controller, so lookups
-    // and inserts are charged as messages to the controller's node.
-    registry->BindTransport(std::move(transport), ControllerNode(options));
-    return registry;
   }
 
   RunMetrics Run(const std::vector<TraceEvent>& trace) {
@@ -117,7 +98,7 @@ class ServerlessPlatform::Impl {
     sim_.Run();
     // Component stats are pulled before taking the metrics lock: their
     // accessors acquire lower-ranked locks (registry table, rdma cache).
-    const RegistryStats registry_stats = registry_->stats();
+    const RegistryStats registry_stats = registry_.stats();
     const RdmaStats rdma_stats = fabric_.stats();
     const TransportStats transport_stats = transport_->stats();
     MutexLock lock(metrics_mu_);
@@ -132,7 +113,7 @@ class ServerlessPlatform::Impl {
   }
 
   Cluster& cluster() { return cluster_; }
-  RegistryBackend& registry() { return *registry_; }
+  FingerprintRegistry& registry() { return registry_; }
   MedesController& controller() { return controller_; }
   Transport& transport() { return *transport_; }
   Simulation& sim() { return sim_; }
@@ -250,13 +231,13 @@ class ServerlessPlatform::Impl {
       // re-designation the next time the policy wants to dedup.
       SandboxId base_victim = kNoSandbox;
       for (const auto& [id, snap] : cluster_.base_snapshots()) {
-        if (snap.node == node && registry_->RefCount(id) == 0) {
+        if (snap.node == node && registry_.RefCount(id) == 0) {
           base_victim = id;
           break;
         }
       }
       if (base_victim != kNoSandbox) {
-        registry_->RemoveBaseSandbox(base_victim);
+        registry_.RemoveBaseSandbox(base_victim);
         cluster_.RemoveBaseSnapshot(base_victim);
         fabric_.InvalidateSandbox(base_victim);  // reclaim its cached pages
         RecordEviction(node);
@@ -319,7 +300,7 @@ class ServerlessPlatform::Impl {
     // holds patch records (and base refs) for its not-yet-fetched pages.
     for (const PatchRecord& record : sb.patches) {
       for (const PageLocation& base : record.bases) {
-        registry_->Unref(base.sandbox);
+        registry_.Unref(base.sandbox);
       }
     }
     agent_.AbandonBackgroundRestore(sb.id);
@@ -607,7 +588,7 @@ class ServerlessPlatform::Impl {
   Simulation sim_;
   Cluster cluster_;
   std::shared_ptr<Transport> transport_;
-  std::unique_ptr<RegistryBackend> registry_;
+  FingerprintRegistry registry_;
   RdmaFabric fabric_;
   DedupAgent agent_;
   MedesController controller_;
@@ -669,7 +650,7 @@ RunMetrics ServerlessPlatform::Run(const std::vector<TraceEvent>& trace) {
 }
 
 Cluster& ServerlessPlatform::cluster() { return impl_->cluster(); }
-RegistryBackend& ServerlessPlatform::registry() { return impl_->registry(); }
+FingerprintRegistry& ServerlessPlatform::registry() { return impl_->registry(); }
 MedesController& ServerlessPlatform::controller() { return impl_->controller(); }
 Transport& ServerlessPlatform::transport() { return impl_->transport(); }
 Simulation& ServerlessPlatform::sim() { return impl_->sim(); }

@@ -19,7 +19,6 @@
 #include "platform/metrics.h"
 #include "policy/keep_alive.h"
 #include "rdma/rdma.h"
-#include "registry/distributed_registry.h"
 #include "registry/fingerprint_registry.h"
 #include "sim/simulation.h"
 #include "workload/trace.h"
@@ -42,10 +41,10 @@ struct PlatformOptions {
   MedesControllerOptions medes;
   AdaptiveKeepAliveOptions adaptive;
   // Link parameters for the shared cluster transport. Node numbering:
-  // workers are 0..num_nodes-1, the controller sits on node num_nodes, and
-  // registry shard replicas (distributed mode) occupy num_nodes+1 onward.
-  // Every cross-node charge — registry lookups/inserts, base-page reads,
-  // control decisions — flows through one Transport built from this model.
+  // workers are 0..num_nodes-1 and the controller, which holds the
+  // fingerprint registry, sits on node num_nodes. Every cross-node charge —
+  // registry lookups/inserts, base-page reads, control decisions — flows
+  // through one Transport built from this model.
   NetworkModel network;
 
   PolicyKind policy = PolicyKind::kMedes;
@@ -57,11 +56,6 @@ struct PlatformOptions {
 
   // Byte-exact reconstruction checks on every restore (slow; for tests).
   bool verify_restores = false;
-
-  // Controller distribution (Section 4.3): 0 = centralized fingerprint
-  // registry; > 0 = that many shards with chain replication.
-  int registry_shards = 0;
-  int registry_replication = 3;
 
   SimDuration memory_sample_interval = 10 * kSecond;
 };
@@ -80,7 +74,7 @@ class ServerlessPlatform {
 
   // Component access for tests and benches.
   Cluster& cluster();
-  RegistryBackend& registry();
+  FingerprintRegistry& registry();
   MedesController& controller();
   Transport& transport();
   Simulation& sim();

@@ -1,5 +1,6 @@
 #include "registry/fingerprint_registry.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/mutex.h"
@@ -8,39 +9,47 @@
 
 namespace medes {
 
+namespace {
+
+// Top-k of one page's tally under a total order: max overlap first,
+// local-node pages preferred on ties, then lowest (sandbox, page). The order
+// is total over distinct locations, so a partial sort keeps exactly the
+// candidates a full sort truncated to `max_results` would.
+std::vector<BasePageCandidate> RankCandidates(CandidateTally tally, NodeId local_node,
+                                              size_t max_results) {
+  std::vector<BasePageCandidate> ranked = std::move(tally.entries);
+  const auto k = static_cast<ptrdiff_t>(std::min(max_results, ranked.size()));
+  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
+                    [&](const BasePageCandidate& a, const BasePageCandidate& b) {
+                      if (a.overlap != b.overlap) {
+                        return a.overlap > b.overlap;
+                      }
+                      const bool a_local = a.location.node == local_node;
+                      const bool b_local = b.location.node == local_node;
+                      if (a_local != b_local) {
+                        return a_local;
+                      }
+                      if (a.location.sandbox != b.location.sandbox) {
+                        return a.location.sandbox < b.location.sandbox;
+                      }
+                      return a.location.page_index < b.location.page_index;
+                    });
+  ranked.resize(static_cast<size_t>(k));
+  return ranked;
+}
+
+}  // namespace
+
 FingerprintRegistry::FingerprintRegistry(RegistryOptions options) : options_(options) {}
 
+// The object under construction is unreachable by other threads, so only the
+// source's lock is taken.
 FingerprintRegistry::FingerprintRegistry(const FingerprintRegistry& other)
-    : FingerprintRegistry(other.options_) {
-  CopyFrom(other);
-}
-
-FingerprintRegistry& FingerprintRegistry::operator=(const FingerprintRegistry& other) {
-  if (this == &other) {
-    return *this;
-  }
-  options_ = other.options_;
-  CopyFrom(other);
-  return *this;
-}
-
-void FingerprintRegistry::CopyFrom(const FingerprintRegistry& other) {
-  // Snapshot the source, then install into the destination: two sequential
-  // critical sections, because both locks carry the same rank and must never
-  // be held together.
-  std::unordered_map<uint64_t, std::vector<PageLocation>> table;
-  std::unordered_map<SandboxId, std::vector<uint64_t>> keys_by_sandbox;
-  std::unordered_map<SandboxId, int> refcounts;
-  {
-    ReaderLock lock(other.mu_);
-    table = other.table_;
-    keys_by_sandbox = other.keys_by_sandbox_;
-    refcounts = other.base_refcounts_;
-  }
-  WriterLock lock(mu_);
-  table_ = std::move(table);
-  keys_by_sandbox_ = std::move(keys_by_sandbox);
-  base_refcounts_ = std::move(refcounts);
+    : options_(other.options_) {
+  ReaderLock lock(other.mu_);
+  table_ = other.table_;
+  keys_by_sandbox_ = other.keys_by_sandbox_;
+  base_refcounts_ = other.base_refcounts_;
 }
 
 void FingerprintRegistry::BindTransport(std::shared_ptr<Transport> transport,
@@ -66,11 +75,6 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
   }
   inserts_.Add();
   insert_keys_.Add(keys);
-  AddEntries(node, sandbox, fingerprints);
-}
-
-void FingerprintRegistry::AddEntries(NodeId node, SandboxId sandbox,
-                                     std::span<const PageFingerprint> fingerprints) {
   WriterLock lock(mu_);
   base_refcounts_.try_emplace(sandbox, 0);
   for (size_t page = 0; page < fingerprints.size(); ++page) {
@@ -86,10 +90,6 @@ void FingerprintRegistry::AddEntries(NodeId node, SandboxId sandbox,
 
 void FingerprintRegistry::RemoveBaseSandbox(SandboxId sandbox) {
   removes_.Add();
-  RemoveEntries(sandbox);
-}
-
-void FingerprintRegistry::RemoveEntries(SandboxId sandbox) {
   WriterLock lock(mu_);
   base_refcounts_.erase(sandbox);
   auto owned = keys_by_sandbox_.find(sandbox);
@@ -149,12 +149,6 @@ uint64_t FingerprintRegistry::TallyBatch(std::span<const PageFingerprint> finger
       span.AddArg("keys", static_cast<int64_t>(keys));
     }
   }
-  return TallyShards(fingerprints, exclude_sandbox, tallies);
-}
-
-uint64_t FingerprintRegistry::TallyShards(std::span<const PageFingerprint> fingerprints,
-                                          SandboxId exclude_sandbox,
-                                          std::span<CandidateTally> tallies) const {
   uint64_t hits = 0;
   ReaderLock lock(mu_);
   for (size_t i = 0; i < fingerprints.size(); ++i) {
@@ -172,6 +166,38 @@ uint64_t FingerprintRegistry::TallyShards(std::span<const PageFingerprint> finge
     }
   }
   return hits;
+}
+
+std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBatch(
+    std::span<const PageFingerprint> fingerprints, NodeId local_node, SandboxId exclude_sandbox,
+    size_t max_results, SimDuration* lookup_cost, const obs::MessageTrace& trace) {
+  std::vector<CandidateTally> tallies(fingerprints.size());
+  SimDuration cost;
+  const uint64_t hits =
+      TallyBatch(fingerprints, local_node, exclude_sandbox, tallies, cost, trace);
+  lookups_.Add(fingerprints.size());
+  key_hits_.fetch_add(hits, std::memory_order_relaxed);
+  lookup_batches_.Add();
+  batch_cost_us_.Record(cost.value());
+  if (lookup_cost != nullptr) {
+    *lookup_cost += cost;
+  }
+  std::vector<std::vector<BasePageCandidate>> results;
+  results.reserve(fingerprints.size());
+  for (CandidateTally& tally : tallies) {
+    results.push_back(RankCandidates(std::move(tally), local_node, max_results));
+  }
+  return results;
+}
+
+std::optional<BasePageCandidate> FingerprintRegistry::FindBasePage(
+    const PageFingerprint& fingerprint, NodeId local_node, SandboxId exclude_sandbox) {
+  auto results = FindBasePagesBatch(std::span<const PageFingerprint>(&fingerprint, 1), local_node,
+                                    exclude_sandbox, 1);
+  if (results.front().empty()) {
+    return std::nullopt;
+  }
+  return results.front().front();
 }
 
 void FingerprintRegistry::Ref(SandboxId base_sandbox) {

@@ -1,4 +1,4 @@
-// The centralized global fingerprint registry (controller component).
+// The global fingerprint registry (controller component).
 //
 // Maps truncated chunk-hash keys (RSC identities) to the cluster locations of
 // pages that contain them. Only *base sandboxes* are inserted (paper
@@ -6,7 +6,9 @@
 // of base sandboxes rather than all sandboxes. Lookups take a page
 // fingerprint and return ranked base-page candidates: pages sharing the most
 // sampled chunks first, ties broken in favour of pages local to the
-// requesting node (saves an RDMA read at restore).
+// requesting node (saves an RDMA read at restore). The registry lives with
+// the controller (paper Section 4); bound to the cluster transport, its
+// lookups and inserts are charged as messages to the controller's node.
 //
 // Concurrency: one table, one per-sandbox reverse index and one refcount map,
 // all behind a single reader/writer lock. The only concurrent access is the
@@ -19,19 +21,81 @@
 #ifndef MEDES_REGISTRY_FINGERPRINT_REGISTRY_H_
 #define MEDES_REGISTRY_FINGERPRINT_REGISTRY_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "chunking/fingerprint.h"
 #include "common/annotations.h"
 #include "common/mutex.h"
+#include "common/time.h"
+#include "common/types.h"
 #include "net/transport.h"
-#include "registry/registry_backend.h"
+#include "obs/metrics.h"
+#include "obs/trace_context.h"
 
 namespace medes {
+
+// Modelled wire size of one sampled-chunk key in a registry message
+// (truncated key + page-location answer, round trip).
+inline constexpr Bytes kRegistryWireBytesPerKey{24};
+
+struct PageLocation {
+  NodeId node = kInvalidNode;
+  SandboxId sandbox;
+  PageIndex page_index;
+
+  bool operator==(const PageLocation&) const = default;
+};
+
+struct PageLocationHash {
+  size_t operator()(const PageLocation& loc) const {
+    uint64_t h = static_cast<uint64_t>(loc.node.value()) * 0x9e3779b97f4a7c15ull;
+    h ^= loc.sandbox.value() + 0x517cc1b727220a95ull + (h << 6);
+    h ^= static_cast<uint64_t>(loc.page_index.value()) * 0xff51afd7ed558ccdull + (h >> 3);
+    return static_cast<size_t>(h);
+  }
+};
+
+struct BasePageCandidate {
+  PageLocation location;
+  int overlap = 0;  // sampled chunks in common with the queried page
+};
+
+struct RegistryStats {
+  size_t num_keys = 0;
+  size_t num_entries = 0;
+  size_t num_base_sandboxes = 0;
+  uint64_t lookups = 0;
+  uint64_t key_hits = 0;
+  // Approximate bytes of controller memory held by the table.
+  size_t ApproxMemoryBytes() const {
+    return num_keys * 24 + num_entries * sizeof(PageLocation) + num_keys * 16;
+  }
+};
+
+// One page's (location -> matched-chunk count) tally: a flat vector with a
+// linear find. A page has a handful of sampled chunks and each chunk key
+// holds at most `max_locations_per_key` locations, so the vector stays small
+// and a scan beats hashing.
+struct CandidateTally {
+  std::vector<BasePageCandidate> entries;
+
+  void Add(const PageLocation& location) {
+    for (BasePageCandidate& entry : entries) {
+      if (entry.location == location) {
+        ++entry.overlap;
+        return;
+      }
+    }
+    entries.push_back({location, 1});
+  }
+};
 
 struct RegistryOptions {
   // Cap on locations tracked per chunk key — popular chunks (e.g. common
@@ -43,25 +107,28 @@ struct RegistryOptions {
   SimDuration lookup_per_page{80};
 };
 
-class FingerprintRegistry : public RegistryBackend {
+class FingerprintRegistry {
  public:
   explicit FingerprintRegistry(RegistryOptions options = {});
 
-  // Deep copies of the table state (a fresh lock; the destination keeps its
-  // own lookup counters). Used by chain-replication re-sync; the source may
-  // be serving concurrent readers, the destination must be quiescent.
+  // Deep copy of the table state: a fresh lock, no transport binding, and
+  // lookup counters that start at zero. The source may be serving
+  // concurrent readers. medes_perfbench copies a populated registry for its
+  // traced stage-by-stage pass.
   FingerprintRegistry(const FingerprintRegistry& other);
-  FingerprintRegistry& operator=(const FingerprintRegistry& other);
+  FingerprintRegistry& operator=(const FingerprintRegistry&) = delete;
 
+  // Registers all pages of a base sandbox. `fingerprints[i]` describes page
+  // i. `trace`, when sampled, parents the insert's wire-message span.
   void InsertBaseSandbox(NodeId node, SandboxId sandbox,
                          const std::vector<PageFingerprint>& fingerprints,
-                         const obs::MessageTrace& trace = {}) override;
+                         const obs::MessageTrace& trace = {});
 
   // Removes every entry belonging to `sandbox` via the reverse index:
   // O(keys the sandbox owns), not O(table size).
-  void RemoveBaseSandbox(SandboxId sandbox) override;
+  void RemoveBaseSandbox(SandboxId sandbox);
 
-  [[nodiscard]] bool IsBaseSandbox(SandboxId sandbox) const override;
+  [[nodiscard]] bool IsBaseSandbox(SandboxId sandbox) const;
 
   // Binds the shared cluster transport: lookups/inserts from node N are
   // charged as messages N -> `registry_node`. Configuration-time only (not
@@ -69,39 +136,44 @@ class FingerprintRegistry : public RegistryBackend {
   // pure controller CPU cost with no wire component.
   void BindTransport(std::shared_ptr<Transport> transport, NodeId registry_node);
 
-  void Ref(SandboxId base_sandbox) override;
-  void Unref(SandboxId base_sandbox) override;
-  [[nodiscard]] int RefCount(SandboxId base_sandbox) const override;
+  // The one lookup path. Returns ranked base-page candidates for each
+  // fingerprint, positionally aligned with the input: max sampled-chunk
+  // overlap first, then pages local to `local_node`, then lowest (sandbox,
+  // page); at most `max_results` each. `exclude_sandbox` skips the querying
+  // sandbox's own pages. When `lookup_cost` is non-null the modelled latency
+  // of serving the whole batch (its transport message plus `lookup_per_page`
+  // per page) is added to it. The cost is a pure function of the batch's
+  // contents (never of thread interleaving), preserving the pipeline
+  // determinism contract. `trace`, when sampled, parents the lookup's
+  // wire-message span and the registry-side work span.
+  [[nodiscard]] std::vector<std::vector<BasePageCandidate>> FindBasePagesBatch(
+      std::span<const PageFingerprint> fingerprints, NodeId local_node,
+      SandboxId exclude_sandbox, size_t max_results, SimDuration* lookup_cost = nullptr,
+      const obs::MessageTrace& trace = {});
 
-  [[nodiscard]] RegistryStats stats() const override;
+  // Convenience: the single best candidate (a batch of one).
+  [[nodiscard]] std::optional<BasePageCandidate> FindBasePage(const PageFingerprint& fingerprint,
+                                                              NodeId local_node,
+                                                              SandboxId exclude_sandbox = {});
+
+  // Base-sandbox refcounts (a base's memory is pinned while > 0).
+  void Ref(SandboxId base_sandbox);
+  void Unref(SandboxId base_sandbox);
+  [[nodiscard]] int RefCount(SandboxId base_sandbox) const;
+
+  [[nodiscard]] RegistryStats stats() const;
   size_t NumBaseSandboxes() const;
 
  private:
-  // A DistributedRegistry drives its replicas through the table-only
-  // operations below, so a replicated write or a shard lookup is counted
-  // once, by the distributed registry, and never by a replica.
-  friend class DistributedRegistry;
-
-  // The centralized lookup: one kRegistryLookup message for the batch (when
-  // a transport is bound) plus `lookup_per_page` per page, then TallyShards.
+  // FindBasePagesBatch's serving half: one kRegistryLookup message for the
+  // batch (when a transport is bound) plus `lookup_per_page` per page added
+  // into `cost`; then, under one reader lock, probes the batch's chunk keys
+  // in fingerprint order and adds fingerprint i's matches into `tallies[i]`.
+  // Returns the number of keys found. A dropped lookup message leaves every
+  // tally empty: missing a candidate is always safe.
   uint64_t TallyBatch(std::span<const PageFingerprint> fingerprints, NodeId local_node,
                       SandboxId exclude_sandbox, std::span<CandidateTally> tallies,
-                      SimDuration& cost, const obs::MessageTrace& trace) override;
-
-  // The one loop that reads the table for lookups: takes the lock once,
-  // probes the batch's chunk keys in fingerprint order, adds fingerprint i's
-  // matches into `tallies[i]`, and returns the number of keys found. Counts
-  // nothing.
-  uint64_t TallyShards(std::span<const PageFingerprint> fingerprints, SandboxId exclude_sandbox,
-                       std::span<CandidateTally> tallies) const;
-  // Table-only insert and removal: no transport or counting.
-  void AddEntries(NodeId node, SandboxId sandbox, std::span<const PageFingerprint> fingerprints);
-  void RemoveEntries(SandboxId sandbox);
-
-  // The destination must be quiescent; the source may be serving concurrent
-  // readers. Never holds a source and a destination lock at once (both carry
-  // the same rank).
-  void CopyFrom(const FingerprintRegistry& other);
+                      SimDuration& cost, const obs::MessageTrace& trace);
 
   RegistryOptions options_;
 
@@ -113,10 +185,25 @@ class FingerprintRegistry : public RegistryBackend {
   // Membership and refcounts of the registered base sandboxes.
   std::unordered_map<SandboxId, int> base_refcounts_ GUARDED_BY(mu_);
 
-  // Optional shared transport (see BindTransport). Not copied: a replica
-  // clone is table state, not a network endpoint.
+  // Optional shared transport (see BindTransport).
   std::shared_ptr<Transport> transport_;
   NodeId registry_node_ = kInvalidNode;
+
+  // Insert, removal and lookup series.
+  obs::Counter& inserts_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_inserts_total", "Base-sandbox fingerprint inserts");
+  obs::Counter& insert_keys_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_insert_keys_total", "Chunk keys carried by base-sandbox inserts");
+  obs::Counter& removes_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_removes_total", "Base sandboxes removed from the registry");
+  obs::Counter& lookup_batches_ = obs::MetricsRegistry::Default().GetCounter(
+      "medes_registry_lookup_batches_total", "Batched lookup round trips to the registry");
+  obs::Histogram& batch_cost_us_ = obs::MetricsRegistry::Default().GetHistogram(
+      "medes_registry_batch_cost_us", "Modelled cost of one batched lookup (us)");
+  // Page lookups and chunk-key hits, read back by stats().
+  obs::StatCounter lookups_{"medes_registry_lookups_total",
+                            "Per-page fingerprint lookups against the registry"};
+  std::atomic<uint64_t> key_hits_{0};
 };
 
 }  // namespace medes

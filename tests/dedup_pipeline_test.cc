@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "dedupagent/dedup_agent.h"
-#include "registry/distributed_registry.h"
+#include "registry/fingerprint_registry.h"
 
 namespace medes {
 namespace {
@@ -217,17 +217,19 @@ TEST(DedupPipelineTest, CentralizedLookupTimeIsTheRegistryModel) {
   EXPECT_EQ(r.lookup_time, expected);
 }
 
-// A distributed environment sharing one transport between the registry and
-// the fabric — what the platform wires up.
-struct DistEnv {
-  explicit DistEnv(size_t num_threads, Topology topology = {},
-                   DistributedRegistryOptions dopts = {})
+// An environment sharing one transport between the registry (bound to its
+// own controller node) and the fabric — what the platform wires up.
+struct NetEnv {
+  static constexpr NodeId kControllerNode{2};  // after SmallCluster's two workers
+
+  explicit NetEnv(size_t num_threads, Topology topology = {})
       : cluster(SmallCluster()),
         transport(std::make_shared<Transport>(std::move(topology))),
-        registry(dopts, transport),
         fabric({.page_cache_capacity = 512},
                [this](const PageLocation& loc) { return cluster.ReadBasePage(loc); }, transport),
-        agent(cluster, registry, fabric, AgentOpts(num_threads)) {}
+        agent(cluster, registry, fabric, AgentOpts(num_threads)) {
+    registry.BindTransport(transport, kControllerNode);
+  }
 
   Sandbox& WarmSandbox(const std::string& name, NodeId node, SimTime now = SimTime{}) {
     Sandbox& sb = cluster.Spawn(ProfileByName(name), node, now);
@@ -237,24 +239,20 @@ struct DistEnv {
 
   Cluster cluster;
   std::shared_ptr<Transport> transport;
-  DistributedRegistry registry;
+  FingerprintRegistry registry;
   RdmaFabric fabric;
   DedupAgent agent;
 };
 
-TEST(DedupPipelineTest, DistributedLookupTimeMatchesShardWireModel) {
-  // One shard over an infinite-bandwidth link makes the registry's modelled
-  // cost recoverable from the transport's own counters: each lookup message
-  // costs the link latency, plus per_key_lookup for each key it carried
-  // (bytes / kRegistryWireBytesPerKey). The agent must report exactly that —
-  // not a flat per-page constant.
+TEST(DedupPipelineTest, LookupTimeMatchesTransportModel) {
+  // An infinite-bandwidth link makes the registry's modelled cost
+  // recoverable from the transport's own counters: each lookup message
+  // costs the link latency, plus lookup_per_page for each page it carried
+  // (its request count). The agent must report exactly that, scaled.
   Topology topo;
   topo.remote = {.latency = SimDuration{7}, .bandwidth_gbps = 0.0};
   topo.local = {.latency = SimDuration{7}, .bandwidth_gbps = 0.0};  // node-independent cost
-  DistributedRegistryOptions dopts;
-  dopts.num_shards = 1;
-  dopts.replication_factor = 1;
-  DistEnv env(1, topo, dopts);
+  NetEnv env(1, topo);
 
   Sandbox& base = env.WarmSandbox("Vanilla", NodeId{0});
   env.agent.DesignateBase(base);
@@ -266,10 +264,10 @@ TEST(DedupPipelineTest, DistributedLookupTimeMatchesShardWireModel) {
   const TransportStats net_stats = env.transport->stats();
   const MessageStats& lookups = net_stats.For(MessageType::kRegistryLookup);
   ASSERT_GT(lookups.messages, 0u);
+  EXPECT_EQ(lookups.dropped, 0u);
   const SimDuration raw =
       SimDuration{7} * static_cast<int64_t>(lookups.messages) +
-      DistributedRegistryOptions().per_key_lookup *
-          static_cast<int64_t>(lookups.bytes / kRegistryWireBytesPerKey.value());
+      RegistryOptions().lookup_per_page * static_cast<int64_t>(lookups.requests);
   EXPECT_EQ(r.lookup_time,
             SimDuration{static_cast<int64_t>(static_cast<double>(raw.value()) *
                                              env.agent.ScaleFactor())});
@@ -278,16 +276,16 @@ TEST(DedupPipelineTest, DistributedLookupTimeMatchesShardWireModel) {
 // ---- Transport determinism across thread counts --------------------------
 
 TEST(DedupPipelineTest, TransportStatsIdenticalAcrossThreadCounts) {
-  // A full dedup + restore workload against a distributed registry and a
-  // shared transport: per-message-type counters, byte totals, and latency
+  // A full dedup + restore workload against a registry and fabric sharing
+  // one transport: per-message-type counters, byte totals, and latency
   // histograms — and every modelled duration — must be bit-identical at
   // 1 thread, 4 threads, and whatever MEDES_THREADS/hardware resolves to.
-  DistEnv one(1);
-  DistEnv four(4);
-  DistEnv hw(0);
-  std::vector<DistEnv*> envs = {&one, &four, &hw};
+  NetEnv one(1);
+  NetEnv four(4);
+  NetEnv hw(0);
+  std::vector<NetEnv*> envs = {&one, &four, &hw};
 
-  for (DistEnv* env : envs) {
+  for (NetEnv* env : envs) {
     Sandbox& vanilla_base = env->WarmSandbox("Vanilla", NodeId{0});
     env->agent.DesignateBase(vanilla_base);
     Sandbox& linalg_base = env->WarmSandbox("LinAlg", NodeId{0});
@@ -305,7 +303,7 @@ TEST(DedupPipelineTest, TransportStatsIdenticalAcrossThreadCounts) {
   for (const auto& v : victims) {
     std::vector<DedupOpResult> results;
     std::vector<SandboxId> ids;
-    for (DistEnv* env : envs) {
+    for (NetEnv* env : envs) {
       Sandbox& sb = env->WarmSandbox(v.function, v.node, SimTime{10});
       results.push_back(env->agent.DedupOp(sb, SimTime{20}));
       ids.push_back(sb.id);

@@ -155,12 +155,12 @@ TEST_F(MutexTest, CondVarWaitReacquiresMutex) {
 
 TEST_F(MutexTest, AscendingRankOrderIsClean) {
   Mutex pool("pool", LockRank::kPoolQueue);
-  SharedMutex shard("shard", LockRank::kRegistryTable);
+  SharedMutex table("table", LockRank::kRegistryTable);
   Mutex cache("cache", LockRank::kRdmaCache);
   Mutex metrics("metrics", LockRank::kMetrics);
   {
     MutexLock a(pool);
-    ReaderLock b(shard);
+    ReaderLock b(table);
     MutexLock c(cache);
     MutexLock d(metrics);
     EXPECT_EQ(HeldLockCount(), 4u);
@@ -170,28 +170,28 @@ TEST_F(MutexTest, AscendingRankOrderIsClean) {
 }
 
 TEST_F(MutexTest, InvertedAcquisitionReportsBothLocks) {
-  Mutex low("registry shard lock", LockRank::kRegistryTable);
+  Mutex low("registry table lock", LockRank::kRegistryTable);
   Mutex high("metrics sink lock", LockRank::kMetrics);
   {
     MutexLock a(high);
-    MutexLock b(low);  // rank 3 after rank 6: inversion
+    MutexLock b(low);  // rank 2 after rank 5: inversion
   }
   ASSERT_EQ(violations_.size(), 1u);
   EXPECT_NE(violations_[0].find("lock-order violation"), std::string::npos);
-  EXPECT_NE(violations_[0].find("registry shard lock"), std::string::npos);
+  EXPECT_NE(violations_[0].find("registry table lock"), std::string::npos);
   EXPECT_NE(violations_[0].find("metrics sink lock"), std::string::npos);
 }
 
 TEST_F(MutexTest, EqualRankNestingIsAViolation) {
-  SharedMutex a("shard a", LockRank::kRegistryTable);
-  SharedMutex b("shard b", LockRank::kRegistryTable);
+  SharedMutex a("table a", LockRank::kRegistryTable);
+  SharedMutex b("table b", LockRank::kRegistryTable);
   {
     ReaderLock first(a);
     ReaderLock second(b);  // same rank while the first is held
   }
   ASSERT_EQ(violations_.size(), 1u);
-  EXPECT_NE(violations_[0].find("shard a"), std::string::npos);
-  EXPECT_NE(violations_[0].find("shard b"), std::string::npos);
+  EXPECT_NE(violations_[0].find("table a"), std::string::npos);
+  EXPECT_NE(violations_[0].find("table b"), std::string::npos);
 }
 
 TEST_F(MutexTest, UnrankedLocksOptOutOfOrdering) {
@@ -212,7 +212,7 @@ TEST_F(MutexTest, ViolationListsHeldStackOldestFirst) {
   {
     MutexLock a(pool);
     MutexLock b(metrics);
-    MutexLock c(cache);  // rank 4 after rank 6
+    MutexLock c(cache);  // rank 3 after rank 5
   }
   ASSERT_EQ(violations_.size(), 1u);
   const std::string& message = violations_[0];

@@ -152,8 +152,8 @@ TEST(RegistryConcurrencyTest, RemoveIsScopedToOneSandbox) {
 }
 
 TEST(RegistryConcurrencyTest, CopyPreservesStateWithFreshLocks) {
-  // Chain-replication re-sync copy-assigns registries; the copy must be a
-  // deep, independent clone.
+  // medes_perfbench copies a populated registry for its traced stage pass;
+  // the copy must be a deep, independent clone.
   FingerprintRegistry original;
   original.InsertBaseSandbox(NodeId{0}, SandboxId{7}, SandboxFingerprints(SandboxId{7}));
   original.Ref(SandboxId{7});

@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "registry/distributed_registry.h"
+#include "net/transport.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace medes {
 namespace {
@@ -125,6 +127,14 @@ TEST(RegistryTest, StatsTrackLookups) {
   EXPECT_EQ(stats.lookups, 2u);
   EXPECT_EQ(stats.key_hits, 1u);
   EXPECT_GT(stats.ApproxMemoryBytes(), 0u);
+
+  // A batch counts every page, and every stored key it probes.
+  registry.InsertBaseSandbox(NodeId{0}, SandboxId{200}, {Fp({10, 11, 12}), Fp({13, 14})});
+  const std::vector<PageFingerprint> probes = {Fp({10, 11, 12}), Fp({13, 14, 99}), Fp({98})};
+  EXPECT_EQ(registry.FindBasePagesBatch(probes, NodeId{1}, SandboxId{}, 4).size(), 3u);
+  stats = registry.stats();
+  EXPECT_EQ(stats.lookups, 5u);
+  EXPECT_EQ(stats.key_hits, 6u);
 }
 
 TEST(RegistryTest, MultiplePagesSameSandbox) {
@@ -254,52 +264,116 @@ TEST(RegistryTest, RankingMatchesReferenceModel) {
   }
   ASSERT_GT(reference.capped(), 0u) << "no key reached the location cap";
 
-  std::vector<std::pair<std::string, std::unique_ptr<RegistryBackend>>> backends;
-  backends.emplace_back(
-      "central",
-      std::make_unique<FingerprintRegistry>(RegistryOptions{.max_locations_per_key = kCap}));
-  for (int shards : {1, 4}) {
-    DistributedRegistryOptions opts;
-    opts.num_shards = shards;
-    opts.replication_factor = 2;
-    opts.per_shard.max_locations_per_key = kCap;
-    backends.emplace_back("distributed/" + std::to_string(shards),
-                          std::make_unique<DistributedRegistry>(opts));
+  FingerprintRegistry registry(RegistryOptions{.max_locations_per_key = kCap});
+  for (const auto& [node, sandbox, fps] : bases) {
+    registry.InsertBaseSandbox(node, sandbox, fps);
   }
-
   size_t local_tie_breaks = 0;
-  for (auto& [name, registry] : backends) {
-    for (const auto& [node, sandbox, fps] : bases) {
-      registry->InsertBaseSandbox(node, sandbox, fps);
-    }
-    for (size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{64}}) {
-      for (SandboxId exclude : {kNoSandbox, SandboxId{100}, SandboxId{105}}) {
-        for (int local = 0; local < 4; ++local) {
-          const auto got = registry->FindBasePagesBatch(queries, NodeId{local}, exclude, k);
-          ASSERT_EQ(got.size(), queries.size()) << name;
-          for (size_t q = 0; q < queries.size(); ++q) {
-            const auto want = reference.Find(queries[q], NodeId{local}, exclude, k);
-            const auto full = reference.Find(queries[q], NodeId{local}, exclude, 64);
-            if (full.size() >= 2 && full[0].overlap == full[1].overlap &&
-                (full[0].location.node == NodeId{local}) !=
-                    (full[1].location.node == NodeId{local})) {
-              ++local_tie_breaks;
-            }
-            ASSERT_EQ(got[q].size(), want.size())
-                << name << " k=" << k << " exclude=" << exclude << " local=" << local
-                << " query " << q;
-            for (size_t r = 0; r < want.size(); ++r) {
-              EXPECT_EQ(got[q][r].location, want[r].location)
-                  << name << " k=" << k << " query " << q << " rank " << r;
-              EXPECT_EQ(got[q][r].overlap, want[r].overlap)
-                  << name << " k=" << k << " query " << q << " rank " << r;
-            }
+  for (size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{64}}) {
+    for (SandboxId exclude : {kNoSandbox, SandboxId{100}, SandboxId{105}}) {
+      for (int local = 0; local < 4; ++local) {
+        const auto got = registry.FindBasePagesBatch(queries, NodeId{local}, exclude, k);
+        ASSERT_EQ(got.size(), queries.size());
+        for (size_t q = 0; q < queries.size(); ++q) {
+          const auto want = reference.Find(queries[q], NodeId{local}, exclude, k);
+          const auto full = reference.Find(queries[q], NodeId{local}, exclude, 64);
+          if (full.size() >= 2 && full[0].overlap == full[1].overlap &&
+              (full[0].location.node == NodeId{local}) !=
+                  (full[1].location.node == NodeId{local})) {
+            ++local_tie_breaks;
+          }
+          ASSERT_EQ(got[q].size(), want.size())
+              << "k=" << k << " exclude=" << exclude << " local=" << local << " query " << q;
+          for (size_t r = 0; r < want.size(); ++r) {
+            EXPECT_EQ(got[q][r].location, want[r].location)
+                << "k=" << k << " query " << q << " rank " << r;
+            EXPECT_EQ(got[q][r].overlap, want[r].overlap)
+                << "k=" << k << " query " << q << " rank " << r;
           }
         }
       }
     }
   }
   EXPECT_GT(local_tie_breaks, 0u) << "no top-rank tie was decided by the local node";
+}
+
+// Bound to a transport, a registry whose controller link is cut from one
+// worker degrades instead of failing: that worker's insert registers
+// nothing and its lookups answer with no candidates, while other workers
+// are served as before.
+TEST(RegistryTest, CutControllerLinkDegradesToNoCandidates) {
+  constexpr NodeId kController{4};
+  auto transport = std::make_shared<Transport>();
+  auto policy = std::make_shared<StaticFaultPolicy>();
+  transport->InstallFaultPolicy(policy);
+  FingerprintRegistry registry;
+  registry.BindTransport(transport, kController);
+  policy->PartitionLink(NodeId{3}, kController);
+
+  registry.InsertBaseSandbox(NodeId{0}, SandboxId{100}, {Fp({1, 2, 3})});
+  registry.InsertBaseSandbox(NodeId{3}, SandboxId{200}, {Fp({4, 5, 6})});
+  EXPECT_TRUE(registry.IsBaseSandbox(SandboxId{100}));
+  EXPECT_FALSE(registry.IsBaseSandbox(SandboxId{200})) << "a dropped insert registers nothing";
+
+  SimDuration cost;
+  const std::vector<PageFingerprint> probe = {Fp({1, 2, 3})};
+  EXPECT_TRUE(registry.FindBasePagesBatch(probe, NodeId{3}, SandboxId{}, 1, &cost).front().empty());
+  EXPECT_GT(cost, SimDuration{0}) << "the sender still pays for the lost attempt";
+  EXPECT_EQ(registry.FindBasePagesBatch(probe, NodeId{1}, SandboxId{}, 1).front().size(), 1u);
+
+  const TransportStats net = transport->stats();
+  EXPECT_EQ(net.For(MessageType::kRegistryInsert).dropped, 1u);
+  EXPECT_EQ(net.For(MessageType::kRegistryLookup).messages, 2u);
+  EXPECT_EQ(net.For(MessageType::kRegistryLookup).dropped, 1u);
+  EXPECT_EQ(registry.stats().lookups, 2u);
+  EXPECT_EQ(registry.stats().key_hits, 3u);
+}
+
+// Random fingerprints: `pages` pages of 5 sampled chunks each.
+std::vector<PageFingerprint> RandomFingerprints(size_t pages, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PageFingerprint> fps(pages);
+  for (auto& fp : fps) {
+    for (int c = 0; c < 5; ++c) {
+      fp.chunks.push_back({rng.Next(), static_cast<uint32_t>(c * 64)});
+    }
+  }
+  return fps;
+}
+
+// The six registry series after one insert, one 4-page batch, one single
+// lookup and one removal (counter values; the batch-cost histogram's sample
+// count).
+std::map<std::string, uint64_t> RegistrySeriesAfterOneOfEach(FingerprintRegistry& registry) {
+  obs::MetricsRegistry::Default().ResetValues();
+  obs::SetMetricsEnabled(true);
+  const auto fps = RandomFingerprints(4, 1);  // 4 pages, 20 keys
+  registry.InsertBaseSandbox(NodeId{0}, SandboxId{100}, fps);
+  (void)registry.FindBasePagesBatch(fps, NodeId{1}, SandboxId{}, 4);
+  (void)registry.FindBasePage(fps[0], NodeId{1});
+  registry.RemoveBaseSandbox(SandboxId{100});
+  obs::SetMetricsEnabled(false);
+  std::map<std::string, uint64_t> out;
+  for (const obs::MetricSnapshot& snap : obs::MetricsRegistry::Default().Snapshot()) {
+    if (snap.name.starts_with("medes_registry_")) {
+      out[snap.name] = snap.kind == obs::InstrumentKind::kHistogram
+                           ? snap.histogram.count
+                           : static_cast<uint64_t>(snap.value);
+    }
+  }
+  return out;
+}
+
+// Each registry series is counted once per logical operation: a batch of
+// four pages is four lookups but one batch and one batch-cost sample.
+TEST(RegistryTest, SeriesCountEachOperationOnce) {
+  FingerprintRegistry registry;
+  const std::map<std::string, uint64_t> want = {
+      {"medes_registry_inserts_total", 1},        {"medes_registry_insert_keys_total", 20},
+      {"medes_registry_removes_total", 1},        {"medes_registry_lookups_total", 5},
+      {"medes_registry_lookup_batches_total", 2}, {"medes_registry_batch_cost_us", 2},
+  };
+  EXPECT_EQ(RegistrySeriesAfterOneOfEach(registry), want);
 }
 
 }  // namespace

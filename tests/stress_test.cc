@@ -177,32 +177,5 @@ TEST(StressTest, RefcountsReturnToZeroAfterFullDrain) {
   }
 }
 
-// The platform end-to-end with the distributed registry backend behaves
-// identically to the centralized one (scheduling is registry-agnostic).
-TEST(StressTest, PlatformWithDistributedRegistryMatchesCentralized) {
-  TraceOptions topts;
-  topts.duration = 6 * kMinute;
-  topts.rate_scale = 1.0;
-  auto trace = GenerateTrace(DefaultAzurePatterns(), topts);
-
-  PlatformOptions central = MakePlatformOptions(PolicyKind::kMedes);
-  central.cluster.num_nodes = 4;
-  central.cluster.node_memory_mb = 2048;
-  central.cluster.bytes_per_mb = 4096;
-  central.medes.alpha = 20.0;
-  PlatformOptions dist = central;
-  dist.registry_shards = 4;
-  dist.registry_replication = 2;
-
-  RunMetrics a = ServerlessPlatform(central).Run(trace);
-  RunMetrics b = ServerlessPlatform(dist).Run(trace);
-  EXPECT_EQ(a.TotalColdStarts(), b.TotalColdStarts());
-  EXPECT_EQ(a.dedup_ops, b.dedup_ops);
-  ASSERT_EQ(a.requests.size(), b.requests.size());
-  for (size_t i = 0; i < a.requests.size(); ++i) {
-    ASSERT_EQ(a.requests[i].e2e, b.requests[i].e2e) << "request " << i;
-  }
-}
-
 }  // namespace
 }  // namespace medes

@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "registry/registry_backend.h"  // kRegistryWireBytesPerKey
+#include "registry/fingerprint_registry.h"  // kRegistryWireBytesPerKey
 
 namespace medes {
 namespace {
@@ -150,7 +150,7 @@ TEST(TransportTest, StatsSeparatePerMessageType) {
   EXPECT_EQ(stats.For(MessageType::kRegistryLookup).messages, 1u);
   EXPECT_EQ(stats.For(MessageType::kBaseRead).messages, 1u);
   EXPECT_EQ(stats.For(MessageType::kControlDecision).messages, 1u);
-  EXPECT_EQ(stats.For(MessageType::kReplicaSync).messages, 0u);
+  EXPECT_EQ(stats.For(MessageType::kBaseReadBatch).messages, 0u);
 
   net.ResetStats();
   EXPECT_EQ(net.stats().TotalMessages(), 0u);
@@ -196,17 +196,15 @@ TEST(TransportFaultTest, NodePartitionDropsBothDirections) {
   Transport net(SmallTopology());
   auto policy = std::make_shared<StaticFaultPolicy>();
   net.InstallFaultPolicy(policy);
-  EXPECT_TRUE(net.NodeUp(NodeId{2}));
+  EXPECT_TRUE(net.Send(MessageType::kControlDecision, NodeId{0}, NodeId{2}, Bytes{64}).delivered);
 
   policy->PartitionNode(NodeId{2});
-  EXPECT_FALSE(net.NodeUp(NodeId{2}));
-  EXPECT_TRUE(net.NodeUp(NodeId{1}));
+  EXPECT_FALSE(net.Send(MessageType::kControlDecision, NodeId{1}, NodeId{2}, Bytes{64}).delivered);
   EXPECT_FALSE(net.Send(MessageType::kBaseRead, NodeId{0}, NodeId{2}, Bytes{4096}).delivered);
   EXPECT_FALSE(net.Send(MessageType::kBaseRead, NodeId{2}, NodeId{0}, Bytes{4096}).delivered);
   EXPECT_TRUE(net.Send(MessageType::kBaseRead, NodeId{0}, NodeId{1}, Bytes{4096}).delivered);
 
   policy->HealNode(NodeId{2});
-  EXPECT_TRUE(net.NodeUp(NodeId{2}));
   EXPECT_TRUE(net.Send(MessageType::kBaseRead, NodeId{0}, NodeId{2}, Bytes{4096}).delivered);
 
   const TransportStats stats = net.stats();
@@ -229,7 +227,6 @@ TEST(TransportFaultTest, LinkPartitionIsBidirectionalAndHealable) {
   EXPECT_FALSE(net.Send(MessageType::kRegistryLookup, NodeId{0}, NodeId{1}, Bytes{24}).delivered);
   EXPECT_FALSE(net.Send(MessageType::kRegistryLookup, NodeId{1}, NodeId{0}, Bytes{24}).delivered);
   // Nodes stay up — only the one link is cut.
-  EXPECT_TRUE(net.NodeUp(NodeId{0}));
   EXPECT_TRUE(net.Send(MessageType::kRegistryLookup, NodeId{0}, NodeId{2}, Bytes{24}).delivered);
 
   policy->HealLink(NodeId{0}, NodeId{1});
@@ -254,9 +251,8 @@ TEST(TransportFaultTest, ClearingThePolicyRestoresHealth) {
   auto policy = std::make_shared<StaticFaultPolicy>();
   net.InstallFaultPolicy(policy);
   policy->PartitionNode(NodeId{1});
-  EXPECT_FALSE(net.NodeUp(NodeId{1}));
+  EXPECT_FALSE(net.Send(MessageType::kBaseRead, NodeId{0}, NodeId{1}, Bytes{4096}).delivered);
   net.InstallFaultPolicy(nullptr);
-  EXPECT_TRUE(net.NodeUp(NodeId{1}));
   EXPECT_TRUE(net.Send(MessageType::kBaseRead, NodeId{0}, NodeId{1}, Bytes{4096}).delivered);
 }
 

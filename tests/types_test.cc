@@ -83,7 +83,7 @@ TEST(StrongOrdinalTest, IncrementHandsOutSequentialIds) {
 }
 
 TEST(StrongOrdinalTest, HashMatchesUnderlyingInteger) {
-  // Shard selection (hash % shards) must not change across the migration.
+  // Hash-table bucketing must not change across the migration.
   EXPECT_EQ(std::hash<SandboxId>{}(SandboxId{123}), std::hash<uint64_t>{}(123));
   EXPECT_EQ(std::hash<NodeId>{}(NodeId{5}), std::hash<int32_t>{}(5));
   std::unordered_set<SandboxId> set;
