@@ -1,10 +1,12 @@
-// Shared helpers for the paper-reproduction benchmarks.
+// Shared helpers for the programs in bench/.
 //
-// Every binary in bench/ regenerates one table or figure from the paper's
-// evaluation (Section 7). Output convention: a header naming the experiment,
-// the parameters used, then rows mirroring the paper's axes, with the paper's
-// reported values quoted alongside where applicable. EXPERIMENTS.md records
-// the paper-vs-measured comparison for each.
+// `paper_claims` regenerates every table and figure of the paper's
+// evaluation (Section 7), one claim per artifact; the other programs are
+// campaigns and microbenchmarks that write BENCH JSON. Output convention for a
+// claim: a header naming the experiment, the parameters used, then rows
+// mirroring the paper's axes, with the paper's reported values quoted
+// alongside where applicable. EXPERIMENTS.md records the paper-vs-measured
+// comparison for each.
 #ifndef MEDES_BENCH_BENCH_UTIL_H_
 #define MEDES_BENCH_BENCH_UTIL_H_
 
@@ -96,6 +98,49 @@ inline PlatformOptions RepresentativeOptions(PolicyKind policy, double node_memo
   options.cluster.num_nodes = 4;
   return options;
 }
+
+// A two-node dedup rig with no memory pressure, for measuring single dedup and
+// restore ops: base sandboxes go on node 0 and the sandboxes being deduped on
+// node 1, so every base read is a remote RDMA read, as in the paper's testbed.
+// `bytes_per_mb` is the image scale, and it sets the modelled op costs.
+struct AgentRig {
+  explicit AgentRig(size_t bytes_per_mb, DedupAgentOptions agent_opts = {})
+      : cluster([bytes_per_mb] {
+          ClusterOptions c;
+          c.num_nodes = 2;
+          c.node_memory_mb = 1e9;
+          c.bytes_per_mb = bytes_per_mb;
+          return c;
+        }()),
+        fabric({}, [this](const PageLocation& loc) { return cluster.ReadBasePage(loc); }),
+        agent(cluster, registry, fabric, agent_opts) {}
+  // The fabric's page reader and the agent hold this rig's address.
+  AgentRig(const AgentRig&) = delete;
+  AgentRig& operator=(const AgentRig&) = delete;
+
+  Sandbox& Warm(const FunctionProfile& profile, NodeId node) {
+    Sandbox& sb = cluster.Spawn(profile, node, SimTime{});
+    cluster.MarkWarm(sb, SimTime{});
+    return sb;
+  }
+
+  // One warm base sandbox per FunctionBench function, on node 0.
+  void DesignateBases() {
+    for (const auto& p : FunctionBenchProfiles()) {
+      agent.DesignateBase(Warm(p, NodeId{0}));
+    }
+  }
+
+  // Image bytes -> represented MB.
+  double Mb(uint64_t bytes) const {
+    return static_cast<double>(bytes) / static_cast<double>(cluster.options().bytes_per_mb);
+  }
+
+  Cluster cluster;
+  FingerprintRegistry registry;
+  RdmaFabric fabric;
+  DedupAgent agent;
+};
 
 // ---------------------------------------------------------------------------
 // JSON output
@@ -299,14 +344,6 @@ inline double TotalSavedMb(const RunMetrics& m) {
   double total = 0;
   for (const auto& f : m.per_function) {
     total += f.total_saved_mb;
-  }
-  return total;
-}
-
-inline uint64_t TotalWarmStarts(const RunMetrics& m) {
-  uint64_t total = 0;
-  for (const auto& f : m.per_function) {
-    total += f.warm_starts;
   }
   return total;
 }

@@ -1,0 +1,1200 @@
+// The paper's evaluation (Section 7): one claim per figure or table, each
+// printing the paper's axes with the paper's reported values alongside.
+// EXPERIMENTS.md records the paper-vs-measured comparison for each claim.
+//
+// Usage: paper_claims [--only <claim>] [restore_latency.json]
+//   With no --only, every claim runs in the order of the README table and
+//   the output is the claims' outputs concatenated. The positional path is
+//   where the fig8_breakdown claim writes its BENCH JSON (default
+//   BENCH_restore_latency.json); its metadata block counts the whole process.
+// Env: MEDES_RESTORE_LATENCY_MODE=smoke  fig8_breakdown's CI perf-smoke config
+//                                        (100-node point only, short trace)
+//
+// The full-workload claims (Figs 2, 7, 9, 10, 11) replay one 30-minute trace
+// under the same few configurations. The simulator is deterministic, so each
+// (policy, pool) run is made once and shared: see FullRun.
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "bench_util.h"
+
+using namespace medes;
+
+namespace {
+
+// The full workload (Section 7.1), generated once.
+const std::vector<TraceEvent>& FullTrace() {
+  static const std::vector<TraceEvent> trace = bench::FullWorkload(30 * kMinute);
+  return trace;
+}
+
+// The full workload replayed under `policy` with `node_mb` per worker node,
+// memoised by (policy, node_mb).
+const RunMetrics& FullRun(PolicyKind policy, double node_mb = 2048) {
+  static std::map<std::pair<PolicyKind, double>, RunMetrics> runs;
+  const std::pair key{policy, node_mb};
+  auto it = runs.find(key);
+  if (it == runs.end()) {
+    it = runs.emplace(key, ServerlessPlatform(bench::EvalOptions(policy, node_mb)).Run(FullTrace()))
+             .first;
+  }
+  return it->second;
+}
+
+// num / den, or 0 when den is 0.
+double Ratio(uint64_t num, uint64_t den) {
+  return den ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+}
+
+// How far `value` falls below `base`, in percent of `base` (0 when base is 0).
+double PercentBelow(uint64_t base, uint64_t value) {
+  return base ? 100.0 * (static_cast<double>(base) - static_cast<double>(value)) /
+                    static_cast<double>(base)
+              : 0.0;
+}
+
+// ---------------------------------------------------------------------------
+// Figure 1 — memory redundancy in serverless workloads (Section 2.1).
+//
+// (a) Same-function redundancy vs chunk size, ASLR disabled.
+// (b) Same, ASLR enabled.
+// (c) Cross-function redundancy matrix at 64 B chunks.
+//
+// Methodology: two freshly-loaded sandbox images per function; redundancy of
+// B w.r.t. A measured with the paper's fixed-stride chunk sampling +
+// extension method (chunking/redundancy.h). Paper expectation: 0.85-0.9 at
+// 64 B falling toward ~0.55-0.75 at 1 KiB; ASLR costs ~5% at 64 B; the
+// cross-function matrix sits around 0.84-0.90.
+
+// Quarter-scale images keep the 10x10 matrix fast while leaving thousands of
+// probes per measurement.
+constexpr size_t kRedundancyBytesPerMb = 262144;
+
+MemoryImage Fresh(const FunctionProfile& profile, const LibraryPool& pool, uint64_t seed,
+                  bool aslr) {
+  return BuildSandboxImage(profile, pool, FreshImageOptions(seed, aslr));
+}
+
+void ChunkSweep(const LibraryPool& pool, bool aslr) {
+  const size_t chunk_sizes[] = {64, 128, 256, 512, 1024};
+  std::printf("%-12s", "function");
+  for (size_t cs : chunk_sizes) {
+    std::printf(" %6zuB", cs);
+  }
+  std::printf("\n");
+  for (const auto& profile : FunctionBenchProfiles()) {
+    MemoryImage a = Fresh(profile, pool, 1, aslr);
+    MemoryImage b = Fresh(profile, pool, 2, aslr);
+    std::printf("%-12s", profile.name.c_str());
+    for (size_t cs : chunk_sizes) {
+      double frac = MeasureRedundancy(a.bytes(), b.bytes(), {.chunk_size = cs}).Fraction();
+      std::printf(" %6.3f ", frac);
+    }
+    std::printf("\n");
+  }
+}
+
+void Fig1Redundancy() {
+  bench::Header("Figure 1: Memory redundancy in serverless workloads",
+                "FunctionBench pairs, fixed-stride sampling + extension (Section 2.1)");
+  LibraryPool pool(0x11b9, kRedundancyBytesPerMb);
+
+  bench::Section("Fig 1a: same-function redundancy vs chunk size, ASLR disabled");
+  std::printf("(paper: ~0.85-0.90 at 64B, decaying with chunk size)\n");
+  ChunkSweep(pool, /*aslr=*/false);
+
+  bench::Section("Fig 1b: same-function redundancy vs chunk size, ASLR enabled");
+  std::printf("(paper: ~5%% below the ASLR-disabled curve at 64B)\n");
+  ChunkSweep(pool, /*aslr=*/true);
+
+  bench::Section("Fig 1c: cross-function redundancy at 64B chunks (row w.r.t. column)");
+  std::printf("(paper: 0.84-0.90 across all pairs)\n");
+  const auto& profiles = FunctionBenchProfiles();
+  // Distinct sandbox instances for rows and columns, so the diagonal is the
+  // same-function (not same-sandbox) redundancy, as in the paper.
+  std::vector<MemoryImage> row_images, col_images;
+  for (const auto& profile : profiles) {
+    row_images.push_back(Fresh(profile, pool, 10 + static_cast<uint64_t>(profile.id), false));
+    col_images.push_back(Fresh(profile, pool, 30 + static_cast<uint64_t>(profile.id), false));
+  }
+  std::printf("%-12s", "");
+  for (const auto& p : profiles) {
+    std::printf(" %7.7s", p.name.c_str());
+  }
+  std::printf("\n");
+  for (size_t row = 0; row < profiles.size(); ++row) {
+    std::printf("%-12s", profiles[row].name.c_str());
+    for (size_t col = 0; col < profiles.size(); ++col) {
+      double frac = MeasureRedundancy(col_images[col].bytes(), row_images[row].bytes()).Fraction();
+      std::printf(" %7.3f", frac);
+    }
+    std::printf("\n");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Figure 2 — possible memory savings on a real-world workload (Section 2.1).
+//
+// The paper's Fig. 2 is an *estimate*: take the memory timeline of a
+// keep-alive platform and ask how much smaller it would be if the redundancy
+// in idle warm sandboxes were eliminated. We reproduce it the same way:
+//   1. replay a 30-minute Azure-like trace under fixed keep-alive and sample
+//      per-function idle-warm memory over time;
+//   2. measure each function's dedup savings fraction once (the Table 3
+//      methodology);
+//   3. usage-after-elimination(t) =
+//          used(t) - sum_f idle_f(t) * savings_f + one base sandbox per
+//          active function (its memory must stay resident to serve RSCs).
+// The paper estimates savings of up to ~30% vs keep-alive platforms.
+
+// Measured savings fraction per function (Table 3 methodology, small scale).
+std::vector<double> MeasureSavingsFractions() {
+  bench::AgentRig rig(16384);
+  rig.DesignateBases();
+  std::vector<double> fractions;
+  for (const auto& p : FunctionBenchProfiles()) {
+    DedupOpResult d = rig.agent.DedupOp(rig.Warm(p, NodeId{1}), SimTime{1});
+    fractions.push_back(rig.Mb(d.saved_bytes) / p.memory_mb);
+  }
+  return fractions;
+}
+
+void Fig2SavingsTimeline() {
+  bench::Header("Figure 2: memory savings on a real-world workload",
+                "Keep-alive usage vs estimated usage after redundancy elimination");
+  std::vector<double> savings = MeasureSavingsFractions();
+
+  const RunMetrics& m = FullRun(PolicyKind::kFixedKeepAlive);
+
+  const PlatformOptions opts = bench::EvalOptions(PolicyKind::kFixedKeepAlive);
+  const double pool = opts.cluster.node_memory_mb * opts.cluster.num_nodes;
+  std::printf("\n%8s %14s %20s %9s\n", "t(s)", "keep-alive(%)", "after-elimination(%)",
+              "saved(%)");
+  double sum = 0, peak = 0;
+  size_t rows = 0;
+  for (size_t i = 0; i < m.memory_timeline.size(); i += 6) {  // one row per minute
+    const auto& s = m.memory_timeline[i];
+    double eliminated = 0;
+    double base_cost = 0;
+    for (size_t f = 0; f < s.idle_warm_mb_per_function.size(); ++f) {
+      if (s.idle_warm_mb_per_function[f] > 0) {
+        eliminated += s.idle_warm_mb_per_function[f] * savings[f];
+        // One base sandbox snapshot per active function stays pinned.
+        base_cost += FunctionBenchProfiles()[f].memory_mb;
+      }
+    }
+    double after = s.used_mb - eliminated + base_cost;
+    double saved_pct = s.used_mb > 0 ? 100.0 * (s.used_mb - after) / s.used_mb : 0.0;
+    std::printf("%8.0f %14.1f %20.1f %9.1f\n", ToSeconds(s.time - SimTime{}), 100.0 * s.used_mb / pool,
+                100.0 * after / pool, saved_pct);
+    if (ToSeconds(s.time - SimTime{}) > 120) {
+      sum += saved_pct;
+      peak = std::max(peak, saved_pct);
+      ++rows;
+    }
+  }
+  std::printf("\nmean savings after warm-up: %.1f%%, peak: %.1f%% (paper: up to ~30%%)\n",
+              rows ? sum / static_cast<double>(rows) : 0.0, peak);
+}
+
+// ---------------------------------------------------------------------------
+// Table 2 — execution time and memory footprint of the FunctionBench suite,
+// plus the library composition from Table 1 and the modelled cold/warm start
+// latencies the simulator uses.
+
+void Table2Profiles() {
+  bench::Header("Table 2: FunctionBench profiles",
+                "Execution times and memory footprints (paper Table 2) + model parameters");
+  std::printf("%-12s %9s %8s %9s %9s  %s\n", "function", "exec(ms)", "mem(MB)", "cold(ms)",
+              "warm(ms)", "libraries");
+  for (const auto& p : FunctionBenchProfiles()) {
+    std::string libs;
+    for (const auto& lib : p.libraries) {
+      if (!libs.empty()) {
+        libs += ", ";
+      }
+      libs += lib;
+    }
+    std::printf("%-12s %9.0f %8.1f %9.0f %9.0f  %s\n", p.name.c_str(), ToMillis(p.exec_time),
+                p.memory_mb, ToMillis(p.cold_start), ToMillis(p.warm_start), libs.c_str());
+  }
+  std::printf("\nLibrary catalogue (represented clean-mapping sizes):\n");
+  for (const auto& lib : LibraryCatalogue()) {
+    std::printf("  %-16s %6.1f MB\n", lib.name.c_str(), lib.size_mb);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Figure 7 — end-to-end latency improvements (Section 7.2).
+//
+// The full multi-function workload replayed under Medes (latency objective,
+// P1), fixed keep-alive (10 min), and adaptive keep-alive, with 2 GB/node
+// software limits so the cluster is oversubscribed.
+//
+// (a) Distribution of per-request improvement factors (baseline e2e / Medes
+//     e2e) against both baselines — the paper reports up to 2.25x / 2.75x
+//     with <1% of requests regressing.
+// (b) Per-function cold-start counts and 99.9th-percentile e2e latencies —
+//     the paper reports 1-2.24x (fixed) and up to 2.3x (adaptive) tail wins,
+//     driven by 1.85x / 6.2x cold-start reductions.
+
+void Fig7Latency() {
+  bench::Header("Figure 7: end-to-end latency vs keep-alive baselines",
+                "Full workload, 19 nodes x 2 GB software limit (oversubscribed), Medes P1");
+  std::printf("requests: %zu over 30 simulated minutes (5x-magnified Azure-like arrivals)\n",
+              FullTrace().size());
+
+  const RunMetrics& medes = FullRun(PolicyKind::kMedes);
+  const RunMetrics& fixed = FullRun(PolicyKind::kFixedKeepAlive);
+  const RunMetrics& adaptive = FullRun(PolicyKind::kAdaptiveKeepAlive);
+
+  bench::Section("Fig 7a: CDF of per-request improvement factor (baseline e2e / Medes e2e)");
+  const double cdf_points[] = {0.005, 0.01, 0.05, 0.5, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0};
+  for (const auto* pair : {&fixed, &adaptive}) {
+    const char* name = (pair == &fixed) ? "vs Fixed Keep-Alive" : "vs Adaptive Keep-Alive";
+    auto factors = ImprovementFactors(medes, *pair);
+    SampleRecorder rec;
+    size_t regressions = 0;
+    for (double f : factors) {
+      rec.Record(f);
+      if (f < 1.0) {
+        ++regressions;
+      }
+    }
+    std::printf("  %s:\n    CDF    :", name);
+    for (double p : cdf_points) {
+      std::printf(" %5.3f", p);
+    }
+    std::printf("\n    factor :");
+    for (double p : cdf_points) {
+      std::printf(" %5.2f", rec.Percentile(p));
+    }
+    std::printf("\n    requests with factor < 1 (Medes slower): %.2f%%  (paper: <1%%)\n",
+                100.0 * static_cast<double>(regressions) / static_cast<double>(factors.size()));
+  }
+
+  bench::Section("Fig 7b: per-function cold starts and 99.9p e2e latency (ms)");
+  std::printf("%-12s | %7s %7s %7s | %9s %9s %9s | %6s %6s\n", "function", "cs:fix", "cs:ada",
+              "cs:med", "p999:fix", "p999:ada", "p999:med", "x fix", "x ada");
+  for (const auto& p : FunctionBenchProfiles()) {
+    auto f = static_cast<size_t>(p.id);
+    double pf = fixed.FunctionE2ePercentileMs(p.id, 0.999);
+    double pa = adaptive.FunctionE2ePercentileMs(p.id, 0.999);
+    double pm = medes.FunctionE2ePercentileMs(p.id, 0.999);
+    std::printf("%-12s | %7lu %7lu %7lu | %9.0f %9.0f %9.0f | %6.2f %6.2f\n", p.name.c_str(),
+                fixed.per_function[f].cold_starts, adaptive.per_function[f].cold_starts,
+                medes.per_function[f].cold_starts, pf, pa, pm, pm > 0 ? pf / pm : 0,
+                pm > 0 ? pa / pm : 0);
+  }
+
+  bench::Section("Sources of improvement (Section 7.2.1)");
+  std::printf("total cold starts      : fixed=%lu adaptive=%lu medes=%lu\n",
+              fixed.TotalColdStarts(), adaptive.TotalColdStarts(), medes.TotalColdStarts());
+  std::printf(
+      "cold-start reduction   : %.2fx vs fixed, %.2fx vs adaptive (paper: up to 1.85x/6.2x)\n",
+      Ratio(fixed.TotalColdStarts(), medes.TotalColdStarts()),
+      Ratio(adaptive.TotalColdStarts(), medes.TotalColdStarts()));
+  std::printf("dedup transitions      : %lu across %lu spawned sandboxes (%.2f per sandbox; a\n"
+              "                         sandbox re-enters dedup after each reuse — the paper\n"
+              "                         reports ~39%% of sandboxes deduplicated)\n",
+              medes.sandboxes_deduped, medes.sandboxes_spawned,
+              Ratio(medes.sandboxes_deduped, medes.sandboxes_spawned));
+  std::printf("mean sandboxes resident: fixed=%.1f adaptive=%.1f medes=%.1f "
+              "(paper: medes keeps 7.74%%/37.7%% more)\n",
+              fixed.MeanSandboxesInMemory(), adaptive.MeanSandboxesInMemory(),
+              medes.MeanSandboxesInMemory());
+  std::printf("dedup starts (medes)   : %lu; restores=%lu\n", bench::TotalDedupStarts(medes),
+              medes.restores);
+}
+
+// ---------------------------------------------------------------------------
+// Figure 8 — dedup start time breakdown vs cold start times (Section 7.2.1),
+// extended with the working-set-aware lazy restore comparison.
+//
+// Part 1 (per function): designate a same-function base, dedup a second
+// sandbox, restore it eagerly, and report the three restore phases the paper
+// plots — base page reading (RDMA), original page computing (patch apply),
+// and sandbox restoration (CRIU) — against the function's cold start. Then
+// the same cycle under lazy mode with a *trained* working set: the critical
+// path shrinks to the predicted pages (batched fetch + partial CRIU) and the
+// rest moves to demand faults and the background phase.
+//
+// Part 2 (cluster sweep): full platform runs on the cluster_scale workload at
+// 10/50/100 worker nodes, one eager run and one lazy run per node count over
+// the same trace, reporting P50/P99 critical-path restore latency, working-set
+// hit rate, and background-fault volume. Writes the restore_latency BENCH
+// JSON (validated by scripts/check_bench_json.py); every sweep field is
+// derived from simulation state only, so the JSON payload is byte-identical
+// across MEDES_THREADS settings. A failed write ends the process with status 1.
+
+struct FunctionRow {
+  const char* name = "";
+  RestoreOpResult eager;
+  RestoreOpResult lazy;  // trained working set
+  BackgroundRestoreResult lazy_bg;
+  SimDuration cold_start;
+};
+
+struct SweepRow {
+  int nodes = 0;
+  double rate_scale = 0;
+  SimDuration duration;
+  uint64_t requests = 0;
+  uint64_t eager_restores = 0;
+  uint64_t lazy_restores = 0;
+  double eager_p50_ms = 0;
+  double eager_p99_ms = 0;
+  double lazy_p50_ms = 0;
+  double lazy_p99_ms = 0;
+  double ws_hit_rate = 0;
+  uint64_t ws_fault_pages = 0;
+  uint64_t background_completions = 0;
+  uint64_t background_pages = 0;
+};
+
+// One dedup -> restore -> run cycle; returns the restore result.
+RestoreOpResult Cycle(Cluster& cluster, DedupAgent& agent, Sandbox& sb, SimTime now,
+                      BackgroundRestoreResult* bg) {
+  agent.DedupOp(sb, now);
+  RestoreOpResult r = agent.RestoreOp(sb, now + SimDuration{1}, /*verify=*/true);
+  if (r.background_pending) {
+    *bg = agent.CompleteBackgroundRestore(sb, now + SimDuration{2});
+  }
+  cluster.MarkRunning(sb, now + SimDuration{3});
+  cluster.MarkWarm(sb, now + SimDuration{4});
+  return r;
+}
+
+std::vector<FunctionRow> PerFunctionBreakdown() {
+  DedupAgentOptions eager_opts;
+  eager_opts.restore_mode = RestoreMode::kEager;
+  bench::AgentRig rig(65536, eager_opts);
+  DedupAgent lazy_agent(rig.cluster, rig.registry, rig.fabric, {});  // default: lazy
+  rig.DesignateBases();
+
+  std::vector<FunctionRow> rows;
+  for (const auto& p : FunctionBenchProfiles()) {
+    FunctionRow row;
+    row.name = p.name.c_str();
+    row.cold_start = p.cold_start;
+    // Remote node: real RDMA reads, as in the paper's testbed.
+    Sandbox& sb = rig.Warm(p, NodeId{1});
+    BackgroundRestoreResult ignored;
+    row.eager = Cycle(rig.cluster, rig.agent, sb, SimTime{10}, &ignored);
+    // Lazy cycle 1 trains the working set (unprofiled = full prefetch);
+    // cycle 2 is the steady-state lazy restore the sweep below measures.
+    (void)Cycle(rig.cluster, lazy_agent, sb, SimTime{20}, &ignored);
+    row.lazy = Cycle(rig.cluster, lazy_agent, sb, SimTime{30}, &row.lazy_bg);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+SweepRow RunSweepPoint(int nodes, SimDuration duration, RestoreMode mode, SweepRow row) {
+  // Oversubscribed nodes (Section 7.4's pressure pools): pressure-driven
+  // dedup keeps a steady population of dedup sandboxes, so the sweep
+  // actually measures restore latency rather than warm-start luck.
+  PlatformOptions options = bench::EvalOptions(PolicyKind::kMedes, /*node_memory_mb=*/1536);
+  options.cluster.num_nodes = nodes;
+  options.agent.restore_mode = mode;
+  TraceOptions topts;
+  topts.duration = duration;
+  topts.rate_scale = row.rate_scale;
+  const RunMetrics m = ServerlessPlatform(options).Run(GenerateTrace(DefaultAzurePatterns(), topts));
+  const LazyRestoreStats& lz = m.lazy_restore;
+  row.requests = m.TotalRequests();
+  if (mode == RestoreMode::kEager) {
+    row.eager_restores = lz.eager_restores;
+    row.eager_p50_ms = lz.critical_path_ms.Empty() ? 0 : lz.critical_path_ms.Percentile(0.5);
+    row.eager_p99_ms = lz.critical_path_ms.Empty() ? 0 : lz.critical_path_ms.Percentile(0.99);
+  } else {
+    row.lazy_restores = lz.lazy_restores;
+    row.lazy_p50_ms = lz.critical_path_ms.Empty() ? 0 : lz.critical_path_ms.Percentile(0.5);
+    row.lazy_p99_ms = lz.critical_path_ms.Empty() ? 0 : lz.critical_path_ms.Percentile(0.99);
+    row.ws_hit_rate = lz.HitRate();
+    row.ws_fault_pages = lz.ws_fault_pages;
+    row.background_completions = lz.background_completions;
+    row.background_pages = lz.background_pages;
+  }
+  return row;
+}
+
+void Fig8Breakdown(const std::string& out_path) {
+  const char* mode_env = std::getenv("MEDES_RESTORE_LATENCY_MODE");
+  const bool smoke = mode_env != nullptr && std::string(mode_env) == "smoke";
+
+  bench::Header("Figure 8: dedup start breakdown vs cold starts",
+                "Per-function restore phases at represented scale, eager vs lazy");
+
+  const std::vector<FunctionRow> rows = PerFunctionBreakdown();
+  std::printf("%-12s | %9s %11s %11s | %10s %9s | %7s\n", "function", "read(ms)", "compute(ms)",
+              "restore(ms)", "dedup(ms)", "cold(ms)", "speedup");
+  for (const FunctionRow& r : rows) {
+    std::printf("%-12s | %9.1f %11.1f %11.1f | %10.1f %9.0f | %6.1fx\n", r.name,
+                ToMillis(r.eager.read_base_time), ToMillis(r.eager.compute_time),
+                ToMillis(r.eager.sandbox_restore_time), ToMillis(r.eager.total_time),
+                ToMillis(r.cold_start),
+                static_cast<double>(r.cold_start.value()) /
+                    static_cast<double>(r.eager.total_time.value()));
+  }
+  std::printf("\n(every restore above was verified byte-exact against the original image)\n");
+
+  bench::Section("Lazy restore, trained working set (critical path before resume)");
+  std::printf("%-12s | %11s %9s | %7s %7s %7s | %7s\n", "function", "critical(ms)", "fault(ms)",
+              "hit%", "faults", "bg_pages", "vs eager");
+  for (const FunctionRow& r : rows) {
+    const double hit_rate =
+        r.lazy.ws_touched_pages == 0
+            ? 1.0
+            : static_cast<double>(r.lazy.ws_hit_pages) /
+                  static_cast<double>(r.lazy.ws_touched_pages);
+    std::printf("%-12s | %11.1f %9.1f | %6.0f%% %7zu %7zu | %6.1fx\n", r.name,
+                ToMillis(r.lazy.critical_path_time), ToMillis(r.lazy.fault_time),
+                100.0 * hit_rate, r.lazy.ws_fault_pages, r.lazy.background_pages,
+                static_cast<double>(r.eager.total_time.value()) /
+                    static_cast<double>(r.lazy.critical_path_time.value()));
+  }
+
+  std::printf("\nRestore-op optimisation (Section 4.2): pre-done namespace/process-tree work\n");
+  CheckpointCosts costs;
+  std::printf("  skipped per dedup start: %.0f ms (paper: 650 ms -> ~140 ms)\n",
+              ToMillis(costs.namespace_and_ptree));
+
+  // ---- Cluster sweep: critical-path restore latency vs node count --------
+  bench::Section(smoke ? "Cluster sweep (smoke)" : "Cluster sweep (full)");
+  std::vector<int> node_counts = smoke ? std::vector<int>{100} : std::vector<int>{10, 50, 100};
+  const SimDuration duration = smoke ? 10 * kMinute : 30 * kMinute;
+  std::vector<SweepRow> sweep;
+  for (int nodes : node_counts) {
+    SweepRow row;
+    row.nodes = nodes;
+    row.duration = duration;
+    // Request rate scales with cluster size, as in bench/cluster_scale.
+    row.rate_scale = 5.0 * static_cast<double>(nodes) / 19.0;
+    row = RunSweepPoint(nodes, duration, RestoreMode::kEager, row);
+    row = RunSweepPoint(nodes, duration, RestoreMode::kLazy, row);
+    sweep.push_back(row);
+    std::printf("nodes=%-3d restores eager/lazy=%" PRIu64 "/%" PRIu64
+                "  P99 eager=%.1fms lazy=%.1fms (%.2fx)  hit=%.0f%%  bg_pages=%" PRIu64 "\n",
+                row.nodes, row.eager_restores, row.lazy_restores, row.eager_p99_ms,
+                row.lazy_p99_ms,
+                row.lazy_p99_ms > 0 ? row.eager_p99_ms / row.lazy_p99_ms : 0.0,
+                100.0 * row.ws_hit_rate, row.background_pages);
+  }
+
+  bench::JsonWriter w;
+  w.BeginObject();
+  bench::WriteMetadata(w, "restore_latency");
+  w.Field("mode", smoke ? "smoke" : "full");
+  w.BeginArray("per_function");
+  for (const FunctionRow& r : rows) {
+    w.BeginObject()
+        .Field("function", r.name)
+        .Field("eager_total_ms", ToMillis(r.eager.total_time), 3)
+        .Field("lazy_critical_ms", ToMillis(r.lazy.critical_path_time), 3)
+        .Field("lazy_fault_ms", ToMillis(r.lazy.fault_time), 3)
+        .Field("lazy_background_pages", static_cast<uint64_t>(r.lazy.background_pages))
+        .Field("cold_start_ms", ToMillis(r.cold_start), 3)
+        .EndObject();
+  }
+  w.EndArray();
+  w.BeginArray("sweep");
+  for (const SweepRow& r : sweep) {
+    w.BeginObject()
+        .Field("nodes", r.nodes)
+        .Field("rate_scale", r.rate_scale, 3)
+        .Field("trace_duration_s", ToSeconds(r.duration), 1)
+        .Field("requests", r.requests)
+        .Field("eager_restores", r.eager_restores)
+        .Field("lazy_restores", r.lazy_restores)
+        .Field("eager_p50_ms", r.eager_p50_ms, 3)
+        .Field("eager_p99_ms", r.eager_p99_ms, 3)
+        .Field("lazy_p50_ms", r.lazy_p50_ms, 3)
+        .Field("lazy_p99_ms", r.lazy_p99_ms, 3)
+        .Field("lazy_p99_speedup", r.lazy_p99_ms > 0 ? r.eager_p99_ms / r.lazy_p99_ms : 0.0, 3)
+        .Field("ws_hit_rate", r.ws_hit_rate, 4)
+        .Field("ws_fault_pages", r.ws_fault_pages)
+        .Field("background_completions", r.background_completions)
+        .Field("background_pages", r.background_pages)
+        .EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  if (!bench::WriteTextFile(out_path, w.str() + "\n")) {
+    std::exit(1);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Figure 9 — cluster memory usage while meeting latency targets (Section 7.3).
+//
+// Medes runs with the memory objective (P2) under a latency bound of
+// alpha = 2.5; the keep-alive baselines have no latency-bound mechanism.
+// The paper reports Medes using 11.4% less memory on average than fixed
+// keep-alive at the same latency targets, adaptive keep-alive using less
+// memory still but paying >= 50% more cold starts, and up to 1.58x fewer
+// cold starts vs fixed keep-alive.
+
+void Fig9Memory() {
+  bench::Header("Figure 9: memory usage while meeting latency targets",
+                "Full workload; Medes memory objective (P2), alpha-bound 2.5");
+
+  PlatformOptions medes_opts = bench::EvalOptions(PolicyKind::kMedes);
+  medes_opts.medes.objective = PolicyObjective::kMemory;
+  medes_opts.medes.alpha = 2.5;
+  // P2 budget: comfortably below the all-warm usage so the cap binds.
+  medes_opts.medes.cluster_memory_cap_mb = 0.6 * 19 * 2048;
+
+  RunMetrics medes = ServerlessPlatform(medes_opts).Run(FullTrace());
+  const RunMetrics& fixed = FullRun(PolicyKind::kFixedKeepAlive);
+  const RunMetrics& adaptive = FullRun(PolicyKind::kAdaptiveKeepAlive);
+
+  bench::Section("Fig 9a: cluster memory usage (GB)");
+  std::printf("%-22s %10s %10s\n", "policy", "mean", "median");
+  std::printf("%-22s %10.2f %10.2f\n", "Medes (P2)", medes.MeanMemoryMb() / 1024.0,
+              medes.MedianMemoryMb() / 1024.0);
+  std::printf("%-22s %10.2f %10.2f\n", "Fixed Keep-Alive", fixed.MeanMemoryMb() / 1024.0,
+              fixed.MedianMemoryMb() / 1024.0);
+  std::printf("%-22s %10.2f %10.2f\n", "Adaptive Keep-Alive", adaptive.MeanMemoryMb() / 1024.0,
+              adaptive.MedianMemoryMb() / 1024.0);
+  std::printf("Medes vs fixed keep-alive: %.1f%% less memory on average (paper: 11.4%%)\n",
+              100.0 * (fixed.MeanMemoryMb() - medes.MeanMemoryMb()) / fixed.MeanMemoryMb());
+
+  bench::Section("Fig 9b: per-function cold starts");
+  std::printf("%-12s %8s %8s %8s\n", "function", "fixed", "adaptive", "medes");
+  for (const auto& p : FunctionBenchProfiles()) {
+    auto f = static_cast<size_t>(p.id);
+    std::printf("%-12s %8lu %8lu %8lu\n", p.name.c_str(), fixed.per_function[f].cold_starts,
+                adaptive.per_function[f].cold_starts, medes.per_function[f].cold_starts);
+  }
+  std::printf("\ntotals: fixed=%lu adaptive=%lu medes=%lu\n", fixed.TotalColdStarts(),
+              adaptive.TotalColdStarts(), medes.TotalColdStarts());
+  std::printf("adaptive vs medes cold starts: +%.0f%% (paper: adaptive incurs >= 50%% more)\n",
+              medes.TotalColdStarts() ? 100.0 *
+                      (static_cast<double>(adaptive.TotalColdStarts()) -
+                       static_cast<double>(medes.TotalColdStarts())) /
+                      static_cast<double>(medes.TotalColdStarts())
+                                      : 0.0);
+  std::printf("fixed vs medes cold starts   : %.2fx (paper: up to 1.58x)\n",
+              Ratio(fixed.TotalColdStarts(), medes.TotalColdStarts()));
+}
+
+// ---------------------------------------------------------------------------
+// Table 3 — per-function dedup memory savings (Section 7.3.1).
+//
+// Dedups one executed sandbox of each function against a same-function base
+// and reports saved MB / footprint = percent savings, next to the paper's
+// reported numbers. Also reports the average patch size (the paper quotes
+// 611 B average at 64 B chunks) and the same- vs cross-function dedup split
+// when bases of all ten functions are present.
+
+// Paper Table 3 percentages, by function id.
+constexpr double kPaperSavings[] = {27.06, 32.81, 43.03, 25.46, 15.94,
+                                    44.30, 21.48, 38.89, 58.03, 30.09};
+
+void Table3Savings() {
+  bench::Header("Table 3: per-function dedup memory savings",
+                "One executed sandbox deduped against a same-function base");
+  bench::AgentRig rig(65536);
+  rig.DesignateBases();
+
+  std::printf("%-12s %8s %9s %9s %9s | %9s %9s\n", "function", "mem(MB)", "saved(MB)", "saved(%)",
+              "paper(%)", "patch(B)", "dedup(%)");
+  double total_saved = 0;
+  size_t same = 0, cross = 0;
+  for (const auto& p : FunctionBenchProfiles()) {
+    DedupOpResult d = rig.agent.DedupOp(rig.Warm(p, NodeId{1}), SimTime{1});
+    double saved_mb = rig.Mb(d.saved_bytes);
+    total_saved += saved_mb;
+    same += d.same_function_pages;
+    cross += d.cross_function_pages;
+    std::printf("%-12s %8.1f %9.2f %8.1f%% %8.1f%% | %9.0f %8.1f%%\n", p.name.c_str(), p.memory_mb,
+                saved_mb, 100.0 * saved_mb / p.memory_mb,
+                kPaperSavings[static_cast<size_t>(p.id)],
+                d.pages_deduped ? static_cast<double>(d.patch_bytes) /
+                                      static_cast<double>(d.pages_deduped)
+                                : 0.0,
+                100.0 * static_cast<double>(d.pages_deduped) /
+                    static_cast<double>(d.pages_total));
+  }
+  std::printf("\naverage savings per sandbox: %.1f MB\n", total_saved / 10.0);
+  std::printf("dedup split with all-function bases present: %.1f%% same-function / %.1f%% "
+              "cross-function\n(paper Section 7.3.1: 32.86%% same / ~67%% cross)\n",
+              100.0 * static_cast<double>(same) / static_cast<double>(same + cross),
+              100.0 * static_cast<double>(cross) / static_cast<double>(same + cross));
+}
+
+// ---------------------------------------------------------------------------
+// Figure 10 — cold starts under memory pressure (Section 7.4).
+//
+// The full workload replayed at three cluster pool sizes (the paper's 40 GB,
+// 30 GB, 20 GB, realised as 19 nodes x 2048/1536/1024 MB). The paper reports
+// Medes's cold-start advantage over fixed keep-alive growing from 22% (no
+// pressure) to 37% and 40.67% under pressure, and ~52% vs adaptive
+// keep-alive throughout.
+
+void Fig10Pressure() {
+  bench::Header("Figure 10: cold starts under memory pressure",
+                "Pool sweep (paper 40:30:20): 38 / 28.5 / 19 GB across 19 worker nodes");
+
+  struct PoolResult {
+    double node_mb;
+    const RunMetrics& fixed;
+    const RunMetrics& adaptive;
+    const RunMetrics& medes;
+  };
+  std::vector<PoolResult> results;
+  for (double node_mb : {2048.0, 1536.0, 1024.0}) {
+    results.push_back({node_mb, FullRun(PolicyKind::kFixedKeepAlive, node_mb),
+                       FullRun(PolicyKind::kAdaptiveKeepAlive, node_mb),
+                       FullRun(PolicyKind::kMedes, node_mb)});
+  }
+
+  bench::Section("Fig 10a: total cold starts per cluster pool size");
+  std::printf("%-10s %8s %9s %8s | %10s %10s\n", "pool", "fixed", "adaptive", "medes",
+              "vs fixed", "vs adaptive");
+  for (const auto& r : results) {
+    double pool_gb = r.node_mb * 19 / 1024.0;
+    uint64_t med = r.medes.TotalColdStarts();
+    std::printf("%7.1fG %8lu %9lu %8lu | %9.1f%% %9.1f%%\n", pool_gb,
+                r.fixed.TotalColdStarts(), r.adaptive.TotalColdStarts(), med,
+                PercentBelow(r.fixed.TotalColdStarts(), med),
+                PercentBelow(r.adaptive.TotalColdStarts(), med));
+  }
+  std::printf("(paper: medes advantage vs fixed grows 22%% -> 37%% -> 40.67%% with pressure;\n"
+              " ~52%% vs adaptive throughout)\n");
+
+  for (size_t i = 1; i < results.size(); ++i) {
+    const auto& r = results[i];
+    bench::Section(std::string("Fig 10b: per-function cold starts under ") +
+                   (i == 1 ? "30G" : "20G"));
+    std::printf("%-12s %8s %9s %8s\n", "function", "fixed", "adaptive", "medes");
+    for (const auto& p : FunctionBenchProfiles()) {
+      auto f = static_cast<size_t>(p.id);
+      std::printf("%-12s %8lu %9lu %8lu\n", p.name.c_str(), r.fixed.per_function[f].cold_starts,
+                  r.adaptive.per_function[f].cold_starts, r.medes.per_function[f].cold_starts);
+    }
+  }
+
+  bench::Section("Sandboxes kept in memory under pressure");
+  for (const auto& r : results) {
+    std::printf("%7.1fG: fixed=%.1f adaptive=%.1f medes=%.1f (mean resident sandboxes)\n",
+                r.node_mb * 19 / 1024.0, r.fixed.MeanSandboxesInMemory(),
+                r.adaptive.MeanSandboxesInMemory(), r.medes.MeanSandboxesInMemory());
+  }
+  std::printf("(paper: under extreme pressure medes keeps 42.98%%/55.7%% more sandboxes)\n");
+}
+
+// ---------------------------------------------------------------------------
+// Figure 11 — tail latencies under memory pressure (Section 7.4).
+//
+// Per-function 99.9th-percentile end-to-end latencies at the 30 GB and 20 GB
+// pool sizes. The paper reports up to 3.8x tail improvements under pressure,
+// with the largest wins for functions with big footprints and setup costs
+// (FeatureGen, ModelTrain).
+
+void Fig11PressureLatency() {
+  bench::Header("Figure 11: 99.9p e2e latency under memory pressure",
+                "Pressure pools: 28.5 GB (30G-case) and 19 GB (20G-case)");
+
+  for (double node_mb : {1536.0, 1024.0}) {
+    const RunMetrics& fixed = FullRun(PolicyKind::kFixedKeepAlive, node_mb);
+    const RunMetrics& adaptive = FullRun(PolicyKind::kAdaptiveKeepAlive, node_mb);
+    const RunMetrics& medes = FullRun(PolicyKind::kMedes, node_mb);
+
+    bench::Section(node_mb > 1200 ? "Tail latency, 30G-proportional pool"
+                                  : "Tail latency, 20G-proportional pool");
+    std::printf("%-12s | %7s %7s %7s | %8s %8s %8s | %8s %8s %8s\n", "function", "cs%:fix",
+                "cs%:ada", "cs%:med", "p99:fix", "p99:ada", "p99:med", "p999:fix", "p999:ada",
+                "p999:med");
+    double best_fix = 0, best_ada = 0;
+    for (const auto& p : FunctionBenchProfiles()) {
+      auto f = static_cast<size_t>(p.id);
+      auto cold_pct = [&](const RunMetrics& m) {
+        const auto& fm = m.per_function[f];
+        return fm.TotalRequests() ? 100.0 * static_cast<double>(fm.cold_starts) /
+                                        static_cast<double>(fm.TotalRequests())
+                                  : 0.0;
+      };
+      double p99f = fixed.FunctionE2ePercentileMs(p.id, 0.99);
+      double p99a = adaptive.FunctionE2ePercentileMs(p.id, 0.99);
+      double p99m = medes.FunctionE2ePercentileMs(p.id, 0.99);
+      double pf = fixed.FunctionE2ePercentileMs(p.id, 0.999);
+      double pa = adaptive.FunctionE2ePercentileMs(p.id, 0.999);
+      double pm = medes.FunctionE2ePercentileMs(p.id, 0.999);
+      best_fix = std::max({best_fix, pm > 0 ? pf / pm : 0, p99m > 0 ? p99f / p99m : 0});
+      best_ada = std::max({best_ada, pm > 0 ? pa / pm : 0, p99m > 0 ? p99a / p99m : 0});
+      std::printf("%-12s | %6.2f%% %6.2f%% %6.2f%% | %8.0f %8.0f %8.0f | %8.0f %8.0f %8.0f\n",
+                  p.name.c_str(), cold_pct(fixed), cold_pct(adaptive), cold_pct(medes), p99f,
+                  p99a, p99m, pf, pa, pm);
+    }
+    std::printf("best tail improvement: %.2fx vs fixed, %.2fx vs adaptive (paper: up to 3.8x)\n",
+                best_fix, best_ada);
+    std::printf("(a tail quantile flattens at the cold-start latency once a policy's cold\n"
+                " fraction exceeds it; the cs%% columns show the underlying driver)\n");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Figure 12 — can tuning the keep-alive period match Medes? (Section 7.5).
+//
+// The representative workload ({LinAlg, FeatureGen, ModelTrain}) replayed
+// under fixed keep-alive periods of 5/10/15/20 minutes and under Medes, on a
+// memory-constrained cluster. The paper finds a non-monotone sweep — 10 min
+// best, 15/20 min *worse* because idle sandboxes trigger evictions — and
+// Medes beating the best fixed setting by 38.2%.
+
+void Fig12KaSweep() {
+  bench::Header("Figure 12: keep-alive period sweep vs Medes",
+                "Representative workload {LinAlg, FeatureGen, ModelTrain}, 4 nodes x 3 GB");
+  auto trace = bench::RepresentativeWorkload(30 * kMinute);
+  std::printf("requests: %zu\n\n", trace.size());
+
+  std::printf("%-10s %12s %10s %18s\n", "policy", "cold starts", "evictions", "mean memory (MB)");
+  uint64_t best_fixed = ~0ull;
+  for (int ka_min : {5, 10, 15, 20}) {
+    PlatformOptions opts = bench::RepresentativeOptions(PolicyKind::kFixedKeepAlive);
+    opts.fixed_keep_alive = ka_min * kMinute;
+    RunMetrics m = ServerlessPlatform(opts).Run(trace);
+    best_fixed = std::min(best_fixed, m.TotalColdStarts());
+    std::printf("KA-%-7d %12lu %10lu %18.0f\n", ka_min, m.TotalColdStarts(), m.evictions,
+                m.MeanMemoryMb());
+  }
+  RunMetrics medes =
+      ServerlessPlatform(bench::RepresentativeOptions(PolicyKind::kMedes)).Run(trace);
+  std::printf("%-10s %12lu %10lu %18.0f\n", "Medes", medes.TotalColdStarts(), medes.evictions,
+              medes.MeanMemoryMb());
+  std::printf("\nMedes vs best fixed setting: %.1f%% fewer cold starts (paper: 38.2%% vs KA-10)\n",
+              PercentBelow(best_fixed, medes.TotalColdStarts()));
+}
+
+// ---------------------------------------------------------------------------
+// Figure 13 — Medes + optimised checkpoint-restore (Section 7.6).
+//
+// Emulates Catalyzer's sandbox-template method: every cold start becomes a
+// snapshot restore (no environment initialisation). Replaying the
+// representative workload with and without Medes on top shows that memory
+// deduplication composes with snapshot-restore optimisations: Medes shrinks
+// idle footprints, so fewer (now-cheap) restores are needed at all.
+
+void Fig13Catalyzer() {
+  bench::Header("Figure 13: emulated Catalyzer with and without Medes",
+                "All cold starts replaced by snapshot restores (150 ms)");
+  auto trace = bench::RepresentativeWorkload(30 * kMinute);
+
+  PlatformOptions cat = bench::RepresentativeOptions(PolicyKind::kFixedKeepAlive);
+  cat.emulate_catalyzer = true;
+  PlatformOptions cat_medes = bench::RepresentativeOptions(PolicyKind::kMedes);
+  cat_medes.emulate_catalyzer = true;
+
+  RunMetrics m_cat = ServerlessPlatform(cat).Run(trace);
+  RunMetrics m_both = ServerlessPlatform(cat_medes).Run(trace);
+
+  std::printf("%-26s %14s %12s %12s\n", "configuration", "cold(restore)", "dedup starts",
+              "p999 ms (ModelTrain)");
+  std::printf("%-26s %14lu %12lu %12.0f\n", "Emulated Catalyzer", m_cat.TotalColdStarts(),
+              bench::TotalDedupStarts(m_cat),
+              m_cat.FunctionE2ePercentileMs(9, 0.999));
+  std::printf("%-26s %14lu %12lu %12.0f\n", "Emulated Catalyzer + Medes",
+              m_both.TotalColdStarts(), bench::TotalDedupStarts(m_both),
+              m_both.FunctionE2ePercentileMs(9, 0.999));
+  std::printf("\ncold-start (restore) reduction: %.1f%%\n",
+              PercentBelow(m_cat.TotalColdStarts(), m_both.TotalColdStarts()));
+  std::printf("dedup transitions with Medes: %lu across %lu spawned sandboxes (%.2f per\n"
+              "sandbox; the paper reports 42.8%% of sandboxes deduplicated)\n",
+              m_both.sandboxes_deduped, m_both.sandboxes_spawned,
+              Ratio(m_both.sandboxes_deduped, m_both.sandboxes_spawned));
+}
+
+// ---------------------------------------------------------------------------
+// Figure 14 — sensitivity to the RSC chunk size (Section 7.8).
+//
+// Chunk sizes 32/64/128 B on the representative workload. The paper reports
+// 64 B best: 128 B finds less redundancy (savings drop 28.8 -> 22.8 MB per
+// sandbox), while 32 B suffers fingerprint-table collisions that mislabel
+// dissimilar chunks as similar (average patch grows 611 B -> 940 B). We model
+// the 32 B collision effect with a truncated registry key (the table's
+// effective key width shrinks as chunks — and the sampled-hash name space —
+// get smaller).
+
+void Fig14ChunkSize() {
+  bench::Header("Figure 14: sensitivity to chunk size",
+                "Representative workload; chunk in {32, 64, 128} B");
+  auto trace = bench::RepresentativeWorkload(30 * kMinute);
+
+  std::printf("%-8s %12s %16s %14s %12s\n", "chunk", "cold starts", "savings/sandbox",
+              "avg patch(B)", "dedup ops");
+  for (size_t chunk : {32u, 64u, 128u}) {
+    PlatformOptions opts = bench::RepresentativeOptions(PolicyKind::kMedes);
+    opts.agent.fingerprint.chunk_size = chunk;
+    if (chunk == 32) {
+      // Collision model: smaller chunks hash into a narrower effective key
+      // space, so dissimilar chunks alias in the fingerprint table.
+      opts.agent.fingerprint.key_bits = 12;
+    }
+    RunMetrics m = ServerlessPlatform(opts).Run(trace);
+    double saved_mb = 0;
+    uint64_t ops = 0, patch_bytes = 0, pages = 0;
+    for (const auto& f : m.per_function) {
+      saved_mb += f.total_saved_mb;
+      ops += f.dedup_ops;
+      patch_bytes += f.total_patch_bytes;
+      pages += f.total_pages_deduped;
+    }
+    std::printf("%5zuB %13lu %13.1f MB %14.0f %12lu\n", chunk, m.TotalColdStarts(),
+                ops ? saved_mb / static_cast<double>(ops) : 0.0,
+                pages ? static_cast<double>(patch_bytes) / static_cast<double>(pages) : 0.0, ops);
+  }
+  std::printf("\n(paper: 64B best; 128B drops savings 28.8->22.8 MB/sandbox causing evictions\n"
+              " and more cold starts; 32B suffers collisions, patch 611->940 B)\n");
+}
+
+// ---------------------------------------------------------------------------
+// Figure 15 — sensitivity to the keep-dedup period (Section 7.8).
+//
+// The keep-dedup period controls how long a dedup sandbox stays in memory
+// before being purged. The paper sweeps 5-20 minutes (plus no-dedup): longer
+// periods first cut cold starts 10-38% (requests hit dedup starts instead),
+// but beyond a threshold stale dedup sandboxes occupy memory and cold starts
+// rise again.
+
+void Fig15KeepDedup() {
+  bench::Header("Figure 15: sensitivity to the keep-dedup period",
+                "Representative workload; keep-dedup in {none, 5, 10, 15, 20} min");
+  auto trace = bench::RepresentativeWorkload(30 * kMinute);
+
+  std::printf("%-14s %12s %13s %10s %12s\n", "keep-dedup", "cold starts", "dedup starts",
+              "evictions", "mean mem(MB)");
+  {
+    // "No Dedup": Medes with deduplication disabled = fixed keep-alive.
+    RunMetrics m =
+        ServerlessPlatform(bench::RepresentativeOptions(PolicyKind::kFixedKeepAlive)).Run(trace);
+    std::printf("%-14s %12lu %13lu %10lu %12.0f\n", "No Dedup", m.TotalColdStarts(),
+                bench::TotalDedupStarts(m), m.evictions, m.MeanMemoryMb());
+  }
+  for (int kd_min : {5, 10, 15, 20}) {
+    PlatformOptions opts = bench::RepresentativeOptions(PolicyKind::kMedes);
+    opts.medes.keep_dedup = kd_min * kMinute;
+    RunMetrics m = ServerlessPlatform(opts).Run(trace);
+    std::printf("KD-%-2d min     %12lu %13lu %10lu %12.0f\n", kd_min, m.TotalColdStarts(),
+                bench::TotalDedupStarts(m), m.evictions, m.MeanMemoryMb());
+  }
+  std::printf("\n(paper: cold starts improve 10-38%% as keep-dedup grows, then regress at 20 min\n"
+              " as stale dedup sandboxes cause memory-pressure evictions)\n");
+}
+
+// ---------------------------------------------------------------------------
+// Figure 16 — sensitivity to the fingerprint set cardinality (Section 7.8).
+//
+// More sampled chunk hashes per page identify base pages more accurately
+// (per-sandbox savings grow: paper 28.8 -> 31.5 -> 32.54 MB) but every
+// additional fingerprint pulls in more distinct base pages at restore time,
+// inflating dedup starts (378 -> 478 -> 554 ms) and, through slower reuse,
+// the tail (more cold starts).
+
+void Fig16Cardinality() {
+  bench::Header("Figure 16: sensitivity to fingerprint set cardinality",
+                "Representative workload; cardinality in {5, 10, 20}");
+  auto trace = bench::RepresentativeWorkload(30 * kMinute);
+
+  bench::Section("Fig 16b-style summary per cardinality");
+  std::printf("%-6s %12s %16s %18s %14s\n", "K", "cold starts", "savings/sandbox",
+              "mean restore(ms)", "p999 slowdown");
+  for (size_t k : {5u, 10u, 20u}) {
+    PlatformOptions opts = bench::RepresentativeOptions(PolicyKind::kMedes);
+    opts.agent.fingerprint.cardinality = k;
+    // Widen value sampling so >= K candidates exist per page.
+    opts.agent.fingerprint.sample_mask = (k > 5) ? 0x7f : 0x1ff;
+    // Richer fingerprints surface more matching base pages; patches are
+    // computed against the base page(s) of their RSCs (Section 4.1.2), so
+    // restores fetch proportionally more pages.
+    opts.agent.max_base_pages_per_page = k / 5;
+    RunMetrics m = ServerlessPlatform(opts).Run(trace);
+    double saved = 0;
+    uint64_t ops = 0;
+    for (const auto& f : m.per_function) {
+      saved += f.total_saved_mb;
+      ops += f.dedup_ops;
+    }
+    // Fig 16a: function slowdown = e2e / exec. Report the 99.9p across all
+    // requests of the representative set.
+    SampleRecorder slowdown;
+    for (const auto& r : m.requests) {
+      const auto& p = FunctionBenchProfiles()[static_cast<size_t>(r.function)];
+      slowdown.Record(static_cast<double>(r.e2e.value()) /
+                      static_cast<double>(p.exec_time.value()));
+    }
+    double mean_restore = 0;
+    {
+      // mean of total restore time: read + compute + criu per function sample
+      SampleRecorder total;
+      for (const auto& f : m.per_function) {
+        const auto& a = f.restore_read_ms.samples();
+        const auto& b = f.restore_compute_ms.samples();
+        const auto& c = f.restore_criu_ms.samples();
+        for (size_t i = 0; i < a.size(); ++i) {
+          total.Record(a[i] + b[i] + c[i]);
+        }
+      }
+      mean_restore = total.Mean();
+    }
+    std::printf("%-6zu %12lu %13.1f MB %18.0f %13.2fx\n", k, m.TotalColdStarts(),
+                ops ? saved / static_cast<double>(ops) : 0.0, mean_restore,
+                slowdown.Percentile(0.999));
+  }
+  std::printf("\n(paper: savings 28.8 -> 31.5 -> 32.54 MB; restore 378 -> 478 -> 554 ms; tails\n"
+              " inflate at higher cardinality)\n");
+}
+
+// ---------------------------------------------------------------------------
+// Section 7.7 — Medes overheads at the dedup agent and the controller.
+//
+// Reports: total dedup-op time per function (paper: 2 s for Vanilla to 3.3 s
+// for ModelTrain at full scale), the controller lookup cost per page (paper:
+// ~80 us single-threaded; 130 ms for Vanilla's 4k pages to 1850 ms for
+// ModelTrain's 22k pages), fingerprint-registry memory versus the number of
+// base sandboxes (the Section 4.1.3 base-restriction design), and the
+// registry blow-up if *all* sandboxes were inserted instead.
+
+void Overheads() {
+  bench::Header("Section 7.7: dedup agent and controller overheads",
+                "Op timing at represented scale + registry footprint accounting");
+  bench::AgentRig rig(65536);
+  rig.DesignateBases();
+
+  bench::Section("Dedup-op time per function (background, off the critical path)");
+  std::printf("%-12s %10s | %12s %12s %12s | %10s\n", "function", "pages", "checkpoint",
+              "lookup(ms)", "patch(ms)", "total(ms)");
+  for (const auto& p : FunctionBenchProfiles()) {
+    DedupOpResult d = rig.agent.DedupOp(rig.Warm(p, NodeId{1}), SimTime{1});
+    const double repr_pages = p.memory_mb * 256;  // 4 KiB pages at full scale
+    std::printf("%-12s %10.0f | %12.0f %12.0f %12.0f | %10.0f\n", p.name.c_str(), repr_pages,
+                ToMillis(d.checkpoint_time), ToMillis(d.lookup_time), ToMillis(d.patch_time),
+                ToMillis(d.total_time));
+  }
+  std::printf("(paper: 2000 ms for Vanilla (4k pages) to 3300 ms for ModelTrain (22k pages);\n"
+              " lookup alone 130 -> 1850 ms at ~%ld us/page single-threaded)\n",
+              static_cast<long>(RegistryOptions().lookup_per_page.value()));
+
+  bench::Section("Controller: fingerprint registry footprint (base restriction, Section 4.1.3)");
+  RegistryStats stats = rig.registry.stats();
+  std::printf("base sandboxes registered : %zu (one per function)\n", stats.num_base_sandboxes);
+  std::printf("registry keys / entries   : %zu / %zu\n", stats.num_keys, stats.num_entries);
+  std::printf("approx registry memory    : %.2f MB at image scale",
+              static_cast<double>(stats.ApproxMemoryBytes()) / (1024.0 * 1024.0));
+  const double scale = static_cast<double>(1 << 20) /
+                       static_cast<double>(rig.cluster.options().bytes_per_mb);
+  std::printf("  (~%.1f MB at full scale)\n",
+              scale * static_cast<double>(stats.ApproxMemoryBytes()) / (1024.0 * 1024.0));
+
+  bench::Section("Ablation: inserting ALL sandboxes instead of base sandboxes only");
+  FingerprintRegistry unrestricted;
+  PageFingerprinter fp({});
+  size_t sandboxes = 0;
+  for (int copy = 0; copy < 4; ++copy) {
+    for (const auto& p : FunctionBenchProfiles()) {
+      Sandbox& sb = rig.Warm(p, NodeId{0});
+      MemoryImage image = rig.cluster.BuildImage(sb);
+      unrestricted.InsertBaseSandbox(NodeId{0}, sb.id, fp.FingerprintImage(image.bytes(), kPageSize));
+      ++sandboxes;
+    }
+  }
+  RegistryStats u = unrestricted.stats();
+  std::printf("with %zu sandboxes inserted: keys=%zu entries=%zu (~%.2f MB at image scale)\n",
+              sandboxes, u.num_keys, u.num_entries,
+              static_cast<double>(u.ApproxMemoryBytes()) / (1024.0 * 1024.0));
+  std::printf("entries grow ~linearly with sandboxes; the base restriction caps the table at\n"
+              "O(base sandboxes) = O(dedup sandboxes / T), T=40 (Section 4.1.3)\n");
+
+  bench::Section("Controller memory overhead on the evaluation workload");
+  auto trace = bench::FullWorkload(15 * kMinute);
+  RunMetrics m = ServerlessPlatform(bench::EvalOptions(PolicyKind::kMedes)).Run(trace);
+  const double registry_mb =
+      static_cast<double>(m.registry.ApproxMemoryBytes()) / (1024.0 * 1024.0) *
+      (static_cast<double>(1 << 20) / 8192.0);
+  std::printf("fingerprint registry at full scale: %.1f MB for %zu base sandboxes\n", registry_mb,
+              m.registry.num_base_sandboxes);
+  std::printf("registry lookups served: %lu (key hit rate %.1f%%)\n", m.registry.lookups,
+              m.registry.lookups ? 100.0 * static_cast<double>(m.registry.key_hits) /
+                                       static_cast<double>(m.registry.lookups)
+                                 : 0.0);
+  std::printf("(paper: controller memory rises just 11.8%% over the baseline controller)\n");
+}
+
+// ---------------------------------------------------------------------------
+// Ablations of Medes's design choices (beyond the paper's sensitivity
+// figures) — each isolates one mechanism DESIGN.md calls out:
+//
+//  A. Value-sampled vs random-offset fingerprints (vs Difference Engine,
+//     paper Section 8): random offsets are not content-defined, so shifted
+//     or relocated content fingerprints differently and dedup quality drops.
+//  B. Redundancy-elimination granularity (Section 4.1.2): eliminating at the
+//     64 B identification granularity would need per-chunk metadata —
+//     quantify the metadata blow-up that motivated page-granularity patches.
+//  C. Xdelta compression level (Section 4.1.2): level 1 vs 9 trades patch
+//     size against encode time; the paper chose 1 to keep restores fast.
+//     The encode wall column is host time, so it varies between runs.
+//  D. Restore-time optimisation (Section 4.2): pre-doing namespace/process-
+//     tree work at dedup time (650 ms -> ~140 ms claim).
+
+void Ablations() {
+  bench::Header("Design ablations", "Isolating Medes's individual mechanisms");
+
+  bench::Section("A. Value sampling vs random-offset fingerprints (Difference Engine)");
+  {
+    // The discriminating case is *shifted* content (ASLR's sub-page stack
+    // randomisation, allocator drift): content-defined selection re-finds
+    // the same chunks wherever they land; fixed random offsets do not.
+    LibraryPool pool(0x11b9, 32768);
+    MemoryImage base_img = BuildSandboxImage(ProfileByName("LinAlg"), pool, {.instance_seed = 1});
+    // A byte-identical image shifted by 16 B (pages re-tiled over the
+    // shifted stream — every page boundary moves).
+    std::vector<uint8_t> shifted(base_img.bytes().begin() + 16, base_img.bytes().end());
+    shifted.resize(base_img.SizeBytes() - kPageSize, 0);  // whole pages only
+    std::printf("%-18s %18s %18s\n", "sampling", "aligned-page hits", "shifted-page hits");
+    for (auto mode : {SamplingMode::kValueSampled, SamplingMode::kRandomOffsets}) {
+      FingerprintOptions fopts;
+      fopts.mode = mode;
+      PageFingerprinter fp(fopts);
+      FingerprintRegistry registry;
+      registry.InsertBaseSandbox(NodeId{0}, SandboxId{1},
+                                 fp.FingerprintImage(base_img.bytes(), kPageSize));
+      size_t aligned_hits = 0, shifted_hits = 0, pages = 0;
+      for (size_t p = 0; p + 1 < base_img.NumPages(); ++p) {
+        ++pages;
+        aligned_hits += registry.FindBasePage(fp.FingerprintPage(base_img.Page(p)), NodeId{0}).has_value();
+        std::span<const uint8_t> sh(shifted.data() + p * kPageSize, kPageSize);
+        shifted_hits += registry.FindBasePage(fp.FingerprintPage(sh), NodeId{0}).has_value();
+      }
+      std::printf("%-18s %16.1f%% %16.1f%%\n",
+                  mode == SamplingMode::kValueSampled ? "value-sampled" : "random-offsets",
+                  100.0 * static_cast<double>(aligned_hits) / static_cast<double>(pages),
+                  100.0 * static_cast<double>(shifted_hits) / static_cast<double>(pages));
+    }
+    std::printf("(paper Section 8: Difference Engine's random-offset fingerprints are less\n"
+                " effective at sub-page granularity; EndRE-style value sampling is robust)\n");
+  }
+
+  bench::Section("B. Elimination granularity: page patches vs per-chunk metadata");
+  {
+    // Paper Section 4.1.2: ~100 MB sandboxes => ~25K pages => 1.6M 64 B
+    // chunks; per-chunk metadata (location: 16 B + table overhead ~24 B)
+    // would dwarf per-page patch records.
+    for (double mb : {17.0, 48.0, 90.0}) {
+      const double pages = mb * 256;
+      const double chunks = mb * (1 << 20) / 64.0;
+      const double page_meta_mb = pages * 48 / (1024.0 * 1024.0);     // PatchRecord + slot
+      const double chunk_meta_mb = chunks * 40 / (1024.0 * 1024.0);   // per-chunk bookkeeping
+      std::printf("  %5.1f MB sandbox: %8.0f pages -> %6.2f MB metadata | %10.0f chunks -> "
+                  "%7.1f MB metadata (%.0fx)\n",
+                  mb, pages, page_meta_mb, chunks, chunk_meta_mb, chunk_meta_mb / page_meta_mb);
+    }
+  }
+
+  bench::Section("C. Xdelta compression level: patch size vs encode effort");
+  std::printf("%-8s %14s %16s %16s\n", "level", "avg patch (B)", "saved MB (10 fns)",
+              "encode wall (ms)");
+  for (int level : {0, 1, 3, 9}) {
+    DedupAgentOptions opts;
+    opts.delta.level = level;
+    bench::AgentRig rig(32768, opts);
+    rig.DesignateBases();
+    size_t patch_bytes = 0, pages = 0;
+    double saved = 0;
+    auto start = std::chrono::steady_clock::now();
+    for (const auto& p : FunctionBenchProfiles()) {
+      DedupOpResult d = rig.agent.DedupOp(rig.Warm(p, NodeId{1}), SimTime{1});
+      patch_bytes += d.patch_bytes;
+      pages += d.pages_deduped;
+      saved += rig.Mb(d.saved_bytes);
+    }
+    auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    std::printf("%-8d %14.0f %16.1f %16lld\n", level,
+                pages ? static_cast<double>(patch_bytes) / static_cast<double>(pages) : 0.0,
+                saved, static_cast<long long>(wall));
+  }
+  std::printf("(the paper runs level 1: higher levels trade encode effort for patch bytes;\n"
+              " level 0 disables matching entirely — only zero pages are eliminated)\n");
+
+  bench::Section("D. Restore-time optimisation: namespace/ptree work pre-done at dedup");
+  {
+    bench::AgentRig rig(32768);
+    rig.agent.DesignateBase(rig.Warm(ProfileByName("LinAlg"), NodeId{0}));
+    Sandbox& sb = rig.Warm(ProfileByName("LinAlg"), NodeId{1});
+    rig.agent.DedupOp(sb, SimTime{1});
+    RestoreOpResult prepared = rig.agent.RestoreOp(sb, SimTime{2});
+    rig.cluster.MarkRunning(sb, SimTime{3});
+    rig.cluster.MarkWarm(sb, SimTime{4});
+    rig.agent.DedupOp(sb, SimTime{5});
+    sb.namespaces_prepared = false;  // ablate the optimisation
+    RestoreOpResult unprepared = rig.agent.RestoreOp(sb, SimTime{6});
+    std::printf("dedup start with optimisation   : %6.0f ms\n", ToMillis(prepared.total_time));
+    std::printf("dedup start without optimisation: %6.0f ms\n", ToMillis(unprepared.total_time));
+    std::printf("(paper Section 4.2: 650 ms -> ~140 ms)\n");
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::StartWallClock();
+  std::string_view only;
+  std::string restore_latency_path = "BENCH_restore_latency.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--only" && i + 1 < argc) {
+      only = argv[++i];
+    } else if (!arg.starts_with("-")) {
+      restore_latency_path = arg;
+    } else {
+      std::fprintf(stderr, "usage: %s [--only <claim>] [restore_latency.json]\n", argv[0]);
+      return 2;
+    }
+  }
+
+  // README table order.
+  const std::pair<std::string_view, std::function<void()>> claims[] = {
+      {"fig1_redundancy", Fig1Redundancy},
+      {"fig2_savings_timeline", Fig2SavingsTimeline},
+      {"table2_profiles", Table2Profiles},
+      {"fig7_latency", Fig7Latency},
+      {"fig8_breakdown", [&] { Fig8Breakdown(restore_latency_path); }},
+      {"fig9_memory", Fig9Memory},
+      {"table3_savings", Table3Savings},
+      {"fig10_pressure", Fig10Pressure},
+      {"fig11_pressure_latency", Fig11PressureLatency},
+      {"fig12_ka_sweep", Fig12KaSweep},
+      {"fig13_catalyzer", Fig13Catalyzer},
+      {"fig14_chunk_size", Fig14ChunkSize},
+      {"fig15_keep_dedup", Fig15KeepDedup},
+      {"fig16_cardinality", Fig16Cardinality},
+      {"overheads", Overheads},
+      {"ablations", Ablations},
+  };
+  bool found = only.empty();
+  for (const auto& [name, run] : claims) {
+    if (only.empty() || name == only) {
+      found = true;
+      run();
+    }
+  }
+  if (!found) {
+    std::fprintf(stderr, "unknown claim '%.*s'; the claims are:\n", static_cast<int>(only.size()),
+                 only.data());
+    for (const auto& [name, run] : claims) {
+      std::fprintf(stderr, "  %.*s\n", static_cast<int>(name.size()), name.data());
+    }
+    return 2;
+  }
+  return 0;
+}

@@ -8,10 +8,11 @@ Checks, without external dependencies:
     wall_seconds, sim event counters);
   - for cluster_scale reports: every sweep entry carries the full set of
     capacity-campaign fields with sane values;
-  - for restore_latency reports (bench/fig8_breakdown): every sweep entry
-    carries the eager-vs-lazy critical-path percentiles with sane values and
-    a working-set hit rate in [0,1]; --min-lazy-p99-speedup gates the
-    eager/lazy P99 ratio at the largest node count;
+  - for restore_latency reports (bench/paper_claims --only fig8_breakdown):
+    every sweep entry carries the eager-vs-lazy critical-path percentiles
+    with sane values and a working-set hit rate in [0,1];
+    --min-lazy-p99-speedup gates the eager/lazy P99 ratio at the largest
+    node count;
   - for trace_analysis reports (bench/trace_analysis): the sampling block is
     sane, no span's parent link failed to resolve, the per-stage critical-path
     attribution sums to within --max-attribution-error of the measured

@@ -8,8 +8,8 @@
 // those wires carried its own private latency/bandwidth model; now they all
 // charge a single Transport over a cluster Topology:
 //
-//   - Topology: node count plus per-link latency/bandwidth (a default remote
-//     link, a node-local fast path, and optional per-(src,dst) overrides).
+//   - Topology: per-link latency/bandwidth (a default remote link, a
+//     node-local fast path, and optional per-(src,dst) overrides).
 //   - Typed messages: each send is tagged with a MessageType so per-type
 //     counters, byte totals, and latency histograms accumulate separately.
 //   - Batched request accounting: a single message may carry many logical
@@ -88,11 +88,10 @@ struct LinkModel {
 // and a non-positive bandwidth disables the transfer term entirely.
 [[nodiscard]] SimDuration LinkCost(Bytes bytes, const LinkModel& link);
 
-// Cluster shape: `num_nodes` nodes, a default remote link between distinct
-// nodes, a node-local fast path (src == dst), and optional per-directed-pair
-// overrides. Plain data, immutable once handed to a Transport.
+// Cluster links: a default remote link between distinct nodes, a node-local
+// fast path (src == dst), and optional per-directed-pair overrides. Plain
+// data, immutable once handed to a Transport.
 struct Topology {
-  int num_nodes = 1;
   LinkModel remote;                         // default inter-node link
   LinkModel local{.latency = SimDuration{0}, .bandwidth_gbps = 80.0};  // same-node fast path
 

@@ -63,7 +63,6 @@ class ServerlessPlatform::Impl {
 
   static std::shared_ptr<Transport> MakeTransport(const PlatformOptions& options) {
     Topology topology;
-    topology.num_nodes = options.cluster.num_nodes + 1;  // workers + controller
     topology.remote = options.network.remote;
     topology.local = options.network.local;
     return std::make_shared<Transport>(topology);

@@ -121,9 +121,9 @@ uint64_t FingerprintRegistry::TallyBatch(std::span<const PageFingerprint> finger
   // Modelled cost: one round trip carrying the whole batch's keys (wire),
   // plus the controller's per-page lookup work (CPU). A dropped lookup
   // message degrades to an empty answer — every page in the batch is
-  // treated as unique (paper: missing a candidate is always safe).
+  // treated as unique (paper: missing a candidate is always safe) — and
+  // costs only the wire: the controller never saw it.
   const SimDuration work = static_cast<int64_t>(fingerprints.size()) * options_.lookup_per_page;
-  cost += work;
   if (transport_ != nullptr && !fingerprints.empty()) {
     size_t keys = 0;
     for (const PageFingerprint& fp : fingerprints) {
@@ -149,6 +149,7 @@ uint64_t FingerprintRegistry::TallyBatch(std::span<const PageFingerprint> finger
       span.AddArg("keys", static_cast<int64_t>(keys));
     }
   }
+  cost += work;
   uint64_t hits = 0;
   ReaderLock lock(mu_);
   for (size_t i = 0; i < fingerprints.size(); ++i) {

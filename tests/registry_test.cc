@@ -315,11 +315,18 @@ TEST(RegistryTest, CutControllerLinkDegradesToNoCandidates) {
   EXPECT_TRUE(registry.IsBaseSandbox(SandboxId{100}));
   EXPECT_FALSE(registry.IsBaseSandbox(SandboxId{200})) << "a dropped insert registers nothing";
 
-  SimDuration cost;
+  SimDuration dropped_cost;
   const std::vector<PageFingerprint> probe = {Fp({1, 2, 3})};
-  EXPECT_TRUE(registry.FindBasePagesBatch(probe, NodeId{3}, SandboxId{}, 1, &cost).front().empty());
-  EXPECT_GT(cost, SimDuration{0}) << "the sender still pays for the lost attempt";
-  EXPECT_EQ(registry.FindBasePagesBatch(probe, NodeId{1}, SandboxId{}, 1).front().size(), 1u);
+  EXPECT_TRUE(
+      registry.FindBasePagesBatch(probe, NodeId{3}, SandboxId{}, 1, &dropped_cost).front().empty());
+  EXPECT_GT(dropped_cost, SimDuration{0}) << "the sender still pays for the lost attempt";
+  SimDuration delivered_cost;
+  EXPECT_EQ(registry.FindBasePagesBatch(probe, NodeId{1}, SandboxId{}, 1, &delivered_cost)
+                .front()
+                .size(),
+            1u);
+  EXPECT_EQ(delivered_cost - dropped_cost, RegistryOptions().lookup_per_page)
+      << "only a delivered lookup charges the controller's per-page work";
 
   const TransportStats net = transport->stats();
   EXPECT_EQ(net.For(MessageType::kRegistryInsert).dropped, 1u);

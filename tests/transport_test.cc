@@ -53,7 +53,6 @@ TEST(LinkCostTest, NonPositiveBandwidthMeansInfinite) {
 
 TEST(TopologyTest, ResolvesLocalRemoteAndOverrides) {
   Topology topo;
-  topo.num_nodes = 4;
   topo.remote = {.latency = SimDuration{3}, .bandwidth_gbps = 10.0};
   topo.local = {.latency = SimDuration{0}, .bandwidth_gbps = 80.0};
   EXPECT_EQ(topo.LinkFor(NodeId{0}, NodeId{0}), topo.local);
@@ -105,7 +104,6 @@ TEST(HistogramValueTest, PowerOfTwoBuckets) {
 
 Topology SmallTopology() {
   Topology topo;
-  topo.num_nodes = 4;
   topo.remote = {.latency = SimDuration{3}, .bandwidth_gbps = 10.0};
   topo.local = {.latency = SimDuration{0}, .bandwidth_gbps = 0.0};  // free same-node path
   return topo;
