@@ -19,8 +19,35 @@ const char* ToString(SandboxState state) {
   return "?";
 }
 
+namespace {
+
+// Recency-index order: time ascending, then id descending.
+template <typename Entry>
+bool Older(const Entry& a, const Entry& b) {
+  return a.time < b.time || (a.time == b.time && a.id > b.id);
+}
+
+template <typename Entry>
+void IndexInsert(std::vector<Entry>& index, const Entry& entry) {
+  index.insert(std::upper_bound(index.begin(), index.end(), entry, Older<Entry>), entry);
+}
+
+template <typename Entry>
+void IndexErase(std::vector<Entry>& index, const Entry& entry) {
+  auto it = std::lower_bound(index.begin(), index.end(), entry, Older<Entry>);
+  if (it == index.end() || it->id != entry.id || it->time != entry.time) {
+    throw std::logic_error("Cluster: sandbox missing from its recency index");
+  }
+  index.erase(it);
+}
+
+}  // namespace
+
 Cluster::Cluster(ClusterOptions options)
-    : options_(options), pool_(options.seed, options.bytes_per_mb) {
+    : options_(options),
+      pool_(options.seed, options.bytes_per_mb),
+      table_(1),
+      functions_(FunctionBenchProfiles().size()) {
   if (options_.num_nodes <= 0) {
     throw std::invalid_argument("Cluster: need at least one node");
   }
@@ -32,76 +59,96 @@ Cluster::Cluster(ClusterOptions options)
 }
 
 Sandbox& Cluster::Spawn(const FunctionProfile& profile, NodeId node, SimTime now) {
-  Sandbox sb;
-  sb.id = next_id_++;
-  sb.function = profile.id;
-  sb.node = node;
-  sb.state = SandboxState::kRunning;
-  sb.created = now;
-  sb.last_used = now;
-  sb.generation = 1;
-  auto [it, inserted] = sandboxes_.emplace(sb.id, std::move(sb));
-  nodes_.at(static_cast<size_t>(node.value())).sandboxes.push_back(it->first);
-  by_function_[profile.id].push_back(&it->second);  // map nodes: stable address
-  CountAdjust(profile.id, SandboxState::kRunning, +1);
+  if (static_cast<size_t>(profile.id) >= functions_.size()) {
+    throw std::out_of_range("Spawn: unknown function");
+  }
+  auto sb = std::make_unique<Sandbox>();
+  sb->id = SandboxId{table_.size()};
+  sb->function = profile.id;
+  sb->node = node;
+  sb->created = now;
+  sb->last_used = now;
+  sb->generation = 1;
+  Sandbox& ref = *table_.emplace_back(std::move(sb));
+  nodes_.at(static_cast<size_t>(node.value())).sandboxes.push_back(ref.id);
+  Enter(ref, SandboxState::kRunning);
   AddUsage(node, profile.memory_mb);
-  return it->second;
+  return ref;
 }
 
 void Cluster::Purge(SandboxId id) {
-  auto it = sandboxes_.find(id);
-  if (it == sandboxes_.end()) {
+  Sandbox* sb = Find(id);
+  if (sb == nullptr) {
     throw std::out_of_range("Purge: unknown sandbox");
   }
-  Sandbox& sb = it->second;
-  AddUsage(sb.node, -SandboxFootprintMb(sb));
-  auto& list = nodes_.at(static_cast<size_t>(sb.node.value())).sandboxes;
+  AddUsage(sb->node, -SandboxFootprintMb(*sb));
+  auto& list = nodes_.at(static_cast<size_t>(sb->node.value())).sandboxes;
   list.erase(std::remove(list.begin(), list.end(), id), list.end());
-  auto& fn_list = by_function_[sb.function];
-  fn_list.erase(std::remove(fn_list.begin(), fn_list.end(), &sb), fn_list.end());
-  CountAdjust(sb.function, sb.state, -1);
-  sandboxes_.erase(it);
+  Leave(*sb);
+  table_[id.value()].reset();
 }
 
 Sandbox* Cluster::Find(SandboxId id) {
-  auto it = sandboxes_.find(id);
-  return it == sandboxes_.end() ? nullptr : &it->second;
+  return id.value() < table_.size() ? table_[id.value()].get() : nullptr;
 }
 
 const Sandbox* Cluster::Find(SandboxId id) const {
-  auto it = sandboxes_.find(id);
-  return it == sandboxes_.end() ? nullptr : &it->second;
+  return id.value() < table_.size() ? table_[id.value()].get() : nullptr;
 }
 
 std::vector<SandboxId> Cluster::SandboxesIn(FunctionId function, SandboxState state) const {
   std::vector<SandboxId> out;
-  ForEachSandboxIn(function, state, [&out](const Sandbox& sb) { out.push_back(sb.id); });
+  ForEachSandbox([&](const Sandbox& sb) {
+    if (sb.function == function && sb.state == state) {
+      out.push_back(sb.id);
+    }
+  });
   return out;
 }
 
 std::vector<SandboxId> Cluster::AllSandboxes() const {
   std::vector<SandboxId> out;
-  out.reserve(sandboxes_.size());
-  for (const auto& [id, sb] : sandboxes_) {
-    out.push_back(id);
-  }
+  ForEachSandbox([&out](const Sandbox& sb) { out.push_back(sb.id); });
   return out;
+}
+
+void Cluster::Leave(const Sandbox& sb) {
+  FunctionState& fs = functions_[static_cast<size_t>(sb.function)];
+  if (sb.state == SandboxState::kWarm) {
+    IndexErase(fs.warm, RecencyEntry{sb.last_used, sb.id});
+  } else if (sb.state == SandboxState::kDedup) {
+    IndexErase(fs.dedup, RecencyEntry{sb.dedup_since, sb.id});
+  }
+  --fs.counts[static_cast<size_t>(sb.state)];
+}
+
+void Cluster::Enter(Sandbox& sb, SandboxState state) {
+  FunctionState& fs = functions_[static_cast<size_t>(sb.function)];
+  sb.state = state;
+  ++fs.counts[static_cast<size_t>(state)];
+  if (state == SandboxState::kWarm) {
+    IndexInsert(fs.warm, RecencyEntry{sb.last_used, sb.id});
+  } else if (state == SandboxState::kDedup) {
+    IndexInsert(fs.dedup, RecencyEntry{sb.dedup_since, sb.id});
+  }
 }
 
 void Cluster::MarkRunning(Sandbox& sb, SimTime now) {
   if (sb.state == SandboxState::kDedup) {
     throw std::logic_error("MarkRunning: restore the sandbox first");
   }
-  SetState(sb, SandboxState::kRunning);
+  Leave(sb);
   sb.last_used = now;
+  Enter(sb, SandboxState::kRunning);
   ++sb.runs;
   ++sb.generation;
 }
 
 void Cluster::MarkWarm(Sandbox& sb, SimTime now) {
-  SetState(sb, SandboxState::kWarm);
+  Leave(sb);
   sb.idle_since = now;
   sb.last_used = now;
+  Enter(sb, SandboxState::kWarm);
 }
 
 void Cluster::MarkDedup(Sandbox& sb, SimTime now) {
@@ -112,18 +159,22 @@ void Cluster::MarkDedup(Sandbox& sb, SimTime now) {
     throw std::logic_error("MarkDedup: checkpoint not installed");
   }
   const double before = WarmFootprintMb(sb);
-  SetState(sb, SandboxState::kDedup);
+  Leave(sb);
   sb.dedup_since = now;
+  Enter(sb, SandboxState::kDedup);
   sb.dedup_footprint_mb = DedupFootprintMb(sb);
   AddUsage(sb.node, sb.dedup_footprint_mb - before);
 }
 
+// Re-enters the warm index with the sandbox's old last_used, so the entry
+// lands wherever that time sorts, not necessarily at the back.
 void Cluster::MarkRestored(Sandbox& sb, SimTime now, bool release_checkpoint) {
   if (sb.state != SandboxState::kDedup) {
     throw std::logic_error("MarkRestored: sandbox not in dedup state");
   }
   const double before = sb.dedup_footprint_mb;
-  SetState(sb, SandboxState::kWarm);
+  Leave(sb);
+  Enter(sb, SandboxState::kWarm);
   sb.idle_since = now;
   if (release_checkpoint) {
     sb.checkpoint.reset();
@@ -228,11 +279,11 @@ double Cluster::TotalLimitMb() const {
 
 double Cluster::RecomputeNodeUsedMb(NodeId id) const {
   double total = 0;
-  for (const auto& [sid, sb] : sandboxes_) {
+  ForEachSandbox([&](const Sandbox& sb) {
     if (sb.node == id) {
       total += SandboxFootprintMb(sb);
     }
-  }
+  });
   for (const auto& [sid, snap] : bases_) {
     if (snap.node == id) {
       total += snap.memory_mb;

@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
@@ -60,6 +59,8 @@ struct Sandbox {
   uint64_t generation = 0;
 
   SimTime created;
+  // last_used and dedup_since key the cluster's recency indexes: only the
+  // Cluster's lifecycle transitions write them.
   SimTime last_used;
   SimTime idle_since;
   SimTime dedup_since;
@@ -135,47 +136,44 @@ class Cluster {
   // resources (base refs) were released by the caller (dedup agent).
   void Purge(SandboxId id);
 
+  // O(1): a table indexed by id. Null for kNoSandbox, a purged id, or an
+  // id never issued.
   Sandbox* Find(SandboxId id);
   const Sandbox* Find(SandboxId id) const;
 
-  // All sandbox ids of `function` in `state` (deterministic order).
+  // All sandbox ids of `function` in `state`, in ascending id order. A scan
+  // of every sandbox: the test oracle for CountIn and the recency indexes.
   std::vector<SandboxId> SandboxesIn(FunctionId function, SandboxState state) const;
   std::vector<SandboxId> AllSandboxes() const;
 
-  // Number of `function` sandboxes in `state`, maintained incrementally at
-  // every lifecycle transition — O(1), no vector build. The test oracle is
-  // SandboxesIn(...).size().
-  int CountIn(FunctionId function, SandboxState state) const {
-    auto it = counts_.find(function);
-    return it == counts_.end() ? 0 : it->second[static_cast<size_t>(state)];
+  // Visits every live sandbox in ascending id order (the order AllSandboxes
+  // lists). `fn` must not spawn or purge.
+  template <typename Fn>
+  void ForEachSandbox(Fn&& fn) const {
+    for (const std::unique_ptr<Sandbox>& sb : table_) {
+      if (sb != nullptr) {
+        fn(*sb);
+      }
+    }
   }
 
-  // Allocation-free scan over `function`'s sandboxes in `state`, in ascending
-  // id order (same order as SandboxesIn). `fn` may mutate the sandbox but not
-  // change its state or purge it mid-scan.
-  template <typename Fn>
-  void ForEachSandboxIn(FunctionId function, SandboxState state, Fn&& fn) {
-    auto it = by_function_.find(function);
-    if (it == by_function_.end()) {
-      return;
-    }
-    for (Sandbox* sb : it->second) {
-      if (sb->state == state) {
-        fn(*sb);
-      }
-    }
+  // Number of `function` sandboxes in `state`, maintained incrementally at
+  // every lifecycle transition. The test oracle is SandboxesIn(...).size().
+  int CountIn(FunctionId function, SandboxState state) const {
+    const FunctionState* fs = StateOf(function);
+    return fs == nullptr ? 0 : fs->counts[static_cast<size_t>(state)];
   }
-  template <typename Fn>
-  void ForEachSandboxIn(FunctionId function, SandboxState state, Fn&& fn) const {
-    auto it = by_function_.find(function);
-    if (it == by_function_.end()) {
-      return;
-    }
-    for (const Sandbox* sb : it->second) {
-      if (sb->state == state) {
-        fn(*sb);
-      }
-    }
+
+  // The warm sandbox of `function` with the latest last_used, or the dedup
+  // sandbox with the latest dedup_since; on a tie the lowest id. Null when
+  // there is none. O(1): the back of a per-function recency index.
+  Sandbox* MostRecentWarm(FunctionId function) {
+    const FunctionState* fs = StateOf(function);
+    return fs == nullptr || fs->warm.empty() ? nullptr : Find(fs->warm.back().id);
+  }
+  Sandbox* MostRecentDedup(FunctionId function) {
+    const FunctionState* fs = StateOf(function);
+    return fs == nullptr || fs->dedup.empty() ? nullptr : Find(fs->dedup.back().id);
   }
 
   // State transitions with memory-accounting side effects.
@@ -224,29 +222,45 @@ class Cluster {
   NodeId LeastUsedNode() const;
 
  private:
+  // One recency-index entry: a sandbox and the time it is ordered by
+  // (last_used in the warm index, dedup_since in the dedup index).
+  struct RecencyEntry {
+    SimTime time;
+    SandboxId id;
+  };
+  // Per-function lifecycle state, indexed by FunctionId. A sandbox is in
+  // `warm` exactly while it is kWarm and in `dedup` exactly while it is
+  // kDedup. Both are sorted by time ascending, then id descending, so back()
+  // is the latest time and, among equal times, the lowest id. An update is a
+  // binary search plus a shift of the entries behind it; a pick takes the
+  // back and a new warm or dedup entry carries the latest time, so the
+  // common updates shift only entries that share its time.
+  struct FunctionState {
+    std::array<int, 3> counts{};  // indexed by SandboxState
+    std::vector<RecencyEntry> warm;
+    std::vector<RecencyEntry> dedup;
+  };
+
+  const FunctionState* StateOf(FunctionId function) const {
+    const auto f = static_cast<size_t>(function);
+    return function >= 0 && f < functions_.size() ? &functions_[f] : nullptr;
+  }
+  // Every state write in this class funnels through these two: Leave takes
+  // the sandbox out of its state's count and index (keyed by the sandbox's
+  // current times), Enter puts it into `state`'s, keyed by the times the
+  // caller has already set.
+  void Leave(const Sandbox& sb);
+  void Enter(Sandbox& sb, SandboxState state);
   void AddUsage(NodeId node, double mb);
-  // Incremental (function, state) count maintenance; every state write in
-  // this class funnels through these.
-  void CountAdjust(FunctionId function, SandboxState state, int delta) {
-    counts_[function][static_cast<size_t>(state)] += delta;
-  }
-  void SetState(Sandbox& sb, SandboxState state) {
-    CountAdjust(sb.function, sb.state, -1);
-    CountAdjust(sb.function, state, +1);
-    sb.state = state;
-  }
 
   ClusterOptions options_;
   LibraryPool pool_;
   std::vector<Node> nodes_;
-  SandboxId next_id_{1};
-  std::map<SandboxId, Sandbox> sandboxes_;  // ordered => deterministic iteration
+  // Sandboxes by id; ids are issued densely from 1, so table_.size() is the
+  // next id, and slot 0 (kNoSandbox) and purged slots hold null.
+  std::vector<std::unique_ptr<Sandbox>> table_;
   std::map<SandboxId, BaseSnapshot> bases_;
-  // Per-function index (ascending ids) so scheduling scans stay O(per-fn).
-  // Raw pointers into sandboxes_ — std::map nodes are address-stable.
-  std::unordered_map<FunctionId, std::vector<Sandbox*>> by_function_;
-  // Per-function live-state counts, indexed by SandboxState.
-  std::unordered_map<FunctionId, std::array<int, 3>> counts_;
+  std::vector<FunctionState> functions_;
 };
 
 }  // namespace medes

@@ -96,18 +96,35 @@ struct DeltaScratch::SeedTable {
            std::memcmp(base_.data(), base.data(), base.size()) == 0;
   }
 
+  // Bucket count for a base of `base_size` bytes with this geometry.
+  static size_t Buckets(size_t base_size, size_t seed_len, size_t stride, size_t depth) {
+    const size_t positions = (base_size - seed_len) / stride + 1;
+    const size_t want = positions * depth * 2;
+    size_t cap = 64;
+    while (cap < want) {
+      cap <<= 1;
+    }
+    return cap;
+  }
+
+  // Bytes a table built fresh over such a base holds.
+  static size_t BytesFor(size_t base_size, size_t seed_len, size_t stride, size_t depth) {
+    return sizeof(SeedTable) + base_size +
+           Buckets(base_size, seed_len, stride, depth) * depth * sizeof(uint16_t);
+  }
+
+  // Bytes this table holds (a rebuilt table keeps its storage's capacity).
+  size_t Bytes() const {
+    return sizeof(SeedTable) + base_.capacity() + slots_.capacity() * sizeof(uint16_t);
+  }
+
   // Indexes `base`, which holds at least one seed.
   void Build(std::span<const uint8_t> base, size_t seed_len, size_t stride, size_t depth) {
     stride_ = 0;  // holds nothing until the build completes
     seed_len_ = seed_len;
     depth_ = depth;
     base_.assign(base.begin(), base.end());
-    size_t positions = (base.size() - seed_len) / stride + 1;
-    size_t want = positions * depth * 2;
-    size_t cap = 64;
-    while (cap < want) {
-      cap <<= 1;
-    }
+    const size_t cap = Buckets(base.size(), seed_len, stride, depth);
     mask_ = cap - 1;
     slots_.assign(cap * depth_, kEmpty);
     filter_.fill(0);
@@ -232,6 +249,11 @@ struct DeltaScratch::SeedTable {
 DeltaScratch::DeltaScratch() = default;
 DeltaScratch::~DeltaScratch() = default;
 
+size_t DeltaScratch::BudgetBytes() {
+  // 4 KiB bases at level 1 and the default 16-byte seed: stride 8, depth 2.
+  return kCapacity * SeedTable::BytesFor(4096, 16, 8, 2);
+}
+
 const DeltaScratch::SeedTable& DeltaScratch::Find(std::span<const uint8_t> base, size_t seed_len,
                                                   size_t stride, size_t depth) {
   const uint64_t key = HashCombine(HashBase(base), (seed_len << 32) ^ (stride << 16) ^ depth);
@@ -242,17 +264,44 @@ const DeltaScratch::SeedTable& DeltaScratch::Find(std::span<const uint8_t> base,
       return tables_[i];
     }
   }
-  size_t victim = tables_.size();
-  if (victim < kCapacity) {
+  const size_t budget = BudgetBytes();
+  auto least_recent = [this] {
+    return static_cast<size_t>(std::min_element(last_use_.begin(), last_use_.end()) -
+                               last_use_.begin());
+  };
+  size_t slot;
+  if (tables_.empty() ||
+      bytes_ + SeedTable::BytesFor(base.size(), seed_len, stride, depth) <= budget) {
+    slot = tables_.size();
     tables_.emplace_back();
+    keys_.push_back(0);
+    last_use_.push_back(0);
   } else {
-    victim = static_cast<size_t>(std::min_element(last_use_.begin(), last_use_.end()) -
-                                 last_use_.begin());
+    slot = least_recent();
+    bytes_ -= tables_[slot].Bytes();
   }
-  tables_[victim].Build(base, seed_len, stride, depth);
-  keys_[victim] = key;
-  last_use_[victim] = clock_;
-  return tables_[victim];
+  tables_[slot].Build(base, seed_len, stride, depth);
+  bytes_ += tables_[slot].Bytes();
+  keys_[slot] = key;
+  last_use_[slot] = clock_;
+  // The new table holds the latest clock, so it is never the one dropped.
+  while (bytes_ > budget && tables_.size() > 1) {
+    const size_t victim = least_recent();
+    bytes_ -= tables_[victim].Bytes();
+    const size_t last = tables_.size() - 1;
+    if (victim != last) {
+      std::swap(tables_[victim], tables_[last]);
+      keys_[victim] = keys_[last];
+      last_use_[victim] = last_use_[last];
+      if (slot == last) {
+        slot = victim;
+      }
+    }
+    tables_.pop_back();
+    keys_.pop_back();
+    last_use_.pop_back();
+  }
+  return tables_[slot];
 }
 
 namespace {

@@ -77,22 +77,29 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
                      const DeltaOptions& options, std::vector<uint8_t>& out,
                      DeltaScratch* scratch = nullptr);
 
-// Reusable encoder working storage: an LRU cache of the last kCapacity seed
-// tables built. One base page serves many targets, so most encodes find
+// Reusable encoder working storage: an LRU cache of built seed tables,
+// bounded by bytes. One base page serves many targets, so most encodes find
 // their base's table here and skip the index build. A table is found by a
 // hash of the base bytes and the table geometry, then confirmed by a full
 // compare against the table's own copy of the base, so a hit never depends
-// on where the base lives and is the table a fresh build would make. Full,
-// it holds about 3.3 MB (4 KiB bases at level 1). Keep one per worker
-// thread; DeltaEncodeInto without one builds every table afresh.
+// on where the base lives and is the table a fresh build would make. The
+// budget is what kCapacity tables over 4 KiB bases at level 1 take (about
+// 3.3 MB); denser levels hold fewer tables in the same bytes, and the table
+// just built is always kept. Keep one per worker thread; DeltaEncodeInto
+// without one builds every table afresh.
 class DeltaScratch {
  public:
   static constexpr size_t kCapacity = 256;
+  static size_t BudgetBytes();
 
   DeltaScratch();
   ~DeltaScratch();
   DeltaScratch(const DeltaScratch&) = delete;
   DeltaScratch& operator=(const DeltaScratch&) = delete;
+
+  size_t CachedTables() const { return keys_.size(); }
+  // Bytes the cached tables hold, their heap storage included.
+  size_t CachedBytes() const { return bytes_; }
 
  private:
   friend void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> target,
@@ -100,16 +107,18 @@ class DeltaScratch {
                               DeltaScratch* scratch);
   struct SeedTable;  // defined in delta.cc
 
-  // The table over `base` with this geometry, built into the least
-  // recently used slot on a miss.
+  // The table over `base` with this geometry. On a miss it is built into a
+  // new slot while the budget allows, else into the least recently used
+  // slot; then least recently used tables are dropped until the cache fits.
   const SeedTable& Find(std::span<const uint8_t> base, size_t seed_len, size_t stride,
                         size_t depth);
 
-  std::vector<SeedTable> tables_;  // grows to kCapacity
+  std::vector<SeedTable> tables_;
   // keys_[i] hashes tables_[i]'s base bytes and geometry; last_use_[i] is
   // the clock_ value of its latest lookup.
-  std::array<uint64_t, kCapacity> keys_{};
-  std::array<uint64_t, kCapacity> last_use_{};
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> last_use_;
+  size_t bytes_ = 0;
   uint64_t clock_ = 0;
 };
 

@@ -152,26 +152,6 @@ class ServerlessPlatform::Impl {
     sb.idle_deadline = SimTime{};
   }
 
-  Sandbox* PickWarm(FunctionId f) {
-    Sandbox* best = nullptr;
-    cluster_.ForEachSandboxIn(f, SandboxState::kWarm, [&best](Sandbox& sb) {
-      if (best == nullptr || sb.last_used > best->last_used) {
-        best = &sb;
-      }
-    });
-    return best;
-  }
-
-  Sandbox* PickDedup(FunctionId f) {
-    Sandbox* best = nullptr;
-    cluster_.ForEachSandboxIn(f, SandboxState::kDedup, [&best](Sandbox& sb) {
-      if (best == nullptr || sb.dedup_since > best->dedup_since) {
-        best = &sb;
-      }
-    });
-    return best;
-  }
-
   // Frees memory on `node` until `required_mb` fits under the limit.
   // Under the keep-alive baselines, pressure evicts idle warm sandboxes
   // (LRU). Under Medes, pressure first *deduplicates* idle warm sandboxes —
@@ -318,13 +298,15 @@ class ServerlessPlatform::Impl {
 
     StartType type;
     SimDuration startup;
-    Sandbox* sb = PickWarm(ev.function);
+    // The most recently used warm sandbox, else the most recently
+    // deduplicated one, else a cold spawn.
+    Sandbox* sb = cluster_.MostRecentWarm(ev.function);
     if (sb != nullptr) {
       CancelTimer(*sb);
       type = StartType::kWarm;
       startup = profile.warm_start;
       cluster_.MarkRunning(*sb, now);
-    } else if ((sb = PickDedup(ev.function)) != nullptr) {
+    } else if ((sb = cluster_.MostRecentDedup(ev.function)) != nullptr) {
       CancelTimer(*sb);
       RestoreOpResult restore = agent_.RestoreOp(*sb, now, options_.verify_restores, ctx);
       controller_.RecordRestoreResult(ev.function, restore);
@@ -561,17 +543,16 @@ class ServerlessPlatform::Impl {
     s.time = sim_.Now();
     s.used_mb = cluster_.TotalUsedMb();
     s.idle_warm_mb_per_function.assign(FunctionBenchProfiles().size(), 0.0);
-    for (SandboxId id : cluster_.AllSandboxes()) {
-      const Sandbox* sb = cluster_.Find(id);
+    cluster_.ForEachSandbox([this, &s](const Sandbox& sb) {
       ++s.sandboxes;
-      if (sb->state == SandboxState::kDedup) {
+      if (sb.state == SandboxState::kDedup) {
         ++s.dedup;
-      } else if (sb->state == SandboxState::kWarm) {
+      } else if (sb.state == SandboxState::kWarm) {
         ++s.warm;
-        s.idle_warm_mb_per_function[static_cast<size_t>(sb->function)] +=
-            cluster_.WarmFootprintMb(*sb);
+        s.idle_warm_mb_per_function[static_cast<size_t>(sb.function)] +=
+            cluster_.WarmFootprintMb(sb);
       }
-    }
+    });
     s.bases = cluster_.base_snapshots().size();
     // Refresh the level gauges.
     live_sandboxes_.Set(static_cast<int64_t>(s.sandboxes));

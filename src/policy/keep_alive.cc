@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace medes {
 
@@ -21,15 +22,17 @@ SimDuration AdaptiveKeepAlive::KeepAlive() const {
   if (iats_.size() < options_.min_samples) {
     return options_.default_window;
   }
-  std::vector<SimDuration> sorted(iats_.begin(), iats_.end());
-  std::sort(sorted.begin(), sorted.end());
+  // The rank-th smallest IAT: nth_element selects the element a full sort
+  // would put there, in linear time.
+  std::vector<SimDuration> iats(iats_.begin(), iats_.end());
   size_t rank = static_cast<size_t>(
-      std::ceil(options_.coverage_percentile * static_cast<double>(sorted.size())));
+      std::ceil(options_.coverage_percentile * static_cast<double>(iats.size())));
   if (rank > 0) {
     --rank;
   }
-  const SimDuration window{static_cast<int64_t>(
-      static_cast<double>(sorted[std::min(rank, sorted.size() - 1)].value()) * options_.margin)};
+  const auto nth = iats.begin() + static_cast<std::ptrdiff_t>(std::min(rank, iats.size() - 1));
+  std::nth_element(iats.begin(), nth, iats.end());
+  const SimDuration window{static_cast<int64_t>(static_cast<double>(nth->value()) * options_.margin)};
   return std::clamp(window, options_.min_window, options_.max_window);
 }
 

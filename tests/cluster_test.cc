@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
+#include <set>
+#include <vector>
 
 namespace medes {
 namespace {
@@ -176,6 +180,147 @@ TEST_F(ClusterTest, CountInMatchesSandboxesInOracle) {
   EXPECT_EQ(cluster_.CountIn(vanilla_.id, SandboxState::kWarm), 0);
   EXPECT_EQ(cluster_.CountIn(vanilla_.id, SandboxState::kRunning), 1);
   EXPECT_EQ(cluster_.CountIn(rnn_.id, SandboxState::kWarm), 1);
+}
+
+// Differential test of the recency indexes, the counts and the id table.
+// Random spawn / run / warm / dedup / restore / purge steps over several
+// functions and nodes, with time standing still on most steps so many
+// sandboxes share a timestamp, and restores re-entering the warm index with
+// an old last_used. After every step, MostRecentWarm / MostRecentDedup must
+// equal the linear-scan rule (largest time, lowest id on a tie), CountIn must
+// equal the scan, and Find must be null exactly for ids that are not live.
+TEST_F(ClusterTest, RandomLifecycleMatchesLinearScan) {
+  Cluster& cluster = cluster_;
+  const std::vector<FunctionProfile>& profiles = FunctionBenchProfiles();
+  const std::vector<FunctionId> functions = {0, 1, 4, 9};
+  // One checkpoint per function, copied into every sandbox it dedups.
+  std::vector<MemoryCheckpoint> checkpoints;
+  for (FunctionId f : functions) {
+    Sandbox& sb = cluster.Spawn(profiles[static_cast<size_t>(f)], NodeId{0}, SimTime{});
+    checkpoints.push_back(MemoryCheckpoint::Capture(cluster.BuildImage(sb)));
+    cluster.Purge(sb.id);
+  }
+
+  // The rule the platform's pick used before the indexes: an ascending-id
+  // scan that replaces the best only on a strictly larger time.
+  auto scan_pick = [&](FunctionId f, SandboxState state) -> const Sandbox* {
+    SimTime Sandbox::*const time =
+        state == SandboxState::kWarm ? &Sandbox::last_used : &Sandbox::dedup_since;
+    const Sandbox* best = nullptr;
+    for (SandboxId id : cluster.SandboxesIn(f, state)) {
+      const Sandbox* sb = cluster.Find(id);
+      if (best == nullptr || sb->*time > best->*time) {
+        best = sb;
+      }
+    }
+    return best;
+  };
+  std::set<uint64_t> purged;
+  uint64_t issued = 0;
+  auto check = [&](int step) {
+    for (FunctionId f : functions) {
+      ASSERT_EQ(cluster.MostRecentWarm(f), scan_pick(f, SandboxState::kWarm))
+          << "step " << step << " function " << f;
+      ASSERT_EQ(cluster.MostRecentDedup(f), scan_pick(f, SandboxState::kDedup))
+          << "step " << step << " function " << f;
+      for (SandboxState s : {SandboxState::kRunning, SandboxState::kWarm, SandboxState::kDedup}) {
+        ASSERT_EQ(static_cast<size_t>(cluster.CountIn(f, s)), cluster.SandboxesIn(f, s).size())
+            << "step " << step << " function " << f << " state " << ToString(s);
+      }
+    }
+    ASSERT_EQ(cluster.Find(kNoSandbox), nullptr);
+    for (uint64_t id : purged) {
+      ASSERT_EQ(cluster.Find(SandboxId{id}), nullptr) << "purged id " << id;
+    }
+    for (uint64_t id = issued + 1; id <= issued + 3; ++id) {
+      ASSERT_EQ(cluster.Find(SandboxId{id}), nullptr) << "unissued id " << id;
+    }
+    ASSERT_EQ(cluster.Find(SandboxId{~uint64_t{0}}), nullptr);
+    for (SandboxId id : cluster.AllSandboxes()) {
+      ASSERT_NE(cluster.Find(id), nullptr);
+      ASSERT_EQ(cluster.Find(id)->id, id);
+    }
+    for (int n = 0; n < cluster.NumNodes(); ++n) {
+      ASSERT_NEAR(cluster.RecomputeNodeUsedMb(NodeId{n}), cluster.node(NodeId{n}).used_mb, 1e-6);
+    }
+  };
+
+  issued = functions.size();
+  for (uint64_t id = 1; id <= issued; ++id) {
+    purged.insert(id);
+  }
+  std::mt19937_64 rng(0xc1a5);
+  SimTime now{1};
+  size_t restores_with_old_last_used = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (rng() % 10 < 3) {
+      now += SimDuration{1 + static_cast<int64_t>(rng() % 3)};
+    }
+    const size_t fi = rng() % functions.size();
+    const FunctionId f = functions[fi];
+    const auto live = cluster.AllSandboxes();
+    const uint64_t dice = rng() % 100;
+    if (live.size() < 6 || dice < 15) {
+      cluster.Spawn(profiles[static_cast<size_t>(f)], NodeId{static_cast<int>(rng() % 3)}, now);
+      ++issued;
+    } else if (dice < 40) {
+      // A request, as the platform serves it: warm, else dedup, else none.
+      if (Sandbox* sb = cluster.MostRecentWarm(f)) {
+        cluster.MarkRunning(*sb, now);
+      } else if (Sandbox* db = cluster.MostRecentDedup(f)) {
+        if (db->last_used < now) {
+          ++restores_with_old_last_used;
+        }
+        cluster.MarkRestored(*db, now, rng() % 2 == 0);
+        cluster.MarkRunning(*db, now);
+      }
+    } else {
+      Sandbox& sb = *cluster.Find(live[rng() % live.size()]);
+      switch (sb.state) {
+        case SandboxState::kRunning:
+          if (dice < 85) {
+            cluster.MarkWarm(sb, now);
+          } else {
+            EXPECT_THROW(cluster.MarkDedup(sb, now), std::logic_error);
+          }
+          break;
+        case SandboxState::kWarm:
+          if (dice < 60) {
+            sb.checkpoint = checkpoints[static_cast<size_t>(
+                std::find(functions.begin(), functions.end(), sb.function) - functions.begin())];
+            cluster.MarkDedup(sb, now);
+          } else if (dice < 75) {
+            cluster.MarkRunning(sb, now);
+          } else if (dice < 80) {
+            EXPECT_THROW(cluster.MarkRestored(sb, now), std::logic_error);
+          } else {
+            purged.insert(sb.id.value());
+            cluster.Purge(sb.id);
+          }
+          break;
+        case SandboxState::kDedup:
+          if (dice < 65) {
+            if (sb.last_used < now) {
+              ++restores_with_old_last_used;
+            }
+            cluster.MarkRestored(sb, now, dice < 55);
+          } else if (dice < 75) {
+            EXPECT_THROW(cluster.MarkRunning(sb, now), std::logic_error);
+          } else {
+            purged.insert(sb.id.value());
+            cluster.Purge(sb.id);
+          }
+          break;
+      }
+    }
+    check(step);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  // The walk must have exercised what it is here for.
+  EXPECT_GT(restores_with_old_last_used, 50u);
+  EXPECT_GT(purged.size(), 100u);
 }
 
 TEST_F(ClusterTest, LeastUsedNode) {

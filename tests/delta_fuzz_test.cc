@@ -282,7 +282,9 @@ TEST(DeltaFuzzTest, SeedTableCacheEvictionStaysExact) {
   const DeltaOptions options{.seed_length = 4};
   DeltaScratch scratch;
   std::vector<std::vector<uint8_t>> bases;
-  for (size_t i = 0; i < DeltaScratch::kCapacity + 16; ++i) {
+  // These tables are smaller than a 4 KiB level-1 table, so the byte budget
+  // holds more than kCapacity of them.
+  for (size_t i = 0; i < 2 * DeltaScratch::kCapacity + 16; ++i) {
     bases.push_back(LowEntropy(512 + 96 * (i % 5), 100 + i));
   }
   std::vector<uint8_t> got;
@@ -291,10 +293,43 @@ TEST(DeltaFuzzTest, SeedTableCacheEvictionStaysExact) {
     DeltaEncodeInto(bases[i], target, options, got, &scratch);
     ASSERT_EQ(got, ReferenceEncode(bases[i], target, options)) << "base " << i;
   }
+  ASSERT_LT(scratch.CachedTables(), bases.size()) << "the first base was never evicted";
   const auto target = DenselyEdited(bases.front(), 99);
   DeltaEncodeInto(bases.front(), target, options, got, &scratch);
   EXPECT_EQ(got, ReferenceEncode(bases.front(), target, options));
   EXPECT_EQ(DeltaDecode(bases.front(), got), target);
+}
+
+// The cache is bounded by bytes, not by table count: at level 9 a 4 KiB
+// base's table is about 60 times a level-1 table, so far fewer fit. At level
+// 1 over 4 KiB bases the budget holds exactly kCapacity tables. A table
+// larger than the whole budget is still kept, alone.
+TEST(DeltaFuzzTest, SeedTableCacheStaysWithinByteBudget) {
+  for (int level : {1, 9}) {
+    DeltaScratch scratch;
+    std::vector<uint8_t> got;
+    for (size_t i = 0; i < DeltaScratch::kCapacity + 8; ++i) {
+      const auto base = RandomBytes(4096, 700 + i);
+      const auto target = MutatedCopy(base, 1700 + i);
+      DeltaEncodeInto(base, target, DeltaOptions{.level = level}, got, &scratch);
+      ASSERT_LE(scratch.CachedBytes(), DeltaScratch::BudgetBytes()) << "level " << level;
+      ASSERT_EQ(DeltaDecode(base, got), target);
+    }
+    if (level == 1) {
+      EXPECT_EQ(scratch.CachedTables(), DeltaScratch::kCapacity);
+      EXPECT_EQ(scratch.CachedBytes(), DeltaScratch::BudgetBytes());
+    } else {
+      EXPECT_LT(scratch.CachedTables(), DeltaScratch::kCapacity / 16);
+    }
+  }
+  DeltaScratch scratch;
+  const auto base = RandomBytes(60000, 800);
+  const auto target = MutatedCopy(base, 801);
+  std::vector<uint8_t> got;
+  DeltaEncodeInto(base, target, DeltaOptions{.level = 9}, got, &scratch);
+  EXPECT_EQ(scratch.CachedTables(), 1u);
+  EXPECT_GT(scratch.CachedBytes(), DeltaScratch::BudgetBytes());
+  EXPECT_EQ(got, ReferenceEncode(base, target, DeltaOptions{.level = 9}));
 }
 
 TEST(DeltaFuzzTest, RoundTripEveryLevel) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+
 namespace medes {
 namespace {
 
@@ -137,6 +139,67 @@ TEST(PlatformTest, MedesShortTraceMatchesGoldenValues) {
   EXPECT_EQ(m.restores, 24u);
   EXPECT_EQ(platform.sim().stats().fired, 47148u);
   EXPECT_EQ(m.transport.TotalBytes(), 3095432u);
+}
+
+// Order-sensitive hash of every request's arrival, latencies, function and
+// start type: any change to which sandbox serves which request moves it.
+uint64_t RequestStreamHash(const RunMetrics& m) {
+  uint64_t h = 0;
+  for (const RequestRecord& r : m.requests) {
+    h = HashCombine(h, static_cast<uint64_t>(r.arrival.value()));
+    h = HashCombine(h, static_cast<uint64_t>(r.startup.value()));
+    h = HashCombine(h, static_cast<uint64_t>(r.e2e.value()));
+    h = HashCombine(h, static_cast<uint64_t>(r.function));
+    h = HashCombine(h, static_cast<uint64_t>(r.start));
+  }
+  return h;
+}
+
+struct StartCounts {
+  uint64_t warm = 0;
+  uint64_t dedup = 0;
+  uint64_t cold = 0;
+};
+
+StartCounts CountStarts(const RunMetrics& m) {
+  StartCounts c;
+  for (const FunctionMetrics& f : m.per_function) {
+    c.warm += f.warm_starts;
+    c.dedup += f.dedup_starts;
+    c.cold += f.cold_starts;
+  }
+  return c;
+}
+
+// Golden values for the keep-alive baselines. Warm-sandbox choice (most
+// recently used, lowest id on a tie) and LRU eviction decide every start, so
+// a change to either must re-derive these numbers deliberately.
+TEST(PlatformTest, FixedKeepAliveShortTraceMatchesGoldenValues) {
+  auto trace = ShortTrace(8 * kMinute);
+  ServerlessPlatform platform(FastOptions(PolicyKind::kFixedKeepAlive));
+  const RunMetrics m = platform.Run(trace);
+  const StartCounts c = CountStarts(m);
+  EXPECT_EQ(c.warm, 14816u);
+  EXPECT_EQ(c.dedup, 0u);
+  EXPECT_EQ(c.cold, 601u);
+  EXPECT_EQ(m.sandboxes_spawned, 601u);
+  EXPECT_EQ(m.evictions, 455u);
+  EXPECT_EQ(platform.sim().stats().fired, 31088u);
+  EXPECT_EQ(RequestStreamHash(m), 16380321898527846165ull);
+}
+
+TEST(PlatformTest, AdaptiveKeepAliveShortTraceMatchesGoldenValues) {
+  auto trace = ShortTrace(8 * kMinute);
+  ServerlessPlatform platform(FastOptions(PolicyKind::kAdaptiveKeepAlive));
+  const RunMetrics m = platform.Run(trace);
+  const StartCounts c = CountStarts(m);
+  EXPECT_EQ(c.warm, 14750u);
+  EXPECT_EQ(c.dedup, 0u);
+  EXPECT_EQ(c.cold, 667u);
+  EXPECT_EQ(m.sandboxes_spawned, 667u);
+  EXPECT_EQ(m.evictions, 319u);
+  EXPECT_EQ(platform.sim().stats().fired, 31290u);
+  EXPECT_EQ(RequestStreamHash(m), 211825630430056172ull);
 }
 
 TEST(PlatformTest, RunTwiceRejected) {

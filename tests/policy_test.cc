@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <random>
+#include <vector>
+
 #include "policy/keep_alive.h"
 
 namespace medes {
@@ -192,6 +198,51 @@ TEST(AdaptiveKeepAliveTest, HistoryIsBounded) {
     ka.RecordArrival(SimTime{} + i * kSecond);
   }
   EXPECT_EQ(ka.NumSamples(), 10u);
+}
+
+// KeepAlive selects the coverage rank with nth_element; it must return what
+// the sort-based rule returns: sort the window, take element
+// ceil(p * n) - 1, scale by the margin, clamp. Gaps come from a small set so
+// the windows hold many equal IATs, and the window is wide so clamping does
+// not hide a wrong rank.
+TEST(AdaptiveKeepAliveTest, RankSelectionMatchesSortedRule) {
+  std::mt19937_64 rng(0x1a7);
+  for (double coverage : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    for (size_t max_samples : {size_t{9}, size_t{64}, size_t{512}}) {
+      AdaptiveKeepAliveOptions opts;
+      opts.coverage_percentile = coverage;
+      opts.max_samples = max_samples;
+      opts.min_window = SimDuration{};
+      opts.max_window = 1000 * kHour;
+      AdaptiveKeepAlive ka(opts);
+      std::deque<SimDuration> window;
+      SimTime now;
+      ka.RecordArrival(now);
+      for (int step = 0; step < 1500; ++step) {
+        const SimDuration gap = (1 + static_cast<int64_t>(rng() % 6)) * kSecond;
+        now += gap;
+        ka.RecordArrival(now);
+        window.push_back(gap);
+        if (window.size() > max_samples) {
+          window.pop_front();
+        }
+        SimDuration want = opts.default_window;
+        if (window.size() >= opts.min_samples) {
+          std::vector<SimDuration> sorted(window.begin(), window.end());
+          std::sort(sorted.begin(), sorted.end());
+          size_t rank = static_cast<size_t>(
+              std::ceil(coverage * static_cast<double>(sorted.size())));
+          rank = std::min(rank > 0 ? rank - 1 : 0, sorted.size() - 1);
+          want = std::clamp(
+              SimDuration{static_cast<int64_t>(static_cast<double>(sorted[rank].value()) *
+                                               opts.margin)},
+              opts.min_window, opts.max_window);
+        }
+        ASSERT_EQ(ka.KeepAlive(), want)
+            << "coverage " << coverage << " max_samples " << max_samples << " step " << step;
+      }
+    }
+  }
 }
 
 TEST(RateTrackerTest, MaxAndMeanRates) {
