@@ -21,16 +21,22 @@ Checks, without external dependencies:
     every parent id resolving inside its tree;
   - --compare-ignoring-metadata OTHER checks two reports for payload equality
     after dropping the metadata block (which carries wall clock and thread
-    count) — the determinism contract across MEDES_THREADS settings.
+    count) and the host-time keys of each sweep entry (HOST_TIME_SWEEP_KEYS,
+    which cluster_scale reports per point) — the determinism contract across
+    MEDES_THREADS settings;
+  - --self-test runs that comparison over the fixture pairs in
+    scripts/bench_fixtures/ and checks each verdict.
 
 Usage: check_bench_json.py FILE [--bench NAME] [--min-lazy-p99-speedup X]
                                 [--compare-ignoring-metadata OTHER]
+       check_bench_json.py --self-test
 Exits non-zero with a message on the first violation.
 """
 
 import argparse
 import json
 import sys
+from pathlib import Path
 
 SWEEP_FIELDS = {
     "nodes": (int,),
@@ -286,22 +292,60 @@ def check_trace_analysis(doc: dict, args: argparse.Namespace) -> str:
             f"{len(top)} exemplar trees")
 
 
+# Host time measured per sweep point (cluster_scale), outside the metadata
+# block; every other sweep field is modelled and must match exactly.
+HOST_TIME_SWEEP_KEYS = ("wall_seconds", "events_per_sec")
+
+
+def modelled_payload(path: str) -> dict:
+    """The report at `path` without its metadata block and host-time keys."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            fail(f"{path}: not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        fail(f"{path}: top level is not an object")
+    doc.pop("metadata", None)
+    for entry in doc.get("sweep", []):
+        if isinstance(entry, dict):
+            for key in HOST_TIME_SWEEP_KEYS:
+                entry.pop(key, None)
+    return doc
+
+
 def compare_ignoring_metadata(path_a: str, path_b: str) -> None:
-    docs = []
-    for path in (path_a, path_b):
-        with open(path, encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                fail(f"{path}: not valid JSON: {e}")
-        if not isinstance(doc, dict):
-            fail(f"{path}: top level is not an object")
-        doc.pop("metadata", None)
-        docs.append(doc)
-    if docs[0] != docs[1]:
+    if modelled_payload(path_a) != modelled_payload(path_b):
         fail(f"payload mismatch between {path_a} and {path_b} "
-             "(reports must be identical ignoring metadata)")
-    print(f"{path_a} == {path_b} (ignoring metadata)")
+             "(reports must be identical ignoring metadata and sweep host time)")
+    print(f"{path_a} == {path_b} (ignoring metadata and sweep host time)")
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent / "bench_fixtures"
+
+# (report, other report, whether --compare-ignoring-metadata accepts the pair)
+COMPARE_FIXTURES = (
+    ("cluster_scale.json", "cluster_scale_host_time.json", True),
+    ("cluster_scale.json", "cluster_scale_cold_start.json", False),
+)
+
+
+def self_test() -> int:
+    failures = 0
+    for name_a, name_b, expect_equal in COMPARE_FIXTURES:
+        equal = (modelled_payload(str(FIXTURE_DIR / name_a)) ==
+                 modelled_payload(str(FIXTURE_DIR / name_b)))
+        verdict = "equal" if equal else "different"
+        if equal != expect_equal:
+            failures += 1
+            print(f"self-test FAIL: {name_a} vs {name_b} compared {verdict}")
+        else:
+            print(f"self-test ok: {name_a} vs {name_b} -> {verdict}")
+    if failures:
+        print(f"self-test: {failures} failure(s)")
+        return 1
+    print(f"self-test: all {len(COMPARE_FIXTURES)} fixture pairs behaved")
+    return 0
 
 
 def check(path: str, args: argparse.Namespace) -> int:
@@ -338,7 +382,7 @@ def check(path: str, args: argparse.Namespace) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("file")
+    parser.add_argument("file", nargs="?")
     parser.add_argument("--bench", default="", help="required metadata.bench name")
     parser.add_argument("--min-lazy-p99-speedup", type=float, default=0.0)
     parser.add_argument("--max-attribution-error", type=float, default=0.01,
@@ -349,7 +393,13 @@ def main() -> int:
                              "(trace_analysis)")
     parser.add_argument("--compare-ignoring-metadata", default="",
                         metavar="OTHER", help="second report to diff against")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the comparison against scripts/bench_fixtures/")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.file is None:
+        parser.error("FILE is required unless --self-test is given")
     if args.compare_ignoring_metadata:
         compare_ignoring_metadata(args.file, args.compare_ignoring_metadata)
         return 0

@@ -40,6 +40,21 @@ const DedupAgentOptions& CheckedOptions(const DedupAgentOptions& options) {
   return options;
 }
 
+// A patch's base as encode and decode read it: the page itself when the
+// record has one base (shared with the fabric cache, no copy), else a new
+// buffer holding its pages end to end.
+SharedPage JoinBases(std::span<const SharedPage> pages) {
+  if (pages.size() == 1) {
+    return pages.front();
+  }
+  auto joined = std::make_shared<std::vector<uint8_t>>();
+  joined->reserve(pages.size() * kPageSize);
+  for (const SharedPage& page : pages) {
+    joined->insert(joined->end(), page->begin(), page->end());
+  }
+  return joined;
+}
+
 // Indexes of every patch record of `sb`, in record order.
 std::vector<size_t> AllRecords(const Sandbox& sb) {
   std::vector<size_t> records(sb.patches.size());
@@ -167,25 +182,26 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   SimDuration rdma_cost;
   const SimTime read_at = lookup_at + result.lookup_time;
   uint64_t read_ordinal = 0;
-  std::vector<std::vector<uint8_t>> base_bytes(n);
+  std::vector<SharedPage> bases(n);
+  std::vector<SharedPage> pages;
   for (size_t i = 0; i < n; ++i) {
     if (candidates[i].empty()) {
       continue;
     }
     // The patch is computed against the concatenation of the chosen base
     // page(s); restore must fetch them all.
-    base_bytes[i].reserve(candidates[i].size() * kPageSize);
+    pages.clear();
     try {
       for (const BasePageCandidate& candidate : candidates[i]) {
-        std::vector<uint8_t> one = fabric_.ReadPage(candidate.location, sb.node, &rdma_cost,
-                                                    obs::MessageTrace{read_ctx, read_at,
-                                                                      read_ordinal++});
-        base_bytes[i].insert(base_bytes[i].end(), one.begin(), one.end());
+        pages.push_back(fabric_.ReadSharedPage(
+            candidate.location, sb.node, &rdma_cost,
+            obs::MessageTrace{read_ctx, read_at, read_ordinal++}));
       }
     } catch (const RdmaUnavailable&) {
       candidates[i].clear();  // counted unique in the merge
-      base_bytes[i].clear();
+      continue;
     }
+    bases[i] = JoinBases(pages);
   }
 
   // 5. Delta-encode against the chosen bases (parallel; the accept decision
@@ -201,7 +217,7 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
     thread_local DeltaScratch delta_scratch;
     thread_local std::vector<uint8_t> patch_buf;
     try {
-      DeltaEncodeInto(base_bytes[i], cp.PageData(resident[i]), options_.delta, patch_buf,
+      DeltaEncodeInto(*bases[i], cp.PageData(resident[i]), options_.delta, patch_buf,
                       &delta_scratch);
     } catch (const DeltaError&) {
       return;  // counted unique in the merge
@@ -321,14 +337,14 @@ RestoreOpResult DedupAgent::RestoreEager(Sandbox& sb, SimTime now, bool verify,
   // 1. Base-page reads, one per base in patch-record order (deterministic
   // cache behaviour — see DedupOp), plus refcount release.
   SimDuration rdma_cost;
-  std::vector<std::vector<uint8_t>> base_bytes =
+  const std::vector<SharedPage> bases =
       FetchBases(sb, records, /*batched=*/false, &rdma_cost, &result.base_pages_read,
                  &result.base_bytes_read, &result.remote_reads,
                  obs::MessageTrace{read_ctx, now, 0});
 
   // 2. Reconstruct original pages from patches (parallel) and put them back
   // in record order.
-  const size_t patch_bytes_applied = DecodeAndRestore(sb, records, base_bytes);
+  const size_t patch_bytes_applied = DecodeAndRestore(sb, records, bases);
 
   result.read_base_time =
       SimDuration{static_cast<int64_t>(static_cast<double>(rdma_cost.value()) * scale)};
@@ -382,42 +398,43 @@ RestoreOpResult DedupAgent::RestoreEager(Sandbox& sb, SimTime now, bool verify,
   return result;
 }
 
-std::vector<std::vector<uint8_t>> DedupAgent::FetchBases(
-    Sandbox& sb, const std::vector<size_t>& records, bool batched, SimDuration* cost,
-    size_t* pages_read, size_t* bytes_read, size_t* remote_reads,
-    const obs::MessageTrace& trace) {
+std::vector<SharedPage> DedupAgent::FetchBases(Sandbox& sb, const std::vector<size_t>& records,
+                                               bool batched, SimDuration* cost,
+                                               size_t* pages_read, size_t* bytes_read,
+                                               size_t* remote_reads,
+                                               const obs::MessageTrace& trace) {
   std::vector<PageLocation> locations;
   for (size_t idx : records) {
     locations.insert(locations.end(), sb.patches[idx].bases.begin(),
                      sb.patches[idx].bases.end());
   }
-  std::vector<std::vector<uint8_t>> pages;
+  std::vector<SharedPage> pages;
   if (batched) {
-    pages = fabric_.ReadPageBatch(locations, sb.node, cost, trace);
+    pages = fabric_.ReadSharedPageBatch(locations, sb.node, cost, trace);
   } else {
     pages.reserve(locations.size());
     for (size_t k = 0; k < locations.size(); ++k) {
-      pages.push_back(fabric_.ReadPage(locations[k], sb.node, cost,
-                                       obs::MessageTrace{trace.ctx, trace.at, trace.ordinal + k}));
+      pages.push_back(fabric_.ReadSharedPage(
+          locations[k], sb.node, cost, obs::MessageTrace{trace.ctx, trace.at, trace.ordinal + k}));
     }
   }
-  std::vector<std::vector<uint8_t>> base_bytes(records.size());
+  std::vector<SharedPage> bases(records.size());
   size_t k = 0;
   for (size_t j = 0; j < records.size(); ++j) {
     const PatchRecord& record = sb.patches[records[j]];
-    base_bytes[j].reserve(record.bases.size() * kPageSize);
-    for (const PageLocation& base : record.bases) {
-      std::vector<uint8_t>& one = pages[k++];
+    for (size_t b = 0; b < record.bases.size(); ++b) {
+      const PageLocation& base = record.bases[b];
       ++*pages_read;
-      *bytes_read += one.size();
+      *bytes_read += pages[k + b]->size();
       if (base.node != sb.node) {
         ++*remote_reads;
       }
-      base_bytes[j].insert(base_bytes[j].end(), one.begin(), one.end());
       registry_.Unref(base.sandbox);
     }
+    bases[j] = JoinBases(std::span<const SharedPage>(pages).subspan(k, record.bases.size()));
+    k += record.bases.size();
   }
-  return base_bytes;
+  return bases;
 }
 
 void DedupAgent::VerifyReconstruction(const Sandbox& sb, const char* op) const {
@@ -431,7 +448,7 @@ void DedupAgent::VerifyReconstruction(const Sandbox& sb, const char* op) const {
 }
 
 size_t DedupAgent::DecodeAndRestore(Sandbox& sb, const std::vector<size_t>& records,
-                                    std::vector<std::vector<uint8_t>>& base_bytes) {
+                                    const std::vector<SharedPage>& bases) {
   MemoryCheckpoint& cp = *sb.checkpoint;
   const bool payloads = !cp.payloads_dropped();
   size_t patch_bytes_applied = 0;
@@ -444,7 +461,7 @@ size_t DedupAgent::DecodeAndRestore(Sandbox& sb, const std::vector<size_t>& reco
   std::vector<std::vector<uint8_t>> originals(records.size());
   pool_->ParallelFor(0, records.size(), [&](size_t j) {
     if (payloads) {
-      DeltaDecodeInto(base_bytes[j], cp.PatchData(sb.patches[records[j]].page.value()),
+      DeltaDecodeInto(*bases[j], cp.PatchData(sb.patches[records[j]].page.value()),
                       originals[j]);
     } else {
       originals[j] = std::vector<uint8_t>(kPageSize, 0);
@@ -518,7 +535,7 @@ RestoreOpResult DedupAgent::RestoreLazy(Sandbox& sb, SimTime now, bool verify,
   // coalesced message per owner node), parallel decode, and a CRIU rebuild
   // that maps only the predicted pages.
   SimDuration ws_fetch_cost;
-  std::vector<std::vector<uint8_t>> critical_bases = FetchBases(
+  const std::vector<SharedPage> critical_bases = FetchBases(
       sb, critical_records, /*batched=*/true, &ws_fetch_cost, &result.base_pages_read,
       &result.base_bytes_read, &result.remote_reads,
       obs::MessageTrace{op_ctx.Child("restore/ws_fetch"), now, 0});
@@ -547,7 +564,7 @@ RestoreOpResult DedupAgent::RestoreLazy(Sandbox& sb, SimTime now, bool verify,
   // bad working set from being free.
   SimDuration fault_fetch_cost;
   const size_t bytes_before_faults = result.base_bytes_read;
-  std::vector<std::vector<uint8_t>> fault_bases = FetchBases(
+  const std::vector<SharedPage> fault_bases = FetchBases(
       sb, fault_records, /*batched=*/false, &fault_fetch_cost, &result.base_pages_read,
       &result.base_bytes_read, &result.remote_reads,
       obs::MessageTrace{op_ctx.Child("restore/fault_fetch"), now + result.critical_path_time, 0});
@@ -673,7 +690,7 @@ BackgroundRestoreResult DedupAgent::CompleteBackgroundRestore(Sandbox& sb, SimTi
   const obs::TraceContext bg_ctx = pending.ctx.Child("restore/bg_fault");
   const std::vector<size_t> records = AllRecords(sb);
   SimDuration fetch_cost;
-  std::vector<std::vector<uint8_t>> bases =
+  const std::vector<SharedPage> bases =
       FetchBases(sb, records, /*batched=*/true, &fetch_cost, &result.base_pages_read,
                  &result.base_bytes_read, &result.remote_reads, obs::MessageTrace{bg_ctx, now, 0});
   const size_t patch_bytes = DecodeAndRestore(sb, records, bases);

@@ -14,10 +14,10 @@
 // the memory dump, and restore the sandbox from it. The default mode is
 // *lazy* (REAP-style, see DESIGN.md "Lazy restore"): only the function's
 // predicted post-resume working set is fetched and mapped on the critical
-// path (batched per owner node through RdmaFabric::ReadPageBatch); touched
-// pages outside the prediction pay a modelled demand-fault penalty, and the
-// remaining patched pages are faulted in by a background phase the platform
-// schedules on the event engine. RestoreMode::kEager keeps the original
+// path (batched per owner node through RdmaFabric::ReadSharedPageBatch);
+// touched pages outside the prediction pay a modelled demand-fault penalty,
+// and the remaining patched pages are faulted in by a background phase the
+// platform schedules on the event engine. RestoreMode::kEager keeps the original
 // restore-everything-first behaviour as the regression reference; final
 // memory images are bit-identical between the two modes.
 //
@@ -265,16 +265,15 @@ class DedupAgent {
                               const obs::TraceContext& ctx);
 
   // Base fetch for the patch records selected by `records` (indexes into
-  // sb.patches). Returns per-record concatenated base bytes; updates the
-  // read counters and releases the records' base refs. `batched` reads all
-  // bases with one RdmaFabric::ReadPageBatch (one coalesced message per
-  // owner node), parented to `trace`; otherwise each base is one ReadPage,
-  // the k-th taking trace ordinal `trace.ordinal + k`.
-  std::vector<std::vector<uint8_t>> FetchBases(Sandbox& sb, const std::vector<size_t>& records,
-                                               bool batched, SimDuration* cost,
-                                               size_t* pages_read, size_t* bytes_read,
-                                               size_t* remote_reads,
-                                               const obs::MessageTrace& trace);
+  // sb.patches). Returns each record's base: its one shared page, or its
+  // pages joined end to end when it has several. Updates the read counters
+  // and releases the records' base refs. `batched` reads all bases with one
+  // RdmaFabric::ReadSharedPageBatch (one coalesced message per owner node),
+  // parented to `trace`; otherwise each base is one ReadSharedPage, the
+  // k-th taking trace ordinal `trace.ordinal + k`.
+  std::vector<SharedPage> FetchBases(Sandbox& sb, const std::vector<size_t>& records, bool batched,
+                                     SimDuration* cost, size_t* pages_read, size_t* bytes_read,
+                                     size_t* remote_reads, const obs::MessageTrace& trace);
 
   // Throws std::logic_error (prefixed with `op`) unless sb's checkpoint
   // reconstructs the sandbox's memory image byte for byte.
@@ -283,7 +282,7 @@ class DedupAgent {
   // Decode + merge `records` back into the checkpoint (parallel decode,
   // serial merge in record order). Returns decoded patch bytes applied.
   size_t DecodeAndRestore(Sandbox& sb, const std::vector<size_t>& records,
-                          std::vector<std::vector<uint8_t>>& base_bytes);
+                          const std::vector<SharedPage>& bases);
 
   Cluster& cluster_;
   FingerprintRegistry& registry_;

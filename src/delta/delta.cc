@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/kernels/memops.h"
@@ -75,12 +76,13 @@ uint64_t HashBase(std::span<const uint8_t> base) {
 // DeltaScratch::Find compares it to confirm a hit, and FindBest matches
 // against it.
 //
-// Beside the table the index keeps an exact prefilter: one bit per inserted
-// offset in a small bitmap, keyed by a multiplicative hash of the seed's
-// first bytes (FilterBit). Offsets later pushed out of a full bucket keep
-// their bit. A target position whose prefix bit is clear therefore has no indexed
-// base seed with equal bytes, FindBest would return npos there, and the
-// encoder may skip it without probing the table: patch bytes are unchanged.
+// Beside the table the index keeps an exact prefilter: two bits per inserted
+// offset in a small bitmap, both taken from one multiplicative hash of the
+// seed's first bytes (FilterBits). Offsets later pushed out of a full bucket
+// keep their bits. A target position with either bit clear therefore has no
+// indexed base seed with equal bytes, FindBest would return npos there, and
+// the encoder may skip it without probing the table: patch bytes are
+// unchanged.
 struct DeltaScratch::SeedTable {
   struct Match {
     size_t base_off;
@@ -148,8 +150,8 @@ struct DeltaScratch::SeedTable {
 
   // False only when no indexed base seed can equal the seed at `p`.
   bool MayMatch(const uint8_t* p) const {
-    const size_t bit = FilterBit(p);
-    return ((filter_[bit / 64] >> (bit % 64)) & 1) != 0;
+    const auto [a, b] = FilterBits(p);
+    return ((filter_[a / 64] >> (a % 64)) & (filter_[b / 64] >> (b % 64)) & 1) != 0;
   }
 
   // Finds the base offset whose seed matches the one at `t_off` (a whole
@@ -179,7 +181,7 @@ struct DeltaScratch::SeedTable {
   static constexpr uint16_t kEmpty = UINT16_MAX;
   static constexpr size_t kBatch = 8;
   static constexpr size_t kFilterBits = 8192;
-  static constexpr int kFilterShift = 64 - 13;  // log2(kFilterBits)
+  static constexpr int kFilterIndexBits = 13;  // log2(kFilterBits)
 
   size_t ExtendForward(std::span<const uint8_t> target, size_t t_off, size_t b_off) const {
     size_t max = std::min(base_.size() - b_off, target.size() - t_off);
@@ -209,14 +211,16 @@ struct DeltaScratch::SeedTable {
   // Indexes the base seed at `offset` under hash `h`.
   void Add(uint64_t h, size_t offset) {
     Insert(h, static_cast<uint16_t>(offset));
-    const size_t bit = FilterBit(base_.data() + offset);
-    filter_[bit / 64] |= uint64_t{1} << (bit % 64);
+    const auto [a, b] = FilterBits(base_.data() + offset);
+    filter_[a / 64] |= uint64_t{1} << (a % 64);
+    filter_[b / 64] |= uint64_t{1} << (b % 64);
   }
 
   // Filter key: the seed's first 8 bytes, or its first 4 when the seed is
   // shorter than 8 (seed_length >= 4 is enforced) — one load that never
-  // reads past the seed, so equal seeds always share a bit.
-  size_t FilterBit(const uint8_t* p) const {
+  // reads past the seed, so equal seeds always share both bits. The bits are
+  // the product's top two 13-bit fields (bits 51-63 and 38-50).
+  std::pair<size_t, size_t> FilterBits(const uint8_t* p) const {
     uint64_t key;
     if (seed_len_ >= 8) {
       std::memcpy(&key, p, 8);
@@ -225,7 +229,9 @@ struct DeltaScratch::SeedTable {
       std::memcpy(&k32, p, 4);
       key = k32;
     }
-    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> kFilterShift);
+    const uint64_t product = key * 0x9E3779B97F4A7C15ull;
+    return {static_cast<size_t>(product >> (64 - kFilterIndexBits)),
+            static_cast<size_t>(product >> (64 - 2 * kFilterIndexBits)) & (kFilterBits - 1)};
   }
 
   void Insert(uint64_t h, uint16_t offset) {

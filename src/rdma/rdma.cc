@@ -19,16 +19,16 @@ SimDuration RdmaFabric::ReadCost(Bytes bytes, bool remote) const {
   return LinkCost(bytes, remote ? topology.remote : topology.local);
 }
 
-const std::vector<uint8_t>* RdmaFabric::CacheLookup(const PageLocation& location) {
+SharedPage RdmaFabric::CacheLookup(const PageLocation& location) {
   auto it = cache_index_.find(location);
   if (it == cache_index_.end()) {
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
-  return &it->second->bytes;
+  return it->second->page;
 }
 
-void RdmaFabric::CacheInsert(const PageLocation& location, const std::vector<uint8_t>& bytes) {
+void RdmaFabric::CacheInsert(const PageLocation& location, const SharedPage& page) {
   auto it = cache_index_.find(location);
   if (it != cache_index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -39,20 +39,20 @@ void RdmaFabric::CacheInsert(const PageLocation& location, const std::vector<uin
     lru_.pop_back();
     cache_evictions_.Add();
   }
-  lru_.push_front(CacheEntry{location, bytes});
+  lru_.push_front(CacheEntry{location, page});
   cache_index_[location] = lru_.begin();
 }
 
-std::vector<uint8_t> RdmaFabric::ReadPage(const PageLocation& location, NodeId reader_node,
-                                          SimDuration* cost, const obs::MessageTrace& trace) {
+SharedPage RdmaFabric::ReadSharedPage(const PageLocation& location, NodeId reader_node,
+                                      SimDuration* cost, const obs::MessageTrace& trace) {
   if (options_.page_cache_capacity > 0) {
     MutexLock lock(cache_mu_);
-    if (const std::vector<uint8_t>* cached = CacheLookup(location)) {
+    if (SharedPage cached = CacheLookup(location)) {
       cache_hits_.Add();
       if (cost != nullptr) {
         *cost += options_.cache_hit_latency;
       }
-      return *cached;
+      return cached;
     }
   }
   if (!provider_) {
@@ -78,29 +78,30 @@ std::vector<uint8_t> RdmaFabric::ReadPage(const PageLocation& location, NodeId r
     local_reads_.Add();
     local_bytes_.Add(bytes.size());
   }
+  SharedPage page = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
   if (options_.page_cache_capacity > 0) {
     cache_misses_.Add();
     MutexLock lock(cache_mu_);
-    CacheInsert(location, bytes);
+    CacheInsert(location, page);
   }
   if (cost != nullptr) {
     *cost += sent.cost;
   }
-  return bytes;
+  return page;
 }
 
-std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
-    std::span<const PageLocation> locations, NodeId reader_node, SimDuration* cost,
-    const obs::MessageTrace& trace) {
+std::vector<SharedPage> RdmaFabric::ReadSharedPageBatch(std::span<const PageLocation> locations,
+                                                        NodeId reader_node, SimDuration* cost,
+                                                        const obs::MessageTrace& trace) {
   const size_t n = locations.size();
-  std::vector<std::vector<uint8_t>> results(n);
+  std::vector<SharedPage> results(n);
   if (n == 0) {
     return results;
   }
 
   // 1. Classification, one pass under one lock: every distinct location is
-  // exactly one cache hit (bytes copied out now) or one cache miss (queued
-  // for the fetch below); repeats of an earlier batch entry alias its copy.
+  // exactly one cache hit (its page taken now) or one cache miss (queued
+  // for the fetch below); repeats of an earlier batch entry alias its page.
   // Counting here — and nowhere else — is what keeps mixed hit/uncached
   // batches from double-counting hit stats.
   std::vector<size_t> misses;
@@ -117,8 +118,8 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
         continue;
       }
       if (options_.page_cache_capacity > 0) {
-        if (const std::vector<uint8_t>* cached = CacheLookup(locations[i])) {
-          results[i] = *cached;
+        if (SharedPage cached = CacheLookup(locations[i])) {
+          results[i] = std::move(cached);
           ++hits;
           if (cost != nullptr) {
             *cost += options_.cache_hit_latency;
@@ -145,11 +146,12 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
   for (const auto& [node, idxs] : by_node) {
     size_t group_bytes = 0;
     for (size_t i : idxs) {
-      results[i] = provider_(locations[i]);
-      if (results[i].empty()) {
+      std::vector<uint8_t> bytes = provider_(locations[i]);
+      if (bytes.empty()) {
         throw RdmaError("RdmaFabric: base page unavailable");
       }
-      group_bytes += results[i].size();
+      group_bytes += bytes.size();
+      results[i] = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
     }
     // Fold the owner node into the trace ordinal: the per-node groups of a
     // batch are distinct sends and need distinct, deterministic span ids.
@@ -181,9 +183,10 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
     }
   }
 
-  // 3. Resolve duplicates against the batch's own copies. A repeat is a
-  // local DRAM copy of bytes already in hand: hit-priced, and counted as a
-  // cache hit only when a cache actually exists to have served it.
+  // 3. Resolve duplicates against the batch's own pages. A repeat is
+  // charged as a local DRAM copy of bytes already in hand: hit-priced, and
+  // counted as a cache hit only when a cache actually exists to have served
+  // it.
   uint64_t alias_hits = 0;
   for (size_t i = 0; i < n; ++i) {
     if (alias[i] < 0) {
@@ -199,6 +202,18 @@ std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(
   }
   cache_hits_.Add(alias_hits);
   return results;
+}
+
+std::vector<std::vector<uint8_t>> RdmaFabric::ReadPageBatch(std::span<const PageLocation> locations,
+                                                            NodeId reader_node, SimDuration* cost,
+                                                            const obs::MessageTrace& trace) {
+  const std::vector<SharedPage> pages = ReadSharedPageBatch(locations, reader_node, cost, trace);
+  std::vector<std::vector<uint8_t>> copies;
+  copies.reserve(pages.size());
+  for (const SharedPage& page : pages) {
+    copies.push_back(*page);
+  }
+  return copies;
 }
 
 void RdmaFabric::InvalidateSandbox(SandboxId sandbox) {

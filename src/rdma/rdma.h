@@ -16,6 +16,12 @@
 // function patches against the same base) then cost one fabric read instead
 // of one per restore; a hit is charged `cache_hit_latency` (a local DRAM
 // copy) instead of the modelled fabric read.
+//
+// On the host, reads hand out SharedPage: one immutable buffer per fetched
+// page, shared by the cache and every reader. A miss moves the provider's
+// bytes into it, a hit is a reference-count increment, and a page a reader
+// holds stays valid after the cache evicts or invalidates it. Only the
+// modelled charge above is a DRAM copy; the host copies nothing.
 #ifndef MEDES_RDMA_RDMA_H_
 #define MEDES_RDMA_RDMA_H_
 
@@ -68,6 +74,9 @@ struct RdmaStats {
   }
 };
 
+// A base page as the fabric hands it out: immutable, shared with the cache.
+using SharedPage = std::shared_ptr<const std::vector<uint8_t>>;
+
 class RdmaError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -97,29 +106,34 @@ class RdmaFabric {
   void set_provider(PageProvider provider) { provider_ = std::move(provider); }
 
   // One-sided read of a base page. `reader_node` decides local vs remote
-  // cost. Returns the bytes and adds the modelled cost to `*cost`. Served
-  // from the cache when possible (a hit charges `cache_hit_latency` locally
-  // and sends no message — the bytes never cross the wire). Throws
+  // cost. Returns the shared page and adds the modelled cost to `*cost`.
+  // Served from the cache when possible (a hit charges `cache_hit_latency`
+  // locally and sends no message — the bytes never cross the wire). Throws
   // RdmaUnavailable when the fault policy drops the read. `trace`, when
   // sampled, parents the kBaseRead wire span — callers supply a per-read
   // ordinal so concurrent reads get distinct, deterministic span ids.
-  [[nodiscard]] std::vector<uint8_t> ReadPage(const PageLocation& location, NodeId reader_node,
-                                SimDuration* cost,
-                                const obs::MessageTrace& trace = {}) EXCLUDES(cache_mu_);
+  [[nodiscard]] SharedPage ReadSharedPage(const PageLocation& location, NodeId reader_node,
+                                          SimDuration* cost, const obs::MessageTrace& trace = {})
+      EXCLUDES(cache_mu_);
 
   // Batched one-sided read of many base pages (lazy-restore prefetch).
   // The whole batch is classified against the cache in one pass under one
   // lock: each *distinct* location counts exactly one cache hit or one cache
-  // miss; duplicate occurrences within the batch alias the first copy (a
-  // local DRAM copy at `cache_hit_latency`, counted as a hit only when the
-  // cache exists). Misses are grouped by owner node and charged as ONE
-  // kBaseReadBatch message per node carrying the group's summed bytes —
+  // miss; duplicate occurrences within the batch alias the first read's page
+  // (charged a local DRAM copy at `cache_hit_latency`, counted as a hit only
+  // when the cache exists). Misses are grouped by owner node and charged as
+  // ONE kBaseReadBatch message per node carrying the group's summed bytes —
   // topology-aware coalescing: per-message link latency is paid once per
   // node instead of once per page. Results are positionally aligned with
   // `locations`. Throws RdmaUnavailable when a group's message is dropped
   // (the restore cannot proceed without its bases). `trace`, when sampled,
   // parents each group's kBaseReadBatch wire span; the owner node id is
   // folded into the ordinal so per-node groups get distinct span ids.
+  [[nodiscard]] std::vector<SharedPage> ReadSharedPageBatch(
+      std::span<const PageLocation> locations, NodeId reader_node, SimDuration* cost,
+      const obs::MessageTrace& trace = {}) EXCLUDES(cache_mu_);
+
+  // ReadSharedPageBatch with each page copied into caller-owned bytes.
   [[nodiscard]] std::vector<std::vector<uint8_t>> ReadPageBatch(
       std::span<const PageLocation> locations, NodeId reader_node, SimDuration* cost,
       const obs::MessageTrace& trace = {}) EXCLUDES(cache_mu_);
@@ -145,13 +159,12 @@ class RdmaFabric {
  private:
   struct CacheEntry {
     PageLocation location;
-    std::vector<uint8_t> bytes;
+    SharedPage page;
   };
 
-  // Returns the cached bytes or nullptr. Promotes hits to MRU.
-  const std::vector<uint8_t>* CacheLookup(const PageLocation& location) REQUIRES(cache_mu_);
-  void CacheInsert(const PageLocation& location, const std::vector<uint8_t>& bytes)
-      REQUIRES(cache_mu_);
+  // Returns the cached page or nullptr. Promotes hits to MRU.
+  SharedPage CacheLookup(const PageLocation& location) REQUIRES(cache_mu_);
+  void CacheInsert(const PageLocation& location, const SharedPage& page) REQUIRES(cache_mu_);
 
   RdmaOptions options_;
   PageProvider provider_;

@@ -26,9 +26,9 @@ ClusterOptions SmallCluster() {
 
 // A self-contained dedup environment with a configurable agent.
 struct Env {
-  explicit Env(DedupAgentOptions options = {})
+  explicit Env(DedupAgentOptions options = {}, RdmaOptions rdma = {})
       : cluster(SmallCluster()),
-        fabric({}, [this](const PageLocation& loc) { return cluster.ReadBasePage(loc); }),
+        fabric(rdma, [this](const PageLocation& loc) { return cluster.ReadBasePage(loc); }),
         agent(cluster, registry, fabric, options) {}
 
   Sandbox& WarmSandbox(const std::string& name, NodeId node, SimTime now = SimTime{}) {
@@ -170,6 +170,62 @@ TEST(LazyRestoreTest, MispredictedPagesAreChargedAsFaults) {
 
   ASSERT_TRUE(r.background_pending);
   EXPECT_TRUE(env.agent.CompleteBackgroundRestore(sb, SimTime{11}).verified);
+}
+
+// ---- Multi-base patches --------------------------------------------------
+
+// Patch records with more than one base (Fig. 16's cardinality arms) decode
+// against their base pages joined end to end; single-base records decode
+// against the fabric's shared page. Both must reconstruct byte for byte on
+// every restore path: eager, the lazy critical path, demand faults and the
+// background phase, with and without the base-page cache.
+TEST(LazyRestoreTest, MultiBasePatchesRestoreByteExactOnEveryPath) {
+  auto multi_base_records = [](const Sandbox& sb) {
+    size_t n = 0;
+    for (const PatchRecord& record : sb.patches) {
+      n += record.bases.size() > 1 ? 1 : 0;
+    }
+    return n;
+  };
+  for (size_t cache_pages : {size_t{0}, size_t{64}}) {
+    for (RestoreMode mode : {RestoreMode::kEager, RestoreMode::kLazy}) {
+      DedupAgentOptions options = WithThreads(4, mode);
+      options.max_base_pages_per_page = 3;
+      Env env(options, RdmaOptions{.page_cache_capacity = cache_pages});
+      // Three same-function bases give pages up to three ranked candidates.
+      for (int i = 0; i < 3; ++i) {
+        env.agent.DesignateBase(env.WarmSandbox("LinAlg", NodeId{i % 2}));
+      }
+      Sandbox& sb = env.WarmSandbox("LinAlg", NodeId{1}, SimTime{1});
+      env.agent.DedupOp(sb, SimTime{2});
+      const size_t patched = sb.patches.size();
+      ASSERT_GT(multi_base_records(sb), 0u) << ToString(mode);
+      ASSERT_LT(multi_base_records(sb), patched) << "single-base records stay in the mix";
+
+      RestoreOpResult first = env.agent.RestoreOp(sb, SimTime{10}, /*verify=*/true);
+      EXPECT_TRUE(first.verified) << ToString(mode) << " cache " << cache_pages;
+      EXPECT_FALSE(first.background_pending) << "eager, or an unprofiled lazy full prefetch";
+      EXPECT_GT(first.base_pages_read, patched) << "every base of every record is read";
+
+      if (mode == RestoreMode::kLazy) {
+        // An empty working set sends touched pages down the demand-fault
+        // path and defers the rest to the background phase.
+        env.cluster.MarkRunning(sb, SimTime{11});
+        env.cluster.MarkWarm(sb, SimTime{12});
+        env.agent.DedupOp(sb, SimTime{13});
+        ASSERT_GT(multi_base_records(sb), 0u);
+        env.agent.working_sets().Record(sb.function, std::vector<PageIndex>{},
+                                        sb.checkpoint->NumPages());
+        RestoreOpResult second = env.agent.RestoreOp(sb, SimTime{20}, /*verify=*/true);
+        EXPECT_GT(second.ws_fault_pages, 0u);
+        ASSERT_TRUE(second.background_pending);
+        EXPECT_GT(multi_base_records(sb), 0u) << "the background phase has multi-base records";
+        BackgroundRestoreResult bg = env.agent.CompleteBackgroundRestore(sb, SimTime{21});
+        EXPECT_TRUE(bg.verified) << "cache " << cache_pages;
+        EXPECT_GT(bg.base_pages_read, bg.pages);
+      }
+    }
+  }
 }
 
 // ---- Degenerate working sets ---------------------------------------------

@@ -28,10 +28,11 @@ TEST(RdmaTest, ProviderRoutesBytesAndCountsStats) {
     return FakePage(static_cast<uint8_t>(loc.page_index.value()));
   });
   SimDuration cost;
-  auto bytes =
-      fabric.ReadPage({.node = NodeId{2}, .sandbox = SandboxId{1}, .page_index = PageIndex{7}}, /*reader_node=*/NodeId{0}, &cost);
-  ASSERT_EQ(bytes.size(), 4096u);
-  EXPECT_EQ(bytes[0], 7);
+  auto bytes = fabric.ReadSharedPage(
+      {.node = NodeId{2}, .sandbox = SandboxId{1}, .page_index = PageIndex{7}},
+      /*reader_node=*/NodeId{0}, &cost);
+  ASSERT_EQ(bytes->size(), 4096u);
+  EXPECT_EQ((*bytes)[0], 7);
   EXPECT_GT(cost, SimDuration{0});
   EXPECT_EQ(fabric.stats().remote_reads, 1u);
   EXPECT_EQ(fabric.stats().remote_bytes, 4096u);
@@ -41,7 +42,9 @@ TEST(RdmaTest, ProviderRoutesBytesAndCountsStats) {
 TEST(RdmaTest, LocalReadCountedSeparately) {
   RdmaFabric fabric({}, [](const PageLocation&) { return FakePage(1); });
   SimDuration cost;
-  (void)fabric.ReadPage({.node = NodeId{5}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}}, /*reader_node=*/NodeId{5}, &cost);
+  (void)fabric.ReadSharedPage(
+      {.node = NodeId{5}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}},
+      /*reader_node=*/NodeId{5}, &cost);
   EXPECT_EQ(fabric.stats().local_reads, 1u);
   EXPECT_EQ(fabric.stats().remote_reads, 0u);
 }
@@ -49,32 +52,38 @@ TEST(RdmaTest, LocalReadCountedSeparately) {
 TEST(RdmaTest, CostAccumulates) {
   RdmaFabric fabric({}, [](const PageLocation&) { return FakePage(0); });
   SimDuration cost;
-  (void)fabric.ReadPage({.node = NodeId{1}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}}, NodeId{0}, &cost);
+  (void)fabric.ReadSharedPage(
+      {.node = NodeId{1}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}}, NodeId{0}, &cost);
   SimDuration after_one = cost;
-  (void)fabric.ReadPage({.node = NodeId{1}, .sandbox = SandboxId{1}, .page_index = PageIndex{1}}, NodeId{0}, &cost);
+  (void)fabric.ReadSharedPage(
+      {.node = NodeId{1}, .sandbox = SandboxId{1}, .page_index = PageIndex{1}}, NodeId{0}, &cost);
   EXPECT_NEAR(static_cast<double>(cost.value()), 2.0 * static_cast<double>(after_one.value()), 1.0);
 }
 
 TEST(RdmaTest, MissingProviderThrows) {
   RdmaFabric fabric;
   SimDuration cost;
-  EXPECT_THROW(fabric.ReadPage({.node = NodeId{0}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}}, NodeId{0}, &cost), RdmaError);
+  const PageLocation loc{.node = NodeId{0}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}};
+  EXPECT_THROW((void)fabric.ReadSharedPage(loc, NodeId{0}, &cost), RdmaError);
 }
 
 TEST(RdmaTest, UnavailablePageThrows) {
   RdmaFabric fabric({}, [](const PageLocation&) { return std::vector<uint8_t>{}; });
   SimDuration cost;
-  EXPECT_THROW(fabric.ReadPage({.node = NodeId{0}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}}, NodeId{0}, &cost), RdmaError);
+  const PageLocation loc{.node = NodeId{0}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}};
+  EXPECT_THROW((void)fabric.ReadSharedPage(loc, NodeId{0}, &cost), RdmaError);
 }
 
 TEST(RdmaTest, NullCostPointerAccepted) {
   RdmaFabric fabric({}, [](const PageLocation&) { return FakePage(0); });
-  EXPECT_NO_THROW(fabric.ReadPage({.node = NodeId{1}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}}, NodeId{0}, nullptr));
+  const PageLocation loc{.node = NodeId{1}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}};
+  EXPECT_NO_THROW((void)fabric.ReadSharedPage(loc, NodeId{0}, nullptr));
 }
 
 TEST(RdmaTest, ResetStats) {
   RdmaFabric fabric({}, [](const PageLocation&) { return FakePage(0); });
-  (void)fabric.ReadPage({.node = NodeId{1}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}}, NodeId{0}, nullptr);
+  (void)fabric.ReadSharedPage(
+      {.node = NodeId{1}, .sandbox = SandboxId{1}, .page_index = PageIndex{0}}, NodeId{0}, nullptr);
   fabric.ResetStats();
   EXPECT_EQ(fabric.stats().remote_reads, 0u);
 }
@@ -92,10 +101,10 @@ TEST(RdmaCacheTest, RepeatReadsHitCache) {
     return FakePage(static_cast<uint8_t>(loc.page_index.value()));
   });
   SimDuration first_cost;
-  auto a = fabric.ReadPage(Loc(1, 0), /*reader_node=*/NodeId{0}, &first_cost);
+  auto a = fabric.ReadSharedPage(Loc(1, 0), /*reader_node=*/NodeId{0}, &first_cost);
   SimDuration second_cost;
-  auto b = fabric.ReadPage(Loc(1, 0), /*reader_node=*/NodeId{0}, &second_cost);
-  EXPECT_EQ(a, b) << "cache returns the same bytes";
+  auto b = fabric.ReadSharedPage(Loc(1, 0), /*reader_node=*/NodeId{0}, &second_cost);
+  EXPECT_EQ(*a, *b) << "cache returns the same bytes";
   EXPECT_EQ(provider_calls, 1) << "second read never reached the provider";
   EXPECT_LT(second_cost, first_cost) << "a hit is a DRAM copy, not a fabric read";
   EXPECT_EQ(fabric.stats().cache_hits, 1u);
@@ -108,12 +117,12 @@ TEST(RdmaCacheTest, LruEvictsLeastRecentlyUsed) {
   RdmaFabric fabric({.page_cache_capacity = 2}, [](const PageLocation& loc) {
     return FakePage(static_cast<uint8_t>(loc.page_index.value()));
   });
-  (void)fabric.ReadPage(Loc(1, 0), NodeId{0}, nullptr);  // miss: cache [0]
-  (void)fabric.ReadPage(Loc(1, 1), NodeId{0}, nullptr);  // miss: cache [1, 0]
-  (void)fabric.ReadPage(Loc(1, 0), NodeId{0}, nullptr);  // hit: 0 promoted -> [0, 1]
-  (void)fabric.ReadPage(Loc(1, 2), NodeId{0}, nullptr);  // miss: evicts 1 (LRU) -> [2, 0]
+  (void)fabric.ReadSharedPage(Loc(1, 0), NodeId{0}, nullptr);  // miss: cache [0]
+  (void)fabric.ReadSharedPage(Loc(1, 1), NodeId{0}, nullptr);  // miss: cache [1, 0]
+  (void)fabric.ReadSharedPage(Loc(1, 0), NodeId{0}, nullptr);  // hit: 0 promoted -> [0, 1]
+  (void)fabric.ReadSharedPage(Loc(1, 2), NodeId{0}, nullptr);  // miss: evicts 1 (LRU) -> [2, 0]
   EXPECT_EQ(fabric.stats().cache_evictions, 1u);
-  (void)fabric.ReadPage(Loc(1, 1), NodeId{0}, nullptr);  // miss: 1 was evicted, evicts 0
+  (void)fabric.ReadSharedPage(Loc(1, 1), NodeId{0}, nullptr);  // miss: 1 was evicted, evicts 0
   EXPECT_EQ(fabric.stats().cache_misses, 4u);
   EXPECT_EQ(fabric.stats().cache_hits, 1u);
   EXPECT_EQ(fabric.stats().cache_evictions, 2u);
@@ -125,8 +134,8 @@ TEST(RdmaCacheTest, ZeroCapacityDisablesCache) {
     ++provider_calls;
     return FakePage(0);
   });
-  (void)fabric.ReadPage(Loc(1, 0), NodeId{0}, nullptr);
-  (void)fabric.ReadPage(Loc(1, 0), NodeId{0}, nullptr);
+  (void)fabric.ReadSharedPage(Loc(1, 0), NodeId{0}, nullptr);
+  (void)fabric.ReadSharedPage(Loc(1, 0), NodeId{0}, nullptr);
   EXPECT_EQ(provider_calls, 2);
   EXPECT_EQ(fabric.stats().cache_hits, 0u);
   EXPECT_EQ(fabric.stats().cache_misses, 0u);
@@ -162,7 +171,7 @@ TEST(RdmaBatchTest, CoalescesIntoOneMessagePerOwnerNode) {
   RdmaFabric serial({}, provider);
   SimDuration serial_cost;
   for (const PageLocation& loc : locations) {
-    (void)serial.ReadPage(loc, NodeId{0}, &serial_cost);
+    (void)serial.ReadSharedPage(loc, NodeId{0}, &serial_cost);
   }
   EXPECT_LT(batched_cost, serial_cost);
 }
@@ -188,7 +197,7 @@ TEST(RdmaBatchTest, MixedCachedAndUncachedBatchCountsEachDistinctLocationOnce) {
     return FakePage(static_cast<uint8_t>(loc.page_index.value()));
   });
   // Warm the cache with page 0: one miss, one provider call.
-  (void)fabric.ReadPage(NodeLoc(1, 0), NodeId{0}, nullptr);
+  (void)fabric.ReadSharedPage(NodeLoc(1, 0), NodeId{0}, nullptr);
   ASSERT_EQ(fabric.stats().cache_misses, 1u);
 
   // Batch = cached page, two uncached pages, and a duplicate of the cached
@@ -243,14 +252,101 @@ TEST(RdmaBatchTest, EmptyBatchIsFree) {
 TEST(RdmaCacheTest, InvalidateSandboxDropsItsPages) {
   RdmaFabric fabric({.page_cache_capacity = 8},
                     [](const PageLocation&) { return FakePage(0); });
-  (void)fabric.ReadPage(Loc(7, 0), NodeId{0}, nullptr);
-  (void)fabric.ReadPage(Loc(7, 1), NodeId{0}, nullptr);
-  (void)fabric.ReadPage(Loc(9, 0), NodeId{0}, nullptr);
+  (void)fabric.ReadSharedPage(Loc(7, 0), NodeId{0}, nullptr);
+  (void)fabric.ReadSharedPage(Loc(7, 1), NodeId{0}, nullptr);
+  (void)fabric.ReadSharedPage(Loc(9, 0), NodeId{0}, nullptr);
   EXPECT_EQ(fabric.CachedPages(), 3u);
   fabric.InvalidateSandbox(SandboxId{7});
   EXPECT_EQ(fabric.CachedPages(), 1u);
-  (void)fabric.ReadPage(Loc(9, 0), NodeId{0}, nullptr);  // the survivor still hits
+  (void)fabric.ReadSharedPage(Loc(9, 0), NodeId{0}, nullptr);  // the survivor still hits
   EXPECT_EQ(fabric.stats().cache_hits, 1u);
+}
+
+// ---- Shared pages ----------------------------------------------------------
+
+TEST(RdmaCacheTest, HitReturnsThePageTheMissStored) {
+  RdmaFabric fabric({.page_cache_capacity = 8}, [](const PageLocation& loc) {
+    return FakePage(static_cast<uint8_t>(loc.page_index.value()));
+  });
+  const SharedPage miss = fabric.ReadSharedPage(Loc(1, 3), NodeId{0}, nullptr);
+  const SharedPage hit = fabric.ReadSharedPage(Loc(1, 3), NodeId{0}, nullptr);
+  EXPECT_EQ(hit.get(), miss.get()) << "a hit shares the cached page, it does not copy it";
+  const std::vector<PageLocation> batch = {Loc(1, 3), Loc(1, 4), Loc(1, 4)};
+  const std::vector<SharedPage> pages = fabric.ReadSharedPageBatch(batch, NodeId{0}, nullptr);
+  EXPECT_EQ(pages[0].get(), miss.get()) << "a batched hit shares it too";
+  EXPECT_EQ(pages[2].get(), pages[1].get()) << "an in-batch repeat shares the first read's page";
+  EXPECT_EQ(fabric.ReadSharedPage(Loc(1, 4), NodeId{0}, nullptr).get(), pages[1].get())
+      << "a batched miss stored the page it returned";
+  EXPECT_EQ(fabric.stats().cache_hits, 4u);
+  EXPECT_EQ(fabric.stats().cache_misses, 2u);
+}
+
+TEST(RdmaCacheTest, HeldPageOutlivesEvictionAndInvalidation) {
+  RdmaFabric fabric({.page_cache_capacity = 1}, [](const PageLocation& loc) {
+    return FakePage(static_cast<uint8_t>(loc.page_index.value() + 10 * loc.sandbox.value()));
+  });
+  const SharedPage evicted = fabric.ReadSharedPage(Loc(1, 0), NodeId{0}, nullptr);
+  const SharedPage invalidated = fabric.ReadSharedPage(Loc(2, 1), NodeId{0}, nullptr);
+  EXPECT_EQ(fabric.stats().cache_evictions, 1u) << "capacity 1: the second read evicts the first";
+  EXPECT_EQ(*evicted, FakePage(10)) << "an evicted page keeps its bytes while held";
+  fabric.InvalidateSandbox(SandboxId{2});
+  EXPECT_EQ(fabric.CachedPages(), 0u);
+  EXPECT_EQ(*invalidated, FakePage(21)) << "an invalidated page keeps its bytes while held";
+  // A fresh read after invalidation is a new page; the held one is untouched.
+  const SharedPage reread = fabric.ReadSharedPage(Loc(2, 1), NodeId{0}, nullptr);
+  EXPECT_NE(reread.get(), invalidated.get());
+  EXPECT_EQ(*reread, *invalidated);
+  EXPECT_EQ(fabric.stats().cache_misses, 3u);
+}
+
+// The copying ReadPageBatch is a thin copy over ReadSharedPageBatch: on a
+// scripted sequence of batches with hits, misses, evictions and in-batch
+// repeats over three owner nodes, it returns the same bytes at the same cost,
+// and both leave the counters recorded for this script before pages were
+// shared (copying reads, capacity 3, reader node 0).
+TEST(RdmaBatchTest, CopyingBatchMatchesSharedBatchAndRecordedCounts) {
+  auto provider = [](const PageLocation& loc) {
+    return FakePage(static_cast<uint8_t>(loc.page_index.value() * 7 + loc.sandbox.value()));
+  };
+  auto at = [](int node, uint64_t sandbox, uint32_t page) {
+    return PageLocation{
+        .node = NodeId{node}, .sandbox = SandboxId{sandbox}, .page_index = PageIndex{page}};
+  };
+  const std::vector<std::vector<PageLocation>> script = {
+      {at(1, 1, 0), at(1, 1, 1)},
+      {at(1, 1, 0), at(2, 2, 5), at(1, 1, 0), at(0, 1, 3), at(2, 2, 5), at(1, 1, 1)},
+      {at(0, 1, 3), at(0, 1, 3), at(1, 1, 4), at(2, 2, 6), at(2, 2, 5)},
+      {at(1, 1, 0), at(1, 1, 1), at(2, 2, 5), at(1, 1, 0)},
+  };
+  RdmaFabric copying({.page_cache_capacity = 3}, provider);
+  RdmaFabric shared({.page_cache_capacity = 3}, provider);
+  SimDuration copying_cost;
+  SimDuration shared_cost;
+  for (const std::vector<PageLocation>& batch : script) {
+    const auto copies = copying.ReadPageBatch(batch, NodeId{0}, &copying_cost);
+    const auto pages = shared.ReadSharedPageBatch(batch, NodeId{0}, &shared_cost);
+    ASSERT_EQ(copies.size(), batch.size());
+    ASSERT_EQ(pages.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(copies[i], *pages[i]) << i;
+      EXPECT_EQ(copies[i], provider(batch[i])) << i;
+    }
+  }
+  EXPECT_EQ(copying_cost, shared_cost);
+  EXPECT_EQ(copying_cost, SimDuration{45});
+  for (const RdmaFabric* fabric : {&copying, &shared}) {
+    const RdmaStats stats = fabric->stats();
+    EXPECT_EQ(stats.remote_reads, 7u);
+    EXPECT_EQ(stats.remote_bytes, 7u * 4096u);
+    EXPECT_EQ(stats.local_reads, 1u);
+    EXPECT_EQ(stats.local_bytes, 4096u);
+    EXPECT_EQ(stats.batch_messages, 6u);
+    EXPECT_EQ(stats.batch_pages, 8u);
+    EXPECT_EQ(stats.cache_hits, 9u);
+    EXPECT_EQ(stats.cache_misses, 8u);
+    EXPECT_EQ(stats.cache_evictions, 5u);
+    EXPECT_EQ(fabric->CachedPages(), 3u);
+  }
 }
 
 }  // namespace
