@@ -1,12 +1,13 @@
 // Shared helpers for the programs in bench/.
 //
 // `paper_claims` regenerates every table and figure of the paper's
-// evaluation (Section 7), one claim per artifact; the other programs are
-// campaigns and microbenchmarks that write BENCH JSON. Output convention for a
-// claim: a header naming the experiment, the parameters used, then rows
-// mirroring the paper's axes, with the paper's reported values quoted
-// alongside where applicable. EXPERIMENTS.md records the paper-vs-measured
-// comparison for each.
+// evaluation (Section 7), one claim per artifact; `campaign` runs the
+// multi-node BENCH campaigns (cluster_scale, restore_latency,
+// trace_attribution), one per process, each writing one BENCH JSON; the
+// other programs are microbenchmarks. Output convention for a claim: a header
+// naming the experiment, the parameters used, then rows mirroring the paper's
+// axes, with the paper's reported values quoted alongside where applicable.
+// EXPERIMENTS.md records the paper-vs-measured comparison for each.
 #ifndef MEDES_BENCH_BENCH_UTIL_H_
 #define MEDES_BENCH_BENCH_UTIL_H_
 
@@ -142,6 +143,54 @@ struct AgentRig {
   DedupAgent agent;
 };
 
+// The per-function dedup-start breakdown of Fig. 8 (Section 7.2.1): per
+// function, designate a same-function base, dedup a second sandbox and
+// restore it eagerly, then lazily with a *trained* working set.
+// `paper_claims --only fig8_breakdown` prints it; `campaign restore_latency`
+// writes it as its `per_function` array.
+struct FunctionRow {
+  const char* name = "";
+  RestoreOpResult eager;
+  RestoreOpResult lazy;  // trained working set
+  SimDuration cold_start;
+};
+
+// One dedup -> restore -> run cycle; returns the restore result.
+inline RestoreOpResult Cycle(Cluster& cluster, DedupAgent& agent, Sandbox& sb, SimTime now) {
+  agent.DedupOp(sb, now);
+  RestoreOpResult r = agent.RestoreOp(sb, now + SimDuration{1}, /*verify=*/true);
+  if (r.background_pending) {
+    (void)agent.CompleteBackgroundRestore(sb, now + SimDuration{2});
+  }
+  cluster.MarkRunning(sb, now + SimDuration{3});
+  cluster.MarkWarm(sb, now + SimDuration{4});
+  return r;
+}
+
+inline std::vector<FunctionRow> PerFunctionBreakdown() {
+  DedupAgentOptions eager_opts;
+  eager_opts.restore_mode = RestoreMode::kEager;
+  AgentRig rig(65536, eager_opts);
+  DedupAgent lazy_agent(rig.cluster, rig.registry, rig.fabric, {});  // default: lazy
+  rig.DesignateBases();
+
+  std::vector<FunctionRow> rows;
+  for (const auto& p : FunctionBenchProfiles()) {
+    FunctionRow row;
+    row.name = p.name.c_str();
+    row.cold_start = p.cold_start;
+    // Remote node: real RDMA reads, as in the paper's testbed.
+    Sandbox& sb = rig.Warm(p, NodeId{1});
+    row.eager = Cycle(rig.cluster, rig.agent, sb, SimTime{10});
+    // Lazy cycle 1 trains the working set (unprofiled = full prefetch);
+    // cycle 2 is the steady-state lazy restore.
+    (void)Cycle(rig.cluster, lazy_agent, sb, SimTime{20});
+    row.lazy = Cycle(rig.cluster, lazy_agent, sb, SimTime{30});
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 // ---------------------------------------------------------------------------
 // JSON output
 //
@@ -197,6 +246,15 @@ class JsonWriter {
     return Field({}, value);
   }
   JsonWriter& Value(double value, int precision) { return Field({}, value, precision); }
+  // Appends the members `body` wrote at its top level (a writer used without
+  // an enclosing BeginObject) to the object open here.
+  JsonWriter& Members(const JsonWriter& body) {
+    if (!body.out_.empty()) {
+      Prefix({});
+      out_ += body.out_;
+    }
+    return *this;
+  }
 
   const std::string& str() const { return out_; }
 
@@ -312,23 +370,27 @@ inline bool WriteTextFile(const std::string& path, const std::string& content) {
   return true;
 }
 
+// Where an observability artifact named `file` lands: in MEDES_OBS_DIR when
+// set, else in the current directory.
+inline std::string ObsPath(std::string_view file) {
+  const char* dir_env = std::getenv("MEDES_OBS_DIR");
+  return (dir_env != nullptr ? std::string(dir_env) + "/" : std::string()) + std::string(file);
+}
+
 // Drains the observability singletons into files next to the bench output
 // when tracing/metrics are enabled (MEDES_TRACE / MEDES_METRICS):
-//   <dir>/<bench>_trace.json   Chrome trace-event JSON (load in Perfetto)
-//   <dir>/<bench>.prom         Prometheus text exposition
-//   <dir>/<bench>_metrics.json metrics snapshot as JSON
-// <dir> comes from MEDES_OBS_DIR (default: current directory).
+//   <bench>_trace.json   Chrome trace-event JSON (load in Perfetto)
+//   <bench>_metrics.json metrics snapshot as JSON
+// Both land where ObsPath puts them.
 inline void ExportObservability(std::string_view bench_name) {
-  const char* dir_env = std::getenv("MEDES_OBS_DIR");
-  const std::string prefix =
-      (dir_env != nullptr ? std::string(dir_env) + "/" : std::string()) + std::string(bench_name);
+  const std::string name(bench_name);
   if (obs::TraceEnabled()) {
-    WriteTextFile(prefix + "_trace.json", obs::ChromeTraceJson(obs::Tracer::Default().Drain()));
+    WriteTextFile(ObsPath(name + "_trace.json"),
+                  obs::ChromeTraceJson(obs::Tracer::Default().Drain()));
   }
   if (obs::MetricsEnabled()) {
-    const auto snapshot = obs::MetricsRegistry::Default().Snapshot();
-    WriteTextFile(prefix + ".prom", obs::PrometheusText(snapshot));
-    WriteTextFile(prefix + "_metrics.json", obs::MetricsJson(snapshot));
+    WriteTextFile(ObsPath(name + "_metrics.json"),
+                  obs::MetricsJson(obs::MetricsRegistry::Default().Snapshot()));
   }
 }
 

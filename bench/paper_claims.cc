@@ -2,13 +2,10 @@
 // printing the paper's axes with the paper's reported values alongside.
 // EXPERIMENTS.md records the paper-vs-measured comparison for each claim.
 //
-// Usage: paper_claims [--only <claim>] [restore_latency.json]
+// Usage: paper_claims [--only <claim>]
 //   With no --only, every claim runs in the order of the README table and
-//   the output is the claims' outputs concatenated. The positional path is
-//   where the fig8_breakdown claim writes its BENCH JSON (default
-//   BENCH_restore_latency.json); its metadata block counts the whole process.
-// Env: MEDES_RESTORE_LATENCY_MODE=smoke  fig8_breakdown's CI perf-smoke config
-//                                        (100-node point only, short trace)
+//   the output is the claims' outputs concatenated. The claims write no
+//   files; the BENCH campaigns are bench/campaign.
 //
 // The full-workload claims (Figs 2, 7, 9, 10, 11) replay one 30-minute trace
 // under the same few configurations. The simulator is deterministic, so each
@@ -16,7 +13,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <string>
@@ -317,127 +313,25 @@ void Fig7Latency() {
 
 // ---------------------------------------------------------------------------
 // Figure 8 — dedup start time breakdown vs cold start times (Section 7.2.1),
-// extended with the working-set-aware lazy restore comparison.
+// extended with the working-set-aware lazy restore comparison
+// (bench::PerFunctionBreakdown).
 //
-// Part 1 (per function): designate a same-function base, dedup a second
-// sandbox, restore it eagerly, and report the three restore phases the paper
-// plots — base page reading (RDMA), original page computing (patch apply),
-// and sandbox restoration (CRIU) — against the function's cold start. Then
-// the same cycle under lazy mode with a *trained* working set: the critical
-// path shrinks to the predicted pages (batched fetch + partial CRIU) and the
-// rest moves to demand faults and the background phase.
-//
-// Part 2 (cluster sweep): full platform runs on the cluster_scale workload at
-// 10/50/100 worker nodes, one eager run and one lazy run per node count over
-// the same trace, reporting P50/P99 critical-path restore latency, working-set
-// hit rate, and background-fault volume. Writes the restore_latency BENCH
-// JSON (validated by scripts/check_bench_json.py); every sweep field is
-// derived from simulation state only, so the JSON payload is byte-identical
-// across MEDES_THREADS settings. A failed write ends the process with status 1.
+// Per function: the three eager restore phases the paper plots — base page
+// reading (RDMA), original page computing (patch apply), and sandbox
+// restoration (CRIU) — against the function's cold start. Then the lazy
+// restore with a trained working set: the critical path shrinks to the
+// predicted pages (batched fetch + partial CRIU) and the rest moves to
+// demand faults and the background phase. The eager vs lazy node sweep is
+// `campaign restore_latency`.
 
-struct FunctionRow {
-  const char* name = "";
-  RestoreOpResult eager;
-  RestoreOpResult lazy;  // trained working set
-  BackgroundRestoreResult lazy_bg;
-  SimDuration cold_start;
-};
-
-struct SweepRow {
-  int nodes = 0;
-  double rate_scale = 0;
-  SimDuration duration;
-  uint64_t requests = 0;
-  uint64_t eager_restores = 0;
-  uint64_t lazy_restores = 0;
-  double eager_p50_ms = 0;
-  double eager_p99_ms = 0;
-  double lazy_p50_ms = 0;
-  double lazy_p99_ms = 0;
-  double ws_hit_rate = 0;
-  uint64_t ws_fault_pages = 0;
-  uint64_t background_completions = 0;
-  uint64_t background_pages = 0;
-};
-
-// One dedup -> restore -> run cycle; returns the restore result.
-RestoreOpResult Cycle(Cluster& cluster, DedupAgent& agent, Sandbox& sb, SimTime now,
-                      BackgroundRestoreResult* bg) {
-  agent.DedupOp(sb, now);
-  RestoreOpResult r = agent.RestoreOp(sb, now + SimDuration{1}, /*verify=*/true);
-  if (r.background_pending) {
-    *bg = agent.CompleteBackgroundRestore(sb, now + SimDuration{2});
-  }
-  cluster.MarkRunning(sb, now + SimDuration{3});
-  cluster.MarkWarm(sb, now + SimDuration{4});
-  return r;
-}
-
-std::vector<FunctionRow> PerFunctionBreakdown() {
-  DedupAgentOptions eager_opts;
-  eager_opts.restore_mode = RestoreMode::kEager;
-  bench::AgentRig rig(65536, eager_opts);
-  DedupAgent lazy_agent(rig.cluster, rig.registry, rig.fabric, {});  // default: lazy
-  rig.DesignateBases();
-
-  std::vector<FunctionRow> rows;
-  for (const auto& p : FunctionBenchProfiles()) {
-    FunctionRow row;
-    row.name = p.name.c_str();
-    row.cold_start = p.cold_start;
-    // Remote node: real RDMA reads, as in the paper's testbed.
-    Sandbox& sb = rig.Warm(p, NodeId{1});
-    BackgroundRestoreResult ignored;
-    row.eager = Cycle(rig.cluster, rig.agent, sb, SimTime{10}, &ignored);
-    // Lazy cycle 1 trains the working set (unprofiled = full prefetch);
-    // cycle 2 is the steady-state lazy restore the sweep below measures.
-    (void)Cycle(rig.cluster, lazy_agent, sb, SimTime{20}, &ignored);
-    row.lazy = Cycle(rig.cluster, lazy_agent, sb, SimTime{30}, &row.lazy_bg);
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-SweepRow RunSweepPoint(int nodes, SimDuration duration, RestoreMode mode, SweepRow row) {
-  // Oversubscribed nodes (Section 7.4's pressure pools): pressure-driven
-  // dedup keeps a steady population of dedup sandboxes, so the sweep
-  // actually measures restore latency rather than warm-start luck.
-  PlatformOptions options = bench::EvalOptions(PolicyKind::kMedes, /*node_memory_mb=*/1536);
-  options.cluster.num_nodes = nodes;
-  options.agent.restore_mode = mode;
-  TraceOptions topts;
-  topts.duration = duration;
-  topts.rate_scale = row.rate_scale;
-  const RunMetrics m = ServerlessPlatform(options).Run(GenerateTrace(DefaultAzurePatterns(), topts));
-  const LazyRestoreStats& lz = m.lazy_restore;
-  row.requests = m.TotalRequests();
-  if (mode == RestoreMode::kEager) {
-    row.eager_restores = lz.eager_restores;
-    row.eager_p50_ms = lz.critical_path_ms.Empty() ? 0 : lz.critical_path_ms.Percentile(0.5);
-    row.eager_p99_ms = lz.critical_path_ms.Empty() ? 0 : lz.critical_path_ms.Percentile(0.99);
-  } else {
-    row.lazy_restores = lz.lazy_restores;
-    row.lazy_p50_ms = lz.critical_path_ms.Empty() ? 0 : lz.critical_path_ms.Percentile(0.5);
-    row.lazy_p99_ms = lz.critical_path_ms.Empty() ? 0 : lz.critical_path_ms.Percentile(0.99);
-    row.ws_hit_rate = lz.HitRate();
-    row.ws_fault_pages = lz.ws_fault_pages;
-    row.background_completions = lz.background_completions;
-    row.background_pages = lz.background_pages;
-  }
-  return row;
-}
-
-void Fig8Breakdown(const std::string& out_path) {
-  const char* mode_env = std::getenv("MEDES_RESTORE_LATENCY_MODE");
-  const bool smoke = mode_env != nullptr && std::string(mode_env) == "smoke";
-
+void Fig8Breakdown() {
   bench::Header("Figure 8: dedup start breakdown vs cold starts",
                 "Per-function restore phases at represented scale, eager vs lazy");
 
-  const std::vector<FunctionRow> rows = PerFunctionBreakdown();
+  const std::vector<bench::FunctionRow> rows = bench::PerFunctionBreakdown();
   std::printf("%-12s | %9s %11s %11s | %10s %9s | %7s\n", "function", "read(ms)", "compute(ms)",
               "restore(ms)", "dedup(ms)", "cold(ms)", "speedup");
-  for (const FunctionRow& r : rows) {
+  for (const bench::FunctionRow& r : rows) {
     std::printf("%-12s | %9.1f %11.1f %11.1f | %10.1f %9.0f | %6.1fx\n", r.name,
                 ToMillis(r.eager.read_base_time), ToMillis(r.eager.compute_time),
                 ToMillis(r.eager.sandbox_restore_time), ToMillis(r.eager.total_time),
@@ -450,7 +344,7 @@ void Fig8Breakdown(const std::string& out_path) {
   bench::Section("Lazy restore, trained working set (critical path before resume)");
   std::printf("%-12s | %11s %9s | %7s %7s %7s | %7s\n", "function", "critical(ms)", "fault(ms)",
               "hit%", "faults", "bg_pages", "vs eager");
-  for (const FunctionRow& r : rows) {
+  for (const bench::FunctionRow& r : rows) {
     const double hit_rate =
         r.lazy.ws_touched_pages == 0
             ? 1.0
@@ -467,70 +361,6 @@ void Fig8Breakdown(const std::string& out_path) {
   CheckpointCosts costs;
   std::printf("  skipped per dedup start: %.0f ms (paper: 650 ms -> ~140 ms)\n",
               ToMillis(costs.namespace_and_ptree));
-
-  // ---- Cluster sweep: critical-path restore latency vs node count --------
-  bench::Section(smoke ? "Cluster sweep (smoke)" : "Cluster sweep (full)");
-  std::vector<int> node_counts = smoke ? std::vector<int>{100} : std::vector<int>{10, 50, 100};
-  const SimDuration duration = smoke ? 10 * kMinute : 30 * kMinute;
-  std::vector<SweepRow> sweep;
-  for (int nodes : node_counts) {
-    SweepRow row;
-    row.nodes = nodes;
-    row.duration = duration;
-    // Request rate scales with cluster size, as in bench/cluster_scale.
-    row.rate_scale = 5.0 * static_cast<double>(nodes) / 19.0;
-    row = RunSweepPoint(nodes, duration, RestoreMode::kEager, row);
-    row = RunSweepPoint(nodes, duration, RestoreMode::kLazy, row);
-    sweep.push_back(row);
-    std::printf("nodes=%-3d restores eager/lazy=%" PRIu64 "/%" PRIu64
-                "  P99 eager=%.1fms lazy=%.1fms (%.2fx)  hit=%.0f%%  bg_pages=%" PRIu64 "\n",
-                row.nodes, row.eager_restores, row.lazy_restores, row.eager_p99_ms,
-                row.lazy_p99_ms,
-                row.lazy_p99_ms > 0 ? row.eager_p99_ms / row.lazy_p99_ms : 0.0,
-                100.0 * row.ws_hit_rate, row.background_pages);
-  }
-
-  bench::JsonWriter w;
-  w.BeginObject();
-  bench::WriteMetadata(w, "restore_latency");
-  w.Field("mode", smoke ? "smoke" : "full");
-  w.BeginArray("per_function");
-  for (const FunctionRow& r : rows) {
-    w.BeginObject()
-        .Field("function", r.name)
-        .Field("eager_total_ms", ToMillis(r.eager.total_time), 3)
-        .Field("lazy_critical_ms", ToMillis(r.lazy.critical_path_time), 3)
-        .Field("lazy_fault_ms", ToMillis(r.lazy.fault_time), 3)
-        .Field("lazy_background_pages", static_cast<uint64_t>(r.lazy.background_pages))
-        .Field("cold_start_ms", ToMillis(r.cold_start), 3)
-        .EndObject();
-  }
-  w.EndArray();
-  w.BeginArray("sweep");
-  for (const SweepRow& r : sweep) {
-    w.BeginObject()
-        .Field("nodes", r.nodes)
-        .Field("rate_scale", r.rate_scale, 3)
-        .Field("trace_duration_s", ToSeconds(r.duration), 1)
-        .Field("requests", r.requests)
-        .Field("eager_restores", r.eager_restores)
-        .Field("lazy_restores", r.lazy_restores)
-        .Field("eager_p50_ms", r.eager_p50_ms, 3)
-        .Field("eager_p99_ms", r.eager_p99_ms, 3)
-        .Field("lazy_p50_ms", r.lazy_p50_ms, 3)
-        .Field("lazy_p99_ms", r.lazy_p99_ms, 3)
-        .Field("lazy_p99_speedup", r.lazy_p99_ms > 0 ? r.eager_p99_ms / r.lazy_p99_ms : 0.0, 3)
-        .Field("ws_hit_rate", r.ws_hit_rate, 4)
-        .Field("ws_fault_pages", r.ws_fault_pages)
-        .Field("background_completions", r.background_completions)
-        .Field("background_pages", r.background_pages)
-        .EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  if (!bench::WriteTextFile(out_path, w.str() + "\n")) {
-    std::exit(1);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1147,19 +977,12 @@ void Ablations() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::StartWallClock();
   std::string_view only;
-  std::string restore_latency_path = "BENCH_restore_latency.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--only" && i + 1 < argc) {
-      only = argv[++i];
-    } else if (!arg.starts_with("-")) {
-      restore_latency_path = arg;
-    } else {
-      std::fprintf(stderr, "usage: %s [--only <claim>] [restore_latency.json]\n", argv[0]);
-      return 2;
-    }
+  if (argc == 3 && std::string_view(argv[1]) == "--only") {
+    only = argv[2];
+  } else if (argc != 1) {
+    std::fprintf(stderr, "usage: %s [--only <claim>]\n", argv[0]);
+    return 2;
   }
 
   // README table order.
@@ -1168,7 +991,7 @@ int main(int argc, char** argv) {
       {"fig2_savings_timeline", Fig2SavingsTimeline},
       {"table2_profiles", Table2Profiles},
       {"fig7_latency", Fig7Latency},
-      {"fig8_breakdown", [&] { Fig8Breakdown(restore_latency_path); }},
+      {"fig8_breakdown", Fig8Breakdown},
       {"fig9_memory", Fig9Memory},
       {"table3_savings", Table3Savings},
       {"fig10_pressure", Fig10Pressure},

@@ -1,3 +1,3 @@
 """Repository tooling package: `python3 -m scripts <command>` is the one
 entrypoint CI and developers use for the Python-side checks (medes-lint,
-bench-JSON validation, Prometheus exposition validation)."""
+bench-JSON validation, Chrome trace validation)."""

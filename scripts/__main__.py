@@ -4,7 +4,6 @@ Usage:
     python3 -m scripts lint [ARGS...]              # medes-lint (tree gate)
     python3 -m scripts lint --self-test            # fixture corpus
     python3 -m scripts check-bench-json FILE ...   # bench JSON validator
-    python3 -m scripts check-prometheus FILE ...   # Prometheus text validator
     python3 -m scripts check-trace-json FILE ...   # Chrome trace validator
 
 Each subcommand forwards its remaining arguments verbatim to the underlying
@@ -13,12 +12,11 @@ tool, so CI invokes every gate through one stable interface.
 
 import sys
 
-from scripts import check_bench_json, check_prometheus_text, check_trace_json, medes_lint
+from scripts import check_bench_json, check_trace_json, medes_lint
 
 COMMANDS = {
     "lint": "medes-lint determinism/invariant analyzer",
     "check-bench-json": "validate a bench JSON report",
-    "check-prometheus": "validate a Prometheus text exposition",
     "check-trace-json": "validate a Chrome trace-event JSON export",
 }
 
@@ -39,9 +37,6 @@ def main() -> int:
     if command == "check-bench-json":
         sys.argv = [f"{sys.argv[0]} check-bench-json"] + rest
         return check_bench_json.main()
-    if command == "check-prometheus":
-        sys.argv = [f"{sys.argv[0]} check-prometheus"] + rest
-        return check_prometheus_text.main()
     if command == "check-trace-json":
         return check_trace_json.main(rest)
     print(f"unknown command: {command}\n\n{usage()}", file=sys.stderr)

@@ -6,19 +6,20 @@ Checks, without external dependencies:
     (bench name, the kernel tier that ran — one of scalar, portable, avx2 and
     no higher than the max supported tier — and whether SHA-NI was on,
     wall_seconds, sim event counters);
-  - for cluster_scale reports: every sweep entry carries the full set of
-    capacity-campaign fields with sane values;
-  - for restore_latency reports (bench/paper_claims --only fig8_breakdown):
+  - for cluster_scale reports (bench/campaign cluster_scale): every sweep
+    entry carries the full set of capacity-campaign fields with sane values;
+  - for restore_latency reports (bench/campaign restore_latency):
     every sweep entry carries the eager-vs-lazy critical-path percentiles
     with sane values and a working-set hit rate in [0,1];
     --min-lazy-p99-speedup gates the eager/lazy P99 ratio at the largest
     node count;
-  - for trace_analysis reports (bench/trace_analysis): the sampling block is
-    sane, no span's parent link failed to resolve, the per-stage critical-path
-    attribution sums to within --max-attribution-error of the measured
-    latency for both the request and restore views, the restore P99 clears
-    --min-restore-p99-us, and the top-slowest exemplar trees are sorted with
-    every parent id resolving inside its tree;
+  - for trace_analysis reports (bench/campaign trace_attribution): the
+    sampling block is sane, no span's parent link failed to resolve, the
+    per-stage critical-path attribution sums to within
+    --max-attribution-error of the measured latency for both the request and
+    restore views, the restore P99 clears --min-restore-p99-us, and the
+    top-slowest exemplar trees are sorted with every parent id resolving
+    inside its tree;
   - --compare-ignoring-metadata OTHER checks two reports for payload equality
     after dropping the metadata block (which carries wall clock and thread
     count) and the host-time keys of each sweep entry (HOST_TIME_SWEEP_KEYS,

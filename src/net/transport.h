@@ -8,8 +8,8 @@
 // those wires carried its own private latency/bandwidth model; now they all
 // charge a single Transport over a cluster Topology:
 //
-//   - Topology: per-link latency/bandwidth (a default remote link, a
-//     node-local fast path, and optional per-(src,dst) overrides).
+//   - Topology: per-link latency/bandwidth (a remote link between distinct
+//     nodes and a node-local fast path).
 //   - Typed messages: each send is tagged with a MessageType so per-type
 //     counters, byte totals, and latency histograms accumulate separately.
 //   - Batched request accounting: a single message may carry many logical
@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/annotations.h"
@@ -88,38 +87,23 @@ struct LinkModel {
 // and a non-positive bandwidth disables the transfer term entirely.
 [[nodiscard]] SimDuration LinkCost(Bytes bytes, const LinkModel& link);
 
-// Cluster links: a default remote link between distinct nodes, a node-local
-// fast path (src == dst), and optional per-directed-pair overrides. Plain
-// data, immutable once handed to a Transport.
+// Cluster links: one remote link between distinct nodes and a node-local
+// fast path (src == dst). Plain data, immutable once handed to a Transport.
 struct Topology {
-  LinkModel remote;                         // default inter-node link
+  LinkModel remote;                         // inter-node link
   LinkModel local{.latency = SimDuration{0}, .bandwidth_gbps = 80.0};  // same-node fast path
 
-  // Directed (src, dst) link overrides, keyed by PairKey().
-  std::unordered_map<uint64_t, LinkModel> overrides;
-
+  // A directed (src, dst) pair as one key (StaticFaultPolicy's cut links).
   static uint64_t PairKey(NodeId src, NodeId dst) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(src.value())) << 32) |
            static_cast<uint64_t>(static_cast<uint32_t>(dst.value()));
   }
-  void SetLink(NodeId src, NodeId dst, LinkModel link) { overrides[PairKey(src, dst)] = link; }
-  void SetBidirectionalLink(NodeId a, NodeId b, LinkModel link) {
-    SetLink(a, b, link);
-    SetLink(b, a, link);
-  }
-  // The link a (src -> dst) message travels: override if present, else the
-  // local fast path when src == dst, else the default remote link.
-  const LinkModel& LinkFor(NodeId src, NodeId dst) const {
-    auto it = overrides.find(PairKey(src, dst));
-    if (it != overrides.end()) {
-      return it->second;
-    }
-    return src == dst ? local : remote;
-  }
+  // The link a (src -> dst) message travels.
+  const LinkModel& LinkFor(NodeId src, NodeId dst) const { return src == dst ? local : remote; }
 };
 
-// The platform-level network configuration: the two default link classes a
-// Topology is built from (per-pair overrides are programmatic).
+// The platform-level network configuration: the two link classes a Topology
+// is built from.
 struct NetworkModel {
   LinkModel remote{.latency = SimDuration{3}, .bandwidth_gbps = 10.0};
   LinkModel local{.latency = SimDuration{0}, .bandwidth_gbps = 80.0};

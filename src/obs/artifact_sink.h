@@ -1,5 +1,5 @@
-// Filesystem sink for observability/bench artifacts (trace JSON, Prometheus
-// text, bench reports). Direct filesystem access in src/ is confined to this
+// Filesystem sink for observability/bench artifacts (trace JSON, metrics
+// JSON, bench reports). Direct filesystem access in src/ is confined to this
 // one function by medes-lint: exporters stay pure functions and route every
 // byte they persist through it.
 //

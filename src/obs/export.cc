@@ -50,29 +50,6 @@ void AppendUint(std::string& out, uint64_t v) {
   out += buf;
 }
 
-// `name{key="value"} ` or `name ` when unlabelled; `extra` (e.g. le="...")
-// joins any series label inside the braces.
-void AppendPromSeries(std::string& out, const MetricSnapshot& snap, std::string_view suffix,
-                      std::string_view extra = {}) {
-  out += snap.name;
-  out += suffix;
-  if (!snap.label_key.empty() || !extra.empty()) {
-    out += '{';
-    if (!snap.label_key.empty()) {
-      out += snap.label_key;
-      out += "=\"";
-      out += snap.label_value;
-      out += '"';
-      if (!extra.empty()) {
-        out += ',';
-      }
-    }
-    out += extra;
-    out += '}';
-  }
-  out += ' ';
-}
-
 }  // namespace
 
 std::string ChromeTraceJson(const std::vector<Span>& spans) {
@@ -132,61 +109,6 @@ std::string ChromeTraceJson(const std::vector<Span>& spans) {
     out += '}';
   }
   out += "\n]}\n";
-  return out;
-}
-
-std::string PrometheusText(const std::vector<MetricSnapshot>& snapshots) {
-  std::string out;
-  std::string_view last_name;
-  for (const MetricSnapshot& snap : snapshots) {
-    if (snap.name != last_name) {
-      // One HELP/TYPE header per metric family (input is sorted by name, so
-      // all of a family's labelled series are contiguous).
-      out += "# HELP ";
-      out += snap.name;
-      out += ' ';
-      out += snap.help;
-      out += "\n# TYPE ";
-      out += snap.name;
-      out += ' ';
-      out += ToString(snap.kind);
-      out += '\n';
-      last_name = snap.name;
-    }
-    switch (snap.kind) {
-      case InstrumentKind::kCounter:
-      case InstrumentKind::kGauge:
-        AppendPromSeries(out, snap, "");
-        AppendInt(out, snap.value);
-        out += '\n';
-        break;
-      case InstrumentKind::kHistogram: {
-        uint64_t cumulative = 0;
-        for (size_t b = 0; b < HistogramValue::kNumBuckets; ++b) {
-          cumulative += snap.histogram.buckets[b];
-          std::string le = "le=\"";
-          if (b + 1 == HistogramValue::kNumBuckets) {
-            le += "+Inf";
-          } else {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%" PRId64, HistogramValue::BucketUpperBound(b));
-            le += buf;
-          }
-          le += '"';
-          AppendPromSeries(out, snap, "_bucket", le);
-          AppendUint(out, cumulative);
-          out += '\n';
-        }
-        AppendPromSeries(out, snap, "_sum");
-        AppendInt(out, snap.histogram.sum);
-        out += '\n';
-        AppendPromSeries(out, snap, "_count");
-        AppendUint(out, snap.histogram.count);
-        out += '\n';
-        break;
-      }
-    }
-  }
   return out;
 }
 

@@ -3,9 +3,9 @@
 //   - ChromeTraceJson: spans -> Chrome trace-event JSON (load in Perfetto /
 //     chrome://tracing). Sim-time microseconds map directly onto the trace
 //     "ts"/"dur" microsecond fields; lanes map onto tid rows.
-//   - PrometheusText: metric snapshots -> Prometheus text exposition format
-//     (# HELP / # TYPE, cumulative le-bucket histograms, _sum/_count).
-//   - MetricsJson: the same snapshots as a JSON document (bench artifacts).
+//   - MetricsJson: metric snapshots as a JSON document (bench artifacts):
+//     counters and gauges with their value, histograms with count, sum and
+//     the per-bucket (not cumulative) counts.
 //
 // All exporters are pure functions of their (already canonically sorted)
 // inputs, so their output inherits the determinism of the recorded data.
@@ -26,12 +26,8 @@ namespace medes::obs {
 // "i" instant events. Span args are attached.
 std::string ChromeTraceJson(const std::vector<Span>& spans);
 
-// Prometheus text exposition format for `snapshots` (as returned by
-// MetricsRegistry::Snapshot()). Series sharing a name emit one HELP/TYPE
-// header; histograms expand to cumulative le buckets plus _sum and _count.
-std::string PrometheusText(const std::vector<MetricSnapshot>& snapshots);
-
-// The same snapshots as a JSON array of instrument objects.
+// `snapshots` (as returned by MetricsRegistry::Snapshot()) as a JSON array
+// of instrument objects.
 std::string MetricsJson(const std::vector<MetricSnapshot>& snapshots);
 
 // Writes `content` to `path`, replacing any existing file. Returns false on

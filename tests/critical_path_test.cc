@@ -1,7 +1,7 @@
 // Unit tests for causal trace identity (obs/trace_context.h) and the
 // critical-path analyzer (obs/critical_path.h): tree reconstruction from
 // span ids, the left-to-right attribution sweep and its sum-to-root
-// invariant, and the summary aggregation the trace_analysis bench reports.
+// invariant, and the summary aggregation `campaign trace_attribution` reports.
 #include "obs/critical_path.h"
 
 #include <cstdint>

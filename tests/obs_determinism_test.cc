@@ -1,5 +1,5 @@
 // The observability determinism contract: for a fixed trace and platform
-// configuration, the exported artifacts (Prometheus text, Chrome trace JSON)
+// configuration, the exported artifacts (metrics JSON, Chrome trace JSON)
 // are byte-identical regardless of how many worker threads the dedup agent
 // uses.  Spans carry sim-time timestamps and metrics are order-independent
 // accumulations, so MEDES_THREADS must not leak into any export.
@@ -20,7 +20,7 @@ namespace medes {
 namespace {
 
 struct Artifacts {
-  std::string prometheus;
+  std::string metrics_json;
   std::string chrome_trace;
 };
 
@@ -45,7 +45,7 @@ Artifacts RunAndExport(size_t agent_threads, const std::vector<TraceEvent>& trac
   platform.Run(trace);
 
   Artifacts out;
-  out.prometheus = obs::PrometheusText(obs::MetricsRegistry::Default().Snapshot());
+  out.metrics_json = obs::MetricsJson(obs::MetricsRegistry::Default().Snapshot());
   out.chrome_trace = obs::ChromeTraceJson(obs::Tracer::Default().Drain());
 
   obs::MetricsRegistry::Default().ResetValues();
@@ -64,12 +64,12 @@ TEST(ObsDeterminismTest, ExportsBitIdenticalAcrossThreadCounts) {
   const Artifacts serial = RunAndExport(1, trace);
 
   // A run produces real data, not empty exports.
-  EXPECT_NE(serial.prometheus.find("medes_dedup_ops_total"), std::string::npos);
+  EXPECT_NE(serial.metrics_json.find("medes_dedup_ops_total"), std::string::npos);
   EXPECT_NE(serial.chrome_trace.find("restore/criu_rebuild"), std::string::npos);
 
   for (size_t threads : {size_t{4}, hw}) {
     const Artifacts parallel = RunAndExport(threads, trace);
-    EXPECT_EQ(serial.prometheus, parallel.prometheus) << "threads=" << threads;
+    EXPECT_EQ(serial.metrics_json, parallel.metrics_json) << "threads=" << threads;
     EXPECT_EQ(serial.chrome_trace, parallel.chrome_trace) << "threads=" << threads;
   }
 }
@@ -167,7 +167,7 @@ TEST(ObsDeterminismTest, RepeatedRunsAreBitIdentical) {
   const auto trace = GenerateTrace(DefaultAzurePatterns(), topts);
   const Artifacts a = RunAndExport(2, trace);
   const Artifacts b = RunAndExport(2, trace);
-  EXPECT_EQ(a.prometheus, b.prometheus);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.chrome_trace, b.chrome_trace);
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for the observability subsystem: flags, instruments, the span
-// tracer, and the Chrome-trace / Prometheus / JSON exporters.
+// tracer, and the Chrome-trace / metrics-JSON exporters.
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,21 +70,23 @@ TEST_F(ObsTest, HistogramBucketsAndSum) {
 
 TEST_F(ObsTest, SnapshotIsSortedByNameAndLabel) {
   MetricsRegistry& registry = MetricsRegistry::Default();
-  // Register deliberately out of order.
-  registry.GetCounter("obs_test_z_total", "test").Add(1);
-  registry.GetCounter("obs_test_a_total", "test", "k", "v2").Add(1);
-  registry.GetCounter("obs_test_a_total", "test", "k", "v1").Add(1);
+  // Register deliberately out of order. The registry is process-wide, so
+  // only this test's own series are checked: run as one binary, the earlier
+  // tests' series are registered too.
+  registry.GetCounter("obs_test_sort_z_total", "test").Add(1);
+  registry.GetCounter("obs_test_sort_a_total", "test", "k", "v2").Add(1);
+  registry.GetCounter("obs_test_sort_a_total", "test", "k", "v1").Add(1);
   const auto snaps = MetricsRegistry::Default().Snapshot();
   std::vector<std::pair<std::string, std::string>> keys;
   for (const auto& s : snaps) {
-    if (s.name.starts_with("obs_test_")) {
+    if (s.name.starts_with("obs_test_sort_")) {
       keys.emplace_back(s.name, s.label_value);
     }
   }
   ASSERT_EQ(keys.size(), 3u);
-  EXPECT_EQ(keys[0], (std::pair<std::string, std::string>{"obs_test_a_total", "v1"}));
-  EXPECT_EQ(keys[1], (std::pair<std::string, std::string>{"obs_test_a_total", "v2"}));
-  EXPECT_EQ(keys[2], (std::pair<std::string, std::string>{"obs_test_z_total", ""}));
+  EXPECT_EQ(keys[0], (std::pair<std::string, std::string>{"obs_test_sort_a_total", "v1"}));
+  EXPECT_EQ(keys[1], (std::pair<std::string, std::string>{"obs_test_sort_a_total", "v2"}));
+  EXPECT_EQ(keys[2], (std::pair<std::string, std::string>{"obs_test_sort_z_total", ""}));
 }
 
 TEST_F(ObsTest, ResetValuesKeepsRegistrations) {
@@ -168,25 +169,14 @@ TEST_F(ObsTest, ChromeTraceJsonShape) {
             std::string::npos);
 }
 
-TEST_F(ObsTest, PrometheusTextShape) {
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  registry.GetCounter("obs_test_prom_total", "counter help", "type", "x").Add(4);
-  registry.GetGauge("obs_test_prom_level", "gauge help").Set(-2);
-  Histogram& h = registry.GetHistogram("obs_test_prom_us", "hist help");
-  h.Record(3);
-  const std::string text = PrometheusText(registry.Snapshot());
-  EXPECT_NE(text.find("# HELP obs_test_prom_total counter help"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE obs_test_prom_total counter"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_prom_total{type=\"x\"} 4"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE obs_test_prom_level gauge"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_prom_level -2"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE obs_test_prom_us histogram"), std::string::npos);
-  // Cumulative buckets: value 3 lands in the bit-width-2 bucket (le="3").
-  EXPECT_NE(text.find("obs_test_prom_us_bucket{le=\"1\"} 0"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_prom_us_bucket{le=\"3\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_prom_us_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_prom_us_sum 3"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_prom_us_count 1"), std::string::npos);
+// The `"buckets":[...]` array MetricsJson writes for a histogram whose only
+// non-empty bucket is `bucket`, holding `count` observations.
+std::string OneBucketArray(size_t bucket, uint64_t count) {
+  std::string out = "\"buckets\":[";
+  for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
+    out += (b > 0 ? "," : "") + std::to_string(b == bucket ? count : 0);
+  }
+  return out + "]";
 }
 
 TEST_F(ObsTest, MetricsJsonShape) {
@@ -195,6 +185,57 @@ TEST_F(ObsTest, MetricsJsonShape) {
   const std::string json = MetricsJson(registry.Snapshot());
   EXPECT_NE(json.find("{\"name\":\"obs_test_json_total\",\"kind\":\"counter\",\"value\":7}"),
             std::string::npos);
+}
+
+TEST_F(ObsTest, MetricsJsonLabelGaugeAndHistogramShape) {
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  registry.GetCounter("obs_test_json_labelled_total", "help", "type", "x").Add(4);
+  registry.GetGauge("obs_test_json_level", "help").Set(-2);
+  registry.GetHistogram("obs_test_json_us", "help").Record(3);
+  const std::string json = MetricsJson(registry.Snapshot());
+  EXPECT_NE(json.find("{\"name\":\"obs_test_json_labelled_total\",\"kind\":\"counter\","
+                      "\"type\":\"x\",\"value\":4}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"obs_test_json_level\",\"kind\":\"gauge\",\"value\":-2}"),
+            std::string::npos);
+  // Per-bucket counts: value 3 lands in the bit-width-2 bucket.
+  EXPECT_NE(json.find("{\"name\":\"obs_test_json_us\",\"kind\":\"histogram\",\"count\":1,"
+                      "\"sum\":3," +
+                      OneBucketArray(2, 1) + "}"),
+            std::string::npos);
+}
+
+std::vector<MetricSnapshot> SnapshotOf(const std::string& name) {
+  std::vector<MetricSnapshot> out;
+  for (auto& snap : MetricsRegistry::Default().Snapshot()) {
+    if (snap.name == name) {
+      out.push_back(snap);
+    }
+  }
+  return out;
+}
+
+TEST_F(ObsTest, MetricsJsonEmptyRegistry) { EXPECT_EQ(MetricsJson({}), "[\n]\n"); }
+
+TEST_F(ObsTest, MetricsJsonSingleBucketHistogram) {
+  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_edge_single_us", "test");
+  h.Record(0);  // only the first bucket is occupied
+  EXPECT_EQ(MetricsJson(SnapshotOf("obs_test_edge_single_us")),
+            "[\n{\"name\":\"obs_test_edge_single_us\",\"kind\":\"histogram\",\"count\":1,"
+            "\"sum\":0," +
+                OneBucketArray(0, 1) + "}\n]\n");
+}
+
+TEST_F(ObsTest, MetricsJsonOverflowOnlyObservations) {
+  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_edge_inf_us", "test");
+  const int64_t huge = int64_t{1} << (Histogram::kNumBuckets + 2);
+  h.Record(huge);
+  h.Record(huge);  // every finite bucket stays 0; only the overflow bucket advances
+  EXPECT_EQ(MetricsJson(SnapshotOf("obs_test_edge_inf_us")),
+            "[\n{\"name\":\"obs_test_edge_inf_us\",\"kind\":\"histogram\",\"count\":2,"
+            "\"sum\":" +
+                std::to_string(2 * huge) + "," + OneBucketArray(Histogram::kNumBuckets - 1, 2) +
+                "}\n]\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -275,80 +316,6 @@ TEST_F(ObsTest, CardinalityGuardSinksPerKind) {
   EXPECT_EQ(registry.DroppedSeries(), 3u);
   registry.SetMaxSeries(old_max);
   registry.ResetValues();
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus exporter edge cases, cross-checked against the repository's
-// text-format validator (scripts/check_prometheus_text.py).
-// ---------------------------------------------------------------------------
-
-std::string ScriptsDir() {
-  const std::string file = __FILE__;  // .../tests/obs_test.cc (absolute via CMake)
-  return file.substr(0, file.find_last_of('/')) + "/../scripts";
-}
-
-bool PrometheusCheckerAgrees(const std::string& text, const std::string& tag,
-                             int min_series) {
-  const std::string path = "obs_test_" + tag + ".prom";
-  EXPECT_TRUE(WriteFile(path, text));
-  const std::string cmd = "python3 " + ScriptsDir() + "/check_prometheus_text.py " + path +
-                          " --min-series " + std::to_string(min_series) + " >/dev/null 2>&1";
-  const int rc = std::system(cmd.c_str());
-  std::remove(path.c_str());
-  return rc == 0;
-}
-
-class PromEdgeCaseTest : public ObsTest {
- protected:
-  void SetUp() override {
-    ObsTest::SetUp();
-    if (std::system("python3 --version >/dev/null 2>&1") != 0) {
-      GTEST_SKIP() << "python3 unavailable";
-    }
-    if (std::system(("test -f " + ScriptsDir() + "/check_prometheus_text.py").c_str()) != 0) {
-      GTEST_SKIP() << "checker script not found relative to test source";
-    }
-  }
-};
-
-std::vector<MetricSnapshot> SnapshotOf(const std::string& name) {
-  std::vector<MetricSnapshot> out;
-  for (auto& snap : MetricsRegistry::Default().Snapshot()) {
-    if (snap.name == name) {
-      out.push_back(snap);
-    }
-  }
-  return out;
-}
-
-TEST_F(PromEdgeCaseTest, EmptyRegistryExportsEmptyText) {
-  const std::string text = PrometheusText({});
-  EXPECT_TRUE(text.empty());
-  EXPECT_TRUE(PrometheusCheckerAgrees(text, "empty", 0));
-}
-
-TEST_F(PromEdgeCaseTest, SingleBucketHistogram) {
-  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_edge_single_us", "test");
-  h.Record(0);  // only the first bucket (le="0") is occupied
-  const std::string text = PrometheusText(SnapshotOf("obs_test_edge_single_us"));
-  EXPECT_NE(text.find("obs_test_edge_single_us_bucket{le=\"0\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_edge_single_us_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_edge_single_us_sum 0"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_edge_single_us_count 1"), std::string::npos);
-  EXPECT_TRUE(PrometheusCheckerAgrees(text, "single_bucket", 1));
-}
-
-TEST_F(PromEdgeCaseTest, InfOnlyObservations) {
-  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_edge_inf_us", "test");
-  const int64_t huge = int64_t{1} << (Histogram::kNumBuckets + 2);
-  h.Record(huge);
-  h.Record(huge);  // every finite bucket stays 0; only +Inf advances
-  const std::string text = PrometheusText(SnapshotOf("obs_test_edge_inf_us"));
-  EXPECT_NE(text.find("obs_test_edge_inf_us_bucket{le=\"0\"} 0"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_edge_inf_us_bucket{le=\"+Inf\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_edge_inf_us_count 2"), std::string::npos);
-  EXPECT_EQ(text.find("obs_test_edge_inf_us_bucket{le=\"+Inf\"} 0"), std::string::npos);
-  EXPECT_TRUE(PrometheusCheckerAgrees(text, "inf_only", 1));
 }
 
 }  // namespace

@@ -51,24 +51,12 @@ TEST(LinkCostTest, NonPositiveBandwidthMeansInfinite) {
 
 // ---- Topology ------------------------------------------------------------
 
-TEST(TopologyTest, ResolvesLocalRemoteAndOverrides) {
+TEST(TopologyTest, ResolvesLocalAndRemote) {
   Topology topo;
   topo.remote = {.latency = SimDuration{3}, .bandwidth_gbps = 10.0};
   topo.local = {.latency = SimDuration{0}, .bandwidth_gbps = 80.0};
   EXPECT_EQ(topo.LinkFor(NodeId{0}, NodeId{0}), topo.local);
   EXPECT_EQ(topo.LinkFor(NodeId{0}, NodeId{1}), topo.remote);
-
-  const LinkModel slow{.latency = SimDuration{50}, .bandwidth_gbps = 1.0};
-  topo.SetLink(NodeId{0}, NodeId{1}, slow);
-  EXPECT_EQ(topo.LinkFor(NodeId{0}, NodeId{1}), slow);
-  EXPECT_EQ(topo.LinkFor(NodeId{1}, NodeId{0}), topo.remote) << "SetLink is directed";
-
-  topo.SetBidirectionalLink(NodeId{2}, NodeId{3}, slow);
-  EXPECT_EQ(topo.LinkFor(NodeId{2}, NodeId{3}), slow);
-  EXPECT_EQ(topo.LinkFor(NodeId{3}, NodeId{2}), slow);
-  // An override can even change the node-local fast path.
-  topo.SetLink(NodeId{1}, NodeId{1}, slow);
-  EXPECT_EQ(topo.LinkFor(NodeId{1}, NodeId{1}), slow);
 }
 
 // ---- HistogramValue (MessageStats::latency) ------------------------------
