@@ -333,9 +333,9 @@ inline double WallSeconds() {
 inline void StartWallClock() { (void)WallSeconds(); }
 
 // The common metadata block every bench JSON leads with: which benchmark,
-// which thread/sanitizer configuration, the kernel tier that ran (and
-// whether SHA-NI chunk hashing was on) beside the highest tier the CPU
-// supports, whether observability was live while it ran (obs skews timings,
+// which thread/sanitizer configuration, the kernel tier that ran and
+// whether SHA-NI chunk hashing was on (cpuid decides both, so active_tier
+// always equals max_supported_tier), whether observability was live while it ran (obs skews timings,
 // so artifacts must say so), and how much wall time / simulation-event
 // throughput the process accumulated, and its peak RSS.
 inline void WriteMetadata(JsonWriter& w, std::string_view bench_name) {
@@ -347,8 +347,8 @@ inline void WriteMetadata(JsonWriter& w, std::string_view bench_name) {
   w.BeginObject("metadata")
       .Field("bench", bench_name)
       .Field("medes_threads", threads_env != nullptr ? threads_env : "default")
-      .Field("active_tier", kernels::TierName(kernels::ActiveTier()))
-      .Field("sha_ni_active", kernels::ShaNiActive())
+      .Field("active_tier", kernels::TierName(kernels::MaxSupportedTier()))
+      .Field("sha_ni_active", kernels::DetectCpuFeatures().sha_ni)
       .Field("max_supported_tier", kernels::TierName(kernels::MaxSupportedTier()))
       .Field("sanitizer", SanitizerName())
       .Field("trace_enabled", obs::TraceEnabled())

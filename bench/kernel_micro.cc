@@ -1,13 +1,14 @@
-// Per-kernel microbenchmark: MB/s of each hot-path kernel at every tier the
-// machine can bind — 64-byte chunk hashing (single and batched), sample
-// selection over a page, match extension and delta encode (seed-table
-// cache cold and warm). Emits
-// JSON with a speedup-vs-scalar column so CI can smoke-check the dispatch
-// layer and archive per-tier throughput.
+// Per-kernel microbenchmark: MB/s of each named variant of each hot-path
+// kernel this CPU can run, reference first — 64-byte chunk hashing (single
+// and batched), sample selection over a page, match extension — and of the
+// shipped entry points for delta encode (seed-table cache cold and warm)
+// and whole-page fingerprinting. Emits JSON with a speedup-vs-reference
+// column so CI can hold each variant to the rate of its simpler sibling.
 //
 // Workload sizes mirror the real pipeline: 4 KiB pages, 64 B chunks, ~8
-// sampled chunks per page. MEDES_BENCH_KERNEL_MS overrides the per-kernel
+// sampled chunks per page. MEDES_BENCH_KERNEL_MS overrides the per-variant
 // measurement budget (milliseconds, default 200).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -90,38 +91,38 @@ std::vector<uint8_t> Edited(const std::vector<uint8_t>& base, uint64_t seed) {
 
 volatile uint64_t g_sink = 0;  // defeats dead-code elimination
 
+using CompressFn = void (*)(uint32_t[5], const uint8_t*);
+
+// Sha1Chunk64 with a named compression: the init vector, then the chunk and
+// the padding block of a 64-byte message.
+template <CompressFn kCompress>
+void Chunk64With(const uint8_t* chunk, uint32_t state[5]) {
+  std::copy(kernels::kSha1Init, kernels::kSha1Init + 5, state);
+  kCompress(state, chunk);
+  kCompress(state, kernels::kSha1Pad64);
+}
+
+// One kernel's rates, one per named variant, reference first.
 struct KernelResult {
+  KernelResult(const char* kernel, size_t bytes) : name(kernel), bytes_per_iter(bytes) {}
+
   std::string name;
-  std::vector<std::pair<kernels::Tier, double>> mbps;  // per bound tier
+  size_t bytes_per_iter;
+  std::vector<std::pair<std::string, double>> mbps;
+
+  // Measures `body(iters)`, which runs the variant `iters` times over
+  // bytes_per_iter bytes each.
+  template <typename Body>
+  KernelResult& Variant(const char* variant, Body&& body) {
+    mbps.emplace_back(variant, MeasureMBps(bytes_per_iter, body));
+    return *this;
+  }
 };
-
-std::vector<kernels::Tier> BindableTiers() {
-  std::vector<kernels::Tier> tiers;
-  for (kernels::Tier t : {kernels::Tier::kScalar, kernels::Tier::kPortable, kernels::Tier::kAvx2}) {
-    if (t <= kernels::MaxSupportedTier()) {
-      tiers.push_back(t);
-    }
-  }
-  return tiers;
-}
-
-// Benchmarks one kernel across every bindable tier. `fn(iters)` runs the
-// dispatched kernel `iters` times over `bytes_per_iter` bytes each.
-template <typename Body>
-KernelResult RunKernel(const char* name, size_t bytes_per_iter, Body&& body) {
-  KernelResult r;
-  r.name = name;
-  for (kernels::Tier tier : BindableTiers()) {
-    kernels::ForceTier(tier);
-    r.mbps.emplace_back(tier, MeasureMBps(bytes_per_iter, body));
-  }
-  kernels::ResetTierFromEnvironment();
-  return r;
-}
 
 }  // namespace
 
 int main() {
+  const kernels::CpuFeatures cpu = kernels::DetectCpuFeatures();
   const auto page = RandomBytes(kPage, 1);
   const auto base = RandomBytes(kPage, 2);
   const auto target = Edited(base, 3);
@@ -134,42 +135,79 @@ int main() {
   std::vector<KernelResult> results;
 
   // 1. Single 64-byte chunk digest (the Sha1::HashChunk64 fast path).
-  results.push_back(RunKernel("sha1_chunk64", kChunk, [&](size_t iters) {
-    uint32_t state[5];
-    for (size_t i = 0; i < iters; ++i) {
-      kernels::Sha1Chunk64(page.data() + (i % kChunksPerBatch) * kChunk, state);
-      g_sink = g_sink + state[0];
+  {
+    const auto chunk64 = [&](auto chunk_fn) {
+      return [&, chunk_fn](size_t iters) {
+        uint32_t state[5];
+        for (size_t i = 0; i < iters; ++i) {
+          chunk_fn(page.data() + (i % kChunksPerBatch) * kChunk, state);
+          g_sink = g_sink + state[0];
+        }
+      };
+    };
+    KernelResult& k = results.emplace_back("sha1_chunk64", kChunk);
+    k.Variant("scalar", chunk64(Chunk64With<kernels::Sha1CompressScalar>));
+    if (cpu.sha_ni) {
+      k.Variant("sha-ni", chunk64(Chunk64With<kernels::Sha1CompressShaNi>));
     }
-  }));
+  }
 
   // 2. Batched chunk digests — what FingerprintPage issues per page.
-  results.push_back(
-      RunKernel("sha1_chunk64_batch", kChunk * kChunksPerBatch, [&](size_t iters) {
+  {
+    const auto batch = [&](auto batch_fn) {
+      return [&, batch_fn](size_t iters) {
         uint32_t states[kChunksPerBatch][5];
         for (size_t i = 0; i < iters; ++i) {
-          kernels::Sha1Chunk64Batch(chunk_ptrs.data(), kChunksPerBatch, states);
+          batch_fn(chunk_ptrs.data(), kChunksPerBatch, states);
           g_sink = g_sink + states[0][0];
         }
-      }));
+      };
+    };
+    const auto one_at_a_time = [](const uint8_t* const* chunks, size_t n,
+                                  uint32_t (*out_state)[5]) {
+      for (size_t i = 0; i < n; ++i) {
+        kernels::Sha1Chunk64(chunks[i], out_state[i]);
+      }
+    };
+    KernelResult& k = results.emplace_back("sha1_chunk64_batch", kChunk * kChunksPerBatch);
+    k.Variant("one_at_a_time", batch(one_at_a_time));
+    if (cpu.avx2) {
+      k.Variant("avx2", batch(kernels::Sha1Chunk64BatchAvx2));
+    }
+  }
 
   // 3. Sample selection over a full page (every 64 B window's rolling hash
   //    tested against the default 9-bit mask).
   {
     const kernels::SampleRule rule = kernels::MakeSampleRule(kChunk, 0x1ff, 0);
     static std::vector<uint16_t> hits(kPage - kChunk + 1);
-    results.push_back(RunKernel("select_windows_page", kPage, [&](size_t iters) {
-      for (size_t i = 0; i < iters; ++i) {
-        g_sink = g_sink + kernels::SelectWindows(rule, page.data(), kPage, hits.data());
-      }
-    }));
+    const auto select = [&](auto select_fn) {
+      return [&, select_fn](size_t iters) {
+        for (size_t i = 0; i < iters; ++i) {
+          g_sink = g_sink + select_fn(rule, page.data(), kPage, hits.data());
+        }
+      };
+    };
+    KernelResult& k = results.emplace_back("select_windows_page", kPage);
+    k.Variant("portable", select(kernels::SelectWindowsPortable));
+    if (cpu.avx2) {
+      k.Variant("avx2", select(kernels::SelectWindowsAvx2));
+    }
   }
 
   // 4. Match extension over identical pages (the long-match worst case).
-  results.push_back(RunKernel("match_forward_page", kPage, [&](size_t iters) {
-    for (size_t i = 0; i < iters; ++i) {
-      g_sink = g_sink + kernels::MatchForward(base.data(), base.data(), kPage);
-    }
-  }));
+  {
+    const auto match = [&](auto match_fn) {
+      return [&, match_fn](size_t iters) {
+        for (size_t i = 0; i < iters; ++i) {
+          g_sink = g_sink + match_fn(base.data(), base.data(), kPage);
+        }
+      };
+    };
+    results.emplace_back("match_forward_page", kPage)
+        .Variant("scalar", match(kernels::MatchForwardScalar))
+        .Variant("swar", match(kernels::MatchForward));
+  }
 
   // 5. Level-1 delta encode of a 40-edit page against its base (seed
   //    table, prefilter, match extension) — the dedup write path, both
@@ -188,49 +226,48 @@ int main() {
     }
     static DeltaScratch cold;
     size_t next = 0;
-    results.push_back(RunKernel("delta_encode_page", kPage, [&](size_t iters) {
-      for (size_t i = 0; i < iters; ++i) {
-        DeltaEncodeInto(bases[next], targets[next], level1, out, &cold);
-        next = next + 1 < bases.size() ? next + 1 : 0;
-        g_sink = g_sink + out.size();
-      }
-    }));
+    results.emplace_back("delta_encode_page", kPage)
+        .Variant("shipped", [&](size_t iters) {
+          for (size_t i = 0; i < iters; ++i) {
+            DeltaEncodeInto(bases[next], targets[next], level1, out, &cold);
+            next = next + 1 < bases.size() ? next + 1 : 0;
+            g_sink = g_sink + out.size();
+          }
+        });
     static DeltaScratch warm;
-    results.push_back(RunKernel("delta_encode_page_warm", kPage, [&](size_t iters) {
-      for (size_t i = 0; i < iters; ++i) {
-        DeltaEncodeInto(base, target, level1, out, &warm);
-        g_sink = g_sink + out.size();
-      }
-    }));
+    results.emplace_back("delta_encode_page_warm", kPage)
+        .Variant("shipped", [&](size_t iters) {
+          for (size_t i = 0; i < iters; ++i) {
+            DeltaEncodeInto(base, target, level1, out, &warm);
+            g_sink = g_sink + out.size();
+          }
+        });
   }
 
   // 6. Whole-page fingerprint through the public API (ties 1-3 together).
   {
     PageFingerprinter fp({});
-    results.push_back(RunKernel("fingerprint_page", kPage, [&](size_t iters) {
-      for (size_t i = 0; i < iters; ++i) {
-        g_sink = g_sink + fp.FingerprintPage(page).Cardinality();
-      }
-    }));
+    results.emplace_back("fingerprint_page", kPage)
+        .Variant("shipped", [&](size_t iters) {
+          for (size_t i = 0; i < iters; ++i) {
+            g_sink = g_sink + fp.FingerprintPage(page).Cardinality();
+          }
+        });
   }
 
-  const kernels::CpuFeatures feats = kernels::DetectCpuFeatures();
   bench::JsonWriter w;
   w.BeginObject();
   bench::WriteMetadata(w, "kernel_micro");
-  w.BeginObject("cpu")
-      .Field("avx2", feats.avx2)
-      .Field("sha_ni", feats.sha_ni)
-      .EndObject();
+  w.BeginObject("cpu").Field("avx2", cpu.avx2).Field("sha_ni", cpu.sha_ni).EndObject();
   w.BeginArray("kernels");
   for (const KernelResult& r : results) {
-    const double scalar = r.mbps.front().second;
-    w.BeginObject().Field("name", r.name).BeginArray("tiers");
-    for (const auto& [tier, mbps] : r.mbps) {
+    const double reference = r.mbps.front().second;
+    w.BeginObject().Field("name", r.name).BeginArray("variants");
+    for (const auto& [variant, mbps] : r.mbps) {
       w.BeginObject()
-          .Field("tier", kernels::TierName(tier))
+          .Field("variant", variant)
           .Field("mb_per_sec", mbps, 1)
-          .Field("speedup_vs_scalar", scalar > 0 ? mbps / scalar : 0.0)
+          .Field("speedup_vs_reference", reference > 0 ? mbps / reference : 0.0)
           .EndObject();
     }
     w.EndArray().EndObject();

@@ -41,6 +41,13 @@ at any MEDES_THREADS setting) and the documented locking discipline:
                        series in the same call (obs::StatCounter), so a
                        call-site guard only reintroduces the mirrored
                        double bookkeeping.
+  env-knob             std::getenv in src/ outside the files that own the
+                       library's knobs: src/obs/obs.cc (MEDES_TRACE,
+                       MEDES_METRICS, MEDES_TRACE_SAMPLE),
+                       src/common/thread_pool.cc (MEDES_THREADS) and
+                       src/common/mutex.cc (MEDES_DEBUG_LOCKS). Each knob is
+                       a mode the tests must cover, so a new one needs a
+                       visible escape hatch.
 
 Any finding can be suppressed with an inline escape hatch on the same or the
 preceding line, naming the rule:
@@ -247,6 +254,27 @@ def check_metrics_guard(rel: str, lines: list[str], findings: list[Finding]) -> 
                         "MetricsEnabled() guard outside src/obs/: instruments gate "
                         "themselves; record a stats() field through an "
                         "obs::StatCounter member instead of mirroring it")
+            )
+
+
+# ---------------------------------------------------------------------------
+# Rule: env-knob
+
+ENV_KNOB_RE = re.compile(r"\bgetenv\s*\(")
+ENV_KNOB_ALLOWED_FILES = ("src/obs/obs.cc", "src/common/thread_pool.cc", "src/common/mutex.cc")
+
+
+def check_env_knob(rel: str, lines: list[str], findings: list[Finding]) -> None:
+    if not rel.startswith("src/") or rel in ENV_KNOB_ALLOWED_FILES:
+        return
+    for i, raw in enumerate(lines):
+        code = _strip_strings_and_comments(raw)
+        if ENV_KNOB_RE.search(code) and "env-knob" not in _allowed_rules(lines, i):
+            findings.append(
+                Finding(rel, i + 1, "env-knob",
+                        "environment read in the library outside the files that "
+                        "own its knobs (src/obs/obs.cc, src/common/thread_pool.cc, "
+                        "src/common/mutex.cc); a new knob is a new mode to test")
             )
 
 
@@ -509,6 +537,7 @@ PER_FILE_CHECKS = (
     check_raw_random,
     check_direct_filesystem,
     check_metrics_guard,
+    check_env_knob,
     check_unordered_iteration,
     check_include_guard,
     check_self_contained,
@@ -557,6 +586,7 @@ FIXTURE_EXPECTATIONS = {
     "src/bad_filesystem.cc": "direct-filesystem",
     "src/bad_metrics_guard.cc": "metrics-guard",
     "src/obs/metrics_guard_ok.cc": None,  # src/obs/ may read the switch
+    "src/bad_env_knob.cc": "env-knob",
     "src/obs/export.cc": "unordered-iteration",
     "src/bad_guard.h": "include-guard",
     "src/bad_self_contained.h": "self-contained",

@@ -9,7 +9,7 @@
 // a multiply, and a per-position power table that lets Init() run four
 // independent multiply-accumulate chains. This class is the reference
 // definition of the window hash; the fingerprint scan only ever tests its
-// low 16 bits and runs the dispatched selection kernels
+// low 16 bits and runs the selection kernels
 // (common/kernels/rolling_kernels.h) instead. Construct once and reuse — a
 // RollingHash carries ~2.5 KiB of tables.
 #ifndef MEDES_CHUNKING_RABIN_H_

@@ -1,76 +1,55 @@
-// Runtime CPU-feature detection and kernel-tier dispatch.
+// Runtime CPU-feature detection.
 //
 // The per-page hot path (chunk SHA-1, sample selection, delta match
-// extension) is implemented at more than one ISA level. Every dispatch slot
-// starts at a resolver: the first call to any dispatched kernel binds all of
-// them to the best variant the CPU supports (as ResetTierFromEnvironment
-// would) and then forwards the call, so a fresh process runs at
-// MaxSupportedTier() without anyone asking. Tests and benchmarks may rebind
-// at any time with ForceTier.
+// extension) is implemented at more than one ISA level. Each kernel entry
+// point is a fixed function of DetectCpuFeatures(), chosen once per process
+// and never rebound:
 //
-//   kScalar    pure byte-at-a-time reference code. The other tiers are
-//              verified bit-identical against it (tests/kernel_equivalence).
-//   kPortable  word-at-a-time C (8-byte XOR + count-zeros match extension,
-//              the four-chain selection walk). Works on any 64-bit target.
-//   kAvx2      x86-64 with AVX2: 16-lane sample selection and, when SHA-NI
-//              is absent, the 8-lane vertical chunk SHA-1 batch.
+//   Sha1Compress      SHA-NI under cpuid `sha`, else the scalar compress.
+//   Sha1Chunk64Batch  8 chunks in AVX2 lanes under cpuid `avx2` without
+//                     `sha`, else one Sha1Chunk64 per chunk.
+//   SelectWindows     16 AVX2 lanes under cpuid `avx2`, else the portable
+//                     four-chain walk.
+//   MatchForward, MatchBackward, MemEqual
+//                     8-byte XOR + count-zeros (SWAR) on every target.
 //
-// SHA-NI is a capability, not a tier: the SHA-1 compression uses it at every
-// tier above kScalar when cpuid reports `sha`.
-//
-// Forcing scalar for equivalence testing / debugging: MEDES_FORCE_SCALAR=1
-// in the environment (read once at first use; tests can re-read it via
-// ResetTierFromEnvironment).
-//
-// Every variant of every kernel is required to produce bit-identical
-// output (same digests, same selected windows, same match lengths, same
-// delta bytes) — tier selection may never change observable behaviour.
+// Every named variant stays callable, and the scalar references
+// (Sha1CompressScalar, MatchForwardScalar, ...) are the oracles every
+// variant is checked against. All variants produce bit-identical output
+// (same digests, same selected windows, same match lengths, same delta
+// bytes), so the variant a host runs never changes observable behaviour
+// (tests/kernel_equivalence_test.cc).
 #ifndef MEDES_COMMON_KERNELS_CPU_FEATURES_H_
 #define MEDES_COMMON_KERNELS_CPU_FEATURES_H_
 
 #include <cstdint>
-#include <optional>
 
 namespace medes::kernels {
 
-// Raw cpuid probe results (all false on non-x86 targets).
+// What the kernels may use. All false on non-x86 targets, where no x86
+// variant is compiled in.
 struct CpuFeatures {
   bool avx2 = false;
   bool sha_ni = false;
 };
 
+// Decodes raw cpuid/xgetbv words: CPUID.1:ECX, CPUID.(7,0):EBX and XCR0.
+// avx2 needs the leaf-7 AVX2 bit, OSXSAVE, and the OS saving both XMM and
+// YMM state (XCR0 bits 1-2); sha_ni needs the leaf-7 SHA bit and SSE4.1.
+CpuFeatures DecodeCpuFeatures(uint32_t leaf1_ecx, uint32_t leaf7_ebx, uint64_t xcr0);
+
+// This CPU's features, probed once per process.
 CpuFeatures DetectCpuFeatures();
 
 enum class Tier : uint8_t {
-  kScalar = 0,
-  kPortable = 1,
-  kAvx2 = 2,
+  kPortable,
+  kAvx2,
 };
 
 const char* TierName(Tier tier);
 
-// Highest tier this binary + CPU can run (ignores MEDES_FORCE_SCALAR).
+// The tier the kernels run at: kAvx2 when DetectCpuFeatures().avx2.
 Tier MaxSupportedTier();
-
-// Currently bound tier. Binds from cpuid and the MEDES_FORCE_SCALAR
-// environment variable if no kernel has been bound yet.
-Tier ActiveTier();
-
-// The bound tier, or nullopt while every dispatch slot still points at its
-// resolver. Never binds (lets a test observe first-use binding).
-std::optional<Tier> BoundTier();
-
-// True when the SHA-NI compression is compiled in, supported by the CPU and
-// not disabled by the active tier (SHA-NI engages above kScalar).
-bool ShaNiActive();
-
-// Rebinds every dispatched kernel to `tier`, clamped to MaxSupportedTier().
-// Returns the tier actually bound. Intended for tests and benchmarks.
-Tier ForceTier(Tier tier);
-
-// Re-evaluates cpuid + MEDES_FORCE_SCALAR and rebinds all kernels, as if
-// the process were starting fresh. Returns the bound tier.
-Tier ResetTierFromEnvironment();
 
 }  // namespace medes::kernels
 

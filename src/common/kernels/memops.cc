@@ -1,6 +1,5 @@
 #include "common/kernels/memops.h"
 
-#include <atomic>
 #include <bit>
 
 namespace medes::kernels {
@@ -40,7 +39,7 @@ size_t MatchForwardScalar(const uint8_t* a, const uint8_t* b, size_t max) {
   return len;
 }
 
-size_t MatchForwardSwar(const uint8_t* a, const uint8_t* b, size_t max) {
+size_t MatchForward(const uint8_t* a, const uint8_t* b, size_t max) {
   size_t len = 0;
   while (len + 8 <= max) {
     uint64_t diff = Load64(a + len) ^ Load64(b + len);
@@ -64,7 +63,7 @@ size_t MatchBackwardScalar(const uint8_t* a_end, const uint8_t* b_end, size_t ma
   return len;
 }
 
-size_t MatchBackwardSwar(const uint8_t* a_end, const uint8_t* b_end, size_t max) {
+size_t MatchBackward(const uint8_t* a_end, const uint8_t* b_end, size_t max) {
   size_t len = 0;
   while (len + 8 <= max) {
     uint64_t diff = Load64(a_end - len - 8) ^ Load64(b_end - len - 8);
@@ -89,7 +88,7 @@ bool MemEqualScalar(const uint8_t* a, const uint8_t* b, size_t len) {
   return true;
 }
 
-bool MemEqualSwar(const uint8_t* a, const uint8_t* b, size_t len) {
+bool MemEqual(const uint8_t* a, const uint8_t* b, size_t len) {
   size_t i = 0;
   uint64_t acc = 0;
   while (i + 8 <= len) {
@@ -105,62 +104,6 @@ bool MemEqualSwar(const uint8_t* a, const uint8_t* b, size_t len) {
     acc |= static_cast<uint64_t>(a[i] ^ b[i]);
   }
   return acc == 0;
-}
-
-namespace {
-
-using MatchFn = size_t (*)(const uint8_t*, const uint8_t*, size_t);
-using EqualFn = bool (*)(const uint8_t*, const uint8_t*, size_t);
-
-// Each slot starts at its resolver; the first call binds every kernel and
-// forwards (cpu_features.h).
-size_t MatchForwardResolve(const uint8_t* a, const uint8_t* b, size_t max);
-size_t MatchBackwardResolve(const uint8_t* a_end, const uint8_t* b_end, size_t max);
-bool MemEqualResolve(const uint8_t* a, const uint8_t* b, size_t len);
-
-std::atomic<MatchFn> g_match_forward{&MatchForwardResolve};
-std::atomic<MatchFn> g_match_backward{&MatchBackwardResolve};
-std::atomic<EqualFn> g_mem_equal{&MemEqualResolve};
-
-size_t MatchForwardResolve(const uint8_t* a, const uint8_t* b, size_t max) {
-  (void)ActiveTier();
-  return MatchForward(a, b, max);
-}
-
-size_t MatchBackwardResolve(const uint8_t* a_end, const uint8_t* b_end, size_t max) {
-  (void)ActiveTier();
-  return MatchBackward(a_end, b_end, max);
-}
-
-bool MemEqualResolve(const uint8_t* a, const uint8_t* b, size_t len) {
-  (void)ActiveTier();
-  return MemEqual(a, b, len);
-}
-
-}  // namespace
-
-size_t MatchForward(const uint8_t* a, const uint8_t* b, size_t max) {
-  return g_match_forward.load(std::memory_order_relaxed)(a, b, max);
-}
-
-size_t MatchBackward(const uint8_t* a_end, const uint8_t* b_end, size_t max) {
-  return g_match_backward.load(std::memory_order_relaxed)(a_end, b_end, max);
-}
-
-bool MemEqual(const uint8_t* a, const uint8_t* b, size_t len) {
-  return g_mem_equal.load(std::memory_order_relaxed)(a, b, len);
-}
-
-void BindMemopsKernels(Tier tier) {
-  if (tier != Tier::kScalar) {
-    g_match_forward.store(&MatchForwardSwar, std::memory_order_relaxed);
-    g_match_backward.store(&MatchBackwardSwar, std::memory_order_relaxed);
-    g_mem_equal.store(&MemEqualSwar, std::memory_order_relaxed);
-  } else {
-    g_match_forward.store(&MatchForwardScalar, std::memory_order_relaxed);
-    g_match_backward.store(&MatchBackwardScalar, std::memory_order_relaxed);
-    g_mem_equal.store(&MemEqualScalar, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace medes::kernels

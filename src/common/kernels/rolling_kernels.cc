@@ -1,8 +1,9 @@
 #include "common/kernels/rolling_kernels.h"
 
-#include <atomic>
 #include <bit>
 #include <cstring>
+
+#include "common/kernels/cpu_features.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -296,37 +297,11 @@ size_t SelectWindowsAvx2(const SampleRule& rule, const uint8_t* data, size_t n, 
 
 #endif  // MEDES_KERNELS_X86
 
-namespace {
-
-using SelectFn = size_t (*)(const SampleRule&, const uint8_t*, size_t, uint16_t*);
-
-// The slot starts at its resolver; the first call binds every kernel and
-// forwards (cpu_features.h).
-size_t SelectWindowsResolve(const SampleRule& rule, const uint8_t* data, size_t n,
-                            uint16_t* out);
-
-std::atomic<SelectFn> g_select{&SelectWindowsResolve};
-
-size_t SelectWindowsResolve(const SampleRule& rule, const uint8_t* data, size_t n,
-                            uint16_t* out) {
-  (void)ActiveTier();
-  return SelectWindows(rule, data, n, out);
-}
-
-}  // namespace
-
 size_t SelectWindows(const SampleRule& rule, const uint8_t* data, size_t n, uint16_t* out) {
-  return g_select.load(std::memory_order_relaxed)(rule, data, n, out);
-}
-
-void BindRollingKernels(Tier tier) {
-  // The portable walk is plain C; every tier below AVX2 — scalar included —
-  // uses it, as the 16-bit reduction leaves no simpler variant to keep.
-  if (tier >= Tier::kAvx2) {
-    g_select.store(&SelectWindowsAvx2, std::memory_order_relaxed);
-  } else {
-    g_select.store(&SelectWindowsPortable, std::memory_order_relaxed);
-  }
+  using SelectFn = size_t (*)(const SampleRule&, const uint8_t*, size_t, uint16_t*);
+  static const SelectFn select =
+      DetectCpuFeatures().avx2 ? &SelectWindowsAvx2 : &SelectWindowsPortable;
+  return select(rule, data, n, out);
 }
 
 }  // namespace medes::kernels

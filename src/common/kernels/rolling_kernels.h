@@ -8,10 +8,10 @@
 // 64-bit recurrence equal the same recurrence run in uint16_t arithmetic —
 // the kernels step 16-bit hashes and decide the test exactly.
 //
-// Two variants, bit-identical in output (see cpu_features.h for the
-// dispatch contract):
+// Two variants, bit-identical in output; SelectWindows runs AVX2 when the
+// CPU has it (cpu_features.h):
 //   - portable: four contiguous position blocks stepped as independent
-//     scalar dependency chains; bound at every tier below AVX2;
+//     scalar dependency chains;
 //   - AVX2: sixteen contiguous blocks, one per 16-bit lane, stepped with
 //     vpmullw over a lane-major copy of the data.
 #ifndef MEDES_COMMON_KERNELS_ROLLING_KERNELS_H_
@@ -19,8 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "common/kernels/cpu_features.h"
 
 namespace medes::kernels {
 
@@ -56,9 +54,6 @@ size_t SelectWindowsPortable(const SampleRule& rule, const uint8_t* data, size_t
 // forwards to the portable one); call it only when DetectCpuFeatures().avx2
 // is true.
 size_t SelectWindowsAvx2(const SampleRule& rule, const uint8_t* data, size_t n, uint16_t* out);
-
-// Rebinds the dispatched entry point (called by cpu_features).
-void BindRollingKernels(Tier tier);
 
 }  // namespace medes::kernels
 

@@ -1,7 +1,8 @@
 #include "common/kernels/sha1_kernels.h"
 
-#include <atomic>
 #include <cstring>
+
+#include "common/kernels/cpu_features.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -16,13 +17,6 @@ inline uint32_t RotL(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
 inline uint32_t LoadBe32(const uint8_t* p) {
   return (uint32_t{p[0]} << 24) | (uint32_t{p[1]} << 16) | (uint32_t{p[2]} << 8) | uint32_t{p[3]};
 }
-
-// Padding block for a message of exactly 64 bytes: 0x80, 54 zero bytes,
-// then the 64-bit big-endian bit length (512 = 0x200).
-constexpr uint8_t kPad64[64] = {0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x02, 0x00};
 
 }  // namespace
 
@@ -69,15 +63,31 @@ void Sha1CompressScalar(uint32_t state[5], const uint8_t* block) {
   state[4] += e;
 }
 
+namespace {
+
+using CompressFn = void (*)(uint32_t[5], const uint8_t*);
+
+// The compression every entry point uses, chosen once per process.
+CompressFn ChosenCompress() {
+  static const CompressFn compress =
+      DetectCpuFeatures().sha_ni ? &Sha1CompressShaNi : &Sha1CompressScalar;
+  return compress;
+}
+
+}  // namespace
+
+void Sha1Compress(uint32_t state[5], const uint8_t* block) { ChosenCompress()(state, block); }
+
 void Sha1Chunk64(const uint8_t* chunk, uint32_t out_state[5]) {
+  const CompressFn compress = ChosenCompress();
   std::memcpy(out_state, kSha1Init, sizeof(kSha1Init));
-  Sha1Compress(out_state, chunk);
-  Sha1Compress(out_state, kPad64);
+  compress(out_state, chunk);
+  compress(out_state, kSha1Pad64);
 }
 
 namespace {
 
-// The one-chunk-at-a-time batch: each chunk takes the bound compression.
+// The one-chunk-at-a-time batch.
 void Sha1Chunk64Each(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
   for (size_t i = 0; i < n; ++i) {
     Sha1Chunk64(chunks[i], out_state[i]);
@@ -87,8 +97,6 @@ void Sha1Chunk64Each(const uint8_t* const* chunks, size_t n, uint32_t (*out_stat
 }  // namespace
 
 #if defined(MEDES_KERNELS_X86)
-
-bool Sha1ShaNiCompiled() { return true; }
 
 namespace {
 
@@ -241,7 +249,7 @@ __attribute__((target("avx2"))) void Sha1Chunk64x8Avx2(const uint8_t* const* chu
   }
   Sha1Rounds8Avx2(s, w);
   for (int t = 0; t < 16; ++t) {
-    w[t] = _mm256_set1_epi32(static_cast<int>(LoadBe32(kPad64 + 4 * t)));
+    w[t] = _mm256_set1_epi32(static_cast<int>(LoadBe32(kSha1Pad64 + 4 * t)));
   }
   Sha1Rounds8Avx2(s, w);
   alignas(32) uint32_t lanes[5][8];
@@ -267,8 +275,6 @@ void Sha1Chunk64BatchAvx2(const uint8_t* const* chunks, size_t n, uint32_t (*out
 
 #else  // !MEDES_KERNELS_X86
 
-bool Sha1ShaNiCompiled() { return false; }
-
 void Sha1CompressShaNi(uint32_t state[5], const uint8_t* block) {
   Sha1CompressScalar(state, block);
 }
@@ -279,46 +285,14 @@ void Sha1Chunk64BatchAvx2(const uint8_t* const* chunks, size_t n, uint32_t (*out
 
 #endif  // MEDES_KERNELS_X86
 
-namespace {
-
-using CompressFn = void (*)(uint32_t[5], const uint8_t*);
-using BatchFn = void (*)(const uint8_t* const*, size_t, uint32_t (*)[5]);
-
-// Each slot starts at its resolver; the first call binds every kernel and
-// forwards (cpu_features.h).
-void Sha1CompressResolve(uint32_t state[5], const uint8_t* block);
-void Sha1Chunk64BatchResolve(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]);
-
-std::atomic<CompressFn> g_compress{&Sha1CompressResolve};
-std::atomic<BatchFn> g_batch{&Sha1Chunk64BatchResolve};
-
-void Sha1CompressResolve(uint32_t state[5], const uint8_t* block) {
-  (void)ActiveTier();
-  Sha1Compress(state, block);
-}
-
-void Sha1Chunk64BatchResolve(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
-  (void)ActiveTier();
-  Sha1Chunk64Batch(chunks, n, out_state);
-}
-
-}  // namespace
-
-void Sha1Compress(uint32_t state[5], const uint8_t* block) {
-  g_compress.load(std::memory_order_relaxed)(state, block);
-}
-
 void Sha1Chunk64Batch(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
-  g_batch.load(std::memory_order_relaxed)(chunks, n, out_state);
-}
-
-void BindSha1Kernels(Tier tier) {
-  const bool sha_ni = Sha1ShaNiCompiled() && DetectCpuFeatures().sha_ni && tier != Tier::kScalar;
-  g_compress.store(sha_ni ? &Sha1CompressShaNi : &Sha1CompressScalar, std::memory_order_relaxed);
-  // The 8-lane batch is bound only where SHA-NI is absent: on a SHA-NI host
+  using BatchFn = void (*)(const uint8_t* const*, size_t, uint32_t(*)[5]);
+  // The 8-lane batch runs only where SHA-NI is absent: on a SHA-NI host
   // each chunk goes through the SHA-NI compression instead.
-  const bool lanes8 = tier == Tier::kAvx2 && !sha_ni;
-  g_batch.store(lanes8 ? &Sha1Chunk64BatchAvx2 : &Sha1Chunk64Each, std::memory_order_relaxed);
+  static const BatchFn batch = DetectCpuFeatures().avx2 && !DetectCpuFeatures().sha_ni
+                                   ? &Sha1Chunk64BatchAvx2
+                                   : &Sha1Chunk64Each;
+  batch(chunks, n, out_state);
 }
 
 }  // namespace medes::kernels

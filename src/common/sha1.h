@@ -36,9 +36,9 @@ struct Sha1Digest {
   uint64_t Prefix64() const;
 };
 
-// Incremental SHA-1 hasher. Block compression dispatches through the
-// hot-path kernel layer (common/kernels/sha1_kernels.h): SHA-NI when the
-// CPU has it, the scalar reference otherwise — bit-identical either way.
+// Incremental SHA-1 hasher. Block compression runs in the hot-path kernel
+// layer (common/kernels/sha1_kernels.h): SHA-NI when the CPU has it, the
+// scalar reference otherwise — bit-identical either way.
 class Sha1 {
  public:
   Sha1() { Reset(); }

@@ -16,7 +16,7 @@
 // matches that.
 //
 // Hot-path notes: seed comparison and match extension run through the
-// dispatched word/vector kernels (common/kernels/memops.h); DeltaDecode
+// word-at-a-time kernels (common/kernels/memops.h); DeltaDecode
 // validates the instruction stream in one pass and then memcpys into a
 // buffer pre-sized from the header instead of growing it op by op. The
 // *Into overloads write into caller-owned buffers; DeltaEncodeInto accepts

@@ -63,37 +63,6 @@ MetricsRegistry::Instrument& MetricsRegistry::GetOrCreate(InstrumentKind kind,
       return *instrument;
     }
   }
-  if (instruments_.size() >= max_series_) {
-    // Cardinality guard: absorb the registration into the per-kind overflow
-    // sink so the caller still gets a live instrument, and count the drop.
-    ++dropped_series_;
-    if (!overflow_warned_) {
-      overflow_warned_ = true;
-      std::fprintf(stderr,
-                   "obs: metrics registry hit its %zu-series cap registering \"%.*s\"; "
-                   "further new series are dropped (see medes_obs_series_dropped_total)\n",
-                   max_series_, static_cast<int>(name.size()), name.data());
-    }
-    auto& sink = overflow_.at(static_cast<size_t>(kind));
-    if (sink == nullptr) {
-      sink = std::make_unique<Instrument>();
-      sink->kind = kind;
-      sink->name = "medes_obs_series_overflow";
-      sink->help = "Overflow sink for series past the cardinality cap";
-      switch (kind) {
-        case InstrumentKind::kCounter:
-          sink->counter = std::make_unique<Counter>();
-          break;
-        case InstrumentKind::kGauge:
-          sink->gauge = std::make_unique<Gauge>();
-          break;
-        case InstrumentKind::kHistogram:
-          sink->histogram = std::make_unique<Histogram>();
-          break;
-      }
-    }
-    return *sink;
-  }
   auto instrument = std::make_unique<Instrument>();
   instrument->kind = kind;
   instrument->name = std::string(name);
@@ -159,14 +128,6 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
       }
       out.push_back(std::move(snap));
     }
-    if (dropped_series_ > 0) {
-      MetricSnapshot snap;
-      snap.kind = InstrumentKind::kCounter;
-      snap.name = "medes_obs_series_dropped_total";
-      snap.help = "Registrations absorbed by the label-cardinality guard";
-      snap.value = static_cast<int64_t>(dropped_series_);
-      out.push_back(std::move(snap));
-    }
   }
   // Registration order depends on which thread first hit each call site;
   // sorting restores a canonical order for export and determinism checks.
@@ -179,49 +140,24 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::ResetValues() {
   MutexLock lock(mu_);
-  const auto reset = [](const Instrument& instrument) {
-    switch (instrument.kind) {
+  for (const auto& instrument : instruments_) {
+    switch (instrument->kind) {
       case InstrumentKind::kCounter:
-        instrument.counter->Reset();
+        instrument->counter->Reset();
         break;
       case InstrumentKind::kGauge:
-        instrument.gauge->Reset();
+        instrument->gauge->Reset();
         break;
       case InstrumentKind::kHistogram:
-        instrument.histogram->Reset();
+        instrument->histogram->Reset();
         break;
     }
-  };
-  for (const auto& instrument : instruments_) {
-    reset(*instrument);
   }
-  for (const auto& sink : overflow_) {
-    if (sink != nullptr) {
-      reset(*sink);
-    }
-  }
-  dropped_series_ = 0;
 }
 
 size_t MetricsRegistry::NumSeries() const {
   MutexLock lock(mu_);
   return instruments_.size();
-}
-
-void MetricsRegistry::SetMaxSeries(size_t max_series) {
-  MutexLock lock(mu_);
-  max_series_ = max_series;
-  overflow_warned_ = false;
-}
-
-size_t MetricsRegistry::MaxSeries() const {
-  MutexLock lock(mu_);
-  return max_series_;
-}
-
-uint64_t MetricsRegistry::DroppedSeries() const {
-  MutexLock lock(mu_);
-  return dropped_series_;
 }
 
 StatCounter::StatCounter(std::string_view name, std::string_view help,

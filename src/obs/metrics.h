@@ -157,18 +157,10 @@ struct MetricSnapshot {
 // stable reference, registering the instrument on first use; subsequent calls
 // with the same (name, label) pair return the same instrument. Registering
 // one name under two different kinds is a programming error and aborts.
-//
-// Label-cardinality guard: the registry holds at most MaxSeries() distinct
-// (name, label) series. Once the cap is reached, further registrations are
-// absorbed by a per-kind overflow sink instrument (a valid reference, so
-// call sites never crash), each such call bumps DroppedSeries(), a warning
-// is printed once, and Snapshot() reports the drop count as the synthetic
-// counter `medes_obs_series_dropped_total`. This keeps accidental
-// per-request label values from growing the registry without bound.
+// Every label value in the tree is an enum value, so the code fixes the
+// number of series.
 class MetricsRegistry {
  public:
-  static constexpr size_t kDefaultMaxSeries = 4096;
-
   static MetricsRegistry& Default();
 
   Counter& GetCounter(std::string_view name, std::string_view help,
@@ -191,13 +183,6 @@ class MetricsRegistry {
 
   size_t NumSeries() const EXCLUDES(mu_);
 
-  // Cardinality guard controls. Lowering the cap below the current series
-  // count only affects future registrations; existing series stay live.
-  void SetMaxSeries(size_t max_series) EXCLUDES(mu_);
-  size_t MaxSeries() const EXCLUDES(mu_);
-  // Number of registration calls absorbed by the overflow sinks.
-  uint64_t DroppedSeries() const EXCLUDES(mu_);
-
  private:
   struct Instrument {
     InstrumentKind kind;
@@ -216,12 +201,6 @@ class MetricsRegistry {
   mutable Mutex mu_{"obs metrics registry", LockRank::kObsRegistry};
   // unique_ptr elements keep instrument addresses stable across growth.
   std::vector<std::unique_ptr<Instrument>> instruments_ GUARDED_BY(mu_);
-  size_t max_series_ GUARDED_BY(mu_) = kDefaultMaxSeries;
-  uint64_t dropped_series_ GUARDED_BY(mu_) = 0;
-  bool overflow_warned_ GUARDED_BY(mu_) = false;
-  // Per-kind overflow sinks (indexed by InstrumentKind); excluded from
-  // Snapshot() and NumSeries() — only the drop count is exported.
-  std::array<std::unique_ptr<Instrument>, 3> overflow_ GUARDED_BY(mu_);
 };
 
 // ---- Per-instance stats ----------------------------------------------------

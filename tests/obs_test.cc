@@ -268,55 +268,5 @@ TEST_F(ObsTest, FileSinkSeamCapturesWrites) {
   EXPECT_EQ(content, "payload");
 }
 
-// ---------------------------------------------------------------------------
-// Label-cardinality guard
-// ---------------------------------------------------------------------------
-
-TEST_F(ObsTest, CardinalityGuardAbsorbsNewSeriesPastTheCap) {
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  const size_t old_max = registry.MaxSeries();
-  registry.GetCounter("obs_test_guard_seed_total", "test").Add(1);
-  registry.SetMaxSeries(registry.NumSeries());  // cap at current size
-
-  Counter& a = registry.GetCounter("obs_test_guard_over_a_total", "test");
-  Counter& b = registry.GetCounter("obs_test_guard_over_b_total", "test");
-  EXPECT_EQ(&a, &b);  // both land on the shared counter overflow sink
-  EXPECT_EQ(registry.DroppedSeries(), 2u);
-  a.Add(5);  // valid reference: call sites never crash past the cap
-
-  // Existing series are unaffected, and the snapshot reports the drops.
-  Counter& seed = registry.GetCounter("obs_test_guard_seed_total", "test");
-  seed.Add(1);
-  EXPECT_EQ(seed.Value(), 2u);
-  EXPECT_EQ(registry.DroppedSeries(), 2u);  // re-lookup of existing: no drop
-  bool saw_dropped_counter = false;
-  for (const auto& snap : registry.Snapshot()) {
-    if (snap.name == "medes_obs_series_dropped_total") {
-      saw_dropped_counter = true;
-      EXPECT_EQ(snap.value, 2);
-    }
-  }
-  EXPECT_TRUE(saw_dropped_counter);
-
-  registry.SetMaxSeries(old_max);
-  registry.ResetValues();  // clears dropped_series_ for later tests
-  EXPECT_EQ(registry.DroppedSeries(), 0u);
-}
-
-TEST_F(ObsTest, CardinalityGuardSinksPerKind) {
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  const size_t old_max = registry.MaxSeries();
-  registry.SetMaxSeries(registry.NumSeries());
-  Counter& c = registry.GetCounter("obs_test_guard_kind_total", "test");
-  Gauge& g = registry.GetGauge("obs_test_guard_kind_level", "test");
-  Histogram& h = registry.GetHistogram("obs_test_guard_kind_us", "test");
-  c.Add(1);
-  g.Set(2);
-  h.Record(3);  // distinct sinks per kind: no type confusion
-  EXPECT_EQ(registry.DroppedSeries(), 3u);
-  registry.SetMaxSeries(old_max);
-  registry.ResetValues();
-}
-
 }  // namespace
 }  // namespace medes::obs
