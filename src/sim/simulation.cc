@@ -56,6 +56,20 @@ void Simulation::RefillSlots() {
 
 void Simulation::InsertOverflow(const CalEntry& e) { overflow_.push(e); }
 
+void Simulation::PurgeStale(std::vector<CalEntry>& bucket) {
+  const auto live_end = std::remove_if(bucket.begin(), bucket.end(),
+                                       [this](const CalEntry& e) { return !EntryLive(e); });
+  const auto purged = static_cast<uint64_t>(bucket.end() - live_end);
+  bucket.erase(live_end, bucket.end());
+  in_wheel_ -= purged;
+  stale_pending_ -= purged;
+  // A purge that freed little would rescan the whole bucket on the next
+  // insert; grow now instead, so each entry is scanned O(1) times amortised.
+  if (bucket.size() * 2 > bucket.capacity()) {
+    bucket.reserve(2 * bucket.capacity());
+  }
+}
+
 void Simulation::Cancel(EventId id) {
   const uint32_t slot = static_cast<uint32_t>(id >> 32);
   const uint32_t gen = static_cast<uint32_t>(id);
@@ -108,7 +122,11 @@ bool Simulation::PeekNext(CalEntry& out) {
       out = e;
       return true;
     }
-    bucket.clear();
+    if (bucket.capacity() > kKeptBucketCapacity) {
+      std::vector<CalEntry>().swap(bucket);
+    } else {
+      bucket.clear();
+    }
     fire_idx_ = 0;
     if (in_wheel_ == 0) {
       if (overflow_.empty()) {
@@ -216,6 +234,8 @@ SimStats Simulation::stats() const {
   s.cancelled = stat_cancelled_;
   s.overflow_migrations = stat_migrations_;
   s.max_live = stat_max_live_;
+  s.queued = in_wheel_ + overflow_.size();
+  s.stale = stale_pending_;
   return s;
 }
 

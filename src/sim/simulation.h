@@ -8,7 +8,10 @@
 // The engine is a two-tier calendar queue. Events due within the wheel
 // window land in one of 2^num_buckets_log2 unsorted buckets of
 // 2^bucket_width_log2 microseconds each; buckets are sorted lazily when the
-// cursor reaches them. Events beyond the window wait in an overflow min-heap
+// cursor reaches them. A full bucket ahead of the cursor sheds its cancelled
+// entries before it grows, and a drained bucket above 8 entries frees its
+// storage, so the wheel's footprint follows the live set, not the cancel
+// backlog. Events beyond the window wait in an overflow min-heap
 // of 24-byte POD entries and migrate into the wheel as it slides. Callbacks
 // live in a slab-allocated event arena with inline small-buffer storage (no
 // per-event std::function heap allocation), and handles carry a generation
@@ -59,6 +62,10 @@ struct SimStats {
   uint64_t cancelled = 0;
   uint64_t overflow_migrations = 0;  // entries moved overflow tier -> wheel
   uint64_t max_live = 0;             // high-water mark of pending events
+  // Entries queued in the wheel and overflow tier, and how many of them are
+  // cancelled; queued - stale is always the number of pending events.
+  uint64_t queued = 0;
+  uint64_t stale = 0;
 };
 
 class Simulation {
@@ -199,6 +206,11 @@ class Simulation {
     }
   };
 
+  // A drained bucket keeps up to this many entries of storage for its next
+  // window; above it the storage is freed, or each bucket would hold its peak
+  // capacity (cancelled timers included) for the rest of the run.
+  static constexpr size_t kKeptBucketCapacity = 8;
+
   // Slab chunks keep slot addresses stable while callbacks execute (a
   // callback scheduling new events may grow the arena under its own feet).
   static constexpr uint32_t kChunkSizeLog2 = 10;
@@ -267,12 +279,17 @@ class Simulation {
       bucket.insert(pos, e);
       return;
     }
-    bucket.push_back(e);
     if (abs_bucket == cursor_bucket_) {
       cursor_dirty_ = true;
+    } else if (bucket.size() == bucket.capacity() && stale_pending_ != 0) {
+      PurgeStale(bucket);
     }
+    bucket.push_back(e);
   }
   void InsertOverflow(const CalEntry& e);
+  // Erases the cancelled entries of a full bucket ahead of the cursor, so
+  // re-armed timers do not grow it with dead entries.
+  void PurgeStale(std::vector<CalEntry>& bucket);
   // Inline fast path for the common case: the cursor bucket is sorted, has an
   // unfired entry, and no stale entries exist anywhere (so it is provably
   // live — no slot probe needed). Falls through to PeekNext otherwise.

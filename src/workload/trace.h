@@ -63,10 +63,14 @@ std::vector<ArrivalPattern> DefaultAzurePatterns();
 // representative set {LinAlg, FeatureGen, ModelTrain} in Section 7.5).
 std::vector<ArrivalPattern> PatternsForFunctions(const std::vector<std::string>& names);
 
-// Generates a time-sorted trace for the given patterns. Each pattern (and,
-// for periodic patterns, each staggered stream) is produced as an already
-// sorted run; the runs are k-way merged into the pre-sized output instead of
-// append-then-global-sort, so generation stays O(n log k).
+// Generates a trace sorted by (time, function) for the given patterns. Each
+// pattern (and, for periodic patterns, each staggered stream) is drawn as an
+// already sorted run straight into the one output buffer; adjacent runs are
+// then merged in place, pairwise per pass, so generation is O(n log k) for k
+// runs with no per-run copies. Throws std::invalid_argument for a negative
+// duration, a negative or non-finite rate_scale or rate_per_s, a periodic
+// jitter_fraction outside [0, 1), or a bursty mean_on/mean_off that is not
+// positive.
 std::vector<TraceEvent> GenerateTrace(const std::vector<ArrivalPattern>& patterns,
                                       const TraceOptions& options);
 

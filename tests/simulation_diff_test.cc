@@ -29,6 +29,7 @@ class ReferenceSim {
  public:
   SimTime Now() const { return now_; }
   uint64_t events_processed() const { return events_processed_; }
+  bool Empty() const { return callbacks_.empty(); }
 
   EventId Schedule(SimTime t, std::function<void()> cb) {
     const EventId id = next_seq_++;
@@ -183,6 +184,80 @@ TEST(SimulationDiffTest, AdversarialGeometriesMatchHeap) {
         << "geometry width_log2=" << g[0] << " buckets_log2=" << g[1];
     EXPECT_EQ(cal.events_processed, ref.events_processed);
     EXPECT_EQ(cal.end_time, ref.end_time);
+  }
+}
+
+// Every queued entry is either pending or cancelled: a bookkeeping slip in
+// the purge or the release would break this before it broke fire order.
+void CheckQueueAccounting(const Simulation& sim) {
+  const SimStats st = sim.stats();
+  ASSERT_EQ(st.queued - st.stale, st.scheduled - st.fired - st.cancelled);
+}
+void CheckQueueAccounting(const ReferenceSim&) {}
+
+// The platform's fixed keep-alive pattern, scaled to the wheel: bursts of
+// requests, each of which re-arms one of a few keep-alive timers (cancel,
+// then schedule most of a window ahead) and schedules a completion a
+// quarter bucket ahead at most, usually into the bucket being drained.
+// Every re-arm strands a cancelled entry ahead of the
+// cursor, so cancelled entries outnumber live ones about 100 to 1 — the
+// backlog that the purge of full buckets and the release of drained ones
+// exist for. Times are fractions of the window, so the workload means the
+// same thing at every geometry.
+template <typename Sim>
+WorkloadResult RunRearmWorkload(Sim& sim, uint64_t seed, int width_log2, int buckets_log2) {
+  const int64_t width = int64_t{1} << width_log2;
+  const int64_t window = width << buckets_log2;
+  constexpr int kTimers = 8;
+  constexpr int kBurst = 50;
+  constexpr int kBursts = 80;
+  Rng rng(seed);
+  WorkloadResult out;
+  std::vector<EventId> timers(kTimers, 0);
+  uint64_t next_label = 0;
+  int requests = 0;
+  std::function<void()> request = [&] {
+    out.fire_sequence.push_back(next_label++);
+    CheckQueueAccounting(sim);
+    const size_t k = rng.Below(kTimers);
+    sim.Cancel(timers[k]);
+    const uint64_t expiry = next_label++;
+    const SimDuration keep_alive{window * 9 / 10 - rng.Range(0, width)};
+    timers[k] =
+        sim.ScheduleAfter(keep_alive, [&out, expiry] { out.fire_sequence.push_back(expiry); });
+    const uint64_t done = next_label++;
+    sim.ScheduleAfter(SimDuration{rng.Range(0, width / 4)},
+                      [&out, done] { out.fire_sequence.push_back(done); });
+    if (++requests < kBurst * kBursts) {
+      const int64_t gap = requests % kBurst == 0 ? window / 20 : rng.Range(0, width / 64);
+      sim.ScheduleAfter(SimDuration{gap}, request);
+    }
+  };
+  sim.Schedule(SimTime{}, request);
+  // Chunked progress leaves the cursor parked ahead of Now() between chunks.
+  for (SimTime horizon; !sim.Empty(); ) {
+    horizon += SimDuration{window / 7};
+    sim.RunUntil(horizon);
+    CheckQueueAccounting(sim);
+  }
+  out.events_processed = sim.events_processed();
+  out.end_time = sim.Now();
+  return out;
+}
+
+TEST(SimulationDiffTest, KeepAliveRearmMatchesHeap) {
+  const int geometries[][2] = {{15, 15}, {6, 5}};
+  for (const auto& g : geometries) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      Simulation cal(SimulationOptions{.bucket_width_log2 = g[0], .num_buckets_log2 = g[1]});
+      const WorkloadResult got = RunRearmWorkload(cal, seed, g[0], g[1]);
+      ReferenceSim ref;
+      const WorkloadResult want = RunRearmWorkload(ref, seed, g[0], g[1]);
+      ASSERT_EQ(got.fire_sequence, want.fire_sequence)
+          << "geometry width_log2=" << g[0] << " buckets_log2=" << g[1] << " seed " << seed;
+      EXPECT_EQ(got.events_processed, want.events_processed);
+      EXPECT_EQ(got.end_time, want.end_time);
+    }
   }
 }
 

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
+#include "common/hash.h"
 
 namespace medes {
 namespace {
@@ -119,10 +124,10 @@ TEST(WorkloadTest, BurstyHasQuietPeriods) {
   EXPECT_GT(max_gap, kMinute);
 }
 
-// The k-way merge must produce exactly the globally-sorted sequence the old
-// append-then-sort implementation emitted. TraceEvent is only (time,
-// function), so sorting the merged output by that key is the full oracle:
-// if the merge were wrong in any way, re-sorting would change the sequence.
+// The merged runs must come out sorted by (time, function), the order an
+// append-then-global-sort generator emits. TraceEvent is only (time,
+// function), so sorting the generated trace by that key is the full oracle:
+// if any run were merged out of place, re-sorting would change the sequence.
 TEST(WorkloadTest, MergeMatchesGlobalSortOracle) {
   TraceOptions opts;
   opts.duration = 20 * kMinute;
@@ -154,6 +159,117 @@ TEST(WorkloadTest, MaxEventsCapTruncatesEarliest) {
     EXPECT_EQ(capped[i].time, full[i].time);
     EXPECT_EQ(capped[i].function, full[i].function);
   }
+}
+
+// Order-sensitive digest of a trace's (time, function) sequence and length.
+uint64_t TraceDigest(const std::vector<TraceEvent>& trace) {
+  uint64_t h = HashCombine(kFnvOffsetBasis, trace.size());
+  for (const TraceEvent& e : trace) {
+    h = HashCombine(h, static_cast<uint64_t>(e.time.value()));
+    h = HashCombine(h, static_cast<uint64_t>(e.function));
+  }
+  return h;
+}
+
+// Pins the generator's output, element for element, to digests recorded from
+// the k-way-merge generator this one replaced: the default mix at the
+// paper's 5x magnification and at the 100-node perfbench scale (26 periodic
+// streams), three seeds each; a subset listed out of id order; and the
+// max_events cut.
+TEST(WorkloadTest, OutputMatchesRecordedDigests) {
+  struct Case {
+    uint64_t seed;
+    double rate_scale;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {0xa22e, 5.0, 0xca8aa9bb909c13f7ull}, {0xa22e, 5.0 * 100 / 19, 0x29531921a023ea37ull},
+      {1, 5.0, 0x8614371fa35a8309ull},      {1, 5.0 * 100 / 19, 0xaaf7a55b7a657dc5ull},
+      {2, 5.0, 0xe5a8daa5e2771f4full},      {2, 5.0 * 100 / 19, 0x7eac2a3c00116928ull},
+  };
+  for (const Case& c : cases) {
+    TraceOptions opts;
+    opts.duration = 15 * kMinute;
+    opts.seed = c.seed;
+    opts.rate_scale = c.rate_scale;
+    EXPECT_EQ(TraceDigest(GenerateTrace(DefaultAzurePatterns(), opts)), c.digest)
+        << "seed " << c.seed << " rate_scale " << c.rate_scale;
+  }
+
+  TraceOptions subset;
+  EXPECT_EQ(TraceDigest(GenerateTrace(
+                PatternsForFunctions({"ModelTrain", "LinAlg", "FeatureGen"}), subset)),
+            0xad5873bf7a3ff9a8ull);
+
+  TraceOptions capped;
+  capped.duration = 10 * kMinute;
+  capped.max_events = 500;
+  EXPECT_EQ(TraceDigest(GenerateTrace(DefaultAzurePatterns(), capped)), 0x2d2cb3411eef94adull);
+}
+
+// Each of these inputs once hung, exhausted memory or returned an unsorted
+// trace; all are rejected up front now.
+TEST(WorkloadTest, BurstyWithZeroMeansRejected) {
+  ArrivalPattern p;
+  p.function = 2;
+  p.kind = ArrivalKind::kBursty;
+  p.mean_on = SimDuration{};
+  p.mean_off = SimDuration{};
+  EXPECT_THROW(GenerateTrace({p}, TraceOptions{}), std::invalid_argument);
+  p.mean_off = 240 * kSecond;
+  EXPECT_THROW(GenerateTrace({p}, TraceOptions{}), std::invalid_argument);
+}
+
+TEST(WorkloadTest, NegativePeriodicRateRejected) {
+  ArrivalPattern p;
+  p.function = 1;
+  p.kind = ArrivalKind::kPeriodic;
+  p.rate_per_s = -1;
+  EXPECT_THROW(GenerateTrace({p}, TraceOptions{}), std::invalid_argument);
+  p.rate_per_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(GenerateTrace({p}, TraceOptions{}), std::invalid_argument);
+  p.kind = ArrivalKind::kPoisson;
+  p.rate_per_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(GenerateTrace({p}, TraceOptions{}), std::invalid_argument);
+}
+
+TEST(WorkloadTest, PeriodicJitterOutsideUnitIntervalRejected) {
+  ArrivalPattern p;
+  p.function = 1;
+  p.kind = ArrivalKind::kPeriodic;
+  p.rate_per_s = 1.0;
+  p.jitter_fraction = 1.5;
+  EXPECT_THROW(GenerateTrace({p}, TraceOptions{}), std::invalid_argument);
+  p.jitter_fraction = 1.0;
+  EXPECT_THROW(GenerateTrace({p}, TraceOptions{}), std::invalid_argument);
+  p.jitter_fraction = -0.1;
+  EXPECT_THROW(GenerateTrace({p}, TraceOptions{}), std::invalid_argument);
+}
+
+TEST(WorkloadTest, BadOptionsRejected) {
+  TraceOptions negative_duration;
+  negative_duration.duration = SimDuration{-1};
+  EXPECT_THROW(GenerateTrace(DefaultAzurePatterns(), negative_duration), std::invalid_argument);
+  TraceOptions negative_scale;
+  negative_scale.rate_scale = -5.0;
+  EXPECT_THROW(GenerateTrace(DefaultAzurePatterns(), negative_scale), std::invalid_argument);
+  TraceOptions nan_scale;
+  nan_scale.rate_scale = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(GenerateTrace(DefaultAzurePatterns(), nan_scale), std::invalid_argument);
+
+  // The edges of the valid range still generate. At zero scale only the
+  // periodic pattern emits (its one stream is never scaled below one), and a
+  // zero duration emits nothing.
+  TraceOptions zero_scale;
+  zero_scale.rate_scale = 0;
+  const auto timers = GenerateTrace(DefaultAzurePatterns(), zero_scale);
+  ASSERT_FALSE(timers.empty());
+  for (const TraceEvent& e : timers) {
+    EXPECT_EQ(e.function, ProfileByName("LinAlg").id);
+  }
+  TraceOptions zero_duration;
+  zero_duration.duration = SimDuration{};
+  EXPECT_TRUE(GenerateTrace(DefaultAzurePatterns(), zero_duration).empty());
 }
 
 TEST(WorkloadTest, PatternsForFunctionsSubset) {
