@@ -47,10 +47,8 @@ struct MicroResults {
 
 MicroResults RunMicro() {
   MicroResults r;
-  obs::Counter& counter =
-      obs::MetricsRegistry::Default().GetCounter("obs_overhead_counter_total", "bench");
-  obs::Histogram& hist =
-      obs::MetricsRegistry::Default().GetHistogram("obs_overhead_hist_us", "bench");
+  obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter("obs_overhead_counter_total");
+  obs::Histogram& hist = obs::MetricsRegistry::Default().GetHistogram("obs_overhead_hist_us");
 
   obs::SetMetricsEnabled(false);
   r.counter_disabled_ns = MeasureNsPerOp([&](size_t iters) {

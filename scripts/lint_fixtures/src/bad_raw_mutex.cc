@@ -1,5 +1,5 @@
 // Fixture: raw standard-library locking primitives outside
-// src/common/mutex.{h,cc} must fire [raw-mutex].
+// src/common/mutex.h must fire [raw-mutex].
 #include <mutex>
 
 namespace medes {

@@ -8,9 +8,8 @@ at any MEDES_THREADS setting) and the documented locking discipline:
   raw-mutex            std::mutex / std::shared_mutex / std::lock_guard /
                        std::unique_lock / std::scoped_lock /
                        std::condition_variable anywhere but the annotated
-                       wrappers in src/common/mutex.{h,cc}. Raw primitives
-                       bypass the lock-rank checker and the capability
-                       annotations.
+                       wrappers in src/common/mutex.h. Raw primitives
+                       bypass the capability annotations.
   wall-clock           steady_clock / system_clock / time() / gettimeofday
                        outside bench/* (which measures real elapsed time by
                        design).
@@ -28,9 +27,6 @@ at any MEDES_THREADS setting) and the documented locking discipline:
   self-contained       A header that names a common std:: type must include
                        the defining header itself rather than lean on its
                        includers.
-  lock-rank            The LockRank enum in src/common/mutex.h, the hierarchy
-                       table in DESIGN.md, and every LockRank:: literal in
-                       src/ must agree (same names, same numbers).
   direct-filesystem    fopen / std::ofstream / open(2) / std::filesystem
                        outside src/obs/artifact_sink.cc and bench/. The
                        library keeps no files of its own: every artifact it
@@ -43,10 +39,9 @@ at any MEDES_THREADS setting) and the documented locking discipline:
                        double bookkeeping.
   env-knob             std::getenv in src/ outside the files that own the
                        library's knobs: src/obs/obs.cc (MEDES_TRACE,
-                       MEDES_METRICS, MEDES_TRACE_SAMPLE),
-                       src/common/thread_pool.cc (MEDES_THREADS) and
-                       src/common/mutex.cc (MEDES_DEBUG_LOCKS). Each knob is
-                       a mode the tests must cover, so a new one needs a
+                       MEDES_METRICS, MEDES_TRACE_SAMPLE) and
+                       src/common/thread_pool.cc (MEDES_THREADS). Each knob
+                       is a mode the tests must cover, so a new one needs a
                        visible escape hatch.
 
 Any finding can be suppressed with an inline escape hatch on the same or the
@@ -140,11 +135,10 @@ RAW_MUTEX_RE = re.compile(
     r"std::(mutex|shared_mutex|recursive_mutex|timed_mutex|lock_guard|"
     r"unique_lock|shared_lock|scoped_lock|condition_variable)\b"
 )
-RAW_MUTEX_ALLOWED_FILES = ("src/common/mutex.h", "src/common/mutex.cc")
 
 
 def check_raw_mutex(rel: str, lines: list[str], findings: list[Finding]) -> None:
-    if rel in RAW_MUTEX_ALLOWED_FILES:
+    if rel == "src/common/mutex.h":
         return
     for i, raw in enumerate(lines):
         code = _strip_strings_and_comments(raw)
@@ -153,8 +147,8 @@ def check_raw_mutex(rel: str, lines: list[str], findings: list[Finding]) -> None
             findings.append(
                 Finding(rel, i + 1, "raw-mutex",
                         f"std::{m.group(1)} bypasses the annotated wrappers in "
-                        "src/common/mutex.h (lock-rank checker + capability "
-                        "annotations); use medes::Mutex / MutexLock")
+                        "src/common/mutex.h (capability annotations); use "
+                        "medes::Mutex / MutexLock")
             )
 
 
@@ -261,7 +255,7 @@ def check_metrics_guard(rel: str, lines: list[str], findings: list[Finding]) -> 
 # Rule: env-knob
 
 ENV_KNOB_RE = re.compile(r"\bgetenv\s*\(")
-ENV_KNOB_ALLOWED_FILES = ("src/obs/obs.cc", "src/common/thread_pool.cc", "src/common/mutex.cc")
+ENV_KNOB_ALLOWED_FILES = ("src/obs/obs.cc", "src/common/thread_pool.cc")
 
 
 def check_env_knob(rel: str, lines: list[str], findings: list[Finding]) -> None:
@@ -273,8 +267,8 @@ def check_env_knob(rel: str, lines: list[str], findings: list[Finding]) -> None:
             findings.append(
                 Finding(rel, i + 1, "env-knob",
                         "environment read in the library outside the files that "
-                        "own its knobs (src/obs/obs.cc, src/common/thread_pool.cc, "
-                        "src/common/mutex.cc); a new knob is a new mode to test")
+                        "own its knobs (src/obs/obs.cc, src/common/thread_pool.cc); "
+                        "a new knob is a new mode to test")
             )
 
 
@@ -429,106 +423,6 @@ def check_self_contained(rel: str, lines: list[str], findings: list[Finding]) ->
 
 
 # ---------------------------------------------------------------------------
-# Rule: lock-rank (cross-file: enum vs DESIGN.md vs usage)
-
-ENUM_ENTRY_RE = re.compile(r"^\s*(k\w+)\s*=\s*(\d+)\s*,")
-DESIGN_ROW_RE = re.compile(r"^\|\s*(\d+)\s*\|\s*([^|]+?)\s*\|")
-RANK_LITERAL_RE = re.compile(r"LockRank::(k\w+)")
-
-# Enum entry -> the human name DESIGN.md's table uses for that rank.
-ENUM_TO_DESIGN_NAME = {
-    "kPoolQueue": "pool queue",
-    "kRegistryTable": "registry table",
-    "kRdmaCache": "rdma cache",
-    "kTransport": "transport",
-    "kMetrics": "metrics",
-    "kObsRegistry": "obs registry",
-    "kObsBuffer": "obs span buffer",
-}
-
-
-def parse_lock_rank_enum(root: str) -> dict[str, int]:
-    path = os.path.join(root, "src/common/mutex.h")
-    ranks: dict[str, int] = {}
-    in_enum = False
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if "enum class LockRank" in line:
-                in_enum = True
-                continue
-            if in_enum:
-                if "};" in line:
-                    break
-                m = ENUM_ENTRY_RE.match(line)
-                if m:
-                    ranks[m.group(1)] = int(m.group(2))
-    return ranks
-
-
-def parse_design_ranks(root: str) -> dict[str, int]:
-    path = os.path.join(root, "DESIGN.md")
-    ranks: dict[str, int] = {}
-    if not os.path.exists(path):
-        return ranks
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            m = DESIGN_ROW_RE.match(line.strip())
-            if m:
-                ranks[m.group(2).strip()] = int(m.group(1))
-    return ranks
-
-
-def check_lock_rank(root: str, files: list[str], findings: list[Finding]) -> None:
-    enum_ranks = parse_lock_rank_enum(root)
-    if not enum_ranks:
-        findings.append(Finding("src/common/mutex.h", 1, "lock-rank",
-                                "could not parse the LockRank enum"))
-        return
-    design_ranks = parse_design_ranks(root)
-    for enum_name, number in enum_ranks.items():
-        if enum_name == "kUnranked":
-            continue
-        design_name = ENUM_TO_DESIGN_NAME.get(enum_name)
-        if design_name is None:
-            findings.append(
-                Finding("src/common/mutex.h", 1, "lock-rank",
-                        f"LockRank::{enum_name} has no entry in medes-lint's "
-                        "ENUM_TO_DESIGN_NAME map; add it alongside the "
-                        "DESIGN.md hierarchy-table row")
-            )
-            continue
-        if design_name not in design_ranks:
-            findings.append(
-                Finding("DESIGN.md", 1, "lock-rank",
-                        f"hierarchy table has no row named '{design_name}' for "
-                        f"LockRank::{enum_name}")
-            )
-        elif design_ranks[design_name] != number:
-            findings.append(
-                Finding("DESIGN.md", 1, "lock-rank",
-                        f"rank mismatch for '{design_name}': table says "
-                        f"{design_ranks[design_name]}, enum says {number}")
-            )
-    # Every LockRank:: literal in the linted sources must name a real entry.
-    for rel in files:
-        if not rel.startswith("src/"):
-            continue
-        path = os.path.join(root, rel)
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-        for i, raw in enumerate(lines):
-            for m in RANK_LITERAL_RE.finditer(_strip_strings_and_comments(raw)):
-                if m.group(1) not in enum_ranks:
-                    if "lock-rank" in _allowed_rules(lines, i):
-                        continue
-                    findings.append(
-                        Finding(rel, i + 1, "lock-rank",
-                                f"LockRank::{m.group(1)} is not declared in "
-                                "src/common/mutex.h")
-                    )
-
-
-# ---------------------------------------------------------------------------
 # Driver
 
 PER_FILE_CHECKS = (
@@ -554,7 +448,7 @@ def default_files(root: str) -> list[str]:
     return sorted(files)
 
 
-def lint_files(root: str, files: list[str], cross_file: bool = True) -> list[Finding]:
+def lint_files(root: str, files: list[str]) -> list[Finding]:
     findings: list[Finding] = []
     for rel in files:
         path = os.path.join(root, rel)
@@ -566,8 +460,6 @@ def lint_files(root: str, files: list[str], cross_file: bool = True) -> list[Fin
             continue
         for check in PER_FILE_CHECKS:
             check(rel, lines, findings)
-    if cross_file:
-        check_lock_rank(root, files, findings)
     return findings
 
 
@@ -590,7 +482,6 @@ FIXTURE_EXPECTATIONS = {
     "src/obs/export.cc": "unordered-iteration",
     "src/bad_guard.h": "include-guard",
     "src/bad_self_contained.h": "self-contained",
-    "src/bad_lock_rank.cc": "lock-rank",
     "src/clean.cc": None,  # escape hatches + clean idioms: must NOT fire
 }
 
@@ -603,20 +494,7 @@ def self_test() -> int:
             print(f"self-test FAIL: missing fixture {rel}")
             failures += 1
             continue
-        findings = lint_files(FIXTURE_DIR, [rel], cross_file=False)
-        if rel.startswith("src/") and "lock_rank" in rel:
-            # Lock-rank is cross-file; run it against the real repo's enum but
-            # the fixture's literal usage.
-            check_lock_rank_fixture = []
-            with open(path, encoding="utf-8") as f:
-                lines = f.read().splitlines()
-            enum_ranks = parse_lock_rank_enum(REPO_ROOT)
-            for i, raw in enumerate(lines):
-                for m in RANK_LITERAL_RE.finditer(raw):
-                    if m.group(1) not in enum_ranks:
-                        check_lock_rank_fixture.append(
-                            Finding(rel, i + 1, "lock-rank", "unknown rank"))
-            findings.extend(check_lock_rank_fixture)
+        findings = lint_files(FIXTURE_DIR, [rel])
         fired = {f.rule for f in findings}
         if expected_rule is None:
             if findings:
@@ -633,13 +511,6 @@ def self_test() -> int:
             failures += 1
         else:
             print(f"self-test ok: {rel} -> [{expected_rule}]")
-    # The real tree must also parse a non-empty LockRank enum and DESIGN table.
-    if not parse_lock_rank_enum(REPO_ROOT):
-        print("self-test FAIL: could not parse LockRank enum from the repo")
-        failures += 1
-    if not parse_design_ranks(REPO_ROOT):
-        print("self-test FAIL: could not parse the DESIGN.md hierarchy table")
-        failures += 1
     if failures:
         print(f"self-test: {failures} failure(s)")
         return 1

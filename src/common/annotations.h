@@ -26,17 +26,16 @@
 #define CAPABILITY(x) MEDES_THREAD_ANNOTATION(capability(x))
 #define SCOPED_CAPABILITY MEDES_THREAD_ANNOTATION(scoped_lockable)
 
-// Data members: protected by a mutex (directly, or through a pointer).
+// Data members: protected by a mutex.
 #define GUARDED_BY(x) MEDES_THREAD_ANNOTATION(guarded_by(x))
-#define PT_GUARDED_BY(x) MEDES_THREAD_ANNOTATION(pt_guarded_by(x))
 
-// Static ordering hints between two locks.
-#define ACQUIRED_BEFORE(...) MEDES_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
+// Static lock ordering: the named mutexes come first, so a thread holding
+// this one must not then take them. Clang checks it under
+// -Wthread-safety-beta.
 #define ACQUIRED_AFTER(...) MEDES_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
 // Function contracts: the caller must hold / must not hold the capability.
 #define REQUIRES(...) MEDES_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) MEDES_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) MEDES_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 // Function effects: the call acquires / releases the capability.
@@ -44,18 +43,5 @@
 #define ACQUIRE_SHARED(...) MEDES_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) MEDES_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 #define RELEASE_SHARED(...) MEDES_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define RELEASE_GENERIC(...) MEDES_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) MEDES_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  MEDES_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
-
-// Runtime assertions and lock-returning accessors.
-#define ASSERT_CAPABILITY(x) MEDES_THREAD_ANNOTATION(assert_capability(x))
-#define ASSERT_SHARED_CAPABILITY(x) MEDES_THREAD_ANNOTATION(assert_shared_capability(x))
-#define RETURN_CAPABILITY(x) MEDES_THREAD_ANNOTATION(lock_returned(x))
-
-// Escape hatch for code the analysis cannot model (condition-variable
-// internals, adopt-lock tricks). Use sparingly and say why.
-#define NO_THREAD_SAFETY_ANALYSIS MEDES_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 #endif  // MEDES_COMMON_ANNOTATIONS_H_

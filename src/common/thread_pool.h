@@ -64,7 +64,7 @@ class ThreadPool {
   size_t num_threads_ = 1;
   std::vector<std::thread> workers_;
 
-  Mutex mu_{"thread pool queue", LockRank::kPoolQueue};
+  Mutex mu_;
   CondVar work_cv_;  // workers: queue non-empty or stopping
   CondVar done_cv_;  // Wait(): all tasks drained
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);

@@ -9,8 +9,7 @@ namespace {
 
 obs::Counter& DecisionsSeries(IdleDecision decision) {
   return obs::MetricsRegistry::Default().GetCounter(
-      "medes_controller_decisions_total", "Idle-expiry decisions issued by the controller",
-      "decision", ToString(decision));
+      "medes_controller_decisions_total", "decision", ToString(decision));
 }
 
 }  // namespace

@@ -293,22 +293,18 @@ class DedupAgent {
   std::shared_ptr<WorkingSetTable> working_sets_;  // never null
 
   // Lazy restores with an outstanding background phase, keyed by sandbox.
-  mutable Mutex pending_mu_{"dedup agent pending restores", LockRank::kMetrics};
+  mutable Mutex pending_mu_;
   std::unordered_map<SandboxId, PendingRestore> pending_ GUARDED_BY(pending_mu_);
 
   // Cumulative counters, recorded once per completed op. Those that feed a
   // series are bound to it here; the rest are stats-only.
-  obs::StatCounter dedup_ops_{"medes_dedup_ops_total", "Completed dedup operations"};
-  obs::StatCounter restore_ops_{"medes_restore_ops_total", "Completed restore operations"};
-  obs::StatCounter bases_designated_{"medes_bases_designated_total",
-                                     "Sandboxes designated as bases"};
-  obs::StatCounter pages_deduped_{"medes_dedup_pages_deduped_total", "Pages replaced by patches"};
-  obs::StatCounter patch_bytes_{"medes_dedup_patch_bytes_total", "Bytes of accepted patches"};
-  obs::StatCounter saved_bytes_{"medes_dedup_saved_bytes_total",
-                                "Bytes saved versus the warm footprint"};
-  obs::StatCounter ws_fault_pages_{
-      "medes_restore_ws_fault_pages_total",
-      "Touched pages outside the predicted working set (demand faults)"};
+  obs::StatCounter dedup_ops_{"medes_dedup_ops_total"};
+  obs::StatCounter restore_ops_{"medes_restore_ops_total"};
+  obs::StatCounter bases_designated_{"medes_bases_designated_total"};
+  obs::StatCounter pages_deduped_{"medes_dedup_pages_deduped_total"};
+  obs::StatCounter patch_bytes_{"medes_dedup_patch_bytes_total"};
+  obs::StatCounter saved_bytes_{"medes_dedup_saved_bytes_total"};
+  obs::StatCounter ws_fault_pages_{"medes_restore_ws_fault_pages_total"};
   std::atomic<uint64_t> pages_restored_{0};
   std::atomic<uint64_t> base_bytes_read_{0};
   std::atomic<uint64_t> lazy_restores_{0};
@@ -317,37 +313,21 @@ class DedupAgent {
 
   // Series with no stats() field.
   obs::MetricsRegistry& series_ = obs::MetricsRegistry::Default();
-  obs::Counter& pages_unique_ = series_.GetCounter("medes_dedup_pages_unique_total",
-                                                    "Pages kept whole (no acceptable base)");
-  obs::Counter& base_pages_read_ = series_.GetCounter("medes_restore_base_pages_read_total",
-                                                       "Base pages fetched during restores");
-  obs::Counter& ws_hit_pages_ = series_.GetCounter(
-      "medes_restore_ws_hit_pages_total", "Touched pages the predicted working set covered");
-  obs::Counter& deferred_pages_ = series_.GetCounter(
-      "medes_restore_background_pages_total",
-      "Patched pages deferred to the background restore phase");
-  obs::Histogram& dedup_op_us_ =
-      series_.GetHistogram("medes_dedup_op_us", "Modelled end-to-end dedup time (us)");
-  obs::Histogram& dedup_checkpoint_us_ = series_.GetHistogram(
-      "medes_dedup_checkpoint_us", "Dedup stage: checkpoint capture (us)");
-  obs::Histogram& dedup_lookup_us_ =
-      series_.GetHistogram("medes_dedup_lookup_us", "Dedup stage: registry lookups (us)");
-  obs::Histogram& dedup_patch_us_ = series_.GetHistogram(
-      "medes_dedup_patch_us", "Dedup stage: base reads plus delta encoding (us)");
-  obs::Histogram& restore_op_us_ =
-      series_.GetHistogram("medes_restore_op_us", "Modelled end-to-end restore time (us)");
-  obs::Histogram& restore_base_read_us_ = series_.GetHistogram(
-      "medes_restore_base_read_us", "Restore stage: base page reading (us)");
-  obs::Histogram& restore_compute_us_ = series_.GetHistogram(
-      "medes_restore_compute_us", "Restore stage: original page computing (us)");
-  obs::Histogram& restore_criu_us_ = series_.GetHistogram(
-      "medes_restore_criu_us", "Restore stage: sandbox restoration via CRIU (us)");
-  obs::Histogram& restore_critical_us_ = series_.GetHistogram(
-      "medes_restore_critical_us", "Critical-path restore latency before resume (us)");
-  obs::Histogram& restore_fault_us_ = series_.GetHistogram(
-      "medes_restore_fault_us", "Post-resume demand-fault penalty (us)");
-  obs::Histogram& restore_background_us_ = series_.GetHistogram(
-      "medes_restore_background_us", "Background restore phase duration (us)");
+  obs::Counter& pages_unique_ = series_.GetCounter("medes_dedup_pages_unique_total");
+  obs::Counter& base_pages_read_ = series_.GetCounter("medes_restore_base_pages_read_total");
+  obs::Counter& ws_hit_pages_ = series_.GetCounter("medes_restore_ws_hit_pages_total");
+  obs::Counter& deferred_pages_ = series_.GetCounter("medes_restore_background_pages_total");
+  obs::Histogram& dedup_op_us_ = series_.GetHistogram("medes_dedup_op_us");
+  obs::Histogram& dedup_checkpoint_us_ = series_.GetHistogram("medes_dedup_checkpoint_us");
+  obs::Histogram& dedup_lookup_us_ = series_.GetHistogram("medes_dedup_lookup_us");
+  obs::Histogram& dedup_patch_us_ = series_.GetHistogram("medes_dedup_patch_us");
+  obs::Histogram& restore_op_us_ = series_.GetHistogram("medes_restore_op_us");
+  obs::Histogram& restore_base_read_us_ = series_.GetHistogram("medes_restore_base_read_us");
+  obs::Histogram& restore_compute_us_ = series_.GetHistogram("medes_restore_compute_us");
+  obs::Histogram& restore_criu_us_ = series_.GetHistogram("medes_restore_criu_us");
+  obs::Histogram& restore_critical_us_ = series_.GetHistogram("medes_restore_critical_us");
+  obs::Histogram& restore_fault_us_ = series_.GetHistogram("medes_restore_fault_us");
+  obs::Histogram& restore_background_us_ = series_.GetHistogram("medes_restore_background_us");
 };
 
 }  // namespace medes

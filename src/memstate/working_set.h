@@ -110,7 +110,7 @@ class WorkingSetTable {
 
  private:
   WorkingSetOptions options_;
-  mutable Mutex mu_{"working set table", LockRank::kMetrics};
+  mutable Mutex mu_;
   std::map<FunctionId, WorkingSetProfile> profiles_ GUARDED_BY(mu_);
 };
 

@@ -132,14 +132,10 @@ SimDuration TransportStats::TotalLatency() const {
 // ---- Transport -----------------------------------------------------------
 
 Transport::TypeCounters::TypeCounters(MessageType type)
-    : messages("medes_transport_messages_total", "Messages sent over the modelled transport",
-               "type", ToString(type)),
-      bytes("medes_transport_bytes_total", "Payload bytes attempted over the modelled transport",
-            "type", ToString(type)),
-      dropped("medes_transport_dropped_total", "Messages lost to the installed fault policy",
-              "type", ToString(type)),
-      latency("medes_transport_latency_us", "Modelled cost of delivered messages (us)", "type",
-              ToString(type)) {}
+    : messages("medes_transport_messages_total", "type", ToString(type)),
+      bytes("medes_transport_bytes_total", "type", ToString(type)),
+      dropped("medes_transport_dropped_total", "type", ToString(type)),
+      latency("medes_transport_latency_us", "type", ToString(type)) {}
 
 Transport::Transport(Topology topology) : topology_(std::move(topology)) {
   for (size_t i = 0; i < kNumMessageTypes; ++i) {

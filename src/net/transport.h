@@ -149,7 +149,7 @@ class StaticFaultPolicy : public FaultPolicy {
   void SetTypeDelay(MessageType type, SimDuration delay) EXCLUDES(mu_);
 
  private:
-  mutable SharedMutex mu_{"static fault policy", LockRank::kTransport};
+  mutable SharedMutex mu_;
   std::unordered_set<NodeId> partitioned_nodes_ GUARDED_BY(mu_);
   std::unordered_set<uint64_t> cut_links_ GUARDED_BY(mu_);  // Topology::PairKey, both dirs
   std::array<SimDuration, kNumMessageTypes> type_delay_ GUARDED_BY(mu_) = {};
@@ -242,7 +242,7 @@ class Transport {
   // The policy slot is copied out under a brief reader lock and released
   // before calling into the policy (which may take its own kTransport-ranked
   // lock; two locks of one rank are never held together).
-  mutable SharedMutex policy_mu_{"transport fault policy", LockRank::kTransport};
+  mutable SharedMutex policy_mu_;
   std::shared_ptr<FaultPolicy> policy_ GUARDED_BY(policy_mu_);
 
   // One message type's counters, each bound to its type-labelled series.

@@ -48,7 +48,6 @@ MetricsRegistry& MetricsRegistry::Default() {
 
 MetricsRegistry::Instrument& MetricsRegistry::GetOrCreate(InstrumentKind kind,
                                                           std::string_view name,
-                                                          std::string_view help,
                                                           std::string_view label_key,
                                                           std::string_view label_value) {
   for (const auto& instrument : instruments_) {
@@ -66,7 +65,6 @@ MetricsRegistry::Instrument& MetricsRegistry::GetOrCreate(InstrumentKind kind,
   auto instrument = std::make_unique<Instrument>();
   instrument->kind = kind;
   instrument->name = std::string(name);
-  instrument->help = std::string(help);
   instrument->label_key = std::string(label_key);
   instrument->label_value = std::string(label_value);
   switch (kind) {
@@ -84,23 +82,22 @@ MetricsRegistry::Instrument& MetricsRegistry::GetOrCreate(InstrumentKind kind,
   return *instruments_.back();
 }
 
-Counter& MetricsRegistry::GetCounter(std::string_view name, std::string_view help,
-                                     std::string_view label_key, std::string_view label_value) {
+Counter& MetricsRegistry::GetCounter(std::string_view name, std::string_view label_key,
+                                     std::string_view label_value) {
   MutexLock lock(mu_);
-  return *GetOrCreate(InstrumentKind::kCounter, name, help, label_key, label_value).counter;
+  return *GetOrCreate(InstrumentKind::kCounter, name, label_key, label_value).counter;
 }
 
-Gauge& MetricsRegistry::GetGauge(std::string_view name, std::string_view help,
-                                 std::string_view label_key, std::string_view label_value) {
+Gauge& MetricsRegistry::GetGauge(std::string_view name, std::string_view label_key,
+                                 std::string_view label_value) {
   MutexLock lock(mu_);
-  return *GetOrCreate(InstrumentKind::kGauge, name, help, label_key, label_value).gauge;
+  return *GetOrCreate(InstrumentKind::kGauge, name, label_key, label_value).gauge;
 }
 
-Histogram& MetricsRegistry::GetHistogram(std::string_view name, std::string_view help,
-                                         std::string_view label_key,
+Histogram& MetricsRegistry::GetHistogram(std::string_view name, std::string_view label_key,
                                          std::string_view label_value) {
   MutexLock lock(mu_);
-  return *GetOrCreate(InstrumentKind::kHistogram, name, help, label_key, label_value).histogram;
+  return *GetOrCreate(InstrumentKind::kHistogram, name, label_key, label_value).histogram;
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
@@ -112,7 +109,6 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
       MetricSnapshot snap;
       snap.kind = instrument->kind;
       snap.name = instrument->name;
-      snap.help = instrument->help;
       snap.label_key = instrument->label_key;
       snap.label_value = instrument->label_value;
       switch (instrument->kind) {
@@ -160,12 +156,12 @@ size_t MetricsRegistry::NumSeries() const {
   return instruments_.size();
 }
 
-StatCounter::StatCounter(std::string_view name, std::string_view help,
-                         std::string_view label_key, std::string_view label_value)
-    : series_(MetricsRegistry::Default().GetCounter(name, help, label_key, label_value)) {}
+StatCounter::StatCounter(std::string_view name, std::string_view label_key,
+                         std::string_view label_value)
+    : series_(MetricsRegistry::Default().GetCounter(name, label_key, label_value)) {}
 
-StatHistogram::StatHistogram(std::string_view name, std::string_view help,
-                             std::string_view label_key, std::string_view label_value)
-    : series_(MetricsRegistry::Default().GetHistogram(name, help, label_key, label_value)) {}
+StatHistogram::StatHistogram(std::string_view name, std::string_view label_key,
+                             std::string_view label_value)
+    : series_(MetricsRegistry::Default().GetHistogram(name, label_key, label_value)) {}
 
 }  // namespace medes::obs

@@ -9,8 +9,8 @@
 //     the instance value and the series;
 //   - a fact with no stats() field is a plain reference into the registry:
 //
-//       obs::Counter& unique_pages_ = obs::MetricsRegistry::Default().GetCounter(
-//           "medes_dedup_pages_unique_total", "Pages kept whole (no acceptable base)");
+//       obs::Counter& unique_pages_ =
+//           obs::MetricsRegistry::Default().GetCounter("medes_dedup_pages_unique_total");
 //       unique_pages_.Add(n);
 //
 // Recording into a series is gated on MetricsEnabled() (obs/obs.h) inside the
@@ -146,7 +146,6 @@ const char* ToString(InstrumentKind kind);
 struct MetricSnapshot {
   InstrumentKind kind = InstrumentKind::kCounter;
   std::string name;
-  std::string help;
   std::string label_key;    // empty = unlabelled
   std::string label_value;
   int64_t value = 0;         // counter (non-negative) or gauge reading
@@ -163,14 +162,12 @@ class MetricsRegistry {
  public:
   static MetricsRegistry& Default();
 
-  Counter& GetCounter(std::string_view name, std::string_view help,
-                      std::string_view label_key = {}, std::string_view label_value = {})
-      EXCLUDES(mu_);
-  Gauge& GetGauge(std::string_view name, std::string_view help, std::string_view label_key = {},
+  Counter& GetCounter(std::string_view name, std::string_view label_key = {},
+                      std::string_view label_value = {}) EXCLUDES(mu_);
+  Gauge& GetGauge(std::string_view name, std::string_view label_key = {},
                   std::string_view label_value = {}) EXCLUDES(mu_);
-  Histogram& GetHistogram(std::string_view name, std::string_view help,
-                          std::string_view label_key = {}, std::string_view label_value = {})
-      EXCLUDES(mu_);
+  Histogram& GetHistogram(std::string_view name, std::string_view label_key = {},
+                          std::string_view label_value = {}) EXCLUDES(mu_);
 
   // All instruments' current state, sorted by (name, label_value) so the
   // result is independent of registration order. Values are read with relaxed
@@ -187,7 +184,6 @@ class MetricsRegistry {
   struct Instrument {
     InstrumentKind kind;
     std::string name;
-    std::string help;
     std::string label_key;
     std::string label_value;
     std::unique_ptr<Counter> counter;
@@ -195,10 +191,10 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  Instrument& GetOrCreate(InstrumentKind kind, std::string_view name, std::string_view help,
-                          std::string_view label_key, std::string_view label_value) REQUIRES(mu_);
+  Instrument& GetOrCreate(InstrumentKind kind, std::string_view name, std::string_view label_key,
+                          std::string_view label_value) REQUIRES(mu_);
 
-  mutable Mutex mu_{"obs metrics registry", LockRank::kObsRegistry};
+  mutable Mutex mu_;
   // unique_ptr elements keep instrument addresses stable across growth.
   std::vector<std::unique_ptr<Instrument>> instruments_ GUARDED_BY(mu_);
 };
@@ -214,8 +210,8 @@ class MetricsRegistry {
 // zero), series are process-wide and outlive them.
 class StatCounter {
  public:
-  StatCounter(std::string_view name, std::string_view help, std::string_view label_key = {},
-              std::string_view label_value = {});
+  explicit StatCounter(std::string_view name, std::string_view label_key = {},
+                       std::string_view label_value = {});
 
   void Add(uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
@@ -234,8 +230,8 @@ class StatCounter {
 // distribution bound to one process-wide Histogram series.
 class StatHistogram {
  public:
-  StatHistogram(std::string_view name, std::string_view help, std::string_view label_key = {},
-                std::string_view label_value = {});
+  explicit StatHistogram(std::string_view name, std::string_view label_key = {},
+                         std::string_view label_value = {});
 
   void Record(int64_t value) {
     cells_.Record(value);

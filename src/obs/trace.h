@@ -98,7 +98,7 @@ class Tracer {
   void UnregisterBuffer(ThreadSpanBuffer* buffer) EXCLUDES(registry_mu_);
   void PushChunk(std::vector<Span> spans);
 
-  Mutex registry_mu_{"obs tracer buffers", LockRank::kObsRegistry};
+  Mutex registry_mu_;
   std::vector<ThreadSpanBuffer*> buffers_ GUARDED_BY(registry_mu_);
 
   // Lock-free stack of flushed chunks; Drain exchanges the head.
@@ -115,7 +115,9 @@ struct ThreadSpanBuffer {
 
   void Append(const Span& span) EXCLUDES(mu);
 
-  Mutex mu{"obs thread span buffer", LockRank::kObsBuffer};
+  // The tree's one nested lock pair: Tracer::Drain and UnregisterBuffer take
+  // a buffer's lock while holding the registry lock.
+  Mutex mu ACQUIRED_AFTER(Tracer::registry_mu_);
   std::vector<Span> spans GUARDED_BY(mu);
 };
 

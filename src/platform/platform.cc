@@ -18,8 +18,7 @@ namespace {
 
 obs::Counter& RequestsSeries(StartType type) {
   return obs::MetricsRegistry::Default().GetCounter(
-      "medes_platform_requests_total", "Requests served, by start type", "start_type",
-      ToString(type));
+      "medes_platform_requests_total", "start_type", ToString(type));
 }
 
 }  // namespace
@@ -583,34 +582,25 @@ class ServerlessPlatform::Impl {
   // take this lock so per-op metrics stay coherent when ops move onto the
   // pool. kMetrics is the leaf rank: never hold it while calling into the
   // agent, registry, or fabric.
-  Mutex metrics_mu_{"platform metrics", LockRank::kMetrics};
+  Mutex metrics_mu_;
   RunMetrics metrics_ GUARDED_BY(metrics_mu_);
   // RunMetrics' lifecycle counts, each bound to its series.
-  obs::StatCounter spawns_{"medes_platform_spawns_total", "Cold sandbox spawns"};
-  obs::StatCounter evictions_{"medes_platform_evictions_total", "Sandboxes/bases evicted"};
-  obs::StatCounter overcommits_{"medes_platform_overcommit_events_total",
-                                "Requests admitted despite not fitting in memory"};
-  obs::StatCounter base_designations_{"medes_platform_base_designations_total",
-                                      "Base snapshots created"};
+  obs::StatCounter spawns_{"medes_platform_spawns_total"};
+  obs::StatCounter evictions_{"medes_platform_evictions_total"};
+  obs::StatCounter overcommits_{"medes_platform_overcommit_events_total"};
+  obs::StatCounter base_designations_{"medes_platform_base_designations_total"};
   // Series with no RunMetrics field.
   std::array<obs::Counter*, 3> requests_by_start_ = {&RequestsSeries(StartType::kWarm),
                                                      &RequestsSeries(StartType::kDedup),
                                                      &RequestsSeries(StartType::kCold)};
   obs::MetricsRegistry& series_ = obs::MetricsRegistry::Default();
-  obs::Gauge& live_sandboxes_ =
-      series_.GetGauge("medes_platform_live_sandboxes", "Sandboxes currently alive");
-  obs::Gauge& warm_sandboxes_ =
-      series_.GetGauge("medes_platform_warm_sandboxes", "Sandboxes currently warm");
-  obs::Gauge& dedup_sandboxes_ =
-      series_.GetGauge("medes_platform_dedup_sandboxes", "Sandboxes currently in dedup state");
-  obs::Gauge& base_snapshots_ =
-      series_.GetGauge("medes_platform_base_snapshots", "Live base snapshots");
-  obs::Gauge& used_mb_ =
-      series_.GetGauge("medes_platform_used_mb", "Cluster memory in use (modelled MB)");
-  obs::Histogram& e2e_us_ =
-      series_.GetHistogram("medes_platform_e2e_us", "End-to-end request latency (us)");
-  obs::Histogram& startup_us_ =
-      series_.GetHistogram("medes_platform_startup_us", "Request startup latency (us)");
+  obs::Gauge& live_sandboxes_ = series_.GetGauge("medes_platform_live_sandboxes");
+  obs::Gauge& warm_sandboxes_ = series_.GetGauge("medes_platform_warm_sandboxes");
+  obs::Gauge& dedup_sandboxes_ = series_.GetGauge("medes_platform_dedup_sandboxes");
+  obs::Gauge& base_snapshots_ = series_.GetGauge("medes_platform_base_snapshots");
+  obs::Gauge& used_mb_ = series_.GetGauge("medes_platform_used_mb");
+  obs::Histogram& e2e_us_ = series_.GetHistogram("medes_platform_e2e_us");
+  obs::Histogram& startup_us_ = series_.GetHistogram("medes_platform_startup_us");
   bool ran_ = false;
   // First reserved tie-break seq of the streamed arrival chain.
   uint64_t arrival_seq_base_ = 0;

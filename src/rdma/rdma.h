@@ -171,28 +171,19 @@ class RdmaFabric {
   std::shared_ptr<Transport> transport_;
 
   // One counter per RdmaStats field, each bound to its medes_rdma_* series.
-  obs::StatCounter remote_reads_{"medes_rdma_remote_reads_total",
-                                 "One-sided base-page reads from a remote node"};
-  obs::StatCounter remote_bytes_{"medes_rdma_remote_bytes_total",
-                                 "Bytes read one-sided from remote nodes"};
-  obs::StatCounter local_reads_{"medes_rdma_local_reads_total",
-                                "Base-page reads served by the local node"};
-  obs::StatCounter local_bytes_{"medes_rdma_local_bytes_total", "Bytes read from the local node"};
-  obs::StatCounter batch_messages_{
-      "medes_rdma_batch_messages_total",
-      "Coalesced base-read messages sent (one per owner node per batch)"};
-  obs::StatCounter batch_pages_{"medes_rdma_batch_pages_total",
-                                "Base pages fetched through batched reads"};
-  obs::StatCounter cache_hits_{"medes_rdma_cache_hits_total",
-                               "Base-page reads served from the local page cache"};
-  obs::StatCounter cache_misses_{"medes_rdma_cache_misses_total",
-                                 "Base-page reads that missed the page cache"};
-  obs::StatCounter cache_evictions_{"medes_rdma_cache_evictions_total",
-                                    "Pages evicted from the base-page cache"};
+  obs::StatCounter remote_reads_{"medes_rdma_remote_reads_total"};
+  obs::StatCounter remote_bytes_{"medes_rdma_remote_bytes_total"};
+  obs::StatCounter local_reads_{"medes_rdma_local_reads_total"};
+  obs::StatCounter local_bytes_{"medes_rdma_local_bytes_total"};
+  obs::StatCounter batch_messages_{"medes_rdma_batch_messages_total"};
+  obs::StatCounter batch_pages_{"medes_rdma_batch_pages_total"};
+  obs::StatCounter cache_hits_{"medes_rdma_cache_hits_total"};
+  obs::StatCounter cache_misses_{"medes_rdma_cache_misses_total"};
+  obs::StatCounter cache_evictions_{"medes_rdma_cache_evictions_total"};
 
   // LRU cache: list front = most recently used. Guarded by cache_mu_ so
   // pipeline workers may share a fabric.
-  mutable Mutex cache_mu_{"rdma page cache", LockRank::kRdmaCache};
+  mutable Mutex cache_mu_;
   std::list<CacheEntry> lru_ GUARDED_BY(cache_mu_);
   std::unordered_map<PageLocation, std::list<CacheEntry>::iterator, PageLocationHash>
       cache_index_ GUARDED_BY(cache_mu_);

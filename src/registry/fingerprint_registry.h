@@ -177,7 +177,7 @@ class FingerprintRegistry {
 
   RegistryOptions options_;
 
-  mutable SharedMutex mu_{"registry table", LockRank::kRegistryTable};
+  mutable SharedMutex mu_;
   std::unordered_map<uint64_t, std::vector<PageLocation>> table_ GUARDED_BY(mu_);
   // Reverse index: keys under which each base sandbox holds locations (a key
   // appears once per location inserted).
@@ -191,18 +191,17 @@ class FingerprintRegistry {
 
   // Insert, removal and lookup series.
   obs::Counter& inserts_ = obs::MetricsRegistry::Default().GetCounter(
-      "medes_registry_inserts_total", "Base-sandbox fingerprint inserts");
+      "medes_registry_inserts_total");
   obs::Counter& insert_keys_ = obs::MetricsRegistry::Default().GetCounter(
-      "medes_registry_insert_keys_total", "Chunk keys carried by base-sandbox inserts");
+      "medes_registry_insert_keys_total");
   obs::Counter& removes_ = obs::MetricsRegistry::Default().GetCounter(
-      "medes_registry_removes_total", "Base sandboxes removed from the registry");
+      "medes_registry_removes_total");
   obs::Counter& lookup_batches_ = obs::MetricsRegistry::Default().GetCounter(
-      "medes_registry_lookup_batches_total", "Batched lookup round trips to the registry");
+      "medes_registry_lookup_batches_total");
   obs::Histogram& batch_cost_us_ = obs::MetricsRegistry::Default().GetHistogram(
-      "medes_registry_batch_cost_us", "Modelled cost of one batched lookup (us)");
+      "medes_registry_batch_cost_us");
   // Page lookups and chunk-key hits, read back by stats().
-  obs::StatCounter lookups_{"medes_registry_lookups_total",
-                            "Per-page fingerprint lookups against the registry"};
+  obs::StatCounter lookups_{"medes_registry_lookups_total"};
   std::atomic<uint64_t> key_hits_{0};
 };
 

@@ -20,8 +20,7 @@ uint64_t TotalSimEventsFired() { return g_total_fired.load(std::memory_order_rel
 
 Simulation::Simulation(SimulationOptions options)
     : options_(options),
-      fired_series_(obs::MetricsRegistry::Default().GetCounter(
-          "medes_sim_events_fired_total", "Simulation events fired across all engines")) {
+      fired_series_(obs::MetricsRegistry::Default().GetCounter("medes_sim_events_fired_total")) {
   if (options_.bucket_width_log2 < 0 || options_.bucket_width_log2 > 30 ||
       options_.num_buckets_log2 < 1 || options_.num_buckets_log2 > 20) {
     throw std::invalid_argument("Simulation: bad calendar geometry");

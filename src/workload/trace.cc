@@ -78,6 +78,10 @@ void Validate(const std::vector<ArrivalPattern>& patterns, const TraceOptions& o
     if (p.kind == ArrivalKind::kPeriodic && !(p.jitter_fraction >= 0 && p.jitter_fraction < 1)) {
       fail(who + "jitter_fraction must be in [0, 1)");
     }
+    // GeneratePeriodic runs int(rate_scale) streams, so the count must fit.
+    if (p.kind == ArrivalKind::kPeriodic && opts.rate_scale >= 2147483648.0) {
+      fail(who + "rate_scale must be < 2^31 for a periodic pattern");
+    }
     if (p.kind == ArrivalKind::kBursty &&
         (p.mean_on <= SimDuration{} || p.mean_off <= SimDuration{})) {
       fail(who + "mean_on and mean_off must be > 0");

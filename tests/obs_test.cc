@@ -34,7 +34,7 @@ class ObsTest : public ::testing::Test {
 };
 
 TEST_F(ObsTest, CounterRespectsEnableFlag) {
-  Counter& c = MetricsRegistry::Default().GetCounter("obs_test_counter_total", "test");
+  Counter& c = MetricsRegistry::Default().GetCounter("obs_test_counter_total");
   c.Add(2);
   EXPECT_EQ(c.Value(), 2u);
   SetMetricsEnabled(false);
@@ -47,15 +47,15 @@ TEST_F(ObsTest, CounterRespectsEnableFlag) {
 
 TEST_F(ObsTest, RegistryReturnsSameInstrumentForSameNameAndLabel) {
   MetricsRegistry& registry = MetricsRegistry::Default();
-  Counter& a = registry.GetCounter("obs_test_dup_total", "test", "k", "v1");
-  Counter& b = registry.GetCounter("obs_test_dup_total", "test", "k", "v1");
-  Counter& other = registry.GetCounter("obs_test_dup_total", "test", "k", "v2");
+  Counter& a = registry.GetCounter("obs_test_dup_total", "k", "v1");
+  Counter& b = registry.GetCounter("obs_test_dup_total", "k", "v1");
+  Counter& other = registry.GetCounter("obs_test_dup_total", "k", "v2");
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &other);
 }
 
 TEST_F(ObsTest, HistogramBucketsAndSum) {
-  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_hist_us", "test");
+  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_hist_us");
   h.Record(0);   // bucket 0
   h.Record(1);   // bucket 1
   h.Record(3);   // bucket 2
@@ -73,9 +73,9 @@ TEST_F(ObsTest, SnapshotIsSortedByNameAndLabel) {
   // Register deliberately out of order. The registry is process-wide, so
   // only this test's own series are checked: run as one binary, the earlier
   // tests' series are registered too.
-  registry.GetCounter("obs_test_sort_z_total", "test").Add(1);
-  registry.GetCounter("obs_test_sort_a_total", "test", "k", "v2").Add(1);
-  registry.GetCounter("obs_test_sort_a_total", "test", "k", "v1").Add(1);
+  registry.GetCounter("obs_test_sort_z_total").Add(1);
+  registry.GetCounter("obs_test_sort_a_total", "k", "v2").Add(1);
+  registry.GetCounter("obs_test_sort_a_total", "k", "v1").Add(1);
   const auto snaps = MetricsRegistry::Default().Snapshot();
   std::vector<std::pair<std::string, std::string>> keys;
   for (const auto& s : snaps) {
@@ -91,14 +91,14 @@ TEST_F(ObsTest, SnapshotIsSortedByNameAndLabel) {
 
 TEST_F(ObsTest, ResetValuesKeepsRegistrations) {
   MetricsRegistry& registry = MetricsRegistry::Default();
-  Counter& c = registry.GetCounter("obs_test_reset_total", "test");
+  Counter& c = registry.GetCounter("obs_test_reset_total");
   c.Add(9);
   const size_t instruments = registry.NumSeries();
   registry.ResetValues();
   EXPECT_EQ(c.Value(), 0u);
   EXPECT_EQ(registry.NumSeries(), instruments);
   // Same address after reset: cached references stay valid.
-  EXPECT_EQ(&registry.GetCounter("obs_test_reset_total", "test"), &c);
+  EXPECT_EQ(&registry.GetCounter("obs_test_reset_total"), &c);
 }
 
 TEST_F(ObsTest, ScopedSpanRecordsOnDestruction) {
@@ -181,7 +181,7 @@ std::string OneBucketArray(size_t bucket, uint64_t count) {
 
 TEST_F(ObsTest, MetricsJsonShape) {
   MetricsRegistry& registry = MetricsRegistry::Default();
-  registry.GetCounter("obs_test_json_total", "help").Add(7);
+  registry.GetCounter("obs_test_json_total").Add(7);
   const std::string json = MetricsJson(registry.Snapshot());
   EXPECT_NE(json.find("{\"name\":\"obs_test_json_total\",\"kind\":\"counter\",\"value\":7}"),
             std::string::npos);
@@ -189,9 +189,9 @@ TEST_F(ObsTest, MetricsJsonShape) {
 
 TEST_F(ObsTest, MetricsJsonLabelGaugeAndHistogramShape) {
   MetricsRegistry& registry = MetricsRegistry::Default();
-  registry.GetCounter("obs_test_json_labelled_total", "help", "type", "x").Add(4);
-  registry.GetGauge("obs_test_json_level", "help").Set(-2);
-  registry.GetHistogram("obs_test_json_us", "help").Record(3);
+  registry.GetCounter("obs_test_json_labelled_total", "type", "x").Add(4);
+  registry.GetGauge("obs_test_json_level").Set(-2);
+  registry.GetHistogram("obs_test_json_us").Record(3);
   const std::string json = MetricsJson(registry.Snapshot());
   EXPECT_NE(json.find("{\"name\":\"obs_test_json_labelled_total\",\"kind\":\"counter\","
                       "\"type\":\"x\",\"value\":4}"),
@@ -218,7 +218,7 @@ std::vector<MetricSnapshot> SnapshotOf(const std::string& name) {
 TEST_F(ObsTest, MetricsJsonEmptyRegistry) { EXPECT_EQ(MetricsJson({}), "[\n]\n"); }
 
 TEST_F(ObsTest, MetricsJsonSingleBucketHistogram) {
-  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_edge_single_us", "test");
+  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_edge_single_us");
   h.Record(0);  // only the first bucket is occupied
   EXPECT_EQ(MetricsJson(SnapshotOf("obs_test_edge_single_us")),
             "[\n{\"name\":\"obs_test_edge_single_us\",\"kind\":\"histogram\",\"count\":1,"
@@ -227,7 +227,7 @@ TEST_F(ObsTest, MetricsJsonSingleBucketHistogram) {
 }
 
 TEST_F(ObsTest, MetricsJsonOverflowOnlyObservations) {
-  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_edge_inf_us", "test");
+  Histogram& h = MetricsRegistry::Default().GetHistogram("obs_test_edge_inf_us");
   const int64_t huge = int64_t{1} << (Histogram::kNumBuckets + 2);
   h.Record(huge);
   h.Record(huge);  // every finite bucket stays 0; only the overflow bucket advances

@@ -256,6 +256,16 @@ TEST(WorkloadTest, BadOptionsRejected) {
   TraceOptions nan_scale;
   nan_scale.rate_scale = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(GenerateTrace(DefaultAzurePatterns(), nan_scale), std::invalid_argument);
+  // A periodic pattern runs int(rate_scale) timer streams; a scale whose
+  // count does not fit an int is rejected rather than converted.
+  ArrivalPattern timer;
+  timer.function = 1;
+  timer.kind = ArrivalKind::kPeriodic;
+  TraceOptions huge_scale;
+  huge_scale.rate_scale = 2147483648.0;  // 2^31
+  EXPECT_THROW(GenerateTrace({timer}, huge_scale), std::invalid_argument);
+  huge_scale.rate_scale = 1e300;
+  EXPECT_THROW(GenerateTrace({timer}, huge_scale), std::invalid_argument);
 
   // The edges of the valid range still generate. At zero scale only the
   // periodic pattern emits (its one stream is never scaled below one), and a
