@@ -1,11 +1,12 @@
 // Per-kernel microbenchmark: MB/s of each named variant of each hot-path
 // kernel this CPU can run, reference first — 64-byte chunk hashing (single
-// and batched), sample selection over a page, match extension — and of the
-// shipped entry points for delta encode (seed-table cache cold and warm)
-// and whole-page fingerprinting. Emits JSON with a speedup-vs-reference
-// column so CI can hold each variant to the rate of its simpler sibling.
+// and batched), sample selection over a page, match extension, the delta
+// encoder's prefilter scan — and of the shipped entry points for delta
+// encode (seed-table cache cold and warm) and whole-page fingerprinting.
+// Emits JSON with a speedup-vs-reference column so CI can hold each variant
+// to the rate of its simpler sibling.
 //
-// Workload sizes mirror the real pipeline: 4 KiB pages, 64 B chunks, ~8
+// Workload sizes mirror the real pipeline: 4 KiB pages, 64 B chunks, 5–8
 // sampled chunks per page. MEDES_BENCH_KERNEL_MS overrides the per-variant
 // measurement budget (milliseconds, default 200).
 #include <algorithm>
@@ -17,6 +18,7 @@
 
 #include "bench_util.h"
 #include "common/kernels/memops.h"
+#include "common/kernels/prefilter_kernels.h"
 #include "common/kernels/rolling_kernels.h"
 #include "common/kernels/sha1_kernels.h"
 
@@ -26,7 +28,7 @@ namespace {
 
 constexpr size_t kPage = 4096;
 constexpr size_t kChunk = 64;
-constexpr size_t kChunksPerBatch = 8;  // cardinality-ish sampled chunks/page
+constexpr size_t kChunksPerBatch = 8;  // most sampled chunks per page measured
 
 double BudgetMs() {
   const char* env = std::getenv("MEDES_BENCH_KERNEL_MS");
@@ -152,25 +154,30 @@ int main() {
     }
   }
 
-  // 2. Batched chunk digests — what FingerprintPage issues per page.
-  {
-    const auto batch = [&](auto batch_fn) {
-      return [&, batch_fn](size_t iters) {
+  // 2. Batched chunk digests — what FingerprintPage issues per page — at
+  //    the page's usual chunk counts, 5 to 8.
+  for (size_t n = 5; n <= kChunksPerBatch; ++n) {
+    const auto batch = [&, n](auto batch_fn) {
+      return [&, n, batch_fn](size_t iters) {
         uint32_t states[kChunksPerBatch][5];
         for (size_t i = 0; i < iters; ++i) {
-          batch_fn(chunk_ptrs.data(), kChunksPerBatch, states);
+          batch_fn(chunk_ptrs.data(), n, states);
           g_sink = g_sink + states[0][0];
         }
       };
     };
-    const auto one_at_a_time = [](const uint8_t* const* chunks, size_t n,
+    const auto one_at_a_time = [](const uint8_t* const* chunks, size_t count,
                                   uint32_t (*out_state)[5]) {
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = 0; i < count; ++i) {
         kernels::Sha1Chunk64(chunks[i], out_state[i]);
       }
     };
-    KernelResult& k = results.emplace_back("sha1_chunk64_batch", kChunk * kChunksPerBatch);
+    const std::string name = "sha1_chunk64_batch_n" + std::to_string(n);
+    KernelResult& k = results.emplace_back(name.c_str(), kChunk * n);
     k.Variant("one_at_a_time", batch(one_at_a_time));
+    if (cpu.sha_ni) {
+      k.Variant("sha-ni", batch(kernels::Sha1Chunk64BatchShaNi));
+    }
     if (cpu.avx2) {
       k.Variant("avx2", batch(kernels::Sha1Chunk64BatchAvx2));
     }
@@ -209,7 +216,44 @@ int main() {
         .Variant("swar", match(kernels::MatchForward));
   }
 
-  // 5. Level-1 delta encode of a 40-edit page against its base (seed
+  // 5. The encoder's prefilter scan over a page: a filter built as the
+  //    encoder builds it over a 4 KiB base (16-byte seeds, stride 8), and a
+  //    target unrelated to the base, like the bytes the encoder scans
+  //    between matches, where few positions pass. Each pair is scanned end
+  //    to end, stopping at every position that passes.
+  {
+    constexpr size_t kPairs = 8;
+    constexpr size_t kSeed = 16;
+    std::vector<kernels::SeedPrefilter> filters(kPairs);
+    std::vector<std::vector<uint8_t>> targets;
+    for (size_t i = 0; i < kPairs; ++i) {
+      const auto pair_base = RandomBytes(kPage, 700 + i);
+      filters[i].Reset(true);
+      for (size_t off = 0; off + kSeed <= kPage; off += kSeed / 2) {
+        filters[i].Add(pair_base.data() + off);
+      }
+      targets.push_back(RandomBytes(kPage, 800 + i));
+    }
+    const auto scan = [&](auto next_fn) {
+      return [&, next_fn](size_t iters) {
+        for (size_t i = 0; i < iters; ++i) {
+          const kernels::SeedPrefilter& filter = filters[i % kPairs];
+          const std::vector<uint8_t>& t = targets[i % kPairs];
+          const size_t last = t.size() - kSeed;
+          for (size_t pos = 0; (pos = next_fn(filter, t, pos, last)) <= last; ++pos) {
+            g_sink = g_sink + pos;
+          }
+        }
+      };
+    };
+    KernelResult& k = results.emplace_back("prefilter_scan_page", kPage);
+    k.Variant("portable", scan(kernels::NextCandidatePortable));
+    if (cpu.avx2) {
+      k.Variant("avx2", scan(kernels::NextCandidateAvx2));
+    }
+  }
+
+  // 6. Level-1 delta encode of a 40-edit page against its base (seed
   //    table, prefilter, match extension) — the dedup write path, both
   //    halves of it. Cold: one more base/target pair than the scratch's
   //    seed-table cache holds, visited in turn, so every call misses and
@@ -244,7 +288,7 @@ int main() {
         });
   }
 
-  // 6. Whole-page fingerprint through the public API (ties 1-3 together).
+  // 7. Whole-page fingerprint through the public API (ties 1-3 together).
   {
     PageFingerprinter fp({});
     results.emplace_back("fingerprint_page", kPage)

@@ -72,6 +72,30 @@ void MemoryCheckpoint::RestorePage(size_t page, std::vector<uint8_t> bytes) {
   slot.payload = payloads_dropped_ ? std::vector<uint8_t>{} : std::move(bytes);
 }
 
+void MemoryCheckpoint::MarkPatched(size_t page, size_t patch_size) {
+  Slot& slot = slots_.at(page);
+  if (!payloads_dropped_) {
+    throw std::logic_error("MarkPatched: payloads not dropped");
+  }
+  if (slot.state != PageSlotState::kResident) {
+    throw std::logic_error("MarkPatched: page not resident");
+  }
+  slot.state = PageSlotState::kPatched;
+  slot.payload_size = patch_size;
+}
+
+void MemoryCheckpoint::MarkRestored(size_t page) {
+  Slot& slot = slots_.at(page);
+  if (!payloads_dropped_) {
+    throw std::logic_error("MarkRestored: payloads not dropped");
+  }
+  if (slot.state != PageSlotState::kPatched) {
+    throw std::logic_error("MarkRestored: page not patched");
+  }
+  slot.state = PageSlotState::kResident;
+  slot.payload_size = kPageSize;
+}
+
 bool MemoryCheckpoint::FullyResident() const {
   return std::all_of(slots_.begin(), slots_.end(), [](const Slot& s) {
     return s.state != PageSlotState::kPatched;

@@ -70,6 +70,13 @@ class MemoryCheckpoint {
   // Puts reconstructed bytes back into a patched slot (restore op).
   void RestorePage(size_t page, std::vector<uint8_t> bytes);
 
+  // ReplaceWithPatch and RestorePage for a checkpoint whose payloads were
+  // dropped: they record the slot's new state and size (a restored page is
+  // kPageSize bytes) without bytes that would only be thrown away. Throw
+  // std::logic_error unless payloads_dropped().
+  void MarkPatched(size_t page, size_t patch_size);
+  void MarkRestored(size_t page);
+
   // True when every slot is resident or zero (restorable to a full image).
   bool FullyResident() const;
 

@@ -1,15 +1,18 @@
 // Runtime CPU-feature detection.
 //
-// The per-page hot path (chunk SHA-1, sample selection, delta match
-// extension) is implemented at more than one ISA level. Each kernel entry
-// point is a fixed function of DetectCpuFeatures(), chosen once per process
-// and never rebound:
+// The per-page hot path (chunk SHA-1, sample selection, the delta
+// encoder's prefilter scan and match extension) is implemented at more than
+// one ISA level. Each kernel entry point is a fixed function of
+// DetectCpuFeatures(), chosen once per process and never rebound:
 //
 //   Sha1Compress      SHA-NI under cpuid `sha`, else the scalar compress.
-//   Sha1Chunk64Batch  8 chunks in AVX2 lanes under cpuid `avx2` without
-//                     `sha`, else one Sha1Chunk64 per chunk.
+//   Sha1Chunk64Batch  pairs of chunks interleaved in one SHA-NI stream
+//                     under cpuid `sha`, else 8 chunks in AVX2 lanes under
+//                     `avx2`, else one Sha1Chunk64 per chunk.
 //   SelectWindows     16 AVX2 lanes under cpuid `avx2`, else the portable
 //                     four-chain walk.
+//   NextCandidate     8 positions per AVX2 step under cpuid `avx2`, else
+//                     one position at a time.
 //   MatchForward, MatchBackward, MemEqual
 //                     8-byte XOR + count-zeros (SWAR) on every target.
 //

@@ -181,6 +181,143 @@ __attribute__((target("sha,sse4.1"))) void Sha1CompressShaNi(uint32_t state[5],
 
 namespace {
 
+// Expanded message schedule W[0..79] of the constant padding block, in
+// SHA-NI register order: group g holds W[4g..4g+3] with W[4g] in the top
+// dword, as a byte-swapped load of the block would.
+struct PadSchedule {
+  alignas(16) uint32_t words[20][4];
+};
+
+constexpr PadSchedule MakePadSchedule() {
+  uint32_t w[80] = {};
+  for (int t = 0; t < 16; ++t) {
+    w[t] = (uint32_t{kSha1Pad64[4 * t]} << 24) | (uint32_t{kSha1Pad64[4 * t + 1]} << 16) |
+           (uint32_t{kSha1Pad64[4 * t + 2]} << 8) | uint32_t{kSha1Pad64[4 * t + 3]};
+  }
+  for (int t = 16; t < 80; ++t) {
+    const uint32_t x = w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16];
+    w[t] = (x << 1) | (x >> 31);
+  }
+  PadSchedule s{};
+  for (int g = 0; g < 20; ++g) {
+    for (int j = 0; j < 4; ++j) {
+      s.words[g][j] = w[4 * g + 3 - j];
+    }
+  }
+  return s;
+}
+
+constexpr PadSchedule kPadSchedule = MakePadSchedule();
+
+// Message words of the padding block's round group g.
+inline __m128i PadGroup(int g) {
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(kPadSchedule.words[g]));
+}
+
+// Sha1Chunk64 of L chunks through one SHA-NI instruction stream: every
+// step below runs for each lane before the next, so the lanes' sha1rnds4
+// chains overlap instead of waiting on one another's latency. The data
+// block expands its schedule with sha1msg1/sha1msg2 as the single-block
+// compression does; the padding block's schedule is the constant
+// kPadSchedule. Lane state: abcd in sha1rnds4 order, and e alternating
+// between two accumulators. A data-block lane keeps seven registers live
+// and SHA-NI has only the 16 legacy xmm registers, so two lanes is the
+// most that runs without spills.
+template <int L>
+__attribute__((target("sha,sse4.1"))) void Sha1Chunk64LanesShaNi(const uint8_t* const* chunks,
+                                                                 uint32_t (*out_state)[5]) {
+  const __m128i kBswapMask = _mm_set_epi64x(0x0001020304050607ll, 0x08090a0b0c0d0e0fll);
+  const __m128i abcd_init =
+      _mm_set_epi32(static_cast<int>(kSha1Init[0]), static_cast<int>(kSha1Init[1]),
+                    static_cast<int>(kSha1Init[2]), static_cast<int>(kSha1Init[3]));
+  const __m128i e_init = _mm_set_epi32(static_cast<int>(kSha1Init[4]), 0, 0, 0);
+  __m128i abcd[L], e0[L], e1[L], msg[L][4];
+
+  // Data block.
+  for (int l = 0; l < L; ++l) {
+    for (int t = 0; t < 4; ++t) {
+      msg[l][t] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(chunks[l] + 16 * t)), kBswapMask);
+    }
+    e0[l] = _mm_add_epi32(e_init, msg[l][0]);
+    e1[l] = abcd_init;
+    abcd[l] = _mm_sha1rnds4_epu32(abcd_init, e0[l], 0);
+  }
+  for (int l = 0; l < L; ++l) {
+    e1[l] = _mm_sha1nexte_epu32(e1[l], msg[l][1]);
+    e0[l] = abcd[l];
+    abcd[l] = _mm_sha1rnds4_epu32(abcd[l], e1[l], 0);
+    msg[l][0] = _mm_sha1msg1_epu32(msg[l][0], msg[l][1]);
+  }
+  for (int l = 0; l < L; ++l) {
+    e0[l] = _mm_sha1nexte_epu32(e0[l], msg[l][2]);
+    e1[l] = abcd[l];
+    abcd[l] = _mm_sha1rnds4_epu32(abcd[l], e0[l], 0);
+    msg[l][1] = _mm_sha1msg1_epu32(msg[l][1], msg[l][2]);
+    msg[l][0] = _mm_xor_si128(msg[l][0], msg[l][2]);
+  }
+#pragma GCC unroll 16
+  for (int g = 3; g < 19; ++g) {
+    for (int l = 0; l < L; ++l) {
+      __m128i& ep = (g & 1) != 0 ? e1[l] : e0[l];
+      __m128i& eq = (g & 1) != 0 ? e0[l] : e1[l];
+      ep = _mm_sha1nexte_epu32(ep, msg[l][g & 3]);
+      eq = abcd[l];
+      msg[l][(g + 1) & 3] = _mm_sha1msg2_epu32(msg[l][(g + 1) & 3], msg[l][g & 3]);
+      abcd[l] = Rnds4(abcd[l], ep, g / 5);
+      msg[l][(g + 3) & 3] = _mm_sha1msg1_epu32(msg[l][(g + 3) & 3], msg[l][g & 3]);
+      msg[l][(g + 2) & 3] = _mm_xor_si128(msg[l][(g + 2) & 3], msg[l][g & 3]);
+    }
+  }
+  // Rounds 76-79, then the feed-forward. The chaining value the padding
+  // block starts from is kept for its own feed-forward.
+  __m128i abcd_mid[L], e_mid[L];
+  for (int l = 0; l < L; ++l) {
+    e1[l] = _mm_sha1nexte_epu32(e1[l], msg[l][3]);
+    e0[l] = abcd[l];
+    abcd[l] = _mm_sha1rnds4_epu32(abcd[l], e1[l], 3);
+    e_mid[l] = _mm_sha1nexte_epu32(e0[l], e_init);
+    abcd_mid[l] = _mm_add_epi32(abcd[l], abcd_init);
+  }
+
+  // Padding block.
+  for (int l = 0; l < L; ++l) {
+    e0[l] = _mm_add_epi32(e_mid[l], PadGroup(0));
+    e1[l] = abcd_mid[l];
+    abcd[l] = _mm_sha1rnds4_epu32(abcd_mid[l], e0[l], 0);
+  }
+#pragma GCC unroll 19
+  for (int g = 1; g < 20; ++g) {
+    for (int l = 0; l < L; ++l) {
+      __m128i& ep = (g & 1) != 0 ? e1[l] : e0[l];
+      __m128i& eq = (g & 1) != 0 ? e0[l] : e1[l];
+      ep = _mm_sha1nexte_epu32(ep, PadGroup(g));
+      eq = abcd[l];
+      abcd[l] = Rnds4(abcd[l], ep, g / 5);
+    }
+  }
+  for (int l = 0; l < L; ++l) {
+    e0[l] = _mm_sha1nexte_epu32(e0[l], e_mid[l]);
+    abcd[l] = _mm_shuffle_epi32(_mm_add_epi32(abcd[l], abcd_mid[l]), 0x1B);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_state[l]), abcd[l]);
+    out_state[l][4] = static_cast<uint32_t>(_mm_extract_epi32(e0[l], 3));
+  }
+}
+
+}  // namespace
+
+void Sha1Chunk64BatchShaNi(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    Sha1Chunk64LanesShaNi<2>(chunks + i, out_state + i);
+  }
+  if (i < n) {
+    Sha1Chunk64LanesShaNi<1>(chunks + i, out_state + i);
+  }
+}
+
+namespace {
+
 __attribute__((target("avx2"))) inline __m256i RotLV(__m256i x, int n) {
   return _mm256_or_si256(_mm256_slli_epi32(x, n), _mm256_srli_epi32(x, 32 - n));
 }
@@ -279,6 +416,10 @@ void Sha1CompressShaNi(uint32_t state[5], const uint8_t* block) {
   Sha1CompressScalar(state, block);
 }
 
+void Sha1Chunk64BatchShaNi(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
+  Sha1Chunk64Each(chunks, n, out_state);
+}
+
 void Sha1Chunk64BatchAvx2(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
   Sha1Chunk64Each(chunks, n, out_state);
 }
@@ -287,11 +428,13 @@ void Sha1Chunk64BatchAvx2(const uint8_t* const* chunks, size_t n, uint32_t (*out
 
 void Sha1Chunk64Batch(const uint8_t* const* chunks, size_t n, uint32_t (*out_state)[5]) {
   using BatchFn = void (*)(const uint8_t* const*, size_t, uint32_t(*)[5]);
-  // The 8-lane batch runs only where SHA-NI is absent: on a SHA-NI host
-  // each chunk goes through the SHA-NI compression instead.
-  static const BatchFn batch = DetectCpuFeatures().avx2 && !DetectCpuFeatures().sha_ni
-                                   ? &Sha1Chunk64BatchAvx2
-                                   : &Sha1Chunk64Each;
+  static const BatchFn batch = [] {
+    const CpuFeatures cpu = DetectCpuFeatures();
+    if (cpu.sha_ni) {
+      return &Sha1Chunk64BatchShaNi;
+    }
+    return cpu.avx2 ? &Sha1Chunk64BatchAvx2 : &Sha1Chunk64Each;
+  }();
   batch(chunks, n, out_state);
 }
 

@@ -207,9 +207,11 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   // 5. Delta-encode against the chosen bases (parallel; the accept decision
   // is per-page and deterministic). Each worker encodes into thread-local
   // scratch — its cache of seed tables and a patch buffer — so the steady
-  // state allocates only the exact-size copy of each accepted patch.
-  std::vector<std::vector<uint8_t>> patches(n);
-  std::vector<uint8_t> accepted(n, 0);
+  // state allocates only the exact-size copy of each accepted patch, and
+  // none when payloads are dropped: then only the size is kept.
+  const bool keep_payloads = options_.keep_payloads;
+  std::vector<std::vector<uint8_t>> patches(keep_payloads ? n : 0);
+  std::vector<size_t> patch_size(n, 0);  // 0: not accepted (a patch is never empty)
   pool_->ParallelFor(0, n, [&](size_t i) {
     if (candidates[i].empty()) {
       return;
@@ -226,20 +228,26 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
         options_.patch_accept_max_ratio * static_cast<double>(kPageSize)) {
       return;  // patch too big to be worth it
     }
-    patches[i].assign(patch_buf.begin(), patch_buf.end());
-    accepted[i] = 1;
+    if (keep_payloads) {
+      patches[i].assign(patch_buf.begin(), patch_buf.end());
+    }
+    patch_size[i] = patch_buf.size();
   });
+  // Every page is encoded, so nothing reads page bytes from here on.
+  if (!keep_payloads) {
+    cp.DropPayloads();
+  }
 
   // 6. Merge in page order: counters, refcounts, patch records, slot edits.
   sb.patches.clear();
   for (size_t i = 0; i < n; ++i) {
     const size_t page = resident[i];
-    if (accepted[i] == 0) {
+    if (patch_size[i] == 0) {
       ++result.pages_unique;
       continue;
     }
-    result.patch_bytes += patches[i].size();
-    result.saved_bytes += kPageSize - patches[i].size();
+    result.patch_bytes += patch_size[i];
+    result.saved_bytes += kPageSize - patch_size[i];
     ++result.pages_deduped;
     const BaseSnapshot* snap = cluster_.FindBaseSnapshot(candidates[i].front().location.sandbox);
     if (snap != nullptr && snap->function == sb.function) {
@@ -254,7 +262,11 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
       record.bases.push_back(candidate.location);
     }
     sb.patches.push_back(std::move(record));
-    cp.ReplaceWithPatch(page, std::move(patches[i]));
+    if (keep_payloads) {
+      cp.ReplaceWithPatch(page, std::move(patches[i]));
+    } else {
+      cp.MarkPatched(page, patch_size[i]);
+    }
   }
   // Zero pages also count as saved memory relative to the warm state.
   result.saved_bytes += result.pages_zero * kPageSize;
@@ -268,9 +280,6 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   // Prepare namespaces / process tree now so dedup starts skip it.
   cp.set_namespaces_prepared(true);
   sb.namespaces_prepared = true;
-  if (!options_.keep_payloads) {
-    cp.DropPayloads();
-  }
   sb.checkpoint = std::move(cp);
   cluster_.MarkDedup(sb, now);
   dedup_ops_.Add();
@@ -455,17 +464,20 @@ size_t DedupAgent::DecodeAndRestore(Sandbox& sb, const std::vector<size_t>& reco
   for (size_t idx : records) {
     patch_bytes_applied += cp.PatchSize(sb.patches[idx].page.value());
   }
+  if (!payloads) {
+    // Nothing to decode: the slots only record that their pages are back.
+    for (size_t idx : records) {
+      cp.MarkRestored(sb.patches[idx].page.value());
+    }
+    return patch_bytes_applied;
+  }
   // DeltaDecodeInto writes straight into the output slot: the reconstructed
   // page is required storage anyway, and the pre-sized single-pass decode
   // avoids the growth reallocations DeltaDecode's incremental append incurs.
   std::vector<std::vector<uint8_t>> originals(records.size());
   pool_->ParallelFor(0, records.size(), [&](size_t j) {
-    if (payloads) {
-      DeltaDecodeInto(*bases[j], cp.PatchData(sb.patches[records[j]].page.value()),
-                      originals[j]);
-    } else {
-      originals[j] = std::vector<uint8_t>(kPageSize, 0);
-    }
+    DeltaDecodeInto(*bases[j], cp.PatchData(sb.patches[records[j]].page.value()),
+                    originals[j]);
   });
   for (size_t j = 0; j < records.size(); ++j) {
     cp.RestorePage(sb.patches[records[j]].page.value(), std::move(originals[j]));

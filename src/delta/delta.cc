@@ -1,7 +1,6 @@
 #include "delta/delta.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -9,6 +8,7 @@
 
 #include "common/hash.h"
 #include "common/kernels/memops.h"
+#include "common/kernels/prefilter_kernels.h"
 
 namespace medes {
 namespace delta_internal {
@@ -21,16 +21,29 @@ void AppendVarint(std::vector<uint8_t>& out, uint64_t value) {
   out.push_back(static_cast<uint8_t>(value));
 }
 
+namespace {
+
+// Out of line, so ReadVarint stays small enough to inline into the decoder.
+[[noreturn]] [[gnu::noinline]] [[gnu::cold]] void ThrowVarintError(const char* what) {
+  throw DeltaError(what);
+}
+
+}  // namespace
+
 uint64_t ReadVarint(std::span<const uint8_t> data, size_t& pos) {
   uint64_t value = 0;
   int shift = 0;
   while (true) {
     if (pos >= data.size() || shift > 63) {
-      throw DeltaError("varint out of range");
+      ThrowVarintError("varint out of range");
     }
     uint8_t byte = data[pos++];
     value |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
+      // The tenth byte holds bit 63 alone; a larger one would lose bits.
+      if (shift == 63 && byte > 1) {
+        ThrowVarintError("varint overflows 64 bits");
+      }
       return value;
     }
     shift += 7;
@@ -76,13 +89,13 @@ uint64_t HashBase(std::span<const uint8_t> base) {
 // DeltaScratch::Find compares it to confirm a hit, and FindBest matches
 // against it.
 //
-// Beside the table the index keeps an exact prefilter: two bits per inserted
-// offset in a small bitmap, both taken from one multiplicative hash of the
-// seed's first bytes (FilterBits). Offsets later pushed out of a full bucket
-// keep their bits. A target position with either bit clear therefore has no
-// indexed base seed with equal bytes, FindBest would return npos there, and
-// the encoder may skip it without probing the table: patch bytes are
-// unchanged.
+// Beside the table the index keeps an exact prefilter
+// (common/kernels/prefilter_kernels.h): two bits per inserted offset in a
+// 16 Ki-bit bitmap, both functions of the seed's first bytes. Offsets later
+// pushed out of a full bucket keep their bits. A target position with
+// either bit clear therefore has no indexed base seed with equal bytes,
+// FindBest would return npos there, and the encoder may skip it without
+// probing the table: patch bytes are unchanged.
 struct DeltaScratch::SeedTable {
   struct Match {
     size_t base_off;
@@ -129,7 +142,7 @@ struct DeltaScratch::SeedTable {
     const size_t cap = Buckets(base.size(), seed_len, stride, depth);
     mask_ = cap - 1;
     slots_.assign(cap * depth_, kEmpty);
-    filter_.fill(0);
+    filter_.Reset(seed_len >= 8);
     // One FNV-1a chain is a serial xor-multiply per seed byte. Hashing
     // kBatch seeds as interleaved chains lets their multiplies overlap;
     // each value is still MixBits(Fnv1a64(seed)), and the offsets go in in
@@ -148,11 +161,7 @@ struct DeltaScratch::SeedTable {
     stride_ = stride;
   }
 
-  // False only when no indexed base seed can equal the seed at `p`.
-  bool MayMatch(const uint8_t* p) const {
-    const auto [a, b] = FilterBits(p);
-    return ((filter_[a / 64] >> (a % 64)) & (filter_[b / 64] >> (b % 64)) & 1) != 0;
-  }
+  const kernels::SeedPrefilter& Filter() const { return filter_; }
 
   // Finds the base offset whose seed matches the one at `t_off` (a whole
   // seed inside `target`), preferring the longest forward extension (first
@@ -180,8 +189,6 @@ struct DeltaScratch::SeedTable {
  private:
   static constexpr uint16_t kEmpty = UINT16_MAX;
   static constexpr size_t kBatch = 8;
-  static constexpr size_t kFilterBits = 8192;
-  static constexpr int kFilterIndexBits = 13;  // log2(kFilterBits)
 
   size_t ExtendForward(std::span<const uint8_t> target, size_t t_off, size_t b_off) const {
     size_t max = std::min(base_.size() - b_off, target.size() - t_off);
@@ -211,27 +218,7 @@ struct DeltaScratch::SeedTable {
   // Indexes the base seed at `offset` under hash `h`.
   void Add(uint64_t h, size_t offset) {
     Insert(h, static_cast<uint16_t>(offset));
-    const auto [a, b] = FilterBits(base_.data() + offset);
-    filter_[a / 64] |= uint64_t{1} << (a % 64);
-    filter_[b / 64] |= uint64_t{1} << (b % 64);
-  }
-
-  // Filter key: the seed's first 8 bytes, or its first 4 when the seed is
-  // shorter than 8 (seed_length >= 4 is enforced) — one load that never
-  // reads past the seed, so equal seeds always share both bits. The bits are
-  // the product's top two 13-bit fields (bits 51-63 and 38-50).
-  std::pair<size_t, size_t> FilterBits(const uint8_t* p) const {
-    uint64_t key;
-    if (seed_len_ >= 8) {
-      std::memcpy(&key, p, 8);
-    } else {
-      uint32_t k32;
-      std::memcpy(&k32, p, 4);
-      key = k32;
-    }
-    const uint64_t product = key * 0x9E3779B97F4A7C15ull;
-    return {static_cast<size_t>(product >> (64 - kFilterIndexBits)),
-            static_cast<size_t>(product >> (64 - 2 * kFilterIndexBits)) & (kFilterBits - 1)};
+    filter_.Add(base_.data() + offset);
   }
 
   void Insert(uint64_t h, uint16_t offset) {
@@ -249,7 +236,7 @@ struct DeltaScratch::SeedTable {
   size_t depth_ = 0;
   size_t mask_ = 0;
   std::vector<uint16_t> slots_;
-  std::array<uint64_t, kFilterBits / 64> filter_{};
+  kernels::SeedPrefilter filter_;
 };
 
 DeltaScratch::DeltaScratch() = default;
@@ -362,7 +349,9 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
   AppendVarint(out, target.size());
 
   int level = std::clamp(options.level, 0, 9);
-  if (level == 0 || base.size() < options.seed_length) {
+  // Level 0, or no seed fits in one of the buffers: one ADD of the target.
+  if (level == 0 || base.size() < options.seed_length ||
+      target.size() < options.seed_length) {
     EmitAdd(out, target);
     return;
   }
@@ -376,12 +365,10 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
   const DeltaScratch::SeedTable& index = sc.Find(base, options.seed_length, stride, depth);
 
   size_t pending = 0;  // start of unmatched literal run
+  const size_t last = target.size() - options.seed_length;  // last seed start
   size_t pos = 0;
-  while (pos + options.seed_length <= target.size()) {
-    if (!index.MayMatch(target.data() + pos)) {
-      ++pos;
-      continue;
-    }
+  // The prefilter scan skips every position FindBest would miss at.
+  while ((pos = kernels::NextCandidate(index.Filter(), target, pos, last)) <= last) {
     const auto [cand, fwd] = index.FindBest(target, pos);
     if (cand == DeltaScratch::SeedTable::npos) {
       ++pos;

@@ -15,8 +15,11 @@
 // size. The paper runs Xdelta3 at level 1 to keep restores fast; our default
 // matches that.
 //
-// Hot-path notes: seed comparison and match extension run through the
-// word-at-a-time kernels (common/kernels/memops.h); DeltaDecode
+// Hot-path notes: the target scan skips, through a two-bit seed prefilter,
+// every position where the seed table cannot match, 8 positions per step
+// on AVX2 (common/kernels/prefilter_kernels.h); seed comparison and match
+// extension run through the word-at-a-time kernels
+// (common/kernels/memops.h); DeltaDecode
 // validates the instruction stream in one pass and then memcpys into a
 // buffer pre-sized from the header instead of growing it op by op. The
 // *Into overloads write into caller-owned buffers; DeltaEncodeInto accepts
@@ -84,7 +87,7 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
 // compare against the table's own copy of the base, so a hit never depends
 // on where the base lives and is the table a fresh build would make. The
 // budget is what kCapacity tables over 4 KiB bases at level 1 take (about
-// 3.3 MB); denser levels hold fewer tables in the same bytes, and the table
+// 3.7 MB); denser levels hold fewer tables in the same bytes, and the table
 // just built is always kept. Keep one per worker thread; DeltaEncodeInto
 // without one builds every table afresh.
 class DeltaScratch {

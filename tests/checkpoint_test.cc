@@ -97,6 +97,29 @@ TEST_F(CheckpointTest, DropPayloadsKeepsSizes) {
   EXPECT_TRUE(cp.FullyResident());
 }
 
+// The payload-free edits record what ReplaceWithPatch and RestorePage would
+// on a dropped checkpoint, and refuse one that still holds bytes.
+TEST_F(CheckpointTest, SizeOnlyEditsNeedDroppedPayloads) {
+  MemoryCheckpoint cp = MemoryCheckpoint::Capture(image_);
+  size_t page = 0;
+  while (cp.SlotState(page) != PageSlotState::kResident) {
+    ++page;
+  }
+  EXPECT_THROW(cp.MarkPatched(page, 321), std::logic_error);
+  const size_t resident = cp.ResidentBytes();
+  cp.DropPayloads();
+  EXPECT_THROW(cp.MarkRestored(page), std::logic_error);  // not patched
+  cp.MarkPatched(page, 321);
+  EXPECT_EQ(cp.SlotState(page), PageSlotState::kPatched);
+  EXPECT_EQ(cp.PatchBytes(), 321u);
+  EXPECT_EQ(cp.ResidentBytes(), resident - kPageSize);
+  EXPECT_THROW(cp.MarkPatched(page, 321), std::logic_error);  // not resident
+  cp.MarkRestored(page);
+  EXPECT_TRUE(cp.FullyResident());
+  EXPECT_EQ(cp.ResidentBytes(), resident);
+  EXPECT_EQ(cp.PatchBytes(), 0u);
+}
+
 TEST_F(CheckpointTest, MarkZeroDropsBytes) {
   MemoryCheckpoint cp = MemoryCheckpoint::Capture(image_);
   size_t page = 0;

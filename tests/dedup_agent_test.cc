@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 namespace medes {
 namespace {
@@ -176,6 +178,119 @@ TEST_F(DedupAgentTest, SizeOnlyModeStillAccounts) {
   RestoreOpResult restore = agent.RestoreOp(victim, SimTime{1});
   EXPECT_FALSE(restore.verified);
   EXPECT_EQ(victim.state, SandboxState::kWarm);
+}
+
+// The modelled outcome of each op, every field.
+auto Fields(const DedupOpResult& r) {
+  return std::tuple(r.pages_total, r.pages_deduped, r.pages_zero, r.pages_unique, r.patch_bytes,
+                    r.saved_bytes, r.same_function_pages, r.cross_function_pages,
+                    r.checkpoint_time, r.lookup_time, r.patch_time, r.total_time);
+}
+auto Fields(const RestoreOpResult& r) {
+  return std::tuple(r.mode, r.base_pages_read, r.base_bytes_read, r.remote_reads,
+                    r.read_base_time, r.compute_time, r.sandbox_restore_time,
+                    r.critical_path_time, r.fault_time, r.total_time, r.ws_predicted_pages,
+                    r.ws_touched_pages, r.ws_hit_pages, r.ws_fault_pages, r.background_pages,
+                    r.background_pending, r.verified);
+}
+auto Fields(const BackgroundRestoreResult& r) {
+  return std::tuple(r.pages, r.base_pages_read, r.base_bytes_read, r.remote_reads, r.total_time,
+                    r.verified);
+}
+
+// A cluster with a lazy and an eager agent over one registry and fabric,
+// both keeping or both dropping checkpoint payloads.
+struct PayloadWorld {
+  explicit PayloadWorld(bool keep_payloads)
+      : cluster(SmallCluster()),
+        fabric({}, [this](const PageLocation& loc) { return cluster.ReadBasePage(loc); }),
+        lazy(cluster, registry, fabric, Options(keep_payloads, RestoreMode::kLazy)),
+        eager(cluster, registry, fabric, Options(keep_payloads, RestoreMode::kEager)) {}
+
+  static DedupAgentOptions Options(bool keep_payloads, RestoreMode mode) {
+    DedupAgentOptions opts;
+    opts.keep_payloads = keep_payloads;
+    opts.restore_mode = mode;
+    return opts;
+  }
+
+  Sandbox& Warm(const std::string& name, NodeId node, SimTime now) {
+    Sandbox& sb = cluster.Spawn(ProfileByName(name), node, now);
+    cluster.MarkWarm(sb, now);
+    return sb;
+  }
+
+  // One invocation: the sandbox runs and goes warm again.
+  void Invoke(Sandbox& sb, SimTime now) {
+    cluster.MarkRunning(sb, now);
+    cluster.MarkWarm(sb, now + SimDuration{1});
+  }
+
+  Cluster cluster;
+  FingerprintRegistry registry;
+  RdmaFabric fabric;
+  DedupAgent lazy;
+  DedupAgent eager;
+};
+
+// Checkpoint counters of both worlds' copies of a sandbox.
+void ExpectSameCheckpoint(const Sandbox& kept, const Sandbox& dropped, const char* step) {
+  SCOPED_TRACE(step);
+  ASSERT_EQ(kept.checkpoint.has_value(), dropped.checkpoint.has_value());
+  if (!kept.checkpoint.has_value()) {
+    return;
+  }
+  EXPECT_FALSE(kept.checkpoint->payloads_dropped());
+  EXPECT_TRUE(dropped.checkpoint->payloads_dropped());
+  EXPECT_EQ(kept.checkpoint->ResidentBytes(), dropped.checkpoint->ResidentBytes());
+  EXPECT_EQ(kept.checkpoint->PatchBytes(), dropped.checkpoint->PatchBytes());
+  EXPECT_EQ(kept.checkpoint->NumPatched(), dropped.checkpoint->NumPatched());
+}
+
+// Dropping payloads changes what is stored, never what is counted: the same
+// dedups, eager and lazy restores and background completion, with payloads
+// kept and dropped, give equal op results and checkpoint counters.
+TEST_F(DedupAgentTest, DroppedPayloadsCountAsKeptOnes) {
+  PayloadWorld kept(true);
+  PayloadWorld dropped(false);
+  Sandbox* sb[2];
+  for (int w = 0; w < 2; ++w) {
+    PayloadWorld& world = w == 0 ? kept : dropped;
+    world.lazy.DesignateBase(world.Warm("LinAlg", NodeId{0}, SimTime{0}));
+    world.lazy.DesignateBase(world.Warm("Vanilla", NodeId{0}, SimTime{0}));
+    sb[w] = &world.Warm("LinAlg", NodeId{1}, SimTime{1});
+  }
+  Sandbox& a = *sb[0];
+  Sandbox& b = *sb[1];
+
+  ASSERT_EQ(Fields(kept.lazy.DedupOp(a, SimTime{2})), Fields(dropped.lazy.DedupOp(b, SimTime{2})));
+  EXPECT_GT(a.checkpoint->NumPatched(), 0u);
+  ExpectSameCheckpoint(a, b, "first dedup");
+  ASSERT_EQ(Fields(kept.eager.RestoreOp(a, SimTime{3})),
+            Fields(dropped.eager.RestoreOp(b, SimTime{3})));
+  ExpectSameCheckpoint(a, b, "eager restore");
+
+  // An unprofiled function's first lazy restore fetches every page; the
+  // next one is trained and leaves pages to the background phase.
+  for (int round = 0; round < 2; ++round) {
+    const SimTime t{10 + 10 * round};
+    kept.Invoke(a, t);
+    dropped.Invoke(b, t);
+    ASSERT_EQ(Fields(kept.lazy.DedupOp(a, t + SimDuration{2})),
+              Fields(dropped.lazy.DedupOp(b, t + SimDuration{2})));
+    ExpectSameCheckpoint(a, b, "dedup before lazy restore");
+    const RestoreOpResult restore = kept.lazy.RestoreOp(a, t + SimDuration{3});
+    ASSERT_EQ(Fields(restore), Fields(dropped.lazy.RestoreOp(b, t + SimDuration{3})));
+    ExpectSameCheckpoint(a, b, "lazy restore");
+    if (round == 1) {
+      EXPECT_TRUE(restore.background_pending);
+    }
+    if (restore.background_pending) {
+      ASSERT_EQ(Fields(kept.lazy.CompleteBackgroundRestore(a, t + SimDuration{4})),
+                Fields(dropped.lazy.CompleteBackgroundRestore(b, t + SimDuration{4})));
+      ExpectSameCheckpoint(a, b, "background completion");
+    }
+  }
 }
 
 // A patch's base is its base pages laid end to end and must stay shorter

@@ -232,6 +232,41 @@ TEST(DeltaFuzzTest, EncoderMatchesReferenceModel) {
   }
 }
 
+// Targets whose 8-byte runs start like base seeds but go on differently:
+// the prefilter key of a seed of 8 bytes or more reads only its first 8
+// bytes, so these positions pass the filter and then miss in FindBest.
+// Half the cases keep the base's alignment, half scatter its prefixes.
+TEST(DeltaFuzzTest, SharedSeedPrefixesMatchReferenceModel) {
+  const auto base = RandomBytes(4096, 75);
+  std::vector<uint8_t> aligned = RandomBytes(4096, 76);
+  for (size_t i = 0; i < aligned.size(); i += 16) {
+    std::copy_n(base.begin() + static_cast<ptrdiff_t>(i), 8,
+                aligned.begin() + static_cast<ptrdiff_t>(i));
+  }
+  std::vector<uint8_t> scattered = RandomBytes(4096, 77);
+  Rng rng(78);
+  for (size_t i = 0; i + 16 <= scattered.size(); i += 9 + rng.Below(12)) {
+    const size_t from = 8 * rng.Below(base.size() / 8 - 1);
+    std::copy_n(base.begin() + static_cast<ptrdiff_t>(from), 8 + rng.Below(8),
+                scattered.begin() + static_cast<ptrdiff_t>(i));
+  }
+  // A few whole runs too, so misses sit between real matches.
+  std::copy_n(base.begin() + 1000, 200, scattered.begin() + 2000);
+  DeltaScratch scratch;
+  std::vector<uint8_t> got;
+  for (const auto& target : {aligned, scattered}) {
+    for (size_t seed_length : {8, 9, 12, 16, 32}) {
+      for (int level = 1; level <= 9; ++level) {
+        const DeltaOptions options{.level = level, .seed_length = seed_length};
+        DeltaEncodeInto(base, target, options, got, &scratch);
+        ASSERT_EQ(got, ReferenceEncode(base, target, options))
+            << "seed_length " << seed_length << " level " << level;
+        ASSERT_EQ(DeltaDecode(base, got), target);
+      }
+    }
+  }
+}
+
 // Seed-table offsets are 16-bit, so the longest base is 65535 bytes. The
 // target comes from the base's tail, so matches sit at the highest offsets.
 TEST(DeltaFuzzTest, EncodeRejectsBaseOf64KiB) {

@@ -41,6 +41,26 @@ TEST(VarintTest, TruncatedThrows) {
   EXPECT_THROW(ReadVarint(buf, pos), DeltaError);
 }
 
+// A tenth byte lands at bit 63, so only 0 and 1 fit there; anything larger
+// carries bits past 64 and must not decode to a truncated value.
+TEST(VarintTest, OverflowingTenthByteThrows) {
+  for (uint8_t tenth : {uint8_t{0x02}, uint8_t{0x7f}, uint8_t{0x80}, uint8_t{0xff}}) {
+    for (uint8_t filler : {uint8_t{0x80}, uint8_t{0xff}}) {
+      std::vector<uint8_t> buf(9, filler);
+      buf.push_back(tenth);
+      buf.push_back(0x00);
+      size_t pos = 0;
+      EXPECT_THROW(ReadVarint(buf, pos), DeltaError)
+          << "filler " << int{filler} << " tenth byte " << int{tenth};
+    }
+  }
+  std::vector<uint8_t> max(9, 0xff);
+  max.push_back(0x01);
+  size_t pos = 0;
+  EXPECT_EQ(ReadVarint(max, pos), 0xffffffffffffffffull);
+  EXPECT_EQ(pos, max.size());
+}
+
 TEST(DeltaTest, IdenticalBuffersProduceTinyDelta) {
   auto base = RandomBytes(4096, 1);
   auto delta = DeltaEncode(base, base);

@@ -14,6 +14,7 @@
 #include "chunking/rabin.h"
 #include "common/kernels/cpu_features.h"
 #include "common/kernels/memops.h"
+#include "common/kernels/prefilter_kernels.h"
 #include "common/kernels/rolling_kernels.h"
 #include "common/kernels/sha1_kernels.h"
 #include "common/rng.h"
@@ -191,6 +192,38 @@ TEST(KernelEquivalenceTest, Sha1Chunk64BatchAvx2Direct) {
   ExpectBatchMatchesScalar(kernels::Sha1Chunk64BatchAvx2, 105);
 }
 
+// The interleaved SHA-NI batch against the scalar compression: every batch
+// size through 17 (pairs, a last single chunk, and none), chunks at odd
+// addresses, and one chunk repeated across a pair's lanes.
+TEST(KernelEquivalenceTest, Sha1Chunk64BatchShaNiDirect) {
+  if (!kernels::DetectCpuFeatures().sha_ni) {
+    GTEST_SKIP() << "cpuid reports no sha (SHA-NI)";
+  }
+  constexpr size_t kMax = 17;
+  auto data = RandomBytes(64 * kMax + 1, 107);
+  std::vector<const uint8_t*> distinct(kMax);
+  std::vector<const uint8_t*> repeated(kMax, data.data() + 1 + 64 * 5);
+  for (size_t i = 0; i < kMax; ++i) {
+    distinct[i] = data.data() + 1 + 64 * i;
+  }
+  for (const auto* chunks : {&distinct, &repeated}) {
+    SCOPED_TRACE(chunks == &distinct ? "distinct chunks" : "one chunk repeated");
+    StateArray ref(kMax);
+    for (size_t i = 0; i < kMax; ++i) {
+      ScalarChunk64((*chunks)[i], ref.data()[i]);
+    }
+    for (size_t n = 0; n <= kMax; ++n) {
+      StateArray got(n + 1);
+      kernels::Sha1Chunk64BatchShaNi(chunks->data(), n, got.data());
+      for (size_t i = 0; i < n; ++i) {
+        for (int s = 0; s < 5; ++s) {
+          ASSERT_EQ(got.at(i, s), ref.at(i, s)) << "n=" << n << " chunk " << i;
+        }
+      }
+    }
+  }
+}
+
 // The public hasher, streaming and fixed-length, against digests built from
 // the scalar compression alone, at lengths around the padding boundaries.
 TEST(KernelEquivalenceTest, Sha1PublicApiAcrossTiers) {
@@ -274,6 +307,89 @@ TEST(KernelEquivalenceTest, SelectWindowsAvx2Direct) {
     GTEST_SKIP() << "cpuid reports no avx2 (or the OS does not save YMM state)";
   }
   ExpectSelectMatchesReference(kernels::SelectWindowsAvx2);
+}
+
+using NextFn = size_t (*)(const kernels::SeedPrefilter&, std::span<const uint8_t>, size_t,
+                          size_t);
+
+// Does the seed at `p` pass the filter? Written from the key's definition
+// alone: the seed's first two little-endian words, the second only for a
+// seed of 8 bytes or more, never a byte past the seed.
+bool ReferenceMayMatch(const kernels::SeedPrefilter& filter, const uint8_t* p, size_t seed_len) {
+  auto word = [p](size_t at) {
+    return uint32_t{p[at]} | uint32_t{p[at + 1]} << 8 | uint32_t{p[at + 2]} << 16 |
+           uint32_t{p[at + 3]} << 24;
+  };
+  const uint32_t w0 = word(0);
+  const uint32_t w1 = seed_len >= 8 ? word(4) : 0;
+  auto bit = [&filter](uint32_t sum) {
+    const uint32_t i = sum >> (32 - kernels::kPrefilterIndexBits);
+    return (filter.words()[i / 32] >> (i % 32)) & 1;
+  };
+  const uint32_t* mul = kernels::kPrefilterMul;
+  return (bit(w0 * mul[0] + w1 * mul[1]) & bit(w0 * mul[2] + w1 * mul[3])) != 0;
+}
+
+// Scans from every start position against a one-position-at-a-time
+// reference: filters about 5%, 12% and 50% full, seeds of 4–16 bytes, and
+// `last` at the target's end, within 15 bytes of it (where no 16-byte load
+// fits) and well before it.
+void ExpectNextCandidateMatchesReference(NextFn next) {
+  // Seeds go in from every fifth offset of `base`, from its start: even the
+  // emptiest filter holds the runs copied into the target, so true seeds
+  // pass as well as false ones.
+  const auto base = RandomBytes(size_t{1} << 16, 600);
+  auto target = RandomBytes(700, 601);
+  for (size_t at : {size_t{40}, size_t{300}, size_t{610}}) {
+    std::copy_n(base.begin() + static_cast<ptrdiff_t>(at), 60,
+                target.begin() + static_cast<ptrdiff_t>(at));
+  }
+  for (double fill : {0.05, 0.12, 0.5}) {
+    for (size_t seed_len = 4; seed_len <= 16; ++seed_len) {
+      kernels::SeedPrefilter filter;
+      filter.Reset(seed_len >= 8);
+      size_t set_bits = 0;
+      for (size_t i = 0; static_cast<double>(set_bits) < fill * kernels::kPrefilterBits; ++i) {
+        filter.Add(base.data() + 5 * i);
+        set_bits = 0;
+        for (size_t w = 0; w < kernels::kPrefilterBits / 32; ++w) {
+          set_bits += static_cast<size_t>(__builtin_popcount(filter.words()[w]));
+        }
+      }
+      const size_t end = target.size() - seed_len;
+      for (size_t last : {end, target.size() - 16, target.size() - 17, size_t{300}, size_t{7},
+                          size_t{0}}) {
+        if (last > end) {
+          continue;
+        }
+        for (size_t pos = 0; pos <= last + 1; ++pos) {
+          size_t want = pos;
+          while (want <= last && !ReferenceMayMatch(filter, target.data() + want, seed_len)) {
+            ++want;
+          }
+          ASSERT_EQ(next(filter, target, pos, last), want)
+              << "fill " << fill << " seed_len " << seed_len << " last " << last << " pos "
+              << pos;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, NextCandidateAllTiers) {
+  {
+    SCOPED_TRACE("portable");
+    ExpectNextCandidateMatchesReference(kernels::NextCandidatePortable);
+  }
+  SCOPED_TRACE("shipped");
+  ExpectNextCandidateMatchesReference(kernels::NextCandidate);
+}
+
+TEST(KernelEquivalenceTest, NextCandidateAvx2Direct) {
+  if (!kernels::DetectCpuFeatures().avx2) {
+    GTEST_SKIP() << "cpuid reports no avx2 (or the OS does not save YMM state)";
+  }
+  ExpectNextCandidateMatchesReference(kernels::NextCandidateAvx2);
 }
 
 // Plants a first-difference at every offset in [0, max] — including word
