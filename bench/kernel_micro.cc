@@ -2,7 +2,8 @@
 // kernel this CPU can run, reference first — 64-byte chunk hashing (single
 // and batched), sample selection over a page, match extension, the delta
 // encoder's prefilter scan — and of the shipped entry points for delta
-// encode (seed-table cache cold and warm) and whole-page fingerprinting.
+// encode (seed-table cache cold and warm), a registry lookup batch (MB/s of
+// the probed pages) and whole-page fingerprinting.
 // Emits JSON with a speedup-vs-reference column so CI can hold each variant
 // to the rate of its simpler sibling.
 //
@@ -288,7 +289,58 @@ int main() {
         });
   }
 
-  // 7. Whole-page fingerprint through the public API (ties 1-3 together).
+  // 7. One 64-page registry lookup batch against a table shaped like a
+  //    5-node Medes P2 cluster's after its base inserts: 10 base sandboxes
+  //    of 84 pages, each page 5 sampled keys; three pages in ten repeat one
+  //    of 40 pages every base shares, the rest hold keys of their own. That
+  //    is about 3k keys and 4.2k locations, most keys with one location.
+  //    Half the probes are shared pages with one key changed, a quarter
+  //    stored pages, a quarter pages the table has never seen.
+  {
+    constexpr size_t kBases = 10;
+    constexpr size_t kBasePages = 84;
+    constexpr size_t kSharedPages = 40;
+    constexpr size_t kProbePages = 64;
+    Rng rng(900);
+    const auto random_page = [&rng] {
+      PageFingerprint fp;
+      for (uint32_t c = 0; c < 5; ++c) {
+        fp.chunks.push_back({rng.Next(), c * 64});
+      }
+      return fp;
+    };
+    std::vector<PageFingerprint> shared(kSharedPages);
+    std::generate(shared.begin(), shared.end(), random_page);
+    static FingerprintRegistry registry;
+    std::vector<PageFingerprint> stored;
+    for (uint64_t b = 0; b < kBases; ++b) {
+      std::vector<PageFingerprint> pages;
+      for (size_t p = 0; p < kBasePages; ++p) {
+        pages.push_back(rng.Below(10) < 3 ? shared[rng.Below(kSharedPages)] : random_page());
+      }
+      stored.push_back(pages[rng.Below(kBasePages)]);
+      registry.InsertBaseSandbox(NodeId{static_cast<int32_t>(b % 5)}, SandboxId{100 + b}, pages);
+    }
+    std::vector<PageFingerprint> probes;
+    for (size_t q = 0; q < kProbePages; ++q) {
+      if (q % 2 == 0) {
+        PageFingerprint fp = shared[rng.Below(kSharedPages)];
+        fp.chunks[rng.Below(5)].key = rng.Next();
+        probes.push_back(fp);
+      } else {
+        probes.push_back(q % 4 == 1 ? stored[rng.Below(kBases)] : random_page());
+      }
+    }
+    results.emplace_back("registry_probe_batch", kProbePages * kPage)
+        .Variant("shipped", [&](size_t iters) {
+          for (size_t i = 0; i < iters; ++i) {
+            const auto found = registry.FindBasePagesBatch(probes, NodeId{1}, SandboxId{}, 1);
+            g_sink = g_sink + found.size();
+          }
+        });
+  }
+
+  // 8. Whole-page fingerprint through the public API (ties 1-3 together).
   {
     PageFingerprinter fp({});
     results.emplace_back("fingerprint_page", kPage)

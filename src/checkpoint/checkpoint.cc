@@ -1,18 +1,31 @@
 #include "checkpoint/checkpoint.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace medes {
 
 namespace {
+
+// Tests a word at a time; a page is whole 8-byte words.
 bool IsZeroPage(std::span<const uint8_t> page) {
-  return std::all_of(page.begin(), page.end(), [](uint8_t b) { return b == 0; });
+  for (size_t i = 0; i < page.size(); i += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, page.data() + i, sizeof(word));
+    if (word != 0) {
+      return false;
+    }
+  }
+  return true;
 }
+
 }  // namespace
 
-MemoryCheckpoint MemoryCheckpoint::Capture(const MemoryImage& image) {
+MemoryCheckpoint MemoryCheckpoint::Capture(const MemoryImage& image, bool keep_payloads) {
+  static_assert(kPageSize % sizeof(uint64_t) == 0);
   MemoryCheckpoint cp;
+  cp.payloads_dropped_ = !keep_payloads;
   cp.slots_.resize(image.NumPages());
   for (size_t p = 0; p < image.NumPages(); ++p) {
     std::span<const uint8_t> page = image.Page(p);
@@ -22,7 +35,9 @@ MemoryCheckpoint MemoryCheckpoint::Capture(const MemoryImage& image) {
       slot.payload_size = 0;
     } else {
       slot.state = PageSlotState::kResident;
-      slot.payload.assign(page.begin(), page.end());
+      if (keep_payloads) {
+        slot.payload.assign(page.begin(), page.end());
+      }
       slot.payload_size = page.size();
     }
   }
@@ -33,6 +48,9 @@ std::span<const uint8_t> MemoryCheckpoint::PageData(size_t page) const {
   const Slot& slot = slots_.at(page);
   if (slot.state != PageSlotState::kResident) {
     throw std::logic_error("PageData: page not resident");
+  }
+  if (payloads_dropped_) {
+    throw std::logic_error("PageData: payloads were dropped");
   }
   return slot.payload;
 }
@@ -121,14 +139,6 @@ std::vector<uint8_t> MemoryCheckpoint::ToBytes() const {
     }
   }
   return out;
-}
-
-void MemoryCheckpoint::DropPayloads() {
-  payloads_dropped_ = true;
-  for (Slot& slot : slots_) {
-    slot.payload.clear();
-    slot.payload.shrink_to_fit();
-  }
 }
 
 size_t MemoryCheckpoint::ResidentBytes() const {

@@ -47,14 +47,16 @@ class MemoryCheckpoint {
  public:
   MemoryCheckpoint() = default;
 
-  // Captures the memory dump of `image`.
-  static MemoryCheckpoint Capture(const MemoryImage& image);
+  // Captures the memory dump of `image`. Without `keep_payloads` only the
+  // slot states and sizes are recorded: the checkpoint starts out with its
+  // payloads dropped and holds no page bytes.
+  static MemoryCheckpoint Capture(const MemoryImage& image, bool keep_payloads = true);
 
   size_t NumPages() const { return slots_.size(); }
   PageSlotState SlotState(size_t page) const { return slots_[page].state; }
 
   // Bytes of a resident page. Precondition: SlotState(page) == kResident and
-  // payloads have not been dropped.
+  // payloads were kept.
   std::span<const uint8_t> PageData(size_t page) const;
 
   // Patch bytes of a patched page (empty if payloads were dropped).
@@ -70,8 +72,8 @@ class MemoryCheckpoint {
   // Puts reconstructed bytes back into a patched slot (restore op).
   void RestorePage(size_t page, std::vector<uint8_t> bytes);
 
-  // ReplaceWithPatch and RestorePage for a checkpoint whose payloads were
-  // dropped: they record the slot's new state and size (a restored page is
+  // ReplaceWithPatch and RestorePage for a checkpoint captured without
+  // payloads: they record the slot's new state and size (a restored page is
   // kPageSize bytes) without bytes that would only be thrown away. Throw
   // std::logic_error unless payloads_dropped().
   void MarkPatched(size_t page, size_t patch_size);
@@ -84,10 +86,9 @@ class MemoryCheckpoint {
   // is still patched or payloads were dropped.
   std::vector<uint8_t> ToBytes() const;
 
-  // Frees payload bytes while keeping per-slot sizes — used by the cluster
-  // simulation when byte-exact restore verification is disabled. Counters
-  // (ResidentBytes / PatchBytes) keep working.
-  void DropPayloads();
+  // True when the checkpoint was captured without payloads — the cluster
+  // simulation's mode when byte-exact restore verification is disabled. It
+  // keeps per-slot sizes, so ResidentBytes / PatchBytes keep working.
   bool payloads_dropped() const { return payloads_dropped_; }
 
   // Memory held by this checkpoint, by slot class.

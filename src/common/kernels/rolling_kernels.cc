@@ -238,14 +238,18 @@ __attribute__((target("avx2"))) size_t SelectWindowsAvx2(const SampleRule& rule,
         _mm256_add_epi16(_mm256_mullo_epi16(LaneRow(lanes, r), vb), LaneRow(lanes, r + 1));
     h = _mm256_add_epi16(_mm256_mullo_epi16(h, vb2), pair);
   }
-  // Steps with any hit, in order, with their match bits.
+  // Steps with any hit, in order, with their match bits. A step hits with
+  // probability about lanes / 2^(mask bits) (16/512 at the default rule),
+  // so the branch is predictable and most steps store nothing.
   uint32_t hit_bits[kVecMaxSteps];
   uint16_t hit_step[kVecMaxSteps];
   size_t hit_steps = 0;
   const auto record = [&](size_t s, uint32_t bits) {
-    hit_bits[hit_steps] = bits;
-    hit_step[hit_steps] = static_cast<uint16_t>(s);
-    hit_steps += bits != 0 ? 1 : 0;
+    if (bits != 0) {
+      hit_bits[hit_steps] = bits;
+      hit_step[hit_steps] = static_cast<uint16_t>(s);
+      ++hit_steps;
+    }
   };
   record(0, MatchBits(h, vmask, vpattern));
   // Step s drops row s - 1 and adds row s - 1 + w: h' = h*B + d(s).

@@ -90,11 +90,11 @@ double DedupAgent::ScaleFactor() const {
   return static_cast<double>(1 << 20) / static_cast<double>(cluster_.options().bytes_per_mb);
 }
 
-std::vector<PageFingerprint> DedupAgent::FingerprintPages(const MemoryCheckpoint& cp,
+std::vector<PageFingerprint> DedupAgent::FingerprintPages(const MemoryImage& image,
                                                           const std::vector<size_t>& pages) {
   std::vector<PageFingerprint> fingerprints(pages.size());
   pool_->ParallelFor(0, pages.size(), [&](size_t i) {
-    fingerprints[i] = fingerprinter_.FingerprintPage(cp.PageData(pages[i]));
+    fingerprints[i] = fingerprinter_.FingerprintPage(image.Page(pages[i]));
   });
   return fingerprints;
 }
@@ -126,9 +126,12 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   DedupOpResult result;
   const double scale = ScaleFactor();
 
-  // 1. Memory checkpoint of the warm sandbox.
-  MemoryImage image = cluster_.BuildImage(sb);
-  MemoryCheckpoint cp = MemoryCheckpoint::Capture(image);
+  // 1. Memory checkpoint of the warm sandbox. The stages below read page
+  // bytes from the image, so a checkpoint that drops payloads never copies
+  // them.
+  const bool keep_payloads = options_.keep_payloads;
+  const MemoryImage image = cluster_.BuildImage(sb);
+  MemoryCheckpoint cp = MemoryCheckpoint::Capture(image, keep_payloads);
   result.pages_total = cp.NumPages();
   result.pages_zero = cp.NumZero();
   result.checkpoint_time = SimDuration{static_cast<int64_t>(
@@ -139,7 +142,7 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   const size_t n = resident.size();
 
   // 2. Fingerprint every resident page (parallel).
-  std::vector<PageFingerprint> fingerprints = FingerprintPages(cp, resident);
+  std::vector<PageFingerprint> fingerprints = FingerprintPages(image, resident);
 
   // 3. Registry lookups, batched and fanned out (parallel; lookups share the
   // registry's reader lock, and each task's FindBasePagesBatch call takes it
@@ -209,7 +212,6 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
   // scratch — its cache of seed tables and a patch buffer — so the steady
   // state allocates only the exact-size copy of each accepted patch, and
   // none when payloads are dropped: then only the size is kept.
-  const bool keep_payloads = options_.keep_payloads;
   std::vector<std::vector<uint8_t>> patches(keep_payloads ? n : 0);
   std::vector<size_t> patch_size(n, 0);  // 0: not accepted (a patch is never empty)
   pool_->ParallelFor(0, n, [&](size_t i) {
@@ -219,7 +221,7 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
     thread_local DeltaScratch delta_scratch;
     thread_local std::vector<uint8_t> patch_buf;
     try {
-      DeltaEncodeInto(*bases[i], cp.PageData(resident[i]), options_.delta, patch_buf,
+      DeltaEncodeInto(*bases[i], image.Page(resident[i]), options_.delta, patch_buf,
                       &delta_scratch);
     } catch (const DeltaError&) {
       return;  // counted unique in the merge
@@ -233,10 +235,6 @@ DedupOpResult DedupAgent::DedupOp(Sandbox& sb, SimTime now, const obs::TraceCont
     }
     patch_size[i] = patch_buf.size();
   });
-  // Every page is encoded, so nothing reads page bytes from here on.
-  if (!keep_payloads) {
-    cp.DropPayloads();
-  }
 
   // 6. Merge in page order: counters, refcounts, patch records, slot edits.
   sb.patches.clear();
@@ -761,10 +759,10 @@ BaseSnapshot& DedupAgent::DesignateBase(Sandbox& sb, SimTime now, const obs::Tra
   // anchors the registry-insert wire spans sent below.
   const obs::TraceContext designate_ctx = ctx.Child("designate_base");
   obs::ScopedSpan designate("designate_base", "dedup", now, sb.node.value(), designate_ctx);
-  MemoryImage image = cluster_.BuildImage(sb);
+  const MemoryImage image = cluster_.BuildImage(sb);
   MemoryCheckpoint cp = MemoryCheckpoint::Capture(image);
   const std::vector<size_t> resident = ResidentPages(cp);
-  std::vector<PageFingerprint> resident_fps = FingerprintPages(cp, resident);
+  std::vector<PageFingerprint> resident_fps = FingerprintPages(image, resident);
   // Zero pages keep empty fingerprints (not inserted into the registry).
   std::vector<PageFingerprint> fingerprints(cp.NumPages());
   for (size_t i = 0; i < resident.size(); ++i) {

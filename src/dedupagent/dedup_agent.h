@@ -254,9 +254,9 @@ class DedupAgent {
     obs::TraceContext ctx;
   };
 
-  // Fingerprints of all resident pages (parallel stage; `pages[i]` indexes
-  // into `cp`, the result is positionally aligned with `pages`).
-  std::vector<PageFingerprint> FingerprintPages(const MemoryCheckpoint& cp,
+  // Fingerprints of the image's `pages` (parallel stage; the result is
+  // positionally aligned with `pages`).
+  std::vector<PageFingerprint> FingerprintPages(const MemoryImage& image,
                                                 const std::vector<size_t>& pages);
 
   RestoreOpResult RestoreEager(Sandbox& sb, SimTime now, bool verify,

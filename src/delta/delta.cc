@@ -61,23 +61,25 @@ constexpr uint8_t kMagic[4] = {'M', 'D', 'T', '1'};
 constexpr uint8_t kOpAdd = 0x00;
 constexpr uint8_t kOpCopy = 0x01;
 
-// 64-bit hash of a base, the seed-table cache key: four xor-multiply chains
-// over 8-byte words, so it runs several bytes per cycle. A hit is confirmed
-// by a full compare, so the hash only has to be fast and spread well.
-uint64_t HashBase(std::span<const uint8_t> base) {
+// 64-bit hash of a base, the seed-table cache key: its length and
+// kSampleWords 8-byte words at fixed, evenly spread offsets (the whole base
+// when it is shorter than the sample). A hit is confirmed by a full compare,
+// so the key only routes the lookup: bases that differ off the sampled words
+// share a key and are told apart by that compare.
+uint64_t SampleBase(std::span<const uint8_t> base) {
+  constexpr size_t kSampleWords = 16;
   constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
-  uint64_t h[4] = {1, 2, 3, 4};
-  const uint8_t* p = base.data();
-  size_t i = 0;
-  for (; i + 32 <= base.size(); i += 32) {
-    for (size_t lane = 0; lane < 4; ++lane) {
-      uint64_t word;
-      std::memcpy(&word, p + i + 8 * lane, 8);
-      h[lane] = (h[lane] ^ word) * kMul;
-    }
+  if (base.size() < kSampleWords * 8) {
+    return Fnv1a64(base, base.size());
   }
-  const uint64_t tail = Fnv1a64(base.subspan(i), base.size());
-  return MixBits(h[0] ^ MixBits(h[1] ^ MixBits(h[2] ^ MixBits(h[3] ^ tail))));
+  const size_t step = (base.size() - 8) / (kSampleWords - 1);
+  uint64_t h = base.size();
+  for (size_t i = 0; i < kSampleWords; ++i) {
+    uint64_t word;
+    std::memcpy(&word, base.data() + i * step, 8);
+    h = (h ^ word) * kMul;
+  }
+  return MixBits(h);
 }
 
 }  // namespace
@@ -249,7 +251,7 @@ size_t DeltaScratch::BudgetBytes() {
 
 const DeltaScratch::SeedTable& DeltaScratch::Find(std::span<const uint8_t> base, size_t seed_len,
                                                   size_t stride, size_t depth) {
-  const uint64_t key = HashCombine(HashBase(base), (seed_len << 32) ^ (stride << 16) ^ depth);
+  const uint64_t key = HashCombine(SampleBase(base), (seed_len << 32) ^ (stride << 16) ^ depth);
   ++clock_;
   for (size_t i = 0; i < tables_.size(); ++i) {
     if (keys_[i] == key && tables_[i].Holds(base, seed_len, stride, depth)) {

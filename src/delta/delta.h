@@ -83,13 +83,15 @@ void DeltaEncodeInto(std::span<const uint8_t> base, std::span<const uint8_t> tar
 // Reusable encoder working storage: an LRU cache of built seed tables,
 // bounded by bytes. One base page serves many targets, so most encodes find
 // their base's table here and skip the index build. A table is found by a
-// hash of the base bytes and the table geometry, then confirmed by a full
-// compare against the table's own copy of the base, so a hit never depends
-// on where the base lives and is the table a fresh build would make. The
-// budget is what kCapacity tables over 4 KiB bases at level 1 take (about
-// 3.7 MB); denser levels hold fewer tables in the same bytes, and the table
-// just built is always kept. Keep one per worker thread; DeltaEncodeInto
-// without one builds every table afresh.
+// hash of the base's length, a fixed sample of its 8-byte words and the
+// table geometry, then confirmed by a full compare against the table's own
+// copy of the base, so a hit never depends on where the base lives or on
+// which words were sampled, and is the table a fresh build would make. The
+// budget is what kCapacity tables over
+// 4 KiB bases at level 1 take (about 3.7 MB); denser levels hold fewer
+// tables in the same bytes, and the table just built is always kept. Keep
+// one per worker thread; DeltaEncodeInto without one builds every table
+// afresh.
 class DeltaScratch {
  public:
   static constexpr size_t kCapacity = 256;
@@ -117,8 +119,8 @@ class DeltaScratch {
                         size_t depth);
 
   std::vector<SeedTable> tables_;
-  // keys_[i] hashes tables_[i]'s base bytes and geometry; last_use_[i] is
-  // the clock_ value of its latest lookup.
+  // keys_[i] is tables_[i]'s cache key; last_use_[i] is the clock_ value of
+  // its latest lookup.
   std::vector<uint64_t> keys_;
   std::vector<uint64_t> last_use_;
   size_t bytes_ = 0;

@@ -1,6 +1,8 @@
 #include "registry/fingerprint_registry.h"
 
 #include <algorithm>
+#include <iterator>
+#include <stdexcept>
 #include <utility>
 
 #include "common/mutex.h"
@@ -9,46 +11,24 @@
 
 namespace medes {
 
-namespace {
-
-// Top-k of one page's tally under a total order: max overlap first,
-// local-node pages preferred on ties, then lowest (sandbox, page). The order
-// is total over distinct locations, so a partial sort keeps exactly the
-// candidates a full sort truncated to `max_results` would.
-std::vector<BasePageCandidate> RankCandidates(CandidateTally tally, NodeId local_node,
-                                              size_t max_results) {
-  std::vector<BasePageCandidate> ranked = std::move(tally.entries);
-  const auto k = static_cast<ptrdiff_t>(std::min(max_results, ranked.size()));
-  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                    [&](const BasePageCandidate& a, const BasePageCandidate& b) {
-                      if (a.overlap != b.overlap) {
-                        return a.overlap > b.overlap;
-                      }
-                      const bool a_local = a.location.node == local_node;
-                      const bool b_local = b.location.node == local_node;
-                      if (a_local != b_local) {
-                        return a_local;
-                      }
-                      if (a.location.sandbox != b.location.sandbox) {
-                        return a.location.sandbox < b.location.sandbox;
-                      }
-                      return a.location.page_index < b.location.page_index;
-                    });
-  ranked.resize(static_cast<size_t>(k));
-  return ranked;
+FingerprintRegistry::FingerprintRegistry(RegistryOptions options) : options_(options) {
+  if (options_.max_locations_per_key == 0) {
+    throw std::invalid_argument("FingerprintRegistry: max_locations_per_key must be >= 1");
+  }
+  WriterLock lock(mu_);
+  Rebuild({}, {});
 }
-
-}  // namespace
-
-FingerprintRegistry::FingerprintRegistry(RegistryOptions options) : options_(options) {}
 
 // The object under construction is unreachable by other threads, so only the
 // source's lock is taken.
 FingerprintRegistry::FingerprintRegistry(const FingerprintRegistry& other)
     : options_(other.options_) {
   ReaderLock lock(other.mu_);
-  table_ = other.table_;
-  keys_by_sandbox_ = other.keys_by_sandbox_;
+  slots_ = other.slots_;
+  entries_ = other.entries_;
+  locations_ = other.locations_;
+  slot_bits_ = other.slot_bits_;
+  num_keys_ = other.num_keys_;
   base_refcounts_ = other.base_refcounts_;
 }
 
@@ -56,6 +36,56 @@ void FingerprintRegistry::BindTransport(std::shared_ptr<Transport> transport,
                                         NodeId registry_node) {
   transport_ = std::move(transport);
   registry_node_ = registry_node;
+}
+
+size_t FingerprintRegistry::Home(uint64_t key, unsigned slot_bits) {
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - slot_bits));
+}
+
+void FingerprintRegistry::Rebuild(std::span<const Entry> entries,
+                                  std::span<const PageLocation> locations) {
+  // Both spans may view the members they replace: those are written once
+  // the inputs are read. Ids are renumbered in order of first use, so a
+  // location no run keeps is dropped.
+  std::vector<uint32_t> new_id(locations.size(), kEmptySlot);
+  std::vector<Entry> kept;
+  kept.reserve(entries.size());
+  std::vector<PageLocation> kept_locations;
+  size_t keys = 0;
+  for (size_t i = 0; i < entries.size();) {
+    const uint64_t key = entries[i].key;
+    ++keys;
+    for (size_t count = 0; i < entries.size() && entries[i].key == key; ++i, ++count) {
+      if (count < options_.max_locations_per_key) {
+        uint32_t& id = new_id[entries[i].id];
+        if (id == kEmptySlot) {
+          id = static_cast<uint32_t>(kept_locations.size());
+          kept_locations.push_back(locations[entries[i].id]);
+        }
+        kept.push_back({key, id});
+      }
+    }
+  }
+  entries_ = std::move(kept);
+  locations_ = std::move(kept_locations);
+  num_keys_ = keys;
+  slot_bits_ = 4;
+  while ((size_t{1} << slot_bits_) < 2 * keys) {
+    ++slot_bits_;
+  }
+  const size_t mask = (size_t{1} << slot_bits_) - 1;
+  slots_.assign(mask + 1, KeySlot{});
+  for (size_t i = 0; i < entries_.size();) {
+    const uint64_t key = entries_[i].key;
+    size_t pos = Home(key, slot_bits_);
+    while (slots_[pos].begin != kEmptySlot) {
+      pos = (pos + 1) & mask;
+    }
+    slots_[pos] = {key, static_cast<uint32_t>(i), 0};
+    for (; i < entries_.size() && entries_[i].key == key; ++i) {
+      ++slots_[pos].count;
+    }
+  }
 }
 
 void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
@@ -77,36 +107,44 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
   insert_keys_.Add(keys);
   WriterLock lock(mu_);
   base_refcounts_.try_emplace(sandbox, 0);
+  std::vector<PageLocation> locations = locations_;
+  std::vector<Entry> added;
+  added.reserve(keys);
   for (size_t page = 0; page < fingerprints.size(); ++page) {
+    if (fingerprints[page].chunks.empty()) {
+      continue;
+    }
+    const auto id = static_cast<uint32_t>(locations.size());
+    locations.push_back({node, sandbox, PageIndex{static_cast<uint32_t>(page)}});
     for (const SampledChunk& chunk : fingerprints[page].chunks) {
-      auto& locations = table_[chunk.key];
-      if (locations.size() < options_.max_locations_per_key) {
-        locations.push_back({node, sandbox, PageIndex{static_cast<uint32_t>(page)}});
-        keys_by_sandbox_[sandbox].push_back(chunk.key);
-      }
+      added.push_back({chunk.key, id});
     }
   }
+  // Each key's new locations in page and chunk order, after the ones it
+  // holds (a merge takes the first range's element on a tie); the rebuild
+  // keeps each run's first max_locations_per_key: the locations stored one
+  // at a time while the key had room.
+  const auto by_key = [](const Entry& a, const Entry& b) { return a.key < b.key; };
+  std::stable_sort(added.begin(), added.end(), by_key);
+  std::vector<Entry> merged;
+  merged.reserve(entries_.size() + added.size());
+  std::merge(entries_.begin(), entries_.end(), added.begin(), added.end(),
+             std::back_inserter(merged), by_key);
+  Rebuild(merged, locations);
 }
 
 void FingerprintRegistry::RemoveBaseSandbox(SandboxId sandbox) {
   removes_.Add();
   WriterLock lock(mu_);
   base_refcounts_.erase(sandbox);
-  auto owned = keys_by_sandbox_.find(sandbox);
-  if (owned == keys_by_sandbox_.end()) {
-    return;
+  // A lambda body is outside the lock as the thread-safety analysis sees
+  // it, so it reads the locations through a reference taken here.
+  const std::vector<PageLocation>& locations = locations_;
+  std::vector<Entry> entries = entries_;
+  const auto owned = [&](const Entry& e) { return locations[e.id].sandbox == sandbox; };
+  if (std::erase_if(entries, owned) > 0) {
+    Rebuild(entries, locations);
   }
-  for (uint64_t key : owned->second) {
-    auto it = table_.find(key);
-    if (it == table_.end()) {
-      continue;  // earlier duplicate of this key already emptied it
-    }
-    std::erase_if(it->second, [&](const PageLocation& loc) { return loc.sandbox == sandbox; });
-    if (it->second.empty()) {
-      table_.erase(it);
-    }
-  }
-  keys_by_sandbox_.erase(owned);
 }
 
 bool FingerprintRegistry::IsBaseSandbox(SandboxId sandbox) const {
@@ -114,10 +152,11 @@ bool FingerprintRegistry::IsBaseSandbox(SandboxId sandbox) const {
   return base_refcounts_.contains(sandbox);
 }
 
-uint64_t FingerprintRegistry::TallyBatch(std::span<const PageFingerprint> fingerprints,
-                                         NodeId local_node, SandboxId exclude_sandbox,
-                                         std::span<CandidateTally> tallies, SimDuration& cost,
-                                         const obs::MessageTrace& trace) {
+uint64_t FingerprintRegistry::LookUpBatch(std::span<const PageFingerprint> fingerprints,
+                                          NodeId local_node, SandboxId exclude_sandbox,
+                                          size_t max_results,
+                                          std::span<std::vector<BasePageCandidate>> results,
+                                          SimDuration& cost, const obs::MessageTrace& trace) {
   // Modelled cost: one round trip carrying the whole batch's keys (wire),
   // plus the controller's per-page lookup work (CPU). A dropped lookup
   // message degrades to an empty answer — every page in the batch is
@@ -150,21 +189,85 @@ uint64_t FingerprintRegistry::TallyBatch(std::span<const PageFingerprint> finger
     }
   }
   cost += work;
+  // Per-thread buffers, reused for every batch, so a lookup allocates
+  // nothing but its results. `tally` holds each page's candidates, page
+  // after page, page i's ending at page_end[i]. seen[id] says where location
+  // id sits in the current page's tally, or that it is excluded; it is
+  // valid only when its stamp is the page's, a number no earlier page of
+  // this thread had.
+  struct Seen {
+    uint64_t stamp = 0;
+    uint32_t at = 0;
+  };
+  constexpr uint32_t kExcluded = UINT32_MAX;
+  thread_local std::vector<Seen> seen;
+  thread_local uint64_t stamp = 0;
+  thread_local std::vector<BasePageCandidate> tally;
+  thread_local std::vector<size_t> page_end;
+  tally.clear();
+  page_end.clear();
   uint64_t hits = 0;
-  ReaderLock lock(mu_);
-  for (size_t i = 0; i < fingerprints.size(); ++i) {
-    for (const SampledChunk& chunk : fingerprints[i].chunks) {
-      auto it = table_.find(chunk.key);
-      if (it == table_.end()) {
-        continue;
-      }
-      ++hits;
-      for (const PageLocation& loc : it->second) {
-        if (loc.sandbox != exclude_sandbox) {
-          tallies[i].Add(loc);
+  {
+    ReaderLock lock(mu_);
+    if (seen.size() < locations_.size()) {
+      seen.resize(locations_.size());
+    }
+    const size_t mask = slots_.size() - 1;
+    for (const PageFingerprint& fp : fingerprints) {
+      ++stamp;
+      for (const SampledChunk& chunk : fp.chunks) {
+        size_t pos = Home(chunk.key, slot_bits_);
+        while (slots_[pos].begin != kEmptySlot && slots_[pos].key != chunk.key) {
+          pos = (pos + 1) & mask;
+        }
+        const KeySlot& slot = slots_[pos];
+        if (slot.begin == kEmptySlot) {
+          continue;
+        }
+        ++hits;
+        for (const Entry& entry :
+             std::span<const Entry>(entries_).subspan(slot.begin, slot.count)) {
+          Seen& location = seen[entry.id];
+          if (location.stamp != stamp) {
+            location.stamp = stamp;
+            location.at = kExcluded;
+            if (locations_[entry.id].sandbox != exclude_sandbox) {
+              location.at = static_cast<uint32_t>(tally.size());
+              tally.push_back({locations_[entry.id], 0});
+            }
+          }
+          if (location.at != kExcluded) {
+            ++tally[location.at].overlap;
+          }
         }
       }
+      page_end.push_back(tally.size());
     }
+  }
+  // Ranked outside the lock, where the results are allocated. The order is
+  // total over distinct locations (max overlap, then local node, then
+  // lowest sandbox and page), so the top k are the same however the tally
+  // was ordered.
+  const auto ranks_before = [local_node](const BasePageCandidate& a,
+                                         const BasePageCandidate& b) {
+    if (a.overlap != b.overlap) {
+      return a.overlap > b.overlap;
+    }
+    const bool a_local = a.location.node == local_node;
+    const bool b_local = b.location.node == local_node;
+    if (a_local != b_local) {
+      return a_local;
+    }
+    if (a.location.sandbox != b.location.sandbox) {
+      return a.location.sandbox < b.location.sandbox;
+    }
+    return a.location.page_index < b.location.page_index;
+  };
+  for (size_t i = 0, begin = 0; i < fingerprints.size(); begin = page_end[i++]) {
+    const auto first = tally.begin() + static_cast<ptrdiff_t>(begin);
+    const auto last = tally.begin() + static_cast<ptrdiff_t>(page_end[i]);
+    results[i].resize(std::min(max_results, page_end[i] - begin));
+    std::partial_sort_copy(first, last, results[i].begin(), results[i].end(), ranks_before);
   }
   return hits;
 }
@@ -172,21 +275,16 @@ uint64_t FingerprintRegistry::TallyBatch(std::span<const PageFingerprint> finger
 std::vector<std::vector<BasePageCandidate>> FingerprintRegistry::FindBasePagesBatch(
     std::span<const PageFingerprint> fingerprints, NodeId local_node, SandboxId exclude_sandbox,
     size_t max_results, SimDuration* lookup_cost, const obs::MessageTrace& trace) {
-  std::vector<CandidateTally> tallies(fingerprints.size());
+  std::vector<std::vector<BasePageCandidate>> results(fingerprints.size());
   SimDuration cost;
-  const uint64_t hits =
-      TallyBatch(fingerprints, local_node, exclude_sandbox, tallies, cost, trace);
+  const uint64_t hits = LookUpBatch(fingerprints, local_node, exclude_sandbox, max_results,
+                                    results, cost, trace);
   lookups_.Add(fingerprints.size());
   key_hits_.fetch_add(hits, std::memory_order_relaxed);
   lookup_batches_.Add();
   batch_cost_us_.Record(cost.value());
   if (lookup_cost != nullptr) {
     *lookup_cost += cost;
-  }
-  std::vector<std::vector<BasePageCandidate>> results;
-  results.reserve(fingerprints.size());
-  for (CandidateTally& tally : tallies) {
-    results.push_back(RankCandidates(std::move(tally), local_node, max_results));
   }
   return results;
 }
@@ -232,10 +330,8 @@ RegistryStats FingerprintRegistry::stats() const {
   RegistryStats s;
   {
     ReaderLock lock(mu_);
-    s.num_keys = table_.size();
-    for (const auto& [key, locations] : table_) {
-      s.num_entries += locations.size();
-    }
+    s.num_keys = num_keys_;
+    s.num_entries = entries_.size();
     s.num_base_sandboxes = base_refcounts_.size();
   }
   s.lookups = lookups_.Value();

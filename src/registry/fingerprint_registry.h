@@ -10,14 +10,22 @@
 // the controller (paper Section 4); bound to the cluster transport, its
 // lookups and inserts are charged as messages to the controller's node.
 //
-// Concurrency: one table, one per-sandbox reverse index and one refcount map,
-// all behind a single reader/writer lock. The only concurrent access is the
-// parallel dedup pipeline's read-only lookup stage (paper Section 7.7: the
-// lookups "can be parallelized given they are independent"), and readers
-// share the lock; every write (insert, removal, Ref/Unref) runs on the
-// platform's single event loop. The reverse index records which keys a base
-// sandbox owns entries under, making RemoveBaseSandbox O(keys owned) instead
-// of a full-table scan.
+// Layout: a power-of-two open-addressed key table over one flat array of
+// entries sorted by key. Each key's slot names its run of entries, in
+// insertion order; an entry holds a location id, an index into one array of
+// the distinct locations, so a lookup counts a page's matches by id. The
+// table is read far more than written (a 5-node Medes P2 cluster holds
+// about 3k keys and 4.2k entries over 854 locations, 89% of keys with one
+// location, against about 115k page lookups per ten base inserts), so an
+// insert or removal rebuilds the arrays and a lookup is one probe plus a
+// contiguous read per sampled chunk.
+//
+// Concurrency: the table and one refcount map sit behind a single
+// reader/writer lock. The only concurrent access is the parallel dedup
+// pipeline's read-only lookup stage (paper Section 7.7: the lookups "can be
+// parallelized given they are independent"), and readers share the lock;
+// every write (insert, removal, Ref/Unref) runs on the platform's single
+// event loop.
 #ifndef MEDES_REGISTRY_FINGERPRINT_REGISTRY_H_
 #define MEDES_REGISTRY_FINGERPRINT_REGISTRY_H_
 
@@ -73,33 +81,18 @@ struct RegistryStats {
   size_t num_base_sandboxes = 0;
   uint64_t lookups = 0;
   uint64_t key_hits = 0;
-  // Approximate bytes of controller memory held by the table.
+  // Modelled controller memory: a hash-map registry's layout (40 bytes of
+  // node and bucket per key plus one PageLocation per entry). It is not the
+  // heap of this process's table (see DESIGN.md).
   size_t ApproxMemoryBytes() const {
     return num_keys * 24 + num_entries * sizeof(PageLocation) + num_keys * 16;
-  }
-};
-
-// One page's (location -> matched-chunk count) tally: a flat vector with a
-// linear find. A page has a handful of sampled chunks and each chunk key
-// holds at most `max_locations_per_key` locations, so the vector stays small
-// and a scan beats hashing.
-struct CandidateTally {
-  std::vector<BasePageCandidate> entries;
-
-  void Add(const PageLocation& location) {
-    for (BasePageCandidate& entry : entries) {
-      if (entry.location == location) {
-        ++entry.overlap;
-        return;
-      }
-    }
-    entries.push_back({location, 1});
   }
 };
 
 struct RegistryOptions {
   // Cap on locations tracked per chunk key — popular chunks (e.g. common
   // interpreter structures) would otherwise accumulate unbounded lists.
+  // Must be at least 1.
   size_t max_locations_per_key = 8;
   // Controller-side lookup cost per page (paper Section 7.7 reports ~80 us
   // per page in their single-threaded implementation). Charged by the
@@ -109,6 +102,7 @@ struct RegistryOptions {
 
 class FingerprintRegistry {
  public:
+  // Throws std::invalid_argument when options.max_locations_per_key is 0.
   explicit FingerprintRegistry(RegistryOptions options = {});
 
   // Deep copy of the table state: a fresh lock, no transport binding, and
@@ -119,13 +113,14 @@ class FingerprintRegistry {
   FingerprintRegistry& operator=(const FingerprintRegistry&) = delete;
 
   // Registers all pages of a base sandbox. `fingerprints[i]` describes page
-  // i. `trace`, when sampled, parents the insert's wire-message span.
+  // i. A sandbox is inserted at most once between removals (the platform
+  // designates a base once). `trace`, when sampled, parents the insert's
+  // wire-message span.
   void InsertBaseSandbox(NodeId node, SandboxId sandbox,
                          const std::vector<PageFingerprint>& fingerprints,
                          const obs::MessageTrace& trace = {});
 
-  // Removes every entry belonging to `sandbox` via the reverse index:
-  // O(keys the sandbox owns), not O(table size).
+  // Removes every entry belonging to `sandbox` (a rebuild of the table).
   void RemoveBaseSandbox(SandboxId sandbox);
 
   [[nodiscard]] bool IsBaseSandbox(SandboxId sandbox) const;
@@ -165,23 +160,52 @@ class FingerprintRegistry {
   size_t NumBaseSandboxes() const;
 
  private:
+  // A location, by id, under its chunk key.
+  struct Entry {
+    uint64_t key;
+    uint32_t id;
+  };
+  // One chunk key's run of entries_: [begin, begin + count). A slot with
+  // begin == kEmptySlot holds no key.
+  struct KeySlot {
+    uint64_t key = 0;
+    uint32_t begin = kEmptySlot;
+    uint32_t count = 0;
+  };
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
   // FindBasePagesBatch's serving half: one kRegistryLookup message for the
   // batch (when a transport is bound) plus `lookup_per_page` per page added
-  // into `cost`; then, under one reader lock, probes the batch's chunk keys
-  // in fingerprint order and adds fingerprint i's matches into `tallies[i]`.
-  // Returns the number of keys found. A dropped lookup message leaves every
-  // tally empty: missing a candidate is always safe.
-  uint64_t TallyBatch(std::span<const PageFingerprint> fingerprints, NodeId local_node,
-                      SandboxId exclude_sandbox, std::span<CandidateTally> tallies,
-                      SimDuration& cost, const obs::MessageTrace& trace);
+  // into `cost`; then tallies each fingerprint's matches under one reader
+  // lock and, once it is released, ranks them into `results[i]`. Returns
+  // the number of keys found. A dropped lookup message leaves every result
+  // empty: missing a candidate is always safe.
+  uint64_t LookUpBatch(std::span<const PageFingerprint> fingerprints, NodeId local_node,
+                       SandboxId exclude_sandbox, size_t max_results,
+                       std::span<std::vector<BasePageCandidate>> results, SimDuration& cost,
+                       const obs::MessageTrace& trace);
+
+  // The slot a key's probe starts at in a table of 2^slot_bits slots: the
+  // top slot_bits bits of a multiplicative hash, so small or clustered keys
+  // spread too.
+  static size_t Home(uint64_t key, unsigned slot_bits);
+  // Replaces the table with `entries`, sorted by key, whose ids index
+  // `locations`, keeping the first max_locations_per_key entries of each
+  // key.
+  void Rebuild(std::span<const Entry> entries, std::span<const PageLocation> locations)
+      REQUIRES(mu_);
 
   RegistryOptions options_;
 
   mutable SharedMutex mu_;
-  std::unordered_map<uint64_t, std::vector<PageLocation>> table_ GUARDED_BY(mu_);
-  // Reverse index: keys under which each base sandbox holds locations (a key
-  // appears once per location inserted).
-  std::unordered_map<SandboxId, std::vector<uint64_t>> keys_by_sandbox_ GUARDED_BY(mu_);
+  // The key table: 2^slot_bits_ slots, at most half full, linear probing.
+  std::vector<KeySlot> slots_ GUARDED_BY(mu_);
+  unsigned slot_bits_ GUARDED_BY(mu_) = 0;
+  // Every key's location ids, sorted by key, each key's run in insertion
+  // order; locations_[id] is the location behind an id.
+  std::vector<Entry> entries_ GUARDED_BY(mu_);
+  std::vector<PageLocation> locations_ GUARDED_BY(mu_);
+  size_t num_keys_ GUARDED_BY(mu_) = 0;
   // Membership and refcounts of the registered base sandboxes.
   std::unordered_map<SandboxId, int> base_refcounts_ GUARDED_BY(mu_);
 

@@ -79,35 +79,64 @@ TEST_F(CheckpointTest, RestoreUnpatchedRejected) {
   EXPECT_THROW(cp.RestorePage(0, std::vector<uint8_t>(kPageSize, 0)), std::logic_error);
 }
 
+// A page is zero only if every byte is: one nonzero byte at either end
+// keeps it resident.
+TEST_F(CheckpointTest, OneNonzeroByteKeepsAPageResident) {
+  std::vector<uint8_t> bytes(4 * kPageSize, 0);
+  bytes[1 * kPageSize] = 1;                  // page 1: first byte only
+  bytes[3 * kPageSize - 1] = 0x80;           // page 2: last byte only
+  bytes[3 * kPageSize + kPageSize / 2] = 1;  // page 3: a middle byte
+  const MemoryImage image(bytes, {}, 1.0);
+  for (bool keep_payloads : {true, false}) {
+    const MemoryCheckpoint cp = MemoryCheckpoint::Capture(image, keep_payloads);
+    EXPECT_EQ(cp.SlotState(0), PageSlotState::kZero);
+    for (size_t page = 1; page < 4; ++page) {
+      EXPECT_EQ(cp.SlotState(page), PageSlotState::kResident) << "page " << page;
+    }
+    EXPECT_EQ(cp.ResidentBytes(), 3 * kPageSize);
+  }
+}
+
+// A capture without payloads records every slot's state and size, holds no
+// page bytes, and keeps counting through patch and restore edits.
 TEST_F(CheckpointTest, DropPayloadsKeepsSizes) {
-  MemoryCheckpoint cp = MemoryCheckpoint::Capture(image_);
+  const MemoryCheckpoint kept = MemoryCheckpoint::Capture(image_);
+  MemoryCheckpoint cp = MemoryCheckpoint::Capture(image_, /*keep_payloads=*/false);
+  EXPECT_FALSE(kept.payloads_dropped());
+  EXPECT_TRUE(cp.payloads_dropped());
+  ASSERT_EQ(cp.NumPages(), kept.NumPages());
+  for (size_t p = 0; p < cp.NumPages(); ++p) {
+    ASSERT_EQ(cp.SlotState(p), kept.SlotState(p)) << "page " << p;
+  }
+  EXPECT_EQ(cp.ResidentBytes(), kept.ResidentBytes());
   size_t page = 0;
   while (cp.SlotState(page) != PageSlotState::kResident) {
     ++page;
   }
+  EXPECT_THROW(static_cast<void>(cp.PageData(page)), std::logic_error);
   cp.ReplaceWithPatch(page, std::vector<uint8_t>(321, 1));
-  const size_t resident = cp.ResidentBytes();
-  cp.DropPayloads();
-  EXPECT_TRUE(cp.payloads_dropped());
-  EXPECT_EQ(cp.ResidentBytes(), resident);
+  EXPECT_EQ(cp.ResidentBytes(), kept.ResidentBytes() - kPageSize);
   EXPECT_EQ(cp.PatchBytes(), 321u);
+  EXPECT_TRUE(cp.PatchData(page).empty());
   EXPECT_THROW(cp.ToBytes(), std::logic_error);
   // Size-only restore still flips the slot state.
   cp.RestorePage(page, std::vector<uint8_t>(kPageSize, 0));
   EXPECT_TRUE(cp.FullyResident());
+  EXPECT_EQ(cp.ResidentBytes(), kept.ResidentBytes());
 }
 
 // The payload-free edits record what ReplaceWithPatch and RestorePage would
-// on a dropped checkpoint, and refuse one that still holds bytes.
+// on a checkpoint captured without payloads, and refuse one that holds
+// bytes.
 TEST_F(CheckpointTest, SizeOnlyEditsNeedDroppedPayloads) {
-  MemoryCheckpoint cp = MemoryCheckpoint::Capture(image_);
+  MemoryCheckpoint kept = MemoryCheckpoint::Capture(image_);
   size_t page = 0;
-  while (cp.SlotState(page) != PageSlotState::kResident) {
+  while (kept.SlotState(page) != PageSlotState::kResident) {
     ++page;
   }
-  EXPECT_THROW(cp.MarkPatched(page, 321), std::logic_error);
+  EXPECT_THROW(kept.MarkPatched(page, 321), std::logic_error);
+  MemoryCheckpoint cp = MemoryCheckpoint::Capture(image_, /*keep_payloads=*/false);
   const size_t resident = cp.ResidentBytes();
-  cp.DropPayloads();
   EXPECT_THROW(cp.MarkRestored(page), std::logic_error);  // not patched
   cp.MarkPatched(page, 321);
   EXPECT_EQ(cp.SlotState(page), PageSlotState::kPatched);

@@ -335,6 +335,46 @@ TEST(DeltaFuzzTest, SeedTableCacheEvictionStaysExact) {
   EXPECT_EQ(DeltaDecode(bases.front(), got), target);
 }
 
+// Bases that differ from one original in a single byte: the cache key
+// samples a few words of a base, so most of them share the original's key
+// and only the full compare tells their tables apart. Each variant is
+// encoded beside the original through one scratch, and every encode must
+// equal the one made without a scratch. Then the first variants again, from
+// new buffers, long after the cache evicted their tables.
+TEST(DeltaFuzzTest, SeedTableCacheTellsApartBasesWithOneKey) {
+  DeltaScratch scratch;
+  std::vector<uint8_t> got;
+  const std::vector<std::vector<uint8_t>> originals = {
+      RandomBytes(4096, 96), LowEntropy(4096, 97), RandomBytes(1000, 98), RandomBytes(100, 99)};
+  for (size_t o = 0; o < originals.size(); ++o) {
+    const std::vector<uint8_t>& original = originals[o];
+    const auto target = MutatedCopy(original, 200 + o);
+    auto variant = [&](size_t at) {
+      std::vector<uint8_t> base = original;
+      base[at] ^= 0x01;
+      return base;
+    };
+    for (size_t at = 0; at < original.size(); at += 7) {
+      const std::vector<uint8_t> base = variant(at);
+      for (const std::vector<uint8_t>* b : {&base, &original}) {
+        DeltaEncodeInto(*b, target, {}, got, &scratch);
+        ASSERT_EQ(got, DeltaEncode(*b, target)) << "original " << o << " byte " << at;
+      }
+    }
+    for (size_t at = 0; at < 70 && at < original.size(); at += 7) {
+      const std::vector<uint8_t> base = variant(at);
+      DeltaEncodeInto(base, target, {}, got, &scratch);
+      ASSERT_EQ(got, DeltaEncode(base, target)) << "original " << o << " byte " << at;
+    }
+  }
+  ASSERT_LT(scratch.CachedTables(), 4096 / 7) << "no table was evicted";
+  // The first original, long evicted, from a new buffer.
+  const std::vector<uint8_t> again = originals.front();
+  const auto target = MutatedCopy(again, 300);
+  DeltaEncodeInto(again, target, {}, got, &scratch);
+  EXPECT_EQ(got, DeltaEncode(again, target));
+}
+
 // The cache is bounded by bytes, not by table count: at level 9 a 4 KiB
 // base's table is about 60 times a level-1 table, so far fewer fit. At level
 // 1 over 4 KiB bases the budget holds exactly kCapacity tables. A table

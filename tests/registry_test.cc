@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -99,6 +102,7 @@ TEST(RegistryTest, PerKeyLocationCap) {
   RegistryStats stats = registry.stats();
   EXPECT_EQ(stats.num_keys, 1u);
   EXPECT_EQ(stats.num_entries, 2u);
+  EXPECT_THROW(FingerprintRegistry({.max_locations_per_key = 0}), std::invalid_argument);
 }
 
 TEST(RegistryTest, RefcountLifecycle) {
@@ -153,9 +157,9 @@ TEST(RegistryTest, EmptyFingerprintPagesNotInserted) {
   EXPECT_EQ(stats.num_entries, 1u);
 }
 
-// Reference model of the registry's lookup: per-key location lists capped at
-// insert time, a std::map tally, and a full std::sort under the ranking
-// order, truncated to k.
+// Reference model of the registry: per-key location lists capped at insert
+// time (a removal frees room that later inserts fill in order), a std::map
+// tally, and a full std::sort under the ranking order, truncated to k.
 class ReferenceRegistry {
  public:
   explicit ReferenceRegistry(size_t cap) : cap_(cap) {}
@@ -165,11 +169,20 @@ class ReferenceRegistry {
       for (const SampledChunk& chunk : fps[page].chunks) {
         auto& locations = table_[chunk.key];
         if (locations.size() < cap_) {
+          refilled_ += full_keys_.contains(chunk.key) ? 1 : 0;
           locations.push_back({node, sandbox, PageIndex{static_cast<uint32_t>(page)}});
         } else {
           ++capped_;
+          full_keys_.insert(chunk.key);
         }
       }
+    }
+  }
+
+  void Remove(SandboxId sandbox) {
+    for (auto it = table_.begin(); it != table_.end();) {
+      std::erase_if(it->second, [&](const PageLocation& loc) { return loc.sandbox == sandbox; });
+      it = it->second.empty() ? table_.erase(it) : std::next(it);
     }
   }
 
@@ -213,19 +226,35 @@ class ReferenceRegistry {
     return ranked;
   }
 
+  size_t NumKeys() const { return table_.size(); }
+  size_t NumEntries() const {
+    size_t n = 0;
+    for (const auto& [key, locations] : table_) {
+      n += locations.size();
+    }
+    return n;
+  }
+  bool Holds(uint64_t key) const { return table_.contains(key); }
   size_t capped() const { return capped_; }
+  // Locations stored under a key that had been full before: room a removal
+  // freed, taken by a later insert.
+  size_t refilled() const { return refilled_; }
 
  private:
   size_t cap_;
   std::map<uint64_t, std::vector<PageLocation>> table_;
+  std::set<uint64_t> full_keys_;
   size_t capped_ = 0;
+  size_t refilled_ = 0;
 };
 
 TEST(RegistryTest, RankingMatchesReferenceModel) {
   constexpr size_t kCap = 6;
-  // 12 base sandboxes over 4 nodes, 6 pages of 5 keys each, drawn from 64
-  // keys: plenty of overlap ties, and popular keys reach the location cap.
-  // Page 0 of every sandbox holds its first key twice.
+  // 16 base sandboxes over 4 nodes, 6 pages of 5 keys each, drawn from 64
+  // keys (6-bit keys, so the table's keys collide often and key 0 is one of
+  // them): plenty of overlap ties, and popular keys reach the location cap.
+  // Page 0 of every sandbox holds its first key twice, and page 1 holds
+  // key 0.
   Rng rng(17);
   auto random_fp = [&rng] {
     PageFingerprint fp;
@@ -235,12 +264,13 @@ TEST(RegistryTest, RankingMatchesReferenceModel) {
     return fp;
   };
   std::vector<std::tuple<NodeId, SandboxId, std::vector<PageFingerprint>>> bases;
-  for (uint64_t s = 0; s < 12; ++s) {
+  for (uint64_t s = 0; s < 16; ++s) {
     std::vector<PageFingerprint> fps;
     for (int p = 0; p < 6; ++p) {
       fps.push_back(random_fp());
     }
     fps[0].chunks[1].key = fps[0].chunks[0].key;
+    fps[1].chunks[2].key = 0;
     bases.emplace_back(NodeId{static_cast<int32_t>(s % 4)}, SandboxId{100 + s}, fps);
   }
   // Queries: fresh random pages, stored pages, and pages repeating a key.
@@ -250,6 +280,7 @@ TEST(RegistryTest, RankingMatchesReferenceModel) {
   }
   for (const auto& [node, sandbox, fps] : bases) {
     queries.push_back(fps[0]);
+    queries.push_back(fps[1]);
     queries.push_back(fps[3]);
   }
   for (int q = 0; q < 10; ++q) {
@@ -259,41 +290,95 @@ TEST(RegistryTest, RankingMatchesReferenceModel) {
   }
 
   ReferenceRegistry reference(kCap);
-  for (const auto& [node, sandbox, fps] : bases) {
-    reference.Insert(node, sandbox, fps);
-  }
-  ASSERT_GT(reference.capped(), 0u) << "no key reached the location cap";
-
   FingerprintRegistry registry(RegistryOptions{.max_locations_per_key = kCap});
-  for (const auto& [node, sandbox, fps] : bases) {
-    registry.InsertBaseSandbox(node, sandbox, fps);
-  }
   size_t local_tie_breaks = 0;
-  for (size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{64}}) {
-    for (SandboxId exclude : {kNoSandbox, SandboxId{100}, SandboxId{105}}) {
-      for (int local = 0; local < 4; ++local) {
-        const auto got = registry.FindBasePagesBatch(queries, NodeId{local}, exclude, k);
-        ASSERT_EQ(got.size(), queries.size());
-        for (size_t q = 0; q < queries.size(); ++q) {
-          const auto want = reference.Find(queries[q], NodeId{local}, exclude, k);
-          const auto full = reference.Find(queries[q], NodeId{local}, exclude, 64);
-          if (full.size() >= 2 && full[0].overlap == full[1].overlap &&
-              (full[0].location.node == NodeId{local}) !=
-                  (full[1].location.node == NodeId{local})) {
-            ++local_tie_breaks;
-          }
-          ASSERT_EQ(got[q].size(), want.size())
-              << "k=" << k << " exclude=" << exclude << " local=" << local << " query " << q;
-          for (size_t r = 0; r < want.size(); ++r) {
-            EXPECT_EQ(got[q][r].location, want[r].location)
-                << "k=" << k << " query " << q << " rank " << r;
-            EXPECT_EQ(got[q][r].overlap, want[r].overlap)
-                << "k=" << k << " query " << q << " rank " << r;
+  // Every lookup the registry (or a copy of it) answers equals the
+  // reference's, and so do the table's size counters.
+  auto expect_matches = [&](FingerprintRegistry& got_registry, const ReferenceRegistry& want_registry,
+                            const char* phase) {
+    SCOPED_TRACE(phase);
+    const RegistryStats stats = got_registry.stats();
+    EXPECT_EQ(stats.num_keys, want_registry.NumKeys());
+    EXPECT_EQ(stats.num_entries, want_registry.NumEntries());
+    for (size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{64}}) {
+      for (SandboxId exclude : {kNoSandbox, SandboxId{100}, SandboxId{105}}) {
+        for (int local = 0; local < 4; ++local) {
+          const auto got = got_registry.FindBasePagesBatch(queries, NodeId{local}, exclude, k);
+          ASSERT_EQ(got.size(), queries.size());
+          for (size_t q = 0; q < queries.size(); ++q) {
+            const auto want = want_registry.Find(queries[q], NodeId{local}, exclude, k);
+            const auto full = want_registry.Find(queries[q], NodeId{local}, exclude, 64);
+            if (full.size() >= 2 && full[0].overlap == full[1].overlap &&
+                (full[0].location.node == NodeId{local}) !=
+                    (full[1].location.node == NodeId{local})) {
+              ++local_tie_breaks;
+            }
+            ASSERT_EQ(got[q].size(), want.size())
+                << "k=" << k << " exclude=" << exclude << " local=" << local << " query " << q;
+            for (size_t r = 0; r < want.size(); ++r) {
+              EXPECT_EQ(got[q][r].location, want[r].location)
+                  << "k=" << k << " query " << q << " rank " << r;
+              EXPECT_EQ(got[q][r].overlap, want[r].overlap)
+                  << "k=" << k << " query " << q << " rank " << r;
+            }
           }
         }
       }
     }
+  };
+  auto insert = [&](size_t b) {
+    const auto& [node, sandbox, fps] = bases[b];
+    reference.Insert(node, sandbox, fps);
+    registry.InsertBaseSandbox(node, sandbox, fps);
+  };
+  auto remove = [&](uint64_t sandbox) {
+    reference.Remove(SandboxId{sandbox});
+    registry.RemoveBaseSandbox(SandboxId{sandbox});
+  };
+
+  for (size_t b = 0; b < 12; ++b) {
+    insert(b);
   }
+  ASSERT_GT(reference.capped(), 0u) << "no key reached the location cap";
+  ASSERT_TRUE(reference.Holds(0)) << "key 0 is not in the table";
+  expect_matches(registry, reference, "inserted");
+
+  // Removals interleaved with inserts: freed room under capped keys is
+  // taken by the later inserts in their order, and a removed sandbox comes
+  // back at the end of its keys' lists.
+  remove(101);
+  remove(105);
+  insert(12);
+  expect_matches(registry, reference, "two removed, one inserted");
+  insert(5);
+  remove(100);
+  insert(13);
+  insert(0);
+  remove(110);
+  insert(14);
+  insert(15);
+  ASSERT_GT(reference.refilled(), 0u) << "no removal freed room under a capped key";
+  expect_matches(registry, reference, "removals and re-inserts");
+
+  // A copy answers like the original, and the two stay independent.
+  FingerprintRegistry copy(registry);
+  const ReferenceRegistry copied_reference = reference;
+  expect_matches(copy, copied_reference, "copy");
+  remove(103);
+  expect_matches(registry, reference, "original after a removal");
+  registry.InsertBaseSandbox(std::get<0>(bases[3]), SandboxId{103}, std::get<2>(bases[3]));
+  reference.Insert(std::get<0>(bases[3]), SandboxId{103}, std::get<2>(bases[3]));
+  remove(104);
+  remove(106);
+  expect_matches(registry, reference, "original after more edits");
+  expect_matches(copy, copied_reference, "copy after the original's edits");
+
+  // Removing every sandbox empties the table.
+  for (uint64_t s = 100; s < 116; ++s) {
+    remove(s);
+  }
+  ASSERT_EQ(reference.NumKeys(), 0u);
+  expect_matches(registry, reference, "all removed");
   EXPECT_GT(local_tie_breaks, 0u) << "no top-rank tie was decided by the local node";
 }
 
