@@ -1,9 +1,10 @@
 // Per-kernel microbenchmark: MB/s of each named variant of each hot-path
 // kernel this CPU can run, reference first — 64-byte chunk hashing (single
-// and batched), sample selection over a page, match extension, the delta
-// encoder's prefilter scan — and of the shipped entry points for delta
-// encode (seed-table cache cold and warm), a registry lookup batch (MB/s of
-// the probed pages) and whole-page fingerprinting.
+// and batched), sample selection over a random page and over real image
+// pages, match extension, the delta encoder's prefilter scan — and of the
+// shipped entry points for delta encode (seed-table cache cold and warm), a
+// registry lookup batch (MB/s of the probed pages), ten base inserts into a
+// registry (MB/s of the inserted pages) and whole-page fingerprinting.
 // Emits JSON with a speedup-vs-reference column so CI can hold each variant
 // to the rate of its simpler sibling.
 //
@@ -30,6 +31,7 @@ namespace {
 constexpr size_t kPage = 4096;
 constexpr size_t kChunk = 64;
 constexpr size_t kChunksPerBatch = 8;  // most sampled chunks per page measured
+constexpr size_t kImageBytesPerMb = 8192;  // every platform run's image scale
 
 double BudgetMs() {
   const char* env = std::getenv("MEDES_BENCH_KERNEL_MS");
@@ -135,6 +137,25 @@ int main() {
     chunk_ptrs[i] = page.data() + i * (kPage / kChunksPerBatch);
   }
 
+  // One image per FunctionBench profile at the platform's scale, and the
+  // pages a base designation fingerprints and inserts: the non-zero ones.
+  const LibraryPool pool(0x11b9, kImageBytesPerMb);
+  std::vector<MemoryImage> images;
+  std::vector<const uint8_t*> image_pages;
+  std::vector<std::vector<PageFingerprint>> image_fps;
+  const PageFingerprinter fingerprinter({});
+  for (const FunctionProfile& profile : FunctionBenchProfiles()) {
+    const MemoryImage& image = images.emplace_back(BuildSandboxImage(profile, pool));
+    std::vector<PageFingerprint>& fps = image_fps.emplace_back(image.NumPages());
+    for (size_t p = 0; p < image.NumPages(); ++p) {
+      const std::span<const uint8_t> bytes = image.Page(p);
+      if (std::any_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b != 0; })) {
+        image_pages.push_back(bytes.data());
+        fps[p] = fingerprinter.FingerprintPage(bytes);
+      }
+    }
+  }
+
   std::vector<KernelResult> results;
 
   // 1. Single 64-byte chunk digest (the Sha1::HashChunk64 fast path).
@@ -200,6 +221,23 @@ int main() {
     k.Variant("portable", select(kernels::SelectWindowsPortable));
     if (cpu.avx2) {
       k.Variant("avx2", select(kernels::SelectWindowsAvx2));
+    }
+    // The same over every non-zero page of the images: what a base
+    // designation scans. Real pages select more windows than random ones.
+    const auto select_all = [&](auto select_fn) {
+      return [&, select_fn](size_t iters) {
+        for (size_t i = 0; i < iters; ++i) {
+          for (const uint8_t* image_page : image_pages) {
+            g_sink = g_sink + select_fn(rule, image_page, kPage, hits.data());
+          }
+        }
+      };
+    };
+    KernelResult& img = results.emplace_back("select_windows_image_pages",
+                                             kPage * image_pages.size());
+    img.Variant("portable", select_all(kernels::SelectWindowsPortable));
+    if (cpu.avx2) {
+      img.Variant("avx2", select_all(kernels::SelectWindowsAvx2));
     }
   }
 
@@ -340,7 +378,24 @@ int main() {
         });
   }
 
-  // 8. Whole-page fingerprint through the public API (ties 1-3 together).
+  // 8. Ten base designations' registry inserts, one after another into a
+  //    fresh registry: the non-zero pages of each image above, zero pages
+  //    left empty, as DedupAgent::DesignateBase inserts them. MB/s of the
+  //    inserted pages.
+  {
+    results.emplace_back("registry_insert_bases", kPage * image_pages.size())
+        .Variant("shipped", [&](size_t iters) {
+          for (size_t i = 0; i < iters; ++i) {
+            FingerprintRegistry registry;
+            for (size_t b = 0; b < image_fps.size(); ++b) {
+              registry.InsertBaseSandbox(NodeId{0}, SandboxId{1 + b}, image_fps[b]);
+            }
+            g_sink = g_sink + registry.stats().num_entries;
+          }
+        });
+  }
+
+  // 9. Whole-page fingerprint through the public API (ties 1-3 together).
   {
     PageFingerprinter fp({});
     results.emplace_back("fingerprint_page", kPage)

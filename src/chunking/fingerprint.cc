@@ -107,42 +107,44 @@ PageFingerprint PageFingerprinter::FingerprintPage(std::span<const uint8_t> page
     }
   }
 
-  // Stage 2: digest every sampled chunk. 64-byte chunks — the Medes RSC
-  // size — go through the multi-buffer kernel in one batched call.
-  thread_local std::vector<Sha1Digest> digest_scratch;
-  digest_scratch.resize(offsets.size());
+  // Stage 2: key every sampled chunk. 64-byte chunks — the Medes RSC
+  // size — go through the batched kernel in one call.
+  thread_local std::vector<uint64_t> key_scratch;
+  std::vector<uint64_t>& keys = key_scratch;
+  keys.resize(offsets.size());
   if (w == 64) {
     thread_local std::vector<const uint8_t*> ptr_scratch;
     ptr_scratch.resize(offsets.size());
     for (size_t i = 0; i < offsets.size(); ++i) {
       ptr_scratch[i] = page.data() + offsets[i];
     }
-    Sha1::HashChunk64Batch(ptr_scratch.data(), ptr_scratch.size(), digest_scratch.data());
+    Sha1::Chunk64Prefix64Batch(ptr_scratch.data(), ptr_scratch.size(), keys.data());
   } else {
     for (size_t i = 0; i < offsets.size(); ++i) {
-      digest_scratch[i] = Sha1::Hash(page.subspan(offsets[i], w));
+      keys[i] = Sha1::Hash(page.subspan(offsets[i], w)).Prefix64();
     }
   }
 
-  // Keep the K smallest keys (deduplicated) — deterministic and unordered.
-  std::vector<SampledChunk> candidates;
-  candidates.reserve(offsets.size());
+  // Stage 3: keep the K smallest distinct keys, each at the smallest offset
+  // it was sampled at — deterministic and unordered. fp.chunks stays sorted
+  // by key, so each candidate is one short scan of at most K entries.
+  std::vector<SampledChunk>& kept = fp.chunks;
+  kept.reserve(std::min(options_.cardinality, offsets.size()));
   for (size_t i = 0; i < offsets.size(); ++i) {
-    candidates.push_back({TruncateKey(digest_scratch[i].Prefix64()), offsets[i]});
+    const SampledChunk c{TruncateKey(keys[i]), offsets[i]};
+    auto at = kept.begin();
+    while (at != kept.end() && at->key < c.key) {
+      ++at;
+    }
+    if (at != kept.end() && at->key == c.key) {
+      at->offset = std::min(at->offset, c.offset);
+    } else if (kept.size() < options_.cardinality) {
+      kept.insert(at, c);
+    } else if (at != kept.end()) {
+      std::move_backward(at, kept.end() - 1, kept.end());  // drops the largest
+      *at = c;
+    }
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const SampledChunk& a, const SampledChunk& b) {
-              return a.key < b.key || (a.key == b.key && a.offset < b.offset);
-            });
-  candidates.erase(std::unique(candidates.begin(), candidates.end(),
-                               [](const SampledChunk& a, const SampledChunk& b) {
-                                 return a.key == b.key;
-                               }),
-                   candidates.end());
-  if (candidates.size() > options_.cardinality) {
-    candidates.resize(options_.cardinality);
-  }
-  fp.chunks = std::move(candidates);
   return fp;
 }
 

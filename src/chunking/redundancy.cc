@@ -9,6 +9,36 @@
 #include "common/sha1.h"
 
 namespace medes {
+namespace {
+
+// Calls fn(i, key) for i = 0, 1, ... over the k-byte chunks of `data` at
+// offsets 0, 2k, 4k, ..., key = the chunk's Sha1 Prefix64. Chunks are keyed
+// in strips on the stack, 64-byte ones through the batched kernel.
+template <typename Fn>
+void ForEachSampledChunkKey(std::span<const uint8_t> data, size_t k, Fn&& fn) {
+  const size_t n = data.size() < k ? 0 : (data.size() - k) / (2 * k) + 1;
+  constexpr size_t kStrip = 64;
+  const uint8_t* chunks[kStrip];
+  uint64_t keys[kStrip];
+  for (size_t done = 0; done < n; done += kStrip) {
+    const size_t take = std::min(kStrip, n - done);
+    for (size_t i = 0; i < take; ++i) {
+      chunks[i] = data.data() + (done + i) * 2 * k;
+    }
+    if (k == 64) {
+      Sha1::Chunk64Prefix64Batch(chunks, take, keys);
+    } else {
+      for (size_t i = 0; i < take; ++i) {
+        keys[i] = Sha1::Hash({chunks[i], k}).Prefix64();
+      }
+    }
+    for (size_t i = 0; i < take; ++i) {
+      fn(done + i, keys[i]);
+    }
+  }
+}
+
+}  // namespace
 
 RedundancyResult MeasureRedundancy(std::span<const uint8_t> a, std::span<const uint8_t> b,
                                    const RedundancyOptions& options) {
@@ -26,15 +56,15 @@ RedundancyResult MeasureRedundancy(std::span<const uint8_t> a, std::span<const u
   // Index A's chunks sampled at stride 2K. Multiple offsets can share a hash.
   std::unordered_map<uint64_t, std::vector<size_t>> table;
   table.reserve(a.size() / (2 * k) + 1);
-  for (size_t off = 0; off + k <= a.size(); off += 2 * k) {
-    uint64_t h = Sha1::Hash(a.subspan(off, k)).Prefix64();
-    auto& offsets = table[h];
+  ForEachSampledChunkKey(a, k, [&](size_t i, uint64_t key) {
+    auto& offsets = table[key];
     if (offsets.size() < 8) {  // cap pathological chains (e.g. zero pages)
-      offsets.push_back(off);
+      offsets.push_back(i * 2 * k);
     }
-  }
+  });
 
-  for (size_t off = 0; off + k <= b.size(); off += 2 * k) {
+  ForEachSampledChunkKey(b, k, [&](size_t i, uint64_t key) {
+    const size_t off = i * 2 * k;
     ++result.probed_chunks;
     size_t best = 0;
     // Fast path: same-offset candidate. Sandboxes of the same function lay
@@ -45,14 +75,12 @@ RedundancyResult MeasureRedundancy(std::span<const uint8_t> a, std::span<const u
     } else {
       candidates.clear();
     }
-    uint64_t h = Sha1::Hash(b.subspan(off, k)).Prefix64();
-    auto it = table.find(h);
+    auto it = table.find(key);
     if (it == table.end() && candidates.empty()) {
-      continue;
+      return;
     }
     if (it != table.end()) {
-      candidates.insert(candidates.end(), it->second.begin(),
-                                        it->second.end());
+      candidates.insert(candidates.end(), it->second.begin(), it->second.end());
     }
     for (size_t a_off : candidates) {
       if (std::memcmp(a.data() + a_off, b.data() + off, k) != 0) {
@@ -81,7 +109,7 @@ RedundancyResult MeasureRedundancy(std::span<const uint8_t> a, std::span<const u
       // with the next probe (probes are 2K apart).
       result.duplicated_bytes += std::min(best, 2 * k);
     }
-  }
+  });
   result.duplicated_bytes = std::min(result.duplicated_bytes, result.total_bytes);
   return result;
 }

@@ -9,8 +9,10 @@
 //   Sha1Chunk64Batch  pairs of chunks interleaved in one SHA-NI stream
 //                     under cpuid `sha`, else 8 chunks in AVX2 lanes under
 //                     `avx2`, else one Sha1Chunk64 per chunk.
-//   SelectWindows     16 AVX2 lanes under cpuid `avx2`, else the portable
-//                     four-chain walk.
+//   SelectWindows     16 AVX2 lanes of two chains each over pair rows
+//                     under cpuid `avx2` (even windows up to 256 bytes),
+//                     else, and for odd windows, the portable four-chain
+//                     walk.
 //   NextCandidate     8 positions per AVX2 step under cpuid `avx2`, else
 //                     one position at a time.
 //   MatchForward, MatchBackward, MemEqual

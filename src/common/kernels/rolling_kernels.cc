@@ -50,16 +50,15 @@ struct Matcher {
   }
 };
 
-// The variants split positions into `lanes` contiguous blocks of `block`
-// (the last block also takes the remainder). Lane l records its hits
-// relative to its block start in out[l*block, end[l]), a region it owns
-// since it cannot hit more positions than it scans; this rebases them and
-// packs them into one ascending run.
-size_t PackLaneHits(uint16_t* out, size_t block, uint16_t* const* end, size_t lanes) {
+// The variants split positions into contiguous regions. Region r owns
+// out[begin[r], end[r]) and holds its hits there relative to begin[r] (a
+// region cannot hit more positions than it scans); this rebases them and
+// packs them into one ascending run. begin[0] is 0.
+size_t PackRegionHits(uint16_t* out, const size_t* begin, uint16_t* const* end, size_t regions) {
   uint16_t* packed = end[0];
-  for (size_t l = 1; l < lanes; ++l) {
-    const uint16_t offset = static_cast<uint16_t>(l * block);
-    for (const uint16_t* hit = out + l * block; hit != end[l]; ++hit) {
+  for (size_t r = 1; r < regions; ++r) {
+    const auto offset = static_cast<uint16_t>(begin[r]);
+    for (const uint16_t* hit = out + begin[r]; hit != end[r]; ++hit) {
       *packed++ = static_cast<uint16_t>(*hit + offset);
     }
   }
@@ -98,10 +97,12 @@ size_t SelectWindowsPortable(const SampleRule& rule, const uint8_t* data, size_t
   }
   const size_t block = count / kLanes;
   uint32_t h[kLanes];
+  size_t begin[kLanes];
   uint16_t* cur[kLanes];
   for (size_t l = 0; l < kLanes; ++l) {
     h[l] = InitWindow16(data + l * block, w);
-    cur[l] = m.Record(h[l], 0, out + l * block);
+    begin[l] = l * block;
+    cur[l] = m.Record(h[l], 0, out + begin[l]);
   }
   // Step i of lane l drops byte data[l*block + i - 1] and adds byte
   // data[l*block + i - 1 + w]; `lane` points at data + i - 1.
@@ -119,7 +120,7 @@ size_t SelectWindowsPortable(const SampleRule& rule, const uint8_t* data, size_t
     h[kLast] = Roll16(h[kLast], data[p - 1], data[p - 1 + w], pb);
     cur[kLast] = m.Record(h[kLast], i, cur[kLast]);
   }
-  return PackLaneHits(out, block, cur, kLanes);
+  return PackRegionHits(out, begin, cur, kLanes);
 }
 
 #if defined(MEDES_KERNELS_X86)
@@ -129,61 +130,154 @@ namespace {
 constexpr size_t kVecLanes = 16;
 constexpr size_t kVecMaxWindow = 256;
 constexpr size_t kVecMaxSteps = kSelectMaxPositions / kVecLanes;
-constexpr size_t kVecMaxRows = kVecMaxSteps + kVecMaxWindow;  // a multiple of 32
+// Pair rows a lane reads at most: (steps + window - 1) rows, rounded up to
+// a pair; a multiple of the 16 pairs one transpose yields.
+constexpr size_t kVecMaxPairs = (kVecMaxSteps + kVecMaxWindow) / 2;
 
-// Two in-place 16x16 byte transposes, one per 128-bit half: on return
-// half k of v[j] holds byte j of half k of every input row, row i in byte
-// i. Four unpack stages of 8-, 16-, 32- and 64-bit interleaves, each
-// pairing neighbouring row groups; AVX2 unpacks never cross the halves.
-__attribute__((target("avx2"))) inline void Transpose16x16x2(__m256i v[16]) {
-  __m256i s1[8][2];  // [row pair][column half]
+// In-place 16x16 transpose of 16-bit words: on return word l of v[j] is
+// word j of input v[l]. Three in-lane unpack stages (16-, 32-, 64-bit
+// interleaves) leave each 128-bit half holding eight lanes of one word;
+// the last stage pairs the halves across registers.
+__attribute__((target("avx2"))) inline void Transpose16x16Words(__m256i v[16]) {
+  __m256i s1[8][2];  // [lane pair][word quad within each half]
   for (size_t r = 0; r < 8; ++r) {
-    s1[r][0] = _mm256_unpacklo_epi8(v[2 * r], v[2 * r + 1]);
-    s1[r][1] = _mm256_unpackhi_epi8(v[2 * r], v[2 * r + 1]);
+    s1[r][0] = _mm256_unpacklo_epi16(v[2 * r], v[2 * r + 1]);
+    s1[r][1] = _mm256_unpackhi_epi16(v[2 * r], v[2 * r + 1]);
   }
-  __m256i s2[4][4];  // [row quad][column quad]
+  __m256i s2[4][4];  // [lane quad][word pair within each half]
   for (size_t q = 0; q < 4; ++q) {
-    for (size_t h = 0; h < 2; ++h) {
-      s2[q][2 * h] = _mm256_unpacklo_epi16(s1[2 * q][h], s1[2 * q + 1][h]);
-      s2[q][2 * h + 1] = _mm256_unpackhi_epi16(s1[2 * q][h], s1[2 * q + 1][h]);
+    for (size_t c = 0; c < 2; ++c) {
+      s2[q][2 * c] = _mm256_unpacklo_epi32(s1[2 * q][c], s1[2 * q + 1][c]);
+      s2[q][2 * c + 1] = _mm256_unpackhi_epi32(s1[2 * q][c], s1[2 * q + 1][c]);
     }
   }
-  __m256i s3[2][8];  // [row octet][column pair]
+  __m256i s3[2][8];  // [lane octet][word within each half]
   for (size_t o = 0; o < 2; ++o) {
-    for (size_t c = 0; c < 4; ++c) {
-      s3[o][2 * c] = _mm256_unpacklo_epi32(s2[2 * o][c], s2[2 * o + 1][c]);
-      s3[o][2 * c + 1] = _mm256_unpackhi_epi32(s2[2 * o][c], s2[2 * o + 1][c]);
+    for (size_t d = 0; d < 4; ++d) {
+      s3[o][2 * d] = _mm256_unpacklo_epi64(s2[2 * o][d], s2[2 * o + 1][d]);
+      s3[o][2 * d + 1] = _mm256_unpackhi_epi64(s2[2 * o][d], s2[2 * o + 1][d]);
     }
   }
-  for (size_t p = 0; p < 8; ++p) {
-    v[2 * p] = _mm256_unpacklo_epi64(s3[0][p], s3[1][p]);
-    v[2 * p + 1] = _mm256_unpackhi_epi64(s3[0][p], s3[1][p]);
+  for (size_t e = 0; e < 8; ++e) {
+    v[e] = _mm256_permute2x128_si256(s3[0][e], s3[1][e], 0x20);
+    v[e + 8] = _mm256_permute2x128_si256(s3[0][e], s3[1][e], 0x31);
   }
 }
 
-// The 16 bytes at data[off], or those before data[n] followed by zeros.
-__attribute__((target("avx2"))) inline __m128i LoadUpTo16(const uint8_t* data, size_t n,
+// The 32 bytes at data[off], or those before data[n] followed by zeros.
+__attribute__((target("avx2"))) inline __m256i LoadUpTo32(const uint8_t* data, size_t n,
                                                           size_t off) {
-  if (off + 16 <= n) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + off));
+  if (off + 32 <= n) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + off));
   }
-  uint8_t pad[16] = {};
+  uint8_t pad[32] = {};
   if (off < n) {
     std::memcpy(pad, data + off, n - off);
   }
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(pad));
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pad));
 }
 
-// Row r of the lane-major buffer, widened to one 16-bit value per lane.
-__attribute__((target("avx2"))) inline __m256i LaneRow(const uint8_t* lanes, size_t r) {
-  const auto* row = reinterpret_cast<const __m128i*>(lanes + r * kVecLanes);
-  return _mm256_cvtepu8_epi16(_mm_load_si128(row));
+// The vector constants of one selection, built once per call.
+struct VecRule {
+  __m256i b;        // B
+  __m256i b2;       // B^2
+  __m256i pb;       // B^W
+  __m256i low;      // 0x00ff: the first row of a pair
+  __m256i mask;
+  __m256i pattern;
+};
+
+// 0xffff in each lane whose hash matches.
+__attribute__((target("avx2"))) inline __m256i Matches(__m256i h, const VecRule& k) {
+  return _mm256_cmpeq_epi16(_mm256_and_si256(h, k.mask), k.pattern);
 }
 
-// Bit 2l set iff lane l's hash matches; the 16-bit compare sets two bytes.
-__attribute__((target("avx2"))) inline uint32_t MatchBits(__m256i h, __m256i mask, __m256i pat) {
-  const __m256i eq = _mm256_cmpeq_epi16(_mm256_and_si256(h, mask), pat);
+// Bit 2l set iff lane l of `eq` (a Matches result) is set.
+__attribute__((target("avx2"))) inline uint32_t MatchBits(__m256i eq) {
   return static_cast<uint32_t>(_mm256_movemask_epi8(eq)) & 0x55555555u;
+}
+
+// Pair row q of the lane-major buffer: word l holds rows 2q (low byte) and
+// 2q + 1 (high byte) of lane l.
+__attribute__((target("avx2"))) inline __m256i PairRow(const uint16_t* pairs, size_t q) {
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(pairs + q * kVecLanes));
+}
+
+// h extended by both rows of a pair row: h*B^2 + (low*B + high).
+__attribute__((target("avx2"))) inline __m256i AppendPairRow(__m256i h, __m256i row,
+                                                             const VecRule& k) {
+  const __m256i pair =
+      _mm256_add_epi16(_mm256_mullo_epi16(_mm256_and_si256(row, k.low), k.b),
+                       _mm256_srli_epi16(row, 8));
+  return _mm256_add_epi16(_mm256_mullo_epi16(h, k.b2), pair);
+}
+
+// One hash chain of 16 lanes: its hash, and the pair row its next step
+// drops (the step adds the pair row w/2 later). A chain's steps come in
+// pairs that drop both rows of one pair row, so a chain starts at an even
+// row.
+struct Chain {
+  __m256i h;
+  size_t q;
+};
+
+// Two steps: h1 = h*B + d0 and h2 = h*B^2 + (d0*B + d1), so one
+// multiply-add per two positions sits on the chain. Returns h1.
+__attribute__((target("avx2"))) inline __m256i StepTwo(Chain& c, const uint16_t* pairs,
+                                                       size_t half_w, const VecRule& k) {
+  const __m256i out = PairRow(pairs, c.q);
+  const __m256i in = PairRow(pairs, c.q + half_w);
+  const __m256i d0 = _mm256_sub_epi16(_mm256_and_si256(in, k.low),
+                                      _mm256_mullo_epi16(_mm256_and_si256(out, k.low), k.pb));
+  const __m256i d1 = _mm256_sub_epi16(_mm256_srli_epi16(in, 8),
+                                      _mm256_mullo_epi16(_mm256_srli_epi16(out, 8), k.pb));
+  const __m256i h1 = _mm256_add_epi16(_mm256_mullo_epi16(c.h, k.b), d0);
+  c.h = _mm256_add_epi16(_mm256_mullo_epi16(c.h, k.b2),
+                         _mm256_add_epi16(_mm256_mullo_epi16(d0, k.b), d1));
+  ++c.q;
+  return h1;
+}
+
+// One step, dropping and adding the first rows of the chain's pair rows;
+// the chain's last step when its step count after the first is odd.
+__attribute__((target("avx2"))) inline void StepOne(Chain& c, const uint16_t* pairs,
+                                                    size_t half_w, const VecRule& k) {
+  const __m256i out = _mm256_and_si256(PairRow(pairs, c.q), k.low);
+  const __m256i in = _mm256_and_si256(PairRow(pairs, c.q + half_w), k.low);
+  c.h = _mm256_add_epi16(_mm256_mullo_epi16(c.h, k.b),
+                         _mm256_sub_epi16(in, _mm256_mullo_epi16(out, k.pb)));
+}
+
+// A chain's steps with any hit, in order, with their match bits. A step
+// hits with probability about lanes / 2^(mask bits) (16/512 at the default
+// rule), so most steps store nothing.
+struct HitLog {
+  uint32_t bits[kVecMaxSteps];
+  uint16_t step[kVecMaxSteps];
+  size_t n = 0;
+
+  void Add(size_t s, uint32_t b) {
+    if (b != 0) {
+      bits[n] = b;
+      step[n] = static_cast<uint16_t>(s);
+      ++n;
+    }
+  }
+};
+
+// Steps a chain from its step s to its last, `steps` - 1, logging hits.
+__attribute__((target("avx2"))) inline void FinishChain(Chain& c, HitLog& log, size_t steps,
+                                                        size_t s, const uint16_t* pairs,
+                                                        size_t half_w, const VecRule& k) {
+  for (; s + 1 < steps; s += 2) {
+    const __m256i h1 = StepTwo(c, pairs, half_w, k);
+    log.Add(s, MatchBits(Matches(h1, k)));
+    log.Add(s + 1, MatchBits(Matches(c.h, k)));
+  }
+  if (s < steps) {
+    StepOne(c, pairs, half_w, k);
+    log.Add(s, MatchBits(Matches(c.h, k)));
+  }
 }
 
 }  // namespace
@@ -193,104 +287,104 @@ __attribute__((target("avx2"))) size_t SelectWindowsAvx2(const SampleRule& rule,
                                                          uint16_t* out) {
   const size_t w = rule.window;
   const size_t count = n - w + 1;
-  if (w > kVecMaxWindow || count < kVecLanes * kVecLanes) {
+  if (w % 2 != 0 || w > kVecMaxWindow || count < kVecLanes * kVecLanes) {
     return SelectWindowsPortable(rule, data, n, out);
   }
   // Lane l scans positions [l*steps, (l+1)*steps); lane 15 also takes the
   // count % 16 remainder, finished by a scalar tail. Its steps read the
-  // bytes data[l*steps + r] for r < rows, stored lane-major: row r holds
-  // that byte of all 16 lanes, so one 16-byte load feeds one vector step.
+  // bytes data[l*steps + r] for r < rows, stored lane-major in pairs: pair
+  // row q holds rows 2q and 2q + 1 of all 16 lanes, so one 32-byte load
+  // feeds two steps.
   const size_t steps = count / kVecLanes;
-  const size_t rows = steps + w - 1;
-  alignas(32) uint8_t lanes[kVecMaxRows * kVecLanes];
-  for (size_t r0 = 0; r0 < rows; r0 += 32) {
-    // Rows r0.. in the low halves, rows r0 + 16.. in the high halves. Only
-    // the final tiles can run past the input, and those rows (>= rows) are
-    // never read back.
+  const size_t half_w = w / 2;
+  const size_t pair_rows = (steps + w) / 2;
+  alignas(32) uint16_t pairs[kVecMaxPairs * kVecLanes];
+  for (size_t q0 = 0; q0 < pair_rows; q0 += 16) {
+    // Only the final tile can run past the input, and its pairs past
+    // pair_rows are never read back.
     __m256i v[kVecLanes];
     for (size_t l = 0; l < kVecLanes; ++l) {
-      const size_t off = l * steps + r0;
-      v[l] = _mm256_set_m128i(LoadUpTo16(data, n, off + 16), LoadUpTo16(data, n, off));
+      v[l] = LoadUpTo32(data, n, l * steps + 2 * q0);
     }
-    Transpose16x16x2(v);
+    Transpose16x16Words(v);
     for (size_t j = 0; j < 16; ++j) {
-      _mm_store_si128(reinterpret_cast<__m128i*>(lanes + (r0 + j) * kVecLanes),
-                      _mm256_castsi256_si128(v[j]));
-      _mm_store_si128(reinterpret_cast<__m128i*>(lanes + (r0 + 16 + j) * kVecLanes),
-                      _mm256_extracti128_si256(v[j], 1));
+      _mm256_store_si256(reinterpret_cast<__m256i*>(pairs + (q0 + j) * kVecLanes), v[j]);
     }
   }
 
-  // Both loops advance two rows per iteration, h*B^2 + (a*B + b), so one
-  // multiply-add per two positions sits on the dependency chain.
-  const __m256i vb = _mm256_set1_epi16(static_cast<short>(kB16));
-  const __m256i vb2 = _mm256_set1_epi16(static_cast<short>(kB16 * kB16));
-  const __m256i vpb = _mm256_set1_epi16(static_cast<short>(rule.pow_w1 * kB16));
-  const __m256i vmask = _mm256_set1_epi16(static_cast<short>(rule.mask));
-  const __m256i vpattern = _mm256_set1_epi16(static_cast<short>(rule.pattern));
-  __m256i h = _mm256_setzero_si256();
-  size_t r = w % 2;
-  if (r == 1) {
-    h = LaneRow(lanes, 0);
+  const VecRule k{_mm256_set1_epi16(static_cast<short>(kB16)),
+                  _mm256_set1_epi16(static_cast<short>(kB16 * kB16)),
+                  _mm256_set1_epi16(static_cast<short>(rule.pow_w1 * kB16)),
+                  _mm256_set1_epi16(0x00ff),
+                  _mm256_set1_epi16(static_cast<short>(rule.mask)),
+                  _mm256_set1_epi16(static_cast<short>(rule.pattern))};
+  // Each lane's steps split into two chains, [0, split) and [split, steps),
+  // so two independent multiply-add chains overlap. Both start at an even
+  // row; after its first window a chain steps in pairs, plus one single
+  // step when the count after the first is odd (always, for chain A).
+  const size_t split = steps / 4 * 2;
+  Chain a{_mm256_setzero_si256(), 0};
+  Chain b{_mm256_setzero_si256(), split / 2};
+  for (size_t q = 0; q < half_w; ++q) {
+    a.h = AppendPairRow(a.h, PairRow(pairs, a.q + q), k);
+    b.h = AppendPairRow(b.h, PairRow(pairs, b.q + q), k);
   }
-  for (; r < w; r += 2) {
-    const __m256i pair =
-        _mm256_add_epi16(_mm256_mullo_epi16(LaneRow(lanes, r), vb), LaneRow(lanes, r + 1));
-    h = _mm256_add_epi16(_mm256_mullo_epi16(h, vb2), pair);
-  }
-  // Steps with any hit, in order, with their match bits. A step hits with
-  // probability about lanes / 2^(mask bits) (16/512 at the default rule),
-  // so the branch is predictable and most steps store nothing.
-  uint32_t hit_bits[kVecMaxSteps];
-  uint16_t hit_step[kVecMaxSteps];
-  size_t hit_steps = 0;
-  const auto record = [&](size_t s, uint32_t bits) {
-    if (bits != 0) {
-      hit_bits[hit_steps] = bits;
-      hit_step[hit_steps] = static_cast<uint16_t>(s);
-      ++hit_steps;
-    }
-  };
-  record(0, MatchBits(h, vmask, vpattern));
-  // Step s drops row s - 1 and adds row s - 1 + w: h' = h*B + d(s).
+  HitLog log_a;
+  HitLog log_b;
+  log_a.Add(0, MatchBits(Matches(a.h, k)));
+  log_b.Add(0, MatchBits(Matches(b.h, k)));
+  // Step s of a chain (relative to its start) drops its row s - 1 and adds
+  // row s - 1 + w; both chains' two steps are tested with one vptest, for
+  // as many step pairs as chain A, the shorter one, has.
   size_t s = 1;
-  for (; s + 1 < steps; s += 2) {
-    const __m256i d0 = _mm256_sub_epi16(LaneRow(lanes, s - 1 + w),
-                                        _mm256_mullo_epi16(LaneRow(lanes, s - 1), vpb));
-    const __m256i d1 =
-        _mm256_sub_epi16(LaneRow(lanes, s + w), _mm256_mullo_epi16(LaneRow(lanes, s), vpb));
-    const __m256i h0 = _mm256_add_epi16(_mm256_mullo_epi16(h, vb), d0);
-    h = _mm256_add_epi16(_mm256_mullo_epi16(h, vb2),
-                         _mm256_add_epi16(_mm256_mullo_epi16(d0, vb), d1));
-    record(s, MatchBits(h0, vmask, vpattern));
-    record(s + 1, MatchBits(h, vmask, vpattern));
+  for (; s + 1 < split; s += 2) {
+    const __m256i a1 = StepTwo(a, pairs, half_w, k);
+    const __m256i b1 = StepTwo(b, pairs, half_w, k);
+    const __m256i e0 = Matches(a1, k);
+    const __m256i e1 = Matches(a.h, k);
+    const __m256i e2 = Matches(b1, k);
+    const __m256i e3 = Matches(b.h, k);
+    const __m256i any = _mm256_or_si256(_mm256_or_si256(e0, e1), _mm256_or_si256(e2, e3));
+    if (!_mm256_testz_si256(any, any)) {
+      log_a.Add(s, MatchBits(e0));
+      log_a.Add(s + 1, MatchBits(e1));
+      log_b.Add(s, MatchBits(e2));
+      log_b.Add(s + 1, MatchBits(e3));
+    }
   }
-  if (s < steps) {
-    const __m256i d0 = _mm256_sub_epi16(LaneRow(lanes, s - 1 + w),
-                                        _mm256_mullo_epi16(LaneRow(lanes, s - 1), vpb));
-    h = _mm256_add_epi16(_mm256_mullo_epi16(h, vb), d0);
-    record(s, MatchBits(h, vmask, vpattern));
-  }
+  FinishChain(a, log_a, split, s, pairs, half_w, k);
+  FinishChain(b, log_b, steps - split, s, pairs, half_w, k);
 
-  uint16_t* cur[kVecLanes];
+  // Region 2l holds lane l's chain-A hits, region 2l + 1 its chain-B hits,
+  // each relative to the region's first position.
+  constexpr size_t kRegions = 2 * kVecLanes;
+  size_t begin[kRegions];
+  uint16_t* cur[kRegions];
   for (size_t l = 0; l < kVecLanes; ++l) {
-    cur[l] = out + l * steps;
+    begin[2 * l] = l * steps;
+    begin[2 * l + 1] = l * steps + split;
   }
-  for (size_t k = 0; k < hit_steps; ++k) {
-    for (uint32_t bits = hit_bits[k]; bits != 0; bits &= bits - 1) {
-      *cur[std::countr_zero(bits) / 2]++ = hit_step[k];
+  for (size_t r = 0; r < kRegions; ++r) {
+    cur[r] = out + begin[r];
+  }
+  for (size_t c = 0; c < 2; ++c) {
+    const HitLog& log = c == 0 ? log_a : log_b;
+    for (size_t i = 0; i < log.n; ++i) {
+      for (uint32_t bits = log.bits[i]; bits != 0; bits &= bits - 1) {
+        *cur[std::countr_zero(bits) + c]++ = log.step[i];
+      }
     }
   }
   constexpr size_t kLast = kVecLanes - 1;
-  uint32_t tail = static_cast<uint16_t>(_mm256_extract_epi16(h, kLast));
+  uint32_t tail = static_cast<uint16_t>(_mm256_extract_epi16(b.h, kLast));
   const uint32_t pb = uint32_t{rule.pow_w1} * kB16;
   const Matcher m{rule.mask, rule.pattern};
   for (size_t i = steps; i < count - kLast * steps; ++i) {
     const size_t p = kLast * steps + i;
     tail = Roll16(tail, data[p - 1], data[p - 1 + w], pb);
-    cur[kLast] = m.Record(tail, i, cur[kLast]);
+    cur[kRegions - 1] = m.Record(tail, i - split, cur[kRegions - 1]);
   }
-  return PackLaneHits(out, steps, cur, kVecLanes);
+  return PackRegionHits(out, begin, cur, kRegions);
 }
 
 #else  // !MEDES_KERNELS_X86

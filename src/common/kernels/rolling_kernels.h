@@ -12,8 +12,12 @@
 // CPU has it (cpu_features.h):
 //   - portable: four contiguous position blocks stepped as independent
 //     scalar dependency chains;
-//   - AVX2: sixteen contiguous blocks, one per 16-bit lane, stepped with
-//     vpmullw over a lane-major copy of the data.
+//   - AVX2: sixteen contiguous blocks, one per 16-bit lane, each split
+//     into two independent vpmullw chains stepped over a lane-major copy
+//     of the data in pair rows (bytes 2q and 2q + 1 of every lane in one
+//     32-byte row). A step pair drops both bytes of a pair row, so it
+//     takes even windows up to 256 bytes and leaves odd ones to the
+//     portable walk.
 #ifndef MEDES_COMMON_KERNELS_ROLLING_KERNELS_H_
 #define MEDES_COMMON_KERNELS_ROLLING_KERNELS_H_
 
@@ -52,7 +56,8 @@ size_t SelectWindowsPortable(const SampleRule& rule, const uint8_t* data, size_t
 
 // The AVX2 variant exists only when the compiler can target x86 (else it
 // forwards to the portable one); call it only when DetectCpuFeatures().avx2
-// is true.
+// is true. It forwards to the portable walk itself for an odd window, a
+// window over 256 bytes or fewer than 256 positions.
 size_t SelectWindowsAvx2(const SampleRule& rule, const uint8_t* data, size_t n, uint16_t* out);
 
 }  // namespace medes::kernels

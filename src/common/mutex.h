@@ -35,6 +35,16 @@ class CAPABILITY("mutex") Mutex {
 };
 
 // Reader/writer mutex: any number of shared holders or one exclusive holder.
+//
+// Readers are preferred: std::shared_mutex is glibc's pthread_rwlock in its
+// default kind, which grants a shared hold whenever another reader holds
+// the lock, even with a writer waiting. Overlapping readers can so keep a
+// writer out for as long as they keep overlapping. The rule that follows:
+// keep reader sections short and bounded, and do nothing under a shared
+// hold that can be done after it (no allocation, no sorting or ranking).
+// An intermediate FingerprintRegistry lookup that allocated its results
+// under the reader lock made RegistryConcurrencyTest's writer wait 274 s
+// under ASan.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;

@@ -1,5 +1,6 @@
 #include "common/sha1.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/kernels/sha1_kernels.h"
@@ -107,19 +108,17 @@ Sha1Digest Sha1::HashChunk64(const uint8_t* chunk) {
   return StateToDigest(state);
 }
 
-void Sha1::HashChunk64Batch(const uint8_t* const* chunks, size_t n, Sha1Digest* out) {
-  // The kernel batch works on raw states; convert in fixed-size strips so
-  // large batches stay cache-resident and allocation-free.
+void Sha1::Chunk64Prefix64Batch(const uint8_t* const* chunks, size_t n, uint64_t* out) {
+  // The kernel batch works on raw states; read the keys out in fixed-size
+  // strips so large batches stay cache-resident and allocation-free.
   constexpr size_t kStrip = 64;
   uint32_t states[kStrip][5];
-  size_t done = 0;
-  while (done < n) {
+  for (size_t done = 0; done < n; done += kStrip) {
     const size_t take = std::min(kStrip, n - done);
     kernels::Sha1Chunk64Batch(chunks + done, take, states);
     for (size_t i = 0; i < take; ++i) {
-      out[done + i] = StateToDigest(states[i]);
+      out[done + i] = (uint64_t{states[i][0]} << 32) | states[i][1];
     }
-    done += take;
   }
 }
 

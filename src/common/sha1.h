@@ -55,10 +55,12 @@ class Sha1 {
   // message's padding block is a constant). Equals Hash({chunk, 64}).
   static Sha1Digest HashChunk64(const uint8_t* chunk);
 
-  // Multi-buffer batch of the above: out[i] = HashChunk64(chunks[i]).
-  // Lets the 8-lane AVX2 kernel hash all sampled chunks of a page in one
-  // call.
-  static void HashChunk64Batch(const uint8_t* const* chunks, size_t n, Sha1Digest* out);
+  // Keys of a batch of 64-byte chunks: out[i] =
+  // HashChunk64(chunks[i]).Prefix64(), read straight from the digest state
+  // (state words 0 and 1 are the digest's first 8 bytes, big-endian).
+  // Runs the batched kernel (cpu_features.h), so all sampled chunks of a
+  // page hash in one call.
+  static void Chunk64Prefix64Batch(const uint8_t* const* chunks, size_t n, uint64_t* out);
 
  private:
   std::array<uint32_t, 5> state_{};

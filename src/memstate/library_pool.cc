@@ -1,5 +1,6 @@
 #include "memstate/library_pool.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/hash.h"
@@ -48,16 +49,22 @@ void FillWithTokens(const TokenDictionary& dict, uint64_t seed, std::span<uint8_
   // allocations) repeats in long stretches, which is what lets a verified
   // 64 B chunk match extend into its neighbourhood (paper Section 2.1's
   // extension step) and lets delta encoding emit long COPY instructions.
+  // A run of consecutive tokens is contiguous in the dictionary until it
+  // wraps past the last token, so it is copied as one or two slices (more
+  // only from a dictionary smaller than the run).
+  const std::span<const uint8_t> tokens = dict.bytes();
   Rng rng(seed);
   size_t pos = 0;
   while (pos < out.size()) {
-    size_t start = rng.Below(dict.NumTokens());
-    size_t run_tokens = 16 + rng.Below(113);  // 1 KiB .. 8 KiB
-    for (size_t t = 0; t < run_tokens && pos < out.size(); ++t) {
-      std::span<const uint8_t> token = dict.Token(start + t);
-      size_t take = std::min(token.size(), out.size() - pos);
-      std::memcpy(out.data() + pos, token.data(), take);
+    size_t from = rng.Below(dict.NumTokens()) * kTokenSize;
+    const size_t run_tokens = 16 + rng.Below(113);  // 1 KiB .. 8 KiB
+    size_t run = std::min(run_tokens * kTokenSize, out.size() - pos);
+    while (run > 0) {
+      const size_t take = std::min(run, tokens.size() - from);
+      std::memcpy(out.data() + pos, tokens.data() + from, take);
       pos += take;
+      run -= take;
+      from = 0;
     }
   }
 }

@@ -32,6 +32,10 @@ class TokenDictionary {
     return {data_.data() + (index % num_tokens_) * kTokenSize, kTokenSize};
   }
 
+  // Every token, in index order: token i is bytes [i*kTokenSize,
+  // (i+1)*kTokenSize).
+  std::span<const uint8_t> bytes() const { return data_; }
+
  private:
   size_t num_tokens_;
   std::vector<uint8_t> data_;

@@ -1,7 +1,6 @@
 #include "registry/fingerprint_registry.h"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -46,28 +45,29 @@ void FingerprintRegistry::Rebuild(std::span<const Entry> entries,
                                   std::span<const PageLocation> locations) {
   // Both spans may view the members they replace: those are written once
   // the inputs are read. Ids are renumbered in order of first use, so a
-  // location no run keeps is dropped.
+  // location no entry names is dropped.
   std::vector<uint32_t> new_id(locations.size(), kEmptySlot);
   std::vector<Entry> kept;
   kept.reserve(entries.size());
   std::vector<PageLocation> kept_locations;
   size_t keys = 0;
-  for (size_t i = 0; i < entries.size();) {
-    const uint64_t key = entries[i].key;
-    ++keys;
-    for (size_t count = 0; i < entries.size() && entries[i].key == key; ++i, ++count) {
-      if (count < options_.max_locations_per_key) {
-        uint32_t& id = new_id[entries[i].id];
-        if (id == kEmptySlot) {
-          id = static_cast<uint32_t>(kept_locations.size());
-          kept_locations.push_back(locations[entries[i].id]);
-        }
-        kept.push_back({key, id});
-      }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i == 0 || entries[i].key != entries[i - 1].key) {
+      ++keys;
     }
+    uint32_t& id = new_id[entries[i].id];
+    if (id == kEmptySlot) {
+      id = static_cast<uint32_t>(kept_locations.size());
+      kept_locations.push_back(locations[entries[i].id]);
+    }
+    kept.push_back({entries[i].key, id});
   }
   entries_ = std::move(kept);
   locations_ = std::move(kept_locations);
+  IndexKeys(keys);
+}
+
+void FingerprintRegistry::IndexKeys(size_t keys) {
   num_keys_ = keys;
   slot_bits_ = 4;
   while ((size_t{1} << slot_bits_) < 2 * keys) {
@@ -105,32 +105,54 @@ void FingerprintRegistry::InsertBaseSandbox(NodeId node, SandboxId sandbox,
   }
   inserts_.Add();
   insert_keys_.Add(keys);
-  WriterLock lock(mu_);
-  base_refcounts_.try_emplace(sandbox, 0);
-  std::vector<PageLocation> locations = locations_;
+  // The new entries, named by page index until they are kept, in page and
+  // chunk order within each key.
   std::vector<Entry> added;
   added.reserve(keys);
   for (size_t page = 0; page < fingerprints.size(); ++page) {
-    if (fingerprints[page].chunks.empty()) {
-      continue;
-    }
-    const auto id = static_cast<uint32_t>(locations.size());
-    locations.push_back({node, sandbox, PageIndex{static_cast<uint32_t>(page)}});
     for (const SampledChunk& chunk : fingerprints[page].chunks) {
-      added.push_back({chunk.key, id});
+      added.push_back({chunk.key, static_cast<uint32_t>(page)});
     }
   }
-  // Each key's new locations in page and chunk order, after the ones it
-  // holds (a merge takes the first range's element on a tie); the rebuild
-  // keeps each run's first max_locations_per_key: the locations stored one
-  // at a time while the key had room.
-  const auto by_key = [](const Entry& a, const Entry& b) { return a.key < b.key; };
-  std::stable_sort(added.begin(), added.end(), by_key);
+  std::stable_sort(added.begin(), added.end(),
+                   [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  WriterLock lock(mu_);
+  base_refcounts_.try_emplace(sandbox, 0);
+  // One merge: each key's stored run (within the cap already), then its new
+  // entries while the key has room — the locations stored one at a time
+  // while it had room. A page's location is appended, and gets its id,
+  // when its first entry is kept, so a page whose every key is full adds
+  // none. Stored ids do not change.
+  std::vector<uint32_t> new_id(fingerprints.size(), kEmptySlot);
   std::vector<Entry> merged;
   merged.reserve(entries_.size() + added.size());
-  std::merge(entries_.begin(), entries_.end(), added.begin(), added.end(),
-             std::back_inserter(merged), by_key);
-  Rebuild(merged, locations);
+  size_t merged_keys = 0;
+  auto stored = entries_.cbegin();
+  auto fresh = added.cbegin();
+  while (stored != entries_.cend() || fresh != added.cend()) {
+    const uint64_t key =
+        stored != entries_.cend() && (fresh == added.cend() || stored->key <= fresh->key)
+            ? stored->key
+            : fresh->key;
+    ++merged_keys;
+    size_t count = 0;
+    for (; stored != entries_.cend() && stored->key == key; ++stored, ++count) {
+      merged.push_back(*stored);
+    }
+    for (; fresh != added.cend() && fresh->key == key; ++fresh) {
+      if (count < options_.max_locations_per_key) {
+        ++count;
+        uint32_t& id = new_id[fresh->id];
+        if (id == kEmptySlot) {
+          id = static_cast<uint32_t>(locations_.size());
+          locations_.push_back({node, sandbox, PageIndex{fresh->id}});
+        }
+        merged.push_back({key, id});
+      }
+    }
+  }
+  entries_ = std::move(merged);
+  IndexKeys(merged_keys);
 }
 
 void FingerprintRegistry::RemoveBaseSandbox(SandboxId sandbox) {
@@ -189,6 +211,10 @@ uint64_t FingerprintRegistry::LookUpBatch(std::span<const PageFingerprint> finge
     }
   }
   cost += work;
+  // Readers are preferred (common/mutex.h), so a long reader section can
+  // starve InsertBaseSandbox and RemoveBaseSandbox. The section below only
+  // probes and counts: it allocates nothing once the per-thread buffers
+  // have grown, and ranking and the results wait until the lock is gone.
   // Per-thread buffers, reused for every batch, so a lookup allocates
   // nothing but its results. `tally` holds each page's candidates, page
   // after page, page i's ending at page_end[i]. seen[id] says where location

@@ -17,8 +17,9 @@
 // table is read far more than written (a 5-node Medes P2 cluster holds
 // about 3k keys and 4.2k entries over 854 locations, 89% of keys with one
 // location, against about 115k page lookups per ten base inserts), so an
-// insert or removal rebuilds the arrays and a lookup is one probe plus a
-// contiguous read per sampled chunk.
+// insert merges its entries into the arrays and refills the key table, a
+// removal rebuilds both, and a lookup is one probe plus a contiguous read
+// per sampled chunk.
 //
 // Concurrency: the table and one refcount map sit behind a single
 // reader/writer lock. The only concurrent access is the parallel dedup
@@ -189,11 +190,12 @@ class FingerprintRegistry {
   // top slot_bits bits of a multiplicative hash, so small or clustered keys
   // spread too.
   static size_t Home(uint64_t key, unsigned slot_bits);
-  // Replaces the table with `entries`, sorted by key, whose ids index
-  // `locations`, keeping the first max_locations_per_key entries of each
-  // key.
+  // Replaces the table with `entries`, sorted by key and within the
+  // per-key cap, whose ids index `locations`; ids are renumbered.
   void Rebuild(std::span<const Entry> entries, std::span<const PageLocation> locations)
       REQUIRES(mu_);
+  // Refills the key table from entries_, which holds `keys` distinct keys.
+  void IndexKeys(size_t keys) REQUIRES(mu_);
 
   RegistryOptions options_;
 

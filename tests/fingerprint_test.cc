@@ -227,8 +227,9 @@ std::vector<SampledChunk> ReferenceFingerprint(std::span<const uint8_t> page,
 // Whole fingerprints from the shipped kernels equal the 64-bit reference
 // pass: page sizes on both sides of one window and of one 4096-position
 // kernel segment, masks from 1 to 16 bits, and contents that make wide
-// masks match (two-bit alphabet, mostly zero). Cardinality 64 keeps every
-// selected chunk of most pages, so a wrong pick shows. Each selection
+// masks match (two-bit alphabet, mostly zero), at 64-, 12- and 8-bit keys.
+// Cardinality 64 keeps every selected chunk of most pages, so a wrong pick
+// shows. Each selection
 // variant is held to the reference walk directly in
 // kernel_equivalence_test.
 TEST(FingerprintTest, SelectionMatchesReferenceModel) {
@@ -249,29 +250,37 @@ TEST(FingerprintTest, SelectionMatchesReferenceModel) {
   const size_t windows[] = {1, 16, 32, 64, 128, 256};
   const uint64_t masks[] = {0x1, 0x7f, 0x1ff, 0xffff};
   const size_t cardinalities[] = {5, 64};
+  // 64-bit keys never collide here; at 12 and 8 bits they do (Fig 14 runs
+  // at 12), so each distinct key must be kept once, at its smallest offset.
+  const int key_bit_widths[] = {64, 12, 8};
   for (size_t w : windows) {
     const size_t sizes[] = {w, w + 1, 100, 1000, 4096, 4097, 8192};
     for (size_t size : sizes) {
       for (uint64_t mask : masks) {
         for (uint64_t pattern : {uint64_t{0}, mask & 0xa5a5}) {
           for (size_t cardinality : cardinalities) {
-            FingerprintOptions o;
-            o.chunk_size = w;
-            o.cardinality = cardinality;
-            o.sample_mask = mask;
-            o.sample_pattern = pattern;
-            PageFingerprinter fp(o);
-            for (const Content& c : contents) {
-              SCOPED_TRACE(::testing::Message() << "w " << w << " size " << size << " " << c.name);
-              SCOPED_TRACE(::testing::Message() << "mask " << mask << " pattern " << pattern
-                                                << " cardinality " << cardinality);
-              const std::span<const uint8_t> page(c.bytes.data(), size);
-              const PageFingerprint got = fp.FingerprintPage(page);
-              const std::vector<SampledChunk> want = ReferenceFingerprint(page, o);
-              ASSERT_EQ(got.chunks.size(), want.size());
-              for (size_t i = 0; i < want.size(); ++i) {
-                ASSERT_EQ(got.chunks[i].offset, want[i].offset) << "chunk " << i;
-                ASSERT_EQ(got.chunks[i].key, want[i].key) << "chunk " << i;
+            for (int key_bits : key_bit_widths) {
+              FingerprintOptions o;
+              o.chunk_size = w;
+              o.cardinality = cardinality;
+              o.sample_mask = mask;
+              o.sample_pattern = pattern;
+              o.key_bits = key_bits;
+              PageFingerprinter fp(o);
+              for (const Content& c : contents) {
+                SCOPED_TRACE(::testing::Message()
+                             << "w " << w << " size " << size << " " << c.name);
+                SCOPED_TRACE(::testing::Message() << "mask " << mask << " pattern " << pattern
+                                                  << " cardinality " << cardinality
+                                                  << " key_bits " << key_bits);
+                const std::span<const uint8_t> page(c.bytes.data(), size);
+                const PageFingerprint got = fp.FingerprintPage(page);
+                const std::vector<SampledChunk> want = ReferenceFingerprint(page, o);
+                ASSERT_EQ(got.chunks.size(), want.size());
+                for (size_t i = 0; i < want.size(); ++i) {
+                  ASSERT_EQ(got.chunks[i].offset, want[i].offset) << "chunk " << i;
+                  ASSERT_EQ(got.chunks[i].key, want[i].key) << "chunk " << i;
+                }
               }
             }
           }

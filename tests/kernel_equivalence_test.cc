@@ -242,13 +242,16 @@ TEST(KernelEquivalenceTest, Sha1PublicApiAcrossTiers) {
 using SelectFn = size_t (*)(const kernels::SampleRule&, const uint8_t*, size_t, uint16_t*);
 
 // `select` against the 64-bit reference walk (RollingHash::BulkHash plus the
-// mask test): window sizes on both sides of the AVX2 variant's window and
-// length cut-offs, segment sizes up to kSelectMaxPositions, masks from one
-// bit to all sixteen, and contents that make wide masks match (one- and
-// two-bit alphabets, mostly zero).
+// mask test): odd windows and even ones on both sides of the AVX2
+// variant's window and length cut-offs; segment sizes up to
+// kSelectMaxPositions, including counts whose 16 lanes take an odd number
+// of steps (272, 4048, 4080), which splits each lane's two chains
+// unevenly; masks from one bit to all sixteen; and contents that make wide
+// masks match (one- and two-bit alphabets, mostly zero).
 void ExpectSelectMatchesReference(SelectFn select) {
-  const size_t windows[] = {1, 3, 16, 63, 64, 128, 256, 257};
-  const size_t counts[] = {1, 2, 7, 255, 256, 257, 1000, 4033, kernels::kSelectMaxPositions};
+  const size_t windows[] = {1, 2, 3, 16, 32, 63, 64, 128, 256, 257};
+  const size_t counts[] = {1,   2,    7,    255,  256,  257,
+                           272, 1000, 4033, 4048, 4080, kernels::kSelectMaxPositions};
   const std::pair<uint16_t, uint16_t> rules[] = {
       {0x0, 0x0},     {0x1, 0x0},      {0x1, 0x1},      {0x7f, 0x0},
       {0x7f, 0x25},   {0x7f, 0x5a},    {0x1ff, 0x0},    {0x1ff, 0x1a5},

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "chunking/redundancy.h"
+#include "common/rng.h"
 #include "memstate/library_pool.h"
 #include "memstate/profiles.h"
 #include "memstate/tokens.h"
@@ -85,6 +86,34 @@ TEST(LibraryPoolTest, ScaledBytesPageAligned) {
   EXPECT_EQ(pool.ScaledBytes(1.0) % kPageSize, 0u);
   EXPECT_EQ(pool.ScaledBytes(0.1) % kPageSize, 0u);
   EXPECT_GT(pool.ScaledBytes(0.1), 0u);
+}
+
+// FillWithTokens equals the token-at-a-time fill: each run draws a start
+// token and a length of 16-128 tokens, then copies tokens start, start + 1,
+// ... wrapping past the last, until the run or the output ends. Dictionaries
+// smaller than a run wrap more than once; output sizes cut a token short.
+TEST(LibraryPoolTest, FillCopiesTokenRunsInOrder) {
+  for (size_t num_tokens : {size_t{4096}, size_t{100}, size_t{3}, size_t{1}}) {
+    const TokenDictionary dict(9, num_tokens);
+    for (size_t size : {size_t{0}, size_t{1}, size_t{63}, size_t{4096}, size_t{70001}}) {
+      SCOPED_TRACE(::testing::Message() << num_tokens << " tokens, " << size << " bytes");
+      std::vector<uint8_t> want(size);
+      Rng rng(17);
+      for (size_t pos = 0; pos < size;) {
+        const size_t start = rng.Below(dict.NumTokens());
+        const size_t run_tokens = 16 + rng.Below(113);
+        for (size_t t = 0; t < run_tokens && pos < size; ++t) {
+          const std::span<const uint8_t> token = dict.Token(start + t);
+          const size_t take = std::min(token.size(), size - pos);
+          std::memcpy(want.data() + pos, token.data(), take);
+          pos += take;
+        }
+      }
+      std::vector<uint8_t> got(size);
+      FillWithTokens(dict, 17, got);
+      EXPECT_EQ(got, want);
+    }
+  }
 }
 
 class ImageTest : public ::testing::Test {

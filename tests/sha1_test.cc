@@ -110,5 +110,29 @@ TEST(Sha1Test, BitFlipChangesDigest) {
   }
 }
 
+// The key batch equals one Hash(chunk).Prefix64() per chunk at every batch
+// size from 0 to 130: both sides of the kernel's chunk pairs and of the
+// 64-chunk strips the batch reads its keys out in. Chunks overlap and some
+// repeat, as sampled chunks of one page can.
+TEST(Sha1Test, Chunk64Prefix64BatchMatchesHash) {
+  Rng rng(7);
+  std::vector<uint8_t> data(8192);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  std::vector<const uint8_t*> chunks;
+  for (size_t i = 0; i < 130; ++i) {
+    chunks.push_back(data.data() + (i % 7 == 3 ? 0 : rng.Below(data.size() - 64 + 1)));
+  }
+  for (size_t n = 0; n <= chunks.size(); ++n) {
+    std::vector<uint64_t> keys(n + 1, 0x5a5a5a5a5a5a5a5aull);
+    Sha1::Chunk64Prefix64Batch(chunks.data(), n, keys.data());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(keys[i], Sha1::Hash({chunks[i], 64}).Prefix64()) << "n " << n << " chunk " << i;
+    }
+    EXPECT_EQ(keys[n], 0x5a5a5a5a5a5a5a5aull) << "n " << n << " wrote past the batch";
+  }
+}
+
 }  // namespace
 }  // namespace medes
