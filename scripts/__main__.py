@@ -5,6 +5,8 @@ Usage:
     python3 -m scripts lint --self-test            # fixture corpus
     python3 -m scripts check-bench-json FILE ...   # bench JSON validator
     python3 -m scripts check-trace-json FILE ...   # Chrome trace validator
+    python3 -m scripts perf-pairs --parent DIR --change DIR --workload W \
+        --seeds A-B --seconds S                    # alternating perfbench pairs
 
 Each subcommand forwards its remaining arguments verbatim to the underlying
 tool, so CI invokes every gate through one stable interface.
@@ -12,12 +14,13 @@ tool, so CI invokes every gate through one stable interface.
 
 import sys
 
-from scripts import check_bench_json, check_trace_json, medes_lint
+from scripts import check_bench_json, check_trace_json, medes_lint, perf_pairs
 
 COMMANDS = {
     "lint": "medes-lint determinism/invariant analyzer",
     "check-bench-json": "validate a bench JSON report",
     "check-trace-json": "validate a Chrome trace-event JSON export",
+    "perf-pairs": "alternating perfbench pairs: parent checkout vs change",
 }
 
 
@@ -39,6 +42,8 @@ def main() -> int:
         return check_bench_json.main()
     if command == "check-trace-json":
         return check_trace_json.main(rest)
+    if command == "perf-pairs":
+        return perf_pairs.main(rest)
     print(f"unknown command: {command}\n\n{usage()}", file=sys.stderr)
     return 2
 

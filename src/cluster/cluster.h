@@ -48,6 +48,17 @@ struct PatchRecord {
   std::vector<PageLocation> bases;
 };
 
+// Keep-alive expiry state of a sandbox under the fixed and adaptive
+// policies (see ServerlessPlatform). Completions move the deadline; at most
+// one expiry event is queued, never later than the deadline. Seqs are the
+// engine's tie-break numbers, and the queued event's seq is its identity.
+struct KeepAliveExpiry {
+  SimTime deadline;           // last completion + keep-alive window
+  uint64_t deadline_seq = 0;  // seq reserved at that completion
+  SimTime queued_at;          // fire time of the queued event
+  uint64_t queued_seq = 0;    // its seq; 0 = none queued
+};
+
 struct Sandbox {
   SandboxId id;
   FunctionId function = -1;
@@ -73,11 +84,12 @@ struct Sandbox {
   // (the live checkpoint mutates during restores, so it cannot be the basis).
   double dedup_footprint_mb = 0;
 
-  // Pending lifecycle timer (keep-alive / idle / keep-dedup); 0 = none.
+  // Pending Medes keep-dedup timer; 0 = none.
   uint64_t pending_timer = 0;
   // Deadline the platform's coalesced idle-expiry bucket expects this sandbox
   // to be handled at; 0 = not enrolled (see ServerlessPlatform).
   SimTime idle_deadline;
+  KeepAliveExpiry expiry;
 
   // Statistic: how this sandbox last started.
   uint64_t runs = 0;

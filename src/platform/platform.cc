@@ -141,6 +141,9 @@ class ServerlessPlatform::Impl {
     return FunctionBenchProfiles().at(static_cast<size_t>(f));
   }
 
+  // Medes' lifecycle timers only. The keep-alive policies never cancel:
+  // their expiry event lapses or re-arms when it fires (ArmKeepAlive), so
+  // under them this finds nothing pending.
   void CancelTimer(Sandbox& sb) {
     if (sb.pending_timer != 0) {
       sim_.Cancel(sb.pending_timer);
@@ -292,8 +295,17 @@ class ServerlessPlatform::Impl {
     // single-threaded, so the serial sequence counter — and through it every
     // derived span id — is a pure function of arrival order.
     const obs::TraceContext ctx = obs::MintTraceContext(next_trace_seq_++);
-    controller_.RecordArrival(ev.function, now);
-    adaptive_[static_cast<size_t>(ev.function)].RecordArrival(now);
+    // Only the active policy's tracker: nothing else reads them.
+    switch (options_.policy) {
+      case PolicyKind::kFixedKeepAlive:
+        break;
+      case PolicyKind::kAdaptiveKeepAlive:
+        adaptive_[static_cast<size_t>(ev.function)].RecordArrival(now);
+        break;
+      case PolicyKind::kMedes:
+        controller_.RecordArrival(ev.function, now);
+        break;
+    }
 
     StartType type;
     SimDuration startup;
@@ -413,22 +425,65 @@ class ServerlessPlatform::Impl {
     ArmPostCompletionTimer(*sb);
   }
 
+  // Starts a warm sandbox's idle period: the keep-alive baselines move its
+  // expiry deadline, Medes enrolls it for an idle-expiry decision.
   void ArmPostCompletionTimer(Sandbox& sb) {
-    const SandboxId id = sb.id;
     switch (options_.policy) {
       case PolicyKind::kFixedKeepAlive:
-        sb.pending_timer = sim_.ScheduleAfter(options_.fixed_keep_alive,
-                                              [this, id] { OnPurgeTimer(id); });
+        ArmKeepAlive(sb, options_.fixed_keep_alive);
         break;
       case PolicyKind::kAdaptiveKeepAlive:
-        sb.pending_timer = sim_.ScheduleAfter(
-            adaptive_[static_cast<size_t>(sb.function)].KeepAlive(),
-            [this, id] { OnPurgeTimer(id); });
+        ArmKeepAlive(sb, adaptive_[static_cast<size_t>(sb.function)].KeepAlive());
         break;
       case PolicyKind::kMedes:
         ArmIdle(sb);
         break;
     }
+  }
+
+  // Keep-alive expiry without cancellation. A completion sets the deadline
+  // and reserves the tie-break seq a purge timer scheduled right now would
+  // get, but queues an event only if none is queued or the new deadline is
+  // earlier than the queued one (the adaptive window can shrink). Warm reuse
+  // cancels nothing; the queued event, when it fires, lapses if the sandbox
+  // is running or gone, re-arms at the deadline with the reserved seq if a
+  // later completion moved it, and purges otherwise. Each purge therefore
+  // fires at the (time, seq) the cancel-and-re-arm timer gave it.
+  void ArmKeepAlive(Sandbox& sb, SimDuration window) {
+    KeepAliveExpiry& e = sb.expiry;
+    e.deadline = sim_.Now() + window;
+    e.deadline_seq = sim_.ReserveSeqBlock(1);
+    if (e.queued_seq == 0 || e.deadline < e.queued_at) {
+      QueueExpiry(sb);
+    }
+  }
+
+  // Queues the deadline's own event; one queued earlier stops being current.
+  void QueueExpiry(Sandbox& sb) {
+    KeepAliveExpiry& e = sb.expiry;
+    e.queued_at = e.deadline;
+    e.queued_seq = e.deadline_seq;
+    const SandboxId id = sb.id;
+    const uint64_t seq = e.deadline_seq;
+    sim_.ScheduleWithSeq(e.deadline, seq, [this, id, seq] { OnExpiry(id, seq); });
+  }
+
+  // The seq, not the instant, tells the current event from a superseded one:
+  // both can be due at the same instant.
+  void OnExpiry(SandboxId id, uint64_t seq) {
+    Sandbox* sb = cluster_.Find(id);
+    if (sb == nullptr || sb->expiry.queued_seq != seq) {
+      return;  // purged, or superseded by an earlier deadline's event
+    }
+    sb->expiry.queued_seq = 0;
+    if (sb->state != SandboxState::kWarm) {
+      return;  // running: its completion queues the next event
+    }
+    if (seq != sb->expiry.deadline_seq) {
+      QueueExpiry(*sb);  // a later completion moved the deadline
+      return;
+    }
+    PurgeSandbox(*sb);
   }
 
   // Enrolls a warm sandbox for an idle-expiry decision one idle period from
@@ -441,15 +496,6 @@ class ServerlessPlatform::Impl {
       sim_.Schedule(deadline, [this, deadline] { OnIdleBucket(deadline); });
     }
     bucket.push_back(sb.id);
-  }
-
-  void OnPurgeTimer(SandboxId id) {
-    Sandbox* sb = cluster_.Find(id);
-    if (sb == nullptr || sb->state != SandboxState::kWarm) {
-      return;
-    }
-    sb->pending_timer = 0;
-    PurgeSandbox(*sb);
   }
 
   // One deadline's worth of coalesced idle expiries. Entries whose sandbox

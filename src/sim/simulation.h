@@ -93,9 +93,11 @@ class Simulation {
 
   // Reserves `n` consecutive tie-break sequence numbers and returns the
   // first. With ScheduleWithSeq this lets a caller feed a pre-sorted batch
-  // lazily (e.g. chaining trace arrivals) while keeping the exact fire order
-  // bulk scheduling would have produced — equal-time events still fire in
-  // reserved-seq order no matter when they physically enter the queue.
+  // lazily (e.g. chaining trace arrivals), or queue an event later than it
+  // was decided (the platform's keep-alive expiry), while keeping the exact
+  // fire order scheduling at reservation time would have produced —
+  // equal-time events still fire in reserved-seq order no matter when they
+  // physically enter the queue.
   uint64_t ReserveSeqBlock(uint64_t n) {
     const uint64_t first = next_seq_;
     next_seq_ += n;

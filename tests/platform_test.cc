@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+
 #include "common/hash.h"
 
 namespace medes {
@@ -173,7 +177,9 @@ StartCounts CountStarts(const RunMetrics& m) {
 
 // Golden values for the keep-alive baselines. Warm-sandbox choice (most
 // recently used, lowest id on a tie) and LRU eviction decide every start, so
-// a change to either must re-derive these numbers deliberately.
+// a change to either must re-derive these numbers deliberately. `fired`
+// also counts keep-alive expiry events that lapse or re-arm: it pins the
+// timer mechanism, not a modelled output.
 TEST(PlatformTest, FixedKeepAliveShortTraceMatchesGoldenValues) {
   auto trace = ShortTrace(8 * kMinute);
   ServerlessPlatform platform(FastOptions(PolicyKind::kFixedKeepAlive));
@@ -184,7 +190,7 @@ TEST(PlatformTest, FixedKeepAliveShortTraceMatchesGoldenValues) {
   EXPECT_EQ(c.cold, 601u);
   EXPECT_EQ(m.sandboxes_spawned, 601u);
   EXPECT_EQ(m.evictions, 455u);
-  EXPECT_EQ(platform.sim().stats().fired, 31088u);
+  EXPECT_EQ(platform.sim().stats().fired, 31680u);
   EXPECT_EQ(RequestStreamHash(m), 16380321898527846165ull);
 }
 
@@ -198,8 +204,228 @@ TEST(PlatformTest, AdaptiveKeepAliveShortTraceMatchesGoldenValues) {
   EXPECT_EQ(c.cold, 667u);
   EXPECT_EQ(m.sandboxes_spawned, 667u);
   EXPECT_EQ(m.evictions, 319u);
-  EXPECT_EQ(platform.sim().stats().fired, 31290u);
+  EXPECT_EQ(platform.sim().stats().fired, 32399u);
   EXPECT_EQ(RequestStreamHash(m), 211825630430056172ull);
+}
+
+// Digest of everything a keep-alive run models: the request stream, the
+// start counts, spawns, evictions and the whole memory timeline (bit
+// patterns of its doubles included). Equal digests mean the runs purged the
+// same sandboxes at the same instants in the same order.
+uint64_t KeepAliveRunDigest(const RunMetrics& m) {
+  const StartCounts c = CountStarts(m);
+  uint64_t h = RequestStreamHash(m);
+  for (uint64_t v : {c.warm, c.dedup, c.cold, m.sandboxes_spawned, m.evictions,
+                     m.overcommit_events}) {
+    h = HashCombine(h, v);
+  }
+  for (const MemorySample& s : m.memory_timeline) {
+    h = HashCombine(h, static_cast<uint64_t>(s.time.value()));
+    h = HashCombine(h, std::bit_cast<uint64_t>(s.used_mb));
+    for (uint64_t v : {s.sandboxes, s.warm, s.dedup, s.bases}) {
+      h = HashCombine(h, v);
+    }
+    for (double mb : s.idle_warm_mb_per_function) {
+      h = HashCombine(h, std::bit_cast<uint64_t>(mb));
+    }
+  }
+  return h;
+}
+
+// A keep-alive configuration of window `window`. The adaptive policy gets
+// `window` as its default and longest window and a thirtieth of it as its
+// shortest, so its window moves in both directions as arrivals come in.
+PlatformOptions KeepAliveOptions(PolicyKind policy, SimDuration window) {
+  PlatformOptions opts = FastOptions(policy);
+  opts.fixed_keep_alive = window;
+  opts.adaptive.default_window = window;
+  opts.adaptive.max_window = window;
+  opts.adaptive.min_window = window / 30;
+  return opts;
+}
+
+// Bursts of simultaneous arrivals placed one warm start plus one execution
+// before a shared instant, so a burst's warm completions coincide, and so do
+// their keep-alive deadlines. Instants sit half a window apart: a deadline
+// falls on the completions two bursts later. Copies per burst vary, so some
+// arrivals start cold and finish at other instants.
+std::vector<TraceEvent> CollidingTrace(SimDuration window) {
+  std::vector<TraceEvent> trace;
+  for (int64_t burst = 0; burst < 24; ++burst) {
+    const SimTime instant = SimTime{} + 10 * kSecond + burst * (window / 2);
+    for (FunctionId f : {0, 1, 6}) {
+      const FunctionProfile& p = FunctionBenchProfiles().at(static_cast<size_t>(f));
+      const int64_t copies = 1 + (burst + f) % 3;
+      for (int64_t k = 0; k < copies; ++k) {
+        trace.push_back(TraceEvent{instant - (p.warm_start + p.exec_time), f});
+      }
+    }
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.time < b.time; });
+  return trace;
+}
+
+// Two purges due at one instant on one node, for a 30 s window. ImagePro
+// (26.4 MB) completes at 2.1 s, is reused, and completes again at 20 s just
+// ahead of a cold AuthEnc (22.3 MB), so both expire at 50 s, ImagePro first;
+// its first expiry event, due at 32.1 s, is still queued at 20 s. A Vanilla
+// sandbox keeps the node's usage above zero, where subtracting 26.4 then
+// 22.3 rounds differently from the reverse: the purge order shows in the
+// sampled usage.
+std::vector<TraceEvent> TiedPurgeTrace() {
+  const SimTime done = SimTime{} + 20 * kSecond;
+  return {{SimTime{}, 2},
+          {done - FromMillis(1207), 2},  // warm: 7 ms start, 1.2 s execution
+          {done - FromMillis(1050), 6},  // cold: 650 ms start, 400 ms execution
+          {SimTime{} + 21 * kSecond, 0}};
+}
+
+// Exactness oracle for keep-alive expiry: digests recorded from the
+// cancel-and-re-arm timer (each completion scheduled a purge and each warm
+// reuse cancelled it). Any change to when or in which order the baselines
+// purge a sandbox moves at least one of them.
+TEST(PlatformTest, KeepAliveExpiryMatchesRecordedDigests) {
+  struct Case {
+    PolicyKind policy;
+    // A generated 5-minute trace's seed; kColliding and kTiedPurges name the
+    // hand-built traces above.
+    uint64_t trace_seed;
+    SimDuration window;
+    uint64_t digest;
+  };
+  constexpr uint64_t kColliding = 0;
+  constexpr uint64_t kTiedPurges = 100;
+  const Case cases[] = {
+      {PolicyKind::kFixedKeepAlive, 1, kSecond, 8241836045032893252ull},
+      {PolicyKind::kFixedKeepAlive, 1, 30 * kSecond, 284428298059869798ull},
+      {PolicyKind::kFixedKeepAlive, 1, 10 * kMinute, 9609634231470412233ull},
+      {PolicyKind::kFixedKeepAlive, 2, kSecond, 13179058981259765611ull},
+      {PolicyKind::kFixedKeepAlive, 2, 30 * kSecond, 4976863562293124906ull},
+      {PolicyKind::kFixedKeepAlive, 2, 10 * kMinute, 12513894128120198858ull},
+      {PolicyKind::kFixedKeepAlive, 3, kSecond, 10101733225396195422ull},
+      {PolicyKind::kFixedKeepAlive, 3, 30 * kSecond, 8750986213276679580ull},
+      {PolicyKind::kFixedKeepAlive, 3, 10 * kMinute, 15524665726556647079ull},
+      {PolicyKind::kAdaptiveKeepAlive, 1, kSecond, 7834148170613329980ull},
+      {PolicyKind::kAdaptiveKeepAlive, 1, 30 * kSecond, 563135769301374331ull},
+      {PolicyKind::kAdaptiveKeepAlive, 1, 10 * kMinute, 5759370691735083462ull},
+      {PolicyKind::kAdaptiveKeepAlive, 2, kSecond, 13240001559079417054ull},
+      {PolicyKind::kAdaptiveKeepAlive, 2, 30 * kSecond, 13663313975529392741ull},
+      {PolicyKind::kAdaptiveKeepAlive, 2, 10 * kMinute, 1446475447028437784ull},
+      {PolicyKind::kAdaptiveKeepAlive, 3, kSecond, 15241484363228277783ull},
+      {PolicyKind::kAdaptiveKeepAlive, 3, 30 * kSecond, 10569623348691264019ull},
+      {PolicyKind::kAdaptiveKeepAlive, 3, 10 * kMinute, 11070330624179286229ull},
+      {PolicyKind::kFixedKeepAlive, kColliding, kSecond, 1381083872929514693ull},
+      {PolicyKind::kFixedKeepAlive, kColliding, 30 * kSecond, 3471292653616944946ull},
+      {PolicyKind::kAdaptiveKeepAlive, kColliding, kSecond, 1558659275159833015ull},
+      {PolicyKind::kAdaptiveKeepAlive, kColliding, 30 * kSecond, 2137761174576217632ull},
+      {PolicyKind::kFixedKeepAlive, kTiedPurges, 30 * kSecond, 16252556243329282938ull},
+      {PolicyKind::kAdaptiveKeepAlive, kTiedPurges, 30 * kSecond, 16252556243329282938ull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(ToString(c.policy)) + " seed " + std::to_string(c.trace_seed) +
+                 " window " + std::to_string(c.window.value()) + " us");
+    PlatformOptions opts = KeepAliveOptions(c.policy, c.window);
+    // Fine samples: a purge that moves by more than 100 ms moves the
+    // timeline even where no later start decision notices.
+    opts.memory_sample_interval = 100 * kMillisecond;
+    std::vector<TraceEvent> trace;
+    if (c.trace_seed == kColliding) {
+      // Two small nodes: the bursts overflow them, so LRU eviction picks
+      // among sandboxes whose last use ties.
+      opts.cluster.num_nodes = 2;
+      opts.cluster.node_memory_mb = 80;
+      trace = CollidingTrace(c.window);
+    } else if (c.trace_seed == kTiedPurges) {
+      opts.cluster.num_nodes = 1;
+      trace = TiedPurgeTrace();
+    } else {
+      TraceOptions topts;
+      topts.duration = 5 * kMinute;
+      topts.rate_scale = 2.0;
+      topts.seed = c.trace_seed;
+      trace = GenerateTrace(DefaultAzurePatterns(), topts);
+    }
+    const RunMetrics m = ServerlessPlatform(opts).Run(trace);
+    ASSERT_EQ(m.TotalRequests(), trace.size());
+    EXPECT_EQ(KeepAliveRunDigest(m), c.digest) << "spawns " << m.sandboxes_spawned
+                                               << " evictions " << m.evictions;
+  }
+}
+
+// An adaptive policy whose window is the last inter-arrival time, clamped to
+// [1 s, 100 s], or `first_window` before the second arrival: a test sets
+// every deadline through its arrival times.
+PlatformOptions LastGapAdaptiveOptions(SimDuration first_window) {
+  PlatformOptions opts = FastOptions(PolicyKind::kAdaptiveKeepAlive);
+  opts.adaptive.coverage_percentile = 1.0;
+  opts.adaptive.margin = 1.0;
+  opts.adaptive.min_window = kSecond;
+  opts.adaptive.max_window = 100 * kSecond;
+  opts.adaptive.default_window = first_window;
+  opts.adaptive.min_samples = 1;
+  opts.adaptive.max_samples = 1;
+  return opts;
+}
+
+// Runs `trace` of Vanilla requests (cold start 500 ms, warm start 6 ms,
+// execution 150 ms) with probes that record, at each of `probe_times`,
+// whether sandbox 1 exists. Probes are scheduled before Run, so at an equal
+// instant they fire ahead of every platform timer. Returns the number of
+// keep-alive expiry events the run scheduled.
+uint64_t RunWithProbes(const PlatformOptions& opts, const std::vector<SimTime>& arrivals,
+                       const std::vector<SimTime>& probe_times, std::vector<bool>& alive) {
+  ServerlessPlatform platform(opts);
+  for (SimTime t : probe_times) {
+    platform.sim().Schedule(t, [&platform, &alive] {
+      alive.push_back(platform.cluster().Find(SandboxId{1}) != nullptr);
+    });
+  }
+  std::vector<TraceEvent> trace;
+  for (SimTime t : arrivals) {
+    trace.push_back(TraceEvent{t, 0});
+  }
+  const RunMetrics m = platform.Run(trace);
+  EXPECT_EQ(m.sandboxes_spawned, 1u);
+  EXPECT_EQ(m.TotalColdStarts(), 1u);
+  // Everything else scheduled is an arrival, a completion or a sample.
+  return platform.sim().stats().scheduled - probe_times.size() - 2 * trace.size() -
+         m.memory_timeline.size();
+}
+
+// The window shrinks: the second completion's deadline falls before the
+// event the first one queued. The purge lands on the earlier deadline, and
+// the superseded event, when it fires, does nothing.
+TEST(PlatformTest, AdaptiveShrinkingWindowPurgesAtEarlierDeadline) {
+  // 0 s: cold; done at 0.65 s, window 100 s, event queued for 100.65 s.
+  // 10 s: warm; done at 10.156 s, window 10 s: deadline 20.156 s.
+  const SimTime deadline = SimTime{} + FromMillis(20156);
+  std::vector<bool> alive;
+  const uint64_t expiry_events =
+      RunWithProbes(LastGapAdaptiveOptions(100 * kSecond), {SimTime{}, SimTime{} + 10 * kSecond},
+                    {deadline, deadline + kMicrosecond, SimTime{} + FromMillis(100650) +
+                                                            kMicrosecond},
+                    alive);
+  EXPECT_EQ(alive, (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(expiry_events, 2u);  // the superseded one and the one that purged
+}
+
+// A superseded event and the current one fall due at the same instant. Only
+// the current one may act: had the other re-armed or purged too, the run
+// would have scheduled a fourth expiry event.
+TEST(PlatformTest, AdaptiveStaleAndCurrentExpiryShareAnInstant) {
+  // 0 s: cold; done at 0.65 s, first window 29.706 s: event for 30.356 s.
+  // 10 s: warm; done at 10.156 s, window 10 s: event for 20.156 s.
+  // 20.1 s: warm, running until 20.256 s, so the 20.156 s event lapses.
+  //   Done at 20.256 s, window 10.1 s: deadline 30.356 s, a new event.
+  const SimTime instant = SimTime{} + FromMillis(30356);
+  std::vector<bool> alive;
+  const uint64_t expiry_events = RunWithProbes(
+      LastGapAdaptiveOptions(FromMillis(29706)),
+      {SimTime{}, SimTime{} + 10 * kSecond, SimTime{} + FromMillis(20100)},
+      {SimTime{} + FromMillis(20156), instant, instant + kMicrosecond}, alive);
+  EXPECT_EQ(alive, (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(expiry_events, 3u);
 }
 
 TEST(PlatformTest, RunTwiceRejected) {
